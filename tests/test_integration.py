@@ -10,6 +10,7 @@ equations must therefore be solvable, and the obstruction cochains must
 be honestly delta-closed on the quadruple.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from nbhdext.cech import (
     SYM_END,
     CechCochain,
     Solved,
+    UnresolvedWithinWindow,
     atiyah_cocycle,
     cech_differential,
     first_order_obstruction,
@@ -203,8 +205,19 @@ def test_second_order_obstruction_closed_and_solvable(ctx):
     assert isinstance(status, Solved)
 
 
+# window half-width -> (order-two verdict, SHA-256 of the report bytes)
+FOUR_CHART_GOLDEN = {
+    5: (UnresolvedWithinWindow, "848b2997c1e4068179bb438f77b0e5b300194060a2a535fd68839d2d6403f6c5"),
+    6: (Solved, "5d24843f0294d79240e0c5d778cd950bea127471137bfb56239af236968a3700"),
+}
+
+
 def test_full_pipeline_on_four_charts(scenario):
-    bundle = run_pipeline(scenario, k=2, window=(-6, 6))
-    for report in bundle.reports:
-        assert isinstance(report.status, Solved), report.order
-        assert report.closedness == "verified"
+    assert scenario.e == 2
+    for w, (order_two, digest) in FOUR_CHART_GOLDEN.items():
+        bundle = run_pipeline(scenario, k=2, window=(-w, w))
+        first, second = bundle.reports
+        assert isinstance(first.status, Solved), w
+        assert isinstance(second.status, order_two), w
+        assert all(r.closedness == "verified" for r in bundle.reports), w
+        assert hashlib.sha256(bundle.dumps().encode()).hexdigest() == digest, w
