@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep every builtin scenario through the full pipeline and print a table.
 
-Usage: python scripts/run_builtins.py [--orders 2] [--workers N]
+Usage: python scripts/run_builtins.py [--orders 2]
 """
 
 import argparse
@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nbhdext.cech import ProvenNonzero, Solved
+from nbhdext.cli import describe_status
 from nbhdext.scenarios import generate_builtin, run_pipeline
 
 CASES = [
@@ -29,28 +29,18 @@ CASES = [
 ]
 
 
-def describe(status):
-    if isinstance(status, Solved):
-        oracle = "" if status.h1_oracle is None else f" (oracle {status.h1_oracle})"
-        return f"solved, torsor {status.torsor_dim}{oracle}"
-    if isinstance(status, ProvenNonzero):
-        return "PROVEN NONZERO"
-    return f"unresolved in window {status.window}"
-
-
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--orders", type=int, default=2)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     width = max(len(name) for name, _, _ in CASES) + 12
     for name, d, twist in CASES:
         t0 = time.monotonic()
         scenario = generate_builtin(name, d=d, twist=twist)
-        bundle = run_pipeline(scenario, k=args.orders, workers=args.workers)
+        bundle = run_pipeline(scenario, k=args.orders)
         label = f"{name}(d={d}, twist={twist})".ljust(width)
-        parts = [f"order {r.order}: {describe(r.status)}" for r in bundle.reports]
+        parts = [f"order {r.order}: {describe_status(r.status)}" for r in bundle.reports]
         if bundle.abelianized is not None:
             parts.append(
                 "abelianized exact" if bundle.abelianized["exact"] else "abelianized FAILS"

@@ -33,7 +33,6 @@ Triple = Tuple[int, int, int]
 # value type tags for cochains
 SYM_END = "sym_end"        # Sym^v con (x) End E : PolyMatrix with degree-v entries
 SYM_SCALAR = "sym_scalar"  # Sym^v con            : LaurentPoly of degree v
-SYM_VEC = "sym_vec"        # Sym^v con (x) E      : tuple of e polys
 FORM_END = "form_end"      # Omega^1 (x) End E    : tuple over du_b of PolyMatrix
 HOMFORM_SYM = "homform_sym"  # Hom(Omega^1, Sym^s): tuple over du_b of polys
 
@@ -173,19 +172,6 @@ class CechContext:
         mul = lambda a, b: g.ring_i.mul(a, b, self.order)
         return gm.matmul(moved, mul).matmul(gi, mul)
 
-    def vec_to_low(self, pair: Pair, value: Sequence[LaurentPoly]) -> Tuple[LaurentPoly, ...]:
-        g = self._geom(pair)
-        moved = [self.scalar_to_low(pair, p) for p in value]
-        gm = self.bundle.g[pair]
-        mul = lambda a, b: g.ring_i.mul(a, b, self.order)
-        return tuple(
-            sum(
-                (mul(gm[r, c], moved[c]) for c in range(len(moved))),
-                g.ring_i.zero(),
-            )
-            for r in range(gm.rows)
-        )
-
     def form_end_to_low(
         self, pair: Pair, value: Sequence[PolyMatrix]
     ) -> Tuple[PolyMatrix, ...]:
@@ -224,8 +210,6 @@ class CechContext:
             return self.scalar_to_low(pair, value)
         if vtype == SYM_END:
             return self.end_to_low(pair, value)
-        if vtype == SYM_VEC:
-            return self.vec_to_low(pair, value)
         if vtype == FORM_END:
             return self.form_end_to_low(pair, value)
         if vtype == HOMFORM_SYM:
@@ -269,25 +253,25 @@ class CechContext:
 
     # -- connections and the Atiyah cochain ---------------------------------------
 
+    def connection_to_low(
+        self, pair: Pair, forms: Sequence[PolyMatrix]
+    ) -> List[PolyMatrix]:
+        """Gauge-transform connection forms of the high frame into the low one.
+
+        The forms move tensorially, then pick up the inhomogeneous term
+        -dg . g^-1 of the transition matrix.
+        """
+        ring = self._geom(pair).ring_i
+        mul = lambda a, b: ring.mul(a, b, self.order)
+        gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
+        return [
+            form - gm.map(lambda p: p.diff(name)).matmul(gi, mul)
+            for form, name in zip(self.form_end_to_low(pair, forms), ring.u_names)
+        ]
+
     def connection_in_low(self, pair: Pair) -> List[PolyMatrix]:
         """The high chart's connection transported into the low chart frame."""
-        g = self._geom(pair)
-        ring = g.ring_i
-        mul = lambda a, b: ring.mul(a, b, self.order)
-        gamma_high = self.bundle.gammas[g.j]
-        moved = [m.map(lambda p: self.scalar_to_low(pair, p)) for m in gamma_high]
-        jac = g.jac_ji()
-        out = []
-        gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
-        for c in range(ring.p):
-            acc = PolyMatrix.zero(self.bundle.rank, self.bundle.rank, ring.names)
-            for b in range(ring.p):
-                if not jac[b, c].is_zero():
-                    acc = acc + moved[b].scale(jac[b, c], mul)
-            term = gm.matmul(acc, mul).matmul(gi, mul)
-            dg = gm.map(lambda p: p.diff(ring.u_names[c]))
-            out.append(term - dg.matmul(gi, mul))
-        return out
+        return self.connection_to_low(pair, self.bundle.gammas[self._geom(pair).j])
 
     def atiyah_value(self, pair: Pair) -> Tuple[PolyMatrix, ...]:
         """nabla_low - nabla_high on the overlap, in the low frame."""
@@ -317,14 +301,8 @@ class CechContext:
             self._check_module_derivation(g, d)
             nabla = self.connection_in_low(pair)
             for v in range(1, self.order + 1):
-                mat = d.module.map(lambda p: ring.t_part(p, v))
-                for b in range(ring.p):
-                    a_vb = ring.t_part(d.u_images[b], v)
-                    if not a_vb.is_zero():
-                        mat = mat - nabla[b].scale(
-                            a_vb, lambda x, y: ring.mul(x, y, self.order)
-                        )
-                out["m"][v] = mat
+                residue = contract(ring, out["a"][v], nabla, self.order)
+                out["m"][v] = d.module.map(lambda p: ring.t_part(p, v)) - residue
         return out
 
     def _check_module_derivation(self, g: OverlapGeometry, d: PairDerivation) -> None:
@@ -346,9 +324,7 @@ class CechContext:
 
     def sphi_operator(self, pair: Pair, degree: int) -> PairDerivation:
         """The connection lift of the degree-s slice of log Phi on this overlap."""
-        g = self._geom(pair)
-        ring = g.ring_i
-        d = g.logphi.component(degree)
+        d = self._geom(pair).logphi.component(degree)
         return leibniz_extend(d, self.connection_in_low(pair), self.bundle.rank)
 
     def transported_sphi(self, low: int, pair: Pair, degree: int) -> PairDerivation:
@@ -358,29 +334,9 @@ class CechContext:
             return self.sphi_operator(pair, degree)
         d = self.derivation_to_low((low, g.i), g.logphi)
         sliced = d.component(degree)
-        nabla = self._transport_connection_chain(low, pair)
+        # the high chart's connection of ``pair`` moves on from frame pair[0]
+        nabla = self.connection_to_low((low, g.i), self.connection_in_low(pair))
         return leibniz_extend(sliced, nabla, self.bundle.rank)
-
-    def _transport_connection_chain(self, low: int, pair: Pair) -> List[PolyMatrix]:
-        """The high chart's connection of ``pair`` expressed in chart ``low``."""
-        inner = self.connection_in_low(pair)  # in frame pair[0]
-        step = (low, pair[0])
-        g = self._geom(step)
-        ring = g.ring_i
-        mul = lambda a, b: ring.mul(a, b, self.order)
-        moved = [m.map(lambda p: self.scalar_to_low(step, p)) for m in inner]
-        jac = g.jac_ji()
-        out = []
-        gm, gi = self.bundle.g[step], self.bundle.g_inv[step]
-        for c in range(ring.p):
-            acc = PolyMatrix.zero(self.bundle.rank, self.bundle.rank, ring.names)
-            for b in range(ring.p):
-                if not jac[b, c].is_zero():
-                    acc = acc + moved[b].scale(jac[b, c], mul)
-            term = gm.matmul(acc, mul).matmul(gi, mul)
-            dg = gm.map(lambda p: p.diff(ring.u_names[c]))
-            out.append(term - dg.matmul(gi, mul))
-        return out
 
     # -- value helpers ---------------------------------------------------------------
 
@@ -390,8 +346,6 @@ class CechContext:
             return ring.zero()
         if vtype == SYM_END:
             return PolyMatrix.zero(e, e, ring.names)
-        if vtype == SYM_VEC:
-            return tuple(ring.zero() for _ in range(e))
         if vtype == FORM_END:
             return tuple(PolyMatrix.zero(e, e, ring.names) for _ in range(ring.p))
         if vtype == HOMFORM_SYM:
@@ -409,35 +363,21 @@ class CechContext:
 
 
 def value_add(a, b):
-    if isinstance(a, LaurentPoly):
-        return a + b
-    if isinstance(a, PolyMatrix):
+    if isinstance(a, (LaurentPoly, PolyMatrix)):
         return a + b
     return tuple(value_add(x, y) for x, y in zip(a, b))
 
 
 def value_neg(a):
-    if isinstance(a, LaurentPoly):
-        return -a
-    if isinstance(a, PolyMatrix):
+    if isinstance(a, (LaurentPoly, PolyMatrix)):
         return -a
     return tuple(value_neg(x) for x in a)
 
 
 def value_is_zero(a) -> bool:
-    if isinstance(a, LaurentPoly):
-        return a.is_zero()
-    if isinstance(a, PolyMatrix):
+    if isinstance(a, (LaurentPoly, PolyMatrix)):
         return a.is_zero()
     return all(value_is_zero(x) for x in a)
-
-
-def value_scale(a, c):
-    if isinstance(a, LaurentPoly):
-        return a * c
-    if isinstance(a, PolyMatrix):
-        return a.scale(Fraction(c))
-    return tuple(value_scale(x, c) for x in a)
 
 
 @dataclass
@@ -540,7 +480,7 @@ def kodaira_spencer_cochain(ctx: CechContext, degree: int) -> CechCochain:
 
 
 def first_order_obstruction(
-    ctx: CechContext, a1: CechCochain, at: CechCochain, workers: int = 1
+    ctx: CechContext, a1: CechCochain, at: CechCochain
 ) -> CechCochain:
     """Cup product a^1_ij . At_jh on each triple, in the lowest frame."""
 
@@ -550,7 +490,7 @@ def first_order_obstruction(
         at_moved = ctx.transport((i, j), FORM_END, at.value(ctx, (j, h)))
         return contract(ring, a1.value(ctx, (i, j)), at_moved, ctx.order)
 
-    return CechCochain(2, SYM_END, 1, _map_simplices(ctx.nerve.triples(), evaluate, workers))
+    return CechCochain(2, SYM_END, 1, {tri: evaluate(tri) for tri in ctx.nerve.triples()})
 
 
 def second_order_obstruction(
@@ -558,7 +498,6 @@ def second_order_obstruction(
     a2: CechCochain,
     at: CechCochain,
     m1: CechCochain,
-    workers: int = 1,
 ) -> CechCochain:
     """Quadratic obstruction given an order-one solution and flat connections."""
     if not all(ctx.bundle.flat):
@@ -580,19 +519,7 @@ def second_order_obstruction(
         acc = acc + _op_endo_bracket(ctx, ring, sphi_ij, m_jh).scale(half)
         return acc.map(lambda p: ring.t_part(p, 2))
 
-    return CechCochain(2, SYM_END, 2, _map_simplices(ctx.nerve.triples(), evaluate, workers))
-
-
-def _map_simplices(simplices, evaluate, workers: int) -> Dict:
-    """Evaluate per-simplex values, optionally fanned out; order is canonical."""
-    if workers > 1 and len(simplices) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, simplices))
-    else:
-        results = [evaluate(tri) for tri in simplices]
-    return dict(zip(simplices, results))
+    return CechCochain(2, SYM_END, 2, {tri: evaluate(tri) for tri in ctx.nerve.triples()})
 
 
 def _op_endo_bracket(
@@ -676,37 +603,59 @@ def _window_exponents(ring: ChartRing, window: Tuple[int, int]) -> List[Exponent
     ]
 
 
-def _unknown_basis(
-    ctx: CechContext, vtype: str, sdeg: int, window: Tuple[int, int]
-) -> List[Tuple[Pair, int, int, Exponent, Exponent]]:
+def _window_basis(
+    ctx: CechContext,
+    simplices: Sequence[Tuple[int, ...]],
+    vtype: str,
+    sdeg: int,
+    window: Tuple[int, int],
+) -> List[Tuple]:
+    """Coordinate keys (simplex, entry, exps) of the window-supported monomials.
+
+    One key per simplex, matrix entry ((0, 0) only for scalars), conormal
+    monomial of degree ``sdeg`` and allowed tangential exponent, in
+    canonical order.
+    """
     e = ctx.bundle.rank
+    entries = [(0, 0)] if vtype == SYM_SCALAR else list(iproduct(range(e), range(e)))
     basis = []
-    for pair in ctx.nerve.doubles():
-        ring = ctx.nerve.pair_rings[pair][pair[0]]
+    for simplex in simplices:
+        ring = ctx.ring_of(simplex)
         t_monos = ring.t_monomials(sdeg)
         u_exps = _window_exponents(ring, window)
-        for r in range(e):
-            for c in range(e):
-                if vtype == SYM_SCALAR and (r, c) != (0, 0):
-                    continue
-                for tm in t_monos:
-                    for ue in u_exps:
-                        basis.append((pair, r, c, tm, ue))
+        for entry in entries:
+            for tm in t_monos:
+                for ue in u_exps:
+                    basis.append((simplex, entry, tuple(ue) + tuple(tm)))
     return basis
 
 
 def _elementary_cochain(
     ctx: CechContext, vtype: str, sdeg: int, key
 ) -> CechCochain:
-    pair, r, c, tm, ue = key
-    ring = ctx.nerve.pair_rings[pair][pair[0]]
-    mono = ring.monomial(tuple(ue) + tuple(tm))
-    if vtype == SYM_SCALAR:
-        return CechCochain(1, vtype, sdeg, {pair: mono})
+    return _assemble_cochain(ctx, len(key[0]) - 1, vtype, sdeg, [key], [1])
+
+
+def _assemble_cochain(
+    ctx: CechContext, degree: int, vtype: str, sdeg: int, basis, coefficients
+) -> CechCochain:
+    values: Dict[Tuple[int, ...], object] = {}
     e = ctx.bundle.rank
-    mat = PolyMatrix.zero(e, e, ring.names)
-    mat.entries[r][c] = mono
-    return CechCochain(1, vtype, sdeg, {pair: mat})
+    for (simplex, (r, c), exps), coeff in zip(basis, coefficients):
+        if coeff == 0:
+            continue
+        ring = ctx.ring_of(simplex)
+        mono = ring.monomial(exps, coeff)
+        if vtype == SYM_SCALAR:
+            cur = values.get(simplex, ring.zero())
+            values[simplex] = cur + mono
+        else:
+            cur = values.get(simplex)
+            if cur is None:
+                cur = PolyMatrix.zero(e, e, ring.names)
+                values[simplex] = cur
+            cur.entries[r][c] = cur.entries[r][c] + mono
+    return CechCochain(degree, vtype, sdeg, values)
 
 
 def _coordinates(vtype: str, simplex, value) -> Dict[Tuple, Fraction]:
@@ -733,56 +682,61 @@ def cochain_coordinates(c: CechCochain) -> Dict[Tuple, Fraction]:
     return out
 
 
+def _delta_columns(
+    ctx: CechContext, vtype: str, sdeg: int, basis
+) -> List[Dict[Tuple, Fraction]]:
+    """Coordinates of delta of each elementary cochain: the columns of delta."""
+    return [
+        cochain_coordinates(cech_differential(ctx, _elementary_cochain(ctx, vtype, sdeg, key)))
+        for key in basis
+    ]
+
+
+def _exact_system(
+    columns: List[Dict[Tuple, Fraction]],
+    rhs: Dict[Tuple, Fraction],
+    exclude=(),
+) -> ExactLinearSystem:
+    """sum_k x_k columns[k] = rhs over every coordinate key not in ``exclude``.
+
+    The rows are all keys the columns or the right-hand side touch, in
+    canonical order, so the system is the same on every run.
+    """
+    keys = {kk for col in columns for kk in col} | set(rhs)
+    row_keys = sorted(keys - set(exclude), key=_coord_sort_key)
+    zero = Fraction(0)
+    return ExactLinearSystem(
+        basis=list(range(len(columns))),
+        matrix=[[col.get(kk, zero) for col in columns] for kk in row_keys],
+        rhs=[rhs.get(kk, zero) for kk in row_keys],
+    )
+
+
+def _coord_sort_key(kk):
+    """Canonical order of coordinate keys (*tags, simplex, entry, exps)."""
+    return kk[:-1] + (grlex_key(kk[-1]),)
+
+
 def _im_delta0_inside(
     ctx: CechContext,
     vtype: str,
     sdeg: int,
     window: Tuple[int, int],
-    column_index: Dict[Tuple, int],
+    basis: List[Tuple],
 ) -> int:
     """Dimension of the window-supported part of the coboundary image.
 
     Chart 0-cochains from the same window are pushed through delta; images
-    that leave the window span are cut by intersecting with it exactly.
+    that leave the span of the 1-cochain window ``basis`` are cut by
+    intersecting with it exactly.
     """
-    e = ctx.bundle.rank
-    cols = []
-    for i in range(ctx.nerve.n):
-        ring = ctx.nerve.chart_rings[i]
-        t_monos = ring.t_monomials(sdeg)
-        u_exps = _window_exponents(ring, window)
-        for r in range(e):
-            for c in range(e):
-                if vtype == SYM_SCALAR and (r, c) != (0, 0):
-                    continue
-                for tm in t_monos:
-                    for ue in u_exps:
-                        mono = ring.monomial(tuple(ue) + tuple(tm))
-                        if vtype == SYM_SCALAR:
-                            val = mono
-                        else:
-                            val = PolyMatrix.zero(e, e, ring.names)
-                            val.entries[r][c] = mono
-                        c0 = CechCochain(0, vtype, sdeg, {(i,): val})
-                        image = cech_differential(ctx, c0)
-                        cols.append(cochain_coordinates(image))
+    charts = [(i,) for i in range(ctx.nerve.n)]
+    cols = _delta_columns(ctx, vtype, sdeg, _window_basis(ctx, charts, vtype, sdeg, window))
     if not cols:
         return 0
-    inside_keys = sorted(column_index, key=_coord_sort_key)
-    outside_keys = sorted(
-        {kk for col in cols for kk in col if kk not in column_index},
-        key=_coord_sort_key,
-    )
-    out_rows = [
-        [col.get(kk, Fraction(0)) for col in cols] for kk in outside_keys
-    ]
     # kernel of the outside part = combinations landing inside the window span
-    sys = ExactLinearSystem(
-        basis=list(range(len(cols))),
-        matrix=out_rows,
-        rhs=[Fraction(0)] * len(out_rows),
-    )
-    sol = solve_exact(sys)
+    sol = solve_exact(_exact_system(cols, {}, exclude=basis))
+    inside_keys = sorted(basis, key=_coord_sort_key)
     inside_vectors = []
     for null_vec in sol.nullspace:
         vec = []
@@ -796,11 +750,6 @@ def _im_delta0_inside(
     if not inside_vectors:
         return 0
     return matrix_rank(inside_vectors)
-
-
-def _coord_sort_key(kk):
-    simplex, entry, exps = kk
-    return (simplex, entry, grlex_key(exps))
 
 
 def solve_coboundary(
@@ -819,21 +768,9 @@ def solve_coboundary(
     otherwise the window is reported as insufficient.
     """
     vtype, sdeg = target.vtype, target.sdeg
-    basis = _unknown_basis(ctx, vtype, sdeg, window)
-    columns = []
-    for key in basis:
-        elem = _elementary_cochain(ctx, vtype, sdeg, key)
-        columns.append(cochain_coordinates(cech_differential(ctx, elem)))
-    rhs_coords = cochain_coordinates(target.neg())
-    row_keys = sorted(
-        {kk for col in columns for kk in col} | set(rhs_coords),
-        key=_coord_sort_key,
-    )
-    matrix = [
-        [col.get(kk, Fraction(0)) for col in columns] for kk in row_keys
-    ]
-    rhs = [rhs_coords.get(kk, Fraction(0)) for kk in row_keys]
-    sol = solve_exact(ExactLinearSystem(list(range(len(basis))), matrix, rhs))
+    basis = _window_basis(ctx, ctx.nerve.doubles(), vtype, sdeg, window)
+    columns = _delta_columns(ctx, vtype, sdeg, basis)
+    sol = solve_exact(_exact_system(columns, cochain_coordinates(target.neg())))
 
     if not sol.consistent:
         if h2_basis_test is not None:
@@ -842,41 +779,11 @@ def solve_coboundary(
                 return ProvenNonzero(coords)
         return UnresolvedWithinWindow(window)
 
-    m = _assemble_cochain(ctx, vtype, sdeg, basis, sol.particular)
+    m = _assemble_cochain(ctx, 1, vtype, sdeg, basis, sol.particular)
     residual = cech_differential(ctx, m).add(target)
     if not residual.is_zero():
         raise NotClosed("solver produced a nonzero residual; target is not closed")
 
     kernel_dim = len(sol.nullspace)
-    exact_dim = _im_delta0_inside(ctx, vtype, sdeg, window, _basis_key_index(basis))
+    exact_dim = _im_delta0_inside(ctx, vtype, sdeg, window, basis)
     return Solved(m, kernel_dim - exact_dim, h1_oracle)
-
-
-def _basis_key_index(basis) -> Dict[Tuple, int]:
-    index = {}
-    for pos, (pair, r, c, tm, ue) in enumerate(basis):
-        index[(pair, (r, c), tuple(ue) + tuple(tm))] = pos
-    return index
-
-
-def _assemble_cochain(
-    ctx: CechContext, vtype: str, sdeg: int, basis, coefficients
-) -> CechCochain:
-    values: Dict[Tuple[int, ...], object] = {}
-    e = ctx.bundle.rank
-    for key, coeff in zip(basis, coefficients):
-        if coeff == 0:
-            continue
-        pair, r, c, tm, ue = key
-        ring = ctx.nerve.pair_rings[pair][pair[0]]
-        mono = ring.monomial(tuple(ue) + tuple(tm), coeff)
-        if vtype == SYM_SCALAR:
-            cur = values.get(pair, ring.zero())
-            values[pair] = cur + mono
-        else:
-            cur = values.get(pair)
-            if cur is None:
-                cur = PolyMatrix.zero(e, e, ring.names)
-                values[pair] = cur
-            cur.entries[r][c] = cur.entries[r][c] + mono
-    return CechCochain(1, vtype, sdeg, values)

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, cohomology
-from .errors import EngineError
+from .errors import EngineError, ParseError
 from .scenarios import (
     BUILTIN_NAMES,
     ProvenNonzero,
@@ -44,7 +44,6 @@ def main(argv=None) -> int:
     p_obs.add_argument("--order", type=int, default=2, help="highest order to lift to (1 or 2)")
     p_obs.add_argument("--window", type=int, default=None,
                        help="half-width W of the solve window [-W, W]")
-    p_obs.add_argument("--workers", type=int, default=1)
     p_obs.add_argument("--out", default=None, help="write the report JSON here")
 
     p_coh = sub.add_parser("cohomology", help="line-bundle cohomology oracle")
@@ -82,23 +81,19 @@ def _dispatch(args) -> int:
         return 0 if log.ok else 2
 
     if args.command == "obstruct":
-        window = (-args.window, args.window) if args.window else None
+        window = None
+        if args.window is not None:
+            if args.window < 0:
+                raise ParseError(f"--window must be nonnegative, got {args.window}")
+            window = (-args.window, args.window)
         outputs = []
         for path in args.scenario:
             s = load_scenario(path)
-            bundle = run_pipeline(s, k=args.order, window=window, workers=args.workers)
+            bundle = run_pipeline(s, k=args.order, window=window)
             outputs.append(bundle)
             print(f"scenario {bundle.scenario_name}  (digest {bundle.scenario_digest[:12]})")
             for r in bundle.reports:
-                status = r.status
-                if isinstance(status, Solved):
-                    oracle = "" if status.h1_oracle is None else f", oracle {status.h1_oracle}"
-                    line = f"solved; torsor dimension {status.torsor_dim}{oracle}"
-                elif isinstance(status, ProvenNonzero):
-                    line = f"PROVEN NONZERO on {len(status.class_coordinates)} basis directions"
-                else:
-                    line = f"unresolved within window {status.window}"
-                print(f"  order {r.order}: {line}  [closedness: {r.closedness}]")
+                print(f"  order {r.order}: {describe_status(r.status)}  [closedness: {r.closedness}]")
             if bundle.abelianized is not None:
                 verdict = "exact" if bundle.abelianized["exact"] else "NOT exact"
                 print(f"  abelianized pair: {verdict}")
@@ -133,6 +128,16 @@ def _dispatch(args) -> int:
         return _mc_lab()
 
     raise AssertionError("unreachable")
+
+
+def describe_status(status) -> str:
+    """One-line text for a solve verdict."""
+    if isinstance(status, Solved):
+        oracle = "" if status.h1_oracle is None else f", oracle {status.h1_oracle}"
+        return f"solved; torsor dimension {status.torsor_dim}{oracle}"
+    if isinstance(status, ProvenNonzero):
+        return f"PROVEN NONZERO on {len(status.class_coordinates)} basis directions"
+    return f"unresolved within window {status.window}"
 
 
 def _formal_lab() -> int:

@@ -116,10 +116,6 @@ class ChartRing:
         out.sort(key=grlex_key)
         return out
 
-    def t_monomial_poly(self, exps: Exponent) -> LaurentPoly:
-        full = (0,) * self.p + tuple(exps)
-        return self.monomial(full)
-
     # -- truncated inversion and substitution ---------------------------
 
     def invert_trunc(self, p: LaurentPoly, t_max: int) -> LaurentPoly:
@@ -419,11 +415,6 @@ class PairDerivation:
             self.module.map(lambda p: ring.t_part(p, s)) if self.module is not None else None,
             self.algebra_trunc,
         )
-
-    def a_data(self, s: int) -> List[LaurentPoly]:
-        """Tangential-form component: value on each du_b, landing in degree s."""
-        ring = self.ring
-        return [ring.t_part(img, s) for img in self.u_images]
 
     def raises_t_degree(self) -> bool:
         ring = self.ring

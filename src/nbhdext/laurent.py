@@ -255,9 +255,6 @@ class LaurentPoly:
 
     # -- grouped-degree utilities (used by truncated rings) -------------
 
-    def group_degree(self, idxs: Sequence[int], exps: Exponent) -> int:
-        return sum(exps[i] for i in idxs)
-
     def truncate_group(self, idxs: Sequence[int], max_deg: int) -> "LaurentPoly":
         """Drop terms whose total degree in the indexed variables exceeds max_deg."""
         idxs = tuple(idxs)

@@ -34,13 +34,15 @@ from .cech import (
     second_order_obstruction,
     solve_coboundary,
     abelianized_pair,
+    _delta_columns,
     _elementary_cochain,
-    _unknown_basis,
+    _exact_system,
+    _window_basis,
 )
 from .errors import NotClosed, ParseError, SchemaVersionError, UnknownScenario
 from .filtered import ChartRing, ChartTransition, induced_transition, log_unipotent
 from .laurent import Exponent, LaurentPoly, format_fraction
-from .linsolve import ExactLinearSystem, PolyMatrix, solve_exact
+from .linsolve import PolyMatrix, solve_exact
 
 SCHEMA_VERSION = 1
 ENGINE_VERSION = __version__
@@ -715,7 +717,6 @@ def run_pipeline(
     s: Scenario,
     k: int = 2,
     window: Optional[Tuple[int, int]] = None,
-    workers: int = 1,
 ) -> ReportBundle:
     """Validate, extract components, assemble obstructions and solve.
 
@@ -742,7 +743,7 @@ def run_pipeline(
     reports: List[ObstructionReport] = []
 
     a1 = kodaira_spencer_cochain(ctx, 1)
-    c1 = first_order_obstruction(ctx, a1, at, workers=workers)
+    c1 = first_order_obstruction(ctx, a1, at)
     oracle1 = sheaf_twists(s, ctx, 1, with_end=True)
     h1_1 = None
     if oracle1 is not None:
@@ -769,7 +770,7 @@ def run_pipeline(
             )
         else:
             a2 = kodaira_spencer_cochain(ctx, 2)
-            c2 = second_order_obstruction(ctx, a2, at, status1.cochain, workers=workers)
+            c2 = second_order_obstruction(ctx, a2, at, status1.cochain)
             oracle2 = sheaf_twists(s, ctx, 2, with_end=True)
             h1_2 = None
             if oracle2 is not None:
@@ -811,8 +812,8 @@ def solve_abelianized(s: Scenario, ctx: CechContext, window: Tuple[int, int]):
     a2 = kodaira_spencer_cochain(ctx, 2)
     end_target, scalar_target = abelianized_pair(ctx, a1, a2, at)
 
-    basis_end = _unknown_basis(ctx, SYM_END, 1, window)
-    basis_sc = _unknown_basis(ctx, SYM_SCALAR, 2, window)
+    basis_end = _window_basis(ctx, ctx.nerve.doubles(), SYM_END, 1, window)
+    basis_sc = _window_basis(ctx, ctx.nerve.doubles(), SYM_SCALAR, 2, window)
     half = Fraction(1, 2)
 
     def coupling(m1: CechCochain) -> CechCochain:
@@ -832,36 +833,28 @@ def solve_abelianized(s: Scenario, ctx: CechContext, window: Tuple[int, int]):
             values[tri] = ring.t_part(ring.truncate(val, ctx.order), 2)
         return CechCochain(2, SYM_SCALAR, 2, values)
 
-    columns = []
-    for key in basis_end:
-        elem = _elementary_cochain(ctx, SYM_END, 1, key)
-        col = cochain_coordinates(cech_differential(ctx, elem))
-        tagged = {("end",) + kk: v for kk, v in col.items()}
-        coup = cochain_coordinates(coupling(elem))
-        tagged.update({("sc",) + kk: v for kk, v in coup.items()})
-        columns.append(tagged)
-    for key in basis_sc:
-        elem = _elementary_cochain(ctx, SYM_SCALAR, 2, key)
-        col = cochain_coordinates(cech_differential(ctx, elem))
-        columns.append({("sc",) + kk: v for kk, v in col.items()})
+    def tagged(tag: str, coords: Dict) -> Dict:
+        return {(tag,) + kk: v for kk, v in coords.items()}
 
-    rhs_coords = {("end",) + kk: v for kk, v in cochain_coordinates(end_target.neg()).items()}
-    rhs_coords.update(
-        {("sc",) + kk: v for kk, v in cochain_coordinates(scalar_target.neg()).items()}
-    )
-    row_keys = sorted(
-        {kk for col in columns for kk in col} | set(rhs_coords),
-        key=lambda kk: (kk[0], kk[1], kk[2], (sum(kk[3]), kk[3])),
-    )
-    matrix = [[col.get(kk, Fraction(0)) for col in columns] for kk in row_keys]
-    rhs = [rhs_coords.get(kk, Fraction(0)) for kk in row_keys]
-    sol = solve_exact(
-        ExactLinearSystem(list(range(len(columns))), matrix, rhs)
-    )
+    couplings = [
+        cochain_coordinates(coupling(_elementary_cochain(ctx, SYM_END, 1, key)))
+        for key in basis_end
+    ]
+    columns = [
+        {**tagged("end", col), **tagged("sc", coup)}
+        for col, coup in zip(_delta_columns(ctx, SYM_END, 1, basis_end), couplings)
+    ]
+    columns += [tagged("sc", col) for col in _delta_columns(ctx, SYM_SCALAR, 2, basis_sc)]
+    rhs = {
+        **tagged("end", cochain_coordinates(end_target.neg())),
+        **tagged("sc", cochain_coordinates(scalar_target.neg())),
+    }
+    system = _exact_system(columns, rhs)
+    sol = solve_exact(system)
     return {
         "exact": sol.consistent,
         "unknowns": len(columns),
-        "constraints": len(row_keys),
+        "constraints": len(system.matrix),
     }
 
 

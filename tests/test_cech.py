@@ -101,16 +101,6 @@ def test_degree_two_bch_cocycle_condition():
 # -- Atiyah cocycle ----------------------------------------------------------------
 
 
-def test_section_valued_transport():
-    # a frame section of O(d) moves by the transition matrix and base change
-    s, ctx = ctx_for("line_in_p2", d=2)
-    ring = ctx.nerve.pair_rings[(0, 1)][1]
-    vec = (ring.u_var(0),)  # the section u * e_1 written in the high frame
-    moved = ctx.vec_to_low((0, 1), vec)
-    # g_01 = u^2 and the base map sends u to 1/u: expect u^2 * (1/u) = u
-    assert moved[0] == ctx.nerve.pair_rings[(0, 1)][0].u_var(0)
-
-
 def test_atiyah_vanishes_for_globally_flat_trivial_bundle():
     s, ctx = ctx_for("line_in_p2", d=0)
     at = atiyah_cocycle(ctx)

