@@ -24,7 +24,7 @@ from .filtered import (
     bracket,
     leibniz_extend,
 )
-from .laurent import Exponent, LaurentPoly, grlex_key, monomial_window
+from .laurent import Exponent, LaurentPoly, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, matrix_rank, solve_exact
 
 Pair = Tuple[int, int]
@@ -700,21 +700,17 @@ def _exact_system(
     """sum_k x_k columns[k] = rhs over every coordinate key not in ``exclude``.
 
     The rows are all keys the columns or the right-hand side touch, in
-    canonical order, so the system is the same on every run.
+    order of first appearance; the solver's answers do not depend on the
+    order of the rows.
     """
-    keys = {kk for col in columns for kk in col} | set(rhs)
-    row_keys = sorted(keys - set(exclude), key=_coord_sort_key)
+    excluded = set(exclude)
+    row_keys = {kk: None for col in [*columns, rhs] for kk in col if kk not in excluded}
     zero = Fraction(0)
     return ExactLinearSystem(
         basis=list(range(len(columns))),
         matrix=[[col.get(kk, zero) for col in columns] for kk in row_keys],
         rhs=[rhs.get(kk, zero) for kk in row_keys],
     )
-
-
-def _coord_sort_key(kk):
-    """Canonical order of coordinate keys (*tags, simplex, entry, exps)."""
-    return kk[:-1] + (grlex_key(kk[-1]),)
 
 
 def _im_delta0_inside(
@@ -732,24 +728,10 @@ def _im_delta0_inside(
     """
     charts = [(i,) for i in range(ctx.nerve.n)]
     cols = _delta_columns(ctx, vtype, sdeg, _window_basis(ctx, charts, vtype, sdeg, window))
-    if not cols:
-        return 0
-    # kernel of the outside part = combinations landing inside the window span
-    sol = solve_exact(_exact_system(cols, {}, exclude=basis))
-    inside_keys = sorted(basis, key=_coord_sort_key)
-    inside_vectors = []
-    for null_vec in sol.nullspace:
-        vec = []
-        for kk in inside_keys:
-            acc = Fraction(0)
-            for col, coeff in zip(cols, null_vec):
-                if coeff:
-                    acc += coeff * col.get(kk, Fraction(0))
-            vec.append(acc)
-        inside_vectors.append(vec)
-    if not inside_vectors:
-        return 0
-    return matrix_rank(inside_vectors)
+    # dim(im delta & W) = rank(delta) - rank(P_out delta), since ker(delta) <= ker(P_out delta)
+    return matrix_rank(_exact_system(cols, {}).matrix) - matrix_rank(
+        _exact_system(cols, {}, exclude=basis).matrix
+    )
 
 
 def solve_coboundary(

@@ -291,6 +291,7 @@ class LaurentPoly:
             try:
                 exps, coeff = item
                 e = tuple(int(x) for x in exps)
+                c = as_fraction(coeff)
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"malformed polynomial term {item!r}") from exc
             if len(e) != len(tuple(vars)):
@@ -299,7 +300,7 @@ class LaurentPoly:
                 )
             if e in terms:
                 raise ParseError(f"duplicate exponent vector {list(e)}")
-            terms[e] = as_fraction(coeff)
+            terms[e] = c
         return cls(vars, terms)
 
     def __str__(self):

@@ -1,17 +1,17 @@
 """Matrices of Laurent polynomials and exact linear solving over Q.
 
-The solver runs fraction-free Gaussian elimination (Bareiss) on an
-integer-cleared copy of the system, so intermediate entries stay integral
-and every division is exact.  Inconsistency is a value, not an error:
-callers distinguish "no solution in this window" from genuine failures.
+Exact solving and rank share one routine: a sparse reduced row echelon
+form with Fraction entries.  The coboundary systems are about 1% dense,
+so rows are kept as column -> entry maps.  Inconsistency is a value, not
+an error: callers distinguish "no solution in this window" from genuine
+failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NonInvertibleSubstitution
 from .laurent import LaurentPoly, as_fraction
@@ -219,109 +219,75 @@ class Solution:
     nullspace: List[List[Fraction]] = field(default_factory=list)
 
 
-def _clear_row(row: Sequence[Fraction]) -> List[int]:
-    denom = 1
-    for x in row:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return [int(x * denom) for x in row]
+def _rref(rows: Iterable[Sequence[Fraction]]) -> Dict[int, Dict[int, Fraction]]:
+    """Sparse reduced row echelon form over Q.
 
-
-def _bareiss_echelon(
-    mat: List[List[int]],
-) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free row echelon form; returns (matrix, pivot column per row)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    piv_cols: List[int] = []
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pivot_row = None
-        for rr in range(r, rows):
-            if mat[rr][c] != 0:
-                pivot_row = rr
-                break
-        if pivot_row is None:
+    Returns ``{pivot column: row}``, each row a ``{column: nonzero entry}``
+    map that is 1 at its pivot and 0 at every other pivot.  Rows are folded
+    in one at a time: a new row is reduced by the pivots found so far, its
+    leftmost surviving entry becomes a pivot, and that column is cleared
+    from the earlier rows.  The reduced echelon form of a matrix is unique,
+    so the result does not depend on the order of the rows.
+    """
+    reduced: Dict[int, Dict[int, Fraction]] = {}
+    for dense in rows:
+        row = {c: x for c, x in enumerate(dense) if x}
+        # a reduced row is 0 at the other pivots, so each pivot is cleared once
+        for p in [c for c in row if c in reduced]:
+            _add_multiple(row, -row[p], reduced[p])
+        if not row:
             continue
-        if pivot_row != r:
-            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        p = mat[r][c]
-        for rr in range(r + 1, rows):
-            f = mat[rr][c]
-            # Bareiss update: exact integer division by the previous pivot
-            for cc in range(cols):
-                mat[rr][cc] = (mat[rr][cc] * p - f * mat[r][cc]) // prev
-        prev = p
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return mat, piv_cols
+        pivot = min(row)
+        inv = 1 / Fraction(row[pivot])
+        row = {c: x * inv for c, x in row.items()}
+        for other in reduced.values():
+            if pivot in other:
+                _add_multiple(other, -other[pivot], row)
+        reduced[pivot] = row
+    return reduced
+
+
+def _add_multiple(row: Dict[int, Fraction], factor: Fraction, other: Dict[int, Fraction]) -> None:
+    """row += factor * other, dropping entries that cancel."""
+    for c, x in other.items():
+        v = row.get(c, 0) + factor * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
 
 def solve_exact(sys: ExactLinearSystem) -> Solution:
     """Solve A x = b exactly over Q.
 
-    Returns one particular solution (free unknowns set to zero) when the
-    system is consistent, plus a basis of the kernel of A.  Deterministic
-    given the basis order: pivots are chosen scanning columns left to
-    right and rows top down.
+    Everything is read off the reduced echelon form of [A | b].  The system
+    is inconsistent exactly when the right-hand-side column is a pivot.
+    The particular solution sets every free unknown to 0; the kernel basis
+    has one vector per free column, in ascending order, with that unknown
+    1 and the other free unknowns 0.  Both are fixed by the reduced echelon
+    form, so they depend only on A, b and the order of the basis.
     """
-    n_unknowns = len(sys.basis)
-    n_rows = len(sys.matrix)
-    aug = [
-        _clear_row(list(row) + [b]) for row, b in zip(sys.matrix, sys.rhs)
-    ]
-    if not aug:
-        return Solution(True, [Fraction(0)] * n_unknowns, _identity_nullspace(n_unknowns))
-    ech, piv_cols = _bareiss_echelon([row[:] for row in aug])
-
-    rank = len([c for c in piv_cols if c < n_unknowns])
-    consistent = all(c < n_unknowns for c in piv_cols)
-
-    free_cols = [c for c in range(n_unknowns) if c not in piv_cols]
-
-    def back_substitute(rhs_col: List[Fraction], assign: dict) -> List[Fraction]:
-        x = [Fraction(0)] * n_unknowns
-        for c, v in assign.items():
-            x[c] = v
-        for r in range(rank - 1, -1, -1):
-            c = piv_cols[r]
-            s = rhs_col[r]
-            for cc in range(c + 1, n_unknowns):
-                if ech[r][cc]:
-                    s -= ech[r][cc] * x[cc]
-            x[c] = Fraction(s, ech[r][c])
-        return x
-
+    n = len(sys.basis)
+    reduced = _rref(list(row) + [b] for row, b in zip(sys.matrix, sys.rhs))
+    consistent = reduced.pop(n, None) is None
+    zero = Fraction(0)
     particular: Optional[List[Fraction]] = None
     if consistent:
-        particular = back_substitute(
-            [Fraction(ech[r][n_unknowns]) for r in range(rank)],
-            {c: Fraction(0) for c in free_cols},
-        )
-
+        particular = [zero] * n
+        for p, row in reduced.items():
+            particular[p] = row.get(n, zero)
     nullspace: List[List[Fraction]] = []
-    zeros = [Fraction(0)] * rank
-    for f in free_cols:
-        assign = {c: Fraction(0) for c in free_cols}
-        assign[f] = Fraction(1)
-        vec = back_substitute(list(zeros), assign)
+    for f in range(n):
+        if f in reduced:
+            continue
+        vec = [zero] * n
+        vec[f] = Fraction(1)
+        for p, row in reduced.items():
+            vec[p] = -row.get(f, zero)
         nullspace.append(vec)
-
     return Solution(consistent, particular, nullspace)
 
 
-def _identity_nullspace(n: int) -> List[List[Fraction]]:
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
-
-
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix (fraction-free elimination)."""
-    cleared = [_clear_row(list(r)) for r in rows if any(x != 0 for x in r)]
-    if not cleared:
-        return 0
-    _, piv = _bareiss_echelon(cleared)
-    return len(piv)
+    """Exact rank of a rational matrix."""
+    return len(_rref(rows))

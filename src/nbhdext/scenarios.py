@@ -166,7 +166,30 @@ def _require(cond: bool, msg: str) -> None:
         raise ParseError(msg)
 
 
+def _field(obj: dict, key: str, where: str, kind: type, default=None):
+    """``obj[key]`` checked to be a ``kind``; required when ``default`` is None."""
+    _require(isinstance(obj, dict), f"{where}: expected an object, got {obj!r}")
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        _require(default is not None, f"{path}: missing")
+        return default
+    value = obj[key]
+    _require(isinstance(value, kind) and not isinstance(value, bool),
+             f"{path}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _ints(obj, where: str, width: int) -> Tuple[int, ...]:
+    _require(
+        isinstance(obj, list) and len(obj) == width
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in obj),
+        f"{where}: expected a list of {width} integers, got {obj!r}",
+    )
+    return tuple(obj)
+
+
 def scenario_from_json(data: dict) -> Scenario:
+    """Parse a scenario document, naming the field path of any malformed part."""
     if not isinstance(data, dict):
         raise ParseError("scenario document must be a JSON object")
     version = data.get("schema_version")
@@ -174,85 +197,108 @@ def scenario_from_json(data: dict) -> Scenario:
         raise SchemaVersionError(
             f"schema_version {version!r} unsupported; engine speaks {SCHEMA_VERSION}"
         )
-    try:
-        dims = data["dims"]
-        p, q, e = int(dims["p"]), int(dims["q"]), int(dims["e"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad dims block: {exc}") from exc
+    dims = _field(data, "dims", "", dict)
+    p, q, e = (_field(dims, k, "dims", int) for k in ("p", "q", "e"))
     _require(p >= 1 and q >= 1 and e >= 1, "dims must be positive")
     names = tuple(f"u{i+1}" for i in range(p)) + tuple(f"t{i+1}" for i in range(q))
 
     def poly(obj, where: str) -> LaurentPoly:
+        _require(isinstance(obj, list), f"{where}: expected a list of terms, got {obj!r}")
         try:
             return LaurentPoly.from_json_terms(names, obj)
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from exc
 
-    def exps(obj, where: str, width: int) -> Tuple[Exponent, ...]:
-        out = []
-        for item in obj:
-            v = tuple(int(x) for x in item)
-            _require(len(v) == width, f"{where}: inverted monomial {item} has wrong arity")
-            out.append(v)
-        return tuple(out)
+    def polys(obj: dict, key: str, where: str, width: int) -> Tuple[LaurentPoly, ...]:
+        items = _field(obj, key, where, list)
+        _require(len(items) == width, f"{where}.{key}: expected {width} entries")
+        return tuple(poly(x, f"{where}.{key}[{n}]") for n, x in enumerate(items))
 
-    charts = data.get("charts")
-    _require(isinstance(charts, list) and charts, "charts must be a nonempty list")
+    def matrix(obj, where: str) -> PolyMatrix:
+        _require(isinstance(obj, list) and len(obj) == e
+                 and all(isinstance(row, list) and len(row) == e for row in obj),
+                 f"{where}: expected a {e}x{e} matrix")
+        return PolyMatrix([[poly(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)]
+                           for r, row in enumerate(obj)])
+
+    def exps(obj, where: str) -> Tuple[Exponent, ...]:
+        # allowed_exponent's search bound holds only for nonnegative inverted exponents
+        _require(isinstance(obj, list), f"{where}: expected a list, got {obj!r}")
+        out = tuple(_ints(item, f"{where}[{n}]", p) for n, item in enumerate(obj))
+        _require(all(x >= 0 for v in out for x in v),
+                 f"{where}: inverted exponents must be nonnegative")
+        return out
+
+    def chart_ids(obj, where: str, width: int) -> Tuple[int, ...]:
+        ids = _ints(obj, where, width)
+        _require(all(0 <= i < n_charts for i in ids),
+                 f"{where}: chart index out of range for {n_charts} charts in {list(ids)}")
+        _require(list(ids) == sorted(set(ids)), f"{where}: chart indices must increase")
+        return ids
+
+    charts = _field(data, "charts", "", list)
+    n_charts = len(charts)
+    _require(n_charts > 0, "charts must be a nonempty list")
     charts_inverted = [
-        exps(c.get("inverted", []), f"charts[{i}]", p) for i, c in enumerate(charts)
+        exps(_field(c, "inverted", f"charts[{i}]", list, []), f"charts[{i}].inverted")
+        for i, c in enumerate(charts)
     ]
 
-    overlaps = []
-    for o in data.get("overlaps", []):
-        pair = tuple(int(x) for x in o["pair"])
-        _require(len(pair) == 2 and pair[0] < pair[1], f"bad overlap pair {pair}")
-        inv = {
-            int(side): exps(v, f"overlap {pair} inverted[{side}]", p)
-            for side, v in o.get("inverted", {}).items()
-        }
+    overlaps: List[OverlapSpec] = []
+    for n, o in enumerate(_field(data, "overlaps", "", list, [])):
+        where = f"overlaps[{n}]"
+        pair = chart_ids(_field(o, "pair", where, list), f"{where}.pair", 2)
+        inverted = _field(o, "inverted", where, dict, {})
+        sides = [str(i) for i in pair]
+        _require(set(inverted) == set(sides), f"{where}.inverted: expected the sides {sides}")
         overlaps.append(
             OverlapSpec(
                 pair,
-                inv,
-                tuple(poly(x, f"overlap {pair} forward_u") for x in o["forward_u"]),
-                tuple(poly(x, f"overlap {pair} forward_t") for x in o["forward_t"]),
-                tuple(poly(x, f"overlap {pair} backward_u") for x in o["backward_u"]),
-                tuple(poly(x, f"overlap {pair} backward_t") for x in o["backward_t"]),
+                {i: exps(inverted[str(i)], f"{where}.inverted[{i}]") for i in pair},
+                polys(o, "forward_u", where, p),
+                polys(o, "forward_t", where, q),
+                polys(o, "backward_u", where, p),
+                polys(o, "backward_t", where, q),
             )
         )
 
-    triples = []
-    for t in data.get("triples", []):
-        simplex = tuple(int(x) for x in t["simplex"])
-        _require(len(simplex) == 3 and simplex[0] < simplex[1] < simplex[2],
-                 f"bad triple {simplex}")
-        triples.append(TripleSpec(simplex, exps(t.get("inverted", []), f"triple {simplex}", p)))
+    triples: List[TripleSpec] = []
+    for n, t in enumerate(_field(data, "triples", "", list, [])):
+        where = f"triples[{n}]"
+        simplex = chart_ids(_field(t, "simplex", where, list), f"{where}.simplex", 3)
+        inverted = exps(_field(t, "inverted", where, list, []), f"{where}.inverted")
+        triples.append(TripleSpec(simplex, inverted))
 
-    bundle = data.get("bundle", {})
-    _require(int(bundle.get("rank", e)) == e, "bundle rank disagrees with dims.e")
+    bundle = _field(data, "bundle", "", dict, {})
+    _require(_field(bundle, "rank", "bundle", int, e) == e, "bundle rank disagrees with dims.e")
+    pair_of_key = {f"{i},{j}": (i, j) for i, j in (o.pair for o in overlaps)}
     g = {}
-    for key, mat in bundle.get("transitions", {}).items():
-        i, j = (int(x) for x in key.split(","))
-        g[(i, j)] = PolyMatrix(
-            [[poly(cell, f"g[{key}]") for cell in row] for row in mat]
-        )
+    for key, mat in _field(bundle, "transitions", "bundle", dict, {}).items():
+        where = f"bundle.transitions[{key!r}]"
+        _require(key in pair_of_key, f"{where}: not an overlap 'i,j' of this scenario")
+        g[pair_of_key[key]] = matrix(mat, where)
+    _require(len(g) == len(pair_of_key), "bundle.transitions: every overlap needs a transition")
+    connections = _field(bundle, "connections", "bundle", list, [])
+    _require(len(connections) in (0, n_charts),
+             f"bundle.connections: expected one entry per chart ({n_charts})")
     gammas = []
-    for ci, per_chart in enumerate(bundle.get("connections", [])):
-        gammas.append(
-            [
-                PolyMatrix([[poly(cell, f"connection[{ci}]") for cell in row] for row in m])
-                for m in per_chart
-            ]
-        )
-    flat = [bool(x) for x in bundle.get("flat", [True] * len(charts))]
-    window = tuple(int(x) for x in data.get("window", (-6, 6)))
+    for ci, per_chart in enumerate(connections):
+        where = f"bundle.connections[{ci}]"
+        _require(isinstance(per_chart, list) and len(per_chart) == p,
+                 f"{where}: expected {p} matrices, one per tangential variable")
+        gammas.append([matrix(m, f"{where}[{b}]") for b, m in enumerate(per_chart)])
+    flat = _field(bundle, "flat", "bundle", list, [True] * n_charts)
+    _require(len(flat) == n_charts and all(isinstance(x, bool) for x in flat),
+             f"bundle.flat: expected {n_charts} booleans, got {flat!r}")
+    window = _ints(_field(data, "window", "", list, [-6, 6]), "window", 2)
+    _require(window[0] <= window[1], f"window: expected lo <= hi, got {list(window)}")
 
     return Scenario(
         name=str(data.get("name", "unnamed")),
         p=p,
         q=q,
         e=e,
-        max_order=int(data.get("max_order", 2)),
+        max_order=_field(data, "max_order", "", int, 2),
         charts_inverted=charts_inverted,
         overlaps=overlaps,
         triples=triples,

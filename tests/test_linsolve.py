@@ -87,6 +87,68 @@ def test_determinism():
     assert a.nullspace == b.nullspace
 
 
+def test_no_rows_leaves_every_unknown_free():
+    sol = solve_exact(ExactLinearSystem(basis=["a", "b", "c"], matrix=[], rhs=[]))
+    assert sol.consistent
+    assert sol.particular == [F(0)] * 3
+    assert sol.nullspace == [[F(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+nonzero_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@st.composite
+def sparse_systems(draw):
+    """About two nonzeros per row; the rhs is sometimes in the column span."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(m):
+        entries = draw(st.dictionaries(st.integers(0, n - 1), nonzero_rationals, max_size=2))
+        rows.append([entries.get(j, F(0)) for j in range(n)])
+    if draw(st.booleans()):
+        x0 = draw(st.lists(nonzero_rationals, min_size=n, max_size=n))
+        rhs = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.fractions(-4, 4, max_denominator=3), min_size=m, max_size=m))
+    return rows, rhs
+
+
+@given(sparse_systems(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solution_ignores_row_order_and_row_scaling(system, data):
+    rows, rhs = system
+    order = data.draw(st.permutations(range(len(rows))))
+    scales = data.draw(st.lists(nonzero_rationals, min_size=len(rows), max_size=len(rows)))
+    n = len(rows[0])
+    a = solve_exact(ExactLinearSystem(list(range(n)), rows, rhs))
+    b = solve_exact(ExactLinearSystem(
+        list(range(n)),
+        [[x * scales[i] for x in rows[i]] for i in order],
+        [rhs[i] * scales[i] for i in order],
+    ))
+    assert (a.consistent, a.particular, a.nullspace) == (b.consistent, b.particular, b.nullspace)
+
+
+@given(sparse_systems())
+@settings(max_examples=40, deadline=None)
+def test_agrees_with_sympy_rref(system):
+    sympy = pytest.importorskip("sympy")
+    rows, rhs = system
+    n = len(rows[0])
+    augmented = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row + [b]]
+                              for row, b in zip(rows, rhs)])
+    reduced, pivots = augmented.rref()
+    sol = solve_exact(ExactLinearSystem(list(range(n)), rows, rhs))
+    assert matrix_rank(rows) == augmented[:, :n].rank()
+    assert sol.consistent == (n not in pivots)
+    if sol.consistent:
+        expected = [F(0)] * n
+        for r, c in enumerate(pivots):
+            expected[c] = F(int(reduced[r, n].p), int(reduced[r, n].q))
+        assert sol.particular == expected
+
+
 # -- PolyMatrix ------------------------------------------------------------
 
 V = ("u",)

@@ -187,3 +187,52 @@ def test_cli_negative_window_is_an_input_error(tmp_path, capsys):
     cli_main(["generate", "line_in_p2", "-d", "1", "-o", scn.as_posix()])
     assert cli_main(["obstruct", scn.as_posix(), "--window", "-2"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _drop(*path):
+    def edit(doc):
+        *parent, key = path
+        for k in parent:
+            doc = doc[k]
+        del doc[key]
+    return edit
+
+
+def _set(value, *path):
+    def edit(doc):
+        *parent, key = path
+        for k in parent:
+            doc = doc[k]
+        doc[key] = value
+    return edit
+
+
+def _rename_transition(doc):
+    t = doc["bundle"]["transitions"]
+    t["0;1"] = t.pop("0,1")
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_drop("overlaps", 0, "pair"), "overlaps[0].pair"),
+        (_rename_transition, "bundle.transitions['0;1']"),
+        (_set([0, 5], "overlaps", 0, "pair"), "overlaps[0].pair"),
+        (_set([1, 2, 3], "charts"), "charts[0]"),
+        (_drop("overlaps", 0, "forward_u"), "overlaps[0].forward_u"),
+        (_set("ab", "window"), "window"),
+        (_set([3, -3], "window"), "window"),
+        # allowed_exponent's search is only sound for nonnegative inverted exponents
+        (_set([[-1]], "overlaps", 0, "inverted", "0"), "overlaps[0].inverted[0]"),
+    ],
+    ids=["no_pair", "bad_transition_key", "unknown_chart", "chart_not_object",
+         "no_forward_u", "bad_window", "reversed_window", "negative_inverted_exponent"],
+)
+def test_malformed_scenario_is_an_input_error(tmp_path, capsys, edit, field):
+    doc = generate_builtin("line_in_p2", d=1).to_json()
+    edit(doc)
+    scn = tmp_path / "bad.json"
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["obstruct", scn.as_posix(), "--order", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
