@@ -1,16 +1,19 @@
 """Cech cochains on a cover nerve and the order-one/two obstruction calculus.
 
 Every value on a simplex is stored in the frame of its smallest chart
-index; transports to other frames happen lazily through the linear
-(conormal) part of the chart transitions, with bundle-valued data
-conjugated through the transition matrices.  All assembly is canonical:
-simplices, matrix entries and monomials are always walked in sorted
-order, so reports are byte-stable.
+index; a value moves to a lower frame through the linear (conormal) part
+of the chart transitions, with bundle-valued data conjugated through the
+transition matrices.  Transport is linear, so each context memoizes the
+truncated image of every monomial it has moved across each overlap, and
+the columns of delta are read off the cofaces of one simplex at a time.
+All assembly is canonical: simplices, matrix entries and monomials are
+always walked in sorted order, so reports are byte-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -94,6 +97,19 @@ class OverlapGeometry:
     phi: FilteredAutomorphism          # unipotent discrepancy in the i-frame
     logphi: PairDerivation
 
+    @cached_property
+    def images_ji(self) -> Dict[str, LaurentPoly]:
+        """Images over ring_i of the chart-j coordinates, conormal part linear."""
+        ring = self.ring_i
+        images = dict(self.base_ji)
+        for a, tname in enumerate(ring.t_names):
+            acc = ring.zero()
+            for b in range(ring.q):
+                acc = acc + self.conormal_ji[a, b] * ring.t_var(b)
+            images[tname] = acc
+        return images
+
+    @cached_property
     def jac_ji(self) -> PolyMatrix:
         """du^j_b = sum_c J[b][c] du^i_c over ring_i."""
         return PolyMatrix(
@@ -103,7 +119,9 @@ class OverlapGeometry:
             ]
         )
 
+    @cached_property
     def jac_ij(self) -> PolyMatrix:
+        """du^i_c = sum_b K[c][b] du^j_b over ring_j."""
         return PolyMatrix(
             [
                 [self.base_ij[name].diff(cname) for cname in self.ring_j.u_names]
@@ -147,6 +165,11 @@ class CechContext:
         self.pairs = pairs
         self.bundle = bundle
         self.order = order
+        # memos of derived data; they live and die with this context
+        self._monomial_images: Dict[Tuple, Dict[Exponent, LaurentPoly]] = {}
+        self._elementary_images: Dict[Tuple, Dict[Tuple, Fraction]] = {}
+        self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
+        self._delta_maps: Dict[Tuple, Tuple[List[Tuple], List[Dict]]] = {}
 
     # -- elementary transports (j-frame value to i-frame, (i,j) a stored pair) --
 
@@ -156,14 +179,24 @@ class CechContext:
         return self.pairs[pair]
 
     def scalar_to_low(self, pair: Pair, value: LaurentPoly) -> LaurentPoly:
+        """Substitute the high chart's coordinates, one memoized monomial at a time.
+
+        Truncation commutes with rational scaling, so the sum of the
+        scaled monomial images equals one truncated substitution of the
+        whole polynomial.
+        """
         g = self._geom(pair)
-        images = dict(g.base_ji)
-        for a, tname in enumerate(g.ring_i.t_names):
-            acc = g.ring_i.zero()
-            for b in range(g.ring_i.q):
-                acc = acc + g.conormal_ji[a, b] * g.ring_i.t_var(b)
-            images[tname] = acc
-        return g.ring_i.subst_trunc(value, images, self.order, target=g.ring_i)
+        memo = self._monomial_images.setdefault((pair, value.vars), {})
+        out: Dict[Exponent, Fraction] = {}
+        for exps, coeff in value.terms.items():
+            image = memo.get(exps)
+            if image is None:
+                image = memo[exps] = g.ring_i.subst_trunc(
+                    LaurentPoly(value.vars, {exps: 1}), g.images_ji, self.order, target=g.ring_i
+                )
+            for e, c in image.terms.items():
+                out[e] = out.get(e, 0) + c * coeff
+        return LaurentPoly(g.ring_i.names, out)
 
     def end_to_low(self, pair: Pair, value: PolyMatrix) -> PolyMatrix:
         g = self._geom(pair)
@@ -179,7 +212,7 @@ class CechContext:
         ring = g.ring_i
         mul = lambda a, b: ring.mul(a, b, self.order)
         moved = [m.map(lambda p: self.scalar_to_low(pair, p)) for m in value]
-        jac = g.jac_ji()
+        jac = g.jac_ji
         reindexed = []
         for c in range(ring.p):
             acc = PolyMatrix.zero(self.bundle.rank, self.bundle.rank, ring.names)
@@ -195,7 +228,7 @@ class CechContext:
     ) -> Tuple[LaurentPoly, ...]:
         g = self._geom(pair)
         ring_j, ring_i = g.ring_j, g.ring_i
-        jac_back = g.jac_ij()  # du^i_c = sum_b K[c][b] du^j_b over ring_j
+        jac_back = g.jac_ij
         out = []
         for c in range(ring_i.p):
             acc = ring_j.zero()
@@ -215,6 +248,32 @@ class CechContext:
         if vtype == HOMFORM_SYM:
             return self.homform_to_low(pair, value)
         raise ValueError(f"unknown value type {vtype!r}")
+
+    def elementary_to_low(
+        self, pair: Pair, vtype: str, entry: Tuple[int, int], exps: Exponent
+    ) -> Dict[Tuple, Fraction]:
+        """Coordinates (entry, exps) of one high-frame basis monomial moved low, memoized."""
+        key = (pair, vtype, entry, exps)
+        if key not in self._elementary_images:
+            high = (self._geom(pair).j,)
+            value = _elementary_cochain(self, vtype, 0, (high, entry, exps)).values[high]
+            self._elementary_images[key] = _coordinates(vtype, self.transport(pair, vtype, value))
+        return self._elementary_images[key]
+
+    def cofaces(self, simplex: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], int]]:
+        """(coface, position of the vertex it adds) for each coface, sorted."""
+        size = len(simplex) + 1
+        if size not in self._cofaces:
+            nerve = self.nerve
+            tops = {2: nerve.doubles, 3: nerve.triples, 4: nerve.quadruples}.get(size)
+            if tops is None:
+                raise ValueError("differential implemented for degrees 0..2")
+            table: Dict[Tuple[int, ...], List[Tuple]] = {}
+            for tau in tops():
+                for pos in range(size):
+                    table.setdefault(tau[:pos] + tau[pos + 1:], []).append((tau, pos))
+            self._cofaces[size] = table
+        return self._cofaces[size].get(simplex, [])
 
     # -- derivation transport ---------------------------------------------------
 
@@ -658,8 +717,8 @@ def _assemble_cochain(
     return CechCochain(degree, vtype, sdeg, values)
 
 
-def _coordinates(vtype: str, simplex, value) -> Dict[Tuple, Fraction]:
-    """Flatten a cochain value into (simplex, entry, exponent) -> coefficient."""
+def _coordinates(vtype: str, value) -> Dict[Tuple, Fraction]:
+    """Flatten a cochain value into (entry, exponent) -> coefficient."""
     out: Dict[Tuple, Fraction] = {}
     if vtype == SYM_SCALAR:
         mats = [((0, 0), value)]
@@ -671,25 +730,59 @@ def _coordinates(vtype: str, simplex, value) -> Dict[Tuple, Fraction]:
         ]
     for entry, poly in mats:
         for exps, coeff in poly.sorted_terms():
-            out[(simplex, entry, exps)] = coeff
+            out[(entry, exps)] = coeff
     return out
 
 
 def cochain_coordinates(c: CechCochain) -> Dict[Tuple, Fraction]:
+    """Flatten a cochain into (simplex, entry, exponent) -> coefficient."""
     out: Dict[Tuple, Fraction] = {}
     for simplex in sorted(c.values):
-        out.update(_coordinates(c.vtype, simplex, c.values[simplex]))
+        for kk, coeff in _coordinates(c.vtype, c.values[simplex]).items():
+            out[(simplex,) + kk] = coeff
     return out
 
 
-def _delta_columns(
-    ctx: CechContext, vtype: str, sdeg: int, basis
-) -> List[Dict[Tuple, Fraction]]:
-    """Coordinates of delta of each elementary cochain: the columns of delta."""
-    return [
-        cochain_coordinates(cech_differential(ctx, _elementary_cochain(ctx, vtype, sdeg, key)))
-        for key in basis
-    ]
+_SIGNS = (Fraction(1), Fraction(-1))
+
+
+def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[Tuple, Fraction]]:
+    """Coordinates of delta of each elementary cochain: the columns of delta.
+
+    delta of the elementary cochain at (simplex, entry, exps) lives on the
+    cofaces of its simplex.  Where the simplex is the face that drops the
+    coface's first vertex, the monomial is transported through the
+    coface's leading pair; on any other face it is the key itself with the
+    alternating sign of the dropped vertex.  Cofaces come in sorted order,
+    so a column lists its keys as ``cochain_coordinates`` of the full
+    differential would.
+    """
+    columns = []
+    for simplex, entry, exps in basis:
+        col: Dict[Tuple, Fraction] = {}
+        for coface, pos in ctx.cofaces(simplex):
+            if pos:
+                col[(coface, entry, exps)] = _SIGNS[pos % 2]
+                continue
+            for kk, coeff in ctx.elementary_to_low(coface[:2], vtype, entry, exps).items():
+                col[(coface,) + kk] = coeff
+        columns.append(col)
+    return columns
+
+
+def _delta_map(
+    ctx: CechContext,
+    vtype: str,
+    sdeg: int,
+    simplices: Sequence[Tuple[int, ...]],
+    window: Tuple[int, int],
+) -> Tuple[List[Tuple], List[Dict[Tuple, Fraction]]]:
+    """The window basis on ``simplices`` and its delta columns, built once per context."""
+    key = (vtype, sdeg, tuple(simplices), tuple(window))
+    if key not in ctx._delta_maps:
+        basis = _window_basis(ctx, simplices, vtype, sdeg, window)
+        ctx._delta_maps[key] = (basis, _delta_columns(ctx, vtype, basis))
+    return ctx._delta_maps[key]
 
 
 def _exact_system(
@@ -727,7 +820,7 @@ def _im_delta0_inside(
     intersecting with it exactly.
     """
     charts = [(i,) for i in range(ctx.nerve.n)]
-    cols = _delta_columns(ctx, vtype, sdeg, _window_basis(ctx, charts, vtype, sdeg, window))
+    _, cols = _delta_map(ctx, vtype, sdeg, charts, window)
     # dim(im delta & W) = rank(delta) - rank(P_out delta), since ker(delta) <= ker(P_out delta)
     return matrix_rank(_exact_system(cols, {}).matrix) - matrix_rank(
         _exact_system(cols, {}, exclude=basis).matrix
@@ -750,8 +843,7 @@ def solve_coboundary(
     otherwise the window is reported as insufficient.
     """
     vtype, sdeg = target.vtype, target.sdeg
-    basis = _window_basis(ctx, ctx.nerve.doubles(), vtype, sdeg, window)
-    columns = _delta_columns(ctx, vtype, sdeg, basis)
+    basis, columns = _delta_map(ctx, vtype, sdeg, ctx.nerve.doubles(), window)
     sol = solve_exact(_exact_system(columns, cochain_coordinates(target.neg())))
 
     if not sol.consistent:

@@ -214,45 +214,6 @@ class LaurentPoly:
                 out[e2] = s
         return LaurentPoly(self.vars, out)
 
-    # -- substitution ----------------------------------------------------
-
-    def subst(self, mapping: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
-        """Substitute variables by polynomials in the same ring.
-
-        Variables absent from ``mapping`` are kept.  A negative power of a
-        substituted variable requires its image to be a unit monomial.
-        """
-        images = {}
-        for name in self.vars:
-            if name in mapping:
-                img = mapping[name]
-                self._check_same_ring(img)
-                images[name] = img
-            else:
-                images[name] = LaurentPoly.variable(self.vars, name)
-        return self.subst_into(images, self.vars)
-
-    def subst_into(
-        self, images: Mapping[str, "LaurentPoly"], target_vars: Sequence[str]
-    ) -> "LaurentPoly":
-        """Substitute every variable by a polynomial over ``target_vars``."""
-        target_vars = tuple(target_vars)
-        out = LaurentPoly.zero(target_vars)
-        power_cache: Dict[Tuple[str, int], LaurentPoly] = {}
-        for e, c in self.sorted_terms():
-            term = LaurentPoly.const(target_vars, c)
-            for name, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                key = (name, k)
-                if key not in power_cache:
-                    if name not in images:
-                        raise ValueError(f"no image supplied for variable {name!r}")
-                    power_cache[key] = images[name] ** k
-                term = term * power_cache[key]
-            out = out + term
-        return out
-
     # -- grouped-degree utilities (used by truncated rings) -------------
 
     def truncate_group(self, idxs: Sequence[int], max_deg: int) -> "LaurentPoly":

@@ -34,10 +34,9 @@ from .cech import (
     second_order_obstruction,
     solve_coboundary,
     abelianized_pair,
-    _delta_columns,
+    _delta_map,
     _elementary_cochain,
     _exact_system,
-    _window_basis,
 )
 from .errors import NotClosed, ParseError, SchemaVersionError, UnknownScenario
 from .filtered import ChartRing, ChartTransition, induced_transition, log_unipotent
@@ -858,17 +857,23 @@ def solve_abelianized(s: Scenario, ctx: CechContext, window: Tuple[int, int]):
     a2 = kodaira_spencer_cochain(ctx, 2)
     end_target, scalar_target = abelianized_pair(ctx, a1, a2, at)
 
-    basis_end = _window_basis(ctx, ctx.nerve.doubles(), SYM_END, 1, window)
-    basis_sc = _window_basis(ctx, ctx.nerve.doubles(), SYM_SCALAR, 2, window)
+    basis_end, columns_end = _delta_map(ctx, SYM_END, 1, ctx.nerve.doubles(), window)
+    _, columns_sc = _delta_map(ctx, SYM_SCALAR, 2, ctx.nerve.doubles(), window)
     half = Fraction(1, 2)
+    # degree-one transition components of each triple's two legs, in its low frame
+    legs = {
+        (i, j, h): (
+            ctx.pairs[(i, j)].logphi.component(1),
+            ctx.derivation_to_low((i, j), ctx.pairs[(j, h)].logphi).component(1),
+        )
+        for (i, j, h) in ctx.nerve.triples()
+    }
 
     def coupling(m1: CechCochain) -> CechCochain:
         values = {}
-        for tri in ctx.nerve.triples():
+        for tri, (phi_ij, phi_jh_low) in legs.items():
             i, j, h = tri
             ring = ctx.nerve.triple_rings[tri]
-            phi_ij = ctx.pairs[(i, j)].logphi.component(1)
-            phi_jh_low = ctx.derivation_to_low((i, j), ctx.pairs[(j, h)].logphi).component(1)
             tr_ij = m1.value(ctx, (i, j)).trace()
             # the trace is conjugation-invariant, so it moves as a scalar
             tr_jh = ctx.scalar_to_low((i, j), m1.value(ctx, (j, h)).trace())
@@ -888,9 +893,9 @@ def solve_abelianized(s: Scenario, ctx: CechContext, window: Tuple[int, int]):
     ]
     columns = [
         {**tagged("end", col), **tagged("sc", coup)}
-        for col, coup in zip(_delta_columns(ctx, SYM_END, 1, basis_end), couplings)
+        for col, coup in zip(columns_end, couplings)
     ]
-    columns += [tagged("sc", col) for col in _delta_columns(ctx, SYM_SCALAR, 2, basis_sc)]
+    columns += [tagged("sc", col) for col in columns_sc]
     rhs = {
         **tagged("end", cochain_coordinates(end_target.neg())),
         **tagged("sc", cochain_coordinates(scalar_target.neg())),

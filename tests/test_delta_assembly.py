@@ -1,0 +1,174 @@
+"""delta columns read off cofaces and the per-context transport memo.
+
+``cech_differential`` of a whole elementary cochain is the oracle for the
+columns, and one truncated substitution of a whole polynomial is the
+oracle for the memoized scalar transport.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nbhdext import cech, scenarios
+from nbhdext.cech import (
+    _elementary_cochain,
+    cech_differential,
+    cochain_coordinates,
+)
+from nbhdext.errors import EngineError
+from nbhdext.laurent import LaurentPoly
+from nbhdext.scenarios import build_context, generate_builtin, run_pipeline
+
+from test_acceptance import GOLDEN_DIGESTS
+from test_integration import four_chart_scenario
+
+
+def pipeline_contexts(monkeypatch, scenario, window=None):
+    """Run the pipeline and return every context it built."""
+    built = []
+    real = scenarios.build_context
+
+    def capture(s, order):
+        built.append(real(s, order))
+        return built[-1]
+
+    monkeypatch.setattr(scenarios, "build_context", capture)
+    run_pipeline(scenario, k=2, window=window)
+    return built
+
+
+def assert_columns_match_full_differential(ctx):
+    assert ctx._delta_maps, "the pipeline assembled no delta columns"
+    for (vtype, sdeg, _, _), (basis, columns) in ctx._delta_maps.items():
+        assert len(basis) == len(columns)
+        for key, col in zip(basis, columns):
+            oracle = cochain_coordinates(
+                cech_differential(ctx, _elementary_cochain(ctx, vtype, sdeg, key))
+            )
+            assert col == oracle, (vtype, sdeg, key)
+            assert list(col) == list(oracle), (vtype, sdeg, key)
+
+
+@pytest.mark.parametrize(
+    "w, assembled",
+    [
+        # order two is unresolved in window 5, so its torsor count never runs
+        (5, {(1, 1), (1, 2), (2, 2)}),
+        (6, {(1, 1), (1, 2), (2, 1), (2, 2)}),
+    ],
+    ids=["window5", "window6"],
+)
+def test_four_chart_columns_equal_full_differential(monkeypatch, w, assembled):
+    (ctx,) = pipeline_contexts(monkeypatch, four_chart_scenario(), window=(-w, w))
+    # (conormal degree, simplex size): delta_0 on charts, delta_1 on overlaps
+    keys = {(sdeg, len(simplices[0])) for _, sdeg, simplices, _ in ctx._delta_maps}
+    assert keys == assembled
+    assert_columns_match_full_differential(ctx)
+
+
+def test_builtin_columns_equal_full_differential(monkeypatch):
+    for name, d, tw in GOLDEN_DIGESTS:
+        (ctx,) = pipeline_contexts(monkeypatch, generate_builtin(name, d=d, twist=tw))
+        assert_columns_match_full_differential(ctx)
+
+
+def test_pipeline_builds_each_delta_map_once(monkeypatch):
+    built = []
+    real = cech._delta_columns
+
+    def counting(ctx, vtype, basis):
+        built.append((vtype, tuple(basis)))
+        return real(ctx, vtype, basis)
+
+    monkeypatch.setattr(cech, "_delta_columns", counting)
+    s = generate_builtin("hyperplane_p2_in_p3", d=1)
+    bundle = run_pipeline(s, k=2)
+    assert bundle.abelianized["exact"]
+    assert len(built) == len(set(built))
+    # the order-one solve and the abelianized solve share the (END, 1) overlap columns
+    ctx = build_context(s, 2)
+    end_1 = tuple(cech._window_basis(ctx, ctx.nerve.doubles(), cech.SYM_END, 1, s.window))
+    assert len(end_1) == 84
+    assert built.count((cech.SYM_END, end_1)) == 1
+
+
+# -- the scalar transport memo -------------------------------------------------------
+
+
+def direct_scalar_to_low(ctx, pair, value):
+    """One truncated substitution of the whole polynomial, images built here."""
+    g = ctx.pairs[pair]
+    ring = g.ring_i
+    images = dict(g.base_ji)
+    for a, tname in enumerate(ring.t_names):
+        images[tname] = sum(
+            (g.conormal_ji[a, b] * ring.t_var(b) for b in range(ring.q)), ring.zero()
+        )
+    return ring.subst_trunc(value, images, ctx.order, target=ring)
+
+
+MEMO_CONTEXTS = {
+    "four_chart": lambda: build_context(four_chart_scenario(), 2),
+    "line_in_p2": lambda: build_context(generate_builtin("line_in_p2", d=2, twist=1), 2),
+    "diagonal_p1xp1": lambda: build_context(generate_builtin("diagonal_p1xp1", d=1), 2),
+    "hyperplane_p2_in_p3": lambda: build_context(
+        generate_builtin("hyperplane_p2_in_p3", d=2, twist=1), 2
+    ),
+    "p1_in_line_bundle": lambda: build_context(generate_builtin("p1_in_line_bundle", d=3), 2),
+}
+_memo_contexts = {}
+
+
+def memo_context(name):
+    # one context per scenario across examples, so the memo fills up and is reused
+    if name not in _memo_contexts:
+        _memo_contexts[name] = MEMO_CONTEXTS[name]()
+    return _memo_contexts[name]
+
+
+@st.composite
+def overlap_polynomials(draw):
+    ctx = memo_context(draw(st.sampled_from(sorted(MEMO_CONTEXTS))))
+    pair = draw(st.sampled_from(sorted(ctx.pairs)))
+    ring = ctx.pairs[pair].ring_j
+    exps = st.tuples(
+        *[st.integers(-3, 3)] * ring.p, *[st.integers(0, ctx.order + 1)] * ring.q
+    )
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=5))
+    return ctx, pair, LaurentPoly(ring.names, terms)
+
+
+@given(overlap_polynomials())
+@settings(max_examples=120, deadline=None)
+def test_memoized_scalar_transport_equals_one_substitution(case):
+    ctx, pair, value = case
+    try:
+        expected = direct_scalar_to_low(ctx, pair, value)
+    except EngineError as err:
+        with pytest.raises(type(err)):
+            ctx.scalar_to_low(pair, value)
+        return
+    assert ctx.scalar_to_low(pair, value) == expected
+    # a second call is served from the memo and still agrees
+    assert ctx.scalar_to_low(pair, value) == expected
+
+
+def test_contexts_with_different_transitions_share_no_memo():
+    # t1 moves to u1^-d t1: the same pair and variables, different transitions
+    first = build_context(generate_builtin("p1_in_line_bundle", d=2), 2)
+    second = build_context(generate_builtin("p1_in_line_bundle", d=4), 2)
+    pair = (0, 1)
+    value = first.pairs[pair].ring_j.monomial((2, 1), Fraction(3, 2))
+    moved_first = first.scalar_to_low(pair, value)
+    moved_second = second.scalar_to_low(pair, value)
+    assert moved_first == direct_scalar_to_low(first, pair, value)
+    assert moved_second == direct_scalar_to_low(second, pair, value)
+    assert moved_first != moved_second
+    assert first._monomial_images is not second._monomial_images
+    assert first._elementary_images is not second._elementary_images
+    # elementary transports read the same key but each context moves it its own way
+    key = (pair, cech.SYM_END, (0, 0), value.sorted_terms()[0][0])
+    assert first.elementary_to_low(*key) != second.elementary_to_low(*key)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbhdext.errors import NonInvertibleSubstitution, ParseError
+from nbhdext.filtered import ChartRing
 from nbhdext.laurent import LaurentPoly, monomial_window
 
 V = ("x", "y")
@@ -31,16 +32,24 @@ def brute_mul(a, b):
     return LaurentPoly(V, out)
 
 
+# plain Laurent arithmetic: no conormal variables, so truncation keeps everything
+RING = ChartRing(V, ())
+
+
+def subst(p, images):
+    return RING.subst_trunc(p, images, 0)
+
+
 def test_substitute_identity():
     p = var("x")
-    assert p.subst({"x": var("x")}) == p
+    assert subst(p, {"x": var("x")}) == p
 
 
 def test_substitute_involution_on_overlap():
     # x^(-1) with x -> 1/x lands back on x
     p = LaurentPoly.monomial(V, (-1, 0))
     inv = LaurentPoly.monomial(V, (-1, 0))
-    assert p.subst({"x": inv}) == var("x")
+    assert subst(p, {"x": inv}) == var("x")
 
 
 def test_substitute_shift_matches_hand_expansion():
@@ -49,13 +58,13 @@ def test_substitute_shift_matches_hand_expansion():
     img = var("y") + 1
     expected = brute_mul(img, img) + 2 * img  # (y+1)^2 + 2(y+1) = y^2 + 4y + 3
     assert expected == P({(0, 2): 1, (0, 1): 4, (0, 0): 3})
-    assert p.subst({"x": img}) == expected
+    assert subst(p, {"x": img}) == expected
 
 
 def test_substitute_negative_power_needs_unit():
     p = LaurentPoly.monomial(V, (-1, 0))
     with pytest.raises(NonInvertibleSubstitution):
-        p.subst({"x": var("y") + 1})
+        subst(p, {"x": var("y") + 1})
 
 
 def test_monomial_window_one_var():
@@ -125,5 +134,5 @@ def test_substitution_composition(p):
     # subst(subst(p, f), g) == subst(p, g o f) for maps with monomial images
     f = {"x": LaurentPoly.monomial(V, (0, 1)), "y": LaurentPoly.monomial(V, (1, 0), 2)}
     g = {"x": LaurentPoly.monomial(V, (2, 0)), "y": LaurentPoly.monomial(V, (0, -1), 3)}
-    composed = {name: img.subst(g) for name, img in f.items()}
-    assert p.subst(f).subst(g) == p.subst(composed)
+    composed = {name: subst(img, g) for name, img in f.items()}
+    assert subst(subst(p, f), g) == subst(p, composed)

@@ -3,10 +3,18 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbhdext.cech import Solved
 from nbhdext.cli import main as cli_main
-from nbhdext.errors import NotClosed, ParseError, SchemaVersionError, UnknownScenario
+from nbhdext.errors import (
+    EngineError,
+    NotClosed,
+    ParseError,
+    SchemaVersionError,
+    UnknownScenario,
+)
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix
 from nbhdext.scenarios import (
@@ -236,3 +244,67 @@ def test_malformed_scenario_is_an_input_error(tmp_path, capsys, edit, field):
     assert cli_main(["obstruct", scn.as_posix(), "--order", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+# -- fuzz: a mutated builtin is an input error or a valid report ---------------------
+
+
+FUZZ_BASES = [
+    ("affine_split", 0, 0),
+    ("line_in_p2", 1, 0),
+    ("diagonal_p1xp1", 1, 0),
+    ("hyperplane_p2_in_p3", 1, 0),
+    ("p1_in_line_bundle", 2, 0),
+]
+FUZZ_DOCS = {case: generate_builtin(*case).to_json() for case in FUZZ_BASES}
+
+
+def _json_paths(node, prefix=()):
+    """Every path into a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from(["", "1", "-1/2", "1/0", "x", "0,1", "u1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1", "pair", "inverted"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated_builtin_docs(draw):
+    doc = copy.deepcopy(FUZZ_DOCS[draw(st.sampled_from(FUZZ_BASES))])
+    *parent_path, key = draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for k in parent_path:
+        parent = parent[k]
+    action = draw(st.sampled_from(["replace", "delete", "nudge"]))
+    if action == "delete":
+        del parent[key]
+    elif action == "nudge" and type(parent[key]) is int:
+        parent[key] += draw(st.sampled_from([-1, 1]))
+    else:
+        parent[key] = draw(json_values)
+    return doc
+
+
+@given(mutated_builtin_docs())
+@settings(max_examples=300, deadline=None)
+def test_mutated_builtin_is_an_input_error_or_a_report(doc):
+    try:
+        bundle = run_pipeline(scenario_from_json(doc), k=2, window=(-1, 1))
+    except EngineError:
+        return
+    assert json.loads(bundle.dumps())["reports"]
