@@ -19,12 +19,13 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cohomology
-from .errors import FrameMismatch, NotClosed, NotFlat, NotOLinear
+from .errors import FrameMismatch, NotClosed, NotFlat
 from .filtered import (
     ChartRing,
     FilteredAutomorphism,
     PairDerivation,
     bracket,
+    contract,
     leibniz_extend,
 )
 from .laurent import Exponent, LaurentPoly, monomial_window
@@ -100,14 +101,12 @@ class OverlapGeometry:
     @cached_property
     def images_ji(self) -> Dict[str, LaurentPoly]:
         """Images over ring_i of the chart-j coordinates, conormal part linear."""
-        ring = self.ring_i
-        images = dict(self.base_ji)
-        for a, tname in enumerate(ring.t_names):
-            acc = ring.zero()
-            for b in range(ring.q):
-                acc = acc + self.conormal_ji[a, b] * ring.t_var(b)
-            images[tname] = acc
-        return images
+        return _linear_images(self.ring_i, self.base_ji, self.conormal_ji)
+
+    @cached_property
+    def images_ij(self) -> Dict[str, LaurentPoly]:
+        """Images over ring_j of the chart-i coordinates, conormal part linear."""
+        return _linear_images(self.ring_j, self.base_ij, self.conormal_ij)
 
     @cached_property
     def jac_ji(self) -> PolyMatrix:
@@ -128,6 +127,18 @@ class OverlapGeometry:
                 for name in self.ring_j.u_names
             ]
         )
+
+
+def _linear_images(
+    ring: ChartRing, base: Dict[str, LaurentPoly], conormal: PolyMatrix
+) -> Dict[str, LaurentPoly]:
+    images = dict(base)
+    for a, tname in enumerate(ring.t_names):
+        acc = ring.zero()
+        for b in range(ring.q):
+            acc = acc + conormal[a, b] * ring.t_var(b)
+        images[tname] = acc
+    return images
 
 
 @dataclass
@@ -213,13 +224,10 @@ class CechContext:
         mul = lambda a, b: ring.mul(a, b, self.order)
         moved = [m.map(lambda p: self.scalar_to_low(pair, p)) for m in value]
         jac = g.jac_ji
-        reindexed = []
-        for c in range(ring.p):
-            acc = PolyMatrix.zero(self.bundle.rank, self.bundle.rank, ring.names)
-            for b in range(ring.p):
-                if not jac[b, c].is_zero():
-                    acc = acc + moved[b].scale(jac[b, c], mul)
-            reindexed.append(acc)
+        reindexed = [
+            contract(ring, [jac[b, c] for b in range(ring.p)], moved, self.order)
+            for c in range(ring.p)
+        ]
         gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
         return tuple(gm.matmul(m, mul).matmul(gi, mul) for m in reindexed)
 
@@ -278,36 +286,22 @@ class CechContext:
     # -- derivation transport ---------------------------------------------------
 
     def derivation_to_low(self, pair: Pair, d: PairDerivation) -> PairDerivation:
-        """Conjugate a j-frame pair derivation into the i-frame."""
+        """Conjugate the algebra part of a j-frame pair derivation into the i-frame."""
         g = self._geom(pair)
-        ring_i, ring_j = g.ring_i, g.ring_j
-        k = self.order
-        # chart-i generators expressed in the j-frame
-        u_back = {name: g.base_ij[name] for name in ring_j.u_names}
-        t_back = {}
-        for a, tname in enumerate(ring_j.t_names):
-            acc = ring_j.zero()
-            for b in range(ring_j.q):
-                acc = acc + g.conormal_ij[a, b] * ring_j.t_var(b)
-            t_back[tname] = acc
-        u_imgs = []
-        for b, name in enumerate(ring_i.u_names):
-            val = d.apply(u_back[name])
-            u_imgs.append(self.scalar_to_low(pair, val))
-        t_imgs = []
-        for a, tname in enumerate(ring_i.t_names):
-            val = d.apply(t_back[tname])
-            t_imgs.append(self.scalar_to_low(pair, val))
-        module = None
-        if d.module is not None:
-            module = self.end_to_low(pair, d.module)
+        ring_i = g.ring_i
+        k = min(d.order, self.order)
+
+        def moved(name: str) -> LaurentPoly:
+            # the chart-i generator in the j-frame, hit by d and moved low
+            image = self.scalar_to_low(pair, d.apply(g.images_ij[name]))
+            return ring_i.truncate(image, self.order)
+
         return PairDerivation(
             ring_i,
-            min(d.order, k),
-            tuple(ring_i.truncate(p, k) for p in u_imgs),
-            tuple(ring_i.truncate(p, k) for p in t_imgs),
-            module,
-            algebra_trunc=min(d.order, k),
+            k,
+            tuple(moved(name) for name in ring_i.u_names),
+            tuple(moved(name) for name in ring_i.t_names),
+            algebra_trunc=k,
         )
 
     # -- connections and the Atiyah cochain ---------------------------------------
@@ -339,63 +333,18 @@ class CechContext:
         gamma_high = self.connection_in_low(pair)
         return tuple(a - b for a, b in zip(gamma_low, gamma_high))
 
-    # -- component extraction ------------------------------------------------------
-
-    def components(self, pair: Pair) -> Dict[str, object]:
-        """Tangential-form, conormal and module components of log Phi.
-
-        ``a[s]`` is the degree-s tangential data (one polynomial per du_b);
-        ``L[s]`` the conormal data; when the transition carries module
-        images, ``m[v]`` is the O-linear residue against the high chart's
-        transported connection.
-        """
-        g = self._geom(pair)
-        ring = g.ring_i
-        d = g.logphi
-        out: Dict[str, object] = {"a": {}, "L": {}, "m": {}}
-        for s in range(1, self.order + 1):
-            out["a"][s] = tuple(ring.t_part(img, s) for img in d.u_images)
-            out["L"][s] = tuple(ring.t_part(img, s + 1) for img in d.t_images)
-        if d.module is not None:
-            self._check_module_derivation(g, d)
-            nabla = self.connection_in_low(pair)
-            for v in range(1, self.order + 1):
-                residue = contract(ring, out["a"][v], nabla, self.order)
-                out["m"][v] = d.module.map(lambda p: ring.t_part(p, v)) - residue
-        return out
-
-    def _check_module_derivation(self, g: OverlapGeometry, d: PairDerivation) -> None:
-        """Supplied module data must raise the conormal degree.
-
-        A transition log whose module matrix has degree-zero content cannot
-        pair with a unipotent algebra automorphism, so its O-linear residues
-        against the connection would pick up first-order garbage.
-        """
-        ring = g.ring_i
-        for row in d.module.entries:
-            for p in row:
-                low = ring.t_degree_min(p)
-                if low is not None and low < 1:
-                    raise NotOLinear(
-                        f"module data on overlap ({g.i},{g.j}) has conormal-degree-zero "
-                        "content and cannot belong to a unipotent transition"
-                    )
-
     def sphi_operator(self, pair: Pair, degree: int) -> PairDerivation:
         """The connection lift of the degree-s slice of log Phi on this overlap."""
         d = self._geom(pair).logphi.component(degree)
-        return leibniz_extend(d, self.connection_in_low(pair), self.bundle.rank)
+        return leibniz_extend(d, self.connection_in_low(pair))
 
     def transported_sphi(self, low: int, pair: Pair, degree: int) -> PairDerivation:
-        """sphi of a higher pair conjugated into the frame of chart ``low``."""
+        """sphi of a higher pair (low < pair[0]) conjugated into the frame of chart ``low``."""
         g = self._geom(pair)
-        if g.i == low:
-            return self.sphi_operator(pair, degree)
-        d = self.derivation_to_low((low, g.i), g.logphi)
-        sliced = d.component(degree)
+        sliced = self.derivation_to_low((low, g.i), g.logphi).component(degree)
         # the high chart's connection of ``pair`` moves on from frame pair[0]
         nabla = self.connection_to_low((low, g.i), self.connection_in_low(pair))
-        return leibniz_extend(sliced, nabla, self.bundle.rank)
+        return leibniz_extend(sliced, nabla)
 
     # -- value helpers ---------------------------------------------------------------
 
@@ -518,23 +467,12 @@ def atiyah_cocycle(ctx: CechContext) -> CechCochain:
     return CechCochain(1, FORM_END, 0, values)
 
 
-def contract(ring: ChartRing, a_val, form_val, order: int) -> PolyMatrix:
-    """Pair a Hom(Omega^1, Sym^s) value against an End-valued one-form."""
-    e = form_val[0].rows
-    acc = PolyMatrix.zero(e, e, ring.names)
-    for b in range(ring.p):
-        if not a_val[b].is_zero():
-            acc = acc + form_val[b].scale(
-                a_val[b], lambda x, y: ring.mul(x, y, order)
-            )
-    return acc
-
-
 def kodaira_spencer_cochain(ctx: CechContext, degree: int) -> CechCochain:
-    """The degree-s tangential components of the transition logarithms."""
+    """The degree-s tangential components a^s of the transition logarithms."""
     values = {}
     for pair in ctx.nerve.doubles():
-        values[pair] = ctx.components(pair)["a"][degree]
+        g = ctx._geom(pair)
+        values[pair] = tuple(g.ring_i.t_part(img, degree) for img in g.logphi.u_images)
     return CechCochain(1, HOMFORM_SYM, degree, values)
 
 
@@ -585,7 +523,6 @@ def _op_endo_bracket(
     ctx: CechContext, ring: ChartRing, op: PairDerivation, endo: PolyMatrix
 ) -> PolyMatrix:
     """Commutator of a split first-order operator with an O-linear value."""
-    e = endo.rows
     zero_op = PairDerivation(
         ring,
         ctx.order,

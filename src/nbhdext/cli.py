@@ -21,6 +21,7 @@ from .scenarios import (
     generate_builtin,
     load_scenario,
     run_pipeline,
+    save_scenario,
     validate_scenario,
 )
 
@@ -113,12 +114,10 @@ def _dispatch(args) -> int:
 
     if args.command == "generate":
         s = generate_builtin(args.name, d=args.d, twist=Fraction(args.twist))
-        text = s.dumps()
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            save_scenario(s, args.out)
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(s.dumps())
         return 0
 
     if args.command == "formal-lab":
@@ -138,6 +137,12 @@ def describe_status(status) -> str:
     if isinstance(status, ProvenNonzero):
         return f"PROVEN NONZERO on {len(status.class_coordinates)} basis directions"
     return f"unresolved within window {status.window}"
+
+
+def _lab_failure(lab: str, identity: str) -> int:
+    """Report a lab identity that does not hold; the lab exits 1."""
+    print(f"{lab}: identity FAILED: {identity}", file=sys.stderr)
+    return 1
 
 
 def _formal_lab() -> int:
@@ -196,13 +201,15 @@ def _formal_lab() -> int:
             + bracket(y, bracket(z, x))
             + bracket(z, bracket(x, y))
         )
-        assert j.is_zero(), "Jacobi identity failed"
+        if not j.is_zero():
+            return _lab_failure("formal-lab", "Jacobi identity")
         checks += 1
     print(f"jacobi identity: {checks} random triples exact")
 
     for _ in range(5):
         x, y = rand_der(-1, k), rand_der(-1, k)
-        assert splitting_defect(disk, x, y, gamma, -1, k).is_zero()
+        if not splitting_defect(disk, x, y, gamma, -1, k).is_zero():
+            return _lab_failure("formal-lab", "flat splitting is bracket-compatible")
     print("flat splitting bracket-compatible: 5 random pairs exact")
 
     beta = projection_cochain(disk, l, k, gamma)
@@ -210,19 +217,26 @@ def _formal_lab() -> int:
     for _ in range(3):
         x, y = rand_der(k, k), rand_der(k, k)
         c = extension_cocycle(disk, l, k, x, y, gamma)
-        assert c == dbeta.evaluate(x, y).scaled(-1)
+        if c != dbeta.evaluate(x, y).scaled(-1):
+            return _lab_failure(
+                "formal-lab", "extension cocycle equals minus the projection coboundary"
+            )
     print("extension cocycle equals minus the projection coboundary: 3 pairs exact")
 
     dc = lie_differential(extension_cochain(disk, l, k, gamma))
     for _ in range(2):
         x, y, z = (rand_der(l, k) for _ in range(3))
-        assert dc.evaluate(x, y, z).is_zero()
+        if not dc.evaluate(x, y, z).is_zero():
+            return _lab_failure("formal-lab", "extension cocycle is closed")
     print("extension cocycle closed: 2 random triples exact")
 
     ok, witness = relative_check(
         extension_cochain(disk, l, k, gamma), [rand_der(l, k) for _ in range(2)]
     )
-    assert ok, witness
+    if not ok:
+        return _lab_failure(
+            "formal-lab", f"extension cocycle is relative to the base subalgebra: {witness}"
+        )
     print("extension cocycle relative to the base subalgebra: exact")
     print("formal-lab: all identities hold")
     return 0
@@ -275,7 +289,11 @@ def _mc_lab() -> int:
                 alpha = vec(amb.n, {n1 - 1: a})
                 resid = lift_residual(ext, phi, alpha)
                 direct, _ = is_mc(amb, add(ext.include_quotient(phi), alpha))
-                assert is_zero(resid) == direct
+                if is_zero(resid) != direct:
+                    return _lab_failure(
+                        "mc-lab",
+                        f"lift residual vanishes iff the direct check holds (trial {trial})",
+                    )
                 checked += 1
     print(f"mc-lab: lift residual vanishing equals the direct check on {checked} samples")
     return 0

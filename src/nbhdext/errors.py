@@ -17,10 +17,6 @@ class NotAdapted(EngineError):
     """A chart transition does not preserve the normal-variable ideal."""
 
 
-class NotOLinear(EngineError):
-    """A residual operator that must be function-linear is not."""
-
-
 class NotFlat(EngineError):
     """An operation required a flat connection but the curvature is nonzero."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NonInvertibleSubstitution, NotAdapted, NotUnipotent
 from .laurent import Exponent, LaurentPoly, grlex_key
@@ -209,10 +209,6 @@ class FilteredAutomorphism:
             PolyMatrix.identity(rank, ring.names) if rank else None,
         )
 
-    @property
-    def rank(self) -> Optional[int]:
-        return self.module.rows if self.module is not None else None
-
     def image_map(self) -> Dict[str, LaurentPoly]:
         out = {name: img for name, img in zip(self.ring.u_names, self.u_images)}
         out.update({name: img for name, img in zip(self.ring.t_names, self.t_images)})
@@ -310,10 +306,6 @@ class PairDerivation:
             PolyMatrix.zero(rank, rank, ring.names) if rank else None,
             algebra_trunc,
         )
-
-    @property
-    def rank(self) -> Optional[int]:
-        return self.module.rows if self.module is not None else None
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """Leibniz action on an algebra element via partial derivatives."""
@@ -573,26 +565,29 @@ def bch2(x: PairDerivation, y: PairDerivation) -> PairDerivation:
     return z
 
 
-def leibniz_extend(
-    d: PairDerivation,
-    gamma: Optional[Sequence[PolyMatrix]],
-    rank: int,
-) -> PairDerivation:
+def contract(
+    ring: ChartRing, coeffs: Sequence[LaurentPoly], mats: Sequence[PolyMatrix], order: int
+) -> PolyMatrix:
+    """sum_b coeffs[b] * mats[b], products truncated at ``order``.
+
+    Pairs a Hom(Omega^1, Sym^s) value with an End-valued one-form, such as
+    a connection; the zero coefficients are skipped.
+    """
+    e = mats[0].rows
+    acc = PolyMatrix.zero(e, e, ring.names)
+    for b in range(ring.p):
+        if not coeffs[b].is_zero():
+            acc = acc + mats[b].scale(coeffs[b], lambda x, y: ring.mul(x, y, order))
+    return acc
+
+
+def leibniz_extend(d: PairDerivation, gamma: Sequence[PolyMatrix]) -> PairDerivation:
     """Fill the module action with the connection lift of the tangential data.
 
-    The image of the c-th frame section is sum_b D(u_b) * Gamma_b[:, c];
-    a trivial connection (gamma None) gives the plain Leibniz lift whose
-    module matrix vanishes.
+    The image of the c-th frame section is sum_b D(u_b) * Gamma_b[:, c].
     """
-    ring = d.ring
-    mat = PolyMatrix.zero(rank, rank, ring.names)
-    if gamma is not None:
-        for b in range(ring.p):
-            img = d.u_images[b]
-            if img.is_zero():
-                continue
-            mat = mat + gamma[b].scale(img, lambda a, bb: ring.mul(a, bb, d.order))
-    return PairDerivation(ring, d.order, d.u_images, d.t_images, mat, d.algebra_trunc)
+    mat = contract(d.ring, d.u_images, gamma, d.order)
+    return PairDerivation(d.ring, d.order, d.u_images, d.t_images, mat, d.algebra_trunc)
 
 
 # -- chart transitions -------------------------------------------------------
@@ -679,80 +674,3 @@ def induced_transition(tr: ChartTransition, k: int) -> InducedTransition:
             "transition directions are not mutually inverse: discrepancy is not unipotent"
         )
     return InducedTransition(conormal, base_images, phi)
-
-
-def chart_normalize(
-    ring: ChartRing,
-    k: int,
-    u_images: Optional[Sequence[LaurentPoly]] = None,
-    t_images: Optional[Sequence[LaurentPoly]] = None,
-) -> FilteredAutomorphism:
-    """Normalization of an adapted chart at order k.
-
-    With no alternative images this is the canonical identification
-    (t-monomials to their conormal classes), i.e. the identity map.  An
-    alternative adapted choice yields its discrepancy against the
-    canonical one, which must be unipotent.
-    """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    u_imgs = tuple(u_images) if u_images is not None else tuple(
-        ring.u_var(b) for b in range(ring.p)
-    )
-    t_imgs = tuple(t_images) if t_images is not None else tuple(
-        ring.t_var(a) for a in range(ring.q)
-    )
-    # conormal generators sit in degree 1, so never truncate them below that
-    out = FilteredAutomorphism(
-        ring,
-        k,
-        tuple(ring.truncate(p, k) for p in u_imgs),
-        tuple(ring.truncate(p, max(k, 1)) for p in t_imgs),
-    )
-    if not out.is_unipotent():
-        raise NotAdapted("alternative normalization is not adapted to the chart")
-    return out
-
-
-# -- Hochschild splitting defect ---------------------------------------------
-
-
-@dataclass
-class ModuleSplitting:
-    """Linear section of the order-(k+1) -> order-k module truncation.
-
-    ``correction`` is a linear map (represented as a callable on
-    coefficient vectors) valued in the top conormal degree; the canonical
-    multiplicative splitting has correction zero.
-    """
-
-    ring: ChartRing
-    k_top: int
-    rank: int
-    correction: Optional[Callable[[List[LaurentPoly]], List[LaurentPoly]]] = None
-
-    def apply(self, vec: Sequence[LaurentPoly]) -> List[LaurentPoly]:
-        out = [self.ring.truncate(p, self.k_top) for p in vec]
-        if self.correction is not None:
-            corr = self.correction(list(out))
-            out = [
-                a + self.ring.t_part(b, self.k_top) for a, b in zip(out, corr)
-            ]
-        return out
-
-
-def hochschild_defect(
-    split: ModuleSplitting, x: LaurentPoly, m: Sequence[LaurentPoly]
-) -> List[LaurentPoly]:
-    """x * Phi(m) - Phi(x * m): the failure of the splitting to be multiplicative.
-
-    Products are taken at the splitting's top order, so the canonical
-    (correction-free) splitting has zero defect and the value always lands
-    in the top conormal degree.
-    """
-    ring = split.ring
-    k_top = split.k_top
-    left = [ring.mul(x, p, k_top) for p in split.apply(m)]
-    xm = [ring.mul(x, p, k_top) for p in m]
-    right = split.apply(xm)
-    return [a - b for a, b in zip(left, right)]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotFlat
-from .filtered import ChartRing, PairDerivation, bracket
+from .filtered import ChartRing, PairDerivation, bracket, contract
 from .laurent import LaurentPoly
 from .linsolve import PolyMatrix
 
@@ -68,12 +68,6 @@ class FormalDisk:
             tuple(ring.truncate(p, k + 1) for p in t_images),
             module.map(lambda m: ring.truncate(m, k)),
             algebra_trunc=k + 1,
-        )
-
-    def zero_derivation(self, k: int) -> PairDerivation:
-        ring = self.ring
-        return self.derivation(
-            [ring.zero()] * self.p, [ring.zero()] * self.q, None, k
         )
 
     def der_l_element(
@@ -154,11 +148,7 @@ def splitting(
     ring = disk.ring
     mat = d.module.map(lambda m: ring.truncate(m, l))
     for v in range(l + 1, k + 1):
-        for b in range(disk.p):
-            a_vb = ring.t_part(d.u_images[b], v)
-            if a_vb.is_zero():
-                continue
-            mat = mat + gamma[b].scale(a_vb, lambda x, y: ring.mul(x, y, k))
+        mat = mat + contract(ring, [ring.t_part(img, v) for img in d.u_images], gamma, k)
     return disk.derivation(d.u_images, d.t_images, mat, k)
 
 
@@ -169,11 +159,7 @@ def split_component_operator(
     ring = disk.ring
     x_imgs = [ring.t_part(img, v) for img in d.u_images]
     t_imgs = [ring.t_part(img, v + 1) for img in d.t_images]
-    mat = PolyMatrix.zero(disk.e, disk.e, ring.names)
-    for b in range(disk.p):
-        if not x_imgs[b].is_zero():
-            mat = mat + gamma[b].scale(x_imgs[b], lambda x, y: ring.mul(x, y, k))
-    return disk.derivation(x_imgs, t_imgs, mat, k)
+    return disk.derivation(x_imgs, t_imgs, contract(ring, x_imgs, gamma, k), k)
 
 
 def e_component(
@@ -181,13 +167,9 @@ def e_component(
 ) -> PolyMatrix:
     """O-linear residue in degree v: M_v minus the connection lift a_v . nabla."""
     ring = disk.ring
-    mat = d.module.map(lambda m: ring.t_part(m, v))
-    for b in range(disk.p):
-        a_vb = ring.t_part(d.u_images[b], v)
-        if not a_vb.is_zero():
-            # the product is pure degree v, so truncate at v, not at d.order
-            mat = mat - gamma[b].scale(a_vb, lambda x, y: ring.mul(x, y, v))
-    return mat
+    a_v = [ring.t_part(img, v) for img in d.u_images]
+    # the product is pure degree v, so truncate at v, not at d.order
+    return d.module.map(lambda m: ring.t_part(m, v)) - contract(ring, a_v, gamma, v)
 
 
 def endo_only(disk: FormalDisk, mat: PolyMatrix, k: int) -> PairDerivation:

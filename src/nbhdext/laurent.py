@@ -95,20 +95,8 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def constant_coeff(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
-
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-
-    def total_degree(self) -> Optional[int]:
-        """Max total degree over terms; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -139,9 +127,6 @@ class LaurentPoly:
             other = LaurentPoly.const(self.vars, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
@@ -161,21 +146,6 @@ class LaurentPoly:
         return LaurentPoly(self.vars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inverse_monomial() ** (-n)
-        result = LaurentPoly.const(self.vars, 1)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def inverse_monomial(self) -> "LaurentPoly":
         """Invert a single-term polynomial; anything else has no Laurent inverse."""

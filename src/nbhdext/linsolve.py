@@ -99,11 +99,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(out)
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def trace(self) -> LaurentPoly:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")

@@ -99,11 +99,6 @@ class GradedDgLie:
                 out[k] += c * coeff
         return tuple(out)
 
-    def degree_component(self, v: Vector, deg: int) -> Vector:
-        return tuple(
-            x if self.degrees[i] == deg else Fraction(0) for i, x in enumerate(v)
-        )
-
     def is_homogeneous(self, v: Vector, deg: int) -> bool:
         return all(x == 0 or self.degrees[i] == deg for i, x in enumerate(v))
 
@@ -256,9 +251,6 @@ class AbelianExtension:
 
     # -- maps between the three layers -----------------------------------
 
-    def project(self, v: Vector) -> Vector:
-        return tuple(v[i] for i in self.quotient_basis)
-
     def include_quotient(self, v: Vector) -> Vector:
         """Apply the section to a quotient vector."""
         out = [Fraction(0)] * self.ambient.n
@@ -276,11 +268,6 @@ class AbelianExtension:
         if any(v[i] != 0 for i in self.quotient_basis):
             raise SectionNotValued("value does not lie in the extension kernel")
         return v
-
-    def kernel_only(self, v: Vector) -> Vector:
-        return tuple(
-            v[i] if i in set(self.kernel) else Fraction(0) for i in range(self.ambient.n)
-        )
 
 
 def defects(ext: AbelianExtension):

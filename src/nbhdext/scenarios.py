@@ -673,23 +673,11 @@ def _status_json(status) -> dict:
 def _cochain_json(c: CechCochain) -> dict:
     out = {}
     for simplex in sorted(c.values):
-        v = c.values[simplex]
-        key = ",".join(str(x) for x in simplex)
-        if isinstance(v, LaurentPoly):
-            out[key] = v.to_json_terms()
-        elif isinstance(v, PolyMatrix):
-            out[key] = [
-                [v.entries[r][cc].to_json_terms() for cc in range(v.cols)]
-                for r in range(v.rows)
-            ]
-        else:
-            out[key] = [
-                m.to_json_terms() if isinstance(m, LaurentPoly) else [
-                    [m.entries[r][cc].to_json_terms() for cc in range(m.cols)]
-                    for r in range(m.rows)
-                ]
-                for m in v
-            ]
+        v = c.values[simplex]  # report cochains are SYM_END matrices
+        out[",".join(str(x) for x in simplex)] = [
+            [v.entries[r][cc].to_json_terms() for cc in range(v.cols)]
+            for r in range(v.rows)
+        ]
     return {"degree": c.degree, "vtype": c.vtype, "sdeg": c.sdeg, "values": out}
 
 

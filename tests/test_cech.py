@@ -17,11 +17,9 @@ from nbhdext.cech import (
     second_order_obstruction,
     solve_coboundary,
 )
-from nbhdext.errors import NotOLinear
 from nbhdext.filtered import (
     ChartRing,
     FilteredAutomorphism,
-    exp_nilpotent,
     log_unipotent,
 )
 from nbhdext.laurent import LaurentPoly
@@ -130,57 +128,9 @@ def test_atiyah_trace_detects_nonzero_first_chern():
 
 def test_extract_components_identity_transition():
     s, ctx = ctx_for("line_in_p2", d=1)
-    comp = ctx.components((0, 1))
-    assert all(x.is_zero() for x in comp["a"][1])
-    assert all(x.is_zero() for x in comp["L"][1])
-
-
-def test_extract_components_m_residue_vanishes_for_connection_lift():
-    # module data built as the pure connection lift must give m = 0
-    s, ctx = ctx_for("hyperplane_p2_in_p3", d=2, twist=1)
-    pair = (0, 1)
-    geom = ctx.pairs[pair]
-    d = geom.logphi
-    from nbhdext.filtered import leibniz_extend
-
-    lifted = leibniz_extend(d, ctx.connection_in_low(pair), ctx.bundle.rank)
-    geom.phi = exp_nilpotent(lifted)
-    geom.logphi = lifted
-    comp = ctx.components(pair)
-    for v, mat in comp["m"].items():
-        assert mat.is_zero(), v
-
-
-def test_extract_components_with_module_data():
-    # attach consistent module data to a transition and read the residues
-    s, ctx = ctx_for("line_in_p2", d=1)
-    pair = (0, 1)
-    geom = ctx.pairs[pair]
-    ring = geom.ring_i
-    d = geom.logphi
-    geom.logphi = type(d)(
-        d.ring, d.order, d.u_images, d.t_images,
-        PolyMatrix([[ring.u_var(0) * ring.t_var(0)]]),
-        algebra_trunc=d.algebra_trunc,
-    )
-    comp = ctx.components(pair)
-    assert set(comp["m"]) == {1, 2}
-    assert comp["m"][1][0, 0] == ring.u_var(0) * ring.t_var(0)
-
-
-def test_extract_components_rejects_degree_zero_module_data():
-    s, ctx = ctx_for("line_in_p2", d=1)
-    pair = (0, 1)
-    geom = ctx.pairs[pair]
-    ring = geom.ring_i
-    d = geom.logphi
-    geom.logphi = type(d)(
-        d.ring, d.order, d.u_images, d.t_images,
-        PolyMatrix([[ring.u_var(0)]]),
-        algebra_trunc=d.algebra_trunc,
-    )
-    with pytest.raises(NotOLinear):
-        ctx.components(pair)
+    a1 = kodaira_spencer_cochain(ctx, 1)
+    assert all(x.is_zero() for x in a1.values[(0, 1)])
+    assert all(x.is_zero() for x in ctx.pairs[(0, 1)].logphi.component(1).t_images)
 
 
 # -- first order obstruction ----------------------------------------------------------

@@ -8,13 +8,10 @@ from nbhdext.filtered import (
     ChartRing,
     ChartTransition,
     FilteredAutomorphism,
-    ModuleSplitting,
     PairDerivation,
     bch2,
     bracket,
-    chart_normalize,
     exp_nilpotent,
-    hochschild_defect,
     induced_transition,
     leibniz_extend,
     log_unipotent,
@@ -181,10 +178,14 @@ def test_bch2_matches_composition_oracle():
 # -- Leibniz extension -------------------------------------------------------
 
 
+def trivial_connection(ring, rank):
+    return [PolyMatrix.zero(rank, rank, ring.names) for _ in range(ring.p)]
+
+
 def test_leibniz_extend_zero():
     ring = ring_pq(1, 1)
     d = PairDerivation.zero(ring, 2)
-    ext = leibniz_extend(d, None, rank=1)
+    ext = leibniz_extend(d, trivial_connection(ring, 1))
     assert ext.apply_module([ring.u_var(0)])[0] == ring.zero()
 
 
@@ -193,7 +194,7 @@ def test_leibniz_extend_on_coordinate_section():
     ring = ring_pq(1, 1)
     t = ring.t_var(0)
     d = PairDerivation(ring, 2, (t,), (ring.zero(),))
-    ext = leibniz_extend(d, None, rank=1)
+    ext = leibniz_extend(d, trivial_connection(ring, 1))
     out = ext.apply_module([ring.u_var(0)])
     assert out[0] == t * ring.u_var(0) * 0 + t  # D(u)*s with s the unit section
 
@@ -206,7 +207,7 @@ def test_leibniz_extension_satisfies_product_rule():
         gamma = [
             PolyMatrix([[random_poly(rng, ring, 0, 0)]]) for _ in range(ring.p)
         ]
-        ext = leibniz_extend(d, gamma, rank=1)
+        ext = leibniz_extend(d, gamma)
         f = random_poly(rng, ring, 0, 2)
         g = random_poly(rng, ring, 0, 2)
         fg = ring.mul(f, g, 3)
@@ -303,76 +304,3 @@ def test_transition_cocycle_on_triple_overlap():
     composed = t01.unipotent.compose(t12.unipotent)
     assert ring.truncate(composed.t_images[0] - t02.unipotent.t_images[0], k).is_zero()
     assert composed.u_images[0] == t02.unipotent.u_images[0]
-
-
-# -- chart normalization ------------------------------------------------------
-
-
-def test_chart_normalize_order_zero_is_identity():
-    ring = ring_pq(1, 1)
-    n = chart_normalize(ring, 0)
-    assert n.u_images[0] == ring.u_var(0)
-
-
-def test_chart_normalize_basis_at_order_two():
-    ring = ring_pq(1, 1)
-    n = chart_normalize(ring, 2)
-    # the canonical identification sends t-monomials to their classes
-    for mono in [(0, 0), (0, 1), (0, 2)]:
-        m = LaurentPoly.monomial(ring.names, mono)
-        assert n.apply(m) == m
-
-
-def test_chart_normalize_discrepancy_is_unipotent():
-    ring = ring_pq(1, 1)
-    t = ring.t_var(0)
-    alt = chart_normalize(ring, 2, t_images=[t + t * t])
-    assert alt.is_unipotent()
-    with pytest.raises(NotAdapted):
-        chart_normalize(ring, 2, t_images=[t + ring.one()])
-
-
-# -- Hochschild defect --------------------------------------------------------
-
-
-def test_hochschild_multiplicative_splitting_vanishes():
-    ring = ring_pq(1, 1)
-    split = ModuleSplitting(ring, k_top=2, rank=1)
-    x = ring.u_var(0) + ring.t_var(0)
-    m = [ring.u_var(0) * ring.t_var(0)]
-    assert all(p.is_zero() for p in hochschild_defect(split, x, m))
-
-
-def test_hochschild_unital():
-    ring = ring_pq(1, 1)
-    t = ring.t_var(0)
-
-    def corr(vec):
-        # a non-multiplicative linear correction valued in top degree
-        return [ring.mul(t * t, p, 2) for p in vec]
-
-    split = ModuleSplitting(ring, 2, 1, corr)
-    m = [ring.u_var(0) + t]
-    assert all(p.is_zero() for p in hochschild_defect(split, ring.one(), m))
-
-
-def test_hochschild_cochain_identity():
-    rng = random.Random(13)
-    ring = ring_pq(1, 1)
-    t = ring.t_var(0)
-
-    def corr(vec):
-        return [ring.mul(t * t, p + p.diff("u1"), 2) for p in vec]
-
-    split = ModuleSplitting(ring, 2, 1, corr)
-    for _ in range(10):
-        x = random_poly(rng, ring, 0, 2)
-        y = random_poly(rng, ring, 0, 2)
-        m = [random_poly(rng, ring, 0, 1)]
-        xy = ring.mul(x, y, 2)
-        ym = [ring.mul(y, m[0], 2)]
-        lhs = hochschild_defect(split, xy, m)
-        mid = [ring.mul(x, p, 2) for p in hochschild_defect(split, y, m)]
-        rhs = hochschild_defect(split, x, ym)
-        resid = [a - b - c for a, b, c in zip(lhs, mid, rhs)]
-        assert all(p.is_zero() for p in resid)

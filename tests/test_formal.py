@@ -188,7 +188,7 @@ def test_extension_cocycle_requires_flat():
     disk = FormalDisk(2, 1, 1, 3)
     ring = disk.ring
     gamma = [PolyMatrix([[ring.zero()]]), PolyMatrix([[ring.u_var(0)]])]
-    d = disk.zero_derivation(0)
+    d = disk.derivation([ring.zero()] * disk.p, [ring.zero()] * disk.q, None, 0)
     with pytest.raises(NotFlat):
         extension_cocycle(disk, 0, 1, d, d, gamma)
 

@@ -88,11 +88,6 @@ def test_diff_laurent():
     assert p.diff("x") == P({(-3, 0): -6, (0, 1): 1})
 
 
-def test_pow_negative_monomial():
-    m = LaurentPoly.monomial(V, (1, 2), Fraction(2, 3))
-    assert m ** -1 == LaurentPoly.monomial(V, (-1, -2), Fraction(3, 2))
-
-
 def test_serialization_round_trip_and_order():
     p = P({(1, 0): Fraction(1, 2), (0, 0): -2, (-1, 3): 5})
     data = p.to_json_terms()
