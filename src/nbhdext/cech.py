@@ -1,13 +1,19 @@
 """Cech cochains on a cover nerve and the order-one/two obstruction calculus.
 
 Every value on a simplex is stored in the frame of its smallest chart
-index; a value moves to a lower frame through the linear (conormal) part
-of the chart transitions, with bundle-valued data conjugated through the
-transition matrices.  Transport is linear, so each context memoizes the
-truncated image of every monomial it has moved across each overlap, and
-the columns of delta are read off the cofaces of one simplex at a time.
-All assembly is canonical: simplices, matrix entries and monomials are
-always walked in sorted order, so reports are byte-stable.
+index.  Values move to a lower frame by substituting the high chart's
+coordinates, in one of two ways.  Sym^v N^*-valued data moves through the
+linear (conormal) part of the chart transitions, with bundle-valued data
+conjugated through the transition matrices; functions move through the
+full truncated transition F_ij^*.  For a rank-one bundle the second gives
+one linear system: G_ij = g_ij exp(lambda_ij) is a cocycle modulo t^(k+1)
+exactly when delta(lambda) = rho, the log of the transitions' defect on
+the triples.  Substitution is a linear ring map, so each context
+memoizes the truncated powers of every variable's image and the image of
+every monomial it has moved, and the columns of delta are read off the
+cofaces of one simplex at a time.  All assembly is canonical: simplices,
+matrix entries and monomials are always walked in sorted order, so
+reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ Triple = Tuple[int, int, int]
 
 # value type tags for cochains
 SYM_END = "sym_end"        # Sym^v con (x) End E : PolyMatrix with degree-v entries
-SYM_SCALAR = "sym_scalar"  # Sym^v con            : LaurentPoly of degree v
+FUNCTION = "function"      # function on the simplex: LaurentPoly, moved by the full F_ij^*
 FORM_END = "form_end"      # Omega^1 (x) End E    : tuple over du_b of PolyMatrix
 HOMFORM_SYM = "homform_sym"  # Hom(Omega^1, Sym^s): tuple over du_b of polys
 
@@ -95,6 +101,7 @@ class OverlapGeometry:
     base_ij: Dict[str, LaurentPoly]
     conormal_ji: PolyMatrix            # t^j_a = sum_b C[a][b] t^i_b (over ring_i)
     conormal_ij: PolyMatrix
+    forward: Dict[str, LaurentPoly]    # full images over ring_i of the chart-j coordinates
     phi: FilteredAutomorphism          # unipotent discrepancy in the i-frame
     logphi: PairDerivation
 
@@ -178,6 +185,7 @@ class CechContext:
         self.order = order
         # memos of derived data; they live and die with this context
         self._monomial_images: Dict[Tuple, Dict[Exponent, LaurentPoly]] = {}
+        self._powers: Dict[Tuple, LaurentPoly] = {}
         self._elementary_images: Dict[Tuple, Dict[Tuple, Fraction]] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
         self._delta_maps: Dict[Tuple, Tuple[List[Tuple], List[Dict]]] = {}
@@ -189,29 +197,56 @@ class CechContext:
             raise FrameMismatch(f"no transport data for overlap {pair}")
         return self.pairs[pair]
 
-    def scalar_to_low(self, pair: Pair, value: LaurentPoly) -> LaurentPoly:
+    def pullback(self, pair: Pair, value: LaurentPoly, full: bool = False) -> LaurentPoly:
         """Substitute the high chart's coordinates, one memoized monomial at a time.
 
-        Truncation commutes with rational scaling, so the sum of the
-        scaled monomial images equals one truncated substitution of the
-        whole polynomial.
+        ``full`` substitutes the whole truncated transition F_ij^*, which
+        moves functions; otherwise the conormal part is linear, which moves
+        Sym^v N^*-valued values.  A monomial's image is the truncated
+        product of its memoized variable powers, and truncation commutes
+        with rational scaling, so the sum of the scaled monomial images
+        equals one truncated substitution of the whole polynomial.
         """
-        g = self._geom(pair)
-        memo = self._monomial_images.setdefault((pair, value.vars), {})
+        ring = self._geom(pair).ring_i
+        memo = self._monomial_images.setdefault((pair, full, value.vars), {})
         out: Dict[Exponent, Fraction] = {}
         for exps, coeff in value.terms.items():
             image = memo.get(exps)
             if image is None:
-                image = memo[exps] = g.ring_i.subst_trunc(
-                    LaurentPoly(value.vars, {exps: 1}), g.images_ji, self.order, target=g.ring_i
-                )
+                image = ring.one()
+                for name, k in zip(value.vars, exps):
+                    if k and not image.is_zero():
+                        image = ring.mul(image, self._power(pair, full, name, k), self.order)
+                memo[exps] = image
             for e, c in image.terms.items():
                 out[e] = out.get(e, 0) + c * coeff
-        return LaurentPoly(g.ring_i.names, out)
+        return LaurentPoly(ring.names, out)
+
+    def _power(self, pair: Pair, full: bool, name: str, k: int) -> LaurentPoly:
+        """The image of one high-chart variable raised to ``k != 0``, built once."""
+        key = (pair, full, name, k)
+        if key not in self._powers:
+            g = self._geom(pair)
+            ring = g.ring_i
+            if k in (1, -1):
+                image = (g.forward if full else g.images_ji)[name]
+                power = (
+                    ring.truncate(image, self.order) if k == 1
+                    else ring.invert_trunc(image, self.order)
+                )
+            else:
+                step = 1 if k > 0 else -1
+                power = ring.mul(
+                    self._power(pair, full, name, k - step),
+                    self._power(pair, full, name, step),
+                    self.order,
+                )
+            self._powers[key] = power
+        return self._powers[key]
 
     def end_to_low(self, pair: Pair, value: PolyMatrix) -> PolyMatrix:
         g = self._geom(pair)
-        moved = value.map(lambda p: self.scalar_to_low(pair, p))
+        moved = value.map(lambda p: self.pullback(pair, p))
         gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
         mul = lambda a, b: g.ring_i.mul(a, b, self.order)
         return gm.matmul(moved, mul).matmul(gi, mul)
@@ -222,7 +257,7 @@ class CechContext:
         g = self._geom(pair)
         ring = g.ring_i
         mul = lambda a, b: ring.mul(a, b, self.order)
-        moved = [m.map(lambda p: self.scalar_to_low(pair, p)) for m in value]
+        moved = [m.map(lambda p: self.pullback(pair, p)) for m in value]
         jac = g.jac_ji
         reindexed = [
             contract(ring, [jac[b, c] for b in range(ring.p)], moved, self.order)
@@ -243,12 +278,12 @@ class CechContext:
             for b in range(ring_j.p):
                 if not jac_back[c, b].is_zero():
                     acc = acc + ring_j.mul(jac_back[c, b], value[b], self.order)
-            out.append(self.scalar_to_low(pair, acc))
+            out.append(self.pullback(pair, acc))
         return tuple(out)
 
     def transport(self, pair: Pair, vtype: str, value):
-        if vtype == SYM_SCALAR:
-            return self.scalar_to_low(pair, value)
+        if vtype == FUNCTION:
+            return self.pullback(pair, value, full=True)
         if vtype == SYM_END:
             return self.end_to_low(pair, value)
         if vtype == FORM_END:
@@ -293,7 +328,7 @@ class CechContext:
 
         def moved(name: str) -> LaurentPoly:
             # the chart-i generator in the j-frame, hit by d and moved low
-            image = self.scalar_to_low(pair, d.apply(g.images_ij[name]))
+            image = self.pullback(pair, d.apply(g.images_ij[name]))
             return ring_i.truncate(image, self.order)
 
         return PairDerivation(
@@ -350,7 +385,7 @@ class CechContext:
 
     def zero_value(self, vtype: str, ring: ChartRing):
         e = self.bundle.rank
-        if vtype == SYM_SCALAR:
+        if vtype == FUNCTION:
             return ring.zero()
         if vtype == SYM_END:
             return PolyMatrix.zero(e, e, ring.names)
@@ -534,22 +569,32 @@ def _op_endo_bracket(
     return bracket(op, zero_op).module
 
 
-def abelianized_pair(
-    ctx: CechContext, a1: CechCochain, a2: CechCochain, at: CechCochain
-) -> Tuple[CechCochain, CechCochain]:
-    """(a^1 . At, a^2 . Tr At): the two layers of the rank-free obstruction."""
-    end_part = first_order_obstruction(ctx, a1, at)
+def transition_log_defect(ctx: CechContext) -> CechCochain:
+    """rho_ijh = log(g_ih / (g_ij . F_ij^* g_jh)) on each triple, for a rank-one bundle.
+
+    G_ij = g_ij . exp(lambda_ij) is a cocycle modulo t^(order+1) exactly
+    when delta(lambda) = rho for the FUNCTION transport.  The transitions
+    form a cocycle on X, so the ratio is 1 plus terms of t-degree >= 1
+    and its log series stops at the working order, which the cochain
+    carries as its ``sdeg``.
+    """
+    k = ctx.order
+    g, g_inv = ctx.bundle.g, ctx.bundle.g_inv
     values = {}
     for tri in ctx.nerve.triples():
         i, j, h = tri
-        ring = ctx.nerve.pair_rings[(i, j)][i]
-        at_moved = ctx.transport((i, j), FORM_END, at.value(ctx, (j, h)))
-        traced = tuple(m.trace() for m in at_moved)
-        acc = ring.zero()
-        for b in range(ring.p):
-            acc = acc + ring.mul(a2.value(ctx, (i, j))[b], traced[b], ctx.order)
-        values[tri] = ring.t_part(acc, 2)
-    return end_part, CechCochain(2, SYM_SCALAR, 2, values)
+        ring = ctx.nerve.triple_rings[tri]
+        pulled = ctx.pullback((i, j), g[(j, h)][0, 0], full=True)
+        ratio = ring.mul(
+            ring.mul(g[(i, h)][0, 0], g_inv[(i, j)][0, 0], k), ring.invert_trunc(pulled, k), k
+        )
+        x = ratio - ring.one()
+        log, power = ring.zero(), ring.one()
+        for n in range(1, k + 1):
+            power = ring.mul(power, x, k)
+            log = log + power * Fraction((-1) ** (n + 1), n)
+        values[tri] = log
+    return CechCochain(2, FUNCTION, k, values)
 
 
 # -- solving ------------------------------------------------------------------------
@@ -608,12 +653,12 @@ def _window_basis(
 ) -> List[Tuple]:
     """Coordinate keys (simplex, entry, exps) of the window-supported monomials.
 
-    One key per simplex, matrix entry ((0, 0) only for scalars), conormal
+    One key per simplex, matrix entry ((0, 0) only for functions), conormal
     monomial of degree ``sdeg`` and allowed tangential exponent, in
     canonical order.
     """
     e = ctx.bundle.rank
-    entries = [(0, 0)] if vtype == SYM_SCALAR else list(iproduct(range(e), range(e)))
+    entries = [(0, 0)] if vtype == FUNCTION else list(iproduct(range(e), range(e)))
     basis = []
     for simplex in simplices:
         ring = ctx.ring_of(simplex)
@@ -642,7 +687,7 @@ def _assemble_cochain(
             continue
         ring = ctx.ring_of(simplex)
         mono = ring.monomial(exps, coeff)
-        if vtype == SYM_SCALAR:
+        if vtype == FUNCTION:
             cur = values.get(simplex, ring.zero())
             values[simplex] = cur + mono
         else:
@@ -657,7 +702,7 @@ def _assemble_cochain(
 def _coordinates(vtype: str, value) -> Dict[Tuple, Fraction]:
     """Flatten a cochain value into (entry, exponent) -> coefficient."""
     out: Dict[Tuple, Fraction] = {}
-    if vtype == SYM_SCALAR:
+    if vtype == FUNCTION:
         mats = [((0, 0), value)]
     else:
         mats = [

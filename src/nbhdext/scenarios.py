@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product as iproduct
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__, cohomology
@@ -24,8 +25,8 @@ from .cech import (
     ProvenNonzero,
     Solved,
     UnresolvedWithinWindow,
+    FUNCTION,
     SYM_END,
-    SYM_SCALAR,
     atiyah_cocycle,
     cech_differential,
     cochain_coordinates,
@@ -33,9 +34,9 @@ from .cech import (
     kodaira_spencer_cochain,
     second_order_obstruction,
     solve_coboundary,
-    abelianized_pair,
+    transition_log_defect,
+    _assemble_cochain,
     _delta_map,
-    _elementary_cochain,
     _exact_system,
 )
 from .errors import NotClosed, ParseError, SchemaVersionError, UnknownScenario
@@ -505,6 +506,7 @@ def build_context(s: Scenario, order: int) -> CechContext:
             base_ij={n: img for n, img in zip(s.u_names, bwd.base_images)},
             conormal_ji=fwd.conormal,
             conormal_ij=bwd.conormal,
+            forward=dict(zip(s.names, o.forward_u + o.forward_t)),
             phi=phi,
             logphi=log_unipotent(phi),
         )
@@ -557,10 +559,8 @@ def _monomial_degree(p: LaurentPoly) -> Optional[Exponent]:
     return exps
 
 
-def sheaf_twists(
-    s: Scenario, ctx: CechContext, sdeg: int, with_end: bool
-) -> Optional[List[int]]:
-    """Twist decomposition of Sym^sdeg con (x) (End E or O) when diagonal monomial."""
+def sheaf_twists(s: Scenario, ctx: CechContext, sdeg: int) -> Optional[List[int]]:
+    """Twist decomposition of Sym^sdeg con (x) End E when diagonal monomial."""
     space = detect_cover(s)
     if space is None:
         return None
@@ -592,17 +592,14 @@ def sheaf_twists(
     out = []
     for tm in ring.t_monomials(sdeg):
         con_twist = sum(m * e_ for m, e_ in zip(diag_twists, tm))
-        if with_end:
-            for r in range(s.e):
-                for c in range(s.e):
-                    out.append(con_twist + g_twists[r] - g_twists[c])
-        else:
-            out.append(con_twist)
+        for r in range(s.e):
+            for c in range(s.e):
+                out.append(con_twist + g_twists[r] - g_twists[c])
     return out
 
 
-def h2_weight_test(s: Scenario, ctx: CechContext, sdeg: int, with_end: bool):
-    """Exact pairing of a 2-cochain against the top-cohomology monomial basis.
+def h2_weight_test(s: Scenario, ctx: CechContext, sdeg: int):
+    """Exact pairing of a SYM_END 2-cochain against the top-cohomology monomial basis.
 
     On the standard plane cover a coboundary can never reach a monomial
     whose homogeneous weight is negative in every slot, so a nonzero
@@ -612,7 +609,7 @@ def h2_weight_test(s: Scenario, ctx: CechContext, sdeg: int, with_end: bool):
     space = detect_cover(s)
     if space != "p2":
         return None
-    twists = sheaf_twists(s, ctx, sdeg, with_end)
+    twists = sheaf_twists(s, ctx, sdeg)
     if twists is None:
         return None
     geom01 = ctx.pairs[(0, 1)]
@@ -627,20 +624,13 @@ def h2_weight_test(s: Scenario, ctx: CechContext, sdeg: int, with_end: bool):
         ring = ctx.nerve.triple_rings[tri]
         hits = []
         e = ctx.bundle.rank
-        entries = (
-            [((0, 0), value)] if c2.vtype == SYM_SCALAR else [
-                ((r, c), value.entries[r][c]) for r in range(e) for c in range(e)
-            ]
-        )
-        for (r, c), poly in entries:
-            for exps, coeff in poly.sorted_terms():
+        for r, c in iproduct(range(e), range(e)):
+            for exps, coeff in value.entries[r][c].sorted_terms():
                 u_part, t_part = exps[: s.p], exps[s.p:]
                 con_twist = sum(
                     _monomial_degree(con[a, a])[0] * t_part[a] for a in range(s.q)
                 )
-                d = con_twist
-                if c2.vtype != SYM_SCALAR:
-                    d += _monomial_degree(gmat[r, r])[0] - _monomial_degree(gmat[c, c])[0]
+                d = con_twist + _monomial_degree(gmat[r, r])[0] - _monomial_degree(gmat[c, c])[0]
                 w0 = d - u_part[0] - u_part[1]
                 if u_part[0] < 0 and u_part[1] < 0 and w0 < 0:
                     hits.append(
@@ -777,13 +767,13 @@ def run_pipeline(
 
     a1 = kodaira_spencer_cochain(ctx, 1)
     c1 = first_order_obstruction(ctx, a1, at)
-    oracle1 = sheaf_twists(s, ctx, 1, with_end=True)
+    oracle1 = sheaf_twists(s, ctx, 1)
     h1_1 = None
     if oracle1 is not None:
         space = detect_cover(s)
         h1_1 = cohomology.cohomology_dim(space, oracle1)[1]
     status1 = solve_coboundary(
-        ctx, c1, window, h1_oracle=h1_1, h2_basis_test=h2_weight_test(s, ctx, 1, True)
+        ctx, c1, window, h1_oracle=h1_1, h2_basis_test=h2_weight_test(s, ctx, 1)
     )
     reports.append(
         ObstructionReport(1, _closedness_verdict(ctx, c1), status1, c1,
@@ -804,13 +794,13 @@ def run_pipeline(
         else:
             a2 = kodaira_spencer_cochain(ctx, 2)
             c2 = second_order_obstruction(ctx, a2, at, status1.cochain)
-            oracle2 = sheaf_twists(s, ctx, 2, with_end=True)
+            oracle2 = sheaf_twists(s, ctx, 2)
             h1_2 = None
             if oracle2 is not None:
                 h1_2 = cohomology.cohomology_dim(detect_cover(s), oracle2)[1]
             status2 = solve_coboundary(
                 ctx, c2, window, h1_oracle=h1_2,
-                h2_basis_test=h2_weight_test(s, ctx, 2, True),
+                h2_basis_test=h2_weight_test(s, ctx, 2),
             )
             reports.append(
                 ObstructionReport(2, _closedness_verdict(ctx, c2), status2, c2,
@@ -819,7 +809,7 @@ def run_pipeline(
 
     abelianized = None
     if s.e == 1 and k >= 2:
-        abelianized = solve_abelianized(s, ctx, window)
+        abelianized = solve_abelianized(ctx, window)
 
     return ReportBundle(
         scenario_name=s.name,
@@ -832,64 +822,26 @@ def run_pipeline(
     )
 
 
-def solve_abelianized(s: Scenario, ctx: CechContext, window: Tuple[int, int]):
-    """Coupled exactness check of the two-layer obstruction pair (rank one).
+def solve_abelianized(ctx: CechContext, window: Tuple[int, int]) -> dict:
+    """Whether a rank-one bundle extends to order ``ctx.order``: delta(lambda) = rho.
 
-    Solves for a conormal-degree-one endomorphism cochain together with a
-    degree-two scalar cochain whose differential is twisted by the
-    degree-one transition components acting on the trace of the first
-    unknown.
+    G_ij = g_ij . exp(lambda_ij) is a cocycle modulo t^(k+1) exactly when
+    lambda_ij + F_ij^* lambda_jh - lambda_ih = rho_ijh, a linear system in
+    the window-supported lambda on the doubles at t-degrees 1..k.  A
+    solution is rechecked with the full differential.
     """
-    at = atiyah_cocycle(ctx)
-    a1 = kodaira_spencer_cochain(ctx, 1)
-    a2 = kodaira_spencer_cochain(ctx, 2)
-    end_target, scalar_target = abelianized_pair(ctx, a1, a2, at)
-
-    basis_end, columns_end = _delta_map(ctx, SYM_END, 1, ctx.nerve.doubles(), window)
-    _, columns_sc = _delta_map(ctx, SYM_SCALAR, 2, ctx.nerve.doubles(), window)
-    half = Fraction(1, 2)
-    # degree-one transition components of each triple's two legs, in its low frame
-    legs = {
-        (i, j, h): (
-            ctx.pairs[(i, j)].logphi.component(1),
-            ctx.derivation_to_low((i, j), ctx.pairs[(j, h)].logphi).component(1),
-        )
-        for (i, j, h) in ctx.nerve.triples()
-    }
-
-    def coupling(m1: CechCochain) -> CechCochain:
-        values = {}
-        for tri, (phi_ij, phi_jh_low) in legs.items():
-            i, j, h = tri
-            ring = ctx.nerve.triple_rings[tri]
-            tr_ij = m1.value(ctx, (i, j)).trace()
-            # the trace is conjugation-invariant, so it moves as a scalar
-            tr_jh = ctx.scalar_to_low((i, j), m1.value(ctx, (j, h)).trace())
-            val = (
-                phi_jh_low.apply(tr_ij) * half
-                + phi_ij.apply(tr_jh) * half
-            )
-            values[tri] = ring.t_part(ring.truncate(val, ctx.order), 2)
-        return CechCochain(2, SYM_SCALAR, 2, values)
-
-    def tagged(tag: str, coords: Dict) -> Dict:
-        return {(tag,) + kk: v for kk, v in coords.items()}
-
-    couplings = [
-        cochain_coordinates(coupling(_elementary_cochain(ctx, SYM_END, 1, key)))
-        for key in basis_end
-    ]
-    columns = [
-        {**tagged("end", col), **tagged("sc", coup)}
-        for col, coup in zip(columns_end, couplings)
-    ]
-    columns += [tagged("sc", col) for col in columns_sc]
-    rhs = {
-        **tagged("end", cochain_coordinates(end_target.neg())),
-        **tagged("sc", cochain_coordinates(scalar_target.neg())),
-    }
-    system = _exact_system(columns, rhs)
+    rho = transition_log_defect(ctx)
+    basis, columns = [], []
+    for sdeg in range(1, ctx.order + 1):
+        sdeg_basis, sdeg_columns = _delta_map(ctx, FUNCTION, sdeg, ctx.nerve.doubles(), window)
+        basis += sdeg_basis
+        columns += sdeg_columns
+    system = _exact_system(columns, cochain_coordinates(rho))
     sol = solve_exact(system)
+    if sol.consistent:
+        lam = _assemble_cochain(ctx, 1, FUNCTION, ctx.order, basis, sol.particular)
+        if not cech_differential(ctx, lam).add(rho.neg()).is_zero():
+            raise NotClosed("rank-one solver produced a nonzero residual")
     return {
         "exact": sol.consistent,
         "unknowns": len(columns),

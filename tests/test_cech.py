@@ -4,8 +4,8 @@ import pytest
 
 from nbhdext.cech import (
     FORM_END,
+    FUNCTION,
     SYM_END,
-    SYM_SCALAR,
     CechCochain,
     ProvenNonzero,
     Solved,
@@ -50,7 +50,7 @@ def ctx_for(name, d=0, twist=0, order=2):
 def test_delta_of_constant_scalar_zero_cochain():
     s, ctx = ctx_for("line_in_p2", d=1)
     ring0 = ctx.nerve.chart_rings[0]
-    c = CechCochain(0, SYM_SCALAR, 0, {(0,): ring0.one(), (1,): ctx.nerve.chart_rings[1].one()})
+    c = CechCochain(0, FUNCTION, 0, {(0,): ring0.one(), (1,): ctx.nerve.chart_rings[1].one()})
     d = cech_differential(ctx, c)
     assert d.is_zero()
 
@@ -59,7 +59,7 @@ def test_delta_squared_is_zero_on_random_zero_cochains():
     s, ctx = ctx_for("hyperplane_p2_in_p3", d=2, twist=1)
     ring0 = ctx.nerve.chart_rings[0]
     val = ring0.t_var(0) * ring0.u_var(0) + ring0.t_var(0) * 2
-    c = CechCochain(0, SYM_SCALAR, 1, {(0,): val})
+    c = CechCochain(0, FUNCTION, 1, {(0,): val})
     dd = cech_differential(ctx, cech_differential(ctx, c))
     assert dd.is_zero()
 
@@ -185,7 +185,7 @@ def test_solve_zero_cochain_reports_h1_dimension():
         status = solve_coboundary(ctx, zero, (-6, 6))
         assert isinstance(status, Solved)
         assert status.torsor_dim == expected
-        tw = sheaf_twists(s, ctx, 1, with_end=True)
+        tw = sheaf_twists(s, ctx, 1)
         assert tw == [-m]
 
 
@@ -208,7 +208,7 @@ def test_proven_nonzero_on_negative_plane_twist():
     value = PolyMatrix([[LaurentPoly.monomial(ring.names, (-1, -1, 1))]])
     c = CechCochain(2, SYM_END, 1, {(0, 1, 2): value})
     status = solve_coboundary(
-        ctx, c, (-3, 3), h2_basis_test=h2_weight_test(s, ctx, 1, True)
+        ctx, c, (-3, 3), h2_basis_test=h2_weight_test(s, ctx, 1)
     )
     assert isinstance(status, ProvenNonzero)
     assert status.class_coordinates

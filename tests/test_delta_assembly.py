@@ -2,7 +2,7 @@
 
 ``cech_differential`` of a whole elementary cochain is the oracle for the
 columns, and one truncated substitution of a whole polynomial is the
-oracle for the memoized scalar transport.
+oracle for the memoized pullback, linear and full.
 """
 
 from fractions import Fraction
@@ -87,18 +87,23 @@ def test_pipeline_builds_each_delta_map_once(monkeypatch):
     bundle = run_pipeline(s, k=2)
     assert bundle.abelianized["exact"]
     assert len(built) == len(set(built))
-    # the order-one solve and the abelianized solve share the (END, 1) overlap columns
+    # the order-one solve builds the (END, 1) overlap columns; the rank-one
+    # system builds FUNCTION columns of its own
     ctx = build_context(s, 2)
     end_1 = tuple(cech._window_basis(ctx, ctx.nerve.doubles(), cech.SYM_END, 1, s.window))
     assert len(end_1) == 84
     assert built.count((cech.SYM_END, end_1)) == 1
 
 
-# -- the scalar transport memo -------------------------------------------------------
+# -- the pullback memo -------------------------------------------------------------
 
 
-def direct_scalar_to_low(ctx, pair, value):
-    """One truncated substitution of the whole polynomial, images built here."""
+def direct_pullback(ctx, pair, value, full=False):
+    """One truncated substitution of the whole polynomial.
+
+    The full pullback substitutes the overlap's ``forward`` images; the
+    linear one substitutes images built here from the conormal matrix.
+    """
     g = ctx.pairs[pair]
     ring = g.ring_i
     images = dict(g.base_ji)
@@ -106,7 +111,7 @@ def direct_scalar_to_low(ctx, pair, value):
         images[tname] = sum(
             (g.conormal_ji[a, b] * ring.t_var(b) for b in range(ring.q)), ring.zero()
         )
-    return ring.subst_trunc(value, images, ctx.order, target=ring)
+    return ring.subst_trunc(value, g.forward if full else images, ctx.order, target=ring)
 
 
 MEMO_CONTEXTS = {
@@ -145,15 +150,16 @@ def overlap_polynomials(draw):
 @settings(max_examples=120, deadline=None)
 def test_memoized_scalar_transport_equals_one_substitution(case):
     ctx, pair, value = case
-    try:
-        expected = direct_scalar_to_low(ctx, pair, value)
-    except EngineError as err:
-        with pytest.raises(type(err)):
-            ctx.scalar_to_low(pair, value)
-        return
-    assert ctx.scalar_to_low(pair, value) == expected
-    # a second call is served from the memo and still agrees
-    assert ctx.scalar_to_low(pair, value) == expected
+    for full in (False, True):
+        try:
+            expected = direct_pullback(ctx, pair, value, full)
+        except EngineError as err:
+            with pytest.raises(type(err)):
+                ctx.pullback(pair, value, full)
+            continue
+        assert ctx.pullback(pair, value, full) == expected
+        # a second call is served from the memo and still agrees
+        assert ctx.pullback(pair, value, full) == expected
 
 
 def test_contexts_with_different_transitions_share_no_memo():
@@ -162,12 +168,17 @@ def test_contexts_with_different_transitions_share_no_memo():
     second = build_context(generate_builtin("p1_in_line_bundle", d=4), 2)
     pair = (0, 1)
     value = first.pairs[pair].ring_j.monomial((2, 1), Fraction(3, 2))
-    moved_first = first.scalar_to_low(pair, value)
-    moved_second = second.scalar_to_low(pair, value)
-    assert moved_first == direct_scalar_to_low(first, pair, value)
-    assert moved_second == direct_scalar_to_low(second, pair, value)
-    assert moved_first != moved_second
+    for full in (False, True):
+        moved_first = first.pullback(pair, value, full)
+        moved_second = second.pullback(pair, value, full)
+        assert moved_first == direct_pullback(first, pair, value, full)
+        assert moved_second == direct_pullback(second, pair, value, full)
+        assert moved_first != moved_second
+        # the variable powers behind them were built by each context for itself
+        power = (pair, full, "t1", 1)
+        assert first._powers[power] != second._powers[power]
     assert first._monomial_images is not second._monomial_images
+    assert first._powers is not second._powers
     assert first._elementary_images is not second._elementary_images
     # elementary transports read the same key but each context moves it its own way
     key = (pair, cech.SYM_END, (0, 0), value.sorted_terms()[0][0])
