@@ -96,7 +96,30 @@ class ChartRing:
         return out
 
     def mul(self, a: LaurentPoly, b: LaurentPoly, t_max: int) -> LaurentPoly:
-        return self.truncate(a * b, t_max)
+        """``truncate(a * b, t_max)`` without forming the products it would drop.
+
+        A product's t-degree and tangential degree are the sums of its
+        factors', so a pair of terms is skipped when either sum is over
+        its bound.  Terms are visited in the order ``a * b`` visits them,
+        so the result's terms come in the same order too.
+        """
+        a._check_same_ring(b)
+        p, base = self.p, self.base_trunc
+        rows = [(sum(e[p:]), sum(e[:p]), e, c) for e, c in b.terms.items()]
+        out: Dict[Exponent, Fraction] = {}
+        for e1, c1 in a.terms.items():
+            t_room = t_max - sum(e1[p:])
+            u_room = None if base is None else base - sum(e1[:p])
+            for t2, u2, e2, c2 in rows:
+                if t2 > t_room or (u_room is not None and u2 > u_room):
+                    continue
+                e = tuple(x + y for x, y in zip(e1, e2))
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return LaurentPoly(a.vars, out)
 
     def t_part(self, p: LaurentPoly, s: int) -> LaurentPoly:
         return p.part_group(self.t_idxs, s)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import NotMaurerCartan, SectionNotValued
 
@@ -31,16 +31,18 @@ def vec(n: int, entries: Mapping[int, object] = ()) -> Vector:
 
 
 def add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x if not y else y if not x else x + y for x, y in zip(a, b))
 
 
 def sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x if not y else -y if not x else x - y for x, y in zip(a, b))
 
 
 def scale(a: Vector, c) -> Vector:
     c = Fraction(c)
-    return tuple(x * c for x in a)
+    if c == 1:
+        return a
+    return tuple(x * c if x else x for x in a)
 
 
 def is_zero(a: Vector) -> bool:
@@ -54,7 +56,9 @@ class GradedDgLie:
     ``d[i][j]`` is the coefficient of basis i in d(basis j); ``brackets``
     maps an index pair (i, j) to the sparse expansion of [b_i, b_j].
     Missing pairs mean zero bracket.  All axioms are checked exactly at
-    construction.
+    construction.  ``apply_d`` and ``bracket`` run on sparse views built
+    once from the cleaned constants, so a zero coordinate or structure
+    constant costs no Fraction product.
     """
 
     degrees: Tuple[int, ...]
@@ -72,6 +76,14 @@ class GradedDgLie:
             if entry:
                 clean[(i, j)] = entry
         self.brackets = clean
+        # sparse views: the nonzero d entries of each column, brackets by first slot
+        self._d_columns = tuple(
+            tuple((i, self.d[i][j]) for i in range(n) if self.d[i][j] != 0) for j in range(n)
+        )
+        by_first: Dict[int, List[Tuple[int, Tuple[Tuple[int, Fraction], ...]]]] = {}
+        for (i, j), expansion in clean.items():
+            by_first.setdefault(i, []).append((j, tuple(expansion.items())))
+        self._by_first = by_first
         self._validate()
 
     # -- linear maps -----------------------------------------------------
@@ -84,19 +96,25 @@ class GradedDgLie:
         return vec(self.n, {i: 1})
 
     def apply_d(self, v: Vector) -> Vector:
-        return tuple(
-            sum((self.d[i][j] * v[j] for j in range(self.n)), Fraction(0))
-            for i in range(self.n)
-        )
+        out = [Fraction(0)] * self.n
+        for j, x in enumerate(v):
+            if x:
+                for i, c in self._d_columns[j]:
+                    out[i] += c * x
+        return tuple(out)
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
         out = [Fraction(0)] * self.n
-        for (i, j), expansion in self.brackets.items():
-            c = v[i] * w[j]
-            if c == 0:
+        for i, x in enumerate(v):
+            if not x:
                 continue
-            for k, coeff in expansion.items():
-                out[k] += c * coeff
+            for j, expansion in self._by_first.get(i, ()):
+                y = w[j]
+                if not y:
+                    continue
+                c = x * y
+                for k, coeff in expansion:
+                    out[k] += c * coeff
         return tuple(out)
 
     def is_homogeneous(self, v: Vector, deg: int) -> bool:
@@ -258,9 +276,9 @@ class AbelianExtension:
             c = v[a]
             if c == 0:
                 continue
-            sv = self.section[i]
-            for t in range(self.ambient.n):
-                out[t] += c * sv[t]
+            for t, x in enumerate(self.section[i]):
+                if x:
+                    out[t] += c * x
         return tuple(out)
 
     def kernel_component(self, v: Vector) -> Vector:

@@ -736,6 +736,38 @@ def _window_notes(status) -> List[str]:
     return []
 
 
+def _order_report(
+    s: Scenario,
+    ctx: CechContext,
+    order: int,
+    target: CechCochain,
+    window: Tuple[int, int],
+) -> ObstructionReport:
+    """Check closedness of one order's obstruction, then solve it.
+
+    A nonzero certificate is tried only on a cochain that is not known to
+    be unclosed: the class of a cochain with a nonzero coboundary is not
+    defined, so certifying it would prove nothing.
+    """
+    twists = sheaf_twists(s, ctx, order)
+    h1_oracle = None
+    if twists is not None:
+        h1_oracle = cohomology.cohomology_dim(detect_cover(s), twists)[1]
+    closedness = _closedness_verdict(ctx, target)
+    unclosed = closedness == "FAILED"
+    status = solve_coboundary(
+        ctx, target, window, h1_oracle=h1_oracle,
+        h2_basis_test=None if unclosed else h2_weight_test(s, ctx, order),
+    )
+    notes = _window_notes(status)
+    if unclosed:
+        notes.append(
+            "closedness FAILED, so no nonzero certificate was tried: "
+            "an unclosed cochain has no class to certify"
+        )
+    return ObstructionReport(order, closedness, status, target, notes=notes)
+
+
 def run_pipeline(
     s: Scenario,
     k: int = 2,
@@ -767,18 +799,8 @@ def run_pipeline(
 
     a1 = kodaira_spencer_cochain(ctx, 1)
     c1 = first_order_obstruction(ctx, a1, at)
-    oracle1 = sheaf_twists(s, ctx, 1)
-    h1_1 = None
-    if oracle1 is not None:
-        space = detect_cover(s)
-        h1_1 = cohomology.cohomology_dim(space, oracle1)[1]
-    status1 = solve_coboundary(
-        ctx, c1, window, h1_oracle=h1_1, h2_basis_test=h2_weight_test(s, ctx, 1)
-    )
-    reports.append(
-        ObstructionReport(1, _closedness_verdict(ctx, c1), status1, c1,
-                          notes=_window_notes(status1))
-    )
+    reports.append(_order_report(s, ctx, 1, c1, window))
+    status1 = reports[0].status
 
     if k >= 2:
         if not isinstance(status1, Solved):
@@ -794,18 +816,7 @@ def run_pipeline(
         else:
             a2 = kodaira_spencer_cochain(ctx, 2)
             c2 = second_order_obstruction(ctx, a2, at, status1.cochain)
-            oracle2 = sheaf_twists(s, ctx, 2)
-            h1_2 = None
-            if oracle2 is not None:
-                h1_2 = cohomology.cohomology_dim(detect_cover(s), oracle2)[1]
-            status2 = solve_coboundary(
-                ctx, c2, window, h1_oracle=h1_2,
-                h2_basis_test=h2_weight_test(s, ctx, 2),
-            )
-            reports.append(
-                ObstructionReport(2, _closedness_verdict(ctx, c2), status2, c2,
-                                  notes=_window_notes(status2))
-            )
+            reports.append(_order_report(s, ctx, 2, c2, window))
 
     abelianized = None
     if s.e == 1 and k >= 2:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbhdext.errors import NonInvertibleSubstitution, NotAdapted, NotUnipotent
 from nbhdext.filtered import (
@@ -82,6 +84,50 @@ def automorphisms_agree_to_grading(a, b, g):
         if not diff.map(lambda p: ring.truncate(p, g)).is_zero():
             return False
     return True
+
+
+# -- truncated products ------------------------------------------------------
+
+
+@st.composite
+def truncated_product_cases(draw):
+    """A ring with p, q in {1, 2}, two polynomials over it and a t-bound.
+
+    Tangential exponents run negative as well as positive, and the t-degrees
+    and tangential degrees run past the bounds, so some products are dropped.
+    """
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ring = ring_pq(p, q, base_trunc=draw(st.one_of(st.none(), st.integers(0, 3))))
+    exponent = st.tuples(
+        *[st.integers(-2, 3)] * p, *[st.integers(0, 3)] * q
+    )
+    coeff = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
+    a, b = (
+        LaurentPoly(ring.names, draw(st.dictionaries(exponent, coeff, max_size=6)))
+        for _ in range(2)
+    )
+    return ring, a, b, draw(st.integers(0, 3))
+
+
+@given(truncated_product_cases())
+@settings(max_examples=300, deadline=None)
+def test_truncated_product_equals_truncated_full_product(case):
+    ring, a, b, t_max = case
+    product = ring.mul(a, b, t_max)
+    expected = ring.truncate(a * b, t_max)
+    assert product == expected
+    # same terms in the same order, so anything that walks them is unchanged
+    assert list(product.terms.items()) == list(expected.terms.items())
+
+
+def test_truncated_product_rejects_mismatched_variables():
+    ring = ring_pq(1, 1)
+    a = LaurentPoly(ring.names, {(1, 0): 1})
+    b = LaurentPoly(("u1", "s1"), {(0, 1): 1})
+    with pytest.raises(ValueError):
+        ring.mul(a, b, 2)
+    with pytest.raises(ValueError):
+        ring.mul(b, a, 2)
 
 
 # -- log / exp --------------------------------------------------------------

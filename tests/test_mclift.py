@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbhdext.errors import NotMaurerCartan, SectionNotValued
 from nbhdext.mclift import (
@@ -303,3 +305,72 @@ def test_lift_equivalence_on_random_extensions():
                 assert is_zero(resid) == direct_ok
                 checked += 1
     assert checked >= 400
+
+
+# -- the sparse kernels against the dense formulas ---------------------------
+
+COEFFS = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 2)])
+
+
+def half_zero(draw, coeffs=COEFFS):
+    """A coefficient that is zero about half the time."""
+    return draw(st.one_of(st.just(F(0)), coeffs))
+
+
+@st.composite
+def degree_one_two_algebras(draw):
+    """Random dg Lie algebras on degree-1 and degree-2 spaces.
+
+    d goes from degree 1 into degree 2 and every bracket lands in degree 2,
+    so the axioms hold for any values.  Some bracket expansions carry an
+    explicit zero coefficient, which construction must drop.
+    """
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n = n1 + n2
+    d = [[F(0)] * n for _ in range(n)]
+    for j in range(n1):
+        for i in range(n1, n):
+            d[i][j] = half_zero(draw)
+    brackets = {}
+    for i in range(n1):
+        for j in range(i, n1):
+            entry = {t: half_zero(draw) for t in range(n1, n)}
+            if any(entry.values()):
+                # odd-odd brackets are symmetric
+                brackets[(i, j)] = dict(entry)
+                brackets[(j, i)] = dict(entry)
+    return GradedDgLie(tuple([1] * n1 + [2] * n2), tuple(tuple(r) for r in d), brackets)
+
+
+@st.composite
+def algebra_and_vectors(draw):
+    alg = draw(degree_one_two_algebras())
+    v, w = (tuple(half_zero(draw) for _ in range(alg.n)) for _ in range(2))
+    return alg, v, w, draw(COEFFS)
+
+
+def dense_apply_d(alg, v):
+    return tuple(
+        sum((alg.d[i][j] * v[j] for j in range(alg.n)), F(0)) for i in range(alg.n)
+    )
+
+
+def dense_bracket(alg, v, w):
+    out = [F(0)] * alg.n
+    for (i, j), expansion in alg.brackets.items():
+        for k, coeff in expansion.items():
+            out[k] += v[i] * w[j] * coeff
+    return tuple(out)
+
+
+@given(algebra_and_vectors())
+@settings(max_examples=100, deadline=None)
+def test_sparse_kernels_equal_the_dense_formulas(case):
+    alg, v, w, c = case
+    assert alg.apply_d(v) == dense_apply_d(alg, v)
+    assert alg.bracket(v, w) == dense_bracket(alg, v, w)
+    assert alg.bracket(w, v) == dense_bracket(alg, w, v)
+    assert add(v, w) == tuple(x + y for x, y in zip(v, w))
+    assert sub(v, w) == tuple(x - y for x, y in zip(v, w))
+    assert scale(v, c) == tuple(x * c for x in v)
+    assert scale(v, 1) == v

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from nbhdext.cech import transition_log_defect
+from nbhdext import scenarios
+from nbhdext.cech import Solved, UnresolvedWithinWindow, transition_log_defect
 from nbhdext.filtered import ChartRing
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix
@@ -140,3 +141,17 @@ def test_rank_one_system_decides_extension_on_the_quadric(a, b, exact):
 def test_order_two_closedness_verified_on_the_quadric():
     bundle = run_pipeline(quadric_scenario(1, 1), k=2)
     assert bundle.reports[1].closedness == "verified"
+
+
+def test_unclosed_order_two_gets_no_certificate(monkeypatch):
+    # a certificate that certifies every target it is given: only the
+    # closedness guard keeps O(1,1)'s unclosed order-two cochain from being
+    # reported proven nonzero (the cochain is unclosed by ROADMAP item 1)
+    monkeypatch.setattr(
+        scenarios, "h2_weight_test", lambda s, ctx, sdeg: lambda c2: [("any", "1")]
+    )
+    first, second = run_pipeline(quadric_scenario(1, 1), k=2).reports
+    assert isinstance(first.status, Solved)
+    assert second.closedness == "FAILED"
+    assert isinstance(second.status, UnresolvedWithinWindow)
+    assert any("no nonzero certificate was tried" in note for note in second.notes)
