@@ -2,6 +2,10 @@
 """Sweep every builtin scenario through the full pipeline and print a table.
 
 Usage: python scripts/run_builtins.py [--orders 2]
+
+Exits 1 when a closedness verdict is FAILED, a solved torsor dimension
+differs from its cohomology oracle, or a case raises; every case still
+runs and the problems are listed on standard error.
 """
 
 import argparse
@@ -11,6 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from nbhdext.cech import Solved
 from nbhdext.cli import describe_status
 from nbhdext.scenarios import generate_builtin, run_pipeline
 
@@ -29,17 +34,42 @@ CASES = [
 ]
 
 
+def problems_of(bundle) -> list:
+    """What is wrong with one case's reports; empty when nothing is."""
+    out = []
+    for r in bundle.reports:
+        if r.closedness == "FAILED":
+            out.append(f"order {r.order}: closedness FAILED")
+        status = r.status
+        if (
+            isinstance(status, Solved)
+            and status.h1_oracle is not None
+            and status.torsor_dim != status.h1_oracle
+        ):
+            out.append(
+                f"order {r.order}: torsor dimension {status.torsor_dim} "
+                f"!= oracle {status.h1_oracle}"
+            )
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--orders", type=int, default=2)
     args = parser.parse_args()
 
     width = max(len(name) for name, _, _ in CASES) + 12
+    failures = []
     for name, d, twist in CASES:
         t0 = time.monotonic()
-        scenario = generate_builtin(name, d=d, twist=twist)
-        bundle = run_pipeline(scenario, k=args.orders)
         label = f"{name}(d={d}, twist={twist})".ljust(width)
+        try:
+            scenario = generate_builtin(name, d=d, twist=twist)
+            bundle = run_pipeline(scenario, k=args.orders)
+        except Exception as err:
+            print(f"{label} RAISED {type(err).__name__}: {err}")
+            failures.append(f"{label.strip()}: raised {type(err).__name__}: {err}")
+            continue
         parts = [f"order {r.order}: {describe_status(r.status)}" for r in bundle.reports]
         if bundle.abelianized is not None:
             parts.append(
@@ -47,7 +77,10 @@ def main() -> int:
             )
         elapsed = time.monotonic() - t0
         print(f"{label} {'; '.join(parts)}  [{elapsed:.2f}s]")
-    return 0
+        failures += [f"{label.strip()}: {problem}" for problem in problems_of(bundle)]
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -776,15 +776,30 @@ def _exact_system(
 
     The rows are all keys the columns or the right-hand side touch, in
     order of first appearance; the solver's answers do not depend on the
-    order of the rows.
+    order of the rows.  Each row is filled straight from the columns'
+    entries, so its zeros are never written.
     """
     excluded = set(exclude)
-    row_keys = {kk: None for col in [*columns, rhs] for kk in col if kk not in excluded}
+    index: Dict[Tuple, int] = {}
+    rows: List[Dict[int, Fraction]] = []
+    for k, col in enumerate(columns):
+        for kk, x in col.items():
+            if kk in excluded:
+                continue
+            i = index.get(kk)
+            if i is None:
+                i = index[kk] = len(rows)
+                rows.append({})
+            rows[i][k] = x
+    for kk in rhs:
+        if kk not in excluded and kk not in index:
+            index[kk] = len(rows)
+            rows.append({})
     zero = Fraction(0)
     return ExactLinearSystem(
         basis=list(range(len(columns))),
-        matrix=[[col.get(kk, zero) for col in columns] for kk in row_keys],
-        rhs=[rhs.get(kk, zero) for kk in row_keys],
+        rows=rows,
+        rhs=[rhs.get(kk, zero) for kk in index],
     )
 
 
@@ -804,8 +819,8 @@ def _im_delta0_inside(
     charts = [(i,) for i in range(ctx.nerve.n)]
     _, cols = _delta_map(ctx, vtype, sdeg, charts, window)
     # dim(im delta & W) = rank(delta) - rank(P_out delta), since ker(delta) <= ker(P_out delta)
-    return matrix_rank(_exact_system(cols, {}).matrix) - matrix_rank(
-        _exact_system(cols, {}, exclude=basis).matrix
+    return matrix_rank(_exact_system(cols, {}).rows) - matrix_rank(
+        _exact_system(cols, {}, exclude=basis).rows
     )
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
 from .errors import UnsupportedSheaf
-from .linsolve import matrix_rank
+from .linsolve import matrix_rank, sparse_rows
 
 SPACES = {"p1": 1, "p2": 2}
 
@@ -49,7 +49,7 @@ def weight_cohomology(n: int, negative_support: frozenset) -> List[int]:
             rows.append(row)
         return rows
 
-    ranks = [matrix_rank(delta_matrix(j)) if dims[j] else 0 for j in range(n)]
+    ranks = [matrix_rank(sparse_rows(delta_matrix(j))) if dims[j] else 0 for j in range(n)]
     out = []
     for j in range(n + 1):
         dim_ker = dims[j] - (ranks[j] if j < n else 0)

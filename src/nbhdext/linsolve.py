@@ -2,16 +2,17 @@
 
 Exact solving and rank share one routine: a sparse reduced row echelon
 form with Fraction entries.  The coboundary systems are about 1% dense,
-so rows are kept as column -> entry maps.  Inconsistency is a value, not
-an error: callers distinguish "no solution in this window" from genuine
-failures.
+so a system's rows are column -> entry maps from assembly to the kernel
+count, and no dense rows x columns list is built on the way.
+Inconsistency is a value, not an error: callers distinguish "no solution
+in this window" from genuine failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NonInvertibleSubstitution
 from .laurent import LaurentPoly, as_fraction
@@ -85,17 +86,26 @@ class PolyMatrix:
         return self.map(lambda p: p * s)
 
     def matmul(self, other: "PolyMatrix", mul: MulFn = _plain_mul) -> "PolyMatrix":
+        """Matrix product; a product with a zero factor is never formed.
+
+        Sums run over k in ascending order, as the plain triple loop does,
+        so every entry has the same terms in the same order; an entry with
+        no nonzero product is the zero polynomial.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
         out = []
-        for i in range(self.rows):
+        for left in self.entries:
+            nonzero = [(k, a) for k, a in enumerate(left) if a.terms]
             row = []
             for j in range(other.cols):
                 acc = None
-                for k in range(self.cols):
-                    term = mul(self.entries[i][k], other.entries[k][j])
-                    acc = term if acc is None else acc + term
-                row.append(acc)
+                for k, a in nonzero:
+                    b = other.entries[k][j]
+                    if b.terms:
+                        term = mul(a, b)
+                        acc = term if acc is None else acc + term
+                row.append(LaurentPoly.zero(left[0].vars) if acc is None else acc)
             out.append(row)
         return PolyMatrix(out)
 
@@ -186,25 +196,50 @@ class PolyMatrix:
 # -- exact linear systems over Q ------------------------------------------
 
 
+Row = Dict[int, Fraction]
+
+
 @dataclass
 class ExactLinearSystem:
     """A Q-linear system with an explicit, ordered unknown basis.
 
     ``basis`` carries opaque labels (one per column) so callers can map a
-    solution vector back to cochain coefficients deterministically.
+    solution vector back to cochain coefficients deterministically.  Each
+    constraint is a ``{column: entry}`` map of its nonzero coefficients,
+    with the matching entry of ``rhs``.
     """
 
     basis: List[object]
-    matrix: List[List[Fraction]]
+    rows: List[Row]
     rhs: List[Fraction]
 
     def __post_init__(self):
         width = len(self.basis)
-        for row in self.matrix:
-            if len(row) != width:
-                raise ValueError("matrix row width does not match the unknown basis")
-        if len(self.rhs) != len(self.matrix):
+        for row in self.rows:
+            if any(not 0 <= c < width for c in row):
+                raise ValueError("matrix row has a column outside the unknown basis")
+        if len(self.rhs) != len(self.rows):
             raise ValueError("rhs length does not match the number of constraints")
+
+    @property
+    def matrix(self) -> List[List[Fraction]]:
+        """Dense rows x columns copy of the coefficients, built on each access.
+
+        Only tracing and tests read it; the solver works on ``rows``.
+        """
+        zero = Fraction(0)
+        dense = []
+        for row in self.rows:
+            line = [zero] * len(self.basis)
+            for c, x in row.items():
+                line[c] = x
+            dense.append(line)
+        return dense
+
+
+def sparse_rows(matrix: Iterable[Sequence[Fraction]]) -> List[Row]:
+    """The ``{column: entry}`` rows of a dense matrix."""
+    return [{c: x for c, x in enumerate(line) if x} for line in matrix]
 
 
 @dataclass
@@ -214,7 +249,7 @@ class Solution:
     nullspace: List[List[Fraction]] = field(default_factory=list)
 
 
-def _rref(rows: Iterable[Sequence[Fraction]]) -> Dict[int, Dict[int, Fraction]]:
+def _rref(rows: Iterable[Mapping[int, Fraction]]) -> Dict[int, Row]:
     """Sparse reduced row echelon form over Q.
 
     Returns ``{pivot column: row}``, each row a ``{column: nonzero entry}``
@@ -224,9 +259,9 @@ def _rref(rows: Iterable[Sequence[Fraction]]) -> Dict[int, Dict[int, Fraction]]:
     from the earlier rows.  The reduced echelon form of a matrix is unique,
     so the result does not depend on the order of the rows.
     """
-    reduced: Dict[int, Dict[int, Fraction]] = {}
-    for dense in rows:
-        row = {c: x for c, x in enumerate(dense) if x}
+    reduced: Dict[int, Row] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
         # a reduced row is 0 at the other pivots, so each pivot is cleared once
         for p in [c for c in row if c in reduced]:
             _add_multiple(row, -row[p], reduced[p])
@@ -255,15 +290,17 @@ def _add_multiple(row: Dict[int, Fraction], factor: Fraction, other: Dict[int, F
 def solve_exact(sys: ExactLinearSystem) -> Solution:
     """Solve A x = b exactly over Q.
 
-    Everything is read off the reduced echelon form of [A | b].  The system
-    is inconsistent exactly when the right-hand-side column is a pivot.
-    The particular solution sets every free unknown to 0; the kernel basis
-    has one vector per free column, in ascending order, with that unknown
-    1 and the other free unknowns 0.  Both are fixed by the reduced echelon
-    form, so they depend only on A, b and the order of the basis.
+    Everything is read off the reduced echelon form of [A | b], whose
+    right-hand side is column n.  The system is inconsistent exactly when
+    that column is a pivot.  The particular solution sets every free
+    unknown to 0; the kernel basis has one vector per free column, in
+    ascending order, with that unknown 1, the other free unknowns 0 and
+    minus the column's nonzero entries at their pivots.  Both are fixed by
+    the reduced echelon form, so they depend only on A, b and the order of
+    the basis.
     """
     n = len(sys.basis)
-    reduced = _rref(list(row) + [b] for row, b in zip(sys.matrix, sys.rhs))
+    reduced = _rref({**row, n: b} if b else row for row, b in zip(sys.rows, sys.rhs))
     consistent = reduced.pop(n, None) is None
     zero = Fraction(0)
     particular: Optional[List[Fraction]] = None
@@ -271,18 +308,16 @@ def solve_exact(sys: ExactLinearSystem) -> Solution:
         particular = [zero] * n
         for p, row in reduced.items():
             particular[p] = row.get(n, zero)
-    nullspace: List[List[Fraction]] = []
-    for f in range(n):
-        if f in reduced:
-            continue
-        vec = [zero] * n
+    kernel = {f: [zero] * n for f in range(n) if f not in reduced}
+    for f, vec in kernel.items():
         vec[f] = Fraction(1)
-        for p, row in reduced.items():
-            vec[p] = -row.get(f, zero)
-        nullspace.append(vec)
-    return Solution(consistent, particular, nullspace)
+    for p, row in reduced.items():
+        for c, x in row.items():
+            if c in kernel:
+                kernel[c][p] = -x
+    return Solution(consistent, particular, list(kernel.values()))
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a rational matrix."""
+def matrix_rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
+    """Exact rank of a rational matrix given by its ``{column: entry}`` rows."""
     return len(_rref(rows))

@@ -58,7 +58,8 @@ class GradedDgLie:
     Missing pairs mean zero bracket.  All axioms are checked exactly at
     construction.  ``apply_d`` and ``bracket`` run on sparse views built
     once from the cleaned constants, so a zero coordinate or structure
-    constant costs no Fraction product.
+    constant costs no Fraction product; the basis vectors are built once
+    too.
     """
 
     degrees: Tuple[int, ...]
@@ -84,6 +85,7 @@ class GradedDgLie:
         for (i, j), expansion in clean.items():
             by_first.setdefault(i, []).append((j, tuple(expansion.items())))
         self._by_first = by_first
+        self._basis = tuple(vec(n, {i: 1}) for i in range(n))
         self._validate()
 
     # -- linear maps -----------------------------------------------------
@@ -93,7 +95,7 @@ class GradedDgLie:
         return len(self.degrees)
 
     def basis(self, i: int) -> Vector:
-        return vec(self.n, {i: 1})
+        return self._basis[i]
 
     def apply_d(self, v: Vector) -> Vector:
         out = [Fraction(0)] * self.n

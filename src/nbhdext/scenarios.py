@@ -856,7 +856,7 @@ def solve_abelianized(ctx: CechContext, window: Tuple[int, int]) -> dict:
     return {
         "exact": sol.consistent,
         "unknowns": len(columns),
-        "constraints": len(system.matrix),
+        "constraints": len(system.rows),
     }
 
 

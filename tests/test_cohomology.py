@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from nbhdext.cohomology import cohomology_dim, twist_dims
-from nbhdext.linsolve import matrix_rank
+from nbhdext.linsolve import matrix_rank, sparse_rows
 
 F = Fraction
 
@@ -55,7 +55,7 @@ def brute_force_dims(n, d, box=8):
         return rows
 
     dims = [len(b) for b in basis]
-    ranks = [matrix_rank(delta_matrix(j)) if dims[j] else 0 for j in range(n)]
+    ranks = [matrix_rank(sparse_rows(delta_matrix(j))) if dims[j] else 0 for j in range(n)]
     out = []
     for j in range(n + 1):
         ker = dims[j] - (ranks[j] if j < n else 0)

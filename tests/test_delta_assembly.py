@@ -1,8 +1,9 @@
-"""delta columns read off cofaces and the per-context transport memo.
+"""delta columns read off cofaces, their sparse system and the transport memo.
 
 ``cech_differential`` of a whole elementary cochain is the oracle for the
-columns, and one truncated substitution of a whole polynomial is the
-oracle for the memoized pullback, linear and full.
+columns, a dense matrix written out here is the oracle for the sparse
+system built from them, and one truncated substitution of a whole
+polynomial is the oracle for the memoized pullback, linear and full.
 """
 
 from fractions import Fraction
@@ -19,6 +20,7 @@ from nbhdext.cech import (
 )
 from nbhdext.errors import EngineError
 from nbhdext.laurent import LaurentPoly
+from nbhdext.linsolve import matrix_rank, solve_exact
 from nbhdext.scenarios import build_context, generate_builtin, run_pipeline
 
 from test_acceptance import GOLDEN_DIGESTS
@@ -93,6 +95,100 @@ def test_pipeline_builds_each_delta_map_once(monkeypatch):
     end_1 = tuple(cech._window_basis(ctx, ctx.nerve.doubles(), cech.SYM_END, 1, s.window))
     assert len(end_1) == 84
     assert built.count((cech.SYM_END, end_1)) == 1
+
+
+# -- the sparse system built from the columns ---------------------------------------
+
+F = Fraction
+coordinate_keys = st.tuples(st.integers(0, 3), st.integers(0, 2))
+nonzero_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+def dense_gauss_jordan(matrix, rhs, n):
+    """(consistent, particular, nullspace, rank) of a dense system by Gauss-Jordan.
+
+    Same conventions as ``solve_exact``: free unknowns are 0 in the
+    particular solution, and each kernel vector is 1 at its free column.
+    """
+    rows = [list(line) + [b] for line, b in zip(matrix, rhs)]
+    pivots = []
+    for c in range(n + 1):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    consistent = n not in pivots
+    particular = None
+    if consistent:
+        particular = [F(0)] * n
+        for r, p in enumerate(pivots):
+            particular[p] = rows[r][n]
+    nullspace = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        vec = [F(0)] * n
+        vec[f] = F(1)
+        for r, p in enumerate(pivots):
+            if p < n:
+                vec[p] = -rows[r][f]
+        nullspace.append(vec)
+    return consistent, particular, nullspace, sum(1 for p in pivots if p < n)
+
+
+@st.composite
+def column_systems(draw):
+    """Sparse columns, a right-hand side that is sometimes in their span, and keys to drop."""
+    columns = draw(st.lists(
+        st.dictionaries(coordinate_keys, nonzero_rationals, max_size=3), min_size=1, max_size=6
+    ))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(nonzero_rationals, min_size=len(columns), max_size=len(columns)))
+        rhs = {}
+        for x, col in zip(x0, columns):
+            for kk, v in col.items():
+                rhs[kk] = rhs.get(kk, F(0)) + x * v
+    else:
+        rhs = draw(st.dictionaries(coordinate_keys, nonzero_rationals, max_size=4))
+    exclude = draw(st.one_of(st.just(()), st.lists(coordinate_keys, max_size=4)))
+    return columns, rhs, exclude
+
+
+@given(column_systems())
+@settings(max_examples=150, deadline=None)
+def test_sparse_system_matches_the_dense_system(system):
+    columns, rhs, exclude = system
+    # the dense system written out: one row per key the columns or rhs touch
+    row_keys = []
+    for source in [*columns, rhs]:
+        for kk in source:
+            if kk not in exclude and kk not in row_keys:
+                row_keys.append(kk)
+    dense = [[col.get(kk, F(0)) for col in columns] for kk in row_keys]
+    dense_rhs = [rhs.get(kk, F(0)) for kk in row_keys]
+    n = len(columns)
+
+    built = cech._exact_system(columns, rhs, exclude)
+    assert built.basis == list(range(n))
+    assert built.matrix == dense
+    assert built.rhs == dense_rhs
+    # the figures the tracer reads off the dense view
+    assert (len(built.matrix), len(built.basis)) == (len(row_keys), n)
+    assert sum(1 for line in built.matrix for x in line if x != 0) == sum(
+        len({kk for kk in col if kk not in exclude}) for col in columns
+    )
+
+    consistent, particular, nullspace, rank = dense_gauss_jordan(dense, dense_rhs, n)
+    sol = solve_exact(built)
+    assert (sol.consistent, sol.particular, sol.nullspace) == (consistent, particular, nullspace)
+    assert matrix_rank(built.rows) == rank
 
 
 # -- the pullback memo -------------------------------------------------------------

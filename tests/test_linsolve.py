@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbhdext.errors import NonInvertibleSubstitution
+from nbhdext.filtered import ChartRing
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import (
     ExactLinearSystem,
     PolyMatrix,
+    _plain_mul,
     matrix_rank,
     solve_exact,
+    sparse_rows,
 )
 
 F = Fraction
@@ -21,7 +24,7 @@ def sys_of(rows, rhs):
     width = len(rows[0]) if rows else 0
     return ExactLinearSystem(
         basis=list(range(width)),
-        matrix=[[F(x) for x in row] for row in rows],
+        rows=sparse_rows([[F(x) for x in row] for row in rows]),
         rhs=[F(b) for b in rhs],
     )
 
@@ -65,7 +68,7 @@ def test_random_consistent_systems_solve_exactly(seed):
     A = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
     x0 = [F(rng.randint(-4, 4)) for _ in range(n)]
     b = [sum((A[i][j] * x0[j] for j in range(n)), F(0)) for i in range(m)]
-    sol = solve_exact(ExactLinearSystem(list(range(n)), A, b))
+    sol = solve_exact(ExactLinearSystem(list(range(n)), sparse_rows(A), b))
     assert sol.consistent
     x = sol.particular
     for i in range(m):
@@ -75,7 +78,7 @@ def test_random_consistent_systems_solve_exactly(seed):
         for i in range(m):
             assert sum((A[i][j] * v[j] for j in range(n)), F(0)) == 0
     # rank-nullity within the window
-    assert len(sol.nullspace) == n - matrix_rank(A)
+    assert len(sol.nullspace) == n - matrix_rank(sparse_rows(A))
 
 
 def test_determinism():
@@ -88,7 +91,7 @@ def test_determinism():
 
 
 def test_no_rows_leaves_every_unknown_free():
-    sol = solve_exact(ExactLinearSystem(basis=["a", "b", "c"], matrix=[], rhs=[]))
+    sol = solve_exact(ExactLinearSystem(basis=["a", "b", "c"], rows=[], rhs=[]))
     assert sol.consistent
     assert sol.particular == [F(0)] * 3
     assert sol.nullspace == [[F(int(i == j)) for j in range(3)] for i in range(3)]
@@ -121,10 +124,10 @@ def test_solution_ignores_row_order_and_row_scaling(system, data):
     order = data.draw(st.permutations(range(len(rows))))
     scales = data.draw(st.lists(nonzero_rationals, min_size=len(rows), max_size=len(rows)))
     n = len(rows[0])
-    a = solve_exact(ExactLinearSystem(list(range(n)), rows, rhs))
+    a = solve_exact(ExactLinearSystem(list(range(n)), sparse_rows(rows), rhs))
     b = solve_exact(ExactLinearSystem(
         list(range(n)),
-        [[x * scales[i] for x in rows[i]] for i in order],
+        sparse_rows([[x * scales[i] for x in rows[i]] for i in order]),
         [rhs[i] * scales[i] for i in order],
     ))
     assert (a.consistent, a.particular, a.nullspace) == (b.consistent, b.particular, b.nullspace)
@@ -139,8 +142,8 @@ def test_agrees_with_sympy_rref(system):
     augmented = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row + [b]]
                               for row, b in zip(rows, rhs)])
     reduced, pivots = augmented.rref()
-    sol = solve_exact(ExactLinearSystem(list(range(n)), rows, rhs))
-    assert matrix_rank(rows) == augmented[:, :n].rank()
+    sol = solve_exact(ExactLinearSystem(list(range(n)), sparse_rows(rows), rhs))
+    assert matrix_rank(sparse_rows(rows)) == augmented[:, :n].rank()
     assert sol.consistent == (n not in pivots)
     if sol.consistent:
         expected = [F(0)] * n
@@ -182,3 +185,59 @@ def test_polymatrix_inverse_rejects_nonunit_det():
     g = PolyMatrix([[c(1) + u_pow(1), c(0)], [c(0), c(1)]])
     with pytest.raises(NonInvertibleSubstitution):
         g.inverse_unit_det()
+
+
+TRUNC_RING = ChartRing(("u",), ("t",))
+MULS = {
+    "plain": _plain_mul,
+    "truncating": lambda a, b: TRUNC_RING.mul(a, b, 1),
+}
+
+
+def naive_matmul(a, b, mul):
+    """The plain triple loop: every product formed, summed over k in order."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = None
+            for k in range(a.cols):
+                term = mul(a[i, k], b[k, j])
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def half_zero_matrix_pairs(draw):
+    """An r x k and a k x c matrix over (u, t), about half of the entries zero."""
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+    terms = st.dictionaries(
+        st.tuples(st.integers(-1, 1), st.integers(0, 2)),
+        st.sampled_from([F(-1), F(1), F(2)]),
+        min_size=1,
+        max_size=2,
+    )
+
+    def entry():
+        return LaurentPoly(TRUNC_RING.names, draw(terms) if draw(st.booleans()) else {})
+
+    return (PolyMatrix([[entry() for _ in range(k)] for _ in range(r)]),
+            PolyMatrix([[entry() for _ in range(c)] for _ in range(k)]))
+
+
+@pytest.mark.parametrize("mul_name", sorted(MULS))
+@given(pair=half_zero_matrix_pairs())
+@settings(max_examples=80, deadline=None)
+def test_zero_skipping_matmul_matches_the_triple_loop(mul_name, pair):
+    a, b = pair
+    mul = MULS[mul_name]
+    got = a.matmul(b, mul)
+    expected = naive_matmul(a, b, mul)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            # report bytes follow term order, and a zero entry keeps the ring's variables
+            assert list(got[i, j].terms.items()) == list(expected[i][j].terms.items())
+            assert got[i, j].vars == expected[i][j].vars
