@@ -4,8 +4,9 @@
 Usage: python scripts/run_builtins.py [--orders 2]
 
 Exits 1 when a closedness verdict is FAILED, a solved torsor dimension
-differs from its cohomology oracle, or a case raises; every case still
-runs and the problems are listed on standard error.
+differs from its cohomology oracle, a rank-one system is not exact (every
+builtin extends), or a case raises; every case still runs and the
+problems are listed on standard error.
 """
 
 import argparse
@@ -50,6 +51,8 @@ def problems_of(bundle) -> list:
                 f"order {r.order}: torsor dimension {status.torsor_dim} "
                 f"!= oracle {status.h1_oracle}"
             )
+    if bundle.abelianized is not None and bundle.abelianized["exact"] is False:
+        out.append("abelianized rank-one system not exact")
     return out
 
 

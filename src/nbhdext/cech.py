@@ -26,14 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cohomology
 from .errors import FrameMismatch, NotClosed, NotFlat
-from .filtered import (
-    ChartRing,
-    FilteredAutomorphism,
-    PairDerivation,
-    bracket,
-    contract,
-    leibniz_extend,
-)
+from .filtered import ChartRing, PairDerivation, contract, leibniz_extend
 from .laurent import Exponent, LaurentPoly, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, matrix_rank, solve_exact
 
@@ -102,8 +95,7 @@ class OverlapGeometry:
     conormal_ji: PolyMatrix            # t^j_a = sum_b C[a][b] t^i_b (over ring_i)
     conormal_ij: PolyMatrix
     forward: Dict[str, LaurentPoly]    # full images over ring_i of the chart-j coordinates
-    phi: FilteredAutomorphism          # unipotent discrepancy in the i-frame
-    logphi: PairDerivation
+    logphi: PairDerivation             # log of the unipotent discrepancy in the i-frame
 
     @cached_property
     def images_ji(self) -> Dict[str, LaurentPoly]:
@@ -174,11 +166,6 @@ class CechContext:
         bundle: BundleData,
         order: int,
     ):
-        if order > 2:
-            raise NotClosed(
-                "lifting beyond order 2 is unsupported: the cochain bracket "
-                "calculus used here is exact only through the quadratic terms"
-            )
         self.nerve = nerve
         self.pairs = pairs
         self.bundle = bundle
@@ -532,6 +519,11 @@ def second_order_obstruction(
     m1: CechCochain,
 ) -> CechCochain:
     """Quadratic obstruction given an order-one solution and flat connections."""
+    if ctx.order > 2:
+        raise NotClosed(
+            "lifting beyond order 2 is unsupported: the cochain bracket "
+            "calculus used here is exact only through the quadratic terms"
+        )
     if not all(ctx.bundle.flat):
         raise NotFlat("the order-two formula requires flat local connections")
     half = Fraction(1, 2)
@@ -547,26 +539,11 @@ def second_order_obstruction(
         acc = acc + m_ij.commutator(m_jh, mul).scale(half)
         sphi_ij = ctx.sphi_operator((i, j), 1)
         sphi_jh = ctx.transported_sphi(i, (j, h), 1)
-        acc = acc + _op_endo_bracket(ctx, ring, sphi_jh, m_ij).scale(half)
-        acc = acc + _op_endo_bracket(ctx, ring, sphi_ij, m_jh).scale(half)
+        acc = acc + sphi_jh.bracket_endo(m_ij).scale(half)
+        acc = acc + sphi_ij.bracket_endo(m_jh).scale(half)
         return acc.map(lambda p: ring.t_part(p, 2))
 
     return CechCochain(2, SYM_END, 2, {tri: evaluate(tri) for tri in ctx.nerve.triples()})
-
-
-def _op_endo_bracket(
-    ctx: CechContext, ring: ChartRing, op: PairDerivation, endo: PolyMatrix
-) -> PolyMatrix:
-    """Commutator of a split first-order operator with an O-linear value."""
-    zero_op = PairDerivation(
-        ring,
-        ctx.order,
-        tuple(ring.zero() for _ in range(ring.p)),
-        tuple(ring.zero() for _ in range(ring.q)),
-        endo,
-        algebra_trunc=ctx.order,
-    )
-    return bracket(op, zero_op).module
 
 
 def transition_log_defect(ctx: CechContext) -> CechCochain:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NonInvertibleSubstitution, NotAdapted, NotUnipotent
@@ -204,6 +205,36 @@ class ChartRing:
         return acc
 
 
+# -- module sections ---------------------------------------------------------
+
+
+def _mul_trunc(
+    ring: ChartRing, a: PolyMatrix, b: PolyMatrix, order: int,
+    start: Optional[PolyMatrix] = None,
+) -> PolyMatrix:
+    """start + a . b with each entry product truncated at ``order``; zero factors are skipped.
+
+    Not ``PolyMatrix.matmul``: that is the linear-algebra layer, and the
+    exp/log/BCH path runs on the filtered and laurent layers alone
+    (``bench/selftest.py`` checks that exp_log_roundtrip makes no call into
+    linsolve).
+    """
+    out = []
+    for r, left in enumerate(a.entries):
+        nonzero = [(c, f) for c, f in enumerate(left) if f.terms]
+        row = []
+        for j in range(b.cols):
+            acc = None if start is None else start.entries[r][j]
+            for c, f in nonzero:
+                g = b.entries[c][j]
+                if g.terms:
+                    term = ring.mul(f, g, order)
+                    acc = term if acc is None else acc + term
+            row.append(ring.zero() if acc is None else acc)
+        out.append(row)
+    return PolyMatrix(out)
+
+
 # -- automorphisms ----------------------------------------------------------
 
 
@@ -240,18 +271,15 @@ class FilteredAutomorphism:
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         return self.ring.subst_trunc(f, self.image_map(), self.order)
 
-    def apply_module(self, vec: Sequence[LaurentPoly]) -> List[LaurentPoly]:
+    def act(self, sections: PolyMatrix) -> PolyMatrix:
+        """M . Phi(X) on one module section per column of X, truncated at ``order``."""
         if self.module is None:
             raise ValueError("automorphism carries no module data")
-        e = self.module.rows
-        out = [self.ring.zero() for _ in range(e)]
-        for c in range(e):
-            fc = self.apply(vec[c])
-            if fc.is_zero():
-                continue
-            for r in range(e):
-                out[r] = out[r] + self.ring.mul(fc, self.module[r, c], self.order)
-        return out
+        ring, images = self.ring, self.image_map()
+        moved = sections.map(
+            lambda f: ring.subst_trunc(f, images, self.order) if f.terms else f
+        )
+        return _mul_trunc(ring, self.module, moved, self.order)
 
     def compose(self, other: "FilteredAutomorphism") -> "FilteredAutomorphism":
         """self after other (left action on elements)."""
@@ -262,12 +290,7 @@ class FilteredAutomorphism:
         t_imgs = tuple(self.apply(img) for img in other.t_images)
         module = None
         if self.module is not None and other.module is not None:
-            e = self.module.rows
-            cols = []
-            for c in range(e):
-                col = self.apply_module([other.module[r, c] for r in range(e)])
-                cols.append(col)
-            module = PolyMatrix([[cols[c][r] for c in range(e)] for r in range(e)])
+            module = self.act(other.module)
         return FilteredAutomorphism(self.ring, k, u_imgs, t_imgs, module)
 
     def unipotency_defects(self) -> List[LaurentPoly]:
@@ -345,21 +368,17 @@ class PairDerivation:
                 out = out + ring.mul(df, self.t_images[a], k)
         return out
 
-    def apply_module(self, vec: Sequence[LaurentPoly]) -> List[LaurentPoly]:
-        """psi(sum f_c e_c) = sum D(f_c) e_c + f_c psi(e_c), truncated at order."""
+    def act(self, sections: PolyMatrix) -> PolyMatrix:
+        """psi on one module section per column of X: D(X) + M . X, truncated at ``order``."""
         if self.module is None:
             raise ValueError("derivation carries no module data")
-        ring = self.ring
-        e = self.module.rows
-        out = [ring.truncate(self.apply(vec[r]), self.order) for r in range(e)]
-        for c in range(e):
-            fc = vec[c]
-            if fc.is_zero():
-                continue
-            for r in range(e):
-                if not self.module[r, c].is_zero():
-                    out[r] = out[r] + ring.mul(fc, self.module[r, c], self.order)
-        return out
+        ring, k = self.ring, self.order
+        derived = sections.map(lambda f: ring.truncate(self.apply(f), k) if f.terms else f)
+        return _mul_trunc(ring, self.module, sections, k, start=derived)
+
+    def bracket_endo(self, endo: PolyMatrix) -> PolyMatrix:
+        """[psi, endo] = D(endo) + [M, endo] for an O-linear endo, truncated at ``order``."""
+        return self.act(endo) - _mul_trunc(self.ring, endo, self.module, self.order)
 
     # -- linear structure ----------------------------------------------
 
@@ -464,18 +483,7 @@ def bracket(x: PairDerivation, y: PairDerivation) -> PairDerivation:
     t_imgs = tuple(ring.truncate(p, at) for p in t_imgs)
     module = None
     if x.module is not None and y.module is not None:
-        e = x.module.rows
-        cols = []
-        for c in range(e):
-            ycol = [y.module[r, c] for r in range(e)]
-            xcol = [x.module[r, c] for r in range(e)]
-            col = [
-                a - b
-                for a, b in zip(x.apply_module(ycol), y.apply_module(xcol))
-            ]
-            cols.append(col)
-        module = PolyMatrix([[cols[c][r] for c in range(e)] for r in range(e)])
-        module = module.map(lambda p: ring.truncate(p, k))
+        module = (x.act(y.module) - y.act(x.module)).map(lambda p: ring.truncate(p, k))
     elif x.module is not None or y.module is not None:
         raise ValueError("cannot bracket module-valued with algebra-only derivation")
     return PairDerivation(ring, k, u_imgs, t_imgs, module, at)
@@ -484,49 +492,44 @@ def bracket(x: PairDerivation, y: PairDerivation) -> PairDerivation:
 # -- exp and log -------------------------------------------------------------
 
 
+def _series(total: PolyMatrix, seed: PolyMatrix, step, coeff, order: int) -> PolyMatrix:
+    """total + sum over n >= 1 of coeff(n) * step^n(seed).
+
+    The steps must reach zero by n = order + 2; zero entries of a term add nothing.
+    """
+    term = seed
+    for n in range(1, order + 3):
+        term = step(term)
+        if term.is_zero():
+            return total
+        c = coeff(n)
+        total = PolyMatrix(
+            [[t + f * c if f.terms else t for t, f in zip(t_row, f_row)]
+             for t_row, f_row in zip(total.entries, term.entries)]
+        )
+    raise NotUnipotent("exp/log series failed to terminate")
+
+
+def _generators(ring: ChartRing) -> PolyMatrix:
+    """The 1 x (p + q) row of the chart's generators u_1..u_p, t_1..t_q."""
+    return PolyMatrix([[ring.u_var(b) for b in range(ring.p)]
+                       + [ring.t_var(a) for a in range(ring.q)]])
+
+
 def exp_nilpotent(d: PairDerivation) -> FilteredAutomorphism:
     """exp(D) as a finite sum; D must raise the conormal degree."""
     if not d.raises_t_degree():
         raise NotUnipotent("derivation does not raise the conormal degree")
-    ring = d.ring
-    k = d.order
-
-    def exp_series(seed: LaurentPoly) -> LaurentPoly:
-        total = seed
-        term = seed
-        fact = 1
-        for n in range(1, k + 3):
-            term = ring.truncate(d.apply(term), k)
-            if term.is_zero():
-                break
-            fact *= n
-            total = total + term * Fraction(1, fact)
-        else:
-            raise NotUnipotent("exp series failed to terminate")
-        return total
-
-    u_imgs = tuple(exp_series(ring.u_var(b)) for b in range(ring.p))
-    t_imgs = tuple(exp_series(ring.t_var(a)) for a in range(ring.q))
+    ring, k = d.ring, d.order
+    coeff = lambda n: Fraction(1, factorial(n))
+    gens = _generators(ring)
+    step = lambda m: m.map(lambda f: ring.truncate(d.apply(f), k) if f.terms else f)
+    images = _series(gens, gens, step, coeff, k).entries[0]
     module = None
     if d.module is not None:
-        e = d.module.rows
-        cols = []
-        for c in range(e):
-            seed = [ring.one() if r == c else ring.zero() for r in range(e)]
-            total = list(seed)
-            term = list(seed)
-            fact = 1
-            for n in range(1, k + 3):
-                term = [ring.truncate(p, k) for p in d.apply_module(term)]
-                if all(p.is_zero() for p in term):
-                    break
-                fact *= n
-                total = [t + p * Fraction(1, fact) for t, p in zip(total, term)]
-            else:
-                raise NotUnipotent("exp series failed to terminate on the module side")
-            cols.append(total)
-        module = PolyMatrix([[cols[c][r] for c in range(e)] for r in range(e)])
-    return FilteredAutomorphism(ring, k, u_imgs, t_imgs, module)
+        frame = PolyMatrix.identity(d.module.rows, ring.names)
+        module = _series(frame, frame, d.act, coeff, k)
+    return FilteredAutomorphism(ring, k, tuple(images[:ring.p]), tuple(images[ring.p:]), module)
 
 
 def log_unipotent(phi: FilteredAutomorphism) -> PairDerivation:
@@ -534,47 +537,21 @@ def log_unipotent(phi: FilteredAutomorphism) -> PairDerivation:
     defects = phi.unipotency_defects()
     if defects:
         raise NotUnipotent(f"automorphism is not unipotent: offending parts {defects[:2]}")
-    ring = phi.ring
-    k = phi.order
-
-    def log_series(seed: LaurentPoly) -> LaurentPoly:
-        # sum (-1)^(n+1)/n * (Phi - id)^n applied to the seed
-        total = ring.zero()
-        term = seed
-        for n in range(1, k + 3):
-            term = ring.truncate(phi.apply(term) - term, k)
-            if term.is_zero():
-                break
-            total = total + term * Fraction((-1) ** (n + 1), n)
-        else:
-            raise NotUnipotent("log series failed to terminate")
-        return total
-
-    u_imgs = tuple(log_series(ring.u_var(b)) for b in range(ring.p))
-    t_imgs = tuple(log_series(ring.t_var(a)) for a in range(ring.q))
+    ring, k = phi.ring, phi.order
+    # sum (-1)^(n+1)/n * (Phi - id)^n applied to the generators and the frame
+    coeff = lambda n: Fraction((-1) ** (n + 1), n)
+    phi_images = phi.image_map()
+    step = lambda m: m.map(
+        lambda f: ring.truncate(ring.subst_trunc(f, phi_images, k) - f, k) if f.terms else f
+    )
+    gens = _generators(ring)
+    images = _series(PolyMatrix.zero(1, gens.cols, ring.names), gens, step, coeff, k).entries[0]
     module = None
     if phi.module is not None:
         e = phi.module.rows
-        cols = []
-        for c in range(e):
-            seed = [ring.one() if r == c else ring.zero() for r in range(e)]
-            total = [ring.zero() for _ in range(e)]
-            term = list(seed)
-            for n in range(1, k + 3):
-                term = [
-                    ring.truncate(p - q, k)
-                    for p, q in zip(phi.apply_module(term), term)
-                ]
-                if all(p.is_zero() for p in term):
-                    break
-                total = [
-                    t + p * Fraction((-1) ** (n + 1), n) for t, p in zip(total, term)
-                ]
-            else:
-                raise NotUnipotent("log series failed to terminate on the module side")
-            cols.append(total)
-        module = PolyMatrix([[cols[c][r] for c in range(e)] for r in range(e)])
-    return PairDerivation(ring, k, u_imgs, t_imgs, module)
+        frame, zero = PolyMatrix.identity(e, ring.names), PolyMatrix.zero(e, e, ring.names)
+        module = _series(zero, frame, lambda m: phi.act(m) - m, coeff, k)
+    return PairDerivation(ring, k, tuple(images[:ring.p]), tuple(images[ring.p:]), module)
 
 
 def bch2(x: PairDerivation, y: PairDerivation) -> PairDerivation:

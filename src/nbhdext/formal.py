@@ -56,19 +56,8 @@ class FormalDisk:
         module: Optional[PolyMatrix],
         k: int,
     ) -> PairDerivation:
-        ring = self.ring
-        if module is None:
-            module = PolyMatrix.zero(self.e, self.e, ring.names)
-        # algebra data is kept one conormal degree above the module order so
-        # brackets stay faithful there; component extraction reads <= k only
-        return PairDerivation(
-            ring,
-            k,
-            tuple(ring.truncate(p, k + 1) for p in x_images),
-            tuple(ring.truncate(p, k + 1) for p in t_images),
-            module.map(lambda m: ring.truncate(m, k)),
-            algebra_trunc=k + 1,
-        )
+        """An element at the working order k: ``der_l_element`` with l = k."""
+        return self.der_l_element(x_images, t_images, module, k, k)
 
     def der_l_element(
         self,
@@ -87,6 +76,8 @@ class FormalDisk:
         ring = self.ring
         if module is None:
             module = PolyMatrix.zero(self.e, self.e, ring.names)
+        # algebra data is kept one conormal degree above the working order so
+        # brackets stay faithful there; component extraction reads <= k only
         return PairDerivation(
             ring,
             l,
@@ -170,12 +161,6 @@ def e_component(
     a_v = [ring.t_part(img, v) for img in d.u_images]
     # the product is pure degree v, so truncate at v, not at d.order
     return d.module.map(lambda m: ring.t_part(m, v)) - contract(ring, a_v, gamma, v)
-
-
-def endo_only(disk: FormalDisk, mat: PolyMatrix, k: int) -> PairDerivation:
-    """The pair derivation (0, mat): an A-linear module endomorphism."""
-    ring = disk.ring
-    return disk.derivation([ring.zero()] * disk.p, [ring.zero()] * disk.q, mat, k)
 
 
 def apply_algebra_component(
@@ -303,8 +288,7 @@ def act_on_kernel(
                     op_a.module + e_component(disk, sx, gamma, a),
                     k,
                 )
-            br = bracket(op_a, endo_only(disk, mat, k))
-            comp = br.module.map(lambda p: ring.t_part(p, target))
+            comp = op_a.bracket_endo(mat).map(lambda p: ring.t_part(p, target))
             if target <= 2 * l + 1:
                 out.end_parts[target] = out.end_parts[target] + comp
             else:
@@ -356,8 +340,7 @@ def extension_cocycle(
         for p in range(0, l + 1):
             s1 = split_component_operator(disk, d1, gamma, v - p, k)
             s2 = split_component_operator(disk, d2, gamma, v - p, k)
-            acc = acc + bracket(s1, endo_only(disk, e2[p], k)).module
-            acc = acc - bracket(s2, endo_only(disk, e1[p], k)).module
+            acc = acc + s1.bracket_endo(e2[p]) - s2.bracket_endo(e1[p])
         for p in range(max(v - l, 0), l + 1):
             acc = acc + e1[v - p].commutator(
                 e2[p], lambda x, y: ring.mul(x, y, k)

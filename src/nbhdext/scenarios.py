@@ -310,11 +310,17 @@ def scenario_from_json(data: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, parse_float=_reject_float)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    try:
+        data = json.loads(text, parse_float=_reject_float)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_json(data)
 
 
@@ -496,7 +502,6 @@ def build_context(s: Scenario, order: int) -> CechContext:
         swapped = ChartTransition(ring_j, ring_i, o.backward_u, o.backward_t,
                                   o.forward_u, o.forward_t)
         bwd = induced_transition(swapped, order)
-        phi = fwd.unipotent
         pairs[o.pair] = OverlapGeometry(
             i=o.pair[0],
             j=o.pair[1],
@@ -507,8 +512,7 @@ def build_context(s: Scenario, order: int) -> CechContext:
             conormal_ji=fwd.conormal,
             conormal_ij=bwd.conormal,
             forward=dict(zip(s.names, o.forward_u + o.forward_t)),
-            phi=phi,
-            logphi=log_unipotent(phi),
+            logphi=log_unipotent(fwd.unipotent),
         )
 
     gammas = s.gammas or [
@@ -777,12 +781,20 @@ def run_pipeline(
 
     Orders one and two only; a request beyond that is refused with a
     diagnostic because the quadratic cochain calculus is where exactness
-    of this engine ends.
+    of this engine ends.  An order below one, or above the ``max_order``
+    the scenario's data is checked to, is an input error.
     """
     if k > 2:
         raise NotClosed(
             "order > 2 requested: the engine's cochain bracket calculus is "
             "exact only through the quadratic terms, so higher lifts are refused"
+        )
+    if k < 1:
+        raise ParseError(f"order must be 1 or 2, got {k}")
+    if k > s.max_order:
+        raise ParseError(
+            f"order {k} requested but the scenario's data is only given to "
+            f"max_order {s.max_order}"
         )
     window = tuple(window or s.window)
     log = validate_scenario(s)
@@ -793,7 +805,7 @@ def run_pipeline(
                 f"{e.check}@{e.location}: {e.detail}" for e in log.entries if not e.ok
             )
         )
-    ctx = build_context(s, max(k, 1))
+    ctx = build_context(s, k)
     at = atiyah_cocycle(ctx)
     reports: List[ObstructionReport] = []
 

@@ -130,6 +130,83 @@ def test_truncated_product_rejects_mismatched_variables():
         ring.mul(b, a, 2)
 
 
+# -- module actions ----------------------------------------------------------
+
+
+@st.composite
+def module_action_cases(draw):
+    """A derivation and an automorphism of rank 1..3 at order 1..3, with sections.
+
+    Every matrix (the module parts, the sections and the endomorphism) has
+    about half of its entries zero, and the generator images include
+    t-degree-0 terms, so nothing relies on unipotency.
+    """
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    k, e, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ring = ring_pq(p, q, base_trunc=draw(st.one_of(st.none(), st.integers(2, 4))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def matrix(rows, cols):
+        return PolyMatrix(
+            [[random_poly(rng, ring, 0, k + 1) if rng.random() < 0.5 else ring.zero()
+              for _ in range(cols)] for _ in range(rows)]
+        )
+
+    def images(gens):
+        return tuple(g + random_poly(rng, ring, 0, k) for g in gens)
+
+    d = PairDerivation(
+        ring, k,
+        tuple(random_poly(rng, ring, 0, k) for _ in range(p)),
+        tuple(random_poly(rng, ring, 0, k) for _ in range(q)),
+        matrix(e, e),
+        algebra_trunc=k + draw(st.integers(0, 1)),
+    )
+    phi = FilteredAutomorphism(
+        ring, k,
+        images([ring.u_var(b) for b in range(p)]),
+        images([ring.t_var(a) for a in range(q)]),
+        matrix(e, e),
+    )
+    return d, phi, matrix(e, n), matrix(e, e)
+
+
+@given(module_action_cases())
+@settings(max_examples=60, deadline=None)
+def test_module_actions_match_the_column_formulas(case):
+    d, phi, sections, endo = case
+    ring, k, e = d.ring, d.order, d.module.rows
+    # one section per column, as the actions were first written
+    for j in range(sections.cols):
+        col = [sections[c, j] for c in range(e)]
+        for r in range(e):
+            psi = ring.truncate(d.apply(col[r]), k)
+            moved = ring.zero()
+            for c in range(e):
+                psi = psi + ring.mul(col[c], d.module[r, c], k)
+                moved = moved + ring.mul(phi.apply(col[c]), phi.module[r, c], k)
+            assert d.act(sections)[r, j] == psi
+            assert phi.act(sections)[r, j] == moved
+    # [psi, endo] was read off the bracket with the zero derivation carrying endo
+    zero = PairDerivation(
+        ring, k,
+        tuple(ring.zero() for _ in range(ring.p)),
+        tuple(ring.zero() for _ in range(ring.q)),
+        endo,
+        algebra_trunc=d.algebra_trunc,
+    )
+    assert d.bracket_endo(endo) == bracket(d, zero).module
+
+
+def test_module_actions_need_module_data():
+    ring = ring_pq(1, 1)
+    sections = PolyMatrix([[ring.one()]])
+    with pytest.raises(ValueError):
+        PairDerivation.zero(ring, 2).act(sections)
+    with pytest.raises(ValueError):
+        FilteredAutomorphism.identity(ring, 2).act(sections)
+
+
 # -- log / exp --------------------------------------------------------------
 
 
@@ -232,7 +309,7 @@ def test_leibniz_extend_zero():
     ring = ring_pq(1, 1)
     d = PairDerivation.zero(ring, 2)
     ext = leibniz_extend(d, trivial_connection(ring, 1))
-    assert ext.apply_module([ring.u_var(0)])[0] == ring.zero()
+    assert ext.act(PolyMatrix([[ring.u_var(0)]]))[0, 0] == ring.zero()
 
 
 def test_leibniz_extend_on_coordinate_section():
@@ -241,8 +318,8 @@ def test_leibniz_extend_on_coordinate_section():
     t = ring.t_var(0)
     d = PairDerivation(ring, 2, (t,), (ring.zero(),))
     ext = leibniz_extend(d, trivial_connection(ring, 1))
-    out = ext.apply_module([ring.u_var(0)])
-    assert out[0] == t * ring.u_var(0) * 0 + t  # D(u)*s with s the unit section
+    out = ext.act(PolyMatrix([[ring.u_var(0)]]))
+    assert out[0, 0] == t * ring.u_var(0) * 0 + t  # D(u)*s with s the unit section
 
 
 def test_leibniz_extension_satisfies_product_rule():
@@ -257,9 +334,9 @@ def test_leibniz_extension_satisfies_product_rule():
         f = random_poly(rng, ring, 0, 2)
         g = random_poly(rng, ring, 0, 2)
         fg = ring.mul(f, g, 3)
-        lhs = ext.apply_module([fg])[0]
+        lhs = ext.act(PolyMatrix([[fg]]))[0, 0]
         rhs = ring.truncate(
-            ring.mul(ext.apply(f), g, 3) + ring.mul(f, ext.apply_module([g])[0], 3), 3
+            ring.mul(ext.apply(f), g, 3) + ring.mul(f, ext.act(PolyMatrix([[g]]))[0, 0], 3), 3
         )
         assert ring.truncate(lhs - rhs, 3).is_zero()
 

@@ -8,7 +8,9 @@ c1(L) to a nonzero class in H^2(N^*) unless L is a multiple of the
 hyperplane class.
 """
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from nbhdext.scenarios import (
     TripleSpec,
     build_context,
     run_pipeline,
+    solve_abelianized,
     validate_scenario,
 )
 
@@ -131,6 +134,23 @@ def test_log_defect_exponentiates_to_the_transition_ratio():
 def test_rank_one_system_decides_extension_on_the_quadric(a, b, exact):
     bundle = run_pipeline(quadric_scenario(a, b), k=2)
     assert bundle.abelianized["exact"] is exact
+
+
+def test_builtin_sweep_flags_an_inexact_rank_one_system():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_builtins.py"
+    spec = importlib.util.spec_from_file_location("run_builtins", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.problems_of(run_pipeline(quadric_scenario(1, 0), k=2)) == [
+        "abelianized rank-one system not exact"
+    ]
+
+
+@pytest.mark.parametrize("a, b, exact", [(1, 1, True), (2, 2, True), (1, 0, False)])
+def test_rank_one_system_decides_order_three_on_the_quadric(a, b, exact):
+    # the order > 2 refusal belongs to the cup-product path, not to the context
+    result = solve_abelianized(build_context(quadric_scenario(a, b), 3), (-4, 4))
+    assert result["exact"] is exact
 
 
 @pytest.mark.xfail(

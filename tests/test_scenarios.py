@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -213,6 +214,39 @@ def test_cli_negative_window_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_cli_order_below_one_is_an_input_error(tmp_path, capsys, order):
+    scn = tmp_path / "s.json"
+    cli_main(["generate", "line_in_p2", "-d", "1", "-o", scn.as_posix()])
+    assert cli_main(["obstruct", scn.as_posix(), "--order", order]) == 2
+    assert capsys.readouterr().err.startswith("error: order must be 1 or 2")
+
+
+def test_order_above_max_order_is_an_input_error(tmp_path, capsys):
+    # transitions cut to t-degree <= 1 are only checked mod t^2, so they
+    # cannot back an order-two verdict, though they validate at max_order 1
+    s = generate_builtin("hyperplane_p2_in_p3", d=2, twist=1)
+    t_idxs = range(s.p, s.p + s.q)
+    cut = lambda polys: tuple(f.truncate_group(t_idxs, 1) for f in polys)
+    overlaps = [
+        dataclasses.replace(
+            o, forward_u=cut(o.forward_u), forward_t=cut(o.forward_t),
+            backward_u=cut(o.backward_u), backward_t=cut(o.backward_t),
+        )
+        for o in s.overlaps
+    ]
+    assert any(new != old for new, old in zip(overlaps, s.overlaps))
+    short = dataclasses.replace(s, max_order=1, overlaps=overlaps)
+    assert validate_scenario(short).ok
+    assert len(run_pipeline(short, k=1).reports) == 1
+    with pytest.raises(ParseError, match="max_order 1"):
+        run_pipeline(short, k=2)
+    scn = tmp_path / "short.json"
+    save_scenario(short, scn.as_posix())
+    assert cli_main(["obstruct", scn.as_posix(), "--order", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: order 2 requested")
+
+
 def _drop(*path):
     def edit(doc):
         *parent, key = path
@@ -236,6 +270,11 @@ def _rename_transition(doc):
     t["0;1"] = t.pop("0,1")
 
 
+def _file(write):
+    """A case that makes the scenario file itself: ``write(path)`` instead of the document."""
+    return lambda doc: write
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -248,15 +287,20 @@ def _rename_transition(doc):
         (_set([3, -3], "window"), "window"),
         # allowed_exponent's search is only sound for nonnegative inverted exponents
         (_set([[-1]], "overlaps", 0, "inverted", "0"), "overlaps[0].inverted[0]"),
+        # file errors name the path
+        (_file(lambda path: None), "bad.json"),
+        (_file(lambda path: path.mkdir()), "bad.json"),
+        (_file(lambda path: path.write_bytes(b'{"name": "\xff"}')), "bad.json"),
     ],
     ids=["no_pair", "bad_transition_key", "unknown_chart", "chart_not_object",
-         "no_forward_u", "bad_window", "reversed_window", "negative_inverted_exponent"],
+         "no_forward_u", "bad_window", "reversed_window", "negative_inverted_exponent",
+         "missing_file", "directory", "not_utf8"],
 )
 def test_malformed_scenario_is_an_input_error(tmp_path, capsys, edit, field):
     doc = generate_builtin("line_in_p2", d=1).to_json()
-    edit(doc)
     scn = tmp_path / "bad.json"
-    scn.write_text(json.dumps(doc))
+    write = edit(doc) or (lambda path: path.write_text(json.dumps(doc)))
+    write(scn)
     assert cli_main(["obstruct", scn.as_posix(), "--order", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
