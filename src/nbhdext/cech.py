@@ -8,10 +8,9 @@ conjugated through the transition matrices; functions move through the
 full truncated transition F_ij^*.  For a rank-one bundle the second gives
 one linear system: G_ij = g_ij exp(lambda_ij) is a cocycle modulo t^(k+1)
 exactly when delta(lambda) = rho, the log of the transitions' defect on
-the triples.  Substitution is a linear ring map, so each context
-memoizes the truncated powers of every variable's image and the image of
-every monomial it has moved, and the columns of delta are read off the
-cofaces of one simplex at a time.  All assembly is canonical: simplices,
+the triples.  Substitution is a linear ring map, so each context keeps
+one memoized ``filtered.Substitution`` per overlap and transport, and the
+columns of delta are read off the cofaces of one simplex at a time.  All assembly is canonical: simplices,
 matrix entries and monomials are always walked in sorted order, so
 reports are byte-stable.
 """
@@ -26,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cohomology
 from .errors import FrameMismatch, NotClosed, NotFlat
-from .filtered import ChartRing, PairDerivation, contract, leibniz_extend
+from .filtered import ChartRing, PairDerivation, Substitution, _series, contract, leibniz_extend
 from .laurent import Exponent, LaurentPoly, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, matrix_rank, solve_exact
 
@@ -171,8 +170,7 @@ class CechContext:
         self.bundle = bundle
         self.order = order
         # memos of derived data; they live and die with this context
-        self._monomial_images: Dict[Tuple, Dict[Exponent, LaurentPoly]] = {}
-        self._powers: Dict[Tuple, LaurentPoly] = {}
+        self._substitutions: Dict[Tuple[Pair, bool], Substitution] = {}
         self._elementary_images: Dict[Tuple, Dict[Tuple, Fraction]] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
         self._delta_maps: Dict[Tuple, Tuple[List[Tuple], List[Dict]]] = {}
@@ -185,51 +183,19 @@ class CechContext:
         return self.pairs[pair]
 
     def pullback(self, pair: Pair, value: LaurentPoly, full: bool = False) -> LaurentPoly:
-        """Substitute the high chart's coordinates, one memoized monomial at a time.
+        """Substitute the high chart's coordinates through one memoized ``Substitution``.
 
         ``full`` substitutes the whole truncated transition F_ij^*, which
         moves functions; otherwise the conormal part is linear, which moves
-        Sym^v N^*-valued values.  A monomial's image is the truncated
-        product of its memoized variable powers, and truncation commutes
-        with rational scaling, so the sum of the scaled monomial images
-        equals one truncated substitution of the whole polynomial.
+        Sym^v N^*-valued values.  Each (pair, full) keeps one substitution,
+        so variable powers and monomial images are built once per context.
         """
-        ring = self._geom(pair).ring_i
-        memo = self._monomial_images.setdefault((pair, full, value.vars), {})
-        out: Dict[Exponent, Fraction] = {}
-        for exps, coeff in value.terms.items():
-            image = memo.get(exps)
-            if image is None:
-                image = ring.one()
-                for name, k in zip(value.vars, exps):
-                    if k and not image.is_zero():
-                        image = ring.mul(image, self._power(pair, full, name, k), self.order)
-                memo[exps] = image
-            for e, c in image.terms.items():
-                out[e] = out.get(e, 0) + c * coeff
-        return LaurentPoly(ring.names, out)
-
-    def _power(self, pair: Pair, full: bool, name: str, k: int) -> LaurentPoly:
-        """The image of one high-chart variable raised to ``k != 0``, built once."""
-        key = (pair, full, name, k)
-        if key not in self._powers:
+        sub = self._substitutions.get((pair, full))
+        if sub is None:
             g = self._geom(pair)
-            ring = g.ring_i
-            if k in (1, -1):
-                image = (g.forward if full else g.images_ji)[name]
-                power = (
-                    ring.truncate(image, self.order) if k == 1
-                    else ring.invert_trunc(image, self.order)
-                )
-            else:
-                step = 1 if k > 0 else -1
-                power = ring.mul(
-                    self._power(pair, full, name, k - step),
-                    self._power(pair, full, name, step),
-                    self.order,
-                )
-            self._powers[key] = power
-        return self._powers[key]
+            sub = Substitution(g.ring_i, g.forward if full else g.images_ji, self.order)
+            self._substitutions[(pair, full)] = sub
+        return sub(value)
 
     def end_to_low(self, pair: Pair, value: PolyMatrix) -> PolyMatrix:
         g = self._geom(pair)
@@ -566,11 +532,10 @@ def transition_log_defect(ctx: CechContext) -> CechCochain:
             ring.mul(g[(i, h)][0, 0], g_inv[(i, j)][0, 0], k), ring.invert_trunc(pulled, k), k
         )
         x = ratio - ring.one()
-        log, power = ring.zero(), ring.one()
-        for n in range(1, k + 1):
-            power = ring.mul(power, x, k)
-            log = log + power * Fraction((-1) ** (n + 1), n)
-        values[tri] = log
+        step = lambda m: m.map(lambda f: ring.mul(f, x, k))
+        coeff = lambda n: Fraction((-1) ** (n + 1), n)
+        log = _series(PolyMatrix([[ring.zero()]]), PolyMatrix([[ring.one()]]), step, coeff, k)
+        values[tri] = log[0, 0]
     return CechCochain(2, FUNCTION, k, values)
 
 

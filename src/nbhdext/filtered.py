@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -155,14 +156,9 @@ class ChartRing:
             return head_inv
         # (h + n)^-1 = h^-1 * sum (-n h^-1)^i, finite because n raises t-degree
         x = self.mul(-tail, head_inv, t_max)
-        acc = self.one()
-        power = self.one()
-        for _ in range(t_max):
-            power = self.mul(power, x, t_max)
-            if power.is_zero():
-                break
-            acc = acc + power
-        return self.mul(head_inv, acc, t_max)
+        one = PolyMatrix([[self.one()]])
+        step = lambda m: m.map(lambda f: self.mul(f, x, t_max))
+        return self.mul(head_inv, _series(one, one, step, lambda n: 1, t_max)[0, 0], t_max)
 
     def subst_trunc(
         self,
@@ -171,38 +167,71 @@ class ChartRing:
         t_max: int,
         target: Optional["ChartRing"] = None,
     ) -> LaurentPoly:
-        """Truncated substitution; negative powers use truncated inversion.
+        """One truncated substitution into ``target`` (default: this ring); see ``Substitution``."""
+        return Substitution(target or self, images, t_max)(p)
 
-        ``images`` must cover every variable occurring in ``p`` with a
-        polynomial over ``target`` (default: this ring).
-        """
-        tgt = target or self
-        out = tgt.zero()
-        cache: Dict[Tuple[str, int], LaurentPoly] = {}
+
+class Substitution:
+    """A truncated substitution into ``target``, memoized for every polynomial it moves.
+
+    ``images`` maps each source variable to a polynomial over ``target``;
+    negative powers use truncated inversion.  The truncated power x^k of a
+    variable's image is built once, as x^(k-1) times the image (times one
+    truncated inverse for k < 0), and a monomial's image is the truncated
+    product of its powers, also built once.  A polynomial's image is the
+    sum of its scaled monomial images: truncation commutes with rational
+    scaling, so this equals one substitution of the whole polynomial.
+    Terms are moved in sorted order, so a missing image (``ValueError``) or
+    a non-invertible one is reported on the same term as a fresh call would.
+    """
+
+    def __init__(self, target: ChartRing, images: Mapping[str, LaurentPoly], t_max: int):
+        self.target = target
+        self.images = images
+        self.t_max = t_max
+        self._bases: Dict[Tuple[str, int], LaurentPoly] = {}
+        self._powers: Dict[Tuple[str, int], LaurentPoly] = {}
+        self._monomials: Dict[Tuple[str, ...], Dict[Exponent, LaurentPoly]] = {}
+
+    def __call__(self, p: LaurentPoly) -> LaurentPoly:
+        target, t_max = self.target, self.t_max
+        memo = self._monomials.setdefault(p.vars, {})
+        out: Dict[Exponent, Fraction] = {}
         for e, c in p.sorted_terms():
-            term = tgt.const(c)
-            for name, k in zip(p.vars, e):
-                if k == 0:
-                    continue
-                key = (name, k)
-                if key not in cache:
-                    img = images.get(name)
-                    if img is None:
-                        raise ValueError(f"no image supplied for variable {name!r}")
-                    if k < 0:
-                        img = tgt.invert_trunc(img, t_max)
-                    cache[key] = tgt.power_trunc(img, abs(k), t_max)
-                term = tgt.mul(term, cache[key], t_max)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+            image = memo.get(e)
+            if image is None:
+                image = target.one()
+                for name, k in zip(p.vars, e):
+                    if k:
+                        image = target.mul(image, self.power(name, k), t_max)
+                        if not image.terms:
+                            break
+                memo[e] = image
+            for f, d in image.terms.items():
+                out[f] = out.get(f, 0) + c * d
+        return LaurentPoly(target.names, out)
 
-    def power_trunc(self, p: LaurentPoly, n: int, t_max: int) -> LaurentPoly:
-        acc = self.one()
-        for _ in range(n):
-            acc = self.mul(acc, p, t_max)
-        return acc
+    def power(self, name: str, k: int) -> LaurentPoly:
+        """The truncated image of ``name`` to the power ``k != 0``, built once."""
+        power = self._powers.get((name, k))
+        if power is None:
+            step = 1 if k > 0 else -1
+            prev = self.target.one() if k == step else self.power(name, k - step)
+            power = self.target.mul(prev, self._base(name, step), self.t_max)
+            self._powers[(name, k)] = power
+        return power
+
+    def _base(self, name: str, step: int) -> LaurentPoly:
+        """The image of ``name`` (step 1) or its truncated inverse (step -1)."""
+        base = self._bases.get((name, step))
+        if base is None:
+            base = self.images.get(name)
+            if base is None:
+                raise ValueError(f"no image supplied for variable {name!r}")
+            if step < 0:
+                base = self.target.invert_trunc(base, self.t_max)
+            self._bases[(name, step)] = base
+        return base
 
 
 # -- module sections ---------------------------------------------------------
@@ -263,23 +292,21 @@ class FilteredAutomorphism:
             PolyMatrix.identity(rank, ring.names) if rank else None,
         )
 
-    def image_map(self) -> Dict[str, LaurentPoly]:
-        out = {name: img for name, img in zip(self.ring.u_names, self.u_images)}
-        out.update({name: img for name, img in zip(self.ring.t_names, self.t_images)})
-        return out
+    @cached_property
+    def substitution(self) -> Substitution:
+        """Phi on the truncated algebra, one memo for every element it moves."""
+        images = dict(zip(self.ring.names, (*self.u_images, *self.t_images)))
+        return Substitution(self.ring, images, self.order)
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
-        return self.ring.subst_trunc(f, self.image_map(), self.order)
+        return self.substitution(f)
 
     def act(self, sections: PolyMatrix) -> PolyMatrix:
         """M . Phi(X) on one module section per column of X, truncated at ``order``."""
         if self.module is None:
             raise ValueError("automorphism carries no module data")
-        ring, images = self.ring, self.image_map()
-        moved = sections.map(
-            lambda f: ring.subst_trunc(f, images, self.order) if f.terms else f
-        )
-        return _mul_trunc(ring, self.module, moved, self.order)
+        moved = sections.map(lambda f: self.apply(f) if f.terms else f)
+        return _mul_trunc(self.ring, self.module, moved, self.order)
 
     def compose(self, other: "FilteredAutomorphism") -> "FilteredAutomorphism":
         """self after other (left action on elements)."""
@@ -540,10 +567,7 @@ def log_unipotent(phi: FilteredAutomorphism) -> PairDerivation:
     ring, k = phi.ring, phi.order
     # sum (-1)^(n+1)/n * (Phi - id)^n applied to the generators and the frame
     coeff = lambda n: Fraction((-1) ** (n + 1), n)
-    phi_images = phi.image_map()
-    step = lambda m: m.map(
-        lambda f: ring.truncate(ring.subst_trunc(f, phi_images, k) - f, k) if f.terms else f
-    )
+    step = lambda m: m.map(lambda f: ring.truncate(phi.apply(f) - f, k) if f.terms else f)
     gens = _generators(ring)
     images = _series(PolyMatrix.zero(1, gens.cols, ring.names), gens, step, coeff, k).entries[0]
     module = None
@@ -655,18 +679,14 @@ def induced_transition(tr: ChartTransition, k: int) -> InducedTransition:
             for a in range(low.q)
         ]
     )
-    fwd_images = {name: img for name, img in zip(high.u_names, tr.forward_u)}
-    fwd_images.update({name: img for name, img in zip(high.t_names, tr.forward_t)})
+    fwd = Substitution(low, dict(zip(high.names, (*tr.forward_u, *tr.forward_t))), k)
 
-    u_imgs = tuple(
-        high.subst_trunc(back_base[b], fwd_images, k, target=low) for b in range(low.p)
-    )
+    u_imgs = tuple(fwd(back_base[b]) for b in range(low.p))
     t_imgs = []
     for a in range(low.q):
         acc = low.zero()
         for b in range(high.q):
-            coeff = high.subst_trunc(back_conormal[a, b], fwd_images, k, target=low)
-            acc = acc + low.mul(coeff, tr.forward_t[b], k)
+            acc = acc + low.mul(fwd(back_conormal[a, b]), tr.forward_t[b], k)
         t_imgs.append(acc)
     phi = FilteredAutomorphism(low, k, u_imgs, tuple(t_imgs))
     if not phi.is_unipotent():

@@ -274,21 +274,24 @@ def act_on_kernel(
     ring = disk.ring
     out = AbelianizedKernel.zero(disk, l, k)
     sx = splitting(disk, x, gamma, l, k)
+    ops: Dict[int, PairDerivation] = {}  # the lift's degree-a operator depends on a alone
     for v, mat in m.end_parts.items():
         if mat.is_zero():
             continue
         for a in range(0, k - v + 1):
             target = v + a
-            op_a = split_component_operator(disk, sx, gamma, a, k)
-            # add back the O-linear residue of the lift in degree a
-            if a <= l:
-                op_a = disk.derivation(
-                    op_a.u_images,
-                    op_a.t_images,
-                    op_a.module + e_component(disk, sx, gamma, a),
-                    k,
-                )
-            comp = op_a.bracket_endo(mat).map(lambda p: ring.t_part(p, target))
+            if a not in ops:
+                op_a = split_component_operator(disk, sx, gamma, a, k)
+                # add back the O-linear residue of the lift in degree a
+                if a <= l:
+                    op_a = disk.derivation(
+                        op_a.u_images,
+                        op_a.t_images,
+                        op_a.module + e_component(disk, sx, gamma, a),
+                        k,
+                    )
+                ops[a] = op_a
+            comp = ops[a].bracket_endo(mat).map(lambda p: ring.t_part(p, target))
             if target <= 2 * l + 1:
                 out.end_parts[target] = out.end_parts[target] + comp
             else:

@@ -40,7 +40,7 @@ from .cech import (
     _exact_system,
 )
 from .errors import NotClosed, ParseError, SchemaVersionError, UnknownScenario
-from .filtered import ChartRing, ChartTransition, induced_transition, log_unipotent
+from .filtered import ChartRing, ChartTransition, Substitution, induced_transition, log_unipotent
 from .laurent import Exponent, LaurentPoly, format_fraction
 from .linsolve import PolyMatrix, solve_exact
 
@@ -385,15 +385,16 @@ def validate_scenario(s: Scenario) -> ValidationLog:
         # mutual inverse on generators, both ways, at order k
         fwd = {n: img for n, img in zip(s.names, tuple(o.forward_u) + tuple(o.forward_t))}
         bwd = {n: img for n, img in zip(s.names, tuple(o.backward_u) + tuple(o.backward_t))}
+        fwd_sub, bwd_sub = Substitution(ring_i, fwd, k), Substitution(ring_j, bwd, k)
         ok = True
         detail = ""
         for name in s.names:
-            round1 = ring_j.subst_trunc(bwd[name], fwd, k, target=ring_i)
+            round1 = fwd_sub(bwd[name])
             if not (round1 - LaurentPoly.variable(s.names, name)).is_zero():
                 ok = False
                 detail = f"backward o forward != id on {name}"
                 break
-            round2 = ring_i.subst_trunc(fwd[name], bwd, k, target=ring_j)
+            round2 = bwd_sub(fwd[name])
             if not (round2 - LaurentPoly.variable(s.names, name)).is_zero():
                 ok = False
                 detail = f"forward o backward != id on {name}"
@@ -409,7 +410,9 @@ def validate_scenario(s: Scenario) -> ValidationLog:
             continue
         o_ij, o_ih, o_jh = by_pair[(i, j)], by_pair[(i, h)], by_pair[(j, h)]
         ring_i = ChartRing(s.u_names, s.t_names, t.inverted)
-        fwd_ij = {n: img for n, img in zip(s.names, tuple(o_ij.forward_u) + tuple(o_ij.forward_t))}
+        fwd_ij = Substitution(
+            ring_i, dict(zip(s.names, tuple(o_ij.forward_u) + tuple(o_ij.forward_t))), k
+        )
         ok = True
         detail = ""
         for name, img_jh, img_ih in zip(
@@ -417,7 +420,7 @@ def validate_scenario(s: Scenario) -> ValidationLog:
             tuple(o_jh.forward_u) + tuple(o_jh.forward_t),
             tuple(o_ih.forward_u) + tuple(o_ih.forward_t),
         ):
-            via_j = s.overlap_ring(o_jh, j).subst_trunc(img_jh, fwd_ij, k, target=ring_i)
+            via_j = fwd_ij(img_jh)
             if not (via_j - img_ih).is_zero():
                 ok = False
                 detail = f"chart cocycle fails on generator {name}"
@@ -427,7 +430,6 @@ def validate_scenario(s: Scenario) -> ValidationLog:
         # transport goes through the base maps at t = 0
         if s.g:
             mul = lambda a, b: ring_i.mul(a, b, k)
-            ring_j = s.overlap_ring(o_ij, j)
             base_fwd = {
                 n: ring_i.restrict_to_x(img)
                 for n, img in zip(s.u_names, o_ij.forward_u)
@@ -440,11 +442,7 @@ def validate_scenario(s: Scenario) -> ValidationLog:
             )
             log.record("bundle_on_base", loc, g_entries_on_x,
                        "" if g_entries_on_x else "a bundle transition has normal-variable terms")
-            g_jh_moved = s.g[(j, h)].map(
-                lambda poly: s.overlap_ring(o_jh, j).subst_trunc(
-                    poly, base_fwd, k, target=ring_i
-                )
-            )
+            g_jh_moved = s.g[(j, h)].map(Substitution(ring_i, base_fwd, k))
             lhs = s.g[(i, j)].matmul(g_jh_moved, mul)
             diff = lhs - s.g[(i, h)]
             okg = diff.is_zero()

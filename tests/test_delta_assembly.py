@@ -24,6 +24,7 @@ from nbhdext.linsolve import matrix_rank, solve_exact
 from nbhdext.scenarios import build_context, generate_builtin, run_pipeline
 
 from test_acceptance import GOLDEN_DIGESTS
+from test_filtered import subst_oracle
 from test_integration import four_chart_scenario
 
 
@@ -195,10 +196,12 @@ def test_sparse_system_matches_the_dense_system(system):
 
 
 def direct_pullback(ctx, pair, value, full=False):
-    """One truncated substitution of the whole polynomial.
+    """One truncated substitution of the whole polynomial, by ``subst_oracle``.
 
-    The full pullback substitutes the overlap's ``forward`` images; the
-    linear one substitutes images built here from the conormal matrix.
+    The oracle is the per-call substitution written out in test_filtered,
+    so the memoized pullback is not compared with itself.  The full
+    pullback substitutes the overlap's ``forward`` images; the linear one
+    substitutes images built here from the conormal matrix.
     """
     g = ctx.pairs[pair]
     ring = g.ring_i
@@ -207,7 +210,7 @@ def direct_pullback(ctx, pair, value, full=False):
         images[tname] = sum(
             (g.conormal_ji[a, b] * ring.t_var(b) for b in range(ring.q)), ring.zero()
         )
-    return ring.subst_trunc(value, g.forward if full else images, ctx.order, target=ring)
+    return subst_oracle(value, g.forward if full else images, ctx.order, ring)
 
 
 MEMO_CONTEXTS = {
@@ -271,10 +274,10 @@ def test_contexts_with_different_transitions_share_no_memo():
         assert moved_second == direct_pullback(second, pair, value, full)
         assert moved_first != moved_second
         # the variable powers behind them were built by each context for itself
-        power = (pair, full, "t1", 1)
-        assert first._powers[power] != second._powers[power]
-    assert first._monomial_images is not second._monomial_images
-    assert first._powers is not second._powers
+        mine, theirs = first._substitutions[(pair, full)], second._substitutions[(pair, full)]
+        assert mine._powers[("t1", 1)] != theirs._powers[("t1", 1)]
+        assert mine._monomials is not theirs._monomials
+        assert mine._powers is not theirs._powers
     assert first._elementary_images is not second._elementary_images
     # elementary transports read the same key but each context moves it its own way
     key = (pair, cech.SYM_END, (0, 0), value.sorted_terms()[0][0])

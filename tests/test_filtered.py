@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbhdext.errors import NonInvertibleSubstitution, NotAdapted, NotUnipotent
+from nbhdext.errors import EngineError, NonInvertibleSubstitution, NotAdapted, NotUnipotent
 from nbhdext.filtered import (
     ChartRing,
     ChartTransition,
     FilteredAutomorphism,
     PairDerivation,
+    Substitution,
     bch2,
     bracket,
     exp_nilpotent,
@@ -128,6 +129,125 @@ def test_truncated_product_rejects_mismatched_variables():
         ring.mul(a, b, 2)
     with pytest.raises(ValueError):
         ring.mul(b, a, 2)
+
+
+# -- memoized truncated substitution ----------------------------------------------
+
+
+def subst_oracle(p, images, t_max, target):
+    """One truncated substitution of ``p`` term by term, with a fresh power cache.
+
+    The per-call substitution the engine used before ``Substitution``: each
+    variable power is rebuilt from 1 by repeated truncated multiplication.
+    """
+    out = target.zero()
+    cache = {}
+    for e, c in p.sorted_terms():
+        term = target.const(c)
+        for name, k in zip(p.vars, e):
+            if k == 0:
+                continue
+            key = (name, k)
+            if key not in cache:
+                img = images.get(name)
+                if img is None:
+                    raise ValueError(f"no image supplied for variable {name!r}")
+                if k < 0:
+                    img = target.invert_trunc(img, t_max)
+                power = target.one()
+                for _ in range(abs(k)):
+                    power = target.mul(power, img, t_max)
+                cache[key] = power
+            term = target.mul(term, cache[key], t_max)
+            if term.is_zero():
+                break
+        out = out + term
+    return out
+
+
+def outcome(substitute, p):
+    """The image of ``p``, or the type of the error substituting it raises."""
+    try:
+        return substitute(p)
+    except (EngineError, ValueError) as err:
+        return type(err)
+
+
+@st.composite
+def substitution_cases(draw, n_polys=1):
+    """A ring with p, q in {1, 2}, images of its variables, polynomials and a t-bound.
+
+    Every exponent of the moved polynomials runs over -3..3.  The images
+    have tangential exponents in -2..2 and t-exponents in 0..2, about half
+    of them with a unit monomial in t-degree 0, so negative powers are
+    sometimes invertible and sometimes not.
+    """
+    p, q = draw(st.sampled_from((1, 2))), draw(st.sampled_from((1, 2)))
+    ring = ring_pq(p, q, base_trunc=draw(st.sampled_from((None, 0, 1, 2))))
+    coeff = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
+    moved = st.tuples(*[st.integers(-3, 3)] * (p + q))
+    image_exps = st.tuples(*[st.integers(-2, 2)] * p, *[st.integers(0, 2)] * q)
+    images = {}
+    for name in ring.names:
+        image = LaurentPoly(ring.names, draw(st.dictionaries(image_exps, coeff, max_size=3)))
+        if draw(st.booleans()):
+            head = draw(st.tuples(*[st.integers(-3, 3)] * p)) + (0,) * q
+            image = ring.monomial(head, draw(coeff)) + image - ring.restrict_to_x(image)
+        images[name] = image
+    polys = [
+        LaurentPoly(ring.names, draw(st.dictionaries(moved, coeff, min_size=1, max_size=4)))
+        for _ in range(n_polys)
+    ]
+    return ring, images, draw(st.integers(0, 3)), polys
+
+
+@given(substitution_cases())
+@settings(max_examples=300, deadline=None)
+def test_substitution_equals_the_per_call_substitution(case):
+    ring, images, t_max, (p,) = case
+    expected = outcome(lambda f: subst_oracle(f, images, t_max, ring), p)
+    assert outcome(Substitution(ring, images, t_max), p) == expected
+    assert outcome(lambda f: ring.subst_trunc(f, images, t_max), p) == expected
+
+
+@given(substitution_cases(n_polys=5), st.integers(3, 5))
+@settings(max_examples=150, deadline=None)
+def test_one_shared_substitution_equals_fresh_ones(case, n):
+    ring, images, t_max, polys = case
+    shared = Substitution(ring, images, t_max)
+    for p in polys[:n]:
+        assert outcome(shared, p) == outcome(Substitution(ring, images, t_max), p)
+
+
+@given(substitution_cases(n_polys=3), st.integers(0, 3), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_substitution_errors_survive_the_memo(case, which, k):
+    ring, images, t_max, polys = case
+    name = ring.names[which % len(ring.names)]
+    exps = [0] * len(ring.names)
+    exps[ring.names.index(name)] = k
+    positive, negative = ring.monomial(exps), ring.monomial([-x for x in exps])
+    # a missing image: the shared instance has served other polynomials first
+    missing = {n: img for n, img in images.items() if n != name}
+    shared = Substitution(ring, missing, t_max)
+    for p in polys:
+        outcome(shared, p)
+    for substitute in (shared, Substitution(ring, missing, t_max)):
+        for f in (positive, negative):
+            with pytest.raises(ValueError):
+                substitute(f)
+    with pytest.raises(ValueError):
+        subst_oracle(positive, missing, t_max, ring)
+    # a t-degree-0 part with two terms has no truncated inverse
+    non_unit = dict(images, **{name: ring.one() + ring.u_var(0)})
+    shared = Substitution(ring, non_unit, t_max)
+    for p in polys:
+        outcome(shared, p)
+    for substitute in (shared, Substitution(ring, non_unit, t_max)):
+        with pytest.raises(NonInvertibleSubstitution):
+            substitute(negative)
+    with pytest.raises(NonInvertibleSubstitution):
+        subst_oracle(negative, non_unit, t_max, ring)
 
 
 # -- module actions ----------------------------------------------------------
