@@ -17,8 +17,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = {
-    "four_chart": "e465aed7ecdbc2152b56a4d26a60ac19078b689db6c36aa783d2b01add27447f",
-    "builtin_sweep": "d059bfd7d037a614181df1057fec15ed80f3cfd305515893056bf715b07a8d55",
+    "four_chart": "8e2425dea656dff8b7bbe815c1af892ece79db81a86e4818d81b0e03a24fe163",
+    "builtin_sweep": "7d278c3946eda06e3a322d865018ddd1521f48d7e732ef18cd260f053a39bc76",
     "exp_log_roundtrip": "520bed5ebef79180ee5464e859949e2beab6408d40f4980e26aba0c69af6a54b",
     "mc_lift": "844dd53a8b7d3fb1b655b442e544117fa62772df9dcbb497c3ea0e52dfb995dd",
 }

@@ -2,4 +2,4 @@
 infinitesimal neighborhoods, with a truncated formal-disk laboratory for
 the Lie-cocycle machinery underneath."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

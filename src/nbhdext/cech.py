@@ -1,18 +1,21 @@
-"""Cech cochains on a cover nerve and the order-one/two obstruction calculus.
+"""Cech cochains on a cover nerve, the transition lift and its obstructions.
 
 Every value on a simplex is stored in the frame of its smallest chart
 index.  Values move to a lower frame by substituting the high chart's
 coordinates, in one of two ways.  Sym^v N^*-valued data moves through the
 linear (conormal) part of the chart transitions, with bundle-valued data
 conjugated through the transition matrices; functions move through the
-full truncated transition F_ij^*.  For a rank-one bundle the second gives
-one linear system: G_ij = g_ij exp(lambda_ij) is a cocycle modulo t^(k+1)
-exactly when delta(lambda) = rho, the log of the transitions' defect on
-the triples.  Substitution is a linear ring map, so each context keeps
-one memoized ``filtered.Substitution`` per overlap and transport, and the
-columns of delta are read off the cofaces of one simplex at a time.  All assembly is canonical: simplices,
-matrix entries and monomials are always walked in sorted order, so
-reports are byte-stable.
+full truncated transition F_ij^*.  The obstruction at order k is the
+t^k-part of the cocycle defect (G_ij . F_ij^* G_jh - G_ih) . g_ih^-1 of
+transitions G lifted through the lower orders; for a rank-one bundle the
+log of the same defect gives one linear system: G_ij = g_ij exp(lambda_ij)
+is a cocycle modulo t^(k+1) exactly when delta(lambda) = rho.  The cup
+product a^1 . At is the paper's first-order formula, kept to compare with
+the lift.  Substitution is a linear ring map, so each context keeps one
+memoized ``filtered.Substitution`` per overlap and transport, and the
+columns of delta are read off the cofaces of one simplex at a time.  All
+assembly is canonical: simplices, matrix entries and monomials are always
+walked in sorted order, so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cohomology
-from .errors import FrameMismatch, NotClosed, NotFlat
-from .filtered import ChartRing, PairDerivation, Substitution, _series, contract, leibniz_extend
+from .errors import FrameMismatch, NotClosed
+from .filtered import ChartRing, PairDerivation, Substitution, _series, contract
 from .laurent import Exponent, LaurentPoly, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, matrix_rank, solve_exact
 
@@ -146,7 +149,6 @@ class BundleData:
     rank: int
     g: Dict[Pair, PolyMatrix]          # chart-i coordinates on U_ij, i < j
     gammas: List[List[PolyMatrix]]     # per chart, per tangential variable
-    flat: List[bool]
     g_inv: Dict[Pair, PolyMatrix] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -294,45 +296,20 @@ class CechContext:
 
     # -- connections and the Atiyah cochain ---------------------------------------
 
-    def connection_to_low(
-        self, pair: Pair, forms: Sequence[PolyMatrix]
-    ) -> List[PolyMatrix]:
-        """Gauge-transform connection forms of the high frame into the low one.
-
-        The forms move tensorially, then pick up the inhomogeneous term
-        -dg . g^-1 of the transition matrix.
-        """
-        ring = self._geom(pair).ring_i
-        mul = lambda a, b: ring.mul(a, b, self.order)
-        gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
-        return [
-            form - gm.map(lambda p: p.diff(name)).matmul(gi, mul)
-            for form, name in zip(self.form_end_to_low(pair, forms), ring.u_names)
-        ]
-
-    def connection_in_low(self, pair: Pair) -> List[PolyMatrix]:
-        """The high chart's connection transported into the low chart frame."""
-        return self.connection_to_low(pair, self.bundle.gammas[self._geom(pair).j])
-
     def atiyah_value(self, pair: Pair) -> Tuple[PolyMatrix, ...]:
-        """nabla_low - nabla_high on the overlap, in the low frame."""
-        g = self._geom(pair)
-        gamma_low = self.bundle.gammas[g.i]
-        gamma_high = self.connection_in_low(pair)
-        return tuple(a - b for a, b in zip(gamma_low, gamma_high))
+        """nabla_low - nabla_high on the overlap, in the low frame.
 
-    def sphi_operator(self, pair: Pair, degree: int) -> PairDerivation:
-        """The connection lift of the degree-s slice of log Phi on this overlap."""
-        d = self._geom(pair).logphi.component(degree)
-        return leibniz_extend(d, self.connection_in_low(pair))
-
-    def transported_sphi(self, low: int, pair: Pair, degree: int) -> PairDerivation:
-        """sphi of a higher pair (low < pair[0]) conjugated into the frame of chart ``low``."""
+        The high chart's forms move tensorially, then pick up the
+        inhomogeneous term -dg . g^-1 of the transition matrix.
+        """
         g = self._geom(pair)
-        sliced = self.derivation_to_low((low, g.i), g.logphi).component(degree)
-        # the high chart's connection of ``pair`` moves on from frame pair[0]
-        nabla = self.connection_to_low((low, g.i), self.connection_in_low(pair))
-        return leibniz_extend(sliced, nabla)
+        mul = lambda a, b: g.ring_i.mul(a, b, self.order)
+        gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
+        moved = self.form_end_to_low(pair, self.bundle.gammas[g.j])
+        return tuple(
+            low - (form - gm.map(lambda p: p.diff(name)).matmul(gi, mul))
+            for low, form, name in zip(self.bundle.gammas[g.i], moved, g.ring_i.u_names)
+        )
 
     # -- value helpers ---------------------------------------------------------------
 
@@ -478,64 +455,74 @@ def first_order_obstruction(
     return CechCochain(2, SYM_END, 1, {tri: evaluate(tri) for tri in ctx.nerve.triples()})
 
 
-def second_order_obstruction(
-    ctx: CechContext,
-    a2: CechCochain,
-    at: CechCochain,
-    m1: CechCochain,
-) -> CechCochain:
-    """Quadratic obstruction given an order-one solution and flat connections."""
-    if ctx.order > 2:
-        raise NotClosed(
-            "lifting beyond order 2 is unsupported: the cochain bracket "
-            "calculus used here is exact only through the quadratic terms"
-        )
-    if not all(ctx.bundle.flat):
-        raise NotFlat("the order-two formula requires flat local connections")
-    half = Fraction(1, 2)
+def transition_defect(ctx: CechContext, G: Dict[Pair, PolyMatrix]) -> Dict[Triple, PolyMatrix]:
+    """y_ijh = (G_ij . F_ij^* G_jh - G_ih) . g_ih^-1 on each triple, modulo t^(order+1).
 
-    def evaluate(tri: Triple):
-        i, j, h = tri
-        ring = ctx.nerve.pair_rings[(i, j)][i]
-        mul = lambda a, b: ring.mul(a, b, ctx.order)
-        at_moved = ctx.transport((i, j), FORM_END, at.value(ctx, (j, h)))
-        acc = contract(ring, a2.value(ctx, (i, j)), at_moved, ctx.order)
-        m_ij = m1.value(ctx, (i, j))
-        m_jh = ctx.transport((i, j), SYM_END, m1.value(ctx, (j, h)))
-        acc = acc + m_ij.commutator(m_jh, mul).scale(half)
-        sphi_ij = ctx.sphi_operator((i, j), 1)
-        sphi_jh = ctx.transported_sphi(i, (j, h), 1)
-        acc = acc + sphi_jh.bracket_endo(m_ij).scale(half)
-        acc = acc + sphi_ij.bracket_endo(m_jh).scale(half)
-        return acc.map(lambda p: ring.t_part(p, 2))
-
-    return CechCochain(2, SYM_END, 2, {tri: evaluate(tri) for tri in ctx.nerve.triples()})
-
-
-def transition_log_defect(ctx: CechContext) -> CechCochain:
-    """rho_ijh = log(g_ih / (g_ij . F_ij^* g_jh)) on each triple, for a rank-one bundle.
-
-    G_ij = g_ij . exp(lambda_ij) is a cocycle modulo t^(order+1) exactly
-    when delta(lambda) = rho for the FUNCTION transport.  The transitions
-    form a cocycle on X, so the ratio is 1 plus terms of t-degree >= 1
-    and its log series stops at the working order, which the cochain
-    carries as its ``sdeg``.
+    ``G`` lifts the transitions g of X, one matrix per double in the low
+    chart's coordinates, and F_ij^* is the full truncated substitution.
+    When G is a cocycle modulo t^k, y has no part of t-degree below k and
+    its t^k-part is that of G_ij . F_ij^* G_jh . G_ih^-1 - 1, since G_ih
+    g_ih^-1 is 1 plus terms of positive t-degree; so the lifts are never
+    inverted.
     """
     k = ctx.order
-    g, g_inv = ctx.bundle.g, ctx.bundle.g_inv
-    values = {}
+    out = {}
     for tri in ctx.nerve.triples():
         i, j, h = tri
         ring = ctx.nerve.triple_rings[tri]
-        pulled = ctx.pullback((i, j), g[(j, h)][0, 0], full=True)
-        ratio = ring.mul(
-            ring.mul(g[(i, h)][0, 0], g_inv[(i, j)][0, 0], k), ring.invert_trunc(pulled, k), k
-        )
-        x = ratio - ring.one()
-        step = lambda m: m.map(lambda f: ring.mul(f, x, k))
-        coeff = lambda n: Fraction((-1) ** (n + 1), n)
-        log = _series(PolyMatrix([[ring.zero()]]), PolyMatrix([[ring.one()]]), step, coeff, k)
-        values[tri] = log[0, 0]
+        mul = lambda a, b: ring.mul(a, b, k)
+        pulled = G[(j, h)].map(lambda p: ctx.pullback((i, j), p, full=True))
+        defect = G[(i, j)].matmul(pulled, mul) - G[(i, h)]
+        out[tri] = defect.matmul(ctx.bundle.g_inv[(i, h)], mul)
+    return out
+
+
+def lift_obstruction(ctx: CechContext, G: Dict[Pair, PolyMatrix], k: int) -> CechCochain:
+    """o_k, the t^k-part of the transition defect of lifts ``G`` that are cocycles mod t^k.
+
+    The defect is first rechecked to have no part of t-degree below k;
+    then -delta(m) = o_k is solvable exactly when (1 + m) . G is a cocycle
+    modulo t^(k+1).
+    """
+    values = {}
+    for tri, y in transition_defect(ctx, G).items():
+        ring = ctx.nerve.triple_rings[tri]
+        low = min((ring.t_degree_min(p) for row in y.entries for p in row if p.terms), default=k)
+        if low < k:
+            raise NotClosed(
+                f"the lifted transitions are not a cocycle modulo t^{k} on {tri}: "
+                f"their defect has a part of t-degree {low}"
+            )
+        values[tri] = y.map(lambda p: ring.t_part(p, k))
+    return CechCochain(2, SYM_END, k, values)
+
+
+def second_order_obstruction(ctx: CechContext, m1: CechCochain) -> CechCochain:
+    """o_2 of the order-one lifts G_ij = (1 + m1_ij) . g_ij, for -delta(m1) = o_1."""
+    lifted = {}
+    for pair, g in ctx.bundle.g.items():
+        ring = ctx.nerve.pair_rings[pair][pair[0]]
+        one_plus = PolyMatrix.identity(ctx.bundle.rank, ring.names) + m1.value(ctx, pair)
+        lifted[pair] = one_plus.matmul(g, lambda a, b: ring.mul(a, b, ctx.order))
+    return lift_obstruction(ctx, lifted, 2)
+
+
+def transition_log_defect(ctx: CechContext) -> CechCochain:
+    """rho_ijh = -log(1 + y_ijh) = log(g_ih / (g_ij . F_ij^* g_jh)), for a rank-one bundle.
+
+    G_ij = g_ij . exp(lambda_ij) is a cocycle modulo t^(order+1) exactly
+    when delta(lambda) = rho for the FUNCTION transport.  The transitions
+    form a cocycle on X, so y has t-degree >= 1 and the log series stops
+    at the working order, which the cochain carries as its ``sdeg``.
+    """
+    k = ctx.order
+    values = {}
+    for tri, y in transition_defect(ctx, ctx.bundle.g).items():
+        ring = ctx.nerve.triple_rings[tri]
+        step = lambda m: m.map(lambda f: ring.mul(f, y[0, 0], k))
+        coeff = lambda n: Fraction((-1) ** n, n)
+        zero, one = PolyMatrix([[ring.zero()]]), PolyMatrix([[ring.one()]])
+        values[tri] = _series(zero, one, step, coeff, k)[0, 0]
     return CechCochain(2, FUNCTION, k, values)
 
 

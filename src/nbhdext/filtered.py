@@ -605,15 +605,6 @@ def contract(
     return acc
 
 
-def leibniz_extend(d: PairDerivation, gamma: Sequence[PolyMatrix]) -> PairDerivation:
-    """Fill the module action with the connection lift of the tangential data.
-
-    The image of the c-th frame section is sum_b D(u_b) * Gamma_b[:, c].
-    """
-    mat = contract(d.ring, d.u_images, gamma, d.order)
-    return PairDerivation(d.ring, d.order, d.u_images, d.t_images, mat, d.algebra_trunc)
-
-
 # -- chart transitions -------------------------------------------------------
 
 

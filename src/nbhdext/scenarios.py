@@ -32,6 +32,7 @@ from .cech import (
     cochain_coordinates,
     first_order_obstruction,
     kodaira_spencer_cochain,
+    lift_obstruction,
     second_order_obstruction,
     solve_coboundary,
     transition_log_defect,
@@ -517,7 +518,7 @@ def build_context(s: Scenario, order: int) -> CechContext:
         [PolyMatrix.zero(s.e, s.e, s.names) for _ in range(s.p)]
         for _ in range(len(s.charts_inverted))
     ]
-    bundle = BundleData(rank=s.e, g=dict(s.g), gammas=gammas, flat=list(s.flat))
+    bundle = BundleData(rank=s.e, g=dict(s.g), gammas=gammas)
     return CechContext(nerve, pairs, bundle, order)
 
 
@@ -775,17 +776,19 @@ def run_pipeline(
     k: int = 2,
     window: Optional[Tuple[int, int]] = None,
 ) -> ReportBundle:
-    """Validate, extract components, assemble obstructions and solve.
+    """Validate, lift the transitions order by order and solve each obstruction.
 
-    Orders one and two only; a request beyond that is refused with a
-    diagnostic because the quadratic cochain calculus is where exactness
-    of this engine ends.  An order below one, or above the ``max_order``
+    Order k solves o_k, the t^k-part of the cocycle defect of the
+    transitions lifted through the lower orders.  The paper's first-order
+    formula a^1 . At is kept and compared with o_1.  Orders one and two
+    only: o_k for k >= 3 depends on the lower lifts chosen, which the
+    report cannot yet say.  An order below one, or above the ``max_order``
     the scenario's data is checked to, is an input error.
     """
     if k > 2:
         raise NotClosed(
-            "order > 2 requested: the engine's cochain bracket calculus is "
-            "exact only through the quadratic terms, so higher lifts are refused"
+            "order > 2 requested: the order-k obstruction depends on the lower "
+            "lifts chosen, and reports cannot yet say so, so higher orders are refused"
         )
     if k < 1:
         raise ParseError(f"order must be 1 or 2, got {k}")
@@ -804,15 +807,18 @@ def run_pipeline(
             )
         )
     ctx = build_context(s, k)
-    at = atiyah_cocycle(ctx)
-    reports: List[ObstructionReport] = []
-
-    a1 = kodaira_spencer_cochain(ctx, 1)
-    c1 = first_order_obstruction(ctx, a1, at)
-    reports.append(_order_report(s, ctx, 1, c1, window))
-    status1 = reports[0].status
+    c1 = first_order_obstruction(ctx, kodaira_spencer_cochain(ctx, 1), atiyah_cocycle(ctx))
+    o1 = lift_obstruction(ctx, ctx.bundle.g, 1)
+    first = _order_report(s, ctx, 1, o1, window)
+    if cochain_coordinates(c1) != cochain_coordinates(o1):
+        first.notes.append(
+            "the cup product a1 . At and the lift obstruction o1 differ as cochains "
+            "(the connection forms are not zero); o1 is the target solved here"
+        )
+    reports: List[ObstructionReport] = [first]
 
     if k >= 2:
+        status1 = first.status
         if not isinstance(status1, Solved):
             reports.append(
                 ObstructionReport(
@@ -824,9 +830,15 @@ def run_pipeline(
                 )
             )
         else:
-            a2 = kodaira_spencer_cochain(ctx, 2)
-            c2 = second_order_obstruction(ctx, a2, at, status1.cochain)
-            reports.append(_order_report(s, ctx, 2, c2, window))
+            o2 = second_order_obstruction(ctx, status1.cochain)
+            second = _order_report(s, ctx, 2, o2, window)
+            if status1.torsor_dim > 0:
+                second.notes.append(
+                    f"order one has a torsor of dimension {status1.torsor_dim}: this "
+                    "verdict is about the order-one lift chosen here, and another "
+                    "choice may behave differently"
+                )
+            reports.append(second)
 
     abelianized = None
     if s.e == 1 and k >= 2:

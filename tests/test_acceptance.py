@@ -351,17 +351,17 @@ def test_criterion_8_abelianized_pair_exactness():
 # SHA-256 of run_pipeline(s, k=2).dumps() for the builtin sweep cases; a
 # refactor that changes any report byte must say so and update these
 GOLDEN_DIGESTS = {
-    ("affine_split", 0, 0): "7c6ff6d5fc8ace2a62f97b462665695011445e441e9e45bd0ca57616f97c80c3",
-    ("line_in_p2", -3, 0): "4861d473c85fa6905e1c0f388ff11b4f17ae6256ac409565a859976a22abf169",
-    ("line_in_p2", 0, 0): "de77609dac9c98f229d741668469955a7269581a9fd4986e6400cf21583c6952",
-    ("line_in_p2", 3, 0): "a84f950d13d1002c818976dfffe459a14994f044f6dda659c842f93f55f1cced",
-    ("line_in_p2", 2, 1): "2c9f0fe587e9a6d4ceb161268ca344d552eae0085db43a77af7fe085bc8ca92f",
-    ("diagonal_p1xp1", -2, 0): "5d64fa889b64d1b348de019e4ead68a2446e7a3a9b6ab47c57528f42aa19a5de",
-    ("diagonal_p1xp1", 1, 0): "a9211a9b54814f1731f98a2fa2fd17b394a5b4b74accfa2bfdc5ee3705a91888",
-    ("hyperplane_p2_in_p3", 1, 0): "882c902a1a3a10fc1797822a10422e4847ef8133126af24edceb7c36eb506930",
-    ("hyperplane_p2_in_p3", 2, 1): "807646c6ac8cac8bf44c7a9d73892b3c8cb6caee78fddb262bdc5eeb7578d632",
-    ("p1_in_line_bundle", 2, 0): "9720f46c7abb94e16dc5df1090107fdf6c67456232455396583fe8d42d11560d",
-    ("p1_in_line_bundle", 4, 0): "46c7cf1ebbd4292eaf325958789a5519f57c2b903e281321dbcfc3dfa4581eaa",
+    ("affine_split", 0, 0): "5b6b6756077bcc7ec13998fdb24b4db7cbae2807b481b19f2e3f78c25216cb9e",
+    ("line_in_p2", -3, 0): "15b674b1e7353197217464ca674810c967461623ba647116156c72fbf0ac5d78",
+    ("line_in_p2", 0, 0): "85853806f248d39b98616a431cce368cd4d4569246f852b21fcec57acb20e5fa",
+    ("line_in_p2", 3, 0): "6e93877ce5a6c21c57502130cedd7ebb578cabacf4876a4828583a515ccc5bc5",
+    ("line_in_p2", 2, 1): "ccf8e177836b2b0eb3763607b6be4babbecf128369d3f9194d46ae59e5807f4d",
+    ("diagonal_p1xp1", -2, 0): "c8da82d1a68b099c7c4f97f1f08130903cd2caf4c0bc39a46f0f9c6e5e29dd99",
+    ("diagonal_p1xp1", 1, 0): "0d082d91d65e69fd134aa6ee33280635f78720f41f3d2ec499b036d249026307",
+    ("hyperplane_p2_in_p3", 1, 0): "4e2d43e0cb979206e4251f6c0f38485fd8a89aa87e93a7640de723a30cd34175",
+    ("hyperplane_p2_in_p3", 2, 1): "e8624a2c12e962bce429d34b8b951e897ca3eb32ab5f292a4ca605733853f978",
+    ("p1_in_line_bundle", 2, 0): "37b03d81baded5e97690454a7afb0943cdf9de2ccbc2ddd6e684627e7855a03a",
+    ("p1_in_line_bundle", 4, 0): "85f6729e05a89af598d9c2940b2fe54669ccffe17221e846c46f356dbb4b7181",
 }
 
 

@@ -16,7 +16,6 @@ from nbhdext.filtered import (
     bracket,
     exp_nilpotent,
     induced_transition,
-    leibniz_extend,
     log_unipotent,
 )
 from nbhdext.laurent import LaurentPoly
@@ -416,49 +415,6 @@ def test_bch2_matches_composition_oracle():
         z = bch2(x, y)
         assert logc.component(1) == z.component(1)
         assert logc.component(2) == z.component(2)
-
-
-# -- Leibniz extension -------------------------------------------------------
-
-
-def trivial_connection(ring, rank):
-    return [PolyMatrix.zero(rank, rank, ring.names) for _ in range(ring.p)]
-
-
-def test_leibniz_extend_zero():
-    ring = ring_pq(1, 1)
-    d = PairDerivation.zero(ring, 2)
-    ext = leibniz_extend(d, trivial_connection(ring, 1))
-    assert ext.act(PolyMatrix([[ring.u_var(0)]]))[0, 0] == ring.zero()
-
-
-def test_leibniz_extend_on_coordinate_section():
-    # a1 = du -> t with trivial connection: on u*s the value is t*s
-    ring = ring_pq(1, 1)
-    t = ring.t_var(0)
-    d = PairDerivation(ring, 2, (t,), (ring.zero(),))
-    ext = leibniz_extend(d, trivial_connection(ring, 1))
-    out = ext.act(PolyMatrix([[ring.u_var(0)]]))
-    assert out[0, 0] == t * ring.u_var(0) * 0 + t  # D(u)*s with s the unit section
-
-
-def test_leibniz_extension_satisfies_product_rule():
-    rng = random.Random(5)
-    ring = ring_pq(2, 2)
-    for _ in range(10):
-        d = random_unipotent_derivation(rng, ring, 3)
-        gamma = [
-            PolyMatrix([[random_poly(rng, ring, 0, 0)]]) for _ in range(ring.p)
-        ]
-        ext = leibniz_extend(d, gamma)
-        f = random_poly(rng, ring, 0, 2)
-        g = random_poly(rng, ring, 0, 2)
-        fg = ring.mul(f, g, 3)
-        lhs = ext.act(PolyMatrix([[fg]]))[0, 0]
-        rhs = ring.truncate(
-            ring.mul(ext.apply(f), g, 3) + ring.mul(f, ext.act(PolyMatrix([[g]]))[0, 0], 3), 3
-        )
-        assert ring.truncate(lhs - rhs, 3).is_zero()
 
 
 # -- induced transitions ------------------------------------------------------

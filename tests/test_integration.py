@@ -24,6 +24,7 @@ from nbhdext.cech import (
     cech_differential,
     first_order_obstruction,
     kodaira_spencer_cochain,
+    lift_obstruction,
     second_order_obstruction,
     solve_coboundary,
 )
@@ -192,12 +193,9 @@ def test_first_order_obstruction_closed_and_solvable(ctx):
 
 
 def test_second_order_obstruction_closed_and_solvable(ctx):
-    a1 = kodaira_spencer_cochain(ctx, 1)
-    a2 = kodaira_spencer_cochain(ctx, 2)
-    at = atiyah_cocycle(ctx)
-    c1 = first_order_obstruction(ctx, a1, at)
-    m1 = solve_coboundary(ctx, c1, (-4, 4)).cochain
-    c2 = second_order_obstruction(ctx, a2, at, m1)
+    o1 = lift_obstruction(ctx, ctx.bundle.g, 1)
+    m1 = solve_coboundary(ctx, o1, (-4, 4)).cochain
+    c2 = second_order_obstruction(ctx, m1)
     assert not c2.is_zero()
     assert cech_differential(ctx, c2).is_zero()
     # transports spread the support, so order two needs the wider window
@@ -207,8 +205,8 @@ def test_second_order_obstruction_closed_and_solvable(ctx):
 
 # window half-width -> (order-two verdict, SHA-256 of the report bytes)
 FOUR_CHART_GOLDEN = {
-    5: (UnresolvedWithinWindow, "848b2997c1e4068179bb438f77b0e5b300194060a2a535fd68839d2d6403f6c5"),
-    6: (Solved, "5d24843f0294d79240e0c5d778cd950bea127471137bfb56239af236968a3700"),
+    5: (UnresolvedWithinWindow, "c3908f2f6f95fdf08ba904cdf15383bb0719884676933259b92b227749bc008d"),
+    6: (Solved, "7a474447d879d6db5794b75728ddde99e50236daa915824a2c10c6a21db49398"),
 }
 
 

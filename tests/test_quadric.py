@@ -15,7 +15,14 @@ from pathlib import Path
 import pytest
 
 from nbhdext import scenarios
-from nbhdext.cech import Solved, UnresolvedWithinWindow, transition_log_defect
+from nbhdext.cech import (
+    SYM_END,
+    CechCochain,
+    Solved,
+    UnresolvedWithinWindow,
+    cech_differential,
+    transition_log_defect,
+)
 from nbhdext.filtered import ChartRing
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix
@@ -153,20 +160,27 @@ def test_rank_one_system_decides_order_three_on_the_quadric(a, b, exact):
     assert result["exact"] is exact
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the order-two cup product is not closed on a non-split neighborhood "
-    "(ROADMAP item 1)",
-)
 def test_order_two_closedness_verified_on_the_quadric():
-    bundle = run_pipeline(quadric_scenario(1, 1), k=2)
-    assert bundle.reports[1].closedness == "verified"
+    # o_2 is the defect of lifted transitions, so it is closed on a non-split neighborhood too
+    for a, b in [(1, 1), (2, 2)]:
+        first, second = run_pipeline(quadric_scenario(a, b), k=2).reports
+        assert first.closedness == second.closedness == "verified", (a, b)
+        assert isinstance(second.status, Solved), (a, b)
 
 
 def test_unclosed_order_two_gets_no_certificate(monkeypatch):
-    # a certificate that certifies every target it is given: only the
-    # closedness guard keeps O(1,1)'s unclosed order-two cochain from being
-    # reported proven nonzero (the cochain is unclosed by ROADMAP item 1)
+    # a certificate that certifies every target it is given, and an order-two
+    # target made unclosed by one elementary cochain: only the closedness guard
+    # keeps it from being reported proven nonzero
+    lifted = scenarios.second_order_obstruction
+
+    def unclosed(ctx, m1):
+        ring = ctx.nerve.triple_rings[(0, 1, 2)]
+        bump = CechCochain(2, SYM_END, 2, {(0, 1, 2): PolyMatrix([[ring.monomial((0, 0, 2))]])})
+        assert ctx.nerve.quadruples() and not cech_differential(ctx, bump).is_zero()
+        return lifted(ctx, m1).add(bump)
+
+    monkeypatch.setattr(scenarios, "second_order_obstruction", unclosed)
     monkeypatch.setattr(
         scenarios, "h2_weight_test", lambda s, ctx, sdeg: lambda c2: [("any", "1")]
     )
