@@ -10,8 +10,9 @@ t^k-part of the cocycle defect (G_ij . F_ij^* G_jh - G_ih) . g_ih^-1 of
 transitions G lifted through the lower orders; for a rank-one bundle the
 log of the same defect gives one linear system: G_ij = g_ij exp(lambda_ij)
 is a cocycle modulo t^(k+1) exactly when delta(lambda) = rho.  The cup
-product a^1 . At is the paper's first-order formula, kept to compare with
-the lift.  Substitution is a linear ring map, so each context keeps one
+product a^1 . At is the paper's first-order formula; the pipeline does not
+run it, and the tests check that it equals o_1 when the connection forms
+are zero.  Substitution is a linear ring map, so each context keeps one
 memoized ``filtered.Substitution`` per overlap and transport, and the
 columns of delta are read off the cofaces of one simplex at a time.  All
 assembly is canonical: simplices, matrix entries and monomials are always
@@ -28,7 +29,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cohomology
 from .errors import FrameMismatch, NotClosed
-from .filtered import ChartRing, PairDerivation, Substitution, _series, contract
+from .filtered import (
+    ChartRing,
+    FilteredAutomorphism,
+    PairDerivation,
+    Substitution,
+    _series,
+    contract,
+    log_unipotent,
+)
 from .laurent import Exponent, LaurentPoly, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, matrix_rank, solve_exact
 
@@ -97,7 +106,12 @@ class OverlapGeometry:
     conormal_ji: PolyMatrix            # t^j_a = sum_b C[a][b] t^i_b (over ring_i)
     conormal_ij: PolyMatrix
     forward: Dict[str, LaurentPoly]    # full images over ring_i of the chart-j coordinates
-    logphi: PairDerivation             # log of the unipotent discrepancy in the i-frame
+    unipotent: FilteredAutomorphism    # unipotent discrepancy in the i-frame
+
+    @cached_property
+    def logphi(self) -> PairDerivation:
+        """Log of the unipotent discrepancy, built on first read: only a^s needs it."""
+        return log_unipotent(self.unipotent)
 
     @cached_property
     def images_ji(self) -> Dict[str, LaurentPoly]:
@@ -272,27 +286,6 @@ class CechContext:
                     table.setdefault(tau[:pos] + tau[pos + 1:], []).append((tau, pos))
             self._cofaces[size] = table
         return self._cofaces[size].get(simplex, [])
-
-    # -- derivation transport ---------------------------------------------------
-
-    def derivation_to_low(self, pair: Pair, d: PairDerivation) -> PairDerivation:
-        """Conjugate the algebra part of a j-frame pair derivation into the i-frame."""
-        g = self._geom(pair)
-        ring_i = g.ring_i
-        k = min(d.order, self.order)
-
-        def moved(name: str) -> LaurentPoly:
-            # the chart-i generator in the j-frame, hit by d and moved low
-            image = self.pullback(pair, d.apply(g.images_ij[name]))
-            return ring_i.truncate(image, self.order)
-
-        return PairDerivation(
-            ring_i,
-            k,
-            tuple(moved(name) for name in ring_i.u_names),
-            tuple(moved(name) for name in ring_i.t_names),
-            algebra_trunc=k,
-        )
 
     # -- connections and the Atiyah cochain ---------------------------------------
 

@@ -27,11 +27,8 @@ from .cech import (
     UnresolvedWithinWindow,
     FUNCTION,
     SYM_END,
-    atiyah_cocycle,
     cech_differential,
     cochain_coordinates,
-    first_order_obstruction,
-    kodaira_spencer_cochain,
     lift_obstruction,
     second_order_obstruction,
     solve_coboundary,
@@ -41,7 +38,7 @@ from .cech import (
     _exact_system,
 )
 from .errors import NotClosed, ParseError, SchemaVersionError, UnknownScenario
-from .filtered import ChartRing, ChartTransition, Substitution, induced_transition, log_unipotent
+from .filtered import ChartRing, ChartTransition, Substitution, induced_transition
 from .laurent import Exponent, LaurentPoly, format_fraction
 from .linsolve import PolyMatrix, solve_exact
 
@@ -511,7 +508,7 @@ def build_context(s: Scenario, order: int) -> CechContext:
             conormal_ji=fwd.conormal,
             conormal_ij=bwd.conormal,
             forward=dict(zip(s.names, o.forward_u + o.forward_t)),
-            logphi=log_unipotent(fwd.unipotent),
+            unipotent=fwd.unipotent,
         )
 
     gammas = s.gammas or [
@@ -779,16 +776,17 @@ def run_pipeline(
     """Validate, lift the transitions order by order and solve each obstruction.
 
     Order k solves o_k, the t^k-part of the cocycle defect of the
-    transitions lifted through the lower orders.  The paper's first-order
-    formula a^1 . At is kept and compared with o_1.  Orders one and two
-    only: o_k for k >= 3 depends on the lower lifts chosen, which the
-    report cannot yet say.  An order below one, or above the ``max_order``
-    the scenario's data is checked to, is an input error.
+    transitions lifted through the lower orders.  Orders one and two only:
+    the pipeline builds just the order-one lift (1 + m1) . g, and nothing
+    yet lifts through order two or checks o_3.  An order below one, or
+    above the ``max_order`` the scenario's data is checked to, is an input
+    error.
     """
     if k > 2:
         raise NotClosed(
-            "order > 2 requested: the order-k obstruction depends on the lower "
-            "lifts chosen, and reports cannot yet say so, so higher orders are refused"
+            "order > 2 requested: only the order-one lift (1 + m1) . g is built, "
+            "and nothing yet lifts through order two or checks o_3, so higher "
+            "orders are refused"
         )
     if k < 1:
         raise ParseError(f"order must be 1 or 2, got {k}")
@@ -807,14 +805,7 @@ def run_pipeline(
             )
         )
     ctx = build_context(s, k)
-    c1 = first_order_obstruction(ctx, kodaira_spencer_cochain(ctx, 1), atiyah_cocycle(ctx))
-    o1 = lift_obstruction(ctx, ctx.bundle.g, 1)
-    first = _order_report(s, ctx, 1, o1, window)
-    if cochain_coordinates(c1) != cochain_coordinates(o1):
-        first.notes.append(
-            "the cup product a1 . At and the lift obstruction o1 differ as cochains "
-            "(the connection forms are not zero); o1 is the target solved here"
-        )
+    first = _order_report(s, ctx, 1, lift_obstruction(ctx, ctx.bundle.g, 1), window)
     reports: List[ObstructionReport] = [first]
 
     if k >= 2:

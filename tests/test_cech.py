@@ -20,6 +20,7 @@ from nbhdext.cech import (
 from nbhdext.filtered import (
     ChartRing,
     FilteredAutomorphism,
+    PairDerivation,
     log_unipotent,
 )
 from nbhdext.laurent import LaurentPoly
@@ -81,6 +82,25 @@ def test_extracted_tangential_components_are_delta_closed():
         assert cech_differential(ctx, a1).is_zero()
 
 
+def derivation_to_low(ctx, pair, d):
+    """Conjugate the algebra part of a j-frame pair derivation into the i-frame."""
+    g = ctx.pairs[pair]
+    ring_i = g.ring_i
+    k = min(d.order, ctx.order)
+
+    def moved(name):
+        # the chart-i generator in the j-frame, hit by d and moved low
+        return ring_i.truncate(ctx.pullback(pair, d.apply(g.images_ij[name])), ctx.order)
+
+    return PairDerivation(
+        ring_i,
+        k,
+        tuple(moved(name) for name in ring_i.u_names),
+        tuple(moved(name) for name in ring_i.t_names),
+        algebra_trunc=k,
+    )
+
+
 def test_degree_two_bch_cocycle_condition():
     # log phi_ih = log phi_ij + T log phi_jh + [.,.]/2 in degree 2
     from nbhdext.filtered import bracket
@@ -89,7 +109,7 @@ def test_degree_two_bch_cocycle_condition():
     i, j, h = 0, 1, 2
     d_ij = ctx.pairs[(i, j)].logphi
     d_ih = ctx.pairs[(i, h)].logphi
-    d_jh = ctx.derivation_to_low((i, j), ctx.pairs[(j, h)].logphi)
+    d_jh = derivation_to_low(ctx, (i, j), ctx.pairs[(j, h)].logphi)
     lhs = d_ih.component(2)
     x1, y1 = d_ij.component(1), d_jh.component(1)
     rhs = d_ij.component(2) + d_jh.component(2) + bracket(x1, y1).scaled(F(1, 2))
