@@ -5,18 +5,18 @@ index.  Values move to a lower frame by substituting the high chart's
 coordinates, in one of two ways.  Sym^v N^*-valued data moves through the
 linear (conormal) part of the chart transitions, with bundle-valued data
 conjugated through the transition matrices; functions move through the
-full truncated transition F_ij^*.  The obstruction at order k is the
-t^k-part of the cocycle defect (G_ij . F_ij^* G_jh - G_ih) . g_ih^-1 of
-transitions G lifted through the lower orders; for a rank-one bundle the
-log of the same defect gives one linear system: G_ij = g_ij exp(lambda_ij)
-is a cocycle modulo t^(k+1) exactly when delta(lambda) = rho.  The cup
-product a^1 . At is the paper's first-order formula; the pipeline does not
-run it, and the tests check that it equals o_1 when the connection forms
-are zero.  Substitution is a linear ring map, so each context keeps one
-memoized ``filtered.Substitution`` per overlap and transport, and the
-columns of delta are read off the cofaces of one simplex at a time.  All
-assembly is canonical: simplices, matrix entries and monomials are always
-walked in sorted order, so reports are byte-stable.
+full truncated transition F_ij^*.  The obstruction o_k is the t^k-part of
+the cocycle defect (G_ij . F_ij^* G_jh - G_ih) . g_ih^-1 of transitions
+lifted order by order, G <- (1 + m) . G with -delta(m) = o_n; for a
+rank-one bundle the log of the same defect gives one linear system:
+G_ij = g_ij exp(lambda_ij) is a cocycle modulo t^(k+1) exactly when
+delta(lambda) = rho.  The cup product a^1 . At is the paper's first-order
+formula; the pipeline does not run it, and the tests check that it equals
+o_1 when the connection forms are zero.  Substitution is a linear ring
+map, so each context keeps one memoized ``filtered.Substitution`` per
+overlap and transport, and the columns of delta are read off the cofaces
+of one simplex at a time.  All assembly is canonical: simplices, matrix
+entries and monomials are walked in sorted order, so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -490,14 +490,21 @@ def lift_obstruction(ctx: CechContext, G: Dict[Pair, PolyMatrix], k: int) -> Cec
     return CechCochain(2, SYM_END, k, values)
 
 
+def lift_transitions(
+    ctx: CechContext, G: Dict[Pair, PolyMatrix], m: CechCochain
+) -> Dict[Pair, PolyMatrix]:
+    """(1 + m_ij) . G_ij on each double: the lifts one order up, for -delta(m) = o_k of ``G``."""
+    lifted = {}
+    for pair, g in G.items():
+        ring = ctx.nerve.pair_rings[pair][pair[0]]
+        one_plus = PolyMatrix.identity(ctx.bundle.rank, ring.names) + m.value(ctx, pair)
+        lifted[pair] = one_plus.matmul(g, lambda a, b: ring.mul(a, b, ctx.order))
+    return lifted
+
+
 def second_order_obstruction(ctx: CechContext, m1: CechCochain) -> CechCochain:
     """o_2 of the order-one lifts G_ij = (1 + m1_ij) . g_ij, for -delta(m1) = o_1."""
-    lifted = {}
-    for pair, g in ctx.bundle.g.items():
-        ring = ctx.nerve.pair_rings[pair][pair[0]]
-        one_plus = PolyMatrix.identity(ctx.bundle.rank, ring.names) + m1.value(ctx, pair)
-        lifted[pair] = one_plus.matmul(g, lambda a, b: ring.mul(a, b, ctx.order))
-    return lift_obstruction(ctx, lifted, 2)
+    return lift_obstruction(ctx, lift_transitions(ctx, ctx.bundle.g, m1), 2)
 
 
 def transition_log_defect(ctx: CechContext) -> CechCochain:

@@ -42,7 +42,7 @@ def main(argv=None) -> int:
 
     p_obs = sub.add_parser("obstruct", help="run the obstruction pipeline")
     p_obs.add_argument("scenario", nargs="+", help="scenario JSON file(s)")
-    p_obs.add_argument("--order", type=int, default=2, help="highest order to lift to (1 or 2)")
+    p_obs.add_argument("--order", type=int, default=2, help="highest order to lift to, 1..max_order")
     p_obs.add_argument("--window", type=int, default=None,
                        help="half-width W of the solve window [-W, W]")
     p_obs.add_argument("--out", default=None, help="write the report JSON here")

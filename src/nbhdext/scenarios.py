@@ -30,7 +30,7 @@ from .cech import (
     cech_differential,
     cochain_coordinates,
     lift_obstruction,
-    second_order_obstruction,
+    lift_transitions,
     solve_coboundary,
     transition_log_defect,
     _assemble_cochain,
@@ -288,6 +288,8 @@ def scenario_from_json(data: dict) -> Scenario:
     flat = _field(bundle, "flat", "bundle", list, [True] * n_charts)
     _require(len(flat) == n_charts and all(isinstance(x, bool) for x in flat),
              f"bundle.flat: expected {n_charts} booleans, got {flat!r}")
+    max_order = _field(data, "max_order", "", int, 2)
+    _require(max_order >= 1, f"max_order: expected at least 1, got {max_order}")
     window = _ints(_field(data, "window", "", list, [-6, 6]), "window", 2)
     _require(window[0] <= window[1], f"window: expected lo <= hi, got {list(window)}")
 
@@ -296,7 +298,7 @@ def scenario_from_json(data: dict) -> Scenario:
         p=p,
         q=q,
         e=e,
-        max_order=_field(data, "max_order", "", int, 2),
+        max_order=max_order,
         charts_inverted=charts_inverted,
         overlaps=overlaps,
         triples=triples,
@@ -775,25 +777,16 @@ def run_pipeline(
 ) -> ReportBundle:
     """Validate, lift the transitions order by order and solve each obstruction.
 
-    Order k solves o_k, the t^k-part of the cocycle defect of the
-    transitions lifted through the lower orders.  Orders one and two only:
-    the pipeline builds just the order-one lift (1 + m1) . g, and nothing
-    yet lifts through order two or checks o_3.  An order below one, or
-    above the ``max_order`` the scenario's data is checked to, is an input
-    error.
+    Order n solves o_n, the t^n-part of the cocycle defect of the
+    transitions G lifted through the lower orders, and its solution m lifts
+    them to (1 + m) . G.  Orders after the first unresolved one are skipped.
+    A k outside 1..``max_order``, the order the data is checked to, is an
+    input error.
     """
-    if k > 2:
-        raise NotClosed(
-            "order > 2 requested: only the order-one lift (1 + m1) . g is built, "
-            "and nothing yet lifts through order two or checks o_3, so higher "
-            "orders are refused"
-        )
-    if k < 1:
-        raise ParseError(f"order must be 1 or 2, got {k}")
-    if k > s.max_order:
+    if not 1 <= k <= s.max_order:
         raise ParseError(
-            f"order {k} requested but the scenario's data is only given to "
-            f"max_order {s.max_order}"
+            f"order {k} requested but orders run from 1 to the scenario's "
+            f"max_order {s.max_order}, the order its data is checked to"
         )
     window = tuple(window or s.window)
     log = validate_scenario(s)
@@ -805,31 +798,29 @@ def run_pipeline(
             )
         )
     ctx = build_context(s, k)
-    first = _order_report(s, ctx, 1, lift_obstruction(ctx, ctx.bundle.g, 1), window)
-    reports: List[ObstructionReport] = [first]
-
-    if k >= 2:
-        status1 = first.status
-        if not isinstance(status1, Solved):
+    # notes name orders one and two in words, as their reports always have
+    name = lambda n: ("one", "two")[n - 1] if n <= 2 else str(n)
+    G = ctx.bundle.g
+    reports: List[ObstructionReport] = []
+    for order in range(1, k + 1):
+        failed = [r.order for r in reports if not isinstance(r.status, Solved)]
+        if failed:
+            note = f"order {name(failed[0])} did not resolve, so order {name(order)} is untested"
+            empty = CechCochain(2, SYM_END, order, {})
             reports.append(
-                ObstructionReport(
-                    2,
-                    "skipped",
-                    UnresolvedWithinWindow(window),
-                    CechCochain(2, SYM_END, 2, {}),
-                    notes=["order one did not resolve, so order two is untested"],
-                )
+                ObstructionReport(order, "skipped", UnresolvedWithinWindow(window), empty, [note])
             )
-        else:
-            o2 = second_order_obstruction(ctx, status1.cochain)
-            second = _order_report(s, ctx, 2, o2, window)
-            if status1.torsor_dim > 0:
-                second.notes.append(
-                    f"order one has a torsor of dimension {status1.torsor_dim}: this "
-                    "verdict is about the order-one lift chosen here, and another "
-                    "choice may behave differently"
-                )
-            reports.append(second)
+            continue
+        report = _order_report(s, ctx, order, lift_obstruction(ctx, G, order), window)
+        report.notes += [
+            f"order {name(r.order)} has a torsor of dimension {r.status.torsor_dim}: this "
+            f"verdict is about the order-{name(r.order)} lift chosen here, and another "
+            "choice may behave differently"
+            for r in reports if r.status.torsor_dim > 0
+        ]
+        reports.append(report)
+        if isinstance(report.status, Solved) and order < k:
+            G = lift_transitions(ctx, G, report.status.cochain)
 
     abelianized = None
     if s.e == 1 and k >= 2:

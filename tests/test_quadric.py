@@ -155,7 +155,6 @@ def test_builtin_sweep_flags_an_inexact_rank_one_system():
 
 @pytest.mark.parametrize("a, b, exact", [(1, 1, True), (2, 2, True), (1, 0, False)])
 def test_rank_one_system_decides_order_three_on_the_quadric(a, b, exact):
-    # the order > 2 refusal belongs to the cup-product path, not to the context
     result = solve_abelianized(build_context(quadric_scenario(a, b), 3), (-4, 4))
     assert result["exact"] is exact
 
@@ -172,15 +171,17 @@ def test_unclosed_order_two_gets_no_certificate(monkeypatch):
     # a certificate that certifies every target it is given, and an order-two
     # target made unclosed by one elementary cochain: only the closedness guard
     # keeps it from being reported proven nonzero
-    lifted = scenarios.second_order_obstruction
+    lifted = scenarios.lift_obstruction
 
-    def unclosed(ctx, m1):
+    def unclosed(ctx, G, k):
+        if k != 2:
+            return lifted(ctx, G, k)
         ring = ctx.nerve.triple_rings[(0, 1, 2)]
         bump = CechCochain(2, SYM_END, 2, {(0, 1, 2): PolyMatrix([[ring.monomial((0, 0, 2))]])})
         assert ctx.nerve.quadruples() and not cech_differential(ctx, bump).is_zero()
-        return lifted(ctx, m1).add(bump)
+        return lifted(ctx, G, k).add(bump)
 
-    monkeypatch.setattr(scenarios, "second_order_obstruction", unclosed)
+    monkeypatch.setattr(scenarios, "lift_obstruction", unclosed)
     monkeypatch.setattr(
         scenarios, "h2_weight_test", lambda s, ctx, sdeg: lambda c2: [("any", "1")]
     )

@@ -11,7 +11,6 @@ from nbhdext.cech import Solved
 from nbhdext.cli import main as cli_main
 from nbhdext.errors import (
     EngineError,
-    NotClosed,
     ParseError,
     SchemaVersionError,
     UnknownScenario,
@@ -148,11 +147,17 @@ def test_line_in_p2_order_one_torsor_matches_oracle():
         assert r1.status.h1_oracle == 0
 
 
-def test_order_three_refused():
+def test_order_three_runs_and_max_order_bounds_k(tmp_path, capsys):
     s = generate_builtin("line_in_p2", d=1)
-    with pytest.raises(NotClosed) as err:
-        run_pipeline(s, k=3)
-    assert "order" in str(err.value)
+    assert [r.order for r in run_pipeline(s, k=3).reports] == [1, 2, 3]
+    with pytest.raises(ParseError, match=f"max_order {s.max_order}"):
+        run_pipeline(s, k=s.max_order + 1)
+    scn = tmp_path / "s.json"
+    save_scenario(s, scn.as_posix())
+    assert cli_main(["obstruct", scn.as_posix(), "--order", "3"]) == 0
+    capsys.readouterr()
+    assert cli_main(["obstruct", scn.as_posix(), "--order", str(s.max_order + 1)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: order {s.max_order + 1} requested")
 
 
 def test_pipeline_determinism_across_workers():
@@ -219,7 +224,9 @@ def test_cli_order_below_one_is_an_input_error(tmp_path, capsys, order):
     scn = tmp_path / "s.json"
     cli_main(["generate", "line_in_p2", "-d", "1", "-o", scn.as_posix()])
     assert cli_main(["obstruct", scn.as_posix(), "--order", order]) == 2
-    assert capsys.readouterr().err.startswith("error: order must be 1 or 2")
+    assert capsys.readouterr().err.startswith(
+        f"error: order {order} requested but orders run from 1 to the scenario's max_order 3"
+    )
 
 
 def test_order_above_max_order_is_an_input_error(tmp_path, capsys):
@@ -291,10 +298,12 @@ def _file(write):
         (_file(lambda path: None), "bad.json"),
         (_file(lambda path: path.mkdir()), "bad.json"),
         (_file(lambda path: path.write_bytes(b'{"name": "\xff"}')), "bad.json"),
+        # truncating at t^0 kills t, so max_order 0 would only fail validation obscurely
+        (_set(0, "max_order"), "max_order"),
     ],
     ids=["no_pair", "bad_transition_key", "unknown_chart", "chart_not_object",
          "no_forward_u", "bad_window", "reversed_window", "negative_inverted_exponent",
-         "missing_file", "directory", "not_utf8"],
+         "missing_file", "directory", "not_utf8", "max_order_zero"],
 )
 def test_malformed_scenario_is_an_input_error(tmp_path, capsys, edit, field):
     doc = generate_builtin("line_in_p2", d=1).to_json()
