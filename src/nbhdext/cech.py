@@ -14,9 +14,14 @@ delta(lambda) = rho.  The cup product a^1 . At is the paper's first-order
 formula; the pipeline does not run it, and the tests check that it equals
 o_1 when the connection forms are zero.  Substitution is a linear ring
 map, so each context keeps one memoized ``filtered.Substitution`` per
-overlap and transport, and the columns of delta are read off the cofaces
-of one simplex at a time.  All assembly is canonical: simplices, matrix
-entries and monomials are walked in sorted order, so reports are byte-stable.
+overlap and transport.  The columns of delta are read off the cofaces of
+one simplex at a time, and each column is linear in one pullback: a
+window monomial is pulled back once, and an End E entry is conjugated by
+multiplying that pullback with a memoized product g[a][r] . g^-1[c][b]
+per target entry.  Whole cochains, and the residual rechecks of every
+solve, move through ``transport``.
+All assembly is canonical: simplices, matrix entries and monomials are
+walked in sorted order, so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .filtered import (
     log_unipotent,
 )
 from .laurent import Exponent, LaurentPoly, monomial_window
-from .linsolve import ExactLinearSystem, PolyMatrix, matrix_rank, solve_exact
+from .linsolve import ExactLinearSystem, PolyMatrix, _rref, solve_exact
 
 Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
@@ -188,7 +193,9 @@ class CechContext:
         # memos of derived data; they live and die with this context
         self._substitutions: Dict[Tuple[Pair, bool], Substitution] = {}
         self._elementary_images: Dict[Tuple, Dict[Tuple, Fraction]] = {}
+        self._conjugators: Dict[Pair, List[List[List[Tuple]]]] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
+        self._window_exponents: Dict[Tuple, List[Exponent]] = {}
         self._delta_maps: Dict[Tuple, Tuple[List[Tuple], List[Dict]]] = {}
 
     # -- elementary transports (j-frame value to i-frame, (i,j) a stored pair) --
@@ -264,13 +271,54 @@ class CechContext:
     def elementary_to_low(
         self, pair: Pair, vtype: str, entry: Tuple[int, int], exps: Exponent
     ) -> Dict[Tuple, Fraction]:
-        """Coordinates (entry, exps) of one high-frame basis monomial moved low, memoized."""
+        """Coordinates (entry, exps) of one high-frame basis monomial moved low, memoized.
+
+        The monomial x^exps is pulled back once, as P: fully for a
+        ``FUNCTION``, whose coordinates are those of P, and linearly for
+        ``SYM_END``.  There E_rc . P moves to g . (E_rc . P) . g^-1, whose
+        entry (a, b) is P . g[a][r] . g^-1[c][b]: t-degrees are >= 0 and
+        the charts have no ``base_trunc``, so truncation is a ring map and
+        the conjugation is one product with a memoized scalar per entry.
+        """
         key = (pair, vtype, entry, exps)
-        if key not in self._elementary_images:
-            high = (self._geom(pair).j,)
-            value = _elementary_cochain(self, vtype, 0, (high, entry, exps)).values[high]
-            self._elementary_images[key] = _coordinates(vtype, self.transport(pair, vtype, value))
-        return self._elementary_images[key]
+        coords = self._elementary_images.get(key)
+        if coords is None:
+            if vtype not in (FUNCTION, SYM_END):
+                raise ValueError(f"delta columns are built for functions and End E, not {vtype!r}")
+            geom = self._geom(pair)
+            moved = self.pullback(pair, geom.ring_j.monomial(exps), full=vtype == FUNCTION)
+            if vtype == FUNCTION:
+                images = [((0, 0), moved)]
+            else:
+                r, c = entry
+                images = [
+                    (ab, moved if k is None else geom.ring_i.mul(moved, k, self.order))
+                    for ab, k in self._conjugator(pair)[r][c]
+                ]
+            coords = {(ab, e): x for ab, poly in images for e, x in poly.sorted_terms()}
+            self._elementary_images[key] = coords
+        return coords
+
+    def _conjugator(self, pair: Pair) -> List[List[List[Tuple]]]:
+        """K[r][c] = [((a, b), g[a][r] . g^-1[c][b]) for each nonzero product], row-major in (a, b).
+
+        A product equal to 1 is stored as None: P . 1 is P, already
+        truncated.  In rank one g . g^-1 = 1, so every image is P itself.
+        """
+        table = self._conjugators.get(pair)
+        if table is None:
+            ring, e = self._geom(pair).ring_i, self.bundle.rank
+            gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
+            one = ring.one()
+            table = [[[] for _ in range(e)] for _ in range(e)]
+            for r, c, a, b in iproduct(range(e), repeat=4):
+                if not (gm[a, r].terms and gi[c, b].terms):
+                    continue
+                k = ring.mul(gm[a, r], gi[c, b], self.order)
+                if k.terms:
+                    table[r][c].append(((a, b), None if k == one else k))
+            self._conjugators[pair] = table
+        return table
 
     def cofaces(self, simplex: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], int]]:
         """(coface, position of the vertex it adds) for each coface, sorted."""
@@ -564,13 +612,15 @@ def allowed_exponent(ring: ChartRing, w: Exponent) -> bool:
     return False
 
 
-def _window_exponents(ring: ChartRing, window: Tuple[int, int]) -> List[Exponent]:
-    lo, hi = window
-    return [
-        w
-        for w in monomial_window([(lo, hi)] * ring.p)
-        if allowed_exponent(ring, w)
-    ]
+def _window_exponents(ctx: CechContext, ring: ChartRing, window: Tuple[int, int]) -> List[Exponent]:
+    """Allowed tangential exponents in the window box, memoized per (p, inverted, window)."""
+    key = (ring.p, ring.inverted, tuple(window))
+    exps = ctx._window_exponents.get(key)
+    if exps is None:
+        lo, hi = window
+        exps = [w for w in monomial_window([(lo, hi)] * ring.p) if allowed_exponent(ring, w)]
+        ctx._window_exponents[key] = exps
+    return exps
 
 
 def _window_basis(
@@ -592,18 +642,12 @@ def _window_basis(
     for simplex in simplices:
         ring = ctx.ring_of(simplex)
         t_monos = ring.t_monomials(sdeg)
-        u_exps = _window_exponents(ring, window)
+        u_exps = _window_exponents(ctx, ring, window)
         for entry in entries:
             for tm in t_monos:
                 for ue in u_exps:
                     basis.append((simplex, entry, tuple(ue) + tuple(tm)))
     return basis
-
-
-def _elementary_cochain(
-    ctx: CechContext, vtype: str, sdeg: int, key
-) -> CechCochain:
-    return _assemble_cochain(ctx, len(key[0]) - 1, vtype, sdeg, [key], [1])
 
 
 def _assemble_cochain(
@@ -662,11 +706,13 @@ def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[Tuple, Frac
 
     delta of the elementary cochain at (simplex, entry, exps) lives on the
     cofaces of its simplex.  Where the simplex is the face that drops the
-    coface's first vertex, the monomial is transported through the
-    coface's leading pair; on any other face it is the key itself with the
-    alternating sign of the dropped vertex.  Cofaces come in sorted order,
-    so a column lists its keys as ``cochain_coordinates`` of the full
-    differential would.
+    coface's first vertex, the monomial moves low through the coface's
+    leading pair by ``CechContext.elementary_to_low``: one pullback of the
+    monomial, times one memoized conjugation scalar per End E entry.  On
+    any other face it is the key itself with the alternating sign of the
+    dropped vertex.  Cofaces come in sorted order, and each moved monomial
+    lists its entries row-major and their terms sorted, so a column lists
+    its keys as ``cochain_coordinates`` of the full differential would.
     """
     columns = []
     for simplex, entry, exps in basis:
@@ -697,31 +743,26 @@ def _delta_map(
 
 
 def _exact_system(
-    columns: List[Dict[Tuple, Fraction]],
-    rhs: Dict[Tuple, Fraction],
-    exclude=(),
+    columns: List[Dict[Tuple, Fraction]], rhs: Dict[Tuple, Fraction]
 ) -> ExactLinearSystem:
-    """sum_k x_k columns[k] = rhs over every coordinate key not in ``exclude``.
+    """sum_k x_k columns[k] = rhs over every coordinate key.
 
     The rows are all keys the columns or the right-hand side touch, in
     order of first appearance; the solver's answers do not depend on the
     order of the rows.  Each row is filled straight from the columns'
     entries, so its zeros are never written.
     """
-    excluded = set(exclude)
     index: Dict[Tuple, int] = {}
     rows: List[Dict[int, Fraction]] = []
     for k, col in enumerate(columns):
         for kk, x in col.items():
-            if kk in excluded:
-                continue
             i = index.get(kk)
             if i is None:
                 i = index[kk] = len(rows)
                 rows.append({})
             rows[i][k] = x
     for kk in rhs:
-        if kk not in excluded and kk not in index:
+        if kk not in index:
             index[kk] = len(rows)
             rows.append({})
     zero = Fraction(0)
@@ -730,6 +771,24 @@ def _exact_system(
         rows=rows,
         rhs=[rhs.get(kk, zero) for kk in index],
     )
+
+
+def _rank_inside(columns: List[Dict[Tuple, Fraction]], inside) -> int:
+    """rank(A) - rank(P_out A) for the matrix A of ``columns``; P_out drops the ``inside`` keys.
+
+    One walk of the columns splits the rows of A into those outside and
+    those inside.  One elimination folds the outside rows first, so its
+    rank after them is rank(P_out A) and its rank after all rows is rank(A).
+    """
+    inside = set(inside)
+    split: Tuple[Dict[Tuple, Dict[int, Fraction]], ...] = ({}, {})
+    for k, col in enumerate(columns):
+        for kk, x in col.items():
+            split[kk in inside].setdefault(kk, {})[k] = x
+    outside_rows, inside_rows = split
+    reduced = _rref(outside_rows.values())
+    rank_outside = len(reduced)
+    return len(_rref(inside_rows.values(), reduced)) - rank_outside
 
 
 def _im_delta0_inside(
@@ -741,16 +800,16 @@ def _im_delta0_inside(
 ) -> int:
     """Dimension of the window-supported part of the coboundary image.
 
-    Chart 0-cochains from the same window are pushed through delta; images
-    that leave the span of the 1-cochain window ``basis`` are cut by
-    intersecting with it exactly.
+    Chart 0-cochains from the same window are pushed through delta_0.  An
+    image lies in the span W of the 1-cochain window ``basis`` exactly when
+    its coordinates outside W vanish, so with P_out the projection that
+    drops W's keys, dim(im delta_0 & W) = rank(delta_0) - rank(P_out delta_0)
+    (ker delta_0 lies inside ker P_out delta_0).  Both ranks come from one
+    elimination.
     """
     charts = [(i,) for i in range(ctx.nerve.n)]
     _, cols = _delta_map(ctx, vtype, sdeg, charts, window)
-    # dim(im delta & W) = rank(delta) - rank(P_out delta), since ker(delta) <= ker(P_out delta)
-    return matrix_rank(_exact_system(cols, {}).rows) - matrix_rank(
-        _exact_system(cols, {}, exclude=basis).rows
-    )
+    return _rank_inside(cols, basis)
 
 
 def solve_coboundary(

@@ -249,7 +249,9 @@ class Solution:
     nullspace: List[List[Fraction]] = field(default_factory=list)
 
 
-def _rref(rows: Iterable[Mapping[int, Fraction]]) -> Dict[int, Row]:
+def _rref(
+    rows: Iterable[Mapping[int, Fraction]], reduced: Optional[Dict[int, Row]] = None
+) -> Dict[int, Row]:
     """Sparse reduced row echelon form over Q.
 
     Returns ``{pivot column: row}``, each row a ``{column: nonzero entry}``
@@ -257,9 +259,12 @@ def _rref(rows: Iterable[Mapping[int, Fraction]]) -> Dict[int, Row]:
     in one at a time: a new row is reduced by the pivots found so far, its
     leftmost surviving entry becomes a pivot, and that column is cleared
     from the earlier rows.  The reduced echelon form of a matrix is unique,
-    so the result does not depend on the order of the rows.
+    so the result does not depend on the order of the rows.  Passing an
+    earlier result as ``reduced`` folds more rows into it, in place: the
+    elimination goes on where it stopped.
     """
-    reduced: Dict[int, Row] = {}
+    if reduced is None:
+        reduced = {}
     for given in rows:
         row = {c: x for c, x in given.items() if x}
         # a reduced row is 0 at the other pivots, so each pivot is cleared once

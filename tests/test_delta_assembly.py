@@ -1,11 +1,14 @@
-"""delta columns read off cofaces, their sparse system and the transport memo.
+"""delta columns read off cofaces, their sparse system, the rank split and the transport memo.
 
 ``cech_differential`` of a whole elementary cochain is the oracle for the
-columns, a dense matrix written out here is the oracle for the sparse
-system built from them, and one truncated substitution of a whole
-polynomial is the oracle for the memoized pullback, linear and full.
+columns, and ``end_to_low`` of a whole elementary matrix for each moved
+monomial.  A dense matrix written out here is the oracle for the sparse
+system built from the columns and for the torsor count's rank split, and
+one truncated substitution of a whole polynomial is the oracle for the
+memoized pullback, linear and full.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,11 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbhdext import cech, scenarios
-from nbhdext.cech import (
-    _elementary_cochain,
-    cech_differential,
-    cochain_coordinates,
-)
+from nbhdext.cech import _assemble_cochain, cech_differential, cochain_coordinates
 from nbhdext.errors import EngineError
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import matrix_rank, solve_exact
@@ -40,6 +39,11 @@ def pipeline_contexts(monkeypatch, scenario, window=None):
     monkeypatch.setattr(scenarios, "build_context", capture)
     run_pipeline(scenario, k=2, window=window)
     return built
+
+
+def _elementary_cochain(ctx, vtype, sdeg, key):
+    """The cochain with coefficient 1 at one coordinate key and 0 elsewhere."""
+    return _assemble_cochain(ctx, len(key[0]) - 1, vtype, sdeg, [key], [1])
 
 
 def assert_columns_match_full_differential(ctx):
@@ -162,34 +166,88 @@ def column_systems(draw):
     return columns, rhs, exclude
 
 
-@given(column_systems())
-@settings(max_examples=150, deadline=None)
-def test_sparse_system_matches_the_dense_system(system):
-    columns, rhs, exclude = system
-    # the dense system written out: one row per key the columns or rhs touch
+def dense_row_keys(columns, rhs=()):
+    """The dense system's rows: every key the columns or rhs touch, in first-seen order."""
     row_keys = []
     for source in [*columns, rhs]:
         for kk in source:
-            if kk not in exclude and kk not in row_keys:
+            if kk not in row_keys:
                 row_keys.append(kk)
+    return row_keys
+
+
+@given(column_systems())
+@settings(max_examples=150, deadline=None)
+def test_sparse_system_matches_the_dense_system(system):
+    columns, rhs, _ = system
+    row_keys = dense_row_keys(columns, rhs)
     dense = [[col.get(kk, F(0)) for col in columns] for kk in row_keys]
     dense_rhs = [rhs.get(kk, F(0)) for kk in row_keys]
     n = len(columns)
 
-    built = cech._exact_system(columns, rhs, exclude)
+    built = cech._exact_system(columns, rhs)
     assert built.basis == list(range(n))
     assert built.matrix == dense
     assert built.rhs == dense_rhs
     # the figures the tracer reads off the dense view
     assert (len(built.matrix), len(built.basis)) == (len(row_keys), n)
-    assert sum(1 for line in built.matrix for x in line if x != 0) == sum(
-        len({kk for kk in col if kk not in exclude}) for col in columns
-    )
+    assert sum(1 for line in built.matrix for x in line if x != 0) == sum(map(len, columns))
 
     consistent, particular, nullspace, rank = dense_gauss_jordan(dense, dense_rhs, n)
     sol = solve_exact(built)
     assert (sol.consistent, sol.particular, sol.nullspace) == (consistent, particular, nullspace)
     assert matrix_rank(built.rows) == rank
+
+
+@given(column_systems())
+@settings(max_examples=150, deadline=None)
+def test_one_elimination_splits_the_rank_at_the_excluded_rows(system):
+    columns, _, exclude = system
+    rows = {kk: {k: col[kk] for k, col in enumerate(columns) if kk in col}
+            for kk in dense_row_keys(columns)}
+    outside = [row for kk, row in rows.items() if kk not in exclude]
+    expected = matrix_rank(rows.values()) - matrix_rank(outside)
+    assert cech._rank_inside(columns, exclude) == expected
+    # and against the dense Gauss-Jordan ranks
+    dense = lambda keep: [[col.get(kk, F(0)) for col in columns] for kk in rows if keep(kk)]
+    rank = lambda m: dense_gauss_jordan(m, [F(0)] * len(m), len(columns))[3]
+    assert expected == rank(dense(lambda kk: True)) - rank(dense(lambda kk: kk not in exclude))
+
+
+# -- elementary transports ------------------------------------------------------------
+
+
+def test_elementary_transport_equals_the_whole_transport():
+    """Each column piece equals ``end_to_low`` of E_rc . x^exps, key order included.
+
+    The four-chart fixture is rank two, and on overlap (2, 3) its
+    transition [[1 - u^3, -u], [u^2, 1]] mixes every entry.
+    """
+    ctx = build_context(four_chart_scenario(), 2)
+    assert all(p.terms for row in ctx.bundle.g[(2, 3)].entries for p in row)
+    rng = random.Random(14)
+    for pair in sorted(ctx.pairs):
+        ring = ctx.pairs[pair].ring_j
+        for sdeg in (1, 2):
+            for _ in range(6):
+                exps = (rng.randint(-4, 4), sdeg)
+                entry = (rng.randrange(2), rng.randrange(2))
+                elementary = ctx.zero_value(cech.SYM_END, ring)
+                elementary.entries[entry[0]][entry[1]] = ring.monomial(exps)
+                whole = cech._coordinates(cech.SYM_END, ctx.end_to_low(pair, elementary))
+                moved = ctx.elementary_to_low(pair, cech.SYM_END, entry, exps)
+                assert moved == whole, (pair, entry, exps)
+                assert list(moved) == list(whole), (pair, entry, exps)
+                # the full pullback moves functions
+                full = ctx.pullback(pair, ring.monomial(exps), full=True)
+                moved = ctx.elementary_to_low(pair, cech.FUNCTION, (0, 0), exps)
+                assert list(moved.items()) == [(((0, 0), e), x) for e, x in full.sorted_terms()]
+
+
+def test_elementary_transport_refuses_other_value_types():
+    ctx = build_context(four_chart_scenario(), 2)
+    with pytest.raises(ValueError):
+        ctx.elementary_to_low((0, 1), cech.FORM_END, (0, 0), (0, 1))
 
 
 # -- the pullback memo -------------------------------------------------------------
