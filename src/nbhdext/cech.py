@@ -12,14 +12,21 @@ rank-one bundle the log of the same defect gives one linear system:
 G_ij = g_ij exp(lambda_ij) is a cocycle modulo t^(k+1) exactly when
 delta(lambda) = rho.  The cup product a^1 . At is the paper's first-order
 formula; the pipeline does not run it, and the tests check that it equals
-o_1 when the connection forms are zero.  Substitution is a linear ring
-map, so each context keeps one memoized ``filtered.Substitution`` per
-overlap and transport.  The columns of delta are read off the cofaces of
-one simplex at a time, and each column is linear in one pullback: a
-window monomial is pulled back once, and an End E entry is conjugated by
-multiplying that pullback with a memoized product g[a][r] . g^-1[c][b]
-per target entry.  Whole cochains, and the residual rechecks of every
-solve, move through ``transport``.
+o_1 when the connection forms are zero.  An overlap stores only its chart
+transition and the working order; its linear images, conormal matrix,
+Jacobians and unipotent discrepancy are read off the transition on first
+use.  Substitution is a linear ring map, so each context keeps one
+memoized ``filtered.Substitution`` per overlap and transport.  delta is
+one alternating walk over ``CoverNerve.simplices``: on each simplex the
+face that drops the first vertex is transported, the others enter with
+their signs.  The columns of delta are read off the cofaces of one
+simplex at a time, from the same simplices, and each column is linear in
+one pullback: a window monomial is pulled back once, and an End E entry
+is conjugated by multiplying that pullback with a memoized product
+g[a][r] . g^-1[c][b] per target entry.  ``solve_delta`` is the one build,
+solve and residual recheck behind both the obstruction solves and the
+rank-one system; whole cochains and those rechecks move through
+``transport``.
 All assembly is canonical: simplices, matrix entries and monomials are
 walked in sorted order, so reports are byte-stable.
 """
@@ -36,15 +43,18 @@ from . import cohomology
 from .errors import FrameMismatch, NotClosed
 from .filtered import (
     ChartRing,
+    ChartTransition,
     FilteredAutomorphism,
     PairDerivation,
     Substitution,
     _series,
     contract,
+    induced_transition,
+    linear_images,
     log_unipotent,
 )
 from .laurent import Exponent, LaurentPoly, monomial_window
-from .linsolve import ExactLinearSystem, PolyMatrix, _rref, solve_exact
+from .linsolve import ExactLinearSystem, PolyMatrix, Solution, _rref, solve_exact
 
 Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
@@ -81,84 +91,91 @@ class CoverNerve:
         return sorted(self.triple_rings)
 
     def quadruples(self) -> List[Tuple[int, int, int, int]]:
-        out = []
+        """Each a < b < c < d whose four faces are triples, found from its face (a, b, c)."""
         trip = set(self.triple_rings)
-        for q in sorted(
-            {
-                (a, b, c, d)
-                for (a, b, c) in trip
-                for d in range(self.n)
-                if len({a, b, c, d}) == 4
-            }
-        ):
-            a, b, c, d = sorted(q)
-            faces = [(b, c, d), (a, c, d), (a, b, d), (a, b, c)]
-            if all(f in trip for f in faces):
-                out.append((a, b, c, d))
-        return sorted(set(out))
+        return sorted(
+            (a, b, c, d)
+            for (a, b, c) in trip
+            for d in range(c + 1, self.n)
+            if {(b, c, d), (a, c, d), (a, b, d)} <= trip
+        )
+
+    def simplices(self, size: int) -> List[Tuple[int, ...]]:
+        """The sorted simplices with ``size`` vertices: charts, doubles, triples or quadruples."""
+        if size == 1:
+            return [(i,) for i in range(self.n)]
+        by_size = {2: self.doubles, 3: self.triples, 4: self.quadruples}
+        if size not in by_size:
+            raise ValueError("differential implemented for degrees 0..2")
+        return by_size[size]()
 
 
 @dataclass
 class OverlapGeometry:
-    """Transport data of one ordered overlap (i < j), stored both ways."""
+    """One ordered overlap (i < j): its chart transition, from chart i's ring to chart j's.
 
-    i: int
-    j: int
-    ring_i: ChartRing
-    ring_j: ChartRing
-    base_ji: Dict[str, LaurentPoly]    # chart-j tangential vars over chart-i coords
-    base_ij: Dict[str, LaurentPoly]
-    conormal_ji: PolyMatrix            # t^j_a = sum_b C[a][b] t^i_b (over ring_i)
-    conormal_ij: PolyMatrix
-    forward: Dict[str, LaurentPoly]    # full images over ring_i of the chart-j coordinates
-    unipotent: FilteredAutomorphism    # unipotent discrepancy in the i-frame
+    Everything else is read off the transition on first use and kept.
+    """
+
+    transition: ChartTransition
+    order: int
+
+    @property
+    def ring_i(self) -> ChartRing:
+        return self.transition.ring_low
+
+    @property
+    def ring_j(self) -> ChartRing:
+        return self.transition.ring_high
 
     @cached_property
-    def logphi(self) -> PairDerivation:
-        """Log of the unipotent discrepancy, built on first read: only a^s needs it."""
-        return log_unipotent(self.unipotent)
+    def forward(self) -> Dict[str, LaurentPoly]:
+        """Full images over ring_i of the chart-j coordinates."""
+        tr = self.transition
+        return dict(zip(tr.ring_high.names, (*tr.forward_u, *tr.forward_t)))
 
     @cached_property
     def images_ji(self) -> Dict[str, LaurentPoly]:
         """Images over ring_i of the chart-j coordinates, conormal part linear."""
-        return _linear_images(self.ring_i, self.base_ji, self.conormal_ji)
+        tr = self.transition
+        u, t = linear_images(tr.ring_low, tr.forward_u, tr.forward_t)
+        return dict(zip(tr.ring_high.names, (*u, *t)))
 
     @cached_property
     def images_ij(self) -> Dict[str, LaurentPoly]:
         """Images over ring_j of the chart-i coordinates, conormal part linear."""
-        return _linear_images(self.ring_j, self.base_ij, self.conormal_ij)
+        tr = self.transition
+        u, t = linear_images(tr.ring_high, tr.backward_u, tr.backward_t)
+        return dict(zip(tr.ring_low.names, (*u, *t)))
+
+    @cached_property
+    def conormal_ji(self) -> PolyMatrix:
+        """t^j_a = sum_b C[a][b] t^i_b over ring_i."""
+        return _jacobian(self.images_ji, self.ring_j.t_names, self.ring_i.t_names)
 
     @cached_property
     def jac_ji(self) -> PolyMatrix:
         """du^j_b = sum_c J[b][c] du^i_c over ring_i."""
-        return PolyMatrix(
-            [
-                [self.base_ji[name].diff(cname) for cname in self.ring_i.u_names]
-                for name in self.ring_i.u_names  # same names both charts
-            ]
-        )
+        return _jacobian(self.images_ji, self.ring_j.u_names, self.ring_i.u_names)
 
     @cached_property
     def jac_ij(self) -> PolyMatrix:
         """du^i_c = sum_b K[c][b] du^j_b over ring_j."""
-        return PolyMatrix(
-            [
-                [self.base_ij[name].diff(cname) for cname in self.ring_j.u_names]
-                for name in self.ring_j.u_names
-            ]
-        )
+        return _jacobian(self.images_ij, self.ring_i.u_names, self.ring_j.u_names)
+
+    @cached_property
+    def unipotent(self) -> FilteredAutomorphism:
+        """The unipotent discrepancy in the i-frame: only a^s needs it."""
+        return induced_transition(self.transition, self.order)
+
+    @cached_property
+    def logphi(self) -> PairDerivation:
+        return log_unipotent(self.unipotent)
 
 
-def _linear_images(
-    ring: ChartRing, base: Dict[str, LaurentPoly], conormal: PolyMatrix
-) -> Dict[str, LaurentPoly]:
-    images = dict(base)
-    for a, tname in enumerate(ring.t_names):
-        acc = ring.zero()
-        for b in range(ring.q):
-            acc = acc + conormal[a, b] * ring.t_var(b)
-        images[tname] = acc
-    return images
+def _jacobian(images: Dict[str, LaurentPoly], rows, cols) -> PolyMatrix:
+    """d images[r] / d c for each named row r and column variable c."""
+    return PolyMatrix([[images[r].diff(c) for c in cols] for r in rows])
 
 
 @dataclass
@@ -324,12 +341,8 @@ class CechContext:
         """(coface, position of the vertex it adds) for each coface, sorted."""
         size = len(simplex) + 1
         if size not in self._cofaces:
-            nerve = self.nerve
-            tops = {2: nerve.doubles, 3: nerve.triples, 4: nerve.quadruples}.get(size)
-            if tops is None:
-                raise ValueError("differential implemented for degrees 0..2")
             table: Dict[Tuple[int, ...], List[Tuple]] = {}
-            for tau in tops():
+            for tau in self.nerve.simplices(size):
                 for pos in range(size):
                     table.setdefault(tau[:pos] + tau[pos + 1:], []).append((tau, pos))
             self._cofaces[size] = table
@@ -346,10 +359,10 @@ class CechContext:
         g = self._geom(pair)
         mul = lambda a, b: g.ring_i.mul(a, b, self.order)
         gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
-        moved = self.form_end_to_low(pair, self.bundle.gammas[g.j])
+        moved = self.form_end_to_low(pair, self.bundle.gammas[pair[1]])
         return tuple(
             low - (form - gm.map(lambda p: p.diff(name)).matmul(gi, mul))
-            for low, form, name in zip(self.bundle.gammas[g.i], moved, g.ring_i.u_names)
+            for low, form, name in zip(self.bundle.gammas[pair[0]], moved, g.ring_i.u_names)
         )
 
     # -- value helpers ---------------------------------------------------------------
@@ -433,35 +446,20 @@ class CechCochain:
 
 
 def cech_differential(ctx: CechContext, c: CechCochain) -> CechCochain:
-    """Alternating sum of restrictions, all transported to the lowest frame."""
-    if c.degree == 0:
-        out = {}
-        for pair in ctx.nerve.doubles():
-            i, j = pair
-            high = ctx.transport(pair, c.vtype, c.value(ctx, (j,)))
-            out[pair] = value_add(high, value_neg(c.value(ctx, (i,))))
-        return CechCochain(1, c.vtype, c.sdeg, out)
-    if c.degree == 1:
-        out = {}
-        for tri in ctx.nerve.triples():
-            i, j, h = tri
-            moved = ctx.transport((i, j), c.vtype, c.value(ctx, (j, h)))
-            out[tri] = value_add(
-                moved,
-                value_add(value_neg(c.value(ctx, (i, h))), c.value(ctx, (i, j))),
-            )
-        return CechCochain(2, c.vtype, c.sdeg, out)
-    if c.degree == 2:
-        out = {}
-        for quad in ctx.nerve.quadruples():
-            i, j, h, l = quad
-            moved = ctx.transport((i, j), c.vtype, c.value(ctx, (j, h, l)))
-            acc = value_add(moved, value_neg(c.value(ctx, (i, h, l))))
-            acc = value_add(acc, c.value(ctx, (i, j, l)))
-            acc = value_add(acc, value_neg(c.value(ctx, (i, j, h))))
-            out[quad] = acc
-        return CechCochain(3, c.vtype, c.sdeg, out)
-    raise ValueError("differential implemented for degrees 0..2")
+    """Alternating sum of restrictions, all transported to the lowest frame.
+
+    On each simplex one degree up, the face that drops the first vertex
+    moves low through the simplex's leading pair; the face that drops
+    vertex ``pos`` > 0 enters with the sign (-1)^pos.
+    """
+    out = {}
+    for tau in ctx.nerve.simplices(c.degree + 2):
+        acc = ctx.transport(tau[:2], c.vtype, c.value(ctx, tau[1:]))
+        for pos in range(1, len(tau)):
+            face = c.value(ctx, tau[:pos] + tau[pos + 1:])
+            acc = value_add(acc, value_neg(face) if pos % 2 else face)
+        out[tau] = acc
+    return CechCochain(c.degree + 1, c.vtype, c.sdeg, out)
 
 
 # -- obstruction cochains ---------------------------------------------------------
@@ -791,25 +789,47 @@ def _rank_inside(columns: List[Dict[Tuple, Fraction]], inside) -> int:
     return len(_rref(inside_rows.values(), reduced)) - rank_outside
 
 
-def _im_delta0_inside(
-    ctx: CechContext,
-    vtype: str,
-    sdeg: int,
-    window: Tuple[int, int],
-    basis: List[Tuple],
-) -> int:
+def _im_delta0_inside(ctx: CechContext, vtype: str, sdeg: int, window: Tuple[int, int]) -> int:
     """Dimension of the window-supported part of the coboundary image.
 
     Chart 0-cochains from the same window are pushed through delta_0.  An
-    image lies in the span W of the 1-cochain window ``basis`` exactly when
-    its coordinates outside W vanish, so with P_out the projection that
-    drops W's keys, dim(im delta_0 & W) = rank(delta_0) - rank(P_out delta_0)
+    image lies in the span W of the 1-cochain window basis exactly when its
+    coordinates outside W vanish, so with P_out the projection that drops
+    W's keys, dim(im delta_0 & W) = rank(delta_0) - rank(P_out delta_0)
     (ker delta_0 lies inside ker P_out delta_0).  Both ranks come from one
     elimination.
     """
-    charts = [(i,) for i in range(ctx.nerve.n)]
-    _, cols = _delta_map(ctx, vtype, sdeg, charts, window)
-    return _rank_inside(cols, basis)
+    inside, _ = _delta_map(ctx, vtype, sdeg, ctx.nerve.simplices(2), window)
+    _, cols = _delta_map(ctx, vtype, sdeg, ctx.nerve.simplices(1), window)
+    return _rank_inside(cols, inside)
+
+
+def solve_delta(
+    ctx: CechContext, rhs: CechCochain, sdegs: Sequence[int], window: Tuple[int, int]
+) -> Tuple[ExactLinearSystem, Solution, Optional[CechCochain]]:
+    """Solve delta(x) = rhs for x on the window monomials of the conormal degrees ``sdegs``.
+
+    The columns are the memoized delta columns of each degree in turn, on
+    the simplices one degree below ``rhs``.  A solution is assembled into
+    the cochain x, which carries ``rhs.sdeg``, and rechecked with the full
+    differential; a nonzero residual raises ``NotClosed``.  Returns the
+    system, its solution and x, which is None when the system is
+    inconsistent.
+    """
+    simplices = ctx.nerve.simplices(rhs.degree)
+    basis, columns = [], []
+    for sdeg in sdegs:
+        sdeg_basis, sdeg_columns = _delta_map(ctx, rhs.vtype, sdeg, simplices, window)
+        basis += sdeg_basis
+        columns += sdeg_columns
+    system = _exact_system(columns, cochain_coordinates(rhs))
+    sol = solve_exact(system)
+    if not sol.consistent:
+        return system, sol, None
+    x = _assemble_cochain(ctx, rhs.degree - 1, rhs.vtype, rhs.sdeg, basis, sol.particular)
+    if not cech_differential(ctx, x).add(rhs.neg()).is_zero():
+        raise NotClosed("solver produced a nonzero residual; the right-hand side is not closed")
+    return system, sol, x
 
 
 def solve_coboundary(
@@ -827,22 +847,12 @@ def solve_coboundary(
     weight pairing certifies the class against a cohomology basis;
     otherwise the window is reported as insufficient.
     """
-    vtype, sdeg = target.vtype, target.sdeg
-    basis, columns = _delta_map(ctx, vtype, sdeg, ctx.nerve.doubles(), window)
-    sol = solve_exact(_exact_system(columns, cochain_coordinates(target.neg())))
-
-    if not sol.consistent:
+    _, sol, m = solve_delta(ctx, target.neg(), [target.sdeg], window)
+    if m is None:
         if h2_basis_test is not None:
             coords = h2_basis_test(target)
             if coords:
                 return ProvenNonzero(coords)
         return UnresolvedWithinWindow(window)
-
-    m = _assemble_cochain(ctx, 1, vtype, sdeg, basis, sol.particular)
-    residual = cech_differential(ctx, m).add(target)
-    if not residual.is_zero():
-        raise NotClosed("solver produced a nonzero residual; target is not closed")
-
-    kernel_dim = len(sol.nullspace)
-    exact_dim = _im_delta0_inside(ctx, vtype, sdeg, window, basis)
-    return Solved(m, kernel_dim - exact_dim, h1_oracle)
+    exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window)
+    return Solved(m, len(sol.nullspace) - exact_dim, h1_oracle)

@@ -625,16 +625,27 @@ class ChartTransition:
     backward_t: Tuple[LaurentPoly, ...]
 
 
-@dataclass
-class InducedTransition:
-    """Linear (conormal) part and unipotent remainder of a chart transition."""
+def linear_images(
+    ring: ChartRing, u_images: Sequence[LaurentPoly], t_images: Sequence[LaurentPoly]
+) -> Tuple[Tuple[LaurentPoly, ...], Tuple[LaurentPoly, ...]]:
+    """The linear part of a transition's generator images over ``ring``.
 
-    conormal: PolyMatrix          # q x q over the low ring: high t-classes in low frame
-    base_images: Tuple[LaurentPoly, ...]   # high u-vars restricted to X, low coordinates
-    unipotent: FilteredAutomorphism        # of the low chart's truncated algebra
+    Each tangential image keeps its t-degree-0 part, the base map on X, and
+    each normal image its t-linear part, whose coefficients are the
+    conormal matrix.
+    """
+    return (
+        tuple(ring.restrict_to_x(img) for img in u_images),
+        tuple(ring.t_part(img, 1) for img in t_images),
+    )
 
 
-def induced_transition(tr: ChartTransition, k: int) -> InducedTransition:
+def induced_transition(tr: ChartTransition, k: int) -> FilteredAutomorphism:
+    """The unipotent discrepancy of a transition, an automorphism of the low chart.
+
+    The linear part of the backward map, pushed through the full forward
+    substitution, is the transition with its linear part divided out.
+    """
     low, high = tr.ring_low, tr.ring_high
     for a, img in enumerate(tr.forward_t):
         if not low.restrict_to_x(img).is_zero():
@@ -646,42 +657,13 @@ def induced_transition(tr: ChartTransition, k: int) -> InducedTransition:
             raise NotAdapted(
                 f"backward image of normal variable {low.t_names[a]} does not preserve the ideal"
             )
-
-    conormal = PolyMatrix(
-        [
-            [
-                low.restrict_to_x(tr.forward_t[a].diff(low.t_names[b]))
-                for b in range(low.q)
-            ]
-            for a in range(high.q)
-        ]
-    )
-    base_images = tuple(low.restrict_to_x(img) for img in tr.forward_u)
-
-    # linearization of the backward direction, then push through the forward
-    # substitution: the composite is the unipotent discrepancy in the low frame
-    back_base = tuple(high.restrict_to_x(img) for img in tr.backward_u)
-    back_conormal = PolyMatrix(
-        [
-            [
-                high.restrict_to_x(tr.backward_t[a].diff(high.t_names[b]))
-                for b in range(high.q)
-            ]
-            for a in range(low.q)
-        ]
-    )
     fwd = Substitution(low, dict(zip(high.names, (*tr.forward_u, *tr.forward_t))), k)
-
-    u_imgs = tuple(fwd(back_base[b]) for b in range(low.p))
-    t_imgs = []
-    for a in range(low.q):
-        acc = low.zero()
-        for b in range(high.q):
-            acc = acc + low.mul(fwd(back_conormal[a, b]), tr.forward_t[b], k)
-        t_imgs.append(acc)
-    phi = FilteredAutomorphism(low, k, u_imgs, tuple(t_imgs))
+    back_u, back_t = linear_images(high, tr.backward_u, tr.backward_t)
+    phi = FilteredAutomorphism(
+        low, k, tuple(fwd(img) for img in back_u), tuple(fwd(img) for img in back_t)
+    )
     if not phi.is_unipotent():
         raise NotUnipotent(
             "transition directions are not mutually inverse: discrepancy is not unipotent"
         )
-    return InducedTransition(conormal, base_images, phi)
+    return phi

@@ -25,22 +25,18 @@ from .cech import (
     ProvenNonzero,
     Solved,
     UnresolvedWithinWindow,
-    FUNCTION,
     SYM_END,
     cech_differential,
-    cochain_coordinates,
     lift_obstruction,
     lift_transitions,
     solve_coboundary,
+    solve_delta,
     transition_log_defect,
-    _assemble_cochain,
-    _delta_map,
-    _exact_system,
 )
-from .errors import NotClosed, ParseError, SchemaVersionError, UnknownScenario
-from .filtered import ChartRing, ChartTransition, Substitution, induced_transition
+from .errors import ParseError, SchemaVersionError, UnknownScenario
+from .filtered import ChartRing, ChartTransition, Substitution
 from .laurent import Exponent, LaurentPoly, format_fraction
-from .linsolve import PolyMatrix, solve_exact
+from .linsolve import PolyMatrix
 
 SCHEMA_VERSION = 1
 ENGINE_VERSION = __version__
@@ -246,6 +242,8 @@ def scenario_from_json(data: dict) -> Scenario:
     for n, o in enumerate(_field(data, "overlaps", "", list, [])):
         where = f"overlaps[{n}]"
         pair = chart_ids(_field(o, "pair", where, list), f"{where}.pair", 2)
+        _require(all(pair != prior.pair for prior in overlaps),
+                 f"{where}.pair: duplicate overlap {list(pair)}")
         inverted = _field(o, "inverted", where, dict, {})
         sides = [str(i) for i in pair]
         _require(set(inverted) == set(sides), f"{where}.inverted: expected the sides {sides}")
@@ -264,6 +262,8 @@ def scenario_from_json(data: dict) -> Scenario:
     for n, t in enumerate(_field(data, "triples", "", list, [])):
         where = f"triples[{n}]"
         simplex = chart_ids(_field(t, "simplex", where, list), f"{where}.simplex", 3)
+        _require(all(simplex != prior.simplex for prior in triples),
+                 f"{where}.simplex: duplicate triple {list(simplex)}")
         inverted = exps(_field(t, "inverted", where, list, []), f"{where}.inverted")
         triples.append(TripleSpec(simplex, inverted))
 
@@ -490,28 +490,14 @@ def build_context(s: Scenario, order: int) -> CechContext:
     }
     nerve = CoverNerve(chart_rings, pair_rings, triple_rings)
 
-    pairs: Dict[Pair, OverlapGeometry] = {}
-    for o in s.overlaps:
-        ring_i = pair_rings[o.pair][o.pair[0]]
-        ring_j = pair_rings[o.pair][o.pair[1]]
-        tr = ChartTransition(ring_i, ring_j, o.forward_u, o.forward_t,
-                             o.backward_u, o.backward_t)
-        fwd = induced_transition(tr, order)
-        swapped = ChartTransition(ring_j, ring_i, o.backward_u, o.backward_t,
-                                  o.forward_u, o.forward_t)
-        bwd = induced_transition(swapped, order)
-        pairs[o.pair] = OverlapGeometry(
-            i=o.pair[0],
-            j=o.pair[1],
-            ring_i=ring_i,
-            ring_j=ring_j,
-            base_ji={n: img for n, img in zip(s.u_names, fwd.base_images)},
-            base_ij={n: img for n, img in zip(s.u_names, bwd.base_images)},
-            conormal_ji=fwd.conormal,
-            conormal_ij=bwd.conormal,
-            forward=dict(zip(s.names, o.forward_u + o.forward_t)),
-            unipotent=fwd.unipotent,
+    pairs = {
+        o.pair: OverlapGeometry(
+            ChartTransition(pair_rings[o.pair][o.pair[0]], pair_rings[o.pair][o.pair[1]],
+                            o.forward_u, o.forward_t, o.backward_u, o.backward_t),
+            order,
         )
+        for o in s.overlaps
+    }
 
     gammas = s.gammas or [
         [PolyMatrix.zero(s.e, s.e, s.names) for _ in range(s.p)]
@@ -842,24 +828,12 @@ def solve_abelianized(ctx: CechContext, window: Tuple[int, int]) -> dict:
 
     G_ij = g_ij . exp(lambda_ij) is a cocycle modulo t^(k+1) exactly when
     lambda_ij + F_ij^* lambda_jh - lambda_ih = rho_ijh, a linear system in
-    the window-supported lambda on the doubles at t-degrees 1..k.  A
-    solution is rechecked with the full differential.
+    the window-supported lambda on the doubles at t-degrees 1..k.
     """
-    rho = transition_log_defect(ctx)
-    basis, columns = [], []
-    for sdeg in range(1, ctx.order + 1):
-        sdeg_basis, sdeg_columns = _delta_map(ctx, FUNCTION, sdeg, ctx.nerve.doubles(), window)
-        basis += sdeg_basis
-        columns += sdeg_columns
-    system = _exact_system(columns, cochain_coordinates(rho))
-    sol = solve_exact(system)
-    if sol.consistent:
-        lam = _assemble_cochain(ctx, 1, FUNCTION, ctx.order, basis, sol.particular)
-        if not cech_differential(ctx, lam).add(rho.neg()).is_zero():
-            raise NotClosed("rank-one solver produced a nonzero residual")
+    system, sol, _ = solve_delta(ctx, transition_log_defect(ctx), range(1, ctx.order + 1), window)
     return {
         "exact": sol.consistent,
-        "unknowns": len(columns),
+        "unknowns": len(system.basis),
         "constraints": len(system.rows),
     }
 

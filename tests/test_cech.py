@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from nbhdext import cech
 from nbhdext.cech import (
     FORM_END,
     FUNCTION,
@@ -12,11 +14,16 @@ from nbhdext.cech import (
     UnresolvedWithinWindow,
     atiyah_cocycle,
     cech_differential,
+    cochain_coordinates,
     first_order_obstruction,
     kodaira_spencer_cochain,
+    lift_obstruction,
     second_order_obstruction,
     solve_coboundary,
+    value_add,
+    value_neg,
 )
+from nbhdext.errors import NotClosed
 from nbhdext.filtered import (
     ChartRing,
     FilteredAutomorphism,
@@ -34,8 +41,11 @@ from nbhdext.scenarios import (
     h2_weight_test,
     run_pipeline,
     sheaf_twists,
+    solve_abelianized,
     validate_scenario,
 )
+
+from test_integration import four_chart_scenario
 
 F = Fraction
 
@@ -72,6 +82,121 @@ def test_delta_squared_end_valued():
     c = CechCochain(0, SYM_END, 1, {(0,): mat})
     dd = cech_differential(ctx, cech_differential(ctx, c))
     assert dd.is_zero()
+
+
+def branch_differential(ctx, c):
+    """delta written out once per degree: the transported first face, then +- the others."""
+    if c.degree == 0:
+        out = {}
+        for pair in ctx.nerve.doubles():
+            i, j = pair
+            high = ctx.transport(pair, c.vtype, c.value(ctx, (j,)))
+            out[pair] = value_add(high, value_neg(c.value(ctx, (i,))))
+        return CechCochain(1, c.vtype, c.sdeg, out)
+    if c.degree == 1:
+        out = {}
+        for tri in ctx.nerve.triples():
+            i, j, h = tri
+            moved = ctx.transport((i, j), c.vtype, c.value(ctx, (j, h)))
+            out[tri] = value_add(
+                moved,
+                value_add(value_neg(c.value(ctx, (i, h))), c.value(ctx, (i, j))),
+            )
+        return CechCochain(2, c.vtype, c.sdeg, out)
+    assert c.degree == 2
+    out = {}
+    for quad in ctx.nerve.quadruples():
+        i, j, h, l = quad
+        moved = ctx.transport((i, j), c.vtype, c.value(ctx, (j, h, l)))
+        acc = value_add(moved, value_neg(c.value(ctx, (i, h, l))))
+        acc = value_add(acc, c.value(ctx, (i, j, l)))
+        acc = value_add(acc, value_neg(c.value(ctx, (i, j, h))))
+        out[quad] = acc
+    return CechCochain(3, c.vtype, c.sdeg, out)
+
+
+def random_cochain(rng, ctx, degree, vtype, sdeg):
+    """Random values on a random half of the simplices of one degree."""
+    values = {}
+    for simplex in ctx.nerve.simplices(degree + 1):
+        if rng.random() < 0.5:
+            continue
+        ring = ctx.ring_of(simplex)
+
+        def poly():
+            terms = {(rng.randint(-3, 3), sdeg): F(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 3))}
+            return LaurentPoly(ring.names, terms)
+
+        if vtype == FUNCTION:
+            values[simplex] = poly()
+        else:
+            e = ctx.bundle.rank
+            values[simplex] = PolyMatrix([[poly() for _ in range(e)] for _ in range(e)])
+    return CechCochain(degree, vtype, sdeg, values)
+
+
+def test_one_coface_walk_equals_the_per_degree_branches():
+    ctx = build_context(four_chart_scenario(), 2)
+    rng = random.Random(15)
+    nonzero = 0
+    for degree in (0, 1, 2):
+        for vtype in (FUNCTION, SYM_END):
+            for _ in range(8):
+                c = random_cochain(rng, ctx, degree, vtype, rng.randint(0, 2))
+                walked, branched = cech_differential(ctx, c), branch_differential(ctx, c)
+                assert (walked.degree, walked.vtype, walked.sdeg) == (
+                    branched.degree, branched.vtype, branched.sdeg)
+                assert sorted(walked.values) == sorted(branched.values)
+                assert cochain_coordinates(walked) == cochain_coordinates(branched)
+                nonzero += not walked.is_zero()
+    assert nonzero >= 30
+
+
+def test_quadruples_are_the_simplices_whose_faces_are_triples():
+    from itertools import combinations
+
+    ring = ChartRing(("u1",), ("t1",))
+    rng = random.Random(4)
+    for _ in range(20):
+        n = rng.randint(4, 6)
+        triples = [tri for tri in combinations(range(n), 3) if rng.random() < 0.7]
+        nerve = cech.CoverNerve([ring] * n, {}, {tri: ring for tri in triples})
+        expected = [quad for quad in combinations(range(n), 4)
+                    if all(quad[:pos] + quad[pos + 1:] in triples for pos in range(4))]
+        assert nerve.quadruples() == nerve.simplices(4) == expected
+
+
+def test_differential_refuses_degree_three():
+    ctx = build_context(four_chart_scenario(), 2)
+    with pytest.raises(ValueError):
+        cech_differential(ctx, CechCochain(3, SYM_END, 1, {}))
+
+
+def test_one_recheck_covers_both_solves(monkeypatch):
+    """A wrong particular solution is caught by the shared residual recheck."""
+    real = cech.solve_exact
+    corrupted = []
+
+    def wrong(system):
+        sol = real(system)
+        if sol.consistent:
+            # adding a nonzero column to delta(x) leaves a nonzero residual
+            c = min(col for row in system.rows for col in row)
+            sol.particular[c] += 1
+            corrupted.append(c)
+        return sol
+
+    s, ctx = ctx_for("hyperplane_p2_in_p3", d=1, twist=1)
+    target = lift_obstruction(ctx, ctx.bundle.g, 1)
+    assert isinstance(solve_coboundary(ctx, target, (-2, 2)), Solved)
+    assert solve_abelianized(ctx, (-2, 2))["exact"]
+    monkeypatch.setattr(cech, "solve_exact", wrong)
+    with pytest.raises(NotClosed):
+        solve_coboundary(ctx, target, (-2, 2))
+    with pytest.raises(NotClosed):
+        solve_abelianized(ctx, (-2, 2))
+    assert len(corrupted) == 2
 
 
 def test_extracted_tangential_components_are_delta_closed():

@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from nbhdext import cech, scenarios
 from nbhdext.cech import _assemble_cochain, cech_differential, cochain_coordinates
 from nbhdext.errors import EngineError
+from nbhdext.filtered import ChartTransition
 from nbhdext.laurent import LaurentPoly
-from nbhdext.linsolve import matrix_rank, solve_exact
+from nbhdext.linsolve import PolyMatrix, matrix_rank, solve_exact
 from nbhdext.scenarios import build_context, generate_builtin, run_pipeline
 
 from test_acceptance import GOLDEN_DIGESTS
 from test_filtered import subst_oracle
 from test_integration import four_chart_scenario
+from test_lift import bench_workloads, builtin_schedule
+from test_quadric import quadric_scenario
 
 
 def pipeline_contexts(monkeypatch, scenario, window=None):
@@ -253,22 +256,75 @@ def test_elementary_transport_refuses_other_value_types():
 # -- the pullback memo -------------------------------------------------------------
 
 
+def linear_part_oracle(tr):
+    """The linear data of a chart transition, written out term by term.
+
+    A base image is a tangential image restricted to X; conormal entry
+    (a, b) is the t_b-derivative of normal image a, restricted to X; a
+    linear image of a normal variable is the conormal row times the t's;
+    the Jacobian differentiates the base images.  Each direction is read
+    off its own images, and nothing goes through ``linear_images``.
+    """
+
+    def side(ring, source, u_images, t_images):
+        base = {name: ring.restrict_to_x(img) for name, img in zip(source.u_names, u_images)}
+        conormal = PolyMatrix([
+            [ring.restrict_to_x(t_images[a].diff(ring.t_names[b])) for b in range(ring.q)]
+            for a in range(source.q)
+        ])
+        images = dict(base)
+        for a, tname in enumerate(source.t_names):
+            images[tname] = sum(
+                (conormal[a, b] * ring.t_var(b) for b in range(ring.q)), ring.zero()
+            )
+        jac = PolyMatrix([[base[name].diff(c) for c in ring.u_names] for name in source.u_names])
+        return images, conormal, jac
+
+    images_ji, conormal_ji, jac_ji = side(tr.ring_low, tr.ring_high, tr.forward_u, tr.forward_t)
+    images_ij, _, jac_ij = side(tr.ring_high, tr.ring_low, tr.backward_u, tr.backward_t)
+    return {"images_ji": images_ji, "images_ij": images_ij, "conormal_ji": conormal_ji,
+            "jac_ji": jac_ji, "jac_ij": jac_ij}
+
+
 def direct_pullback(ctx, pair, value, full=False):
     """One truncated substitution of the whole polynomial, by ``subst_oracle``.
 
     The oracle is the per-call substitution written out in test_filtered,
     so the memoized pullback is not compared with itself.  The full
     pullback substitutes the overlap's ``forward`` images; the linear one
-    substitutes images built here from the conormal matrix.
+    substitutes the images of ``linear_part_oracle``.
     """
     g = ctx.pairs[pair]
-    ring = g.ring_i
-    images = dict(g.base_ji)
-    for a, tname in enumerate(ring.t_names):
-        images[tname] = sum(
-            (g.conormal_ji[a, b] * ring.t_var(b) for b in range(ring.q)), ring.zero()
-        )
-    return subst_oracle(value, g.forward if full else images, ctx.order, ring)
+    images = g.forward if full else linear_part_oracle(g.transition)["images_ji"]
+    return subst_oracle(value, images, ctx.order, g.ring_i)
+
+
+def four_chart_scenarios():
+    """The four_chart workload's scenario for seeds 1 and 2, drawn as the workload draws it."""
+    workloads = bench_workloads()
+    pairs = [(a, b) for a in workloads.SIGNS for b in workloads.SIGNS]
+    for seed in (1, 2):
+        shears = tuple(random.Random(seed).sample(pairs, 2))
+        yield f"four_chart {shears}", workloads.four_chart_scenario(*workloads.FOUR_TWIST, shears)
+
+
+def test_overlap_linear_data_equals_the_written_out_oracle():
+    cases = builtin_schedule() + list(four_chart_scenarios())
+    cases += [("four-chart fixture", four_chart_scenario()),
+              ("quadric O(1,1)", quadric_scenario(1, 1))]
+    checked = 0
+    for label, s in cases:
+        ctx = build_context(s, 2)
+        for o in s.overlaps:
+            i, j = o.pair
+            geom = ctx.pairs[o.pair]
+            tr = ChartTransition(s.overlap_ring(o, i), s.overlap_ring(o, j),
+                                 o.forward_u, o.forward_t, o.backward_u, o.backward_t)
+            for name, expected in linear_part_oracle(tr).items():
+                assert getattr(geom, name) == expected, (label, o.pair, name)
+            assert geom.unipotent.is_unipotent(), (label, o.pair)
+            checked += 1
+    assert checked >= 60
 
 
 MEMO_CONTEXTS = {

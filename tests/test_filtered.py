@@ -16,6 +16,7 @@ from nbhdext.filtered import (
     bracket,
     exp_nilpotent,
     induced_transition,
+    linear_images,
     log_unipotent,
 )
 from nbhdext.laurent import LaurentPoly
@@ -447,10 +448,11 @@ def test_induced_transition_linear_scaling():
         (ring.u_var(0),), (ring.t_var(0) * F(1, 5),),
     )
     out = induced_transition(tr, 2)
-    assert out.conormal[0, 0] == ring.restrict_to_x(ring.const(c))
-    assert out.unipotent.is_unipotent()
-    assert out.unipotent.u_images[0] == ring.u_var(0)
-    assert out.unipotent.t_images[0] == ring.t_var(0)
+    _, (normal,) = linear_images(ring, tr.forward_u, tr.forward_t)
+    assert normal == ring.restrict_to_x(ring.const(c)) * ring.t_var(0)
+    assert out.is_unipotent()
+    assert out.u_images[0] == ring.u_var(0)
+    assert out.t_images[0] == ring.t_var(0)
 
 
 def test_induced_transition_p1_in_p2():
@@ -458,9 +460,10 @@ def test_induced_transition_p1_in_p2():
     tr = p1_in_p2_transition()
     out = induced_transition(tr, 3)
     ring = tr.ring_low
-    assert out.conormal[0, 0] == LaurentPoly.monomial(ring.names, (-1, 0))
-    assert out.unipotent.u_images[0] == ring.u_var(0)
-    assert out.unipotent.t_images[0] == ring.t_var(0)
+    _, (normal,) = linear_images(ring, tr.forward_u, tr.forward_t)
+    assert normal == LaurentPoly.monomial(ring.names, (-1, 0)) * ring.t_var(0)
+    assert out.u_images[0] == ring.u_var(0)
+    assert out.t_images[0] == ring.t_var(0)
 
 
 def test_induced_transition_already_normal_form():
@@ -469,8 +472,9 @@ def test_induced_transition_already_normal_form():
     # backward of t -> t + t^2 at k=2 is t - t^2
     tr = ChartTransition(ring, ring, (u,), (t + t * t,), (u,), (t - t * t,))
     out = induced_transition(tr, 2)
-    assert out.conormal[0, 0] == ring.one()
-    assert out.unipotent.t_images[0] == t + t * t
+    _, (normal,) = linear_images(ring, tr.forward_u, tr.forward_t)
+    assert normal == ring.one() * t
+    assert out.t_images[0] == t + t * t
 
 
 def test_induced_transition_rejects_non_adapted():
@@ -478,6 +482,15 @@ def test_induced_transition_rejects_non_adapted():
     u, t = ring.u_var(0), ring.t_var(0)
     tr = ChartTransition(ring, ring, (u,), (t + ring.one(),), (u,), (t,))
     with pytest.raises(NotAdapted):
+        induced_transition(tr, 2)
+
+
+def test_induced_transition_rejects_directions_that_are_not_inverse():
+    ring = ring_pq(1, 1)
+    u, t = ring.u_var(0), ring.t_var(0)
+    # backward o forward sends t to 2t: the discrepancy is not unipotent
+    tr = ChartTransition(ring, ring, (u,), (t * 2,), (u,), (t,))
+    with pytest.raises(NotUnipotent):
         induced_transition(tr, 2)
 
 
@@ -500,6 +513,6 @@ def test_transition_cocycle_on_triple_overlap():
     t02 = induced_transition(
         ChartTransition(ring, ring, (u,), (fwd,), (u,), (t - t * t * u * 3,)), k
     )
-    composed = t01.unipotent.compose(t12.unipotent)
-    assert ring.truncate(composed.t_images[0] - t02.unipotent.t_images[0], k).is_zero()
-    assert composed.u_images[0] == t02.unipotent.u_images[0]
+    composed = t01.compose(t12)
+    assert ring.truncate(composed.t_images[0] - t02.t_images[0], k).is_zero()
+    assert composed.u_images[0] == t02.u_images[0]

@@ -30,12 +30,18 @@ from nbhdext.scenarios import build_context, generate_builtin, run_pipeline, val
 from test_integration import four_chart_scenario
 from test_quadric import quadric_scenario
 
-def builtin_schedule():
-    """The builtin_sweep workload's (generator, d) cases, each with both twists."""
+def bench_workloads():
+    """The benchmark's workload module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def builtin_schedule():
+    """The builtin_sweep workload's (generator, d) cases, each with both twists."""
+    workloads = bench_workloads()
     return [
         (f"{name}({d}, {twist})", generate_builtin(name, d=d, twist=twist))
         for name, d, _ in workloads.BUILTIN_SCHEDULE

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbhdext import scenarios
 from nbhdext.cech import Solved
 from nbhdext.cli import main as cli_main
 from nbhdext.errors import (
@@ -103,6 +104,53 @@ def test_injected_chart_cocycle_failure():
     log = validate_scenario(s)
     assert not log.ok
     assert any(e.check in ("cocycle", "transition_inverse") for e in log.entries if not e.ok)
+
+
+def _refused_before_any_context(monkeypatch, s, check):
+    def no_context(*args):
+        raise AssertionError("run_pipeline built a context for an invalid scenario")
+
+    monkeypatch.setattr(scenarios, "build_context", no_context)
+    with pytest.raises(ParseError, match=check):
+        run_pipeline(s, k=2)
+
+
+def test_non_adapted_transition_is_refused_before_any_context(monkeypatch):
+    s = generate_builtin("line_in_p2", d=1, twist=1)
+    o = s.overlaps[0]
+    # a constant term in t's image moves the zero section off X
+    o.forward_t = (o.forward_t[0] + LaurentPoly.const(s.names, 1),)
+    _refused_before_any_context(monkeypatch, s, "adapted@overlap")
+
+
+def test_non_inverse_transition_pair_is_refused_before_any_context(monkeypatch):
+    s = generate_builtin("line_in_p2", d=1, twist=1)
+    o = s.overlaps[0]
+    o.backward_t = (o.backward_t[0] * 2,)
+    _refused_before_any_context(monkeypatch, s, "transition_inverse@overlap")
+
+
+def test_duplicate_overlap_is_refused():
+    doc = generate_builtin("line_in_p2", d=1, twist=1).to_json()
+    doc["overlaps"].append(copy.deepcopy(doc["overlaps"][0]))
+    with pytest.raises(ParseError, match=r"^overlaps\[1\]\.pair: duplicate overlap \[0, 1\]$"):
+        scenario_from_json(doc)
+
+
+def test_duplicate_triple_is_refused():
+    doc = generate_builtin("hyperplane_p2_in_p3", d=1, twist=1).to_json()
+    doc["triples"].append(copy.deepcopy(doc["triples"][0]))
+    with pytest.raises(ParseError, match=r"^triples\[1\]\.simplex: duplicate triple \[0, 1, 2\]$"):
+        scenario_from_json(doc)
+
+
+def test_duplicate_overlap_is_an_input_error_on_the_command_line(tmp_path, capsys):
+    doc = generate_builtin("line_in_p2", d=1, twist=1).to_json()
+    doc["overlaps"].append(copy.deepcopy(doc["overlaps"][0]))
+    scn = tmp_path / "dup.json"
+    scn.write_text(json.dumps(doc))
+    assert cli_main(["obstruct", scn.as_posix(), "--order", "2"]) == 2
+    assert "overlaps[1].pair: duplicate overlap [0, 1]" in capsys.readouterr().err
 
 
 def test_flat_flag_against_curvature():
