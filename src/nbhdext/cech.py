@@ -1,32 +1,31 @@
 """Cech cochains on a cover nerve, the transition lift and its obstructions.
 
-Every value on a simplex is stored in the frame of its smallest chart
-index.  Values move to a lower frame by substituting the high chart's
-coordinates, in one of two ways.  Sym^v N^*-valued data moves through the
-linear (conormal) part of the chart transitions, with bundle-valued data
-conjugated through the transition matrices; functions move through the
-full truncated transition F_ij^*.  The obstruction o_k is the t^k-part of
-the cocycle defect (G_ij . F_ij^* G_jh - G_ih) . g_ih^-1 of transitions
-lifted order by order, G <- (1 + m) . G with -delta(m) = o_n; for a
-rank-one bundle the log of the same defect gives one linear system:
-G_ij = g_ij exp(lambda_ij) is a cocycle modulo t^(k+1) exactly when
-delta(lambda) = rho.  The cup product a^1 . At is the paper's first-order
-formula; the pipeline does not run it, and the tests check that it equals
-o_1 when the connection forms are zero.  An overlap stores only its chart
-transition and the working order; its linear images, conormal matrix,
-Jacobians and unipotent discrepancy are read off the transition on first
-use.  Substitution is a linear ring map, so each context keeps one
-memoized ``filtered.Substitution`` per overlap and transport.  delta is
-one alternating walk over ``CoverNerve.simplices``: on each simplex the
-face that drops the first vertex is transported, the others enter with
-their signs.  The columns of delta are read off the cofaces of one
-simplex at a time, from the same simplices, and each column is linear in
-one pullback: a window monomial is pulled back once, and an End E entry
-is conjugated by multiplying that pullback with a memoized product
-g[a][r] . g^-1[c][b] per target entry.  ``solve_delta`` is the one build,
-solve and residual recheck behind both the obstruction solves and the
-rank-one system; whole cochains and those rechecks move through
-``transport``.
+A cochain value is a ``LaurentPoly`` (``FUNCTION``) or a ``PolyMatrix``
+(``SYM_END``), stored in the frame of its simplex's smallest chart index.
+Values move to a lower frame by substituting the high chart's
+coordinates: Sym^v N^*-valued End E data through the linear (conormal)
+part of the chart transition, conjugated by the bundle transitions, and
+functions through the full truncated transition F_ij^*.  The obstruction
+o_k is the t^k-part of the cocycle defect (G_ij . F_ij^* G_jh - G_ih) .
+g_ih^-1 of transitions lifted order by order, G <- (1 + m) . G with
+-delta(m) = o_n; for a rank-one bundle the log of the same defect gives
+one linear system: G_ij = g_ij exp(lambda_ij) is a cocycle modulo t^(k+1)
+exactly when delta(lambda) = rho.  No connection enters: the paper's
+first-order formula c_1 = a^1 . At is kept in ``tests/cup_oracle.py``,
+where the tests check that it equals o_1.  An overlap stores only its
+chart transition; its linear images and conormal matrix are read off the
+transition on first use.  Substitution is a linear ring map, so each
+context keeps one memoized ``filtered.Substitution`` per overlap and
+transport.  delta is one alternating walk over ``CoverNerve.simplices``:
+on each simplex the face that drops the first vertex is transported, the
+others enter with their signs.  The columns of delta are read off the
+cofaces of one simplex at a time, from the same simplices, and each
+column is linear in one pullback: a window monomial is pulled back once,
+and an End E entry is conjugated by multiplying that pullback with a
+memoized product g[a][r] . g^-1[c][b] per target entry.  ``solve_delta``
+is the one build, solve and residual recheck behind both the obstruction
+solves and the rank-one system; whole cochains and those rechecks move
+through ``transport``.
 All assembly is canonical: simplices, matrix entries and monomials are
 walked in sorted order, so reports are byte-stable.
 """
@@ -39,20 +38,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import cohomology
 from .errors import FrameMismatch, NotClosed
-from .filtered import (
-    ChartRing,
-    ChartTransition,
-    FilteredAutomorphism,
-    PairDerivation,
-    Substitution,
-    _series,
-    contract,
-    induced_transition,
-    linear_images,
-    log_unipotent,
-)
+from .filtered import ChartRing, ChartTransition, Substitution, _series, linear_images
 from .laurent import Exponent, LaurentPoly, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, Solution, _rref, solve_exact
 
@@ -60,10 +47,8 @@ Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
 
 # value type tags for cochains
-SYM_END = "sym_end"        # Sym^v con (x) End E : PolyMatrix with degree-v entries
-FUNCTION = "function"      # function on the simplex: LaurentPoly, moved by the full F_ij^*
-FORM_END = "form_end"      # Omega^1 (x) End E    : tuple over du_b of PolyMatrix
-HOMFORM_SYM = "homform_sym"  # Hom(Omega^1, Sym^s): tuple over du_b of polys
+SYM_END = "sym_end"    # Sym^v con (x) End E : PolyMatrix with degree-v entries
+FUNCTION = "function"  # function on the simplex: LaurentPoly, moved by the full F_ij^*
 
 
 @dataclass
@@ -114,11 +99,10 @@ class CoverNerve:
 class OverlapGeometry:
     """One ordered overlap (i < j): its chart transition, from chart i's ring to chart j's.
 
-    Everything else is read off the transition on first use and kept.
+    Its images and conormal matrix are read off the transition on first use and kept.
     """
 
     transition: ChartTransition
-    order: int
 
     @property
     def ring_i(self) -> ChartRing:
@@ -142,49 +126,19 @@ class OverlapGeometry:
         return dict(zip(tr.ring_high.names, (*u, *t)))
 
     @cached_property
-    def images_ij(self) -> Dict[str, LaurentPoly]:
-        """Images over ring_j of the chart-i coordinates, conormal part linear."""
-        tr = self.transition
-        u, t = linear_images(tr.ring_high, tr.backward_u, tr.backward_t)
-        return dict(zip(tr.ring_low.names, (*u, *t)))
-
-    @cached_property
     def conormal_ji(self) -> PolyMatrix:
         """t^j_a = sum_b C[a][b] t^i_b over ring_i."""
-        return _jacobian(self.images_ji, self.ring_j.t_names, self.ring_i.t_names)
-
-    @cached_property
-    def jac_ji(self) -> PolyMatrix:
-        """du^j_b = sum_c J[b][c] du^i_c over ring_i."""
-        return _jacobian(self.images_ji, self.ring_j.u_names, self.ring_i.u_names)
-
-    @cached_property
-    def jac_ij(self) -> PolyMatrix:
-        """du^i_c = sum_b K[c][b] du^j_b over ring_j."""
-        return _jacobian(self.images_ij, self.ring_i.u_names, self.ring_j.u_names)
-
-    @cached_property
-    def unipotent(self) -> FilteredAutomorphism:
-        """The unipotent discrepancy in the i-frame: only a^s needs it."""
-        return induced_transition(self.transition, self.order)
-
-    @cached_property
-    def logphi(self) -> PairDerivation:
-        return log_unipotent(self.unipotent)
-
-
-def _jacobian(images: Dict[str, LaurentPoly], rows, cols) -> PolyMatrix:
-    """d images[r] / d c for each named row r and column variable c."""
-    return PolyMatrix([[images[r].diff(c) for c in cols] for r in rows])
+        return PolyMatrix([
+            [self.images_ji[a].diff(b) for b in self.ring_i.t_names] for a in self.ring_j.t_names
+        ])
 
 
 @dataclass
 class BundleData:
-    """Rank, transition matrices and per-chart connection forms."""
+    """Rank and transition matrices, with the inverse of each transition."""
 
     rank: int
     g: Dict[Pair, PolyMatrix]          # chart-i coordinates on U_ij, i < j
-    gammas: List[List[PolyMatrix]]     # per chart, per tangential variable
     g_inv: Dict[Pair, PolyMatrix] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -244,45 +198,11 @@ class CechContext:
         mul = lambda a, b: g.ring_i.mul(a, b, self.order)
         return gm.matmul(moved, mul).matmul(gi, mul)
 
-    def form_end_to_low(
-        self, pair: Pair, value: Sequence[PolyMatrix]
-    ) -> Tuple[PolyMatrix, ...]:
-        g = self._geom(pair)
-        ring = g.ring_i
-        mul = lambda a, b: ring.mul(a, b, self.order)
-        moved = [m.map(lambda p: self.pullback(pair, p)) for m in value]
-        jac = g.jac_ji
-        reindexed = [
-            contract(ring, [jac[b, c] for b in range(ring.p)], moved, self.order)
-            for c in range(ring.p)
-        ]
-        gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
-        return tuple(gm.matmul(m, mul).matmul(gi, mul) for m in reindexed)
-
-    def homform_to_low(
-        self, pair: Pair, value: Sequence[LaurentPoly]
-    ) -> Tuple[LaurentPoly, ...]:
-        g = self._geom(pair)
-        ring_j, ring_i = g.ring_j, g.ring_i
-        jac_back = g.jac_ij
-        out = []
-        for c in range(ring_i.p):
-            acc = ring_j.zero()
-            for b in range(ring_j.p):
-                if not jac_back[c, b].is_zero():
-                    acc = acc + ring_j.mul(jac_back[c, b], value[b], self.order)
-            out.append(self.pullback(pair, acc))
-        return tuple(out)
-
     def transport(self, pair: Pair, vtype: str, value):
         if vtype == FUNCTION:
             return self.pullback(pair, value, full=True)
         if vtype == SYM_END:
             return self.end_to_low(pair, value)
-        if vtype == FORM_END:
-            return self.form_end_to_low(pair, value)
-        if vtype == HOMFORM_SYM:
-            return self.homform_to_low(pair, value)
         raise ValueError(f"unknown value type {vtype!r}")
 
     def elementary_to_low(
@@ -348,23 +268,6 @@ class CechContext:
             self._cofaces[size] = table
         return self._cofaces[size].get(simplex, [])
 
-    # -- connections and the Atiyah cochain ---------------------------------------
-
-    def atiyah_value(self, pair: Pair) -> Tuple[PolyMatrix, ...]:
-        """nabla_low - nabla_high on the overlap, in the low frame.
-
-        The high chart's forms move tensorially, then pick up the
-        inhomogeneous term -dg . g^-1 of the transition matrix.
-        """
-        g = self._geom(pair)
-        mul = lambda a, b: g.ring_i.mul(a, b, self.order)
-        gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
-        moved = self.form_end_to_low(pair, self.bundle.gammas[pair[1]])
-        return tuple(
-            low - (form - gm.map(lambda p: p.diff(name)).matmul(gi, mul))
-            for low, form, name in zip(self.bundle.gammas[pair[0]], moved, g.ring_i.u_names)
-        )
-
     # -- value helpers ---------------------------------------------------------------
 
     def zero_value(self, vtype: str, ring: ChartRing):
@@ -373,10 +276,6 @@ class CechContext:
             return ring.zero()
         if vtype == SYM_END:
             return PolyMatrix.zero(e, e, ring.names)
-        if vtype == FORM_END:
-            return tuple(PolyMatrix.zero(e, e, ring.names) for _ in range(ring.p))
-        if vtype == HOMFORM_SYM:
-            return tuple(ring.zero() for _ in range(ring.p))
         raise ValueError(f"unknown value type {vtype!r}")
 
     def ring_of(self, simplex: Tuple[int, ...]) -> ChartRing:
@@ -389,27 +288,9 @@ class CechContext:
         return self.nerve.chart_rings[simplex[0]]
 
 
-def value_add(a, b):
-    if isinstance(a, (LaurentPoly, PolyMatrix)):
-        return a + b
-    return tuple(value_add(x, y) for x, y in zip(a, b))
-
-
-def value_neg(a):
-    if isinstance(a, (LaurentPoly, PolyMatrix)):
-        return -a
-    return tuple(value_neg(x) for x in a)
-
-
-def value_is_zero(a) -> bool:
-    if isinstance(a, (LaurentPoly, PolyMatrix)):
-        return a.is_zero()
-    return all(value_is_zero(x) for x in a)
-
-
 @dataclass
 class CechCochain:
-    """Degree 0, 1 or 2 assignment of module values to nerve simplices."""
+    """Degree 0, 1 or 2 assignment of ``FUNCTION`` or ``SYM_END`` values to nerve simplices."""
 
     degree: int
     vtype: str
@@ -422,7 +303,7 @@ class CechCochain:
         return ctx.zero_value(self.vtype, ctx.ring_of(simplex))
 
     def is_zero(self) -> bool:
-        return all(value_is_zero(v) for v in self.values.values())
+        return all(v.is_zero() for v in self.values.values())
 
     def add(self, other: "CechCochain") -> "CechCochain":
         keys = set(self.values) | set(other.values)
@@ -435,13 +316,13 @@ class CechCochain:
             elif b is None:
                 out[kk] = a
             else:
-                out[kk] = value_add(a, b)
+                out[kk] = a + b
         return CechCochain(self.degree, self.vtype, self.sdeg, out)
 
     def neg(self) -> "CechCochain":
         return CechCochain(
             self.degree, self.vtype, self.sdeg,
-            {kk: value_neg(v) for kk, v in self.values.items()},
+            {kk: -v for kk, v in self.values.items()},
         )
 
 
@@ -457,41 +338,12 @@ def cech_differential(ctx: CechContext, c: CechCochain) -> CechCochain:
         acc = ctx.transport(tau[:2], c.vtype, c.value(ctx, tau[1:]))
         for pos in range(1, len(tau)):
             face = c.value(ctx, tau[:pos] + tau[pos + 1:])
-            acc = value_add(acc, value_neg(face) if pos % 2 else face)
+            acc = acc - face if pos % 2 else acc + face
         out[tau] = acc
     return CechCochain(c.degree + 1, c.vtype, c.sdeg, out)
 
 
 # -- obstruction cochains ---------------------------------------------------------
-
-
-def atiyah_cocycle(ctx: CechContext) -> CechCochain:
-    """Differences of local connections; represents the Atiyah class."""
-    values = {pair: ctx.atiyah_value(pair) for pair in ctx.nerve.doubles()}
-    return CechCochain(1, FORM_END, 0, values)
-
-
-def kodaira_spencer_cochain(ctx: CechContext, degree: int) -> CechCochain:
-    """The degree-s tangential components a^s of the transition logarithms."""
-    values = {}
-    for pair in ctx.nerve.doubles():
-        g = ctx._geom(pair)
-        values[pair] = tuple(g.ring_i.t_part(img, degree) for img in g.logphi.u_images)
-    return CechCochain(1, HOMFORM_SYM, degree, values)
-
-
-def first_order_obstruction(
-    ctx: CechContext, a1: CechCochain, at: CechCochain
-) -> CechCochain:
-    """Cup product a^1_ij . At_jh on each triple, in the lowest frame."""
-
-    def evaluate(tri: Triple):
-        i, j, h = tri
-        ring = ctx.nerve.pair_rings[(i, j)][i]
-        at_moved = ctx.transport((i, j), FORM_END, at.value(ctx, (j, h)))
-        return contract(ring, a1.value(ctx, (i, j)), at_moved, ctx.order)
-
-    return CechCochain(2, SYM_END, 1, {tri: evaluate(tri) for tri in ctx.nerve.triples()})
 
 
 def transition_defect(ctx: CechContext, G: Dict[Pair, PolyMatrix]) -> Dict[Triple, PolyMatrix]:
@@ -546,6 +398,12 @@ def lift_transitions(
         one_plus = PolyMatrix.identity(ctx.bundle.rank, ring.names) + m.value(ctx, pair)
         lifted[pair] = one_plus.matmul(g, lambda a, b: ring.mul(a, b, ctx.order))
     return lifted
+
+
+# bench/tracer.py wraps these two by name, so they stay as the first two lift obstructions
+def first_order_obstruction(ctx: CechContext) -> CechCochain:
+    """o_1 of the transitions g themselves."""
+    return lift_obstruction(ctx, ctx.bundle.g, 1)
 
 
 def second_order_obstruction(ctx: CechContext, m1: CechCochain) -> CechCochain:

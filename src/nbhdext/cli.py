@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import __version__, cohomology
 from .errors import EngineError, ParseError
+from .laurent import as_fraction
 from .scenarios import (
     BUILTIN_NAMES,
     ProvenNonzero,
@@ -113,7 +114,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "generate":
-        s = generate_builtin(args.name, d=args.d, twist=Fraction(args.twist))
+        s = generate_builtin(args.name, d=args.d, twist=as_fraction(args.twist))
         if args.out:
             save_scenario(s, args.out)
         else:

@@ -2,8 +2,9 @@
 
 A scenario is a finite presentation of an embedded smooth variety with a
 bundle: adapted coordinates per chart, two-way chart transitions per
-overlap, bundle transition matrices and local connection forms.  Exact
-rationals ride as strings in the JSON; floats are rejected outright.
+overlap, bundle transition matrices and local connection forms (validated
+for flatness, read by no verdict).  Exact rationals ride as strings in the
+JSON; floats are rejected outright.
 """
 
 from __future__ import annotations
@@ -479,7 +480,6 @@ def validate_scenario(s: Scenario) -> ValidationLog:
 
 
 def build_context(s: Scenario, order: int) -> CechContext:
-    by_pair = _overlap_by_pair(s)
     chart_rings = [s.chart_ring(i) for i in range(len(s.charts_inverted))]
     pair_rings = {
         o.pair: {o.pair[0]: s.overlap_ring(o, o.pair[0]), o.pair[1]: s.overlap_ring(o, o.pair[1])}
@@ -493,18 +493,11 @@ def build_context(s: Scenario, order: int) -> CechContext:
     pairs = {
         o.pair: OverlapGeometry(
             ChartTransition(pair_rings[o.pair][o.pair[0]], pair_rings[o.pair][o.pair[1]],
-                            o.forward_u, o.forward_t, o.backward_u, o.backward_t),
-            order,
+                            o.forward_u, o.forward_t, o.backward_u, o.backward_t)
         )
         for o in s.overlaps
     }
-
-    gammas = s.gammas or [
-        [PolyMatrix.zero(s.e, s.e, s.names) for _ in range(s.p)]
-        for _ in range(len(s.charts_inverted))
-    ]
-    bundle = BundleData(rank=s.e, g=dict(s.g), gammas=gammas)
-    return CechContext(nerve, pairs, bundle, order)
+    return CechContext(nerve, pairs, BundleData(rank=s.e, g=dict(s.g)), order)
 
 
 # -- sheaf twist detection (for the cohomology oracle) -------------------------------

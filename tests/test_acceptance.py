@@ -11,15 +11,12 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from nbhdext.cech import Solved, solve_coboundary, CechCochain, SYM_END
 from nbhdext.cohomology import cohomology_dim
 from nbhdext.filtered import (
     ChartRing,
     PairDerivation,
     bch2,
-    bracket,
     exp_nilpotent,
     log_unipotent,
 )

@@ -5,46 +5,41 @@ import pytest
 
 from nbhdext import cech
 from nbhdext.cech import (
-    FORM_END,
     FUNCTION,
     SYM_END,
     CechCochain,
     ProvenNonzero,
     Solved,
     UnresolvedWithinWindow,
-    atiyah_cocycle,
     cech_differential,
     cochain_coordinates,
-    first_order_obstruction,
-    kodaira_spencer_cochain,
     lift_obstruction,
-    second_order_obstruction,
     solve_coboundary,
-    value_add,
-    value_neg,
 )
 from nbhdext.errors import NotClosed
-from nbhdext.filtered import (
-    ChartRing,
-    FilteredAutomorphism,
-    PairDerivation,
-    log_unipotent,
-)
+from nbhdext.filtered import ChartRing, PairDerivation
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix
 from nbhdext.scenarios import (
     OverlapSpec,
     Scenario,
-    TripleSpec,
     build_context,
     generate_builtin,
     h2_weight_test,
-    run_pipeline,
     sheaf_twists,
     solve_abelianized,
     validate_scenario,
 )
 
+from cup_oracle import (
+    atiyah,
+    cup,
+    first_order_cup,
+    form_differential,
+    kodaira_spencer,
+    transition_log,
+)
+from test_delta_assembly import linear_part_oracle
 from test_integration import four_chart_scenario
 
 F = Fraction
@@ -91,26 +86,23 @@ def branch_differential(ctx, c):
         for pair in ctx.nerve.doubles():
             i, j = pair
             high = ctx.transport(pair, c.vtype, c.value(ctx, (j,)))
-            out[pair] = value_add(high, value_neg(c.value(ctx, (i,))))
+            out[pair] = high - c.value(ctx, (i,))
         return CechCochain(1, c.vtype, c.sdeg, out)
     if c.degree == 1:
         out = {}
         for tri in ctx.nerve.triples():
             i, j, h = tri
             moved = ctx.transport((i, j), c.vtype, c.value(ctx, (j, h)))
-            out[tri] = value_add(
-                moved,
-                value_add(value_neg(c.value(ctx, (i, h))), c.value(ctx, (i, j))),
-            )
+            out[tri] = moved + (-c.value(ctx, (i, h)) + c.value(ctx, (i, j)))
         return CechCochain(2, c.vtype, c.sdeg, out)
     assert c.degree == 2
     out = {}
     for quad in ctx.nerve.quadruples():
         i, j, h, l = quad
         moved = ctx.transport((i, j), c.vtype, c.value(ctx, (j, h, l)))
-        acc = value_add(moved, value_neg(c.value(ctx, (i, h, l))))
-        acc = value_add(acc, c.value(ctx, (i, j, l)))
-        acc = value_add(acc, value_neg(c.value(ctx, (i, j, h))))
+        acc = moved - c.value(ctx, (i, h, l))
+        acc = acc + c.value(ctx, (i, j, l))
+        acc = acc - c.value(ctx, (i, j, h))
         out[quad] = acc
     return CechCochain(3, c.vtype, c.sdeg, out)
 
@@ -203,8 +195,8 @@ def test_extracted_tangential_components_are_delta_closed():
     # the degree-1 additive cocycle condition for the transition logs
     for tw in (0, 1):
         s, ctx = ctx_for("hyperplane_p2_in_p3", d=1, twist=tw)
-        a1 = kodaira_spencer_cochain(ctx, 1)
-        assert cech_differential(ctx, a1).is_zero()
+        a1 = kodaira_spencer(ctx, 1)
+        assert form_differential(ctx, a1).is_zero()
 
 
 def derivation_to_low(ctx, pair, d):
@@ -212,10 +204,11 @@ def derivation_to_low(ctx, pair, d):
     g = ctx.pairs[pair]
     ring_i = g.ring_i
     k = min(d.order, ctx.order)
+    images_ij = linear_part_oracle(g.transition)["images_ij"]
 
     def moved(name):
         # the chart-i generator in the j-frame, hit by d and moved low
-        return ring_i.truncate(ctx.pullback(pair, d.apply(g.images_ij[name])), ctx.order)
+        return ring_i.truncate(ctx.pullback(pair, d.apply(images_ij[name])), ctx.order)
 
     return PairDerivation(
         ring_i,
@@ -232,9 +225,9 @@ def test_degree_two_bch_cocycle_condition():
 
     s, ctx = ctx_for("hyperplane_p2_in_p3", d=1, twist=1)
     i, j, h = 0, 1, 2
-    d_ij = ctx.pairs[(i, j)].logphi
-    d_ih = ctx.pairs[(i, h)].logphi
-    d_jh = derivation_to_low(ctx, (i, j), ctx.pairs[(j, h)].logphi)
+    d_ij = transition_log(ctx, (i, j))
+    d_ih = transition_log(ctx, (i, h))
+    d_jh = derivation_to_low(ctx, (i, j), transition_log(ctx, (j, h)))
     lhs = d_ih.component(2)
     x1, y1 = d_ij.component(1), d_jh.component(1)
     rhs = d_ij.component(2) + d_jh.component(2) + bracket(x1, y1).scaled(F(1, 2))
@@ -246,7 +239,7 @@ def test_degree_two_bch_cocycle_condition():
 
 def test_atiyah_vanishes_for_globally_flat_trivial_bundle():
     s, ctx = ctx_for("line_in_p2", d=0)
-    at = atiyah_cocycle(ctx)
+    at = atiyah(ctx)
     assert at.is_zero()
 
 
@@ -254,7 +247,7 @@ def test_atiyah_on_twisted_line_bundle_is_logarithmic():
     # O(d) with exterior-derivative connections: value d * du/u in the overlap
     for d in (1, -2, 3):
         s, ctx = ctx_for("line_in_p2", d=d)
-        at = atiyah_cocycle(ctx)
+        at = atiyah(ctx)
         val = at.values[(0, 1)]
         ring = ctx.nerve.pair_rings[(0, 1)][0]
         expected = LaurentPoly.monomial(ring.names, (-1, 0), d)
@@ -263,9 +256,9 @@ def test_atiyah_on_twisted_line_bundle_is_logarithmic():
 
 def test_atiyah_trace_detects_nonzero_first_chern():
     s, ctx = ctx_for("line_in_p2", d=2)
-    at = atiyah_cocycle(ctx)
+    at = atiyah(ctx)
     assert not at.values[(0, 1)][0].trace().is_zero()
-    assert cech_differential(ctx, at).is_zero()
+    assert form_differential(ctx, at).is_zero()
 
 
 # -- component extraction -----------------------------------------------------------
@@ -273,9 +266,9 @@ def test_atiyah_trace_detects_nonzero_first_chern():
 
 def test_extract_components_identity_transition():
     s, ctx = ctx_for("line_in_p2", d=1)
-    a1 = kodaira_spencer_cochain(ctx, 1)
+    a1 = kodaira_spencer(ctx, 1)
     assert all(x.is_zero() for x in a1.values[(0, 1)])
-    assert all(x.is_zero() for x in ctx.pairs[(0, 1)].logphi.component(1).t_images)
+    assert all(x.is_zero() for x in transition_log(ctx, (0, 1)).component(1).t_images)
 
 
 # -- first order obstruction ----------------------------------------------------------
@@ -283,17 +276,13 @@ def test_extract_components_identity_transition():
 
 def test_first_order_split_embedding_gives_zero():
     s, ctx = ctx_for("hyperplane_p2_in_p3", d=3)
-    a1 = kodaira_spencer_cochain(ctx, 1)
-    at = atiyah_cocycle(ctx)
-    c1 = first_order_obstruction(ctx, a1, at)
+    c1 = cup(ctx, kodaira_spencer(ctx, 1), atiyah(ctx))
     assert c1.is_zero()
 
 
 def test_first_order_twisted_hyperplane_nonzero_but_exact():
     s, ctx = ctx_for("hyperplane_p2_in_p3", d=2, twist=1)
-    a1 = kodaira_spencer_cochain(ctx, 1)
-    at = atiyah_cocycle(ctx)
-    c1 = first_order_obstruction(ctx, a1, at)
+    c1 = cup(ctx, kodaira_spencer(ctx, 1), atiyah(ctx))
     assert not c1.is_zero()
     status = solve_coboundary(ctx, c1, (-3, 3))
     assert isinstance(status, Solved)
@@ -305,7 +294,7 @@ def test_first_order_class_independent_of_connection_choice():
     # cochain moves, but only by a coboundary
     s = generate_builtin("hyperplane_p2_in_p3", d=2, twist=1)
     ctx = build_context(s, 2)
-    c_base = first_order_obstruction(ctx, kodaira_spencer_cochain(ctx, 1), atiyah_cocycle(ctx))
+    c_base = first_order_cup(ctx)
 
     s2 = generate_builtin("hyperplane_p2_in_p3", d=2, twist=1)
     names = s2.names
@@ -313,7 +302,7 @@ def test_first_order_class_independent_of_connection_choice():
     s2.gammas[1] = [const_form, const_form]
     assert validate_scenario(s2).ok
     ctx2 = build_context(s2, 2)
-    c_new = first_order_obstruction(ctx2, kodaira_spencer_cochain(ctx2, 1), atiyah_cocycle(ctx2))
+    c_new = first_order_cup(ctx2, s2.gammas)
     diff = c_base.add(c_new.neg())
     assert not diff.is_zero()
     status = solve_coboundary(ctx, diff, (-3, 3))

@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from nbhdext.cohomology import cohomology_dim, twist_dims
+from nbhdext.cohomology import cohomology_dim
 from nbhdext.linsolve import matrix_rank, sparse_rows
 
 F = Fraction

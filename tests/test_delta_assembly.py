@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from nbhdext import cech, scenarios
 from nbhdext.cech import _assemble_cochain, cech_differential, cochain_coordinates
 from nbhdext.errors import EngineError
-from nbhdext.filtered import ChartTransition
+from nbhdext.filtered import ChartTransition, induced_transition
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix, matrix_rank, solve_exact
 from nbhdext.scenarios import build_context, generate_builtin, run_pipeline
@@ -250,7 +250,7 @@ def test_elementary_transport_equals_the_whole_transport():
 def test_elementary_transport_refuses_other_value_types():
     ctx = build_context(four_chart_scenario(), 2)
     with pytest.raises(ValueError):
-        ctx.elementary_to_low((0, 1), cech.FORM_END, (0, 0), (0, 1))
+        ctx.elementary_to_low((0, 1), "form_end", (0, 0), (0, 1))
 
 
 # -- the pullback memo -------------------------------------------------------------
@@ -320,9 +320,11 @@ def test_overlap_linear_data_equals_the_written_out_oracle():
             geom = ctx.pairs[o.pair]
             tr = ChartTransition(s.overlap_ring(o, i), s.overlap_ring(o, j),
                                  o.forward_u, o.forward_t, o.backward_u, o.backward_t)
-            for name, expected in linear_part_oracle(tr).items():
-                assert getattr(geom, name) == expected, (label, o.pair, name)
-            assert geom.unipotent.is_unipotent(), (label, o.pair)
+            oracle = linear_part_oracle(tr)
+            # the engine keeps the forward linear data; the Jacobians serve the cup oracle
+            for name in ("images_ji", "conormal_ji"):
+                assert getattr(geom, name) == oracle[name], (label, o.pair, name)
+            assert induced_transition(geom.transition, ctx.order).is_unipotent(), (label, o.pair)
             checked += 1
     assert checked >= 60
 

@@ -8,14 +8,12 @@ from nbhdext.filtered import PairDerivation, bracket
 from nbhdext.formal import (
     AbelianizedKernel,
     FormalDisk,
-    act_on_kernel,
     curvature,
     e_component,
     extension_cochain,
     extension_cocycle,
     is_flat,
     lie_differential,
-    project_kernel,
     project_to_order,
     projection_cochain,
     RelativeCochain,

@@ -3,9 +3,10 @@
 At order one it must equal the paper's cup product a^1 . At exactly when
 the local connection forms are zero, as on every shipped scenario.  A
 nonzero or curved connection changes the cup product but not the lift,
-so the verdicts stay.
+so every report stays.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -15,10 +16,7 @@ import pytest
 from nbhdext.cech import (
     Solved,
     UnresolvedWithinWindow,
-    atiyah_cocycle,
     cochain_coordinates,
-    first_order_obstruction,
-    kodaira_spencer_cochain,
     lift_obstruction,
     transition_defect,
 )
@@ -27,8 +25,10 @@ from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix
 from nbhdext.scenarios import build_context, generate_builtin, run_pipeline, validate_scenario
 
+from cup_oracle import first_order_cup
 from test_integration import four_chart_scenario
 from test_quadric import quadric_scenario
+
 
 def bench_workloads():
     """The benchmark's workload module, loaded from its file."""
@@ -56,7 +56,7 @@ def test_lift_obstruction_equals_the_cup_product_at_order_one():
     nonzero = 0
     for label, s in cases:
         ctx = build_context(s, 2)
-        c1 = first_order_obstruction(ctx, kodaira_spencer_cochain(ctx, 1), atiyah_cocycle(ctx))
+        c1 = first_order_cup(ctx)
         o1 = lift_obstruction(ctx, ctx.bundle.g, 1)
         assert cochain_coordinates(o1) == cochain_coordinates(c1), label
         nonzero += not o1.is_zero()
@@ -72,16 +72,9 @@ def test_lift_obstruction_rechecks_the_lower_orders():
         lift_obstruction(ctx, ctx.bundle.g, 2)
 
 
-def shape(bundle):
-    return [
-        (r.order, r.closedness, type(r.status), getattr(r.status, "torsor_dim", None))
-        for r in bundle.reports
-    ]
-
-
 def cup_product_differs_from_the_lift(s):
     ctx = build_context(s, 1)
-    c1 = first_order_obstruction(ctx, kodaira_spencer_cochain(ctx, 1), atiyah_cocycle(ctx))
+    c1 = first_order_cup(ctx, s.gammas)
     o1 = lift_obstruction(ctx, ctx.bundle.g, 1)
     return cochain_coordinates(c1) != cochain_coordinates(o1)
 
@@ -94,15 +87,35 @@ def hyperplane_with_chart_one_forms(forms, flat):
     return s
 
 
-def test_gauged_hyperplane_keeps_the_verdicts():
-    plain = run_pipeline(generate_builtin("hyperplane_p2_in_p3", d=2, twist=1), k=2)
-    three = LaurentPoly.const(("u1", "u2", "t1"), 3)
-    s = hyperplane_with_chart_one_forms([three, three], True)
-    assert cup_product_differs_from_the_lift(s)
-    gauged = run_pipeline(s, k=2)
-    assert shape(gauged) == shape(plain)
-    assert all(isinstance(r.status, Solved) for r in gauged.reports)
-    assert gauged.abelianized == plain.abelianized
+def with_constant_forms(s):
+    """``s`` with the flat connection d + (i + 1) Id du_b on each chart i."""
+    forms = [
+        [PolyMatrix.identity(s.e, s.names).map(lambda p: p * (i + 1)) for _ in range(s.p)]
+        for i in range(len(s.charts_inverted))
+    ]
+    gauged = dataclasses.replace(s, gammas=forms, flat=[True] * len(forms))
+    assert validate_scenario(gauged).ok
+    return gauged
+
+
+GAUGE_CASES = builtin_schedule() + [
+    ("four-chart fixture", four_chart_scenario()),
+    ("quadric O(1,1)", quadric_scenario(1, 1)),
+    ("quadric O(1,0)", quadric_scenario(1, 0)),
+]
+
+
+@pytest.mark.parametrize("label, s", GAUGE_CASES, ids=[label for label, _ in GAUGE_CASES])
+def test_constant_connections_reach_no_report(label, s):
+    gauged = with_constant_forms(s)
+    # the forms reach the paper's formula: c_1 moves wherever the cover has a triple
+    ctx = build_context(s, 2)
+    c1_moved = cochain_coordinates(first_order_cup(ctx, gauged.gammas)) != cochain_coordinates(
+        first_order_cup(ctx))
+    assert c1_moved == bool(ctx.nerve.triples())
+    plain, moved = run_pipeline(s, k=2).to_json(), run_pipeline(gauged, k=2).to_json()
+    assert moved.pop("scenario_digest") != plain.pop("scenario_digest")
+    assert moved == plain
 
 
 def test_curved_connection_reaches_order_two():

@@ -19,7 +19,6 @@ from nbhdext.errors import (
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix
 from nbhdext.scenarios import (
-    BUILTIN_NAMES,
     generate_builtin,
     load_scenario,
     run_pipeline,
@@ -225,6 +224,18 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert cli_main(["cohomology", "--space", "p1", "--twist", "-2"]) == 0
     captured = capsys.readouterr()
     assert "h^1(p1, O(-2)) = 1" in captured.out
+
+
+@pytest.mark.parametrize("twist, code", [("abc", 2), ("1/0", 2), ("", 2), ("1/2", 0)])
+def test_generate_twist_is_an_exact_rational(tmp_path, capsys, twist, code):
+    out = tmp_path / "line.json"
+    assert cli_main(["generate", "line_in_p2", "--twist", twist, "-o", out.as_posix()]) == code
+    if code:
+        assert f"error: bad rational literal {twist!r}" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert load_scenario(out.as_posix()).dumps() == generate_builtin(
+            "line_in_p2", twist=F(1, 2)).dumps()
 
 
 def test_cli_labs_check_every_identity(capsys):
