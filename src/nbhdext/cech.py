@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FrameMismatch, NotClosed
 from .filtered import ChartRing, ChartTransition, Substitution, _series, linear_images
-from .laurent import Exponent, LaurentPoly, monomial_window
+from .laurent import Exponent, LaurentPoly, Rational, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, Solution, _rref, solve_exact
 
 Pair = Tuple[int, int]
@@ -163,7 +163,7 @@ class CechContext:
         self.order = order
         # memos of derived data; they live and die with this context
         self._substitutions: Dict[Tuple[Pair, bool], Substitution] = {}
-        self._elementary_images: Dict[Tuple, Dict[Tuple, Fraction]] = {}
+        self._elementary_images: Dict[Tuple, Dict[Tuple, Rational]] = {}
         self._conjugators: Dict[Pair, List[List[List[Tuple]]]] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
         self._window_exponents: Dict[Tuple, List[Exponent]] = {}
@@ -207,7 +207,7 @@ class CechContext:
 
     def elementary_to_low(
         self, pair: Pair, vtype: str, entry: Tuple[int, int], exps: Exponent
-    ) -> Dict[Tuple, Fraction]:
+    ) -> Dict[Tuple, Rational]:
         """Coordinates (entry, exps) of one high-frame basis monomial moved low, memoized.
 
         The monomial x^exps is pulled back once, as P: fully for a
@@ -528,9 +528,9 @@ def _assemble_cochain(
     return CechCochain(degree, vtype, sdeg, values)
 
 
-def _coordinates(vtype: str, value) -> Dict[Tuple, Fraction]:
+def _coordinates(vtype: str, value) -> Dict[Tuple, Rational]:
     """Flatten a cochain value into (entry, exponent) -> coefficient."""
-    out: Dict[Tuple, Fraction] = {}
+    out: Dict[Tuple, Rational] = {}
     if vtype == FUNCTION:
         mats = [((0, 0), value)]
     else:
@@ -545,19 +545,19 @@ def _coordinates(vtype: str, value) -> Dict[Tuple, Fraction]:
     return out
 
 
-def cochain_coordinates(c: CechCochain) -> Dict[Tuple, Fraction]:
+def cochain_coordinates(c: CechCochain) -> Dict[Tuple, Rational]:
     """Flatten a cochain into (simplex, entry, exponent) -> coefficient."""
-    out: Dict[Tuple, Fraction] = {}
+    out: Dict[Tuple, Rational] = {}
     for simplex in sorted(c.values):
         for kk, coeff in _coordinates(c.vtype, c.values[simplex]).items():
             out[(simplex,) + kk] = coeff
     return out
 
 
-_SIGNS = (Fraction(1), Fraction(-1))
+_SIGNS = (1, -1)
 
 
-def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[Tuple, Fraction]]:
+def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[Tuple, Rational]]:
     """Coordinates of delta of each elementary cochain: the columns of delta.
 
     delta of the elementary cochain at (simplex, entry, exps) lives on the
@@ -572,7 +572,7 @@ def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[Tuple, Frac
     """
     columns = []
     for simplex, entry, exps in basis:
-        col: Dict[Tuple, Fraction] = {}
+        col: Dict[Tuple, Rational] = {}
         for coface, pos in ctx.cofaces(simplex):
             if pos:
                 col[(coface, entry, exps)] = _SIGNS[pos % 2]
@@ -589,7 +589,7 @@ def _delta_map(
     sdeg: int,
     simplices: Sequence[Tuple[int, ...]],
     window: Tuple[int, int],
-) -> Tuple[List[Tuple], List[Dict[Tuple, Fraction]]]:
+) -> Tuple[List[Tuple], List[Dict[Tuple, Rational]]]:
     """The window basis on ``simplices`` and its delta columns, built once per context."""
     key = (vtype, sdeg, tuple(simplices), tuple(window))
     if key not in ctx._delta_maps:
@@ -599,7 +599,7 @@ def _delta_map(
 
 
 def _exact_system(
-    columns: List[Dict[Tuple, Fraction]], rhs: Dict[Tuple, Fraction]
+    columns: List[Dict[Tuple, Rational]], rhs: Dict[Tuple, Rational]
 ) -> ExactLinearSystem:
     """sum_k x_k columns[k] = rhs over every coordinate key.
 
@@ -609,7 +609,7 @@ def _exact_system(
     entries, so its zeros are never written.
     """
     index: Dict[Tuple, int] = {}
-    rows: List[Dict[int, Fraction]] = []
+    rows: List[Dict[int, Rational]] = []
     for k, col in enumerate(columns):
         for kk, x in col.items():
             i = index.get(kk)
@@ -621,15 +621,14 @@ def _exact_system(
         if kk not in index:
             index[kk] = len(rows)
             rows.append({})
-    zero = Fraction(0)
     return ExactLinearSystem(
         basis=list(range(len(columns))),
         rows=rows,
-        rhs=[rhs.get(kk, zero) for kk in index],
+        rhs=[rhs.get(kk, 0) for kk in index],
     )
 
 
-def _rank_inside(columns: List[Dict[Tuple, Fraction]], inside) -> int:
+def _rank_inside(columns: List[Dict[Tuple, Rational]], inside) -> int:
     """rank(A) - rank(P_out A) for the matrix A of ``columns``; P_out drops the ``inside`` keys.
 
     One walk of the columns splits the rows of A into those outside and
@@ -637,7 +636,7 @@ def _rank_inside(columns: List[Dict[Tuple, Fraction]], inside) -> int:
     rank after them is rank(P_out A) and its rank after all rows is rank(A).
     """
     inside = set(inside)
-    split: Tuple[Dict[Tuple, Dict[int, Fraction]], ...] = ({}, {})
+    split: Tuple[Dict[Tuple, Dict[int, Rational]], ...] = ({}, {})
     for k, col in enumerate(columns):
         for kk, x in col.items():
             split[kk in inside].setdefault(kk, {})[k] = x

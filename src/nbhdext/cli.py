@@ -63,12 +63,27 @@ def main(argv=None) -> int:
     sub.add_parser("formal-lab", help="run the formal-disk property suite")
     sub.add_parser("mc-lab", help="run the Maurer-Cartan lifting suite")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_twists(sys.argv[1:] if argv is None else argv))
     try:
         return _dispatch(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _attach_twists(argv):
+    """Rewrite ``--twist X`` as ``--twist=X`` when X starts with ``-``.
+
+    argparse reads a separate value such as ``-1/2``, which is not a plain
+    negative number, as an option and refuses it.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--twist" and arg.startswith("-"):
+            out[-1] = f"--twist={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _dispatch(args) -> int:

@@ -11,7 +11,6 @@ returned here are honest counts, not closed-form shortcuts.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
@@ -35,16 +34,16 @@ def weight_cohomology(n: int, negative_support: frozenset) -> List[int]:
     ]
     dims = [len(c) for c in chains]
 
-    def delta_matrix(j: int) -> List[List[Fraction]]:
+    def delta_matrix(j: int) -> List[List[int]]:
         rows = []
         for big in chains[j + 1]:
             row = []
             for small in chains[j]:
-                coeff = Fraction(0)
+                coeff = 0
                 if set(small).issubset(big):
                     missing = [x for x in big if x not in small]
                     if len(missing) == 1:
-                        coeff = Fraction((-1) ** big.index(missing[0]))
+                        coeff = (-1) ** big.index(missing[0])
                 row.append(coeff)
             rows.append(row)
         return rows

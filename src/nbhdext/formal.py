@@ -208,7 +208,7 @@ class AbelianizedKernel:
 
     def _comb(self, other: "AbelianizedKernel", sign: int) -> "AbelianizedKernel":
         ends = {
-            v: self.end_parts[v] + other.end_parts[v].scale(Fraction(sign))
+            v: self.end_parts[v] + other.end_parts[v].scale(sign)
             for v in self.end_parts
         }
         scalars = {

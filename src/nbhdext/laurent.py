@@ -3,19 +3,31 @@
 A polynomial is a map from integer exponent vectors to nonzero rational
 coefficients, tagged with an ordered tuple of variable names.  All
 arithmetic is exact; nothing in this package touches floating point.
+
 The canonical term order is graded lexicographic (total degree first,
 ties broken on the exponent tuple), used for serialization and for every
 choice of basis downstream, so results are byte-stable across runs.
+
+One exact-number rule holds wherever the engine stores a coefficient: an
+integral rational is a Python ``int`` and any other rational is a
+``Fraction``.  ``exact`` applies the rule and is the one place a stored
+value is normalised; ``int`` arithmetic pays no ``gcd``, and almost
+every coefficient the engine meets is integral.  Sums, differences and
+products of ``int``s and ``Fraction``s stay exact, but ``int / int`` is
+a float, so each true division in the package keeps a ``Fraction``
+operand: ``Fraction(1) / c`` in ``LaurentPoly.inverse_monomial`` and
+``1 / Fraction(row[pivot])`` in ``linsolve._rref`` are the only two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NonInvertibleSubstitution, ParseError
 
 Exponent = Tuple[int, ...]
+Rational = Union[int, Fraction]
 
 
 def as_fraction(value) -> Fraction:
@@ -32,7 +44,19 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def format_fraction(c: Fraction) -> str:
+def exact(value) -> Rational:
+    """``value`` as an ``int`` when it is integral, else as a ``Fraction``.
+
+    Anything but an ``int`` is coerced through ``as_fraction``, so floats
+    and bad literals raise as they do there.
+    """
+    if type(value) is int:
+        return value
+    c = as_fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def format_fraction(c: Rational) -> str:
     return str(c)
 
 
@@ -53,11 +77,11 @@ class LaurentPoly:
     def __init__(self, vars: Sequence[str], terms: Optional[Mapping[Exponent, object]] = None):
         self.vars: Tuple[str, ...] = tuple(vars)
         n = len(self.vars)
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[Exponent, Rational] = {}
         if terms:
             for exps, coeff in terms.items():
-                c = as_fraction(coeff)
-                if c == 0:
+                c = exact(coeff)
+                if not c:
                     continue
                 e = tuple(int(x) for x in exps)
                 if len(e) != n:
@@ -73,7 +97,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, vars: Sequence[str], c) -> "LaurentPoly":
-        return cls(vars, {(0,) * len(vars): as_fraction(c)})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "LaurentPoly":
@@ -81,11 +105,11 @@ class LaurentPoly:
         idx = vars.index(name)
         e = [0] * len(vars)
         e[idx] = 1
-        return cls(vars, {tuple(e): Fraction(1)})
+        return cls(vars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], coeff=1) -> "LaurentPoly":
-        return cls(vars, {tuple(exps): as_fraction(coeff)})
+        return cls(vars, {tuple(exps): coeff})
 
     # -- predicates and access ----------------------------------------
 
@@ -95,7 +119,7 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Exponent, Rational]]:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
     # -- arithmetic ----------------------------------------------------
@@ -110,8 +134,8 @@ class LaurentPoly:
         self._check_same_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
+            s = out.get(e, 0) + c
+            if not s:
                 out.pop(e, None)
             else:
                 out[e] = s
@@ -129,17 +153,16 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if c == 0:
+            if not other:
                 return LaurentPoly.zero(self.vars)
-            return LaurentPoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
+            return LaurentPoly(self.vars, {e: cc * other for e, cc in self.terms.items()})
         self._check_same_ring(other)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Rational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
+                s = out.get(e, 0) + c1 * c2
+                if not s:
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -169,7 +192,7 @@ class LaurentPoly:
 
     def diff(self, name: str) -> "LaurentPoly":
         idx = self.vars.index(name)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Rational] = {}
         for e, c in self.terms.items():
             k = e[idx]
             if k == 0:
@@ -177,8 +200,8 @@ class LaurentPoly:
             e2 = list(e)
             e2[idx] = k - 1
             e2 = tuple(e2)
-            s = out.get(e2, Fraction(0)) + c * k
-            if s == 0:
+            s = out.get(e2, 0) + c * k
+            if not s:
                 out.pop(e2, None)
             else:
                 out[e2] = s
@@ -217,7 +240,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json_terms(cls, vars: Sequence[str], data: Iterable) -> "LaurentPoly":
-        terms: Dict[Exponent, Fraction] = {}
+        terms: Dict[Exponent, Rational] = {}
         for item in data:
             try:
                 exps, coeff = item

@@ -1,9 +1,10 @@
 """Matrices of Laurent polynomials and exact linear solving over Q.
 
 Exact solving and rank share one routine: a sparse reduced row echelon
-form with Fraction entries.  The coboundary systems are about 1% dense,
-so a system's rows are column -> entry maps from assembly to the kernel
-count, and no dense rows x columns list is built on the way.
+form with exact rational entries, ``int`` when integral (the rule of
+``laurent``).  The coboundary systems are about 1% dense, so a system's
+rows are column -> entry maps from assembly to the kernel count, and no
+dense rows x columns list is built on the way.
 Inconsistency is a value, not an error: callers distinguish "no solution
 in this window" from genuine failures.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NonInvertibleSubstitution
-from .laurent import LaurentPoly, as_fraction
+from .laurent import LaurentPoly, Rational, exact
 
 MulFn = Callable[[LaurentPoly, LaurentPoly], LaurentPoly]
 
@@ -50,7 +51,7 @@ class PolyMatrix:
 
     @classmethod
     def from_scalar_rows(cls, vars: Sequence[str], rows: Sequence[Sequence[object]]) -> "PolyMatrix":
-        return cls([[LaurentPoly.const(vars, as_fraction(x)) for x in row] for row in rows])
+        return cls([[LaurentPoly.const(vars, x) for x in row] for row in rows])
 
     def vars(self) -> Tuple[str, ...]:
         if self.rows == 0 or self.cols == 0:
@@ -196,7 +197,7 @@ class PolyMatrix:
 # -- exact linear systems over Q ------------------------------------------
 
 
-Row = Dict[int, Fraction]
+Row = Dict[int, Rational]
 
 
 @dataclass
@@ -211,7 +212,7 @@ class ExactLinearSystem:
 
     basis: List[object]
     rows: List[Row]
-    rhs: List[Fraction]
+    rhs: List[Rational]
 
     def __post_init__(self):
         width = len(self.basis)
@@ -222,22 +223,21 @@ class ExactLinearSystem:
             raise ValueError("rhs length does not match the number of constraints")
 
     @property
-    def matrix(self) -> List[List[Fraction]]:
+    def matrix(self) -> List[List[Rational]]:
         """Dense rows x columns copy of the coefficients, built on each access.
 
         Only tracing and tests read it; the solver works on ``rows``.
         """
-        zero = Fraction(0)
         dense = []
         for row in self.rows:
-            line = [zero] * len(self.basis)
+            line = [0] * len(self.basis)
             for c, x in row.items():
                 line[c] = x
             dense.append(line)
         return dense
 
 
-def sparse_rows(matrix: Iterable[Sequence[Fraction]]) -> List[Row]:
+def sparse_rows(matrix: Iterable[Sequence[Rational]]) -> List[Row]:
     """The ``{column: entry}`` rows of a dense matrix."""
     return [{c: x for c, x in enumerate(line) if x} for line in matrix]
 
@@ -245,12 +245,12 @@ def sparse_rows(matrix: Iterable[Sequence[Fraction]]) -> List[Row]:
 @dataclass
 class Solution:
     consistent: bool
-    particular: Optional[List[Fraction]]
-    nullspace: List[List[Fraction]] = field(default_factory=list)
+    particular: Optional[List[Rational]]
+    nullspace: List[List[Rational]] = field(default_factory=list)
 
 
 def _rref(
-    rows: Iterable[Mapping[int, Fraction]], reduced: Optional[Dict[int, Row]] = None
+    rows: Iterable[Mapping[int, Rational]], reduced: Optional[Dict[int, Row]] = None
 ) -> Dict[int, Row]:
     """Sparse reduced row echelon form over Q.
 
@@ -273,8 +273,10 @@ def _rref(
         if not row:
             continue
         pivot = min(row)
-        inv = 1 / Fraction(row[pivot])
-        row = {c: x * inv for c, x in row.items()}
+        # a pivot of +-1 has an integral inverse, so an integer row stays integer
+        inv = exact(1 / Fraction(row[pivot]))
+        if inv != 1:
+            row = {c: x * inv for c, x in row.items()}
         for other in reduced.values():
             if pivot in other:
                 _add_multiple(other, -other[pivot], row)
@@ -282,7 +284,7 @@ def _rref(
     return reduced
 
 
-def _add_multiple(row: Dict[int, Fraction], factor: Fraction, other: Dict[int, Fraction]) -> None:
+def _add_multiple(row: Row, factor: Rational, other: Row) -> None:
     """row += factor * other, dropping entries that cancel."""
     for c, x in other.items():
         v = row.get(c, 0) + factor * x
@@ -307,15 +309,14 @@ def solve_exact(sys: ExactLinearSystem) -> Solution:
     n = len(sys.basis)
     reduced = _rref({**row, n: b} if b else row for row, b in zip(sys.rows, sys.rhs))
     consistent = reduced.pop(n, None) is None
-    zero = Fraction(0)
-    particular: Optional[List[Fraction]] = None
+    particular: Optional[List[Rational]] = None
     if consistent:
-        particular = [zero] * n
+        particular = [0] * n
         for p, row in reduced.items():
-            particular[p] = row.get(n, zero)
-    kernel = {f: [zero] * n for f in range(n) if f not in reduced}
+            particular[p] = row.get(n, 0)
+    kernel = {f: [0] * n for f in range(n) if f not in reduced}
     for f, vec in kernel.items():
-        vec[f] = Fraction(1)
+        vec[f] = 1
     for p, row in reduced.items():
         for c, x in row.items():
             if c in kernel:
@@ -323,6 +324,6 @@ def solve_exact(sys: ExactLinearSystem) -> Solution:
     return Solution(consistent, particular, list(kernel.values()))
 
 
-def matrix_rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
+def matrix_rank(rows: Iterable[Mapping[int, Rational]]) -> int:
     """Exact rank of a rational matrix given by its ``{column: entry}`` rows."""
     return len(_rref(rows))

@@ -19,14 +19,15 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import NotMaurerCartan, SectionNotValued
+from .laurent import Rational, exact
 
-Vector = Tuple[Fraction, ...]
+Vector = Tuple[Rational, ...]
 
 
 def vec(n: int, entries: Mapping[int, object] = ()) -> Vector:
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, c in dict(entries).items():
-        out[i] = Fraction(c)
+        out[i] = exact(c)
     return tuple(out)
 
 
@@ -39,7 +40,7 @@ def sub(a: Vector, b: Vector) -> Vector:
 
 
 def scale(a: Vector, c) -> Vector:
-    c = Fraction(c)
+    c = exact(c)
     if c == 1:
         return a
     return tuple(x * c if x else x for x in a)
@@ -58,22 +59,22 @@ class GradedDgLie:
     Missing pairs mean zero bracket.  All axioms are checked exactly at
     construction.  ``apply_d`` and ``bracket`` run on sparse views built
     once from the cleaned constants, so a zero coordinate or structure
-    constant costs no Fraction product; the basis vectors are built once
-    too.
+    constant costs no product; the basis vectors are built once too.
+    Constants are cleaned by ``laurent.exact``, so integral ones are ``int``s.
     """
 
     degrees: Tuple[int, ...]
-    d: Tuple[Tuple[Fraction, ...], ...]
-    brackets: Dict[Tuple[int, int], Dict[int, Fraction]]
+    d: Tuple[Tuple[Rational, ...], ...]
+    brackets: Dict[Tuple[int, int], Dict[int, Rational]]
 
     def __post_init__(self):
         n = len(self.degrees)
-        self.d = tuple(tuple(Fraction(x) for x in row) for row in self.d)
+        self.d = tuple(tuple(exact(x) for x in row) for row in self.d)
         if len(self.d) != n or any(len(row) != n for row in self.d):
             raise ValueError("differential matrix must be square of the basis size")
-        clean: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        clean: Dict[Tuple[int, int], Dict[int, Rational]] = {}
         for (i, j), expansion in self.brackets.items():
-            entry = {k: Fraction(c) for k, c in expansion.items() if Fraction(c) != 0}
+            entry = {k: exact(c) for k, c in expansion.items() if exact(c)}
             if entry:
                 clean[(i, j)] = entry
         self.brackets = clean
@@ -81,7 +82,7 @@ class GradedDgLie:
         self._d_columns = tuple(
             tuple((i, self.d[i][j]) for i in range(n) if self.d[i][j] != 0) for j in range(n)
         )
-        by_first: Dict[int, List[Tuple[int, Tuple[Tuple[int, Fraction], ...]]]] = {}
+        by_first: Dict[int, List[Tuple[int, Tuple[Tuple[int, Rational], ...]]]] = {}
         for (i, j), expansion in clean.items():
             by_first.setdefault(i, []).append((j, tuple(expansion.items())))
         self._by_first = by_first
@@ -98,7 +99,7 @@ class GradedDgLie:
         return self._basis[i]
 
     def apply_d(self, v: Vector) -> Vector:
-        out = [Fraction(0)] * self.n
+        out = [0] * self.n
         for j, x in enumerate(v):
             if x:
                 for i, c in self._d_columns[j]:
@@ -106,7 +107,7 @@ class GradedDgLie:
         return tuple(out)
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
-        out = [Fraction(0)] * self.n
+        out = [0] * self.n
         for i, x in enumerate(v):
             if not x:
                 continue
@@ -236,14 +237,14 @@ class AbelianExtension:
         if self.section is None:
             self.section = {i: amb.basis(i) for i in self.quotient_basis}
         else:
-            self.section = {i: tuple(Fraction(x) for x in v) for i, v in self.section.items()}
+            self.section = {i: tuple(exact(x) for x in v) for i, v in self.section.items()}
             for i in self.quotient_basis:
                 sv = self.section.get(i)
                 if sv is None:
                     raise ValueError(f"section misses quotient basis element {i}")
                 # right inverse of the projection
                 for j in self.quotient_basis:
-                    expect = Fraction(1) if j == i else Fraction(0)
+                    expect = 1 if j == i else 0
                     if sv[j] != expect:
                         raise SectionNotValued(
                             "section is not a right inverse of the projection"
@@ -260,7 +261,7 @@ class AbelianExtension:
             [amb.d[i][j] for j in qb]
             for i in qb
         ]
-        brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        brackets: Dict[Tuple[int, int], Dict[int, Rational]] = {}
         for a, i in enumerate(qb):
             for b, j in enumerate(qb):
                 br = amb.bracket(amb.basis(i), amb.basis(j))
@@ -273,7 +274,7 @@ class AbelianExtension:
 
     def include_quotient(self, v: Vector) -> Vector:
         """Apply the section to a quotient vector."""
-        out = [Fraction(0)] * self.ambient.n
+        out = [0] * self.ambient.n
         for a, i in enumerate(self.quotient_basis):
             c = v[a]
             if c == 0:

@@ -359,6 +359,9 @@ GOLDEN_DIGESTS = {
     ("hyperplane_p2_in_p3", 2, 1): "e8624a2c12e962bce429d34b8b951e897ca3eb32ab5f292a4ca605733853f978",
     ("p1_in_line_bundle", 2, 0): "37b03d81baded5e97690454a7afb0943cdf9de2ccbc2ddd6e684627e7855a03a",
     ("p1_in_line_bundle", 4, 0): "85f6729e05a89af598d9c2940b2fe54669ccffe17221e846c46f356dbb4b7181",
+    # non-integral twists put coefficients such as -1/2, 4/3 and 4/9 in the report
+    ("hyperplane_p2_in_p3", 1, F(-1, 2)): "e827ecbabb79cb48e3b6eec6f37752a202ff7e42e118dfd5cc75575e4b9ae6eb",
+    ("hyperplane_p2_in_p3", 2, F(2, 3)): "77afdb834290d14dcf59007f875a7f4e98a03c092919e96b059173b2f64f8c1a",
 }
 
 

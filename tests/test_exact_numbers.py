@@ -1,0 +1,222 @@
+"""The exact-number rule: an integral coefficient is an ``int``, any other a ``Fraction``.
+
+Polynomial arithmetic, truncated products and substitutions must follow
+the rule and agree with the schoolbook oracle of ``test_laurent``; the
+elimination and the Maurer-Cartan kernels must never produce a float;
+and every true division in the package must keep a ``Fraction`` operand,
+since ``int / int`` is a float.
+"""
+
+import ast
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nbhdext.errors import ParseError
+from nbhdext.filtered import ChartRing, Substitution
+from nbhdext.laurent import LaurentPoly, exact
+from nbhdext.linsolve import _rref
+from nbhdext.mclift import lift_residual, vec
+
+from test_laurent import V, brute_mul
+from test_mclift import quotient_mc_candidates, random_two_level_extension
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# ints, proper fractions and integral Fractions such as Fraction(4, 2)
+coeffs = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.integers(-4, 4).map(lambda n: Fraction(2 * n, 2)),
+)
+nonzero_coeffs = coeffs.filter(bool)
+exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+polys = st.dictionaries(exps, coeffs, max_size=5).map(lambda t: LaurentPoly(V, t))
+
+# x is tangential and y conormal, so truncation drops terms by their y-degree
+T_RING = ChartRing(("x",), ("y",))
+PLAIN_RING = ChartRing(V, ())
+
+
+def follows_rule(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def assert_rule(p: LaurentPoly) -> None:
+    assert all(follows_rule(c) for c in p.terms.values()), p.terms
+
+
+def brute_add(a, b, sign):
+    out = {e: Fraction(c) for e, c in a.terms.items()}
+    for e, c in b.terms.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def brute_inverse(p):
+    ((e, c),) = p.terms.items()
+    return LaurentPoly(V, {tuple(-x for x in e): Fraction(1) / c})
+
+
+def brute_subst(p, images):
+    """Sum of c * prod(image^k), every power and product expanded by the oracle."""
+    out = LaurentPoly.zero(V)
+    for e, c in p.terms.items():
+        term = LaurentPoly(V, {(0, 0): c})
+        for name, k in zip(V, e):
+            base = images[name] if k > 0 else brute_inverse(images[name])
+            for _ in range(abs(k)):
+                term = brute_mul(term, base)
+        out = LaurentPoly(V, brute_add(out, term, 1))
+    return out
+
+
+def test_exact_normalises_and_refuses_floats():
+    assert type(exact(Fraction(4, 2))) is int and exact(Fraction(4, 2)) == 2
+    assert exact("-6/3") == -2 and type(exact("-6/3")) is int
+    assert exact(Fraction(2, 3)) == Fraction(2, 3)
+    assert exact(3) == 3
+    with pytest.raises(TypeError):
+        exact(0.5)
+    with pytest.raises(ParseError):
+        exact("abc")
+
+
+@given(polys, polys, nonzero_coeffs)
+@settings(max_examples=80, deadline=None)
+def test_polynomial_arithmetic_follows_the_rule(a, b, c):
+    assert_rule(a)
+    for result, oracle in (
+        (a + b, brute_add(a, b, 1)),
+        (a - b, brute_add(a, b, -1)),
+        (a * b, brute_mul(a, b).terms),
+        (a * c, {e: x * c for e, x in a.terms.items()}),
+        (a + c, brute_add(a, LaurentPoly(V, {(0, 0): c}), 1)),
+    ):
+        assert_rule(result)
+        assert result.terms == oracle
+    derivative = a.diff("x")
+    assert_rule(derivative)
+    assert derivative.terms == {(e[0] - 1, e[1]): x * e[0] for e, x in a.terms.items() if e[0]}
+
+
+@given(exps, nonzero_coeffs)
+@settings(max_examples=40, deadline=None)
+def test_inverse_monomial_follows_the_rule(e, c):
+    m = LaurentPoly(V, {e: c})
+    inv = m.inverse_monomial()
+    assert_rule(inv)
+    assert inv == brute_inverse(m)
+    assert m * inv == LaurentPoly.const(V, 1)
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(0, 3)), coeffs, max_size=5),
+    st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(0, 3)), coeffs, max_size=5),
+    st.integers(0, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_truncated_product_follows_the_rule(ta, tb, t_max):
+    a, b = LaurentPoly(V, ta), LaurentPoly(V, tb)
+    product = T_RING.mul(a, b, t_max)
+    assert_rule(product)
+    assert product == T_RING.truncate(brute_mul(a, b), t_max)
+
+
+@given(polys, nonzero_coeffs, nonzero_coeffs)
+@settings(max_examples=40, deadline=None)
+def test_substitution_follows_the_rule(p, cx, cy):
+    images = {"x": LaurentPoly(V, {(0, 1): cx}), "y": LaurentPoly(V, {(1, -1): cy})}
+    moved = Substitution(PLAIN_RING, images, 0)(p)
+    assert_rule(moved)
+    assert moved == brute_subst(p, images)
+
+
+# -- elimination and the Maurer-Cartan kernels --------------------------------
+
+int_rows = st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=5)
+
+
+def no_float(values) -> bool:
+    return all(type(x) is int or type(x) is Fraction for x in values)
+
+
+@given(int_rows)
+@settings(max_examples=60, deadline=None)
+def test_rref_of_int_rows_equals_rref_of_fraction_rows(rows):
+    as_int = _rref([{c: x for c, x in enumerate(r) if x} for r in rows])
+    as_frac = _rref([{c: Fraction(x) for c, x in enumerate(r) if x} for r in rows])
+    assert as_int == as_frac
+    for reduced in (as_int, as_frac):
+        assert all(no_float(row.values()) for row in reduced.values())
+
+
+def test_rref_keeps_integer_rows_integer_under_unit_pivots():
+    reduced = _rref([{0: 1, 1: 2}, {1: -1, 2: 3}])
+    assert reduced == {0: {0: 1, 2: 6}, 1: {1: 1, 2: -3}}
+    assert all(type(x) is int for row in reduced.values() for x in row.values())
+
+
+def test_mclift_kernels_return_no_float():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(10):
+        ext = random_two_level_extension(rng)
+        amb = ext.ambient
+        # integral structure constants are cleaned to ints, so integer inputs stay integer
+        for i in range(amb.n):
+            assert all(type(x) is int for x in amb.apply_d(amb.basis(i)))
+            for j in range(amb.n):
+                assert all(type(x) is int for x in amb.bracket(amb.basis(i), amb.basis(j)))
+        kernel_deg1 = [i for i in ext.kernel if amb.degrees[i] == 1]
+        for phi in quotient_mc_candidates(ext.quotient, [0, 1, Fraction(-1, 2)]):
+            alpha = vec(amb.n, {i: Fraction(2, 3) for i in kernel_deg1})
+            assert no_float(amb.apply_d(alpha))
+            assert no_float(amb.bracket(ext.include_quotient(phi), alpha))
+            assert no_float(lift_residual(ext, phi, alpha))
+            checked += 1
+    assert checked >= 10
+
+
+# -- every true division keeps a Fraction operand -------------------------------
+
+
+def divisions(tree):
+    """(line, operands) of each ``/`` and ``/=`` in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            yield node.lineno, (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            yield node.lineno, (node.target, node.value)
+
+
+def is_fraction_call(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+    )
+
+
+def unguarded_divisions(source: str):
+    return sorted(line for line, operands in divisions(ast.parse(source))
+                  if not any(is_fraction_call(x) for x in operands))
+
+
+def test_every_division_has_a_fraction_operand():
+    found, unguarded = 0, []
+    for path in sorted((ROOT / "src" / "nbhdext").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        found += sum(1 for _ in divisions(ast.parse(source)))
+        unguarded += [f"{path.name}:{line}" for line in unguarded_divisions(source)]
+    assert unguarded == []
+    assert found == 2
+
+
+def test_the_scan_sees_an_int_division():
+    source = "a = 1 / x\nb = Fraction(1) / x\nc = x / Fraction(y)\nd /= 2\n"
+    assert unguarded_divisions(source) == [1, 4]

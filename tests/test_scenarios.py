@@ -238,6 +238,19 @@ def test_generate_twist_is_an_exact_rational(tmp_path, capsys, twist, code):
             "line_in_p2", twist=F(1, 2)).dumps()
 
 
+def test_generate_reads_a_negative_fraction_twist_after_a_space(tmp_path, capsys):
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert cli_main(["generate", "line_in_p2", "--twist", "-1/2", "-o", spaced.as_posix()]) == 0
+    assert cli_main(["generate", "line_in_p2", "--twist=-1/2", "-o", joined.as_posix()]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert load_scenario(spaced.as_posix()).dumps() == generate_builtin(
+        "line_in_p2", twist=F(-1, 2)).dumps()
+    capsys.readouterr()
+    # a malformed value is still refused by the rational parser, not by argparse
+    assert cli_main(["generate", "line_in_p2", "--twist", "-abc"]) == 2
+    assert "error: bad rational literal '-abc'" in capsys.readouterr().err
+
+
 def test_cli_labs_check_every_identity(capsys):
     assert cli_main(["formal-lab"]) == 0
     assert cli_main(["mc-lab"]) == 0
