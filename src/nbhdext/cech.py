@@ -184,12 +184,15 @@ class CechContext:
         Sym^v N^*-valued values.  Each (pair, full) keeps one substitution,
         so variable powers and monomial images are built once per context.
         """
+        return self._substitution(pair, full)(value)
+
+    def _substitution(self, pair: Pair, full: bool) -> Substitution:
         sub = self._substitutions.get((pair, full))
         if sub is None:
             g = self._geom(pair)
             sub = Substitution(g.ring_i, g.forward if full else g.images_ji, self.order)
             self._substitutions[(pair, full)] = sub
-        return sub(value)
+        return sub
 
     def end_to_low(self, pair: Pair, value: PolyMatrix) -> PolyMatrix:
         g = self._geom(pair)
@@ -210,10 +213,11 @@ class CechContext:
     ) -> Dict[Tuple, Rational]:
         """Coordinates (entry, exps) of one high-frame basis monomial moved low, memoized.
 
-        The monomial x^exps is pulled back once, as P: fully for a
-        ``FUNCTION``, whose coordinates are those of P, and linearly for
-        ``SYM_END``.  There E_rc . P moves to g . (E_rc . P) . g^-1, whose
-        entry (a, b) is P . g[a][r] . g^-1[c][b]: t-degrees are >= 0 and
+        P is the pullback's memoized image of the monomial x^exps: the full
+        pullback for a ``FUNCTION``, whose coordinates are those of P, and
+        the linear one for ``SYM_END``.  There E_rc . P moves to
+        g . (E_rc . P) . g^-1, whose entry (a, b) is
+        P . g[a][r] . g^-1[c][b]: t-degrees are >= 0 and
         the charts have no ``base_trunc``, so truncation is a ring map and
         the conjugation is one product with a memoized scalar per entry.
         """
@@ -223,7 +227,8 @@ class CechContext:
             if vtype not in (FUNCTION, SYM_END):
                 raise ValueError(f"delta columns are built for functions and End E, not {vtype!r}")
             geom = self._geom(pair)
-            moved = self.pullback(pair, geom.ring_j.monomial(exps), full=vtype == FUNCTION)
+            sub = self._substitution(pair, vtype == FUNCTION)
+            moved = sub.monomial_image(geom.ring_j.names, exps)
             if vtype == FUNCTION:
                 images = [((0, 0), moved)]
             else:

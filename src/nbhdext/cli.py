@@ -17,6 +17,7 @@ from .errors import EngineError, ParseError
 from .laurent import as_fraction
 from .scenarios import (
     BUILTIN_NAMES,
+    TWISTED_BUILTINS,
     ProvenNonzero,
     Solved,
     generate_builtin,
@@ -129,7 +130,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "generate":
-        s = generate_builtin(args.name, d=args.d, twist=as_fraction(args.twist))
+        twist = as_fraction(args.twist)
+        if twist and args.name not in TWISTED_BUILTINS:
+            raise ParseError(
+                f"{args.name} has no twist family; --twist applies only to "
+                + " and ".join(TWISTED_BUILTINS)
+            )
+        s = generate_builtin(args.name, d=args.d, twist=twist)
         if args.out:
             save_scenario(s, args.out)
         else:

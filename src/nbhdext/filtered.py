@@ -18,7 +18,7 @@ from math import factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NonInvertibleSubstitution, NotAdapted, NotUnipotent
-from .laurent import Exponent, LaurentPoly, grlex_key
+from .laurent import Exponent, LaurentPoly, Rational, grlex_key
 from .linsolve import PolyMatrix
 
 
@@ -108,7 +108,7 @@ class ChartRing:
         a._check_same_ring(b)
         p, base = self.p, self.base_trunc
         rows = [(sum(e[p:]), sum(e[:p]), e, c) for e, c in b.terms.items()]
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Rational] = {}
         for e1, c1 in a.terms.items():
             t_room = t_max - sum(e1[p:])
             u_room = None if base is None else base - sum(e1[:p])
@@ -121,7 +121,7 @@ class ChartRing:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return LaurentPoly(a.vars, out)
+        return LaurentPoly._of(a.vars, out)
 
     def t_part(self, p: LaurentPoly, s: int) -> LaurentPoly:
         return p.part_group(self.t_idxs, s)
@@ -177,9 +177,10 @@ class Substitution:
     ``images`` maps each source variable to a polynomial over ``target``;
     negative powers use truncated inversion.  The truncated power x^k of a
     variable's image is built once, as x^(k-1) times the image (times one
-    truncated inverse for k < 0), and a monomial's image is the truncated
-    product of its powers, also built once.  A polynomial's image is the
-    sum of its scaled monomial images: truncation commutes with rational
+    truncated inverse for k < 0), and a monomial's image
+    (``monomial_image``) is the truncated product of its powers, also built
+    once.  A polynomial's image is the sum of its scaled monomial images,
+    with cancelled terms dropped: truncation commutes with rational
     scaling, so this equals one substitution of the whole polynomial.
     Terms are moved in sorted order, so a missing image (``ValueError``) or
     a non-invertible one is reported on the same term as a fresh call would.
@@ -194,22 +195,30 @@ class Substitution:
         self._monomials: Dict[Tuple[str, ...], Dict[Exponent, LaurentPoly]] = {}
 
     def __call__(self, p: LaurentPoly) -> LaurentPoly:
-        target, t_max = self.target, self.t_max
-        memo = self._monomials.setdefault(p.vars, {})
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Rational] = {}
         for e, c in p.sorted_terms():
-            image = memo.get(e)
-            if image is None:
-                image = target.one()
-                for name, k in zip(p.vars, e):
-                    if k:
-                        image = target.mul(image, self.power(name, k), t_max)
-                        if not image.terms:
-                            break
-                memo[e] = image
-            for f, d in image.terms.items():
-                out[f] = out.get(f, 0) + c * d
-        return LaurentPoly(target.names, out)
+            for f, d in self.monomial_image(p.vars, e).terms.items():
+                s = out.get(f, 0) + c * d
+                if s:
+                    out[f] = s
+                else:
+                    out.pop(f, None)
+        return LaurentPoly._of(self.target.names, out)
+
+    def monomial_image(self, vars: Tuple[str, ...], exps: Exponent) -> LaurentPoly:
+        """The truncated image of the monomial ``exps`` over ``vars``, built once."""
+        memo = self._monomials.setdefault(vars, {})
+        image = memo.get(exps)
+        if image is None:
+            target, t_max = self.target, self.t_max
+            image = target.one()
+            for name, k in zip(vars, exps):
+                if k:
+                    image = target.mul(image, self.power(name, k), t_max)
+                    if not image.terms:
+                        break
+            memo[exps] = image
+        return image
 
     def power(self, name: str, k: int) -> LaurentPoly:
         """The truncated image of ``name`` to the power ``k != 0``, built once."""

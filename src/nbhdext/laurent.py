@@ -16,7 +16,16 @@ every coefficient the engine meets is integral.  Sums, differences and
 products of ``int``s and ``Fraction``s stay exact, but ``int / int`` is
 a float, so each true division in the package keeps a ``Fraction``
 operand: ``Fraction(1) / c`` in ``LaurentPoly.inverse_monomial`` and
-``1 / Fraction(row[pivot])`` in ``linsolve._rref`` are the only two.
+``1 / Fraction(head)`` in ``linsolve._rref`` are the only two.
+
+A polynomial is made in one of two ways.  ``LaurentPoly.__init__`` takes
+data from outside (parsing, the public constructors, a monomial's
+inverse): it rebuilds every exponent vector as a tuple of ``int``s,
+checks its length, cleans every coefficient with ``exact`` and drops the
+zeros.  ``LaurentPoly._of`` wraps a dict that arithmetic on the same ring
+has just built from such polynomials, whose keys are already right and
+whose zeros are already dropped; it applies only the exact-number rule,
+since a sum or product of ``Fraction``s can be integral.
 """
 
 from __future__ import annotations
@@ -89,6 +98,23 @@ class LaurentPoly:
                 clean[e] = c
         self.terms = clean
 
+    @classmethod
+    def _of(cls, vars: Tuple[str, ...], terms: Dict[Exponent, Rational]) -> "LaurentPoly":
+        """Wrap ``terms`` that arithmetic on the ring ``vars`` has just built.
+
+        The caller hands over a fresh dict of nonzero coefficients whose keys
+        are exponent tuples of the ring's length, so nothing is rebuilt or
+        checked; only the exact-number rule is applied, since a product or
+        sum of ``Fraction``s can be integral.
+        """
+        for e, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[e] = c.numerator
+        poly = object.__new__(cls)
+        poly.vars = vars
+        poly.terms = terms
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -139,12 +165,12 @@ class LaurentPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return LaurentPoly(self.vars, out)
+        return LaurentPoly._of(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -155,7 +181,7 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly.zero(self.vars)
-            return LaurentPoly(self.vars, {e: cc * other for e, cc in self.terms.items()})
+            return LaurentPoly._of(self.vars, {e: cc * other for e, cc in self.terms.items()})
         self._check_same_ring(other)
         out: Dict[Exponent, Rational] = {}
         for e1, c1 in self.terms.items():
@@ -166,7 +192,7 @@ class LaurentPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return LaurentPoly(self.vars, out)
+        return LaurentPoly._of(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -205,7 +231,7 @@ class LaurentPoly:
                 out.pop(e2, None)
             else:
                 out[e2] = s
-        return LaurentPoly(self.vars, out)
+        return LaurentPoly._of(self.vars, out)
 
     # -- grouped-degree utilities (used by truncated rings) -------------
 
@@ -217,12 +243,12 @@ class LaurentPoly:
         }
         if len(kept) == len(self.terms):
             return self
-        return LaurentPoly(self.vars, kept)
+        return LaurentPoly._of(self.vars, kept)
 
     def part_group(self, idxs: Sequence[int], deg: int) -> "LaurentPoly":
         """The slice of terms of exact total degree ``deg`` in the indexed variables."""
         idxs = tuple(idxs)
-        return LaurentPoly(
+        return LaurentPoly._of(
             self.vars,
             {e: c for e, c in self.terms.items() if sum(e[i] for i in idxs) == deg},
         )

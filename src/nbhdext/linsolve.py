@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import NonInvertibleSubstitution
 from .laurent import LaurentPoly, Rational, exact
@@ -262,9 +262,20 @@ def _rref(
     so the result does not depend on the order of the rows.  Passing an
     earlier result as ``reduced`` folds more rows into it, in place: the
     elimination goes on where it stopped.
+
+    A column index ``holders`` maps each non-pivot column to the pivots
+    whose rows may be nonzero there, so a new pivot is cleared only from
+    those rows and not looked up in every earlier one.  The index is built
+    from ``reduced`` on entry, and a stale pivot, whose entry has since
+    cancelled, is not pruned: it costs one lookup.
     """
     if reduced is None:
         reduced = {}
+    holders: Dict[int, Set[int]] = {}
+    for p, prow in reduced.items():
+        for c in prow:
+            if c != p:
+                holders.setdefault(c, set()).add(p)
     for given in rows:
         row = {c: x for c, x in given.items() if x}
         # a reduced row is 0 at the other pivots, so each pivot is cleared once
@@ -273,13 +284,20 @@ def _rref(
         if not row:
             continue
         pivot = min(row)
-        # a pivot of +-1 has an integral inverse, so an integer row stays integer
-        inv = exact(1 / Fraction(row[pivot]))
-        if inv != 1:
+        head = row[pivot]
+        if head != 1:
+            # -1 is its own inverse, so an integer row stays integer
+            inv = -1 if head == -1 else exact(1 / Fraction(head))
             row = {c: x * inv for c, x in row.items()}
-        for other in reduced.values():
+        cols = [c for c in row if c != pivot]
+        for p in holders.pop(pivot, ()):
+            other = reduced[p]
             if pivot in other:
                 _add_multiple(other, -other[pivot], row)
+                for c in cols:
+                    holders.setdefault(c, set()).add(p)
+        for c in cols:
+            holders.setdefault(c, set()).add(pivot)
         reduced[pivot] = row
     return reduced
 

@@ -860,6 +860,8 @@ BUILTIN_NAMES = (
     "hyperplane_p2_in_p3",
     "p1_in_line_bundle",
 )
+# the builtins with an adapted-coordinate twist family; the others ignore ``twist``
+TWISTED_BUILTINS = ("line_in_p2", "hyperplane_p2_in_p3")
 
 
 def _names(p: int, q: int) -> Tuple[str, ...]:

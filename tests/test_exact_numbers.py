@@ -50,6 +50,11 @@ def assert_rule(p: LaurentPoly) -> None:
     assert all(follows_rule(c) for c in p.terms.values()), p.terms
 
 
+def typed_terms(p: LaurentPoly):
+    """The terms of ``p`` in order, each coefficient with its type."""
+    return [(e, type(c), c) for e, c in p.terms.items()]
+
+
 def brute_add(a, b, sign):
     out = {e: Fraction(c) for e, c in a.terms.items()}
     for e, c in b.terms.items():
@@ -99,9 +104,32 @@ def test_polynomial_arithmetic_follows_the_rule(a, b, c):
     ):
         assert_rule(result)
         assert result.terms == oracle
+        assert typed_terms(result) == typed_terms(LaurentPoly(result.vars, result.terms))
     derivative = a.diff("x")
     assert_rule(derivative)
     assert derivative.terms == {(e[0] - 1, e[1]): x * e[0] for e, x in a.terms.items() if e[0]}
+
+
+@given(polys, polys, nonzero_coeffs, nonzero_coeffs, st.integers(-1, 4))
+@settings(max_examples=60, deadline=None)
+def test_every_arithmetic_result_is_what_the_checked_constructor_builds(a, b, cx, cy, t_max):
+    images = {"x": LaurentPoly(V, {(0, 1): cx}), "y": LaurentPoly(V, {(1, -1): cy})}
+    # x -> cx x + y and y -> cy y + x y^2 invert in T_RING only where y's power is >= 0
+    t_images = {
+        "x": LaurentPoly(V, {(1, 0): cx, (0, 1): 1}),
+        "y": LaurentPoly(V, {(0, 1): cy, (1, 2): 1}),
+    }
+    t_poly = LaurentPoly(V, {e: c for e, c in a.terms.items() if e[1] >= 0})
+    for result in (
+        -a,
+        a.diff("y"),
+        a.truncate_group((1,), t_max),
+        a.part_group((0, 1), t_max),
+        T_RING.mul(a, b, t_max),
+        Substitution(PLAIN_RING, images, 0)(a),
+        Substitution(T_RING, t_images, t_max)(t_poly),
+    ):
+        assert typed_terms(result) == typed_terms(LaurentPoly(result.vars, result.terms))
 
 
 @given(exps, nonzero_coeffs)

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from nbhdext.errors import NonInvertibleSubstitution
 from nbhdext.filtered import ChartRing
-from nbhdext.laurent import LaurentPoly
+from nbhdext.laurent import LaurentPoly, exact
 from nbhdext.linsolve import (
     ExactLinearSystem,
     PolyMatrix,
     _plain_mul,
+    _rref,
     matrix_rank,
     solve_exact,
     sparse_rows,
@@ -150,6 +151,63 @@ def test_agrees_with_sympy_rref(system):
         for r, c in enumerate(pivots):
             expected[c] = F(int(reduced[r, n].p), int(reduced[r, n].q))
         assert sol.particular == expected
+
+
+# -- the elimination against the row-scanning reference --------------------------
+
+
+def rref_oracle(rows, reduced=None):
+    """The reduced echelon form as it was first written: each new pivot is
+    looked up in every earlier row, with no column index."""
+    if reduced is None:
+        reduced = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        for p in [c for c in row if c in reduced]:
+            add_multiple(row, -row[p], reduced[p])
+        if not row:
+            continue
+        pivot = min(row)
+        inv = exact(1 / Fraction(row[pivot]))
+        if inv != 1:
+            row = {c: x * inv for c, x in row.items()}
+        for other in reduced.values():
+            if pivot in other:
+                add_multiple(other, -other[pivot], row)
+        reduced[pivot] = row
+    return reduced
+
+
+def add_multiple(row, factor, other):
+    for c, x in other.items():
+        v = row.get(c, 0) + factor * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def typed(reduced):
+    """The echelon form with each entry's type, so ``1`` and ``Fraction(1)`` differ."""
+    return {p: {c: (type(x), x) for c, x in row.items()} for p, row in reduced.items()}
+
+
+# ints, proper fractions, integral Fractions and zeros, on six columns
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.integers(-3, 3).map(F),
+)
+mixed_rows = st.lists(st.dictionaries(st.integers(0, 5), entries, max_size=4), max_size=6)
+
+
+@given(mixed_rows, mixed_rows)
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_the_row_scanning_reference_and_folds(a, b):
+    assert typed(_rref(a + b)) == typed(rref_oracle(a + b))
+    # folding b into a's echelon form, as the torsor count does, is one elimination of a + b
+    assert typed(_rref(b, _rref(a))) == typed(_rref(a + b))
+    assert typed(_rref(b, _rref([]))) == typed(_rref(b)) == typed(rref_oracle(b))
 
 
 # -- PolyMatrix ------------------------------------------------------------

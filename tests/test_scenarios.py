@@ -251,6 +251,19 @@ def test_generate_reads_a_negative_fraction_twist_after_a_space(tmp_path, capsys
     assert "error: bad rational literal '-abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["affine_split", "diagonal_p1xp1", "p1_in_line_bundle"])
+def test_generate_refuses_a_twist_the_generator_has_no_family_for(tmp_path, capsys, name):
+    out = tmp_path / "s.json"
+    assert cli_main(["generate", name, "-d", "2", "--twist", "1/2", "-o", out.as_posix()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} has no twist family")
+    assert "line_in_p2" in err and "hyperplane_p2_in_p3" in err
+    assert not out.exists()
+    # a zero twist, however written, is the generator's only presentation
+    assert cli_main(["generate", name, "-d", "2", "--twist", "0/3", "-o", out.as_posix()]) == 0
+    assert load_scenario(out.as_posix()).dumps() == generate_builtin(name, d=2).dumps()
+
+
 def test_cli_labs_check_every_identity(capsys):
     assert cli_main(["formal-lab"]) == 0
     assert cli_main(["mc-lab"]) == 0
