@@ -4,12 +4,19 @@ Finite-dimensional graded differential Lie algebras are given by explicit
 structure constants and validated eagerly: the differential squares to
 zero, the bracket is antisymmetric in the graded sense, Jacobi holds, and
 the differential is a bracket derivation.  This module is a trust anchor
-for the geometric ones, so nothing here is probabilistic.
+for the geometric ones, so nothing here is probabilistic.  The axioms are
+checked on the structure constants themselves: an identity on basis
+elements can fail only where a constant it reads is nonzero, so only the
+index pairs and triples with a nonzero bracket or d entry are visited, in
+sorted order, and the first failure is the one a check of every pair and
+triple would find.
 
 Conventions: elements carry an integer homological degree; for x, y of
 degrees |x|, |y| the bracket satisfies [x,y] = -(-1)^{|x||y|}[y,x].  In
 particular a degree-one element may have [x,x] != 0, which is what makes
 the Maurer-Cartan equation d(x) + [x,x]/2 = 0 a real condition.
+Every vector coefficient follows the exact-number rule of ``laurent``: an
+integral one is an ``int``, any other a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -23,27 +30,54 @@ from .laurent import Rational, exact
 
 Vector = Tuple[Rational, ...]
 
+_HALF = Fraction(1, 2)
+
+
+def _in_basis(i, n: int) -> bool:
+    return type(i) is int and 0 <= i < n
+
+
+def _sign(e: int) -> int:
+    """(-1)^e as an ``int``; ``(-1) ** e`` is a float for negative e."""
+    return -1 if e % 2 else 1
+
+
+def _check_length(v: Vector, n: int) -> None:
+    if len(v) != n:
+        raise ValueError(f"vector of length {len(v)} on a basis of size {n}")
+
+
+def _exact_vector(out: List[Rational]) -> Vector:
+    """``out`` as a vector, each integral ``Fraction`` in it replaced by its ``int``."""
+    if Fraction in map(type, out):
+        for i, x in enumerate(out):
+            if type(x) is Fraction and x.denominator == 1:
+                out[i] = x.numerator
+    return tuple(out)
+
 
 def vec(n: int, entries: Mapping[int, object] = ()) -> Vector:
     out = [0] * n
     for i, c in dict(entries).items():
+        if not _in_basis(i, n):
+            raise ValueError(f"index {i!r} is outside a basis of size {n}")
         out[i] = exact(c)
     return tuple(out)
 
 
 def add(a: Vector, b: Vector) -> Vector:
-    return tuple(x if not y else y if not x else x + y for x, y in zip(a, b))
+    return _exact_vector([x if not y else y if not x else x + y for x, y in zip(a, b)])
 
 
 def sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x if not y else -y if not x else x - y for x, y in zip(a, b))
+    return _exact_vector([x if not y else -y if not x else x - y for x, y in zip(a, b)])
 
 
 def scale(a: Vector, c) -> Vector:
     c = exact(c)
     if c == 1:
         return a
-    return tuple(x * c if x else x for x in a)
+    return _exact_vector([x * c if x else x for x in a])
 
 
 def is_zero(a: Vector) -> bool:
@@ -56,11 +90,12 @@ class GradedDgLie:
 
     ``d[i][j]`` is the coefficient of basis i in d(basis j); ``brackets``
     maps an index pair (i, j) to the sparse expansion of [b_i, b_j].
-    Missing pairs mean zero bracket.  All axioms are checked exactly at
-    construction.  ``apply_d`` and ``bracket`` run on sparse views built
-    once from the cleaned constants, so a zero coordinate or structure
-    constant costs no product; the basis vectors are built once too.
-    Constants are cleaned by ``laurent.exact``, so integral ones are ``int``s.
+    Missing pairs mean zero bracket, and every index must lie in the
+    basis.  All axioms are checked exactly at construction, on the
+    cleaned constants.  ``apply_d`` and ``bracket`` run on sparse views
+    built once from them, so a zero coordinate or structure constant
+    costs no product.  Constants are cleaned by ``laurent.exact``, so
+    integral ones are ``int``s.
     """
 
     degrees: Tuple[int, ...]
@@ -69,6 +104,9 @@ class GradedDgLie:
 
     def __post_init__(self):
         n = len(self.degrees)
+        for (i, j), expansion in self.brackets.items():
+            if not (_in_basis(i, n) and _in_basis(j, n) and all(_in_basis(k, n) for k in expansion)):
+                raise ValueError(f"bracket [{i},{j}] names an index outside a basis of size {n}")
         self.d = tuple(tuple(exact(x) for x in row) for row in self.d)
         if len(self.d) != n or any(len(row) != n for row in self.d):
             raise ValueError("differential matrix must be square of the basis size")
@@ -86,7 +124,6 @@ class GradedDgLie:
         for (i, j), expansion in clean.items():
             by_first.setdefault(i, []).append((j, tuple(expansion.items())))
         self._by_first = by_first
-        self._basis = tuple(vec(n, {i: 1}) for i in range(n))
         self._validate()
 
     # -- linear maps -----------------------------------------------------
@@ -96,18 +133,23 @@ class GradedDgLie:
         return len(self.degrees)
 
     def basis(self, i: int) -> Vector:
-        return self._basis[i]
+        return vec(self.n, {i: 1})
 
     def apply_d(self, v: Vector) -> Vector:
-        out = [0] * self.n
+        n = self.n
+        _check_length(v, n)
+        out = [0] * n
         for j, x in enumerate(v):
             if x:
                 for i, c in self._d_columns[j]:
                     out[i] += c * x
-        return tuple(out)
+        return _exact_vector(out)
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
-        out = [0] * self.n
+        n = self.n
+        _check_length(v, n)
+        _check_length(w, n)
+        out = [0] * n
         for i, x in enumerate(v):
             if not x:
                 continue
@@ -118,80 +160,98 @@ class GradedDgLie:
                 c = x * y
                 for k, coeff in expansion:
                     out[k] += c * coeff
-        return tuple(out)
+        return _exact_vector(out)
 
     def is_homogeneous(self, v: Vector, deg: int) -> bool:
+        _check_length(v, self.n)
         return all(x == 0 or self.degrees[i] == deg for i, x in enumerate(v))
 
     # -- validation -------------------------------------------------------
 
     def _validate(self):
-        n = self.n
+        """Check the axioms on the constants, visiting only what can fail.
+
+        Each identity below is a sum of products of constants; where every
+        product has a zero factor it holds, so only the pairs and triples
+        with a nonzero bracket or d entry are candidates.  They are visited
+        in sorted order, so the first failure and its message are those of
+        a check of every pair and triple.
+        """
+        n, deg, br, cols = self.n, self.degrees, self.brackets, self._d_columns
         # d raises degree by one
-        for j in range(n):
-            for i in range(n):
-                if self.d[i][j] != 0 and self.degrees[i] != self.degrees[j] + 1:
+        for j, column in enumerate(cols):
+            for i, _ in column:
+                if deg[i] != deg[j] + 1:
                     raise ValueError(
-                        f"d sends degree {self.degrees[j]} basis {j} to degree "
-                        f"{self.degrees[i]} basis {i}"
+                        f"d sends degree {deg[j]} basis {j} to degree {deg[i]} basis {i}"
                     )
         # d squared
-        for j in range(n):
-            ddj = self.apply_d(self.apply_d(self.basis(j)))
-            if not is_zero(ddj):
+        for j, column in enumerate(cols):
+            dd: Dict[int, Rational] = {}
+            for i, c in column:
+                for k, e in cols[i]:
+                    dd[k] = dd.get(k, 0) + e * c
+            if any(dd.values()):
                 raise ValueError(f"d^2 != 0 on basis element {j}")
         # bracket grading and graded antisymmetry
-        for (i, j), expansion in self.brackets.items():
-            for k, c in expansion.items():
-                if self.degrees[k] != self.degrees[i] + self.degrees[j]:
+        for (i, j), expansion in br.items():
+            for k in expansion:
+                if deg[k] != deg[i] + deg[j]:
                     raise ValueError(f"bracket [{i},{j}] is not degree-additive")
-        for i in range(n):
-            for j in range(n):
-                lhs = self.bracket(self.basis(i), self.basis(j))
-                sign = (-1) ** (self.degrees[i] * self.degrees[j])
-                rhs = scale(self.bracket(self.basis(j), self.basis(i)), -sign)
-                if lhs != rhs:
-                    raise ValueError(f"bracket not graded-antisymmetric on ({i},{j})")
-        # graded Jacobi: (-1)^{|x||z|}[x,[y,z]] + cyclic = 0
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    di, dj, dk = self.degrees[i], self.degrees[j], self.degrees[k]
-                    t1 = scale(
-                        self.bracket(self.basis(i), self.bracket(self.basis(j), self.basis(k))),
-                        (-1) ** (di * dk),
-                    )
-                    t2 = scale(
-                        self.bracket(self.basis(j), self.bracket(self.basis(k), self.basis(i))),
-                        (-1) ** (dj * di),
-                    )
-                    t3 = scale(
-                        self.bracket(self.basis(k), self.bracket(self.basis(i), self.basis(j))),
-                        (-1) ** (dk * dj),
-                    )
-                    if not is_zero(add(add(t1, t2), t3)):
-                        raise ValueError(f"Jacobi fails on ({i},{j},{k})")
-        # d is a derivation of the bracket
-        for i in range(n):
-            for j in range(n):
-                lhs = self.apply_d(self.bracket(self.basis(i), self.basis(j)))
-                rhs = add(
-                    self.bracket(self.apply_d(self.basis(i)), self.basis(j)),
-                    scale(
-                        self.bracket(self.basis(i), self.apply_d(self.basis(j))),
-                        (-1) ** self.degrees[i],
-                    ),
-                )
-                if lhs != rhs:
-                    raise ValueError(f"d is not a bracket derivation on ({i},{j})")
+        for i, j in sorted(set(br) | {(j, i) for i, j in br}):
+            sign = -_sign(deg[i] * deg[j])
+            if br.get((i, j), {}) != {k: sign * c for k, c in br.get((j, i), {}).items()}:
+                raise ValueError(f"bracket not graded-antisymmetric on ({i},{j})")
+        # graded Jacobi: (-1)^{|x||z|}[x,[y,z]] + cyclic = 0, which reads a
+        # nonzero [b_j,b_k], [b_k,b_i] or [b_i,b_j]
+        triples = set()
+        for a, b in br:
+            for c in range(n):
+                triples.update(((c, a, b), (b, c, a), (a, b, c)))
+        for i, j, k in sorted(triples):
+            total: Dict[int, Rational] = {}
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                sign = _sign(deg[x] * deg[z])
+                for t, c in br.get((y, z), {}).items():
+                    for u, e in br.get((x, t), {}).items():
+                        total[u] = total.get(u, 0) + sign * c * e
+            if any(total.values()):
+                raise ValueError(f"Jacobi fails on ({i},{j},{k})")
+        # d is a derivation of the bracket: d[b_i,b_j] = [d b_i, b_j] + (-1)^{|i|}[b_i, d b_j],
+        # which reads a nonzero [b_i,b_j], d b_i or d b_j
+        moved = [j for j in range(n) if cols[j]]
+        pairs = set(br)
+        for m in moved:
+            pairs.update((m, j) for j in range(n))
+            pairs.update((i, m) for i in range(n))
+        for i, j in sorted(pairs):
+            total = {}
+            for t, c in br.get((i, j), {}).items():
+                for u, e in cols[t]:
+                    total[u] = total.get(u, 0) + e * c
+            for s, c in cols[i]:
+                for u, e in br.get((s, j), {}).items():
+                    total[u] = total.get(u, 0) - c * e
+            sign = _sign(deg[i])
+            for s, c in cols[j]:
+                for u, e in br.get((i, s), {}).items():
+                    total[u] = total.get(u, 0) - sign * c * e
+            if any(total.values()):
+                raise ValueError(f"d is not a bracket derivation on ({i},{j})")
 
 
 def is_mc(algebra: GradedDgLie, phi: Vector) -> Tuple[bool, Vector]:
     """Evaluate d(phi) + [phi,phi]/2 exactly; the witness is the residual."""
+    resid, _, _ = _mc_parts(algebra, phi)
+    return is_zero(resid), resid
+
+
+def _mc_parts(algebra: GradedDgLie, phi: Vector) -> Tuple[Vector, Vector, Vector]:
+    """d(phi) + [phi,phi]/2 with its two parts d(phi) and [phi,phi]."""
     if not algebra.is_homogeneous(phi, 1):
         raise NotMaurerCartan("candidate element is not concentrated in degree 1")
-    resid = add(algebra.apply_d(phi), scale(algebra.bracket(phi, phi), Fraction(1, 2)))
-    return is_zero(resid), resid
+    d_phi, phi_phi = algebra.apply_d(phi), algebra.bracket(phi, phi)
+    return add(d_phi, scale(phi_phi, _HALF)), d_phi, phi_phi
 
 
 @dataclass
@@ -201,7 +261,8 @@ class AbelianExtension:
     ``kernel`` lists the basis indices spanning the ideal.  The quotient
     is realized on the complementary indices; ``section`` maps each
     quotient basis element to an ambient vector projecting back onto it
-    (default: the coordinate inclusion).
+    (default: the coordinate inclusion).  The ideal conditions are checked
+    on the ambient structure constants.
     """
 
     ambient: GradedDgLie
@@ -221,23 +282,24 @@ class AbelianExtension:
 
         # the ideal must be d-stable, a Lie ideal, and abelian
         for j in kernel:
-            dj = amb.apply_d(amb.basis(j))
-            if any(dj[i] != 0 for i in self.quotient_basis):
+            if any(i not in kset for i, _ in amb._d_columns[j]):
                 raise ValueError("kernel is not stable under the differential")
-        for i in range(amb.n):
-            for j in kernel:
-                br = amb.bracket(amb.basis(i), amb.basis(j))
-                if any(br[t] != 0 for t in self.quotient_basis):
-                    raise ValueError("kernel is not an ideal")
-        for i in kernel:
-            for j in kernel:
-                if not is_zero(amb.bracket(amb.basis(i), amb.basis(j))):
-                    raise ValueError("kernel is not abelian")
+        if any(j in kset and any(t not in kset for t in expansion)
+               for (_, j), expansion in amb.brackets.items()):
+            raise ValueError("kernel is not an ideal")
+        if any(i in kset and j in kset for i, j in amb.brackets):
+            raise ValueError("kernel is not abelian")
 
         if self.section is None:
             self.section = {i: amb.basis(i) for i in self.quotient_basis}
         else:
             self.section = {i: tuple(exact(x) for x in v) for i, v in self.section.items()}
+            for i, sv in self.section.items():
+                if len(sv) != amb.n:
+                    raise ValueError(
+                        f"section vector of basis element {i} has length {len(sv)}, "
+                        f"not {amb.n}"
+                    )
             for i in self.quotient_basis:
                 sv = self.section.get(i)
                 if sv is None:
@@ -249,7 +311,11 @@ class AbelianExtension:
                         raise SectionNotValued(
                             "section is not a right inverse of the projection"
                         )
-
+        # the nonzero entries of the section's image of each quotient basis element
+        self._section_columns = tuple(
+            tuple((t, x) for t, x in enumerate(self.section[i]) if x)
+            for i in self.quotient_basis
+        )
         self.quotient = self._build_quotient()
 
     def _build_quotient(self) -> GradedDgLie:
@@ -262,33 +328,41 @@ class AbelianExtension:
             for i in qb
         ]
         brackets: Dict[Tuple[int, int], Dict[int, Rational]] = {}
-        for a, i in enumerate(qb):
-            for b, j in enumerate(qb):
-                br = amb.bracket(amb.basis(i), amb.basis(j))
-                entry = {pos[t]: br[t] for t in qb if br[t] != 0}
+        for (i, j), expansion in sorted(amb.brackets.items()):
+            if i in pos and j in pos:
+                entry = {pos[t]: c for t, c in sorted(expansion.items()) if t in pos}
                 if entry:
-                    brackets[(a, b)] = entry
+                    brackets[(pos[i], pos[j])] = entry
         return GradedDgLie(degrees, tuple(tuple(row) for row in d), brackets)
 
     # -- maps between the three layers -----------------------------------
 
     def include_quotient(self, v: Vector) -> Vector:
         """Apply the section to a quotient vector."""
+        _check_length(v, len(self.quotient_basis))
         out = [0] * self.ambient.n
-        for a, i in enumerate(self.quotient_basis):
-            c = v[a]
-            if c == 0:
-                continue
-            for t, x in enumerate(self.section[i]):
-                if x:
+        for c, column in zip(v, self._section_columns):
+            if c:
+                for t, x in column:
                     out[t] += c * x
-        return tuple(out)
+        return _exact_vector(out)
 
     def kernel_component(self, v: Vector) -> Vector:
         """Check a vector is kernel-valued and return it unchanged."""
+        _check_length(v, self.ambient.n)
         if any(v[i] != 0 for i in self.quotient_basis):
             raise SectionNotValued("value does not lie in the extension kernel")
         return v
+
+
+def _delta1(ext: AbelianExtension, s_x: Vector, d_x: Vector) -> Vector:
+    """(d s - s d)(x) from s(x) and the quotient's d(x)."""
+    return ext.kernel_component(sub(ext.ambient.apply_d(s_x), ext.include_quotient(d_x)))
+
+
+def _delta2(ext: AbelianExtension, s_x: Vector, s_y: Vector, x_y: Vector) -> Vector:
+    """[s x, s y] - s [x, y] from s(x), s(y) and the quotient's [x, y]."""
+    return ext.kernel_component(sub(ext.ambient.bracket(s_x, s_y), ext.include_quotient(x_y)))
 
 
 def defects(ext: AbelianExtension):
@@ -297,21 +371,13 @@ def defects(ext: AbelianExtension):
     Returns callables (delta1, delta2): delta1(x) = (d s - s d)(x) and
     delta2(x, y) = [s x, s y] - s [x, y], both kernel-valued.
     """
-    amb, quo = ext.ambient, ext.quotient
+    quo, s = ext.quotient, ext.include_quotient
 
     def delta1(x: Vector) -> Vector:
-        val = sub(
-            amb.apply_d(ext.include_quotient(x)),
-            ext.include_quotient(quo.apply_d(x)),
-        )
-        return ext.kernel_component(val)
+        return _delta1(ext, s(x), quo.apply_d(x))
 
     def delta2(x: Vector, y: Vector) -> Vector:
-        val = sub(
-            amb.bracket(ext.include_quotient(x), ext.include_quotient(y)),
-            ext.include_quotient(quo.bracket(x, y)),
-        )
-        return ext.kernel_component(val)
+        return _delta2(ext, s(x), s(y), quo.bracket(x, y))
 
     return delta1, delta2
 
@@ -321,18 +387,20 @@ def lift_residual(ext: AbelianExtension, phi: Vector, alpha: Vector) -> Vector:
 
     Zero exactly when s(phi) + alpha satisfies Maurer-Cartan upstairs.
     ``phi`` is a Maurer-Cartan element of the quotient; ``alpha`` an
-    ambient degree-1 vector supported on the kernel.
+    ambient degree-1 vector supported on the kernel.  s(phi), d(phi) and
+    [phi,phi] are computed once and shared by the Maurer-Cartan test of
+    phi and both defects.
     """
-    ok, witness = is_mc(ext.quotient, phi)
-    if not ok:
-        raise NotMaurerCartan(f"base element fails Maurer-Cartan with residual {witness}")
     amb = ext.ambient
+    witness, d_phi, phi_phi = _mc_parts(ext.quotient, phi)
+    if not is_zero(witness):
+        raise NotMaurerCartan(f"base element fails Maurer-Cartan with residual {witness}")
     ext.kernel_component(alpha)
     if not amb.is_homogeneous(alpha, 1):
         raise NotMaurerCartan("kernel correction is not concentrated in degree 1")
-    delta1, delta2 = defects(ext)
-    twisted = add(amb.apply_d(alpha), amb.bracket(ext.include_quotient(phi), alpha))
+    s_phi = ext.include_quotient(phi)
+    twisted = add(amb.apply_d(alpha), amb.bracket(s_phi, alpha))
     return add(
-        add(twisted, delta1(phi)),
-        scale(delta2(phi, phi), Fraction(1, 2)),
+        add(twisted, _delta1(ext, s_phi, d_phi)),
+        scale(_delta2(ext, s_phi, s_phi, phi_phi), _HALF),
     )

@@ -20,7 +20,17 @@ from nbhdext.errors import ParseError
 from nbhdext.filtered import ChartRing, Substitution
 from nbhdext.laurent import LaurentPoly, exact
 from nbhdext.linsolve import _rref
-from nbhdext.mclift import lift_residual, vec
+from nbhdext.mclift import (
+    AbelianExtension,
+    GradedDgLie,
+    add,
+    defects,
+    is_mc,
+    lift_residual,
+    scale,
+    sub,
+    vec,
+)
 
 from test_laurent import V, brute_mul
 from test_mclift import quotient_mc_candidates, random_two_level_extension
@@ -200,14 +210,47 @@ def test_mclift_kernels_return_no_float():
             assert all(type(x) is int for x in amb.apply_d(amb.basis(i)))
             for j in range(amb.n):
                 assert all(type(x) is int for x in amb.bracket(amb.basis(i), amb.basis(j)))
+        d1, d2 = defects(ext)
         kernel_deg1 = [i for i in ext.kernel if amb.degrees[i] == 1]
         for phi in quotient_mc_candidates(ext.quotient, [0, 1, Fraction(-1, 2)]):
-            alpha = vec(amb.n, {i: Fraction(2, 3) for i in kernel_deg1})
-            assert no_float(amb.apply_d(alpha))
-            assert no_float(amb.bracket(ext.include_quotient(phi), alpha))
-            assert no_float(lift_residual(ext, phi, alpha))
-            checked += 1
-    assert checked >= 10
+            for a in (Fraction(2, 3), Fraction(1, 2), Fraction(4, 2), -1):
+                alpha = vec(amb.n, {i: a for i in kernel_deg1})
+                s_phi = ext.include_quotient(phi)
+                lifted = add(s_phi, alpha)
+                # a product or sum of Fractions can be integral: it must come back as an int
+                for result in (
+                    alpha,
+                    s_phi,
+                    lifted,
+                    sub(lifted, alpha),
+                    scale(lifted, 2),
+                    scale(lifted, Fraction(1, 2)),
+                    amb.apply_d(alpha),
+                    amb.bracket(s_phi, alpha),
+                    amb.bracket(lifted, lifted),
+                    is_mc(amb, lifted)[1],
+                    d1(phi),
+                    d2(phi, phi),
+                    lift_residual(ext, phi, alpha),
+                ):
+                    assert all(follows_rule(x) for x in result), result
+                checked += 1
+    assert checked >= 40
+
+
+def test_mclift_integral_results_are_ints():
+    assert typed(scale((2, 4, 0), Fraction(1, 2))) == typed((1, 2, 0))
+    assert typed(add((Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 3)))) == typed((1, Fraction(4, 3)))
+    assert typed(sub((Fraction(3, 2), 0), (Fraction(1, 2), 0))) == typed((1, 0))
+    heisenberg = GradedDgLie((1, 1, 2), ((0,) * 3,) * 3, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+    assert typed(is_mc(heisenberg, (1, 1, 0))[1]) == typed((0, 0, 1))
+    assert typed(heisenberg.bracket((Fraction(1, 2), 0, 0), (0, 2, 0))) == typed((0, 0, 1))
+    ext = AbelianExtension(heisenberg, (2,), section={0: (1, 0, Fraction(1, 2)), 1: (0, 1, 0)})
+    assert typed(ext.include_quotient((2, 0))) == typed((2, 0, 1))
+
+
+def typed(v):
+    return [(type(x), x) for x in v]
 
 
 # -- every true division keeps a Fraction operand -------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -318,14 +319,15 @@ def half_zero(draw, coeffs=COEFFS):
 
 
 @st.composite
-def degree_one_two_algebras(draw):
-    """Random dg Lie algebras on degree-1 and degree-2 spaces.
+def degree_one_two_constants(draw, max_n1=4, max_n2=3):
+    """Structure constants (degrees, d, brackets) of random dg Lie algebras
+    on degree-1 and degree-2 spaces.
 
     d goes from degree 1 into degree 2 and every bracket lands in degree 2,
     so the axioms hold for any values.  Some bracket expansions carry an
     explicit zero coefficient, which construction must drop.
     """
-    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n1, n2 = draw(st.integers(1, max_n1)), draw(st.integers(1, max_n2))
     n = n1 + n2
     d = [[F(0)] * n for _ in range(n)]
     for j in range(n1):
@@ -339,7 +341,13 @@ def degree_one_two_algebras(draw):
                 # odd-odd brackets are symmetric
                 brackets[(i, j)] = dict(entry)
                 brackets[(j, i)] = dict(entry)
-    return GradedDgLie(tuple([1] * n1 + [2] * n2), tuple(tuple(r) for r in d), brackets)
+    return tuple([1] * n1 + [2] * n2), d, brackets
+
+
+def degree_one_two_algebras():
+    return degree_one_two_constants().map(
+        lambda c: GradedDgLie(c[0], tuple(tuple(r) for r in c[1]), c[2])
+    )
 
 
 @st.composite
@@ -374,3 +382,270 @@ def test_sparse_kernels_equal_the_dense_formulas(case):
     assert sub(v, w) == tuple(x - y for x, y in zip(v, w))
     assert scale(v, c) == tuple(x * c for x in v)
     assert scale(v, 1) == v
+
+
+# -- the sparse validator against the dense oracle ---------------------------
+
+
+def validate_oracle(degrees, d, brackets):
+    """The axiom checks as they were first written, on dense basis vectors:
+    every index pair and triple is visited.  Returns the message of the
+    first failure, or None when every axiom holds.  Signs are taken as
+    (-1)^|e|, since ``(-1) ** e`` is a float for negative e."""
+    n = len(degrees)
+    alg = SimpleNamespace(
+        n=n,
+        d=[[F(x) for x in row] for row in d],
+        brackets={
+            key: {k: F(c) for k, c in expansion.items() if c}
+            for key, expansion in brackets.items()
+            if any(expansion.values())
+        },
+    )
+    basis = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+
+    def apply_d(v):
+        return dense_apply_d(alg, v)
+
+    def bracket(v, w):
+        return dense_bracket(alg, v, w)
+
+    # d raises degree by one
+    for j in range(n):
+        for i in range(n):
+            if alg.d[i][j] != 0 and degrees[i] != degrees[j] + 1:
+                return f"d sends degree {degrees[j]} basis {j} to degree {degrees[i]} basis {i}"
+    # d squared
+    for j in range(n):
+        if not is_zero(apply_d(apply_d(basis[j]))):
+            return f"d^2 != 0 on basis element {j}"
+    # bracket grading and graded antisymmetry
+    for (i, j), expansion in alg.brackets.items():
+        for k in expansion:
+            if degrees[k] != degrees[i] + degrees[j]:
+                return f"bracket [{i},{j}] is not degree-additive"
+    for i in range(n):
+        for j in range(n):
+            lhs = bracket(basis[i], basis[j])
+            sign = (-1) ** abs(degrees[i] * degrees[j])
+            rhs = scale(bracket(basis[j], basis[i]), -sign)
+            if lhs != rhs:
+                return f"bracket not graded-antisymmetric on ({i},{j})"
+    # graded Jacobi: (-1)^{|x||z|}[x,[y,z]] + cyclic = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                di, dj, dk = degrees[i], degrees[j], degrees[k]
+                t1 = scale(bracket(basis[i], bracket(basis[j], basis[k])), (-1) ** abs(di * dk))
+                t2 = scale(bracket(basis[j], bracket(basis[k], basis[i])), (-1) ** abs(dj * di))
+                t3 = scale(bracket(basis[k], bracket(basis[i], basis[j])), (-1) ** abs(dk * dj))
+                if not is_zero(add(add(t1, t2), t3)):
+                    return f"Jacobi fails on ({i},{j},{k})"
+    # d is a derivation of the bracket
+    for i in range(n):
+        for j in range(n):
+            lhs = apply_d(bracket(basis[i], basis[j]))
+            rhs = add(
+                bracket(apply_d(basis[i]), basis[j]),
+                scale(bracket(basis[i], apply_d(basis[j])), (-1) ** abs(degrees[i])),
+            )
+            if lhs != rhs:
+                return f"d is not a bracket derivation on ({i},{j})"
+    return None
+
+
+@st.composite
+def matrix_constants(draw):
+    """Structure constants of graded commutator algebras of matrices.
+
+    V has basis v_0..v_{m-1} of random degrees g_a; E_ab sends v_b to v_a,
+    has degree g_a - g_b, and [X, Y] = XY - (-1)^{|X||Y|} YX.  The algebra is all of
+    gl(V) for m = 2, the upper-triangular part for m = 3, or the strictly
+    upper-triangular part, whose brackets are sparse, for m = 3 or 4; and
+    d = [Q, -] for Q = q E_ab of degree one with a != b, so Q^2 = 0 (or
+    d = 0).  The basis is rescaled and permuted at random, so constants and
+    the order of the candidates vary.  Every axiom holds, and the brackets
+    reach each other, so a perturbed constant can break Jacobi or the
+    derivation rule.
+    """
+    m, shape = draw(st.sampled_from([(2, "full"), (3, "upper"), (3, "strict"), (4, "strict")]))
+    g = draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m))
+    keep = {"full": lambda a, b: True, "upper": lambda a, b: a <= b, "strict": lambda a, b: a < b}
+    cells = [(a, b) for a in range(m) for b in range(m) if keep[shape](a, b)]
+    n = len(cells)
+    order = draw(st.permutations(range(n)))
+    where = {cell: order[p] for p, cell in enumerate(cells)}
+    degrees = [0] * n
+    for (a, b), i in where.items():
+        degrees[i] = g[a] - g[b]
+    scales = [draw(st.sampled_from([F(1), F(-1), F(2), F(1, 2)])) for _ in range(n)]
+
+    def commutator(x, y):
+        (a, b), (c, e) = x, y
+        out = {}
+        if b == c:
+            out[(a, e)] = F(1)
+        if e == a:
+            sign = (-1) ** abs((g[a] - g[b]) * (g[c] - g[e]))
+            out[(c, b)] = out.get((c, b), F(0)) - sign
+        return {cell: v for cell, v in out.items() if v}
+
+    # [s_i e_i, s_j e_j] = sum s_i s_j c / s_k (s_k e_k)
+    brackets = {}
+    for x in cells:
+        for y in cells:
+            i, j = where[x], where[y]
+            entry = {where[z]: scales[i] * scales[j] * v / scales[where[z]]
+                     for z, v in commutator(x, y).items()}
+            if entry:
+                brackets[(i, j)] = entry
+    d = [[F(0)] * n for _ in range(n)]
+    odd = [x for x in cells if x[0] != x[1] and g[x[0]] - g[x[1]] == 1]
+    if odd and draw(st.booleans()):
+        q_cell = draw(st.sampled_from(odd))
+        q = draw(st.sampled_from([F(1), F(-1), F(2)]))
+        for y in cells:
+            j = where[y]
+            for z, v in commutator(q_cell, y).items():
+                k = where[z]
+                d[k][j] += q * scales[j] * v / scales[k]
+    return tuple(degrees), d, brackets
+
+
+@st.composite
+def perturbed_constants(draw, kind):
+    """A valid algebra's constants with one in-range constant changed.
+
+    ``kind`` is "d" (a d entry), "one_side" (one side of a bracket pair),
+    "both_sides" (one target coefficient on both sides of a pair, which
+    keeps graded antisymmetry) or "one_term": a two-sided change
+    [b_i,b_j] += c b_k aimed at an x outside {i, j} that commutes with b_i
+    and b_j but not with b_k.  The Jacobiator on (x, i, j) is then
+    c [b_x, b_k], read from one bracket pair alone, so a check that skipped
+    one family of Jacobi candidates would report a later triple.  The
+    changed entry mostly respects the grading, where one can, so that the
+    later checks are reached.
+    """
+    # only the matrix algebras can fail Jacobi or the derivation rule
+    algebras = [matrix_constants()]
+    if kind != "one_term":
+        algebras.append(degree_one_two_constants(max_n1=3, max_n2=2))
+    degrees, d, brackets = draw(st.one_of(algebras))
+    n = len(degrees)
+    d = [list(row) for row in d]
+    brackets = {key: dict(expansion) for key, expansion in brackets.items()}
+    c = draw(st.sampled_from([F(1), F(-1), F(2), F(1, 2)]))
+    cells = list(itertools.product(range(n), repeat=3))
+    if kind == "d":
+        # (k, j, _): the coefficient of b_k in d(b_j)
+        graded = [(k, j, t) for k, j, t in cells if degrees[k] == degrees[j] + 1]
+    else:
+        # (i, j, k): the coefficient of b_k in [b_i, b_j]
+        graded = [(i, j, k) for i, j, k in cells if degrees[k] == degrees[i] + degrees[j]]
+    if kind == "one_term":
+
+        def commute(x, y):
+            return (x, y) not in brackets and (y, x) not in brackets
+
+        graded = [
+            (i, j, k) for i, j, k in graded
+            if i != j and any(x not in (i, j) and commute(x, i) and commute(x, j)
+                              and (x, k) in brackets for x in range(n))
+        ] or graded
+    keep_grading = kind == "one_term" or draw(st.sampled_from([True, True, True, False]))
+    i, j, k = draw(st.sampled_from(graded if keep_grading and graded else cells))
+    if kind == "d":
+        d[i][j] += c
+    else:
+        entry = brackets.setdefault((i, j), {})
+        entry[k] = entry.get(k, F(0)) + c
+        if kind != "one_side" and i != j:
+            entry = brackets.setdefault((j, i), {})
+            entry[k] = entry.get(k, F(0)) - (-1) ** abs(degrees[i] * degrees[j]) * c
+    return degrees, d, brackets
+
+
+def construction_failure(degrees, d, brackets):
+    try:
+        GradedDgLie(degrees, tuple(tuple(r) for r in d), brackets)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.one_of(degree_one_two_constants(max_n1=3, max_n2=2), matrix_constants()))
+@settings(max_examples=25, deadline=None)
+def test_generated_algebras_are_valid(constants):
+    assert validate_oracle(*constants) is None
+    assert construction_failure(*constants) is None
+
+
+@pytest.mark.parametrize("kind", ["d", "one_side", "both_sides", "one_term"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_validation_agrees_with_the_dense_oracle(kind, data):
+    constants = data.draw(perturbed_constants(kind))
+    # accepted exactly when the oracle accepts, with the oracle's message otherwise
+    assert construction_failure(*constants) == validate_oracle(*constants)
+
+
+def test_validation_messages_name_the_first_failure():
+    # d b0 = b1 and [b1,b2] = b3, but [b0,b2] = 0: the rule first fails on (0,2)
+    d = tuple(tuple(F(int((i, j) == (1, 0))) for j in range(4)) for i in range(4))
+    brackets = {(1, 2): {3: F(1)}, (2, 1): {3: F(1)}}
+    assert construction_failure((0, 1, 1, 2), d, brackets) == "d is not a bracket derivation on (0,2)"
+    assert validate_oracle((0, 1, 1, 2), d, brackets) == "d is not a bracket derivation on (0,2)"
+    # the brackets of test_validation_rejects_non_jacobi
+    zero = tuple(tuple(F(0) for _ in range(3)) for _ in range(3))
+    brackets = {(0, 1): {2: 1}, (1, 0): {2: -1}, (0, 2): {0: 1}, (2, 0): {0: -1}}
+    assert construction_failure((0, 0, 0), zero, brackets) == "Jacobi fails on (0,1,2)"
+    assert validate_oracle((0, 0, 0), zero, brackets) == "Jacobi fails on (0,1,2)"
+    # d b0 = b1 and d b1 = b2
+    d = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    assert construction_failure((0, 1, 2), d, {}) == "d^2 != 0 on basis element 0"
+    assert validate_oracle((0, 1, 2), d, {}) == "d^2 != 0 on basis element 0"
+
+
+def test_negative_degrees_take_integer_signs():
+    # [x,y] = [y,x] = z for |x| = -1, |y| = 1: (-1) ** -1 is the float -1.0
+    brackets = {(0, 1): {2: 1}, (1, 0): {2: 1}}
+    zero = tuple(tuple(0 for _ in range(3)) for _ in range(3))
+    alg = GradedDgLie((-1, 1, 0), zero, brackets)
+    assert alg.bracket(vec(3, {0: 1}), vec(3, {1: 1})) == (0, 0, 1)
+    bad = {(0, 1): {2: 1}, (1, 0): {2: -1}}
+    assert construction_failure((-1, 1, 0), zero, bad) == "bracket not graded-antisymmetric on (0,1)"
+
+
+@pytest.mark.parametrize("brackets", [
+    {(0, 0): {-1: 2}},
+    {(0, 5): {2: 1}},
+    {(0, 0): {7: 1}},
+    {(-1, 0): {2: 1}},
+    {(0, 1): {2: 0, 3: 0}},
+    {(0, 1.0): {2: 1}},
+])
+def test_bracket_indices_outside_the_basis_are_refused(brackets):
+    zero = tuple(tuple(0 for _ in range(3)) for _ in range(3))
+    with pytest.raises(ValueError, match="outside a basis of size 3"):
+        GradedDgLie((1, 1, 2), zero, brackets)
+
+
+def test_vectors_of_the_wrong_length_are_refused():
+    ext = heisenberg_extension()
+    amb = ext.ambient
+    for call in (
+        lambda: is_mc(amb, (1, 1)),
+        lambda: is_mc(amb, (1, 1, 0, 0)),
+        lambda: amb.apply_d((1, 0)),
+        lambda: amb.bracket((1, 0, 0), (1, 0)),
+        lambda: ext.include_quotient((1, 0, 0)),
+        lambda: ext.kernel_component((0, 0)),
+        lambda: lift_residual(ext, (1, 0), (0, 0)),
+        lambda: vec(3, {-1: 1}),
+        lambda: vec(3, {3: 1}),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    for section in ({0: (1, 0), 1: (0, 1, 0)}, {0: (1, 0, 0, 0), 1: (0, 1, 0)}):
+        with pytest.raises(ValueError, match="section vector of basis element"):
+            AbelianExtension(amb, (2,), section=section)
