@@ -25,7 +25,9 @@ and an End E entry is conjugated by multiplying that pullback with a
 memoized product g[a][r] . g^-1[c][b] per target entry.  ``solve_delta``
 is the one build, solve and residual recheck behind both the obstruction
 solves and the rank-one system; whole cochains and those rechecks move
-through ``transport``.
+through ``transport``.  ``solve_coboundary`` only solves: it returns
+``Solved`` or ``UnresolvedWithinWindow``, and the cohomology oracle and
+the nonzero certificate are read by the caller.
 All assembly is canonical: simplices, matrix entries and monomials are
 walked in sorted order, so reports are byte-stable.
 """
@@ -438,6 +440,8 @@ def transition_log_defect(ctx: CechContext) -> CechCochain:
 # -- solving ------------------------------------------------------------------------
 
 
+# the verdicts of one order; ``h1_oracle`` and ``ProvenNonzero`` come from
+# the scenario layer's reading of the cover, never from ``solve_coboundary``
 @dataclass
 class Solved:
     cochain: CechCochain
@@ -694,27 +698,16 @@ def solve_delta(
     return system, sol, x
 
 
-def solve_coboundary(
-    ctx: CechContext,
-    target: CechCochain,
-    window: Tuple[int, int],
-    h1_oracle: Optional[int] = None,
-    h2_basis_test=None,
-):
+def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, int]):
     """Solve -delta(m) = target for a window-supported 1-cochain m.
 
     On success the residual is rechecked to be exactly zero and the torsor
     dimension (window kernel of delta modulo window coboundaries) is
-    reported.  Failure escalates to a proven-nonzero verdict only when a
-    weight pairing certifies the class against a cohomology basis;
-    otherwise the window is reported as insufficient.
+    reported.  Otherwise the window is reported as insufficient: this is a
+    pure solve, and reading a failure as a proof is left to the caller.
     """
     _, sol, m = solve_delta(ctx, target.neg(), [target.sdeg], window)
     if m is None:
-        if h2_basis_test is not None:
-            coords = h2_basis_test(target)
-            if coords:
-                return ProvenNonzero(coords)
         return UnresolvedWithinWindow(window)
     exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window)
-    return Solved(m, len(sol.nullspace) - exact_dim, h1_oracle)
+    return Solved(m, len(sol.nullspace) - exact_dim)

@@ -91,7 +91,7 @@ class GradedDgLie:
     ``d[i][j]`` is the coefficient of basis i in d(basis j); ``brackets``
     maps an index pair (i, j) to the sparse expansion of [b_i, b_j].
     Missing pairs mean zero bracket, and every index must lie in the
-    basis.  All axioms are checked exactly at construction, on the
+    basis.  Each degree is an ``int``, since the signs are read off it.  All axioms are checked exactly at construction, on the
     cleaned constants.  ``apply_d`` and ``bracket`` run on sparse views
     built once from them, so a zero coordinate or structure constant
     costs no product.  Constants are cleaned by ``laurent.exact``, so
@@ -104,6 +104,9 @@ class GradedDgLie:
 
     def __post_init__(self):
         n = len(self.degrees)
+        for i, deg in enumerate(self.degrees):
+            if type(deg) is not int:
+                raise ValueError(f"degree {deg!r} of basis element {i} is not an int")
         for (i, j), expansion in self.brackets.items():
             if not (_in_basis(i, n) and _in_basis(j, n) and all(_in_basis(k, n) for k in expansion)):
                 raise ValueError(f"bracket [{i},{j}] names an index outside a basis of size {n}")
@@ -260,8 +263,8 @@ class AbelianExtension:
 
     ``kernel`` lists the basis indices spanning the ideal.  The quotient
     is realized on the complementary indices; ``section`` maps each
-    quotient basis element to an ambient vector projecting back onto it
-    (default: the coordinate inclusion).  The ideal conditions are checked
+    quotient basis element, and nothing else, to an ambient vector
+    projecting back onto it (default: the coordinate inclusion).  The ideal conditions are checked
     on the ambient structure constants.
     """
 
@@ -273,9 +276,9 @@ class AbelianExtension:
 
     def __post_init__(self):
         amb = self.ambient
-        kernel = tuple(sorted(set(self.kernel)))
-        if any(i < 0 or i >= amb.n for i in kernel):
+        if not all(_in_basis(i, amb.n) for i in self.kernel):
             raise ValueError("kernel index out of range")
+        kernel = tuple(sorted(set(self.kernel)))
         self.kernel = kernel
         kset = set(kernel)
         self.quotient_basis = tuple(i for i in range(amb.n) if i not in kset)
@@ -294,7 +297,10 @@ class AbelianExtension:
             self.section = {i: amb.basis(i) for i in self.quotient_basis}
         else:
             self.section = {i: tuple(exact(x) for x in v) for i, v in self.section.items()}
+            quotient = set(self.quotient_basis)
             for i, sv in self.section.items():
+                if not (_in_basis(i, amb.n) and i in quotient):
+                    raise ValueError(f"section key {i!r} is not a quotient basis element")
                 if len(sv) != amb.n:
                     raise ValueError(
                         f"section vector of basis element {i} has length {len(sv)}, "

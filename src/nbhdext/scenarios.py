@@ -5,6 +5,12 @@ bundle: adapted coordinates per chart, two-way chart transitions per
 overlap, bundle transition matrices and local connection forms (validated
 for flatness, read by no verdict).  Exact rationals ride as strings in the
 JSON; floats are rejected outright.
+
+``run_pipeline`` reads the cover once per run, from the context: on a
+standard P^1 or P^2 cover with diagonal monomial twists, one twist
+formula gives both the h^1 count attached to each solved order and the
+h^2 weight pairing that certifies an unresolved order nonzero.  The Cech
+solve itself knows of neither.
 """
 
 from __future__ import annotations
@@ -500,126 +506,94 @@ def build_context(s: Scenario, order: int) -> CechContext:
     return CechContext(nerve, pairs, BundleData(rank=s.e, g=dict(s.g)), order)
 
 
-# -- sheaf twist detection (for the cohomology oracle) -------------------------------
+# -- the standard projective cover (for the oracle and the certificate) ---------------
 
 
-def detect_cover(s: Scenario) -> Optional[str]:
-    """Recognize the standard projective covers used by the oracle."""
-    n_charts = len(s.charts_inverted)
-    by_pair = _overlap_by_pair(s)
-    if s.p == 1 and n_charts == 2 and (0, 1) in by_pair:
-        o = by_pair[(0, 1)]
-        ring = s.overlap_ring(o, 0)
-        uinv = LaurentPoly.monomial(s.names, (-1,) + (0,) * s.q)
-        if (
-            ring.restrict_to_x(o.forward_u[0]) == uinv
-            and s.overlap_ring(o, 1).restrict_to_x(o.backward_u[0]) == uinv
-        ):
-            return "p1"
-    if s.p == 2 and n_charts == 3 and all(pr in by_pair for pr in [(0, 1), (0, 2), (1, 2)]):
-        def mono(*exps):
-            return LaurentPoly.monomial(s.names, tuple(exps) + (0,) * s.q)
+@dataclass(frozen=True)
+class Cover:
+    """A standard projective cover with diagonal monomial twists, read off overlap (0, 1).
 
-        o01, o02, o12 = by_pair[(0, 1)], by_pair[(0, 2)], by_pair[(1, 2)]
-        base01 = tuple(s.overlap_ring(o01, 0).restrict_to_x(x) for x in o01.forward_u)
-        base02 = tuple(s.overlap_ring(o02, 0).restrict_to_x(x) for x in o02.forward_u)
-        base12 = tuple(s.overlap_ring(o12, 1).restrict_to_x(x) for x in o12.forward_u)
-        if (
-            base01 == (mono(-1, 0), mono(-1, 1))
-            and base02 == (mono(0, -1), mono(1, -1))
-            and base12 == (mono(1, -1), mono(0, -1))
-        ):
-            return "p2"
-    return None
+    ``conormal`` holds the u-degree of each diagonal entry of the conormal
+    matrix and ``frame`` that of each diagonal bundle transition entry.
+    """
+
+    space: str
+    conormal: Tuple[int, ...]
+    frame: Tuple[int, ...]
+
+    def twist(self, t_exps: Exponent, r: int, c: int) -> int:
+        """Twist of entry (r, c) of Sym con (x) End E at the conormal monomial ``t_exps``."""
+        return sum(m * a for m, a in zip(self.conormal, t_exps)) + self.frame[r] - self.frame[c]
 
 
-def _monomial_degree(p: LaurentPoly) -> Optional[Exponent]:
-    if not p.is_monomial():
-        return None
-    ((exps, _),) = p.terms.items()
-    return exps
-
-
-def sheaf_twists(s: Scenario, ctx: CechContext, sdeg: int) -> Optional[List[int]]:
-    """Twist decomposition of Sym^sdeg con (x) End E when diagonal monomial."""
-    space = detect_cover(s)
-    if space is None:
-        return None
-    probe = (0, 1)
-    geom = ctx.pairs[probe]
-    con = geom.conormal_ji
-    diag_twists = []
-    for a in range(s.q):
-        for b in range(s.q):
-            exps = _monomial_degree(con[a, b])
-            if a == b:
-                if exps is None:
-                    return None
-                diag_twists.append(exps[0])
-            elif not con[a, b].is_zero():
+def _diagonal_degrees(mat: PolyMatrix) -> Optional[Tuple[int, ...]]:
+    """The u1-degree of each diagonal entry of a diagonal matrix of monomials, else None."""
+    degrees = []
+    for r, row in enumerate(mat.entries):
+        for c, poly in enumerate(row):
+            if r == c and not poly.is_monomial() or r != c and not poly.is_zero():
                 return None
-    gmat = ctx.bundle.g[probe]
-    g_twists = []
-    for r in range(s.e):
-        for c in range(s.e):
-            exps = _monomial_degree(gmat[r, c])
-            if r == c:
-                if exps is None:
-                    return None
-                g_twists.append(exps[0])
-            elif not gmat[r, c].is_zero():
-                return None
-    ring = ctx.nerve.pair_rings[probe][0]
-    out = []
-    for tm in ring.t_monomials(sdeg):
-        con_twist = sum(m * e_ for m, e_ in zip(diag_twists, tm))
-        for r in range(s.e):
-            for c in range(s.e):
-                out.append(con_twist + g_twists[r] - g_twists[c])
-    return out
+        ((exps, _),) = row[r].terms.items()
+        degrees.append(exps[0])
+    return tuple(degrees)
 
 
-def h2_weight_test(s: Scenario, ctx: CechContext, sdeg: int):
+# the standard P^p cover, by p: its space and, on each overlap, the
+# exponents of the base-map images of u1..up
+_STANDARD_COVERS = {
+    1: ("p1", {(0, 1): ((-1,),)}),
+    2: ("p2", {
+        (0, 1): ((-1, 0), (-1, 1)),
+        (0, 2): ((0, -1), (1, -1)),
+        (1, 2): ((1, -1), (0, -1)),
+    }),
+}
+
+
+def detect_cover(ctx: CechContext) -> Optional[Cover]:
+    """Recognize the standard P^1 or P^2 cover from the base maps of the overlaps.
+
+    The base maps are the t-degree-0 parts of the forward u-images;
+    validation has proved each backward map the inverse of its forward one.
+    None unless the conormal matrix and the bundle transition on (0, 1) are
+    diagonal with monomial entries.
+    """
+    ring = ctx.nerve.chart_rings[0]
+    if ring.p not in _STANDARD_COVERS or ctx.nerve.n != ring.p + 1:
+        return None
+    space, base_maps = _STANDARD_COVERS[ring.p]
+    for pair, exps in base_maps.items():
+        if pair not in ctx.pairs:
+            return None
+        images = ctx.pairs[pair].images_ji
+        if any(images[u] != ring.monomial(e + (0,) * ring.q) for u, e in zip(ring.u_names, exps)):
+            return None
+    conormal = _diagonal_degrees(ctx.pairs[(0, 1)].conormal_ji)
+    frame = _diagonal_degrees(ctx.bundle.g[(0, 1)])
+    if conormal is None or frame is None:
+        return None
+    return Cover(space, conormal, frame)
+
+
+def h2_weight_test(cover: Optional[Cover], c2: CechCochain) -> List[Tuple[str, str]]:
     """Exact pairing of a SYM_END 2-cochain against the top-cohomology monomial basis.
 
     On the standard plane cover a coboundary can never reach a monomial
     whose homogeneous weight is negative in every slot, so a nonzero
     coefficient there certifies a nonzero class independently of any
-    window.  Returns None when the cover or sheaf is not supported.
+    window.  Returns the certifying coordinates, none off the plane cover.
     """
-    space = detect_cover(s)
-    if space != "p2":
-        return None
-    twists = sheaf_twists(s, ctx, sdeg)
-    if twists is None:
-        return None
-    geom01 = ctx.pairs[(0, 1)]
-    con = geom01.conormal_ji
-    gmat = ctx.bundle.g[(0, 1)]
-
-    def test(c2: CechCochain):
-        tri = (0, 1, 2)
-        if tri not in c2.values:
-            return []
-        value = c2.values[tri]
-        ring = ctx.nerve.triple_rings[tri]
-        hits = []
-        e = ctx.bundle.rank
-        for r, c in iproduct(range(e), range(e)):
-            for exps, coeff in value.entries[r][c].sorted_terms():
-                u_part, t_part = exps[: s.p], exps[s.p:]
-                con_twist = sum(
-                    _monomial_degree(con[a, a])[0] * t_part[a] for a in range(s.q)
-                )
-                d = con_twist + _monomial_degree(gmat[r, r])[0] - _monomial_degree(gmat[c, c])[0]
-                w0 = d - u_part[0] - u_part[1]
-                if u_part[0] < 0 and u_part[1] < 0 and w0 < 0:
-                    hits.append(
-                        (f"entry {(r, c)} monomial {list(exps)}", format_fraction(coeff))
-                    )
-        return hits
-
-    return test
+    tri = (0, 1, 2)
+    if cover is None or cover.space != "p2" or tri not in c2.values:
+        return []
+    value = c2.values[tri]
+    hits = []
+    for r, c in iproduct(range(value.rows), range(value.cols)):
+        for exps, coeff in value.entries[r][c].sorted_terms():
+            (u1, u2), t_exps = exps[:2], exps[2:]
+            if u1 < 0 and u2 < 0 and cover.twist(t_exps, r, c) - u1 - u2 < 0:
+                hits.append((f"entry {(r, c)} monomial {list(exps)}", format_fraction(coeff)))
+    return hits
 
 
 # -- reports ---------------------------------------------------------------------
@@ -718,28 +692,35 @@ def _window_notes(status) -> List[str]:
 
 
 def _order_report(
-    s: Scenario,
+    cover: Optional[Cover],
     ctx: CechContext,
     order: int,
     target: CechCochain,
     window: Tuple[int, int],
 ) -> ObstructionReport:
-    """Check closedness of one order's obstruction, then solve it.
+    """Check closedness of one order's obstruction, solve it and read it against the cover.
 
-    A nonzero certificate is tried only on a cochain that is not known to
-    be unclosed: the class of a cochain with a nonzero coboundary is not
+    A solved order carries the h^1 count of the cover's twists.  A nonzero
+    certificate is tried only on a cochain that is not known to be
+    unclosed: the class of a cochain with a nonzero coboundary is not
     defined, so certifying it would prove nothing.
     """
-    twists = sheaf_twists(s, ctx, order)
-    h1_oracle = None
-    if twists is not None:
-        h1_oracle = cohomology.cohomology_dim(detect_cover(s), twists)[1]
     closedness = _closedness_verdict(ctx, target)
     unclosed = closedness == "FAILED"
-    status = solve_coboundary(
-        ctx, target, window, h1_oracle=h1_oracle,
-        h2_basis_test=None if unclosed else h2_weight_test(s, ctx, order),
-    )
+    status = solve_coboundary(ctx, target, window)
+    if isinstance(status, Solved):
+        if cover is not None:
+            e = ctx.bundle.rank
+            twists = [
+                cover.twist(tm, r, c)
+                for tm in ctx.nerve.chart_rings[0].t_monomials(order)
+                for r, c in iproduct(range(e), range(e))
+            ]
+            status.h1_oracle = cohomology.cohomology_dim(cover.space, twists)[1]
+    elif not unclosed:
+        coords = h2_weight_test(cover, target)
+        if coords:
+            status = ProvenNonzero(coords)
     notes = _window_notes(status)
     if unclosed:
         notes.append(
@@ -777,6 +758,7 @@ def run_pipeline(
             )
         )
     ctx = build_context(s, k)
+    cover = detect_cover(ctx)
     # notes name orders one and two in words, as their reports always have
     name = lambda n: ("one", "two")[n - 1] if n <= 2 else str(n)
     G = ctx.bundle.g
@@ -790,7 +772,7 @@ def run_pipeline(
                 ObstructionReport(order, "skipped", UnresolvedWithinWindow(window), empty, [note])
             )
             continue
-        report = _order_report(s, ctx, order, lift_obstruction(ctx, G, order), window)
+        report = _order_report(cover, ctx, order, lift_obstruction(ctx, G, order), window)
         report.notes += [
             f"order {name(r.order)} has a torsor of dimension {r.status.torsor_dim}: this "
             f"verdict is about the order-{name(r.order)} lift chosen here, and another "

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nbhdext import cech
+from nbhdext import cech, scenarios
 from nbhdext.cech import (
     FUNCTION,
     SYM_END,
@@ -23,10 +23,12 @@ from nbhdext.linsolve import PolyMatrix
 from nbhdext.scenarios import (
     OverlapSpec,
     Scenario,
+    Cover,
+    _order_report,
     build_context,
+    detect_cover,
     generate_builtin,
     h2_weight_test,
-    sheaf_twists,
     solve_abelianized,
     validate_scenario,
 )
@@ -41,6 +43,7 @@ from cup_oracle import (
 )
 from test_delta_assembly import linear_part_oracle
 from test_integration import four_chart_scenario
+from test_quadric import quadric_scenario
 
 F = Fraction
 
@@ -319,8 +322,7 @@ def test_solve_zero_cochain_reports_h1_dimension():
         status = solve_coboundary(ctx, zero, (-6, 6))
         assert isinstance(status, Solved)
         assert status.torsor_dim == expected
-        tw = sheaf_twists(s, ctx, 1)
-        assert tw == [-m]
+        assert detect_cover(ctx) == Cover("p1", (-m,), (0,))
 
 
 def test_two_chart_cover_always_solvable():
@@ -341,10 +343,9 @@ def test_proven_nonzero_on_negative_plane_twist():
     ring = ctx.nerve.triple_rings[(0, 1, 2)]
     value = PolyMatrix([[LaurentPoly.monomial(ring.names, (-1, -1, 1))]])
     c = CechCochain(2, SYM_END, 1, {(0, 1, 2): value})
-    status = solve_coboundary(
-        ctx, c, (-3, 3), h2_basis_test=h2_weight_test(s, ctx, 1)
-    )
+    status = _order_report(detect_cover(ctx), ctx, 1, c, (-3, 3)).status
     assert isinstance(status, ProvenNonzero)
+    assert status.class_coordinates == h2_weight_test(detect_cover(ctx), c)
     assert status.class_coordinates
 
 
@@ -354,7 +355,7 @@ def test_unresolved_when_no_certificate():
     ring = ctx.nerve.triple_rings[(0, 1, 2)]
     value = PolyMatrix([[LaurentPoly.monomial(ring.names, (-1, -1, 1))]])
     c = CechCochain(2, SYM_END, 1, {(0, 1, 2): value})
-    status = solve_coboundary(ctx, c, (-3, 3), h2_basis_test=None)
+    status = solve_coboundary(ctx, c, (-3, 3))
     assert isinstance(status, UnresolvedWithinWindow)
 
 
@@ -394,3 +395,68 @@ def _p2_in_cubic_bundle() -> Scenario:
         flat=base.flat,
         window=(-3, 3),
     )
+
+
+# -- the cover record and the certificate -----------------------------------------------
+
+
+def test_cover_record_of_each_geometry():
+    expected = {
+        ("line_in_p2", 2, 0): Cover("p1", (-1,), (2,)),
+        ("line_in_p2", -1, 1): Cover("p1", (-1,), (-1,)),
+        ("diagonal_p1xp1", 3, 0): Cover("p1", (-2,), (3,)),
+        ("p1_in_line_bundle", 4, 0): Cover("p1", (-4,), (0,)),
+        ("hyperplane_p2_in_p3", 2, 1): Cover("p2", (-1,), (2,)),
+        ("hyperplane_p2_in_p3", -1, 0): Cover("p2", (-1,), (-1,)),
+        ("affine_split", 0, 0): None,
+    }
+    for (name, d, twist), cover in expected.items():
+        assert detect_cover(ctx_for(name, d=d, twist=twist)[1]) == cover, (name, d, twist)
+    assert detect_cover(build_context(_p2_in_cubic_bundle(), 2)) == Cover("p2", (-3,), (0,))
+    assert detect_cover(build_context(quadric_scenario(1, 1), 2)) is None
+    assert detect_cover(build_context(four_chart_scenario(), 2)) is None
+
+
+def test_pipeline_reads_the_cover_once(monkeypatch):
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return detect_cover(ctx)
+
+    monkeypatch.setattr(scenarios, "detect_cover", counted)
+    bundle = scenarios.run_pipeline(generate_builtin("hyperplane_p2_in_p3", d=1), k=3)
+    assert len(bundle.reports) == 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(d, twist) for d in range(-2, 3) for twist in (0, 1)] + ["p2_in_cubic_bundle"],
+    ids=str,
+)
+def test_certificate_never_fires_on_a_coboundary(case):
+    # delta of any window 1-cochain is exact, so the h^2 weight pairing must
+    # see nothing on it: one hit would certify a zero class nonzero
+    if case == "p2_in_cubic_bundle":
+        s = _p2_in_cubic_bundle()
+    else:
+        s = generate_builtin("hyperplane_p2_in_p3", d=case[0], twist=case[1])
+    window = (-4, 4)
+    for k in (1, 2, 3):
+        ctx = build_context(s, k)
+        cover = detect_cover(ctx)
+        assert cover is not None and cover.space == "p2"
+        for sdeg in range(1, k + 1):
+            basis = cech._window_basis(ctx, ctx.nerve.doubles(), SYM_END, sdeg, window)
+            assert len(basis) == 135
+            # images that reach u-exponents negative in both slots, where only
+            # the weight condition keeps the pairing silent
+            reaching = 0
+            for key in basis:
+                elementary = cech._assemble_cochain(ctx, 1, SYM_END, sdeg, [key], [1])
+                image = cech_differential(ctx, elementary)
+                assert h2_weight_test(cover, image) == [], (k, sdeg, key)
+                value = image.values[(0, 1, 2)].entries[0][0]
+                reaching += any(u1 < 0 and u2 < 0 for (u1, u2, _), _ in value.sorted_terms())
+            assert reaching, (k, sdeg)

@@ -649,3 +649,33 @@ def test_vectors_of_the_wrong_length_are_refused():
     for section in ({0: (1, 0), 1: (0, 1, 0)}, {0: (1, 0, 0, 0), 1: (0, 1, 0)}):
         with pytest.raises(ValueError, match="section vector of basis element"):
             AbelianExtension(amb, (2,), section=section)
+
+
+@pytest.mark.parametrize("degrees", [(0.5, 0.5, 1.0), (True, 1, 2), (1, 1, F(2)), (1, 1, 2.0)])
+def test_degrees_that_are_not_ints_are_refused(degrees):
+    zero = tuple(tuple(0 for _ in range(3)) for _ in range(3))
+    with pytest.raises(ValueError, match="is not an int"):
+        GradedDgLie(degrees, zero, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+
+
+@pytest.mark.parametrize("section", [
+    # the kernel key 2, beside a valid section
+    {0: (1, 0, 0), 1: (0, 1, 0), 2: (5, 5, 5)},
+    {0: (1, 0, 0), 1: (0, 1, 0), 3: (0, 0, 0)},
+    {0: (1, 0, 0), 1: (0, 1, 0), -1: (0, 0, 0)},
+    {0: (1, 0, 0), 1: (0, 1, 0), "0": (1, 0, 0)},
+    # keys equal to 0 and 1 that are not ints
+    {0.0: (1, 0, 0), 1: (0, 1, 0)},
+    {0: (1, 0, 0), True: (0, 1, 0)},
+])
+def test_section_keys_outside_the_quotient_basis_are_refused(section):
+    amb = heisenberg_extension().ambient
+    with pytest.raises(ValueError, match="is not a quotient basis element"):
+        AbelianExtension(amb, (2,), section=section)
+
+
+@pytest.mark.parametrize("kernel", [(3,), (-1,), (2.0,), (True, 2)])
+def test_kernel_indices_outside_the_basis_are_refused(kernel):
+    amb = heisenberg_extension().ambient
+    with pytest.raises(ValueError, match="kernel index out of range"):
+        AbelianExtension(amb, kernel)

@@ -183,7 +183,7 @@ def test_unclosed_order_two_gets_no_certificate(monkeypatch):
 
     monkeypatch.setattr(scenarios, "lift_obstruction", unclosed)
     monkeypatch.setattr(
-        scenarios, "h2_weight_test", lambda s, ctx, sdeg: lambda c2: [("any", "1")]
+        scenarios, "h2_weight_test", lambda cover, c2: [("any", "1")]
     )
     first, second = run_pipeline(quadric_scenario(1, 1), k=2).reports
     assert isinstance(first.status, Solved)
