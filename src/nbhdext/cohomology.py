@@ -6,11 +6,14 @@ inverted indices.  The Cech complex therefore splits into one tiny
 subcomplex per monomial weight, and each subcomplex is the simplicial
 cochain complex of the subsets containing the weight's negative support.
 Ranks of those small complexes are computed outright, so the dimensions
-returned here are honest counts, not closed-form shortcuts.
+returned here are honest counts, not closed-form shortcuts.  Weights with
+the same negative support have the same subcomplex, so each support's
+subcomplex is ranked once and counted once per weight that has it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
@@ -61,13 +64,15 @@ def twist_dims(n: int, d: int) -> List[int]:
     """Cohomology dimensions of the degree-d twist on P^n by weight counting."""
     lo = min(d, -1) - n - 1
     hi = max(d, 0) + 1
+    supports = Counter(
+        frozenset(i for i, x in enumerate(w) if x < 0)
+        for w in product(range(lo, hi + 1), repeat=n + 1)
+        if sum(w) == d
+    )
     dims = [0] * (n + 1)
-    for w in product(range(lo, hi + 1), repeat=n + 1):
-        if sum(w) != d:
-            continue
-        support = frozenset(i for i, x in enumerate(w) if x < 0)
+    for support, count in supports.items():
         for j, r in enumerate(weight_cohomology(n, support)):
-            dims[j] += r
+            dims[j] += count * r
     return dims
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NonInvertibleSubstitution, NotAdapted, NotUnipotent
@@ -102,12 +103,21 @@ class ChartRing:
 
         A product's t-degree and tangential degree are the sums of its
         factors', so a pair of terms is skipped when either sum is over
-        its bound.  Terms are visited in the order ``a * b`` visits them,
-        so the result's terms come in the same order too.
+        its bound.  The right factor's degrees are read from its table
+        (``_degree_rows``), built on its first use as a right factor under
+        this ``p`` and kept on the polynomial: right factors repeat across
+        calls (memoized powers, substitution bases, conjugation scalars).
+        Terms are visited in the order ``a * b`` visits them, so the
+        result's terms come in the same order too.
         """
         a._check_same_ring(b)
-        p, base = self.p, self.base_trunc
-        rows = [(sum(e[p:]), sum(e[:p]), e, c) for e, c in b.terms.items()]
+        p, base = len(self.u_names), self.base_trunc
+        cached = b._degree_rows
+        if cached is not None and cached[0] == p:
+            rows = cached[1]
+        else:
+            rows = [(sum(e[p:]), sum(e[:p]), e, c) for e, c in b.terms.items()]
+            b._degree_rows = (p, rows)
         out: Dict[Exponent, Rational] = {}
         for e1, c1 in a.terms.items():
             t_room = t_max - sum(e1[p:])
@@ -115,7 +125,7 @@ class ChartRing:
             for t2, u2, e2, c2 in rows:
                 if t2 > t_room or (u_room is not None and u2 > u_room):
                     continue
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -179,11 +189,14 @@ class Substitution:
     variable's image is built once, as x^(k-1) times the image (times one
     truncated inverse for k < 0), and a monomial's image
     (``monomial_image``) is the truncated product of its powers, also built
-    once.  A polynomial's image is the sum of its scaled monomial images,
-    with cancelled terms dropped: truncation commutes with rational
-    scaling, so this equals one substitution of the whole polynomial.
-    Terms are moved in sorted order, so a missing image (``ValueError``) or
-    a non-invertible one is reported on the same term as a fresh call would.
+    once, from its memoized prefix by one multiplication.  A polynomial's
+    image is the sum of its scaled monomial images, with cancelled terms
+    dropped: truncation commutes with rational scaling, so this equals one
+    substitution of the whole polynomial.  Terms are moved in sorted order,
+    so a missing image (``ValueError``) or a non-invertible one is reported
+    on the same term as a fresh call would.  Only ``target``'s variables and
+    truncation are read, never its ``inverted`` monomials, so one instance
+    serves every ring compatible with ``target``.
     """
 
     def __init__(self, target: ChartRing, images: Mapping[str, LaurentPoly], t_max: int):
@@ -206,17 +219,27 @@ class Substitution:
         return LaurentPoly._of(self.target.names, out)
 
     def monomial_image(self, vars: Tuple[str, ...], exps: Exponent) -> LaurentPoly:
-        """The truncated image of the monomial ``exps`` over ``vars``, built once."""
+        """The truncated image of the monomial ``exps`` over ``vars``, built once.
+
+        With ``x^e = x^prefix * var^k`` (``var`` the last variable with a
+        nonzero exponent ``k``, the prefix ``e`` with that exponent set to 0),
+        the image is the memoized prefix image times ``power(var, k)``.  That
+        is one multiplication per new monomial and the same left fold over
+        the variables as multiplying the powers one by one, so it gives the
+        same polynomial, also where ``base_trunc`` truncates the partial
+        products.  A zero prefix gives zero without asking for ``var``'s image.
+        """
         memo = self._monomials.setdefault(vars, {})
         image = memo.get(exps)
         if image is None:
-            target, t_max = self.target, self.t_max
-            image = target.one()
-            for name, k in zip(vars, exps):
-                if k:
-                    image = target.mul(image, self.power(name, k), t_max)
-                    if not image.terms:
-                        break
+            last = next((i for i in reversed(range(len(exps))) if exps[i]), None)
+            if last is None:
+                image = self.target.one()
+            else:
+                prefix = self.monomial_image(vars, exps[:last] + (0,) * (len(exps) - last))
+                image = prefix if not prefix.terms else self.target.mul(
+                    prefix, self.power(vars[last], exps[last]), self.t_max
+                )
             memo[exps] = image
         return image
 

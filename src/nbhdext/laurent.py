@@ -79,9 +79,16 @@ class LaurentPoly:
     Instances are treated as immutable: every operation returns a new
     polynomial and nothing mutates ``terms`` after construction.  Zero
     coefficients are never stored; the zero polynomial has no terms.
+
+    ``_degree_rows`` is a cache owned by ``filtered.ChartRing.mul``: None, or
+    ``(p, rows)`` with one ``(t-degree, tangential degree, exps, coeff)``
+    row per term, the first ``p`` variables counted as tangential.  The
+    rows are a function of ``terms`` and ``p`` alone, so on an immutable
+    polynomial they can be built once and shared by every ring that
+    multiplies by it; a ring with another split rebuilds them.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_degree_rows")
 
     def __init__(self, vars: Sequence[str], terms: Optional[Mapping[Exponent, object]] = None):
         self.vars: Tuple[str, ...] = tuple(vars)
@@ -97,6 +104,7 @@ class LaurentPoly:
                     raise ValueError(f"exponent vector {e} has wrong length for {self.vars}")
                 clean[e] = c
         self.terms = clean
+        self._degree_rows = None
 
     @classmethod
     def _of(cls, vars: Tuple[str, ...], terms: Dict[Exponent, Rational]) -> "LaurentPoly":
@@ -113,6 +121,7 @@ class LaurentPoly:
         poly = object.__new__(cls)
         poly.vars = vars
         poly.terms = terms
+        poly._degree_rows = None
         return poly
 
     # -- constructors -------------------------------------------------

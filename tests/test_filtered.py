@@ -121,6 +121,20 @@ def test_truncated_product_equals_truncated_full_product(case):
     assert list(product.terms.items()) == list(expected.terms.items())
 
 
+def test_truncated_product_table_is_keyed_by_the_ring():
+    # one right factor under two splits of the same names: its rows' t- and
+    # tangential degrees differ, so a table cached for one ring is wrong in the other
+    names = ("a", "b", "c")
+    splits = (ChartRing(("a",), ("b", "c")), ChartRing(("a", "b"), ("c",)))
+    a = LaurentPoly(names, {(0, 1, 0): 1, (1, 0, 1): 2, (0, 0, 0): -1})
+    b_terms = {(0, 2, 0): 1, (0, 0, 1): -1, (1, 1, 1): 3, (2, 0, 0): F(1, 2)}
+    for order in (splits, splits[::-1]):
+        b = LaurentPoly(names, b_terms)
+        for ring in order + order:
+            for t_max in (0, 1, 2):
+                assert ring.mul(a, b, t_max) == ring.truncate(a * b, t_max)
+
+
 def test_truncated_product_rejects_mismatched_variables():
     ring = ring_pq(1, 1)
     a = LaurentPoly(ring.names, {(1, 0): 1})
@@ -248,6 +262,24 @@ def test_substitution_errors_survive_the_memo(case, which, k):
             substitute(negative)
     with pytest.raises(NonInvertibleSubstitution):
         subst_oracle(negative, non_unit, t_max, ring)
+
+
+def test_zero_prefix_never_asks_for_a_later_image():
+    # u1 -> t1 squares to zero at t_max 1, and t1 has no image: the fold
+    # stops at the zero prefix whatever was asked for first
+    ring = ring_pq(1, 1)
+    images = {"u1": ring.t_var(0)}
+    zero_product = ring.monomial((2, 1))
+    needs_t1 = [ring.monomial((0, 1)), ring.monomial((1, 1))]
+    assert subst_oracle(zero_product, images, 1, ring) == ring.zero()
+    for first in ([], [ring.monomial((2, 0))], needs_t1):
+        substitute = Substitution(ring, images, 1)
+        for p in first:
+            outcome(substitute, p)
+        assert substitute(zero_product) == ring.zero()
+        for p in needs_t1:
+            with pytest.raises(ValueError):
+                substitute(p)
 
 
 # -- module actions ----------------------------------------------------------

@@ -105,6 +105,42 @@ def test_injected_chart_cocycle_failure():
     assert any(e.check in ("cocycle", "transition_inverse") for e in log.entries if not e.ok)
 
 
+def _entries(log, check, location):
+    return [e for e in log.entries if e.check == check and e.location == location]
+
+
+@pytest.mark.parametrize("broken", [(0, 2), (1, 2)])
+def test_shared_substitution_still_reports_a_broken_chart_cocycle(broken):
+    # (0, 1) stays adapted and inverse, so the triple reuses its substitution
+    s = generate_builtin("hyperplane_p2_in_p3", d=1)
+    o = [ov for ov in s.overlaps if ov.pair == broken][0]
+    o.forward_u = (o.forward_u[0] * 2, o.forward_u[1])
+    log = validate_scenario(s)
+    assert [e.ok for e in _entries(log, "transition_inverse", "overlap (0, 1)")] == [True]
+    (cocycle,) = _entries(log, "cocycle", "triple (0, 1, 2)")
+    assert not cocycle.ok
+    assert cocycle.detail.startswith("chart cocycle fails on generator ")
+
+
+@pytest.mark.parametrize("break_cocycle", [False, True])
+def test_triple_on_a_non_adapted_face_still_gets_its_cocycle_check(break_cocycle):
+    # a constant in the backward t-image makes (0, 1) non-adapted and leaves
+    # its forward map, which the chart cocycle reads, unchanged
+    s = generate_builtin("hyperplane_p2_in_p3", d=1)
+    o = [ov for ov in s.overlaps if ov.pair == (0, 1)][0]
+    o.backward_t = (o.backward_t[0] + LaurentPoly.const(s.names, 1),)
+    if break_cocycle:
+        o = [ov for ov in s.overlaps if ov.pair == (0, 2)][0]
+        o.forward_u = (o.forward_u[0] * 2, o.forward_u[1])
+    log = validate_scenario(s)
+    assert [e.ok for e in _entries(log, "adapted", "overlap (0, 1)")] == [False]
+    assert _entries(log, "transition_inverse", "overlap (0, 1)") == []
+    (cocycle,) = _entries(log, "cocycle", "triple (0, 1, 2)")
+    assert cocycle.ok is not break_cocycle
+    if break_cocycle:
+        assert cocycle.detail.startswith("chart cocycle fails on generator ")
+
+
 def _refused_before_any_context(monkeypatch, s, check):
     def no_context(*args):
         raise AssertionError("run_pipeline built a context for an invalid scenario")
