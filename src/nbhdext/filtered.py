@@ -104,9 +104,13 @@ class ChartRing:
         A product's t-degree and tangential degree are the sums of its
         factors', so a pair of terms is skipped when either sum is over
         its bound.  The right factor's degrees are read from its table
-        (``_degree_rows``), built on its first use as a right factor under
-        this ``p`` and kept on the polynomial: right factors repeat across
-        calls (memoized powers, substitution bases, conjugation scalars).
+        ``b._degree_rows``: None, or ``(p, rows)`` with one
+        ``(t-degree, tangential degree, exps, coeff)`` row per term, the
+        first ``p`` variables counted as tangential.  It is built on the
+        factor's first use under this ``p`` and kept on the polynomial,
+        since right factors repeat across calls (memoized powers,
+        substitution bases, conjugation scalars); a ring with another
+        split rebuilds it.
         Terms are visited in the order ``a * b`` visits them, so the
         result's terms come in the same order too.
         """

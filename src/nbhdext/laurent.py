@@ -80,12 +80,9 @@ class LaurentPoly:
     polynomial and nothing mutates ``terms`` after construction.  Zero
     coefficients are never stored; the zero polynomial has no terms.
 
-    ``_degree_rows`` is a cache owned by ``filtered.ChartRing.mul``: None, or
-    ``(p, rows)`` with one ``(t-degree, tangential degree, exps, coeff)``
-    row per term, the first ``p`` variables counted as tangential.  The
-    rows are a function of ``terms`` and ``p`` alone, so on an immutable
-    polynomial they can be built once and shared by every ring that
-    multiplies by it; a ring with another split rebuilds them.
+    ``_degree_rows`` is a private cache owned by ``filtered.ChartRing.mul``,
+    which documents its layout.  It is derived from ``terms`` alone, so
+    sharing it is safe because instances are immutable.
     """
 
     __slots__ = ("vars", "terms", "_degree_rows")

@@ -376,11 +376,11 @@ def _overlap_by_pair(s: Scenario) -> Dict[Pair, OverlapSpec]:
 def validate_scenario(s: Scenario) -> ValidationLog:
     """Check a scenario's transitions, cocycles and flatness flags at ``max_order``.
 
-    Each adapted overlap's forward ``Substitution`` is kept, by pair, and
-    the chart cocycle of a triple reuses it for the (i, j) face with its
-    memo; a triple whose face was not adapted builds its own.  The triple
-    ring differs from the overlap ring only in ``inverted``, which a
-    substitution never reads, so both give the same polynomials.
+    Each overlap's forward ``Substitution`` is kept, by pair, and the
+    chart cocycle of a triple reuses it for the (i, j) face with its memo,
+    whether or not that face was adapted.  The triple ring differs from
+    the overlap ring only in ``inverted``, which a substitution never
+    reads, so both give the same polynomials.
     """
     log = ValidationLog()
     k = s.max_order
@@ -396,13 +396,13 @@ def validate_scenario(s: Scenario) -> ValidationLog:
         )
         log.record("adapted", loc, adapted,
                    "" if adapted else "a normal-variable image has a degree-0 part")
+        fwd = {n: img for n, img in zip(s.names, tuple(o.forward_u) + tuple(o.forward_t))}
+        fwd_sub = forward[o.pair] = Substitution(ring_i, fwd, k)
         if not adapted:
             continue
         # mutual inverse on generators, both ways, at order k
-        fwd = {n: img for n, img in zip(s.names, tuple(o.forward_u) + tuple(o.forward_t))}
         bwd = {n: img for n, img in zip(s.names, tuple(o.backward_u) + tuple(o.backward_t))}
-        fwd_sub, bwd_sub = Substitution(ring_i, fwd, k), Substitution(ring_j, bwd, k)
-        forward[o.pair] = fwd_sub
+        bwd_sub = Substitution(ring_j, bwd, k)
         ok = True
         detail = ""
         for name in s.names:
@@ -427,11 +427,7 @@ def validate_scenario(s: Scenario) -> ValidationLog:
             continue
         o_ij, o_ih, o_jh = by_pair[(i, j)], by_pair[(i, h)], by_pair[(j, h)]
         ring_i = ChartRing(s.u_names, s.t_names, t.inverted)
-        fwd_ij = forward.get((i, j))
-        if fwd_ij is None:
-            fwd_ij = Substitution(
-                ring_i, dict(zip(s.names, tuple(o_ij.forward_u) + tuple(o_ij.forward_t))), k
-            )
+        fwd_ij = forward[(i, j)]
         ok = True
         detail = ""
         for name, img_jh, img_ih in zip(
