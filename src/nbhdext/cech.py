@@ -239,7 +239,12 @@ class CechContext:
                     (ab, moved if k is None else geom.ring_i.mul(moved, k, self.order))
                     for ab, k in self._conjugator(pair)[r][c]
                 ]
-            coords = {(ab, e): x for ab, poly in images for e, x in poly.sorted_terms()}
+            # most images have one term, which needs no sorting
+            coords = {
+                (ab, e): x
+                for ab, poly in images
+                for e, x in (poly.terms.items() if len(poly.terms) < 2 else poly.sorted_terms())
+            }
             self._elementary_images[key] = coords
         return coords
 
@@ -459,31 +464,27 @@ class UnresolvedWithinWindow:
     window: Tuple[int, int]
 
 
-def allowed_exponent(ring: ChartRing, w: Exponent) -> bool:
-    """Membership of a tangential exponent vector in the chart ring's cone."""
-    if all(x >= 0 for x in w):
-        return True
-    if not ring.inverted:
-        return False
-    bound = max(-min(w), 1) + 1
-    ranges = [range(0, bound + 1)] * len(ring.inverted)
-    for combo in iproduct(*ranges):
-        shifted = list(w)
-        for n_i, inv in zip(combo, ring.inverted):
-            for t, ex in enumerate(inv):
-                shifted[t] += n_i * ex
-        if all(x >= 0 for x in shifted):
-            return True
-    return False
-
-
 def _window_exponents(ctx: CechContext, ring: ChartRing, window: Tuple[int, int]) -> List[Exponent]:
-    """Allowed tangential exponents in the window box, memoized per (p, inverted, window)."""
+    """Tangential exponents of the chart ring's cone in the window box, grlex, memoized.
+
+    The cone is the monomial semigroup of the polynomial ring localized at
+    the ``inverted`` monomials.  With nonnegative inverted vectors (which
+    validation enforces) an exponent lies in it exactly when each of its
+    negative coordinates is positive in some inverted vector: a large
+    enough power of that vector clears it without making another
+    coordinate negative.  So the window's cone is again a box, [lo, hi] on
+    each coordinate an inverted vector covers and [max(lo, 0), hi] on the
+    others, and empty when an uncovered coordinate has hi < 0.
+    """
     key = (ring.p, ring.inverted, tuple(window))
     exps = ctx._window_exponents.get(key)
     if exps is None:
+        if any(x < 0 for inv in ring.inverted for x in inv):
+            raise ValueError(f"inverted exponents must be nonnegative, got {ring.inverted}")
         lo, hi = window
-        exps = [w for w in monomial_window([(lo, hi)] * ring.p) if allowed_exponent(ring, w)]
+        covered = [any(inv[t] > 0 for inv in ring.inverted) for t in range(ring.p)]
+        bounds = [(lo if cov else max(lo, 0), hi) for cov in covered]
+        exps = monomial_window(bounds) if hi >= 0 or all(covered) else []
         ctx._window_exponents[key] = exps
     return exps
 

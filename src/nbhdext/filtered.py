@@ -112,7 +112,9 @@ class ChartRing:
         substitution bases, conjugation scalars); a ring with another
         split rebuilds it.
         Terms are visited in the order ``a * b`` visits them, so the
-        result's terms come in the same order too.
+        result's terms come in the same order too.  A one-term ``a`` only
+        shifts ``b``'s kept rows: their products are nonzero and their
+        exponents distinct, so nothing accumulates or cancels.
         """
         a._check_same_ring(b)
         p, base = len(self.u_names), self.base_trunc
@@ -122,6 +124,15 @@ class ChartRing:
         else:
             rows = [(sum(e[p:]), sum(e[:p]), e, c) for e, c in b.terms.items()]
             b._degree_rows = (p, rows)
+        if len(a.terms) == 1:
+            [(e1, c1)] = a.terms.items()
+            t_room = t_max - sum(e1[p:])
+            u_room = None if base is None else base - sum(e1[:p])
+            return LaurentPoly._of(a.vars, {
+                tuple(map(add, e1, e2)): c1 * c2
+                for t2, u2, e2, c2 in rows
+                if t2 <= t_room and (u_room is None or u2 <= u_room)
+            })
         out: Dict[Exponent, Rational] = {}
         for e1, c1 in a.terms.items():
             t_room = t_max - sum(e1[p:])
@@ -191,9 +202,10 @@ class Substitution:
     ``images`` maps each source variable to a polynomial over ``target``;
     negative powers use truncated inversion.  The truncated power x^k of a
     variable's image is built once, as x^(k-1) times the image (times one
-    truncated inverse for k < 0), and a monomial's image
-    (``monomial_image``) is the truncated product of its powers, also built
-    once, from its memoized prefix by one multiplication.  A polynomial's
+    truncated inverse for k < 0; x^1 and x^-1 are the truncated image and
+    inverse themselves), and a monomial's image (``monomial_image``) is the
+    truncated product of its powers, also built once, from its memoized
+    prefix by one multiplication.  A polynomial's
     image is the sum of its scaled monomial images, with cancelled terms
     dropped: truncation commutes with rational scaling, so this equals one
     substitution of the whole polynomial.  Terms are moved in sorted order,
@@ -231,7 +243,9 @@ class Substitution:
         is one multiplication per new monomial and the same left fold over
         the variables as multiplying the powers one by one, so it gives the
         same polynomial, also where ``base_trunc`` truncates the partial
-        products.  A zero prefix gives zero without asking for ``var``'s image.
+        products.  A zero prefix gives zero without asking for ``var``'s image,
+        and a prefix of exponent 0 (image 1) gives ``power(var, k)`` itself,
+        with no product by one.
         """
         memo = self._monomials.setdefault(vars, {})
         image = memo.get(exps)
@@ -239,6 +253,8 @@ class Substitution:
             last = next((i for i in reversed(range(len(exps))) if exps[i]), None)
             if last is None:
                 image = self.target.one()
+            elif not any(exps[:last]):
+                image = self.power(vars[last], exps[last])
             else:
                 prefix = self.monomial_image(vars, exps[:last] + (0,) * (len(exps) - last))
                 image = prefix if not prefix.terms else self.target.mul(
@@ -252,8 +268,11 @@ class Substitution:
         power = self._powers.get((name, k))
         if power is None:
             step = 1 if k > 0 else -1
-            prev = self.target.one() if k == step else self.power(name, k - step)
-            power = self.target.mul(prev, self._base(name, step), self.t_max)
+            base = self._base(name, step)
+            if k == step:
+                power = self.target.truncate(base, self.t_max)
+            else:
+                power = self.target.mul(self.power(name, k - step), base, self.t_max)
             self._powers[(name, k)] = power
         return power
 

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nbhdext import cech, scenarios
 from nbhdext.cech import (
@@ -18,7 +22,7 @@ from nbhdext.cech import (
 )
 from nbhdext.errors import NotClosed
 from nbhdext.filtered import ChartRing, PairDerivation
-from nbhdext.laurent import LaurentPoly
+from nbhdext.laurent import LaurentPoly, monomial_window
 from nbhdext.linsolve import PolyMatrix
 from nbhdext.scenarios import (
     OverlapSpec,
@@ -29,6 +33,7 @@ from nbhdext.scenarios import (
     detect_cover,
     generate_builtin,
     h2_weight_test,
+    run_pipeline,
     solve_abelianized,
     validate_scenario,
 )
@@ -460,3 +465,67 @@ def test_certificate_never_fires_on_a_coboundary(case):
                 value = image.values[(0, 1, 2)].entries[0][0]
                 reaching += any(u1 < 0 and u2 < 0 for (u1, u2, _), _ in value.sorted_terms())
             assert reaching, (k, sdeg)
+
+
+# -- window cone --------------------------------------------------------------------
+
+
+def allowed_exponent(ring, w):
+    """Brute-force membership of w in the chart ring's cone: some shift by
+    nonnegative multiples of the inverted vectors makes w nonnegative."""
+    if all(x >= 0 for x in w):
+        return True
+    if not ring.inverted:
+        return False
+    bound = max(-min(w), 1) + 1
+    ranges = [range(0, bound + 1)] * len(ring.inverted)
+    for combo in iproduct(*ranges):
+        shifted = list(w)
+        for n_i, inv in zip(combo, ring.inverted):
+            for t, ex in enumerate(inv):
+                shifted[t] += n_i * ex
+        if all(x >= 0 for x in shifted):
+            return True
+    return False
+
+
+@st.composite
+def window_cone_cases(draw):
+    """p in {1, 2, 3}, zero to two nonnegative inverted vectors and a window in -3..3."""
+    p = draw(st.integers(1, 3))
+    inverted = draw(st.lists(st.tuples(*[st.integers(0, 2)] * p), max_size=2))
+    lo = draw(st.integers(-3, 3))
+    hi = draw(st.integers(lo, 3))
+    return p, tuple(inverted), (lo, hi)
+
+
+@given(window_cone_cases())
+@example((2, ((1, 0),), (1, 3)))     # lo > 0
+@example((2, ((1, 0),), (-3, -1)))   # hi < 0 with an uncovered coordinate
+@example((2, ((1, 2),), (-3, -1)))   # hi < 0, every coordinate covered
+@example((3, ((0, 1, 0), (2, 0, 0)), (-2, -2)))  # lo = hi
+@example((1, (), (-2, -2)))
+@settings(max_examples=300, deadline=None)
+def test_window_cone_closed_form_equals_the_search(case):
+    p, inverted, window = case
+    ring = ChartRing(tuple(f"u{i + 1}" for i in range(p)), ("t1",), inverted)
+    expected = [w for w in monomial_window([window] * p) if allowed_exponent(ring, w)]
+    ctx = SimpleNamespace(_window_exponents={})
+    assert cech._window_exponents(ctx, ring, window) == expected
+
+
+def test_window_cone_refuses_negative_inverted_exponents():
+    ring = ChartRing(("u1",), ("t1",), ((-1,),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        cech._window_exponents(SimpleNamespace(_window_exponents={}), ring, (-1, 1))
+
+
+@pytest.mark.parametrize(
+    "window, torsors, unknowns", [((-3, -1), [3, 3], 6), ((2, 3), [0, 0], 4)], ids=str
+)
+def test_line_in_p2_off_centre_windows(window, torsors, unknowns):
+    # a window below zero keeps only the chart cones' covered coordinates,
+    # one above zero keeps no constant
+    bundle = run_pipeline(generate_builtin("line_in_p2", d=1), k=2, window=window)
+    assert [r.status.torsor_dim for r in bundle.reports] == torsors
+    assert bundle.abelianized["unknowns"] == unknowns

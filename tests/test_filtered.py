@@ -96,6 +96,8 @@ def truncated_product_cases(draw):
 
     Tangential exponents run negative as well as positive, and the t-degrees
     and tangential degrees run past the bounds, so some products are dropped.
+    About half of the factors on each side have one term, the case the
+    product takes as a shift.
     """
     p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     ring = ring_pq(p, q, base_trunc=draw(st.one_of(st.none(), st.integers(0, 3))))
@@ -103,10 +105,11 @@ def truncated_product_cases(draw):
         *[st.integers(-2, 3)] * p, *[st.integers(0, 3)] * q
     )
     coeff = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
-    a, b = (
-        LaurentPoly(ring.names, draw(st.dictionaries(exponent, coeff, max_size=6)))
-        for _ in range(2)
+    terms = st.one_of(
+        st.dictionaries(exponent, coeff, min_size=1, max_size=1),
+        st.dictionaries(exponent, coeff, max_size=6),
     )
+    a, b = (LaurentPoly(ring.names, draw(terms)) for _ in range(2))
     return ring, a, b, draw(st.integers(0, 3))
 
 
@@ -280,6 +283,38 @@ def test_zero_prefix_never_asks_for_a_later_image():
         for p in needs_t1:
             with pytest.raises(ValueError):
                 substitute(p)
+
+
+def test_first_powers_and_one_variable_monomials_multiply_nothing(monkeypatch):
+    # x^1 is the truncated image and x^k's monomial image is x^k itself:
+    # neither is a product by one
+    ring = ring_pq(2, 1, base_trunc=3)
+    u1, u2, t1 = ring.u_var(0), ring.u_var(1), ring.t_var(0)
+    images = {
+        "u1": u1 + u1 * u1 * u2 + ring.const(F(1, 2)) * t1 + u1 * t1 * t1,
+        "u2": u2 + u1 * u2 * u2 * t1 - t1 * t1,
+        "t1": t1 + u1 * t1 * t1,
+    }
+    one_variable = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 3, 0)]
+    expected = {e: subst_oracle(ring.monomial(e), images, 1, ring) for e in one_variable}
+    calls = []
+    mul = ChartRing.mul
+
+    def counting_mul(self, a, b, t_max):
+        calls.append((a, b))
+        return mul(self, a, b, t_max)
+
+    monkeypatch.setattr(ChartRing, "mul", counting_mul)
+    substitute = Substitution(ring, images, 1)
+    for name, e in zip(ring.names, one_variable):
+        assert substitute.power(name, 1) == expected[e]
+    assert calls == []
+    cube = substitute.power("u2", 3)
+    assert len(calls) == 2
+    for e in one_variable:
+        assert substitute.monomial_image(ring.names, e) == expected[e]
+    assert substitute.monomial_image(ring.names, (0, 3, 0)) is cube
+    assert len(calls) == 2
 
 
 # -- module actions ----------------------------------------------------------

@@ -413,7 +413,7 @@ def _file(write):
         (_drop("overlaps", 0, "forward_u"), "overlaps[0].forward_u"),
         (_set("ab", "window"), "window"),
         (_set([3, -3], "window"), "window"),
-        # allowed_exponent's search is only sound for nonnegative inverted exponents
+        # the window cone's closed form is sound only for nonnegative inverted exponents
         (_set([[-1]], "overlaps", 0, "inverted", "0"), "overlaps[0].inverted[0]"),
         # file errors name the path
         (_file(lambda path: None), "bad.json"),
