@@ -239,12 +239,9 @@ class CechContext:
                     (ab, moved if k is None else geom.ring_i.mul(moved, k, self.order))
                     for ab, k in self._conjugator(pair)[r][c]
                 ]
-            # most images have one term, which needs no sorting
-            coords = {
-                (ab, e): x
-                for ab, poly in images
-                for e, x in (poly.terms.items() if len(poly.terms) < 2 else poly.sorted_terms())
-            }
+            # a one-term image, the common case, needs no sorting
+            coords = {(ab, e): x for ab, poly in images for e, x in (
+                poly.terms.items() if len(poly.terms) < 2 else poly.sorted_terms())}
             self._elementary_images[key] = coords
         return coords
 
@@ -465,16 +462,12 @@ class UnresolvedWithinWindow:
 
 
 def _window_exponents(ctx: CechContext, ring: ChartRing, window: Tuple[int, int]) -> List[Exponent]:
-    """Tangential exponents of the chart ring's cone in the window box, grlex, memoized.
+    """Tangential exponents in the window box and the chart ring's cone, grlex, memoized.
 
-    The cone is the monomial semigroup of the polynomial ring localized at
-    the ``inverted`` monomials.  With nonnegative inverted vectors (which
-    validation enforces) an exponent lies in it exactly when each of its
-    negative coordinates is positive in some inverted vector: a large
-    enough power of that vector clears it without making another
-    coordinate negative.  So the window's cone is again a box, [lo, hi] on
-    each coordinate an inverted vector covers and [max(lo, 0), hi] on the
-    others, and empty when an uncovered coordinate has hi < 0.
+    With nonnegative inverted vectors, w is in the cone exactly when each
+    negative coordinate of w is positive in some inverted vector, so the
+    cone's window is a box: [lo, hi] on such covered coordinates,
+    [max(lo, 0), hi] on the others, and empty when one of those has hi < 0.
     """
     key = (ring.p, ring.inverted, tuple(window))
     exps = ctx._window_exponents.get(key)

@@ -269,10 +269,8 @@ class Substitution:
         if power is None:
             step = 1 if k > 0 else -1
             base = self._base(name, step)
-            if k == step:
-                power = self.target.truncate(base, self.t_max)
-            else:
-                power = self.target.mul(self.power(name, k - step), base, self.t_max)
+            power = self.target.truncate(base, self.t_max) if k == step else self.target.mul(
+                self.power(name, k - step), base, self.t_max)
             self._powers[(name, k)] = power
         return power
 

@@ -223,8 +223,7 @@ def scenario_from_json(data: dict) -> Scenario:
                            for r, row in enumerate(obj)])
 
     def exps(obj, where: str) -> Tuple[Exponent, ...]:
-        # the window cone's closed form (cech._window_exponents) is sound only for
-        # nonnegative inverted exponents
+        # the window cone's closed form is sound only for nonnegative inverted exponents
         _require(isinstance(obj, list), f"{where}: expected a list, got {obj!r}")
         out = tuple(_ints(item, f"{where}[{n}]", p) for n, item in enumerate(obj))
         _require(all(x >= 0 for v in out for x in v),
