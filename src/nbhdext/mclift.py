@@ -15,6 +15,13 @@ Conventions: elements carry an integer homological degree; for x, y of
 degrees |x|, |y| the bracket satisfies [x,y] = -(-1)^{|x||y|}[y,x].  In
 particular a degree-one element may have [x,x] != 0, which is what makes
 the Maurer-Cartan equation d(x) + [x,x]/2 = 0 a real condition.
+
+For an abelian extension the lift equation is affine in the kernel
+correction alpha: R(phi, alpha) = o(phi) + d_{s phi} alpha, where the
+obstruction o(phi) = (ds - sd)(phi) + ([s phi, s phi] - s[phi, phi])/2
+and d_{s phi} = d + [s phi, -] (Goldman and Millson).  ``lift_residual``
+builds the parts that depend on phi alone once per base element.
+
 Every vector coefficient follows the exact-number rule of ``laurent``: an
 integral one is an ``int``, any other a ``Fraction``.
 """
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import NotMaurerCartan, SectionNotValued
 from .laurent import Rational, exact
@@ -78,6 +85,11 @@ def scale(a: Vector, c) -> Vector:
     if c == 1:
         return a
     return _exact_vector([x * c if x else x for x in a])
+
+
+def _half(a: Vector) -> Vector:
+    """``scale(a, 1/2)``, with an even ``int`` halved by a shift and no ``Fraction`` built."""
+    return _exact_vector([x >> 1 if type(x) is int and not x & 1 else x * _HALF for x in a])
 
 
 def is_zero(a: Vector) -> bool:
@@ -254,7 +266,18 @@ def _mc_parts(algebra: GradedDgLie, phi: Vector) -> Tuple[Vector, Vector, Vector
     if not algebra.is_homogeneous(phi, 1):
         raise NotMaurerCartan("candidate element is not concentrated in degree 1")
     d_phi, phi_phi = algebra.apply_d(phi), algebra.bracket(phi, phi)
-    return add(d_phi, scale(phi_phi, _HALF)), d_phi, phi_phi
+    return add(d_phi, _half(phi_phi)), d_phi, phi_phi
+
+
+class _LiftBase(NamedTuple):
+    """What the lift equation needs of one Maurer-Cartan base element phi."""
+
+    phi: tuple
+    s_phi: Vector
+    # o(phi) = delta1(phi) + delta2(phi, phi)/2
+    obstruction: Vector
+    # the nonzero entries of d_{s phi} on each degree-1 kernel basis element, built on demand
+    columns: Dict[int, Tuple[Tuple[int, Rational], ...]]
 
 
 @dataclass
@@ -273,6 +296,8 @@ class AbelianExtension:
     section: Optional[Dict[int, Vector]] = None
     quotient: GradedDgLie = field(init=False)
     quotient_basis: Tuple[int, ...] = field(init=False)
+    # the parts of the last base element lift_residual was given
+    _lift_memo: Optional[_LiftBase] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amb = self.ambient
@@ -388,25 +413,52 @@ def defects(ext: AbelianExtension):
     return delta1, delta2
 
 
+def _lift_base(ext: AbelianExtension, phi: Vector) -> _LiftBase:
+    """The parts of the lift equation that depend on phi alone, from the one-entry memo."""
+    _check_length(phi, ext.quotient.n)
+    key = tuple(phi)
+    memo = ext._lift_memo
+    if memo is not None and memo.phi == key:
+        return memo
+    witness, d_phi, phi_phi = _mc_parts(ext.quotient, phi)
+    if not is_zero(witness):
+        raise NotMaurerCartan(f"base element fails Maurer-Cartan with residual {witness}")
+    s_phi = ext.include_quotient(phi)
+    obstruction = add(_delta1(ext, s_phi, d_phi), _half(_delta2(ext, s_phi, s_phi, phi_phi)))
+    ext._lift_memo = memo = _LiftBase(key, s_phi, obstruction, {})
+    return memo
+
+
 def lift_residual(ext: AbelianExtension, phi: Vector, alpha: Vector) -> Vector:
     """Residual of the lift equation for s(phi) + alpha.
 
     Zero exactly when s(phi) + alpha satisfies Maurer-Cartan upstairs.
     ``phi`` is a Maurer-Cartan element of the quotient; ``alpha`` an
-    ambient degree-1 vector supported on the kernel.  s(phi), d(phi) and
-    [phi,phi] are computed once and shared by the Maurer-Cartan test of
-    phi and both defects.
+    ambient degree-1 vector supported on the kernel.  The residual is
+    affine in alpha: o(phi) + d_{s phi} alpha, with the obstruction
+    o(phi) = delta1(phi) + delta2(phi, phi)/2 and d_{s phi} = d + [s phi, -].
+    The Maurer-Cartan test of phi, s(phi), o(phi) and the columns of
+    d_{s phi} on the degree-1 kernel basis depend on phi alone; they are
+    kept in a one-entry memo on ``ext``, keyed by ``tuple(phi)``, so only
+    the validation of alpha and the sum over its nonzero entries repeat
+    for the same phi.  Each column is built the first time an alpha needs
+    it, and a phi that fails its checks leaves the memo as it was.
     """
     amb = ext.ambient
-    witness, d_phi, phi_phi = _mc_parts(ext.quotient, phi)
-    if not is_zero(witness):
-        raise NotMaurerCartan(f"base element fails Maurer-Cartan with residual {witness}")
+    base = _lift_base(ext, phi)
     ext.kernel_component(alpha)
     if not amb.is_homogeneous(alpha, 1):
         raise NotMaurerCartan("kernel correction is not concentrated in degree 1")
-    s_phi = ext.include_quotient(phi)
-    twisted = add(amb.apply_d(alpha), amb.bracket(s_phi, alpha))
-    return add(
-        add(twisted, _delta1(ext, s_phi, d_phi)),
-        scale(_delta2(ext, s_phi, s_phi, phi_phi), _HALF),
-    )
+    out = list(base.obstruction)
+    columns = base.columns
+    for t, a in enumerate(alpha):
+        if not a:
+            continue
+        column = columns.get(t)
+        if column is None:
+            e_t = amb.basis(t)
+            twisted = add(amb.apply_d(e_t), amb.bracket(base.s_phi, e_t))
+            column = columns[t] = tuple((i, c) for i, c in enumerate(twisted) if c)
+        for i, c in column:
+            out[i] += a * c
+    return _exact_vector(out)

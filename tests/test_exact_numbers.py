@@ -23,6 +23,7 @@ from nbhdext.linsolve import _rref
 from nbhdext.mclift import (
     AbelianExtension,
     GradedDgLie,
+    _half,
     add,
     defects,
     is_mc,
@@ -251,6 +252,25 @@ def test_mclift_integral_results_are_ints():
 
 def typed(v):
     return [(type(x), x) for x in v]
+
+
+# negative, odd and even ints, large ones too, proper and integral Fractions
+half_entries = st.one_of(coeffs, st.integers(-10**30, 10**30))
+
+
+@given(st.lists(half_entries, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_half_equals_scaling_by_one_half(v):
+    halved = _half(tuple(v))
+    assert typed(halved) == typed(scale(tuple(v), Fraction(1, 2)))
+    assert all(follows_rule(x) for x in halved)
+
+
+def test_half_of_each_kind_of_entry():
+    v = (-4, -3, -1, 0, 1, 6, 7, Fraction(-5, 3), Fraction(1, 2), Fraction(4, 2))
+    expected = (-2, Fraction(-3, 2), Fraction(-1, 2), 0, Fraction(1, 2), 3, Fraction(7, 2),
+                Fraction(-5, 6), Fraction(1, 4), 1)
+    assert typed(_half(v)) == typed(expected) == typed(scale(v, Fraction(1, 2)))
 
 
 # -- every true division keeps a Fraction operand -------------------------------

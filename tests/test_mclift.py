@@ -679,3 +679,78 @@ def test_kernel_indices_outside_the_basis_are_refused(kernel):
     amb = heisenberg_extension().ambient
     with pytest.raises(ValueError, match="kernel index out of range"):
         AbelianExtension(amb, kernel)
+
+
+# -- the memo of lift_residual against the body it replaced ------------------
+
+
+def residual_oracle(ext, phi, alpha):
+    """The lift residual with every part rebuilt for each call:
+    (d + [s phi, -]) alpha + delta1(phi) + delta2(phi, phi)/2, after the
+    checks of phi and alpha in the order lift_residual makes them."""
+    amb = ext.ambient
+    ok, witness = is_mc(ext.quotient, phi)
+    if not ok:
+        raise NotMaurerCartan(f"base element fails Maurer-Cartan with residual {witness}")
+    ext.kernel_component(alpha)
+    if not amb.is_homogeneous(alpha, 1):
+        raise NotMaurerCartan("kernel correction is not concentrated in degree 1")
+    d1, d2 = defects(ext)
+    s_phi = ext.include_quotient(phi)
+    return add(
+        add(add(amb.apply_d(alpha), amb.bracket(s_phi, alpha)), d1(phi)),
+        scale(d2(phi, phi), F(1, 2)),
+    )
+
+
+def outcome(call):
+    """The typed entries of call(), or the type and message of what it raised."""
+    try:
+        return [(type(x), x) for x in call()]
+    except (ValueError, NotMaurerCartan, SectionNotValued) as exc:
+        return type(exc), str(exc)
+
+
+PHI_KINDS = st.sampled_from(["mc"] * 4 + ["not_mc", "not_homogeneous", "wrong_length"])
+ALPHA_KINDS = st.sampled_from(["grid"] * 4 + ["off_kernel", "degree_two", "wrong_length"])
+FORMS = st.sampled_from([tuple, list, lambda v: tuple(F(x) for x in v)])
+PICKS = st.integers(0, 10**6)
+
+
+@given(
+    shape=st.sampled_from([(2, 2, 1, 1), (3, 2, 1, 1), (3, 2, 2, 1), (3, 1, 2, 1), (4, 2, 2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.tuples(PHI_KINDS, PICKS, FORMS, ALPHA_KINDS, PICKS), min_size=2, max_size=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_lift_residual_memo_equals_the_oracle(shape, seed, steps):
+    # one extension sees repeated, switched and equal-valued base elements,
+    # with failing calls between them; every call must answer as the oracle
+    # does and as a fresh extension does
+    ext = random_two_level_extension(random.Random(seed), *shape)
+    amb, quo = ext.ambient, ext.quotient
+    deg1_q = [i for i, d in enumerate(quo.degrees) if d == 1]
+    grid_phis = [vec(quo.n, dict(zip(deg1_q, c)))
+                 for c in itertools.product([F(0), F(1), F(-1)], repeat=len(deg1_q))]
+    phis = {"mc": [p for p in grid_phis if is_mc(quo, p)[0]],
+            "not_mc": [p for p in grid_phis if not is_mc(quo, p)[0]],
+            "not_homogeneous": [add(p, quo.basis(i)) for p in grid_phis[:3]
+                                for i, d in enumerate(quo.degrees) if d == 2],
+            "wrong_length": [p + (0,) for p in grid_phis[:3]]}
+    kernel_deg1 = [i for i in ext.kernel if amb.degrees[i] == 1]
+    grid_alphas = [vec(amb.n, dict(zip(kernel_deg1, c)))
+                   for c in itertools.product([F(0), F(1), F(-1), F(1, 2)], repeat=len(kernel_deg1))]
+    alphas = {"grid": grid_alphas,
+              "off_kernel": [add(a, amb.basis(i)) for a in grid_alphas[:3] for i in ext.quotient_basis],
+              "degree_two": [add(a, amb.basis(i)) for a in grid_alphas[:3]
+                             for i in ext.kernel if amb.degrees[i] == 2],
+              "wrong_length": [a[:-1] for a in grid_alphas[:3]]}
+    for phi_kind, phi_pick, form, alpha_kind, alpha_pick in steps:
+        pool = phis[phi_kind] or phis["wrong_length"]
+        phi = form(pool[phi_pick % len(pool)])
+        pool = alphas[alpha_kind] or alphas["wrong_length"]
+        alpha = pool[alpha_pick % len(pool)]
+        fresh = AbelianExtension(amb, ext.kernel, ext.section)
+        expected = outcome(lambda: residual_oracle(fresh, phi, alpha))
+        assert outcome(lambda: lift_residual(fresh, phi, alpha)) == expected
+        assert outcome(lambda: lift_residual(ext, phi, alpha)) == expected
