@@ -19,7 +19,7 @@ the Maurer-Cartan equation d(x) + [x,x]/2 = 0 a real condition.
 For an abelian extension the lift equation is affine in the kernel
 correction alpha: R(phi, alpha) = o(phi) + d_{s phi} alpha, where the
 obstruction o(phi) = (ds - sd)(phi) + ([s phi, s phi] - s[phi, phi])/2
-and d_{s phi} = d + [s phi, -] (Goldman and Millson).  ``lift_residual``
+and d_{s phi} = d + [s phi, -] (Goldman and Millson 1988).  ``lift_residual``
 builds the parts that depend on phi alone once per base element.
 
 Every vector coefficient follows the exact-number rule of ``laurent``: an
@@ -416,14 +416,15 @@ def defects(ext: AbelianExtension):
 def _lift_base(ext: AbelianExtension, phi: Vector) -> _LiftBase:
     """The parts of the lift equation that depend on phi alone, from the one-entry memo."""
     _check_length(phi, ext.quotient.n)
-    key = tuple(phi)
+    # cleaned, since 1.0 == 1 would let a float phi answer for an int one
+    key = tuple(map(exact, phi))
     memo = ext._lift_memo
     if memo is not None and memo.phi == key:
         return memo
-    witness, d_phi, phi_phi = _mc_parts(ext.quotient, phi)
+    witness, d_phi, phi_phi = _mc_parts(ext.quotient, key)
     if not is_zero(witness):
         raise NotMaurerCartan(f"base element fails Maurer-Cartan with residual {witness}")
-    s_phi = ext.include_quotient(phi)
+    s_phi = ext.include_quotient(key)
     obstruction = add(_delta1(ext, s_phi, d_phi), _half(_delta2(ext, s_phi, s_phi, phi_phi)))
     ext._lift_memo = memo = _LiftBase(key, s_phi, obstruction, {})
     return memo
@@ -439,10 +440,11 @@ def lift_residual(ext: AbelianExtension, phi: Vector, alpha: Vector) -> Vector:
     o(phi) = delta1(phi) + delta2(phi, phi)/2 and d_{s phi} = d + [s phi, -].
     The Maurer-Cartan test of phi, s(phi), o(phi) and the columns of
     d_{s phi} on the degree-1 kernel basis depend on phi alone; they are
-    kept in a one-entry memo on ``ext``, keyed by ``tuple(phi)``, so only
-    the validation of alpha and the sum over its nonzero entries repeat
-    for the same phi.  Each column is built the first time an alpha needs
-    it, and a phi that fails its checks leaves the memo as it was.
+    kept in a one-entry memo on ``ext``, keyed by phi's entries cleaned by
+    ``laurent.exact`` (so a float entry is refused).  For the same phi only
+    the checks of alpha and the sum over its nonzero entries repeat.  Each
+    column is built the first time an alpha needs it, and a phi that fails
+    its checks leaves the memo as it was.
     """
     amb = ext.ambient
     base = _lift_base(ext, phi)

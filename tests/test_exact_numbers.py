@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbhdext.errors import ParseError
@@ -254,23 +254,30 @@ def typed(v):
     return [(type(x), x) for x in v]
 
 
+def test_lift_residual_refuses_a_float_base_element():
+    # the memo compares base elements by value and 1.0 == 1, so a float must
+    # be refused before it reaches the memo, on a hit as on a miss
+    heisenberg = GradedDgLie((1, 1, 2), ((0,) * 3,) * 3, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+    ext = AbelianExtension(heisenberg, (2,))
+    with pytest.raises(TypeError):
+        lift_residual(ext, (1.0, 1.0), (0, 0, 0))
+    assert typed(lift_residual(ext, (1, 1), (0, 0, 0))) == typed((0, 0, 1))
+    with pytest.raises(TypeError):
+        lift_residual(ext, (1.0, 1), (0, 0, 0))
+    assert typed(lift_residual(ext, (1, Fraction(1)), (0, 0, 0))) == typed((0, 0, 1))
+
+
 # negative, odd and even ints, large ones too, proper and integral Fractions
 half_entries = st.one_of(coeffs, st.integers(-10**30, 10**30))
 
 
 @given(st.lists(half_entries, max_size=8))
+@example([-4, -3, -1, 0, 1, 6, 7, Fraction(-5, 3), Fraction(1, 2), Fraction(4, 2)])
 @settings(max_examples=200, deadline=None)
 def test_half_equals_scaling_by_one_half(v):
     halved = _half(tuple(v))
     assert typed(halved) == typed(scale(tuple(v), Fraction(1, 2)))
     assert all(follows_rule(x) for x in halved)
-
-
-def test_half_of_each_kind_of_entry():
-    v = (-4, -3, -1, 0, 1, 6, 7, Fraction(-5, 3), Fraction(1, 2), Fraction(4, 2))
-    expected = (-2, Fraction(-3, 2), Fraction(-1, 2), 0, Fraction(1, 2), 3, Fraction(7, 2),
-                Fraction(-5, 6), Fraction(1, 4), 1)
-    assert typed(_half(v)) == typed(expected) == typed(scale(v, Fraction(1, 2)))
 
 
 # -- every true division keeps a Fraction operand -------------------------------
