@@ -1,11 +1,12 @@
 """Cech cochains on a cover nerve, the transition lift and its obstructions.
 
-A cochain value is a ``LaurentPoly`` (``FUNCTION``) or a ``PolyMatrix``
-(``SYM_END``), stored in the frame of its simplex's smallest chart index.
-Values move to a lower frame by substituting the high chart's
-coordinates: Sym^v N^*-valued End E data through the linear (conormal)
-part of the chart transition, conjugated by the bundle transitions, and
-functions through the full truncated transition F_ij^*.  The obstruction
+A cochain value is a ``PolyMatrix``, stored in the frame of its
+simplex's smallest chart index: e x e for ``SYM_END`` and 1 x 1 for a
+``FUNCTION``, so the value type only chooses the transport.  Values move
+to a lower frame by substituting the high chart's coordinates:
+Sym^v N^*-valued End E data through the linear (conormal) part of the
+chart transition, conjugated by the bundle transitions, and functions
+through the full truncated transition F_ij^*.  The obstruction
 o_k is the t^k-part of the cocycle defect (G_ij . F_ij^* G_jh - G_ih) .
 g_ih^-1 of transitions lifted order by order, G <- (1 + m) . G with
 -delta(m) = o_n; for a rank-one bundle the log of the same defect gives
@@ -50,7 +51,7 @@ Triple = Tuple[int, int, int]
 
 # value type tags for cochains
 SYM_END = "sym_end"    # Sym^v con (x) End E : PolyMatrix with degree-v entries
-FUNCTION = "function"  # function on the simplex: LaurentPoly, moved by the full F_ij^*
+FUNCTION = "function"  # function on the simplex: 1 x 1 PolyMatrix, moved by the full F_ij^*
 
 
 @dataclass
@@ -197,15 +198,13 @@ class CechContext:
         return sub
 
     def end_to_low(self, pair: Pair, value: PolyMatrix) -> PolyMatrix:
-        g = self._geom(pair)
+        ring, k = self._geom(pair).ring_i, self.order
         moved = value.map(lambda p: self.pullback(pair, p))
-        gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
-        mul = lambda a, b: g.ring_i.mul(a, b, self.order)
-        return gm.matmul(moved, mul).matmul(gi, mul)
+        return ring.matmul(ring.matmul(self.bundle.g[pair], moved, k), self.bundle.g_inv[pair], k)
 
-    def transport(self, pair: Pair, vtype: str, value):
+    def transport(self, pair: Pair, vtype: str, value: PolyMatrix) -> PolyMatrix:
         if vtype == FUNCTION:
-            return self.pullback(pair, value, full=True)
+            return value.map(lambda p: self.pullback(pair, p, full=True))
         if vtype == SYM_END:
             return self.end_to_low(pair, value)
         raise ValueError(f"unknown value type {vtype!r}")
@@ -279,13 +278,17 @@ class CechContext:
 
     # -- value helpers ---------------------------------------------------------------
 
-    def zero_value(self, vtype: str, ring: ChartRing):
-        e = self.bundle.rank
+    def value_side(self, vtype: str) -> int:
+        """The side of a value's matrix: 1 for a function, the rank for End E."""
         if vtype == FUNCTION:
-            return ring.zero()
+            return 1
         if vtype == SYM_END:
-            return PolyMatrix.zero(e, e, ring.names)
+            return self.bundle.rank
         raise ValueError(f"unknown value type {vtype!r}")
+
+    def zero_value(self, vtype: str, ring: ChartRing) -> PolyMatrix:
+        n = self.value_side(vtype)
+        return PolyMatrix.zero(n, n, ring.names)
 
     def ring_of(self, simplex: Tuple[int, ...]) -> ChartRing:
         if len(simplex) == 1:
@@ -304,9 +307,9 @@ class CechCochain:
     degree: int
     vtype: str
     sdeg: int
-    values: Dict[Tuple[int, ...], object]
+    values: Dict[Tuple[int, ...], PolyMatrix]
 
-    def value(self, ctx: CechContext, simplex: Tuple[int, ...]):
+    def value(self, ctx: CechContext, simplex: Tuple[int, ...]) -> PolyMatrix:
         if simplex in self.values:
             return self.values[simplex]
         return ctx.zero_value(self.vtype, ctx.ring_of(simplex))
@@ -370,10 +373,9 @@ def transition_defect(ctx: CechContext, G: Dict[Pair, PolyMatrix]) -> Dict[Tripl
     for tri in ctx.nerve.triples():
         i, j, h = tri
         ring = ctx.nerve.triple_rings[tri]
-        mul = lambda a, b: ring.mul(a, b, k)
         pulled = G[(j, h)].map(lambda p: ctx.pullback((i, j), p, full=True))
-        defect = G[(i, j)].matmul(pulled, mul) - G[(i, h)]
-        out[tri] = defect.matmul(ctx.bundle.g_inv[(i, h)], mul)
+        defect = ring.matmul(G[(i, j)], pulled, k) - G[(i, h)]
+        out[tri] = ring.matmul(defect, ctx.bundle.g_inv[(i, h)], k)
     return out
 
 
@@ -405,7 +407,7 @@ def lift_transitions(
     for pair, g in G.items():
         ring = ctx.nerve.pair_rings[pair][pair[0]]
         one_plus = PolyMatrix.identity(ctx.bundle.rank, ring.names) + m.value(ctx, pair)
-        lifted[pair] = one_plus.matmul(g, lambda a, b: ring.mul(a, b, ctx.order))
+        lifted[pair] = ring.matmul(one_plus, g, ctx.order)
     return lifted
 
 
@@ -429,13 +431,13 @@ def transition_log_defect(ctx: CechContext) -> CechCochain:
     at the working order, which the cochain carries as its ``sdeg``.
     """
     k = ctx.order
+    coeff = lambda n: Fraction((-1) ** n, n)
     values = {}
     for tri, y in transition_defect(ctx, ctx.bundle.g).items():
         ring = ctx.nerve.triple_rings[tri]
-        step = lambda m: m.map(lambda f: ring.mul(f, y[0, 0], k))
-        coeff = lambda n: Fraction((-1) ** n, n)
-        zero, one = PolyMatrix([[ring.zero()]]), PolyMatrix([[ring.one()]])
-        values[tri] = _series(zero, one, step, coeff, k)[0, 0]
+        one = PolyMatrix.identity(1, ring.names)
+        values[tri] = _series(ctx.zero_value(FUNCTION, ring), one,
+                              lambda m: ring.matmul(m, y, k), coeff, k)
     return CechCochain(2, FUNCTION, k, values)
 
 
@@ -495,8 +497,8 @@ def _window_basis(
     monomial of degree ``sdeg`` and allowed tangential exponent, in
     canonical order.
     """
-    e = ctx.bundle.rank
-    entries = [(0, 0)] if vtype == FUNCTION else list(iproduct(range(e), range(e)))
+    n = ctx.value_side(vtype)
+    entries = list(iproduct(range(n), range(n)))
     basis = []
     for simplex in simplices:
         ring = ctx.ring_of(simplex)
@@ -512,39 +514,25 @@ def _window_basis(
 def _assemble_cochain(
     ctx: CechContext, degree: int, vtype: str, sdeg: int, basis, coefficients
 ) -> CechCochain:
-    values: Dict[Tuple[int, ...], object] = {}
-    e = ctx.bundle.rank
+    values: Dict[Tuple[int, ...], PolyMatrix] = {}
     for (simplex, (r, c), exps), coeff in zip(basis, coefficients):
         if coeff == 0:
             continue
         ring = ctx.ring_of(simplex)
-        mono = ring.monomial(exps, coeff)
-        if vtype == FUNCTION:
-            cur = values.get(simplex, ring.zero())
-            values[simplex] = cur + mono
-        else:
-            cur = values.get(simplex)
-            if cur is None:
-                cur = PolyMatrix.zero(e, e, ring.names)
-                values[simplex] = cur
-            cur.entries[r][c] = cur.entries[r][c] + mono
+        cur = values.get(simplex)
+        if cur is None:
+            cur = values[simplex] = ctx.zero_value(vtype, ring)
+        cur.entries[r][c] = cur.entries[r][c] + ring.monomial(exps, coeff)
     return CechCochain(degree, vtype, sdeg, values)
 
 
-def _coordinates(vtype: str, value) -> Dict[Tuple, Rational]:
+def _coordinates(value: PolyMatrix) -> Dict[Tuple, Rational]:
     """Flatten a cochain value into (entry, exponent) -> coefficient."""
     out: Dict[Tuple, Rational] = {}
-    if vtype == FUNCTION:
-        mats = [((0, 0), value)]
-    else:
-        mats = [
-            ((r, c), value.entries[r][c])
-            for r in range(value.rows)
-            for c in range(value.cols)
-        ]
-    for entry, poly in mats:
-        for exps, coeff in poly.sorted_terms():
-            out[(entry, exps)] = coeff
+    for r, row in enumerate(value.entries):
+        for c, poly in enumerate(row):
+            for exps, coeff in poly.sorted_terms():
+                out[((r, c), exps)] = coeff
     return out
 
 
@@ -552,7 +540,7 @@ def cochain_coordinates(c: CechCochain) -> Dict[Tuple, Rational]:
     """Flatten a cochain into (simplex, entry, exponent) -> coefficient."""
     out: Dict[Tuple, Rational] = {}
     for simplex in sorted(c.values):
-        for kk, coeff in _coordinates(c.vtype, c.values[simplex]).items():
+        for kk, coeff in _coordinates(c.values[simplex]).items():
             out[(simplex,) + kk] = coeff
     return out
 

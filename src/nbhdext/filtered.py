@@ -148,6 +148,36 @@ class ChartRing:
                     out.pop(e, None)
         return LaurentPoly._of(a.vars, out)
 
+    def matmul(
+        self, a: PolyMatrix, b: PolyMatrix, t_max: int, start: Optional[PolyMatrix] = None
+    ) -> PolyMatrix:
+        """``start + a . b``, each entry product truncated at ``t_max``.
+
+        The one truncated matrix product: ``PolyMatrix.matmul``'s loop and
+        shape check, with ``mul`` for the entry products.  A zero factor is
+        skipped, sums run in ascending order, and an entry with nothing in
+        it is the zero polynomial.  It lives here, not in ``linsolve``,
+        because the exp/log/BCH path runs on the filtered and laurent layers
+        alone (``bench/selftest.py`` checks that exp_log_roundtrip makes no
+        call into linsolve).
+        """
+        if a.cols != b.rows:
+            raise ValueError("shape mismatch in matmul")
+        out = []
+        for r, left in enumerate(a.entries):
+            nonzero = [(c, f) for c, f in enumerate(left) if f.terms]
+            row = []
+            for j in range(b.cols):
+                acc = None if start is None else start.entries[r][j]
+                for c, f in nonzero:
+                    g = b.entries[c][j]
+                    if g.terms:
+                        term = self.mul(f, g, t_max)
+                        acc = term if acc is None else acc + term
+                row.append(self.zero() if acc is None else acc)
+            out.append(row)
+        return PolyMatrix(out)
+
     def t_part(self, p: LaurentPoly, s: int) -> LaurentPoly:
         return p.part_group(self.t_idxs, s)
 
@@ -287,36 +317,6 @@ class Substitution:
         return base
 
 
-# -- module sections ---------------------------------------------------------
-
-
-def _mul_trunc(
-    ring: ChartRing, a: PolyMatrix, b: PolyMatrix, order: int,
-    start: Optional[PolyMatrix] = None,
-) -> PolyMatrix:
-    """start + a . b with each entry product truncated at ``order``; zero factors are skipped.
-
-    Not ``PolyMatrix.matmul``: that is the linear-algebra layer, and the
-    exp/log/BCH path runs on the filtered and laurent layers alone
-    (``bench/selftest.py`` checks that exp_log_roundtrip makes no call into
-    linsolve).
-    """
-    out = []
-    for r, left in enumerate(a.entries):
-        nonzero = [(c, f) for c, f in enumerate(left) if f.terms]
-        row = []
-        for j in range(b.cols):
-            acc = None if start is None else start.entries[r][j]
-            for c, f in nonzero:
-                g = b.entries[c][j]
-                if g.terms:
-                    term = ring.mul(f, g, order)
-                    acc = term if acc is None else acc + term
-            row.append(ring.zero() if acc is None else acc)
-        out.append(row)
-    return PolyMatrix(out)
-
-
 # -- automorphisms ----------------------------------------------------------
 
 
@@ -359,7 +359,7 @@ class FilteredAutomorphism:
         if self.module is None:
             raise ValueError("automorphism carries no module data")
         moved = sections.map(lambda f: self.apply(f) if f.terms else f)
-        return _mul_trunc(self.ring, self.module, moved, self.order)
+        return self.ring.matmul(self.module, moved, self.order)
 
     def compose(self, other: "FilteredAutomorphism") -> "FilteredAutomorphism":
         """self after other (left action on elements)."""
@@ -454,11 +454,11 @@ class PairDerivation:
             raise ValueError("derivation carries no module data")
         ring, k = self.ring, self.order
         derived = sections.map(lambda f: ring.truncate(self.apply(f), k) if f.terms else f)
-        return _mul_trunc(ring, self.module, sections, k, start=derived)
+        return ring.matmul(self.module, sections, k, start=derived)
 
     def bracket_endo(self, endo: PolyMatrix) -> PolyMatrix:
         """[psi, endo] = D(endo) + [M, endo] for an O-linear endo, truncated at ``order``."""
-        return self.act(endo) - _mul_trunc(self.ring, endo, self.module, self.order)
+        return self.act(endo) - self.ring.matmul(endo, self.module, self.order)
 
     # -- linear structure ----------------------------------------------
 
@@ -648,14 +648,14 @@ def contract(
     """sum_b coeffs[b] * mats[b], products truncated at ``order``.
 
     Pairs a Hom(Omega^1, Sym^s) value with an End-valued one-form, such as
-    a connection; the zero coefficients are skipped.
+    a connection.  It is one truncated product of the row of blocks
+    coeffs[b] * 1 with the column of blocks mats[b], so the zero
+    coefficients are skipped.
     """
-    e = mats[0].rows
-    acc = PolyMatrix.zero(e, e, ring.names)
-    for b in range(ring.p):
-        if not coeffs[b].is_zero():
-            acc = acc + mats[b].scale(coeffs[b], lambda x, y: ring.mul(x, y, order))
-    return acc
+    e, zero = mats[0].rows, ring.zero()
+    blocks = [[c if r == i else zero for c in coeffs for r in range(e)] for i in range(e)]
+    stacked = [row for m in mats for row in m.entries]
+    return ring.matmul(PolyMatrix(blocks), PolyMatrix(stacked), order)
 
 
 # -- chart transitions -------------------------------------------------------

@@ -345,9 +345,7 @@ def extension_cocycle(
             s2 = split_component_operator(disk, d2, gamma, v - p, k)
             acc = acc + s1.bracket_endo(e2[p]) - s2.bracket_endo(e1[p])
         for p in range(max(v - l, 0), l + 1):
-            acc = acc + e1[v - p].commutator(
-                e2[p], lambda x, y: ring.mul(x, y, k)
-            )
+            acc = acc + (ring.matmul(e1[v - p], e2[p], k) - ring.matmul(e2[p], e1[v - p], k))
         out.end_parts[v] = acc.map(lambda m: ring.t_part(m, v))
 
     for v in range(2 * l + 2, k + 1):

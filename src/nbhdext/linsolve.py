@@ -18,13 +18,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .errors import NonInvertibleSubstitution
 from .laurent import LaurentPoly, Rational, exact
 
-MulFn = Callable[[LaurentPoly, LaurentPoly], LaurentPoly]
-
-
-def _plain_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
 class PolyMatrix:
     """Dense matrix with LaurentPoly entries sharing one variable list."""
 
@@ -81,17 +74,16 @@ class PolyMatrix:
     def map(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "PolyMatrix":
         return PolyMatrix([[fn(p) for p in row] for row in self.entries])
 
-    def scale(self, s, mul: MulFn = _plain_mul) -> "PolyMatrix":
-        if isinstance(s, LaurentPoly):
-            return self.map(lambda p: mul(s, p))
+    def scale(self, s: Rational) -> "PolyMatrix":
         return self.map(lambda p: p * s)
 
-    def matmul(self, other: "PolyMatrix", mul: MulFn = _plain_mul) -> "PolyMatrix":
+    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         """Matrix product; a product with a zero factor is never formed.
 
         Sums run over k in ascending order, as the plain triple loop does,
         so every entry has the same terms in the same order; an entry with
-        no nonzero product is the zero polynomial.
+        no nonzero product is the zero polynomial.  ``ChartRing.matmul`` is
+        the same loop with truncated entry products.
         """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
@@ -104,7 +96,7 @@ class PolyMatrix:
                 for k, a in nonzero:
                     b = other.entries[k][j]
                     if b.terms:
-                        term = mul(a, b)
+                        term = a * b
                         acc = term if acc is None else acc + term
                 row.append(LaurentPoly.zero(left[0].vars) if acc is None else acc)
             out.append(row)
@@ -118,10 +110,10 @@ class PolyMatrix:
             acc = acc + self.entries[i][i]
         return acc
 
-    def commutator(self, other: "PolyMatrix", mul: MulFn = _plain_mul) -> "PolyMatrix":
-        return self.matmul(other, mul) - other.matmul(self, mul)
+    def commutator(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self.matmul(other) - other.matmul(self)
 
-    def det(self, mul: MulFn = _plain_mul) -> LaurentPoly:
+    def det(self) -> LaurentPoly:
         """Determinant by cofactor expansion; fine for the small ranks used here."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -138,13 +130,13 @@ class PolyMatrix:
                     for i in range(1, n)
                 ]
             )
-            term = mul(self.entries[0][j], minor.det(mul))
+            term = self.entries[0][j] * minor.det()
             acc = acc + term if j % 2 == 0 else acc - term
         return acc
 
-    def inverse_unit_det(self, mul: MulFn = _plain_mul) -> "PolyMatrix":
+    def inverse_unit_det(self) -> "PolyMatrix":
         """Inverse via adjugate; requires the determinant to be a unit monomial."""
-        d = self.det(mul)
+        d = self.det()
         if not d.is_monomial():
             raise NonInvertibleSubstitution(
                 f"matrix determinant {d} is not a unit monomial"
@@ -164,10 +156,10 @@ class PolyMatrix:
                         if ii != j
                     ]
                 )
-                cof = minor.det(mul)
+                cof = minor.det()
                 if (i + j) % 2 == 1:
                     cof = -cof
-                row.append(mul(cof, dinv))
+                row.append(cof * dinv)
             adj.append(row)
         return PolyMatrix(adj)
 

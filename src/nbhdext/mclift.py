@@ -441,14 +441,15 @@ def lift_residual(ext: AbelianExtension, phi: Vector, alpha: Vector) -> Vector:
     The Maurer-Cartan test of phi, s(phi), o(phi) and the columns of
     d_{s phi} on the degree-1 kernel basis depend on phi alone; they are
     kept in a one-entry memo on ``ext``, keyed by phi's entries cleaned by
-    ``laurent.exact`` (so a float entry is refused).  For the same phi only
-    the checks of alpha and the sum over its nonzero entries repeat.  Each
+    ``laurent.exact``; alpha's entries are cleaned too, so a float entry
+    of either is refused with ``TypeError``.  For the same phi only the
+    checks of alpha and the sum over its nonzero entries repeat.  Each
     column is built the first time an alpha needs it, and a phi that fails
     its checks leaves the memo as it was.
     """
     amb = ext.ambient
     base = _lift_base(ext, phi)
-    ext.kernel_component(alpha)
+    alpha = tuple(map(exact, ext.kernel_component(alpha)))
     if not amb.is_homogeneous(alpha, 1):
         raise NotMaurerCartan("kernel correction is not concentrated in degree 1")
     out = list(base.obstruction)

@@ -444,7 +444,6 @@ def validate_scenario(s: Scenario) -> ValidationLog:
         # bundle cocycle g_ih = g_ij . T_i(g_jh); g lives on X, so the
         # transport goes through the base maps at t = 0
         if s.g:
-            mul = lambda a, b: ring_i.mul(a, b, k)
             base_fwd = {
                 n: ring_i.restrict_to_x(img)
                 for n, img in zip(s.u_names, o_ij.forward_u)
@@ -458,7 +457,7 @@ def validate_scenario(s: Scenario) -> ValidationLog:
             log.record("bundle_on_base", loc, g_entries_on_x,
                        "" if g_entries_on_x else "a bundle transition has normal-variable terms")
             g_jh_moved = s.g[(j, h)].map(Substitution(ring_i, base_fwd, k))
-            lhs = s.g[(i, j)].matmul(g_jh_moved, mul)
+            lhs = ring_i.matmul(s.g[(i, j)], g_jh_moved, k)
             diff = lhs - s.g[(i, h)]
             okg = diff.is_zero()
             log.record("bundle_cocycle", loc, okg,
@@ -626,7 +625,7 @@ def _status_json(status) -> dict:
 def _cochain_json(c: CechCochain) -> dict:
     out = {}
     for simplex in sorted(c.values):
-        v = c.values[simplex]  # report cochains are SYM_END matrices
+        v = c.values[simplex]  # every cochain value is a matrix, 1 x 1 for a FUNCTION
         out[",".join(str(x) for x in simplex)] = [
             [v.entries[r][cc].to_json_terms() for cc in range(v.cols)]
             for r in range(v.rows)
@@ -827,31 +826,10 @@ def solve_abelianized(ctx: CechContext, window: Tuple[int, int]) -> dict:
 def generate_builtin(name: str, d: int = 0, twist: Fraction | int = 0) -> Scenario:
     """Exact adapted-coordinate presentations of the shipped embeddings."""
     twist = Fraction(twist)
-    if name == "affine_split":
-        return _affine_split(d)
-    if name == "line_in_p2":
-        return _line_in_p2(d, twist)
-    if name == "diagonal_p1xp1":
-        return _diagonal_p1xp1(d)
-    if name == "hyperplane_p2_in_p3":
-        return _hyperplane_p2_in_p3(d, twist)
-    if name == "p1_in_line_bundle":
-        return _p1_in_line_bundle(int(d), 0)
-    raise UnknownScenario(
-        f"unknown scenario {name!r}; builtins: affine_split, line_in_p2, "
-        "diagonal_p1xp1, hyperplane_p2_in_p3, p1_in_line_bundle"
-    )
-
-
-BUILTIN_NAMES = (
-    "affine_split",
-    "line_in_p2",
-    "diagonal_p1xp1",
-    "hyperplane_p2_in_p3",
-    "p1_in_line_bundle",
-)
-# the builtins with an adapted-coordinate twist family; the others ignore ``twist``
-TWISTED_BUILTINS = ("line_in_p2", "hyperplane_p2_in_p3")
+    build = _BUILTINS.get(name)
+    if build is None:
+        raise UnknownScenario(f"unknown scenario {name!r}; builtins: {', '.join(BUILTIN_NAMES)}")
+    return build(d, twist)
 
 
 def _names(p: int, q: int) -> Tuple[str, ...]:
@@ -913,18 +891,11 @@ def _line_in_p2(d: int, twist: Fraction) -> Scenario:
     def P(terms):
         return LaurentPoly(names, terms)
 
-    if c == 0:
-        fwd_u = P({(-1, 0): 1})
-        fwd_t = P({(-1, 1): 1})
-        bwd_u = P({(-1, 0): 1})
-        bwd_t = P({(-1, 1): 1})
-    else:
-        fwd_u = P({(-1, 0): 1, (-1, 1): c})
-        fwd_t = P({(-1, 1): 1})
-        bwd_u = P({(-1, 0): 1, (-2, 1): c, (-3, 2): c * c, (-4, 3): c ** 3})
-        bwd_t = P({(-1, 1): 1, (-2, 2): c, (-3, 3): c * c})
-    s = _p1_two_chart("line_in_p2", fwd_u, fwd_t, bwd_u, bwd_t, d)
-    return s
+    fwd_u = P({(-1, 0): 1, (-1, 1): c})
+    fwd_t = P({(-1, 1): 1})
+    bwd_u = P({(-1, 0): 1, (-2, 1): c, (-3, 2): c * c, (-4, 3): c ** 3})
+    bwd_t = P({(-1, 1): 1, (-2, 2): c, (-3, 3): c * c})
+    return _p1_two_chart("line_in_p2", fwd_u, fwd_t, bwd_u, bwd_t, d)
 
 
 def _diagonal_p1xp1(d: int) -> Scenario:
@@ -945,7 +916,7 @@ def _diagonal_p1xp1(d: int) -> Scenario:
     return s
 
 
-def _p1_in_line_bundle(m: int, d: int) -> Scenario:
+def _p1_in_line_bundle(m: int) -> Scenario:
     names = _names(1, 1)
 
     def P(terms):
@@ -957,7 +928,7 @@ def _p1_in_line_bundle(m: int, d: int) -> Scenario:
         P({(-m, 1): 1}),
         P({(-1, 0): 1}),
         P({(-m, 1): 1}),
-        d,
+        0,
     )
     # order-two classes live out to u^(-2m+1): keep the window wide enough
     half = max(6, 2 * abs(m))
@@ -976,15 +947,10 @@ def _hyperplane_p2_in_p3(d: int, twist: Fraction) -> Scenario:
     u1i = {(-1, 0, 0): 1}
     # overlap (0,1): chart-1 generators (v1, v2~, s) in chart-0 coordinates,
     # where the twist shifts the second tangential coordinate: v2~ = v2 + c s
-    if c == 0:
-        f01_u = (P(u1i), P({(-1, 1, 0): 1}))
-        b01_u = (P(u1i), P({(-1, 1, 0): 1}))
-        b01_t = (P({(-1, 0, 1): 1}),)
-    else:
-        f01_u = (P(u1i), P({(-1, 1, 0): 1, (-1, 0, 1): c}))
-        # backward is exact: u1 = 1/v1, u2 = (v2~ - c s)/v1, t = s/v1
-        b01_u = (P(u1i), P({(-1, 1, 0): 1, (-1, 0, 1): -c}))
-        b01_t = (P({(-1, 0, 1): 1}),)
+    f01_u = (P(u1i), P({(-1, 1, 0): 1, (-1, 0, 1): c}))
+    # backward is exact: u1 = 1/v1, u2 = (v2~ - c s)/v1, t = s/v1
+    b01_u = (P(u1i), P({(-1, 1, 0): 1, (-1, 0, 1): -c}))
+    b01_t = (P({(-1, 0, 1): 1}),)
     f01_t = (P({(-1, 0, 1): 1}),)
 
     # overlap (0,2): chart-2 (w1, w2, s') in chart-0 coordinates, untwisted;
@@ -996,25 +962,19 @@ def _hyperplane_p2_in_p3(d: int, twist: Fraction) -> Scenario:
 
     # overlap (1,2): chart-2 in (possibly twisted) chart-1 coordinates;
     # with the twist, 1/v2 = (v2~ - c s)^(-1) expands as a geometric series
-    if c == 0:
-        f12_u = (P({(1, -1, 0): 1}), P({(0, -1, 0): 1}))
-        f12_t = (P({(0, -1, 1): 1}),)
-        b12_u = (P({(1, -1, 0): 1}), P({(0, -1, 0): 1}))
-        b12_t = (P({(0, -1, 1): 1}),)
-    else:
-        inv = {
-            (0, -1, 0): Fraction(1),
-            (0, -2, 1): c,
-            (0, -3, 2): c * c,
-            (0, -4, 3): c ** 3,
-        }
-        shift = lambda dv1, dt: {
-            (a + dv1, b, cc + dt): v for (a, b, cc), v in inv.items()
-        }
-        f12_u = (P(shift(1, 0)), P(inv))
-        f12_t = (P(shift(0, 1)),)
-        b12_u = (P({(1, -1, 0): 1}), P({(0, -1, 0): 1, (0, -1, 1): c}))
-        b12_t = (P({(0, -1, 1): 1}),)
+    inv = {
+        (0, -1, 0): Fraction(1),
+        (0, -2, 1): c,
+        (0, -3, 2): c * c,
+        (0, -4, 3): c ** 3,
+    }
+    shift = lambda dv1, dt: {
+        (a + dv1, b, cc + dt): v for (a, b, cc), v in inv.items()
+    }
+    f12_u = (P(shift(1, 0)), P(inv))
+    f12_t = (P(shift(0, 1)),)
+    b12_u = (P({(1, -1, 0): 1}), P({(0, -1, 0): 1, (0, -1, 1): c}))
+    b12_t = (P({(0, -1, 1): 1}),)
 
     g01 = PolyMatrix([[P({(d, 0, 0): 1})]])
     g02 = PolyMatrix([[P({(0, d, 0): 1})]])
@@ -1041,3 +1001,16 @@ def _hyperplane_p2_in_p3(d: int, twist: Fraction) -> Scenario:
         flat=[True, True, True],
         window=(-3, 3),
     )
+
+
+# the one table behind ``generate_builtin``, its error message and BUILTIN_NAMES
+_BUILTINS = {
+    "affine_split": lambda d, twist: _affine_split(d),
+    "line_in_p2": _line_in_p2,
+    "diagonal_p1xp1": lambda d, twist: _diagonal_p1xp1(d),
+    "hyperplane_p2_in_p3": _hyperplane_p2_in_p3,
+    "p1_in_line_bundle": lambda d, twist: _p1_in_line_bundle(int(d)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+# the builtins with an adapted-coordinate twist family; the others ignore ``twist``
+TWISTED_BUILTINS = ("line_in_p2", "hyperplane_p2_in_p3")

@@ -48,7 +48,6 @@ def jacobians(ctx, pair):
 def form_end_to_low(ctx, pair, value: Sequence[PolyMatrix]) -> Tuple[PolyMatrix, ...]:
     """Pull each du^j_b-coefficient back, re-index it over the du^i_c and conjugate by g."""
     ring = ctx.pairs[pair].ring_i
-    mul = lambda a, b: ring.mul(a, b, ctx.order)
     moved = [m.map(lambda p: ctx.pullback(pair, p)) for m in value]
     jac, _ = jacobians(ctx, pair)
     reindexed = [
@@ -56,7 +55,7 @@ def form_end_to_low(ctx, pair, value: Sequence[PolyMatrix]) -> Tuple[PolyMatrix,
         for c in range(ring.p)
     ]
     gm, gi = ctx.bundle.g[pair], ctx.bundle.g_inv[pair]
-    return tuple(gm.matmul(m, mul).matmul(gi, mul) for m in reindexed)
+    return tuple(ring.matmul(ring.matmul(gm, m, ctx.order), gi, ctx.order) for m in reindexed)
 
 
 def homform_to_low(ctx, pair, value):
@@ -114,11 +113,10 @@ def atiyah(ctx, gammas: Optional[Sequence[Sequence[PolyMatrix]]] = None) -> Form
     values = {}
     for pair in ctx.nerve.doubles():
         ring = ctx.pairs[pair].ring_i
-        mul = lambda a, b: ring.mul(a, b, ctx.order)
         gm, gi = ctx.bundle.g[pair], ctx.bundle.g_inv[pair]
         moved = form_end_to_low(ctx, pair, gammas[pair[1]])
         values[pair] = tuple(
-            low - (form - gm.map(lambda p: p.diff(name)).matmul(gi, mul))
+            low - (form - ring.matmul(gm.map(lambda p: p.diff(name)), gi, ctx.order))
             for low, form, name in zip(gammas[pair[0]], moved, ring.u_names)
         )
     return FormCochain(1, FORM_END, values)

@@ -64,7 +64,8 @@ def ctx_for(name, d=0, twist=0, order=2):
 def test_delta_of_constant_scalar_zero_cochain():
     s, ctx = ctx_for("line_in_p2", d=1)
     ring0 = ctx.nerve.chart_rings[0]
-    c = CechCochain(0, FUNCTION, 0, {(0,): ring0.one(), (1,): ctx.nerve.chart_rings[1].one()})
+    one = lambda ring: PolyMatrix([[ring.one()]])
+    c = CechCochain(0, FUNCTION, 0, {(0,): one(ring0), (1,): one(ctx.nerve.chart_rings[1])})
     d = cech_differential(ctx, c)
     assert d.is_zero()
 
@@ -73,7 +74,7 @@ def test_delta_squared_is_zero_on_random_zero_cochains():
     s, ctx = ctx_for("hyperplane_p2_in_p3", d=2, twist=1)
     ring0 = ctx.nerve.chart_rings[0]
     val = ring0.t_var(0) * ring0.u_var(0) + ring0.t_var(0) * 2
-    c = CechCochain(0, FUNCTION, 1, {(0,): val})
+    c = CechCochain(0, FUNCTION, 1, {(0,): PolyMatrix([[val]])})
     dd = cech_differential(ctx, cech_differential(ctx, c))
     assert dd.is_zero()
 
@@ -128,11 +129,8 @@ def random_cochain(rng, ctx, degree, vtype, sdeg):
                      for _ in range(rng.randint(0, 3))}
             return LaurentPoly(ring.names, terms)
 
-        if vtype == FUNCTION:
-            values[simplex] = poly()
-        else:
-            e = ctx.bundle.rank
-            values[simplex] = PolyMatrix([[poly() for _ in range(e)] for _ in range(e)])
+        e = 1 if vtype == FUNCTION else ctx.bundle.rank
+        values[simplex] = PolyMatrix([[poly() for _ in range(e)] for _ in range(e)])
     return CechCochain(degree, vtype, sdeg, values)
 
 

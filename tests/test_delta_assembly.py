@@ -237,7 +237,7 @@ def test_elementary_transport_equals_the_whole_transport():
                 entry = (rng.randrange(2), rng.randrange(2))
                 elementary = ctx.zero_value(cech.SYM_END, ring)
                 elementary.entries[entry[0]][entry[1]] = ring.monomial(exps)
-                whole = cech._coordinates(cech.SYM_END, ctx.end_to_low(pair, elementary))
+                whole = cech._coordinates(ctx.end_to_low(pair, elementary))
                 moved = ctx.elementary_to_low(pair, cech.SYM_END, entry, exps)
                 assert moved == whole, (pair, entry, exps)
                 assert list(moved) == list(whole), (pair, entry, exps)

@@ -267,6 +267,18 @@ def test_lift_residual_refuses_a_float_base_element():
     assert typed(lift_residual(ext, (1, Fraction(1)), (0, 0, 0))) == typed((0, 0, 1))
 
 
+def test_lift_residual_refuses_a_float_kernel_correction():
+    # alpha = 1/2 on the degree-1 kernel vector gives a residual of 1 at index 3
+    ext = random_two_level_extension(random.Random(3))
+    phi = (0, 0)
+    with pytest.raises(TypeError):
+        lift_residual(ext, phi, (0, 0.5, 0, 0))
+    assert typed(lift_residual(ext, phi, (0, Fraction(1, 2), 0, 0))) == typed((0, 0, 0, 1))
+    with pytest.raises(TypeError):
+        lift_residual(ext, phi, (0, 1.0, 0, 0))
+    assert typed(lift_residual(ext, phi, (0, Fraction(2), 0, 0))) == typed((0, 0, 0, 4))
+
+
 # negative, odd and even ints, large ones too, proper and integral Fractions
 half_entries = st.one_of(coeffs, st.integers(-10**30, 10**30))
 

@@ -394,6 +394,18 @@ def test_module_actions_need_module_data():
         FilteredAutomorphism.identity(ring, 2).act(sections)
 
 
+def test_module_actions_refuse_sections_of_another_rank():
+    # a rank-one module acting on two rows once kept the first row and dropped the second
+    ring = ring_pq(1, 1)
+    sections = PolyMatrix([[ring.one()], [ring.u_var(0)]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        FilteredAutomorphism.identity(ring, 2, rank=1).act(sections)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        PairDerivation.zero(ring, 2, rank=1).act(sections)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ring.matmul(PolyMatrix.identity(2, ring.names), PolyMatrix([[ring.one(), ring.one()]]), 2)
+
+
 # -- log / exp --------------------------------------------------------------
 
 

@@ -173,7 +173,7 @@ def lifted_by_hand(ctx, reports):
         for pair, g in G.items():
             ring = ctx.nerve.pair_rings[pair][pair[0]]
             m = r.status.cochain.value(ctx, pair)
-            G[pair] = g + m.matmul(g, lambda a, b: ring.mul(a, b, ctx.order))
+            G[pair] = g + ring.matmul(m, g, ctx.order)
     return G
 
 

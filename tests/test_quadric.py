@@ -123,7 +123,8 @@ def test_log_defect_exponentiates_to_the_transition_ratio():
     ctx = build_context(s, 2)
     rho = transition_log_defect(ctx)
     by_pair = {o.pair: o for o in s.overlaps}
-    for (i, j, h), value in rho.values.items():
+    for (i, j, h), matrix in rho.values.items():
+        value = matrix[0, 0]
         ring = ctx.nerve.triple_rings[(i, j, h)]
         o = by_pair[(i, j)]
         forward = dict(zip(NAMES, o.forward_u + o.forward_t))
