@@ -31,6 +31,7 @@ since a sum or product of ``Fraction``s can be integral.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NonInvertibleSubstitution, ParseError
@@ -79,6 +80,8 @@ class LaurentPoly:
     Instances are treated as immutable: every operation returns a new
     polynomial and nothing mutates ``terms`` after construction.  Zero
     coefficients are never stored; the zero polynomial has no terms.
+    Exponents are read with ``operator.index``, so a non-integral one such
+    as 1.5 raises ``TypeError`` instead of being truncated.
 
     ``_degree_rows`` is a private cache owned by ``filtered.ChartRing.mul``,
     which documents its layout.  It is derived from ``terms`` alone, so
@@ -96,7 +99,7 @@ class LaurentPoly:
                 c = exact(coeff)
                 if not c:
                     continue
-                e = tuple(int(x) for x in exps)
+                e = tuple(map(index, exps))
                 if len(e) != n:
                     raise ValueError(f"exponent vector {e} has wrong length for {self.vars}")
                 clean[e] = c
@@ -276,7 +279,7 @@ class LaurentPoly:
         for item in data:
             try:
                 exps, coeff = item
-                e = tuple(int(x) for x in exps)
+                e = tuple(map(index, exps))
                 c = as_fraction(coeff)
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"malformed polynomial term {item!r}") from exc

@@ -16,11 +16,21 @@ degrees |x|, |y| the bracket satisfies [x,y] = -(-1)^{|x||y|}[y,x].  In
 particular a degree-one element may have [x,x] != 0, which is what makes
 the Maurer-Cartan equation d(x) + [x,x]/2 = 0 a real condition.
 
+The Maurer-Cartan residual of a degree-one v is a quadratic form in its
+coordinates.  Degree-one basis elements have [b_i, b_j] = [b_j, b_i], so
+2 d(v) + [v,v] = sum_i v_i 2 d(b_i) + sum_{i <= j} v_i v_j c_ij [b_i, b_j]
+with c_ii = 1 and c_ij = 2 off the diagonal.  ``GradedDgLie.mc_residual``
+reads those constants from a table built once per algebra, visits only
+nonzero coordinates and unordered pairs, and halves the sum once.
+
 For an abelian extension the lift equation is affine in the kernel
 correction alpha: R(phi, alpha) = o(phi) + d_{s phi} alpha, where the
 obstruction o(phi) = (ds - sd)(phi) + ([s phi, s phi] - s[phi, phi])/2
-and d_{s phi} = d + [s phi, -] (Goldman and Millson 1988).  ``lift_residual``
-builds the parts that depend on phi alone once per base element.
+and d_{s phi} = d + [s phi, -] (Goldman and Millson 1988).  Collecting
+terms, o(phi) = MC(s phi) - s(MC(phi)), and phi is Maurer-Cartan, so
+o(phi) is the ambient residual of s(phi); this needs s to keep degrees,
+which ``AbelianExtension`` checks.  ``lift_residual`` builds the parts
+that depend on phi alone once per base element.
 
 Every vector coefficient follows the exact-number rule of ``laurent``: an
 integral one is an ``int``, any other a ``Fraction``.
@@ -104,10 +114,10 @@ class GradedDgLie:
     maps an index pair (i, j) to the sparse expansion of [b_i, b_j].
     Missing pairs mean zero bracket, and every index must lie in the
     basis.  Each degree is an ``int``, since the signs are read off it.  All axioms are checked exactly at construction, on the
-    cleaned constants.  ``apply_d`` and ``bracket`` run on sparse views
-    built once from them, so a zero coordinate or structure constant
-    costs no product.  Constants are cleaned by ``laurent.exact``, so
-    integral ones are ``int``s.
+    cleaned constants.  ``apply_d``, ``bracket`` and ``mc_residual`` run
+    on sparse views built once from them, so a zero coordinate or
+    structure constant costs no product.  Constants are cleaned by
+    ``laurent.exact``, so integral ones are ``int``s.
     """
 
     degrees: Tuple[int, ...]
@@ -139,7 +149,25 @@ class GradedDgLie:
         for (i, j), expansion in clean.items():
             by_first.setdefault(i, []).append((j, tuple(expansion.items())))
         self._by_first = by_first
+        self._off_degree = {
+            deg: tuple(i for i, e in enumerate(self.degrees) if e != deg)
+            for deg in set(self.degrees)
+        }
         self._validate()
+        # the Maurer-Cartan quadratic form on each degree-1 index i: 2 d(b_i),
+        # and [b_i, b_j] for degree-1 j >= i, doubled off the diagonal; graded
+        # antisymmetry, checked above, makes [b_j, b_i] = [b_i, b_j]
+        table: List[Tuple[tuple, tuple]] = [((), ())] * n
+        for i in range(n):
+            if self.degrees[i] != 1:
+                continue
+            pairs = tuple(
+                (j, expansion if j == i else tuple((k, exact(2 * c)) for k, c in expansion))
+                for j, expansion in by_first.get(i, ())
+                if j >= i and self.degrees[j] == 1
+            )
+            table[i] = (tuple((k, exact(2 * c)) for k, c in self._d_columns[i]), pairs)
+        self._mc_table = tuple(table)
 
     # -- linear maps -----------------------------------------------------
 
@@ -179,7 +207,28 @@ class GradedDgLie:
 
     def is_homogeneous(self, v: Vector, deg: int) -> bool:
         _check_length(v, self.n)
-        return all(x == 0 or self.degrees[i] == deg for i, x in enumerate(v))
+        return not any(v[i] for i in self._off_degree.get(deg, range(self.n)))
+
+    def mc_residual(self, v: Vector) -> Vector:
+        """d(v) + [v,v]/2 of a degree-1 v, summed through the quadratic-form table."""
+        if not self.is_homogeneous(v, 1):
+            raise NotMaurerCartan("candidate element is not concentrated in degree 1")
+        out = [0] * self.n
+        table = self._mc_table
+        for i, x in enumerate(v):
+            if not x:
+                continue
+            column, pairs = table[i]
+            for k, c in column:
+                out[k] += c * x
+            for j, expansion in pairs:
+                y = v[j]
+                if not y:
+                    continue
+                c = x * y
+                for k, e in expansion:
+                    out[k] += c * e
+        return _half(out)
 
     # -- validation -------------------------------------------------------
 
@@ -257,16 +306,8 @@ class GradedDgLie:
 
 def is_mc(algebra: GradedDgLie, phi: Vector) -> Tuple[bool, Vector]:
     """Evaluate d(phi) + [phi,phi]/2 exactly; the witness is the residual."""
-    resid, _, _ = _mc_parts(algebra, phi)
+    resid = algebra.mc_residual(phi)
     return is_zero(resid), resid
-
-
-def _mc_parts(algebra: GradedDgLie, phi: Vector) -> Tuple[Vector, Vector, Vector]:
-    """d(phi) + [phi,phi]/2 with its two parts d(phi) and [phi,phi]."""
-    if not algebra.is_homogeneous(phi, 1):
-        raise NotMaurerCartan("candidate element is not concentrated in degree 1")
-    d_phi, phi_phi = algebra.apply_d(phi), algebra.bracket(phi, phi)
-    return add(d_phi, _half(phi_phi)), d_phi, phi_phi
 
 
 class _LiftBase(NamedTuple):
@@ -274,7 +315,7 @@ class _LiftBase(NamedTuple):
 
     phi: tuple
     s_phi: Vector
-    # o(phi) = delta1(phi) + delta2(phi, phi)/2
+    # o(phi) = delta1(phi) + delta2(phi, phi)/2 = MC(s phi)
     obstruction: Vector
     # the nonzero entries of d_{s phi} on each degree-1 kernel basis element, built on demand
     columns: Dict[int, Tuple[Tuple[int, Rational], ...]]
@@ -286,9 +327,9 @@ class AbelianExtension:
 
     ``kernel`` lists the basis indices spanning the ideal.  The quotient
     is realized on the complementary indices; ``section`` maps each
-    quotient basis element, and nothing else, to an ambient vector
-    projecting back onto it (default: the coordinate inclusion).  The ideal conditions are checked
-    on the ambient structure constants.
+    quotient basis element, and nothing else, to an ambient vector of its
+    degree projecting back onto it (default: the coordinate inclusion).
+    The ideal conditions are checked on the ambient structure constants.
     """
 
     ambient: GradedDgLie
@@ -330,6 +371,10 @@ class AbelianExtension:
                     raise ValueError(
                         f"section vector of basis element {i} has length {len(sv)}, "
                         f"not {amb.n}"
+                    )
+                if not amb.is_homogeneous(sv, amb.degrees[i]):
+                    raise ValueError(
+                        f"section vector of basis element {i} leaves degree {amb.degrees[i]}"
                     )
             for i in self.quotient_basis:
                 sv = self.section.get(i)
@@ -386,29 +431,19 @@ class AbelianExtension:
         return v
 
 
-def _delta1(ext: AbelianExtension, s_x: Vector, d_x: Vector) -> Vector:
-    """(d s - s d)(x) from s(x) and the quotient's d(x)."""
-    return ext.kernel_component(sub(ext.ambient.apply_d(s_x), ext.include_quotient(d_x)))
-
-
-def _delta2(ext: AbelianExtension, s_x: Vector, s_y: Vector, x_y: Vector) -> Vector:
-    """[s x, s y] - s [x, y] from s(x), s(y) and the quotient's [x, y]."""
-    return ext.kernel_component(sub(ext.ambient.bracket(s_x, s_y), ext.include_quotient(x_y)))
-
-
 def defects(ext: AbelianExtension):
     """The degree-1 and degree-0 failure maps of the section.
 
     Returns callables (delta1, delta2): delta1(x) = (d s - s d)(x) and
     delta2(x, y) = [s x, s y] - s [x, y], both kernel-valued.
     """
-    quo, s = ext.quotient, ext.include_quotient
+    amb, quo, s = ext.ambient, ext.quotient, ext.include_quotient
 
     def delta1(x: Vector) -> Vector:
-        return _delta1(ext, s(x), quo.apply_d(x))
+        return ext.kernel_component(sub(amb.apply_d(s(x)), s(quo.apply_d(x))))
 
     def delta2(x: Vector, y: Vector) -> Vector:
-        return _delta2(ext, s(x), s(y), quo.bracket(x, y))
+        return ext.kernel_component(sub(amb.bracket(s(x), s(y)), s(quo.bracket(x, y))))
 
     return delta1, delta2
 
@@ -421,11 +456,12 @@ def _lift_base(ext: AbelianExtension, phi: Vector) -> _LiftBase:
     memo = ext._lift_memo
     if memo is not None and memo.phi == key:
         return memo
-    witness, d_phi, phi_phi = _mc_parts(ext.quotient, key)
+    witness = ext.quotient.mc_residual(key)
     if not is_zero(witness):
         raise NotMaurerCartan(f"base element fails Maurer-Cartan with residual {witness}")
     s_phi = ext.include_quotient(key)
-    obstruction = add(_delta1(ext, s_phi, d_phi), _half(_delta2(ext, s_phi, s_phi, phi_phi)))
+    # o(phi) = MC(s phi) - s(MC(phi)), and MC(phi) = 0
+    obstruction = ext.kernel_component(ext.ambient.mc_residual(s_phi))
     ext._lift_memo = memo = _LiftBase(key, s_phi, obstruction, {})
     return memo
 
@@ -437,7 +473,8 @@ def lift_residual(ext: AbelianExtension, phi: Vector, alpha: Vector) -> Vector:
     ``phi`` is a Maurer-Cartan element of the quotient; ``alpha`` an
     ambient degree-1 vector supported on the kernel.  The residual is
     affine in alpha: o(phi) + d_{s phi} alpha, with the obstruction
-    o(phi) = delta1(phi) + delta2(phi, phi)/2 and d_{s phi} = d + [s phi, -].
+    o(phi) = delta1(phi) + delta2(phi, phi)/2, which is the ambient
+    Maurer-Cartan residual of s(phi), and d_{s phi} = d + [s phi, -].
     The Maurer-Cartan test of phi, s(phi), o(phi) and the columns of
     d_{s phi} on the degree-1 kernel basis depend on phi alone; they are
     kept in a one-entry memo on ``ext``, keyed by phi's entries cleaned by

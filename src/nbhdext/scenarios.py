@@ -825,6 +825,8 @@ def solve_abelianized(ctx: CechContext, window: Tuple[int, int]) -> dict:
 
 def generate_builtin(name: str, d: int = 0, twist: Fraction | int = 0) -> Scenario:
     """Exact adapted-coordinate presentations of the shipped embeddings."""
+    if type(d) is not int:
+        raise ParseError(f"builtin degree d must be an int, not {d!r}")
     twist = Fraction(twist)
     build = _BUILTINS.get(name)
     if build is None:

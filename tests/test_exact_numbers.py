@@ -246,8 +246,10 @@ def test_mclift_integral_results_are_ints():
     heisenberg = GradedDgLie((1, 1, 2), ((0,) * 3,) * 3, {(0, 1): {2: 1}, (1, 0): {2: 1}})
     assert typed(is_mc(heisenberg, (1, 1, 0))[1]) == typed((0, 0, 1))
     assert typed(heisenberg.bracket((Fraction(1, 2), 0, 0), (0, 2, 0))) == typed((0, 0, 1))
-    ext = AbelianExtension(heisenberg, (2,), section={0: (1, 0, Fraction(1, 2)), 1: (0, 1, 0)})
-    assert typed(ext.include_quotient((2, 0))) == typed((2, 0, 1))
+    # a section that keeps degrees: the degree-1 kernel vector b2 shifts s(b0)
+    wide = GradedDgLie((1, 1, 1, 2), ((0,) * 4,) * 4, {(0, 1): {3: 1}, (1, 0): {3: 1}})
+    ext = AbelianExtension(wide, (2, 3), section={0: (1, 0, Fraction(1, 2), 0), 1: (0, 1, 0, 0)})
+    assert typed(ext.include_quotient((2, 0))) == typed((2, 0, 1, 0))
 
 
 def typed(v):

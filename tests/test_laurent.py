@@ -103,6 +103,21 @@ def test_parse_rejects_malformed():
         LaurentPoly.from_json_terms(V, [[[1, 0], "1/0"]])
 
 
+def test_non_integral_exponents_are_refused():
+    # int(1.5) would store u^1
+    with pytest.raises(TypeError):
+        LaurentPoly(V, {(1.5, 0): 1})
+    with pytest.raises(TypeError):
+        LaurentPoly(V, {(1, Fraction(1, 2)): 1})
+    assert LaurentPoly(V, {(True, 0): 1}) == LaurentPoly(V, {(1, 0): 1})
+
+
+def test_parse_refuses_non_integral_exponents():
+    for exps in ([1.5, 0], [0, "1"], [Fraction(2), 0]):
+        with pytest.raises(ParseError):
+            LaurentPoly.from_json_terms(V, [[exps, "1"]])
+
+
 small_coeff = st.integers(-4, 4).map(Fraction)
 small_exp = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 polys = st.dictionaries(small_exp, small_coeff, max_size=5).map(P)

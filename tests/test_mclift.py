@@ -11,6 +11,7 @@ from nbhdext.errors import NotMaurerCartan, SectionNotValued
 from nbhdext.mclift import (
     AbelianExtension,
     GradedDgLie,
+    _half,
     add,
     defects,
     is_mc,
@@ -384,6 +385,71 @@ def test_sparse_kernels_equal_the_dense_formulas(case):
     assert scale(v, 1) == v
 
 
+@st.composite
+def extension_and_vectors(draw):
+    """An abelian extension of a degree-(1,2) algebra, with a degree-1
+    ambient vector and a degree-1 quotient vector.
+
+    Built like the mc_lift benchmark's extensions: the kernel spans the
+    last k1 degree-1 and last k2 degree-2 basis elements, brackets fill the
+    diagonal too, and each section vector shifts its basis element by
+    kernel vectors of its degree.  Unlike the benchmark, d and the bracket
+    of quotient elements may also land outside the kernel, so some
+    quotient vectors fail Maurer-Cartan.
+    """
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    k1, k2 = draw(st.integers(0, n1 - 1)), draw(st.integers(0, n2))
+    n = n1 + n2
+    kernel1, kernel2 = range(n1 - k1, n1), range(n - k2, n)
+    everywhere = range(n1, n) if draw(st.booleans()) else kernel2
+    d = [[F(0)] * n for _ in range(n)]
+    for j in range(n1):
+        for i in kernel2 if j in kernel1 else everywhere:
+            d[i][j] = half_zero(draw)
+    brackets = {}
+    for i in range(n1):
+        for j in range(i, n1):
+            if i in kernel1 and j in kernel1:
+                continue
+            targets = kernel2 if i in kernel1 or j in kernel1 else everywhere
+            entry = {t: half_zero(draw) for t in targets}
+            if any(entry.values()):
+                brackets[(i, j)] = dict(entry)
+                brackets[(j, i)] = dict(entry)
+    degrees = tuple([1] * n1 + [2] * n2)
+    kernel = tuple(kernel1) + tuple(kernel2)
+    section = {
+        i: tuple(F(1) if t == i else half_zero(draw) if t in kernel and degrees[t] == degrees[i]
+                 else F(0) for t in range(n))
+        for i in range(n) if i not in kernel
+    }
+    amb = GradedDgLie(degrees, tuple(tuple(r) for r in d), brackets)
+    ext = AbelianExtension(amb, kernel, section=section)
+    v = tuple(half_zero(draw) if e == 1 else F(0) for e in amb.degrees)
+    phi = tuple(half_zero(draw) if e == 1 else F(0) for e in ext.quotient.degrees)
+    return ext, v, phi
+
+
+@given(extension_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_mc_residual_and_the_obstruction_equal_their_definitions(case):
+    ext, v, phi = case
+    amb, quo = ext.ambient, ext.quotient
+    # the quadratic form against d(v) + [v,v]/2, value and type
+    for alg, w in ((amb, v), (quo, phi), (amb, ext.include_quotient(phi))):
+        expected = outcome(lambda: add(alg.apply_d(w), _half(alg.bracket(w, w))))
+        assert outcome(lambda: alg.mc_residual(w)) == expected
+    # the memoised obstruction against d1(phi) + d2(phi, phi)/2
+    if is_mc(quo, phi)[0]:
+        d1, d2 = defects(ext)
+        expected = outcome(lambda: add(d1(phi), _half(d2(phi, phi))))
+        assert outcome(lambda: lift_residual(ext, phi, vec(amb.n))) == expected
+        assert outcome(lambda: ext._lift_memo.obstruction) == expected
+    else:
+        with pytest.raises(NotMaurerCartan):
+            lift_residual(ext, phi, vec(amb.n))
+
+
 # -- the sparse validator against the dense oracle ---------------------------
 
 
@@ -672,6 +738,21 @@ def test_section_keys_outside_the_quotient_basis_are_refused(section):
     amb = heisenberg_extension().ambient
     with pytest.raises(ValueError, match="is not a quotient basis element"):
         AbelianExtension(amb, (2,), section=section)
+
+
+@pytest.mark.parametrize("kernel, section", [
+    # s(b0) has a degree-2 component, so s(phi) is not degree 1 and the
+    # lift residual would call phi = b0 liftable while is_mc refuses s(phi)
+    ((1, 2), {0: (1, 0, 1)}),
+    ((2,), {0: (1, 0, F(1, 2)), 1: (0, 1, 0)}),
+    ((2,), {0: (1, 0, 0), 1: (0, 1, -1)}),
+])
+def test_section_vectors_that_leave_their_degree_are_refused(kernel, section):
+    zero = tuple(tuple(0 for _ in range(3)) for _ in range(3))
+    amb = GradedDgLie((1, 1, 2), zero, {})
+    bad = min(i for i, v in section.items() if v[2])
+    with pytest.raises(ValueError, match=f"section vector of basis element {bad} leaves degree 1"):
+        AbelianExtension(amb, kernel, section=section)
 
 
 @pytest.mark.parametrize("kernel", [(3,), (-1,), (2.0,), (True, 2)])

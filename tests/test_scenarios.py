@@ -63,6 +63,13 @@ def test_unknown_builtin():
         generate_builtin("moebius_strip")
 
 
+@pytest.mark.parametrize("d", [1.5, 1.0, F(1), "1"])
+def test_builtin_degree_must_be_an_int(d):
+    # line_in_p2 at d = 1.5 used to build O(1)
+    with pytest.raises(ParseError, match="must be an int"):
+        generate_builtin("line_in_p2", d=d)
+
+
 def test_malformed_exponent_vector_names_the_field():
     doc = generate_builtin("line_in_p2", d=1).to_json()
     doc["overlaps"][0]["forward_u"][0][0][0] = [1]  # wrong arity
