@@ -104,7 +104,7 @@ def test_parse_rejects_malformed():
 
 
 def test_non_integral_exponents_are_refused():
-    # int(1.5) would store u^1
+    # int(1.5) would store x^1
     with pytest.raises(TypeError):
         LaurentPoly(V, {(1.5, 0): 1})
     with pytest.raises(TypeError):
