@@ -13,22 +13,24 @@ g_ih^-1 of transitions lifted order by order, G <- (1 + m) . G with
 one linear system: G_ij = g_ij exp(lambda_ij) is a cocycle modulo t^(k+1)
 exactly when delta(lambda) = rho.  No connection enters: the paper's
 first-order formula c_1 = a^1 . At is kept in ``tests/cup_oracle.py``,
-where the tests check that it equals o_1.  An overlap stores only its
-chart transition; its linear images and conormal matrix are read off the
-transition on first use.  Substitution is a linear ring map, so each
-context keeps one memoized ``filtered.Substitution`` per overlap and
-transport.  delta is one alternating walk over ``CoverNerve.simplices``:
-on each simplex the face that drops the first vertex is transported, the
-others enter with their signs.  The columns of delta are read off the
-cofaces of one simplex at a time, from the same simplices, and each
-column is linear in one pullback: a window monomial is pulled back once,
-and an End E entry is conjugated by multiplying that pullback with a
-memoized product g[a][r] . g^-1[c][b] per target entry.  ``solve_delta``
-is the one build, solve and residual recheck behind both the obstruction
-solves and the rank-one system; whole cochains and those rechecks move
-through ``transport``.  ``solve_coboundary`` only solves: it returns
-``Solved`` or ``UnresolvedWithinWindow``, and the cohomology oracle and
-the nonzero certificate are read by the caller.
+where the tests check that it equals o_1.  The nerve holds each overlap
+as its ``filtered.ChartTransition``, whose low ring is the ring of the
+double and which reads its images keyed by name, their linear part and
+the conormal matrix off itself on first use.  Substitution is a linear
+ring map, so each context keeps one memoized ``filtered.Substitution``
+per overlap and transport.  delta is one alternating walk over
+``CoverNerve.simplices``: on each simplex the face that drops the first
+vertex is transported, the others enter with their signs.  The columns
+of delta are read off the cofaces of one simplex at a time, from the
+same simplices, and each column is linear in one pullback: a window
+monomial is pulled back once, and an End E entry is conjugated by
+multiplying that pullback with a memoized product g[a][r] . g^-1[c][b]
+per target entry.  ``solve_delta`` is the one build, solve and residual
+recheck behind both the obstruction solves and the rank-one system;
+whole cochains and those rechecks move through ``transport``.
+``solve_coboundary`` only solves: it returns ``Solved`` or
+``UnresolvedWithinWindow``, and the cohomology oracle and the nonzero
+certificate are read by the caller.
 All assembly is canonical: simplices, matrix entries and monomials are
 walked in sorted order, so reports are byte-stable.
 """
@@ -36,13 +38,12 @@ walked in sorted order, so reports are byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FrameMismatch, NotClosed
-from .filtered import ChartRing, ChartTransition, Substitution, _series, linear_images
+from .filtered import ChartRing, ChartTransition, Substitution, _series
 from .laurent import Exponent, LaurentPoly, Rational, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, Solution, _rref, solve_exact
 
@@ -58,14 +59,14 @@ FUNCTION = "function"  # function on the simplex: 1 x 1 PolyMatrix, moved by the
 class CoverNerve:
     """Charts, overlaps and triples with their intersection rings.
 
-    ``pair_rings[(i, j)]`` holds the ring of U_ij in each of the two chart
-    coordinate systems; triples carry the ring in the smallest chart's
-    coordinates.  The index set is totally ordered; a triple (i, j, h) is
-    always stored with i < j < h.
+    ``pairs[(i, j)]`` is the chart transition of U_ij, which holds its ring
+    in both charts' coordinates; triples carry the ring in the smallest
+    chart's coordinates.  The index set is totally ordered; a pair (i, j)
+    is always stored with i < j and a triple (i, j, h) with i < j < h.
     """
 
     chart_rings: List[ChartRing]
-    pair_rings: Dict[Pair, Dict[int, ChartRing]]
+    pairs: Dict[Pair, ChartTransition]
     triple_rings: Dict[Triple, ChartRing]
 
     @property
@@ -73,7 +74,7 @@ class CoverNerve:
         return len(self.chart_rings)
 
     def doubles(self) -> List[Pair]:
-        return sorted(self.pair_rings)
+        return sorted(self.pairs)
 
     def triples(self) -> List[Triple]:
         return sorted(self.triple_rings)
@@ -99,69 +100,23 @@ class CoverNerve:
 
 
 @dataclass
-class OverlapGeometry:
-    """One ordered overlap (i < j): its chart transition, from chart i's ring to chart j's.
-
-    Its images and conormal matrix are read off the transition on first use and kept.
-    """
-
-    transition: ChartTransition
-
-    @property
-    def ring_i(self) -> ChartRing:
-        return self.transition.ring_low
-
-    @property
-    def ring_j(self) -> ChartRing:
-        return self.transition.ring_high
-
-    @cached_property
-    def forward(self) -> Dict[str, LaurentPoly]:
-        """Full images over ring_i of the chart-j coordinates."""
-        tr = self.transition
-        return dict(zip(tr.ring_high.names, (*tr.forward_u, *tr.forward_t)))
-
-    @cached_property
-    def images_ji(self) -> Dict[str, LaurentPoly]:
-        """Images over ring_i of the chart-j coordinates, conormal part linear."""
-        tr = self.transition
-        u, t = linear_images(tr.ring_low, tr.forward_u, tr.forward_t)
-        return dict(zip(tr.ring_high.names, (*u, *t)))
-
-    @cached_property
-    def conormal_ji(self) -> PolyMatrix:
-        """t^j_a = sum_b C[a][b] t^i_b over ring_i."""
-        return PolyMatrix([
-            [self.images_ji[a].diff(b) for b in self.ring_i.t_names] for a in self.ring_j.t_names
-        ])
-
-
-@dataclass
 class BundleData:
     """Rank and transition matrices, with the inverse of each transition."""
 
     rank: int
     g: Dict[Pair, PolyMatrix]          # chart-i coordinates on U_ij, i < j
-    g_inv: Dict[Pair, PolyMatrix] = field(default_factory=dict)
+    g_inv: Dict[Pair, PolyMatrix] = field(init=False)
 
     def __post_init__(self):
-        for pair, mat in sorted(self.g.items()):
-            if pair not in self.g_inv:
-                self.g_inv[pair] = mat.inverse_unit_det()
+        self.g_inv = {pair: mat.inverse_unit_det() for pair, mat in sorted(self.g.items())}
 
 
 class CechContext:
     """Cover nerve plus transports: the working state of one scenario."""
 
-    def __init__(
-        self,
-        nerve: CoverNerve,
-        pairs: Dict[Pair, OverlapGeometry],
-        bundle: BundleData,
-        order: int,
-    ):
+    def __init__(self, nerve: CoverNerve, bundle: BundleData, order: int):
         self.nerve = nerve
-        self.pairs = pairs
+        self.pairs = nerve.pairs
         self.bundle = bundle
         self.order = order
         # memos of derived data; they live and die with this context
@@ -174,7 +129,7 @@ class CechContext:
 
     # -- elementary transports (j-frame value to i-frame, (i,j) a stored pair) --
 
-    def _geom(self, pair: Pair) -> OverlapGeometry:
+    def _transition(self, pair: Pair) -> ChartTransition:
         if pair not in self.pairs:
             raise FrameMismatch(f"no transport data for overlap {pair}")
         return self.pairs[pair]
@@ -192,13 +147,13 @@ class CechContext:
     def _substitution(self, pair: Pair, full: bool) -> Substitution:
         sub = self._substitutions.get((pair, full))
         if sub is None:
-            g = self._geom(pair)
-            sub = Substitution(g.ring_i, g.forward if full else g.images_ji, self.order)
+            tr = self._transition(pair)
+            sub = Substitution(tr.ring_low, tr.forward if full else tr.images_ji, self.order)
             self._substitutions[(pair, full)] = sub
         return sub
 
     def end_to_low(self, pair: Pair, value: PolyMatrix) -> PolyMatrix:
-        ring, k = self._geom(pair).ring_i, self.order
+        ring, k = self._transition(pair).ring_low, self.order
         moved = value.map(lambda p: self.pullback(pair, p))
         return ring.matmul(ring.matmul(self.bundle.g[pair], moved, k), self.bundle.g_inv[pair], k)
 
@@ -227,15 +182,15 @@ class CechContext:
         if coords is None:
             if vtype not in (FUNCTION, SYM_END):
                 raise ValueError(f"delta columns are built for functions and End E, not {vtype!r}")
-            geom = self._geom(pair)
+            tr = self._transition(pair)
             sub = self._substitution(pair, vtype == FUNCTION)
-            moved = sub.monomial_image(geom.ring_j.names, exps)
+            moved = sub.monomial_image(tr.ring_high.names, exps)
             if vtype == FUNCTION:
                 images = [((0, 0), moved)]
             else:
                 r, c = entry
                 images = [
-                    (ab, moved if k is None else geom.ring_i.mul(moved, k, self.order))
+                    (ab, moved if k is None else tr.ring_low.mul(moved, k, self.order))
                     for ab, k in self._conjugator(pair)[r][c]
                 ]
             # a one-term image, the common case, needs no sorting
@@ -252,7 +207,7 @@ class CechContext:
         """
         table = self._conjugators.get(pair)
         if table is None:
-            ring, e = self._geom(pair).ring_i, self.bundle.rank
+            ring, e = self._transition(pair).ring_low, self.bundle.rank
             gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
             one = ring.one()
             table = [[[] for _ in range(e)] for _ in range(e)]
@@ -294,7 +249,7 @@ class CechContext:
         if len(simplex) == 1:
             return self.nerve.chart_rings[simplex[0]]
         if len(simplex) == 2:
-            return self.nerve.pair_rings[simplex][simplex[0]]
+            return self.nerve.pairs[simplex].ring_low
         if len(simplex) == 3:
             return self.nerve.triple_rings[simplex]
         return self.nerve.chart_rings[simplex[0]]
@@ -405,7 +360,7 @@ def lift_transitions(
     """(1 + m_ij) . G_ij on each double: the lifts one order up, for -delta(m) = o_k of ``G``."""
     lifted = {}
     for pair, g in G.items():
-        ring = ctx.nerve.pair_rings[pair][pair[0]]
+        ring = ctx.pairs[pair].ring_low
         one_plus = PolyMatrix.identity(ctx.bundle.rank, ring.names) + m.value(ctx, pair)
         lifted[pair] = ring.matmul(one_plus, g, ctx.order)
     return lifted

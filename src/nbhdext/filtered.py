@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from operator import add
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NonInvertibleSubstitution, NotAdapted, NotUnipotent
 from .laurent import Exponent, LaurentPoly, Rational, grlex_key
@@ -320,6 +320,24 @@ class Substitution:
 # -- automorphisms ----------------------------------------------------------
 
 
+def _below_filtration(
+    ring: ChartRing,
+    u_parts: Iterable[LaurentPoly],
+    t_parts: Iterable[LaurentPoly],
+    module_parts: Iterable[LaurentPoly],
+) -> Iterator[LaurentPoly]:
+    """The nonzero parts, in order, under the filtration that unipotency asks for.
+
+    A u-part or module entry must have t-degree at least 1 and a t-part at
+    least 2: these are the parts of Phi - id of a unipotent automorphism
+    and the values of a derivation that raises the conormal degree.
+    """
+    for parts, least in ((u_parts, 1), (t_parts, 2), (module_parts, 1)):
+        for part in parts:
+            if (d := ring.t_degree_min(part)) is not None and d < least:
+                yield part
+
+
 @dataclass
 class FilteredAutomorphism:
     """Unipotent filtered automorphism, stored through generator images.
@@ -375,24 +393,16 @@ class FilteredAutomorphism:
 
     def unipotency_defects(self) -> List[LaurentPoly]:
         ring = self.ring
-        defects = []
-        for b in range(ring.p):
-            delta = self.u_images[b] - ring.u_var(b)
-            if (d := ring.t_degree_min(delta)) is not None and d < 1:
-                defects.append(delta)
-        for a in range(ring.q):
-            delta = self.t_images[a] - ring.t_var(a)
-            if (d := ring.t_degree_min(delta)) is not None and d < 2:
-                defects.append(delta)
+        module = ()
         if self.module is not None:
-            e = self.module.rows
-            ident = PolyMatrix.identity(e, ring.names)
-            for r in range(e):
-                for c in range(e):
-                    delta = self.module[r, c] - ident[r, c]
-                    if (d := ring.t_degree_min(delta)) is not None and d < 1:
-                        defects.append(delta)
-        return defects
+            delta = self.module - PolyMatrix.identity(self.module.rows, ring.names)
+            module = (p for row in delta.entries for p in row)
+        return list(_below_filtration(
+            ring,
+            (img - ring.u_var(b) for b, img in enumerate(self.u_images)),
+            (img - ring.t_var(a) for a, img in enumerate(self.t_images)),
+            module,
+        ))
 
     def is_unipotent(self) -> bool:
         return not self.unipotency_defects()
@@ -531,19 +541,9 @@ class PairDerivation:
         )
 
     def raises_t_degree(self) -> bool:
-        ring = self.ring
-        for img in self.u_images:
-            if (d := ring.t_degree_min(img)) is not None and d < 1:
-                return False
-        for img in self.t_images:
-            if (d := ring.t_degree_min(img)) is not None and d < 2:
-                return False
-        if self.module is not None:
-            for row in self.module.entries:
-                for p in row:
-                    if (d := ring.t_degree_min(p)) is not None and d < 1:
-                        return False
-        return True
+        module = () if self.module is None else (p for row in self.module.entries for p in row)
+        below = _below_filtration(self.ring, self.u_images, self.t_images, module)
+        return next(below, None) is None
 
 
 def bracket(x: PairDerivation, y: PairDerivation) -> PairDerivation:
@@ -663,11 +663,13 @@ def contract(
 
 @dataclass
 class ChartTransition:
-    """Two-way transition data between adapted charts on an overlap.
+    """Two-way transition data between adapted charts on one overlap U_ij, i < j.
 
     ``forward_*`` express the high chart's generators in the low chart's
     coordinates; ``backward_*`` the other way around.  Both directions are
-    supplied so nothing ever needs polynomial inversion.
+    supplied so nothing ever needs polynomial inversion.  The images keyed
+    by name, the linear part and the conormal matrix are read off on first
+    use and kept.
     """
 
     ring_low: ChartRing
@@ -676,6 +678,30 @@ class ChartTransition:
     forward_t: Tuple[LaurentPoly, ...]
     backward_u: Tuple[LaurentPoly, ...]
     backward_t: Tuple[LaurentPoly, ...]
+
+    @cached_property
+    def forward(self) -> Dict[str, LaurentPoly]:
+        """Full images over ``ring_low`` of the high chart's coordinates."""
+        return dict(zip(self.ring_high.names, (*self.forward_u, *self.forward_t)))
+
+    @cached_property
+    def backward(self) -> Dict[str, LaurentPoly]:
+        """Full images over ``ring_high`` of the low chart's coordinates."""
+        return dict(zip(self.ring_low.names, (*self.backward_u, *self.backward_t)))
+
+    @cached_property
+    def images_ji(self) -> Dict[str, LaurentPoly]:
+        """Images over ``ring_low`` of the high chart's coordinates, conormal part linear."""
+        u, t = linear_images(self.ring_low, self.forward_u, self.forward_t)
+        return dict(zip(self.ring_high.names, (*u, *t)))
+
+    @cached_property
+    def conormal_ji(self) -> PolyMatrix:
+        """t^high_a = sum_b C[a][b] t^low_b over ``ring_low``."""
+        return PolyMatrix([
+            [self.images_ji[a].diff(b) for b in self.ring_low.t_names]
+            for a in self.ring_high.t_names
+        ])
 
 
 def linear_images(
@@ -710,7 +736,7 @@ def induced_transition(tr: ChartTransition, k: int) -> FilteredAutomorphism:
             raise NotAdapted(
                 f"backward image of normal variable {low.t_names[a]} does not preserve the ideal"
             )
-    fwd = Substitution(low, dict(zip(high.names, (*tr.forward_u, *tr.forward_t))), k)
+    fwd = Substitution(low, tr.forward, k)
     back_u, back_t = linear_images(high, tr.backward_u, tr.backward_t)
     phi = FilteredAutomorphism(
         low, k, tuple(fwd(img) for img in back_u), tuple(fwd(img) for img in back_t)

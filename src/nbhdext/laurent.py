@@ -97,12 +97,12 @@ class LaurentPoly:
         if terms:
             for exps, coeff in terms.items():
                 c = exact(coeff)
-                if not c:
-                    continue
+                # a zero term's exponent is read too, so it is refused as a nonzero one's is
                 e = tuple(map(index, exps))
                 if len(e) != n:
                     raise ValueError(f"exponent vector {e} has wrong length for {self.vars}")
-                clean[e] = c
+                if c:
+                    clean[e] = c
         self.terms = clean
         self._degree_rows = None
 

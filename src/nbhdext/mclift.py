@@ -210,7 +210,11 @@ class GradedDgLie:
         return not any(v[i] for i in self._off_degree.get(deg, range(self.n)))
 
     def mc_residual(self, v: Vector) -> Vector:
-        """d(v) + [v,v]/2 of a degree-1 v, summed through the quadratic-form table."""
+        """d(v) + [v,v]/2 of a degree-1 v, summed through the quadratic-form table.
+
+        Each nonzero coordinate is cleaned by ``laurent.exact``, so a float
+        one is refused with ``TypeError`` before the sum is returned.
+        """
         if not self.is_homogeneous(v, 1):
             raise NotMaurerCartan("candidate element is not concentrated in degree 1")
         out = [0] * self.n
@@ -218,6 +222,8 @@ class GradedDgLie:
         for i, x in enumerate(v):
             if not x:
                 continue
+            if type(x) is not int:
+                x = exact(x)
             column, pairs = table[i]
             for k, c in column:
                 out[k] += c * x

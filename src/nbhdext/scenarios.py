@@ -28,7 +28,6 @@ from .cech import (
     CechCochain,
     CechContext,
     CoverNerve,
-    OverlapGeometry,
     ProvenNonzero,
     Solved,
     UnresolvedWithinWindow,
@@ -49,6 +48,11 @@ SCHEMA_VERSION = 1
 ENGINE_VERSION = __version__
 
 Pair = Tuple[int, int]
+
+
+def _names(p: int, q: int) -> Tuple[str, ...]:
+    """The chart variables u1..up, t1..tq: every chart of a scenario uses these names."""
+    return tuple(f"u{i+1}" for i in range(p)) + tuple(f"t{i+1}" for i in range(q))
 
 
 @dataclass
@@ -85,22 +89,19 @@ class Scenario:
     window: Tuple[int, int] = (-6, 6)
 
     @property
-    def u_names(self) -> Tuple[str, ...]:
-        return tuple(f"u{i+1}" for i in range(self.p))
-
-    @property
-    def t_names(self) -> Tuple[str, ...]:
-        return tuple(f"t{i+1}" for i in range(self.q))
-
-    @property
     def names(self) -> Tuple[str, ...]:
-        return self.u_names + self.t_names
+        return _names(self.p, self.q)
 
-    def chart_ring(self, i: int) -> ChartRing:
-        return ChartRing(self.u_names, self.t_names, self.charts_inverted[i])
+    def ring(self, inverted: Tuple[Exponent, ...]) -> ChartRing:
+        """The ring of a chart, overlap or triple that inverts the monomials ``inverted``."""
+        names = self.names
+        return ChartRing(names[:self.p], names[self.p:], inverted)
 
-    def overlap_ring(self, spec: OverlapSpec, side: int) -> ChartRing:
-        return ChartRing(self.u_names, self.t_names, spec.inverted[side])
+    def transition(self, o: OverlapSpec) -> ChartTransition:
+        """The chart transition of the overlap ``o``, from its low chart's ring to its high one's."""
+        i, j = o.pair
+        return ChartTransition(self.ring(o.inverted[i]), self.ring(o.inverted[j]),
+                               o.forward_u, o.forward_t, o.backward_u, o.backward_t)
 
     # -- serialization -------------------------------------------------------
 
@@ -201,7 +202,7 @@ def scenario_from_json(data: dict) -> Scenario:
     dims = _field(data, "dims", "", dict)
     p, q, e = (_field(dims, k, "dims", int) for k in ("p", "q", "e"))
     _require(p >= 1 and q >= 1 and e >= 1, "dims must be positive")
-    names = tuple(f"u{i+1}" for i in range(p)) + tuple(f"t{i+1}" for i in range(q))
+    names = _names(p, q)
 
     def poly(obj, where: str) -> LaurentPoly:
         _require(isinstance(obj, list), f"{where}: expected a list of terms, got {obj!r}")
@@ -369,49 +370,42 @@ class ValidationLog:
         ]
 
 
-def _overlap_by_pair(s: Scenario) -> Dict[Pair, OverlapSpec]:
-    return {o.pair: o for o in s.overlaps}
-
-
 def validate_scenario(s: Scenario) -> ValidationLog:
     """Check a scenario's transitions, cocycles and flatness flags at ``max_order``.
 
-    Each overlap's forward ``Substitution`` is kept, by pair, and the
-    chart cocycle of a triple reuses it for the (i, j) face with its memo,
-    whether or not that face was adapted.  The triple ring differs from
-    the overlap ring only in ``inverted``, which a substitution never
-    reads, so both give the same polynomials.
+    Each overlap's transition and forward ``Substitution`` are kept, by
+    pair, and the chart cocycle of a triple reuses the substitution of its
+    (i, j) face with its memo, whether or not that face was adapted.  The
+    triple ring differs from the overlap ring only in ``inverted``, which a
+    substitution never reads, so both give the same polynomials.
     """
     log = ValidationLog()
     k = s.max_order
-    by_pair = _overlap_by_pair(s)
+    transitions: Dict[Pair, ChartTransition] = {}
     forward: Dict[Pair, Substitution] = {}
 
     for o in s.overlaps:
-        ring_i = s.overlap_ring(o, o.pair[0])
-        ring_j = s.overlap_ring(o, o.pair[1])
+        tr = transitions[o.pair] = s.transition(o)
         loc = f"overlap {o.pair}"
-        adapted = all(ring_i.restrict_to_x(img).is_zero() for img in o.forward_t) and all(
-            ring_j.restrict_to_x(img).is_zero() for img in o.backward_t
+        adapted = all(tr.ring_low.restrict_to_x(img).is_zero() for img in tr.forward_t) and all(
+            tr.ring_high.restrict_to_x(img).is_zero() for img in tr.backward_t
         )
         log.record("adapted", loc, adapted,
                    "" if adapted else "a normal-variable image has a degree-0 part")
-        fwd = {n: img for n, img in zip(s.names, tuple(o.forward_u) + tuple(o.forward_t))}
-        fwd_sub = forward[o.pair] = Substitution(ring_i, fwd, k)
+        fwd_sub = forward[o.pair] = Substitution(tr.ring_low, tr.forward, k)
         if not adapted:
             continue
         # mutual inverse on generators, both ways, at order k
-        bwd = {n: img for n, img in zip(s.names, tuple(o.backward_u) + tuple(o.backward_t))}
-        bwd_sub = Substitution(ring_j, bwd, k)
+        bwd_sub = Substitution(tr.ring_high, tr.backward, k)
         ok = True
         detail = ""
         for name in s.names:
-            round1 = fwd_sub(bwd[name])
+            round1 = fwd_sub(tr.backward[name])
             if not (round1 - LaurentPoly.variable(s.names, name)).is_zero():
                 ok = False
                 detail = f"backward o forward != id on {name}"
                 break
-            round2 = bwd_sub(fwd[name])
+            round2 = bwd_sub(tr.forward[name])
             if not (round2 - LaurentPoly.variable(s.names, name)).is_zero():
                 ok = False
                 detail = f"forward o backward != id on {name}"
@@ -421,22 +415,17 @@ def validate_scenario(s: Scenario) -> ValidationLog:
     for t in s.triples:
         i, j, h = t.simplex
         loc = f"triple {t.simplex}"
-        needed = [(i, j), (i, h), (j, h)]
-        if any(pr not in by_pair for pr in needed):
+        if any(pr not in transitions for pr in [(i, j), (i, h), (j, h)]):
             log.record("cocycle", loc, False, "missing overlap data for a face")
             continue
-        o_ij, o_ih, o_jh = by_pair[(i, j)], by_pair[(i, h)], by_pair[(j, h)]
-        ring_i = ChartRing(s.u_names, s.t_names, t.inverted)
+        tr_ij, tr_ih, tr_jh = transitions[(i, j)], transitions[(i, h)], transitions[(j, h)]
+        ring_i = s.ring(t.inverted)
         fwd_ij = forward[(i, j)]
         ok = True
         detail = ""
-        for name, img_jh, img_ih in zip(
-            s.names,
-            tuple(o_jh.forward_u) + tuple(o_jh.forward_t),
-            tuple(o_ih.forward_u) + tuple(o_ih.forward_t),
-        ):
-            via_j = fwd_ij(img_jh)
-            if not (via_j - img_ih).is_zero():
+        for name in s.names:
+            via_j = fwd_ij(tr_jh.forward[name])
+            if not (via_j - tr_ih.forward[name]).is_zero():
                 ok = False
                 detail = f"chart cocycle fails on generator {name}"
                 break
@@ -444,13 +433,10 @@ def validate_scenario(s: Scenario) -> ValidationLog:
         # bundle cocycle g_ih = g_ij . T_i(g_jh); g lives on X, so the
         # transport goes through the base maps at t = 0
         if s.g:
-            base_fwd = {
-                n: ring_i.restrict_to_x(img)
-                for n, img in zip(s.u_names, o_ij.forward_u)
-            }
-            base_fwd.update({n: ring_i.zero() for n in s.t_names})
+            base_fwd = {n: ring_i.restrict_to_x(tr_ij.forward[n]) for n in ring_i.u_names}
+            base_fwd.update({n: ring_i.zero() for n in ring_i.t_names})
             g_entries_on_x = all(
-                s.overlap_ring(o_jh, j).restrict_to_x(poly) == poly
+                tr_jh.ring_low.restrict_to_x(poly) == poly
                 for row in s.g[(j, h)].entries
                 for poly in row
             )
@@ -464,8 +450,8 @@ def validate_scenario(s: Scenario) -> ValidationLog:
                        "" if okg else "g_ih != g_ij . g_jh on the triple")
 
     # connection flatness against the declared flags
+    u_names = s.names[:s.p]
     for ci in range(len(s.charts_inverted)):
-        ring = s.chart_ring(ci)
         loc = f"chart {ci}"
         if not s.gammas:
             log.record("flatness", loc, True, "no connection data: exterior derivative assumed")
@@ -476,8 +462,8 @@ def validate_scenario(s: Scenario) -> ValidationLog:
         for b in range(s.p):
             for c in range(b + 1, s.p):
                 term = (
-                    gam[c].map(lambda m: m.diff(s.u_names[b]))
-                    - gam[b].map(lambda m: m.diff(s.u_names[c]))
+                    gam[c].map(lambda m: m.diff(u_names[b]))
+                    - gam[b].map(lambda m: m.diff(u_names[c]))
                     + gam[b].commutator(gam[c])
                 )
                 if not term.is_zero():
@@ -493,24 +479,12 @@ def validate_scenario(s: Scenario) -> ValidationLog:
 
 
 def build_context(s: Scenario, order: int) -> CechContext:
-    chart_rings = [s.chart_ring(i) for i in range(len(s.charts_inverted))]
-    pair_rings = {
-        o.pair: {o.pair[0]: s.overlap_ring(o, o.pair[0]), o.pair[1]: s.overlap_ring(o, o.pair[1])}
-        for o in s.overlaps
-    }
-    triple_rings = {
-        t.simplex: ChartRing(s.u_names, s.t_names, t.inverted) for t in s.triples
-    }
-    nerve = CoverNerve(chart_rings, pair_rings, triple_rings)
-
-    pairs = {
-        o.pair: OverlapGeometry(
-            ChartTransition(pair_rings[o.pair][o.pair[0]], pair_rings[o.pair][o.pair[1]],
-                            o.forward_u, o.forward_t, o.backward_u, o.backward_t)
-        )
-        for o in s.overlaps
-    }
-    return CechContext(nerve, pairs, BundleData(rank=s.e, g=dict(s.g)), order)
+    nerve = CoverNerve(
+        [s.ring(inverted) for inverted in s.charts_inverted],
+        {o.pair: s.transition(o) for o in s.overlaps},
+        {t.simplex: s.ring(t.inverted) for t in s.triples},
+    )
+    return CechContext(nerve, BundleData(rank=s.e, g=dict(s.g)), order)
 
 
 # -- the standard projective cover (for the oracle and the certificate) ---------------
@@ -832,10 +806,6 @@ def generate_builtin(name: str, d: int = 0, twist: Fraction | int = 0) -> Scenar
     if build is None:
         raise UnknownScenario(f"unknown scenario {name!r}; builtins: {', '.join(BUILTIN_NAMES)}")
     return build(d, twist)
-
-
-def _names(p: int, q: int) -> Tuple[str, ...]:
-    return tuple(f"u{i+1}" for i in range(p)) + tuple(f"t{i+1}" for i in range(q))
 
 
 def _affine_split(d: int) -> Scenario:

@@ -41,13 +41,13 @@ def jacobians(ctx, pair):
     # imported here: test_delta_assembly imports test_lift, which imports this module
     from test_delta_assembly import linear_part_oracle
 
-    data = linear_part_oracle(ctx.pairs[pair].transition)
+    data = linear_part_oracle(ctx.pairs[pair])
     return data["jac_ji"], data["jac_ij"]
 
 
 def form_end_to_low(ctx, pair, value: Sequence[PolyMatrix]) -> Tuple[PolyMatrix, ...]:
     """Pull each du^j_b-coefficient back, re-index it over the du^i_c and conjugate by g."""
-    ring = ctx.pairs[pair].ring_i
+    ring = ctx.pairs[pair].ring_low
     moved = [m.map(lambda p: ctx.pullback(pair, p)) for m in value]
     jac, _ = jacobians(ctx, pair)
     reindexed = [
@@ -63,10 +63,10 @@ def homform_to_low(ctx, pair, value):
     geom = ctx.pairs[pair]
     _, back = jacobians(ctx, pair)
     out = []
-    for c in range(geom.ring_i.p):
-        acc = geom.ring_j.zero()
-        for b in range(geom.ring_j.p):
-            acc = acc + geom.ring_j.mul(back[c, b], value[b], ctx.order)
+    for c in range(geom.ring_low.p):
+        acc = geom.ring_high.zero()
+        for b in range(geom.ring_high.p):
+            acc = acc + geom.ring_high.mul(back[c, b], value[b], ctx.order)
         out.append(ctx.pullback(pair, acc))
     return tuple(out)
 
@@ -88,14 +88,14 @@ def form_differential(ctx, c: FormCochain) -> FormCochain:
 
 def transition_log(ctx, pair):
     """log of the overlap's unipotent discrepancy, a pair derivation in chart i's frame."""
-    return log_unipotent(induced_transition(ctx.pairs[pair].transition, ctx.order))
+    return log_unipotent(induced_transition(ctx.pairs[pair], ctx.order))
 
 
 def kodaira_spencer(ctx, degree: int) -> FormCochain:
     """a^s: the t-degree-s parts of the tangential images of each transition log."""
     values = {}
     for pair in ctx.nerve.doubles():
-        ring = ctx.pairs[pair].ring_i
+        ring = ctx.pairs[pair].ring_low
         values[pair] = tuple(ring.t_part(img, degree) for img in transition_log(ctx, pair).u_images)
     return FormCochain(1, HOMFORM_SYM, values)
 
@@ -112,7 +112,7 @@ def atiyah(ctx, gammas: Optional[Sequence[Sequence[PolyMatrix]]] = None) -> Form
                   for ring in ctx.nerve.chart_rings]
     values = {}
     for pair in ctx.nerve.doubles():
-        ring = ctx.pairs[pair].ring_i
+        ring = ctx.pairs[pair].ring_low
         gm, gi = ctx.bundle.g[pair], ctx.bundle.g_inv[pair]
         moved = form_end_to_low(ctx, pair, gammas[pair[1]])
         values[pair] = tuple(
@@ -126,7 +126,7 @@ def cup(ctx, a1: FormCochain, at: FormCochain) -> CechCochain:
     """a^1_ij . At_jh on each triple, in the lowest frame."""
     values = {}
     for i, j, h in ctx.nerve.triples():
-        ring = ctx.nerve.pair_rings[(i, j)][i]
+        ring = ctx.pairs[(i, j)].ring_low
         at_moved = form_end_to_low(ctx, (i, j), at.values[(j, h)])
         values[(i, j, h)] = contract(ring, a1.values[(i, j)], at_moved, ctx.order)
     return CechCochain(2, SYM_END, 1, values)

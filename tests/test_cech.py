@@ -208,9 +208,9 @@ def test_extracted_tangential_components_are_delta_closed():
 def derivation_to_low(ctx, pair, d):
     """Conjugate the algebra part of a j-frame pair derivation into the i-frame."""
     g = ctx.pairs[pair]
-    ring_i = g.ring_i
+    ring_i = g.ring_low
     k = min(d.order, ctx.order)
-    images_ij = linear_part_oracle(g.transition)["images_ij"]
+    images_ij = linear_part_oracle(g)["images_ij"]
 
     def moved(name):
         # the chart-i generator in the j-frame, hit by d and moved low
@@ -255,7 +255,7 @@ def test_atiyah_on_twisted_line_bundle_is_logarithmic():
         s, ctx = ctx_for("line_in_p2", d=d)
         at = atiyah(ctx)
         val = at.values[(0, 1)]
-        ring = ctx.nerve.pair_rings[(0, 1)][0]
+        ring = ctx.pairs[(0, 1)].ring_low
         expected = LaurentPoly.monomial(ring.names, (-1, 0), d)
         assert val[0][0, 0] == expected
 
@@ -330,7 +330,7 @@ def test_solve_zero_cochain_reports_h1_dimension():
 
 def test_two_chart_cover_always_solvable():
     s, ctx = ctx_for("diagonal_p1xp1", d=2)
-    ring = ctx.nerve.pair_rings[(0, 1)][0]
+    ring = ctx.pairs[(0, 1)].ring_low
     val = PolyMatrix([[ring.t_var(0) * LaurentPoly.monomial(ring.names, (-1, 0), 7)]])
     # no triples: any would-be degree-2 data is the empty cochain
     c = CechCochain(2, SYM_END, 1, {})

@@ -230,7 +230,7 @@ def test_elementary_transport_equals_the_whole_transport():
     assert all(p.terms for row in ctx.bundle.g[(2, 3)].entries for p in row)
     rng = random.Random(14)
     for pair in sorted(ctx.pairs):
-        ring = ctx.pairs[pair].ring_j
+        ring = ctx.pairs[pair].ring_high
         for sdeg in (1, 2):
             for _ in range(6):
                 exps = (rng.randint(-4, 4), sdeg)
@@ -295,8 +295,8 @@ def direct_pullback(ctx, pair, value, full=False):
     substitutes the images of ``linear_part_oracle``.
     """
     g = ctx.pairs[pair]
-    images = g.forward if full else linear_part_oracle(g.transition)["images_ji"]
-    return subst_oracle(value, images, ctx.order, g.ring_i)
+    images = g.forward if full else linear_part_oracle(g)["images_ji"]
+    return subst_oracle(value, images, ctx.order, g.ring_low)
 
 
 def four_chart_scenarios():
@@ -318,13 +318,13 @@ def test_overlap_linear_data_equals_the_written_out_oracle():
         for o in s.overlaps:
             i, j = o.pair
             geom = ctx.pairs[o.pair]
-            tr = ChartTransition(s.overlap_ring(o, i), s.overlap_ring(o, j),
+            tr = ChartTransition(s.ring(o.inverted[i]), s.ring(o.inverted[j]),
                                  o.forward_u, o.forward_t, o.backward_u, o.backward_t)
             oracle = linear_part_oracle(tr)
             # the engine keeps the forward linear data; the Jacobians serve the cup oracle
             for name in ("images_ji", "conormal_ji"):
                 assert getattr(geom, name) == oracle[name], (label, o.pair, name)
-            assert induced_transition(geom.transition, ctx.order).is_unipotent(), (label, o.pair)
+            assert induced_transition(geom, ctx.order).is_unipotent(), (label, o.pair)
             checked += 1
     assert checked >= 60
 
@@ -352,7 +352,7 @@ def memo_context(name):
 def overlap_polynomials(draw):
     ctx = memo_context(draw(st.sampled_from(sorted(MEMO_CONTEXTS))))
     pair = draw(st.sampled_from(sorted(ctx.pairs)))
-    ring = ctx.pairs[pair].ring_j
+    ring = ctx.pairs[pair].ring_high
     exps = st.tuples(
         *[st.integers(-3, 3)] * ring.p, *[st.integers(0, ctx.order + 1)] * ring.q
     )
@@ -382,7 +382,7 @@ def test_contexts_with_different_transitions_share_no_memo():
     first = build_context(generate_builtin("p1_in_line_bundle", d=2), 2)
     second = build_context(generate_builtin("p1_in_line_bundle", d=4), 2)
     pair = (0, 1)
-    value = first.pairs[pair].ring_j.monomial((2, 1), Fraction(3, 2))
+    value = first.pairs[pair].ring_high.monomial((2, 1), Fraction(3, 2))
     for full in (False, True):
         moved_first = first.pullback(pair, value, full)
         moved_second = second.pullback(pair, value, full)

@@ -281,6 +281,16 @@ def test_lift_residual_refuses_a_float_kernel_correction():
     assert typed(lift_residual(ext, phi, (0, Fraction(2), 0, 0))) == typed((0, 0, 0, 4))
 
 
+def test_is_mc_refuses_a_float_coordinate():
+    # [b0, b1] = [b1, b0] = b2, so v = (1/2, 1, 0) has residual b2/2
+    heisenberg = GradedDgLie((1, 1, 2), ((0,) * 3,) * 3, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+    for v in [(0.5, 1.0, 0), (Fraction(1, 2), 1.0, 0)]:
+        with pytest.raises(TypeError):
+            is_mc(heisenberg, v)
+    ok, residual = is_mc(heisenberg, (Fraction(1, 2), 1, 0))
+    assert not ok and typed(residual) == typed((0, 0, Fraction(1, 2)))
+
+
 # negative, odd and even ints, large ones too, proper and integral Fractions
 half_entries = st.one_of(coeffs, st.integers(-10**30, 10**30))
 

@@ -1,10 +1,14 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the engine's layers import downward.
 
 Every Python file under ``src/nbhdext``, ``tests`` and ``scripts`` is
 parsed with ``ast``.  A name bound by an import must be read somewhere in
 its file, as a name, the root of an attribute chain or inside a quoted
 annotation.  ``from __future__`` imports and the re-exports of
 ``__init__.py`` files are skipped.
+
+Within ``src/nbhdext``, only ``cli`` imports the two labs, ``formal`` and
+``mclift``, and the kernel modules ``filtered``, ``laurent`` and
+``linsolve`` import neither ``cech`` nor ``scenarios``.
 """
 
 import ast
@@ -78,3 +82,52 @@ def test_the_scan_sees_an_unused_import(tmp_path):
         "    return os.sep\n"
     )
     assert sorted(name for name, _ in unused_imports(path)) == ["List", "system"]
+
+
+def engine_imports(tree):
+    """The short names of the ``nbhdext`` modules a parsed module imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("nbhdext.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "nbhdext":
+                    continue
+                module = module.partition(".")[2]
+            found |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+    return found
+
+
+LABS = {"formal", "mclift"}
+KERNEL = {"filtered", "laurent", "linsolve"}
+
+
+def test_only_the_command_line_imports_the_labs_and_the_kernel_imports_downward():
+    imports = {
+        path.stem: engine_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src/nbhdext").glob("*.py"))
+    }
+    assert {"cli", "cech", "scenarios"} | LABS | KERNEL <= set(imports)
+    assert imports["cli"] >= LABS
+    lab_importers = {m: sorted(i & LABS) for m, i in imports.items() if m != "cli" and i & LABS}
+    assert lab_importers == {}
+    upward = {m: sorted(imports[m] & {"cech", "scenarios"}) for m in sorted(KERNEL)}
+    assert upward == {m: [] for m in sorted(KERNEL)}
+
+
+def test_the_layer_scan_sees_every_import_form():
+    tree = ast.parse(
+        "import os, nbhdext.cech\n"
+        "from . import formal, __version__\n"
+        "from .laurent import exact\n"
+        "from nbhdext.mclift import is_mc\n"
+        "from nbhdext import scenarios\n"
+        "from fractions import Fraction\n"
+        "def f():\n"
+        "    from .linsolve import PolyMatrix\n"
+    )
+    assert engine_imports(tree) == {
+        "cech", "formal", "__version__", "laurent", "mclift", "scenarios", "linsolve"}

@@ -112,6 +112,12 @@ def test_non_integral_exponents_are_refused():
     assert LaurentPoly(V, {(True, 0): 1}) == LaurentPoly(V, {(1, 0): 1})
 
 
+@pytest.mark.parametrize("exps, error", [((1.5, 0), TypeError), ((1, 0, 0), ValueError)])
+def test_a_zero_coefficient_does_not_excuse_its_exponent(exps, error):
+    with pytest.raises(error):
+        LaurentPoly(V, {exps: 0})
+
+
 def test_parse_refuses_non_integral_exponents():
     for exps in ([1.5, 0], [0, "1"], [Fraction(2), 0]):
         with pytest.raises(ParseError):

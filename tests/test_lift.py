@@ -171,7 +171,7 @@ def lifted_by_hand(ctx, reports):
     G = dict(ctx.bundle.g)
     for r in reports:
         for pair, g in G.items():
-            ring = ctx.nerve.pair_rings[pair][pair[0]]
+            ring = ctx.pairs[pair].ring_low
             m = r.status.cochain.value(ctx, pair)
             G[pair] = g + ring.matmul(m, g, ctx.order)
     return G

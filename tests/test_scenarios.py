@@ -210,6 +210,149 @@ def test_flat_flag_against_curvature():
     assert bad and "curvature" in bad[0].detail
 
 
+def _overlap(s, pair):
+    return next(o for o in s.overlaps if o.pair == pair)
+
+
+def _non_adapted(s):
+    o = _overlap(s, (0, 1))
+    o.forward_t = (o.forward_t[0] + LaurentPoly.const(s.names, 1),)
+
+
+def _backward_doubled(s):
+    o = _overlap(s, (0, 1))
+    o.backward_t = (o.backward_t[0] * 2,)
+
+
+def _forward_doubled(s):
+    o = _overlap(s, (0, 1))
+    o.forward_t = (o.forward_t[0] * 2,)
+
+
+def _chart_cocycle_broken(s):
+    o = _overlap(s, (1, 2))
+    o.forward_u = (o.forward_u[0] * 2, o.forward_u[1])
+
+
+def _face_missing(s):
+    s.overlaps = [o for o in s.overlaps if o.pair != (1, 2)]
+    del s.g[(1, 2)]
+
+
+def _bundle_off_base(s):
+    g = s.g[(1, 2)]
+    s.g[(1, 2)] = PolyMatrix([[g[0, 0] + LaurentPoly.monomial(s.names, (0, 1, 1))]])
+
+
+def _bundle_cocycle_broken(s):
+    s.g[(0, 2)] = s.g[(0, 2)].scale(F(3))
+
+
+def _flags_wrong(s):
+    # nabla = d + u1 du2 on chart 0 is curved; chart 1's flat connection is flagged curved
+    u1 = LaurentPoly.variable(s.names, "u1")
+    s.gammas[0] = [PolyMatrix([[LaurentPoly.zero(s.names)]]), PolyMatrix([[u1]])]
+    s.flat[1] = False
+
+
+# (builtin, d, twist, corruption, the whole log as (check, location, ok, detail) rows)
+CORRUPTED_LOGS = {
+    "adapted": ("line_in_p2", 1, 1, _non_adapted, [
+        ("adapted", "overlap (0, 1)", False, "a normal-variable image has a degree-0 part"),
+        ("flatness", "chart 0", True, ""),
+        ("flatness", "chart 1", True, ""),
+    ]),
+    "forward_o_backward": ("line_in_p2", 1, 1, _backward_doubled, [
+        ("adapted", "overlap (0, 1)", True, ""),
+        ("transition_inverse", "overlap (0, 1)", False, "forward o backward != id on u1"),
+        ("flatness", "chart 0", True, ""),
+        ("flatness", "chart 1", True, ""),
+    ]),
+    "backward_o_forward": ("line_in_p2", 1, 1, _forward_doubled, [
+        ("adapted", "overlap (0, 1)", True, ""),
+        ("transition_inverse", "overlap (0, 1)", False, "backward o forward != id on u1"),
+        ("flatness", "chart 0", True, ""),
+        ("flatness", "chart 1", True, ""),
+    ]),
+    "cocycle": ("hyperplane_p2_in_p3", 1, 0, _chart_cocycle_broken, [
+        ("adapted", "overlap (0, 1)", True, ""),
+        ("transition_inverse", "overlap (0, 1)", True, ""),
+        ("adapted", "overlap (0, 2)", True, ""),
+        ("transition_inverse", "overlap (0, 2)", True, ""),
+        ("adapted", "overlap (1, 2)", True, ""),
+        ("transition_inverse", "overlap (1, 2)", False, "backward o forward != id on u1"),
+        ("cocycle", "triple (0, 1, 2)", False, "chart cocycle fails on generator u1"),
+        ("bundle_on_base", "triple (0, 1, 2)", True, ""),
+        ("bundle_cocycle", "triple (0, 1, 2)", True, ""),
+        ("flatness", "chart 0", True, ""),
+        ("flatness", "chart 1", True, ""),
+        ("flatness", "chart 2", True, ""),
+    ]),
+    "missing_face": ("hyperplane_p2_in_p3", 1, 0, _face_missing, [
+        ("adapted", "overlap (0, 1)", True, ""),
+        ("transition_inverse", "overlap (0, 1)", True, ""),
+        ("adapted", "overlap (0, 2)", True, ""),
+        ("transition_inverse", "overlap (0, 2)", True, ""),
+        ("cocycle", "triple (0, 1, 2)", False, "missing overlap data for a face"),
+        ("flatness", "chart 0", True, ""),
+        ("flatness", "chart 1", True, ""),
+        ("flatness", "chart 2", True, ""),
+    ]),
+    "bundle_on_base": ("hyperplane_p2_in_p3", 1, 0, _bundle_off_base, [
+        ("adapted", "overlap (0, 1)", True, ""),
+        ("transition_inverse", "overlap (0, 1)", True, ""),
+        ("adapted", "overlap (0, 2)", True, ""),
+        ("transition_inverse", "overlap (0, 2)", True, ""),
+        ("adapted", "overlap (1, 2)", True, ""),
+        ("transition_inverse", "overlap (1, 2)", True, ""),
+        ("cocycle", "triple (0, 1, 2)", True, ""),
+        ("bundle_on_base", "triple (0, 1, 2)", False,
+         "a bundle transition has normal-variable terms"),
+        ("bundle_cocycle", "triple (0, 1, 2)", True, ""),
+        ("flatness", "chart 0", True, ""),
+        ("flatness", "chart 1", True, ""),
+        ("flatness", "chart 2", True, ""),
+    ]),
+    "bundle_cocycle": ("hyperplane_p2_in_p3", 1, 0, _bundle_cocycle_broken, [
+        ("adapted", "overlap (0, 1)", True, ""),
+        ("transition_inverse", "overlap (0, 1)", True, ""),
+        ("adapted", "overlap (0, 2)", True, ""),
+        ("transition_inverse", "overlap (0, 2)", True, ""),
+        ("adapted", "overlap (1, 2)", True, ""),
+        ("transition_inverse", "overlap (1, 2)", True, ""),
+        ("cocycle", "triple (0, 1, 2)", True, ""),
+        ("bundle_on_base", "triple (0, 1, 2)", True, ""),
+        ("bundle_cocycle", "triple (0, 1, 2)", False, "g_ih != g_ij . g_jh on the triple"),
+        ("flatness", "chart 0", True, ""),
+        ("flatness", "chart 1", True, ""),
+        ("flatness", "chart 2", True, ""),
+    ]),
+    "flatness": ("hyperplane_p2_in_p3", 0, 0, _flags_wrong, [
+        ("adapted", "overlap (0, 1)", True, ""),
+        ("transition_inverse", "overlap (0, 1)", True, ""),
+        ("adapted", "overlap (0, 2)", True, ""),
+        ("transition_inverse", "overlap (0, 2)", True, ""),
+        ("adapted", "overlap (1, 2)", True, ""),
+        ("transition_inverse", "overlap (1, 2)", True, ""),
+        ("cocycle", "triple (0, 1, 2)", True, ""),
+        ("bundle_on_base", "triple (0, 1, 2)", True, ""),
+        ("bundle_cocycle", "triple (0, 1, 2)", True, ""),
+        ("flatness", "chart 0", False, "curvature(0,1) = PolyMatrix[1]"),
+        ("flatness", "chart 1", False, "flag says curved but curvature vanishes"),
+        ("flatness", "chart 2", True, ""),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED_LOGS))
+def test_corrupted_builtin_logs_every_check_in_order(case):
+    name, d, twist, corrupt, rows = CORRUPTED_LOGS[case]
+    s = generate_builtin(name, d=d, twist=twist)
+    corrupt(s)
+    expected = [dict(zip(("check", "location", "ok", "detail"), row)) for row in rows]
+    assert validate_scenario(s).to_json() == expected
+
+
 def test_affine_split_trivially_solved():
     s = generate_builtin("affine_split")
     bundle = run_pipeline(s, k=2)
