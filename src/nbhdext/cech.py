@@ -173,8 +173,8 @@ class CechContext:
         pullback for a ``FUNCTION``, whose coordinates are those of P, and
         the linear one for ``SYM_END``.  There E_rc . P moves to
         g . (E_rc . P) . g^-1, whose entry (a, b) is
-        P . g[a][r] . g^-1[c][b]: t-degrees are >= 0 and
-        the charts have no ``base_trunc``, so truncation is a ring map and
+        P . g[a][r] . g^-1[c][b]: t-degrees are >= 0 and only
+        the t-degree is truncated, so truncation is a ring map and
         the conjugation is one product with a memoized scalar per entry.
         """
         key = (pair, vtype, entry, exps)

@@ -25,18 +25,18 @@ from .linsolve import PolyMatrix
 
 @dataclass(frozen=True)
 class ChartRing:
-    """Variables and truncation data of one chart.
+    """Variables and inverted monomials of one chart.
 
     ``inverted`` lists exponent vectors (over the tangential variables
-    only) of the monomials the chart inverts.  ``base_trunc`` bounds the
-    total tangential degree; it is None on geometric charts and finite on
-    formal disks.
+    only) of the monomials the chart inverts.  The one truncation is in the
+    conormal degree, the total degree in the t-variables, as in the
+    quotients X_k by powers of the ideal of X; the tangential degree is
+    never cut.
     """
 
     u_names: Tuple[str, ...]
     t_names: Tuple[str, ...]
     inverted: Tuple[Exponent, ...] = ()
-    base_trunc: Optional[int] = None
 
     @property
     def p(self) -> int:
@@ -54,21 +54,13 @@ class ChartRing:
     def t_idxs(self) -> Tuple[int, ...]:
         return tuple(range(self.p, self.p + self.q))
 
-    @property
-    def u_idxs(self) -> Tuple[int, ...]:
-        return tuple(range(self.p))
-
     def compatible(self, other: "ChartRing") -> bool:
-        """Same variables and truncation; inverted monomials may differ.
+        """Same variables; inverted monomials may differ.
 
         Arithmetic never consults the inversion data, so values from
         overlapping charts with richer localizations combine freely.
         """
-        return (
-            self.u_names == other.u_names
-            and self.t_names == other.t_names
-            and self.base_trunc == other.base_trunc
-        )
+        return self.u_names == other.u_names and self.t_names == other.t_names
 
     # -- element constructors -----------------------------------------
 
@@ -93,21 +85,17 @@ class ChartRing:
     # -- truncation-aware arithmetic ------------------------------------
 
     def truncate(self, p: LaurentPoly, t_max: int) -> LaurentPoly:
-        out = p.truncate_group(self.t_idxs, t_max)
-        if self.base_trunc is not None:
-            out = out.truncate_group(self.u_idxs, self.base_trunc)
-        return out
+        return p.truncate_group(self.t_idxs, t_max)
 
     def mul(self, a: LaurentPoly, b: LaurentPoly, t_max: int) -> LaurentPoly:
         """``truncate(a * b, t_max)`` without forming the products it would drop.
 
-        A product's t-degree and tangential degree are the sums of its
-        factors', so a pair of terms is skipped when either sum is over
-        its bound.  The right factor's degrees are read from its table
-        ``b._degree_rows``: None, or ``(p, rows)`` with one
-        ``(t-degree, tangential degree, exps, coeff)`` row per term, the
-        first ``p`` variables counted as tangential.  It is built on the
-        factor's first use under this ``p`` and kept on the polynomial,
+        A product's t-degree is the sum of its factors', so a pair of terms
+        is skipped when that sum is over ``t_max``.  The right factor's
+        t-degrees are read from its table ``b._degree_rows``: None, or
+        ``(p, rows)`` with one ``(t-degree, exps, coeff)`` row per term, the
+        variables after the first ``p`` counted as normal.  It is built on
+        the factor's first use under this ``p`` and kept on the polynomial,
         since right factors repeat across calls (memoized powers,
         substitution bases, conjugation scalars); a ring with another
         split rebuilds it.
@@ -117,28 +105,24 @@ class ChartRing:
         exponents distinct, so nothing accumulates or cancels.
         """
         a._check_same_ring(b)
-        p, base = len(self.u_names), self.base_trunc
+        p = len(self.u_names)
         cached = b._degree_rows
         if cached is not None and cached[0] == p:
             rows = cached[1]
         else:
-            rows = [(sum(e[p:]), sum(e[:p]), e, c) for e, c in b.terms.items()]
+            rows = [(sum(e[p:]), e, c) for e, c in b.terms.items()]
             b._degree_rows = (p, rows)
         if len(a.terms) == 1:
             [(e1, c1)] = a.terms.items()
             t_room = t_max - sum(e1[p:])
-            u_room = None if base is None else base - sum(e1[:p])
             return LaurentPoly._of(a.vars, {
-                tuple(map(add, e1, e2)): c1 * c2
-                for t2, u2, e2, c2 in rows
-                if t2 <= t_room and (u_room is None or u2 <= u_room)
+                tuple(map(add, e1, e2)): c1 * c2 for t2, e2, c2 in rows if t2 <= t_room
             })
         out: Dict[Exponent, Rational] = {}
         for e1, c1 in a.terms.items():
             t_room = t_max - sum(e1[p:])
-            u_room = None if base is None else base - sum(e1[:p])
-            for t2, u2, e2, c2 in rows:
-                if t2 > t_room or (u_room is not None and u2 > u_room):
+            for t2, e2, c2 in rows:
+                if t2 > t_room:
                     continue
                 e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
@@ -240,9 +224,9 @@ class Substitution:
     dropped: truncation commutes with rational scaling, so this equals one
     substitution of the whole polynomial.  Terms are moved in sorted order,
     so a missing image (``ValueError``) or a non-invertible one is reported
-    on the same term as a fresh call would.  Only ``target``'s variables and
-    truncation are read, never its ``inverted`` monomials, so one instance
-    serves every ring compatible with ``target``.
+    on the same term as a fresh call would.  Only ``target``'s variables
+    are read, never its ``inverted`` monomials, so one instance serves
+    every ring compatible with ``target``.
     """
 
     def __init__(self, target: ChartRing, images: Mapping[str, LaurentPoly], t_max: int):
@@ -272,8 +256,7 @@ class Substitution:
         the image is the memoized prefix image times ``power(var, k)``.  That
         is one multiplication per new monomial and the same left fold over
         the variables as multiplying the powers one by one, so it gives the
-        same polynomial, also where ``base_trunc`` truncates the partial
-        products.  A zero prefix gives zero without asking for ``var``'s image,
+        same polynomial.  A zero prefix gives zero without asking for ``var``'s image,
         and a prefix of exponent 0 (image 1) gives ``power(var, k)`` itself,
         with no product by one.
         """

@@ -1,15 +1,16 @@
-"""Desk-scale model of pair derivations over a truncated power-series disk.
+"""Desk-scale model of pair derivations over a formal disk.
 
-The disk carries tangential variables truncated at total degree N and a
-free conormal slot of rank q; the module side is truncated at a working
-order k.  Pair derivations are stored through generator images exactly as
-in the chart engine, but here the conormal-degree-zero components are
-allowed: vector fields, conormal endomorphisms and bundle endomorphisms
-all live in degree zero.
+The disk carries p tangential variables and a free conormal slot of rank
+q; the module side is truncated at a working order k.  Pair derivations
+are stored through generator images exactly as in the chart engine, but
+here the conormal-degree-zero components are allowed: vector fields,
+conormal endomorphisms and bundle endomorphisms all live in degree zero.
 
-Everything asserted here is asserted below the truncation horizon only;
-the identities used are filtration-compatible, so the truncation is
-faithful in that range (N >= k + 2 is enforced for cocycle work).
+As on the charts, only the conormal degree is truncated, never the
+tangential one, so the identities checked here hold exactly at every
+tangential degree.  The degree-a slice of a derivation is its
+``component(a)``; the split operator of a slice is
+``split_component_operator``.
 """
 
 from __future__ import annotations
@@ -29,35 +30,22 @@ Connection = Sequence[PolyMatrix]  # one e x e coefficient matrix per tangential
 
 @dataclass(frozen=True)
 class FormalDisk:
-    """Truncated formal neighborhood of a point: dimensions and cutoffs."""
+    """Formal neighborhood of a point: p tangential and q normal variables, rank e."""
 
     p: int
     q: int
     e: int
-    N: int
 
     def __post_init__(self):
-        if min(self.p, self.q, self.e) < 1 or self.N < 2:
-            raise ValueError("disk dimensions must be positive and N >= 2")
+        if min(self.p, self.q, self.e) < 1:
+            raise ValueError("disk dimensions must be positive")
 
     @property
     def ring(self) -> ChartRing:
         return ChartRing(
             tuple(f"x{i+1}" for i in range(self.p)),
             tuple(f"t{i+1}" for i in range(self.q)),
-            (),
-            self.N,
         )
-
-    def derivation(
-        self,
-        x_images: Sequence[LaurentPoly],
-        t_images: Sequence[LaurentPoly],
-        module: Optional[PolyMatrix],
-        k: int,
-    ) -> PairDerivation:
-        """An element at the working order k: ``der_l_element`` with l = k."""
-        return self.der_l_element(x_images, t_images, module, k, k)
 
     def der_l_element(
         self,
@@ -71,7 +59,8 @@ class FormalDisk:
 
         The module side is truncated at l; the tangential/conormal images
         keep their high-degree slices because splittings and cocycle
-        evaluations at order k still read them.
+        evaluations at order k still read them.  With l = k it is an
+        element at the working order.
         """
         ring = self.ring
         if module is None:
@@ -91,14 +80,12 @@ class FormalDisk:
         """d/dx_b with the flat-frame module lift: a generator of the base subalgebra."""
         ring = self.ring
         x_imgs = [ring.one() if i == b else ring.zero() for i in range(self.p)]
-        return self.derivation(x_imgs, [ring.zero()] * self.q, None, k)
+        return self.der_l_element(x_imgs, [ring.zero()] * self.q, None, k, k)
 
     def constant_endomorphism(self, mat: Sequence[Sequence[object]], k: int) -> PairDerivation:
         ring = self.ring
         module = PolyMatrix.from_scalar_rows(ring.names, mat)
-        return self.derivation(
-            [ring.zero()] * self.p, [ring.zero()] * self.q, module, k
-        )
+        return self.der_l_element([ring.zero()] * self.p, [ring.zero()] * self.q, module, k, k)
 
     def trivial_connection(self) -> List[PolyMatrix]:
         ring = self.ring
@@ -140,7 +127,7 @@ def splitting(
     mat = d.module.map(lambda m: ring.truncate(m, l))
     for v in range(l + 1, k + 1):
         mat = mat + contract(ring, [ring.t_part(img, v) for img in d.u_images], gamma, k)
-    return disk.derivation(d.u_images, d.t_images, mat, k)
+    return disk.der_l_element(d.u_images, d.t_images, mat, k, k)
 
 
 def split_component_operator(
@@ -150,7 +137,7 @@ def split_component_operator(
     ring = disk.ring
     x_imgs = [ring.t_part(img, v) for img in d.u_images]
     t_imgs = [ring.t_part(img, v + 1) for img in d.t_images]
-    return disk.derivation(x_imgs, t_imgs, contract(ring, x_imgs, gamma, k), k)
+    return disk.der_l_element(x_imgs, t_imgs, contract(ring, x_imgs, gamma, k), k, k)
 
 
 def e_component(
@@ -161,22 +148,6 @@ def e_component(
     a_v = [ring.t_part(img, v) for img in d.u_images]
     # the product is pure degree v, so truncate at v, not at d.order
     return d.module.map(lambda m: ring.t_part(m, v)) - contract(ring, a_v, gamma, v)
-
-
-def apply_algebra_component(
-    disk: FormalDisk, d: PairDerivation, v: int, f: LaurentPoly, k: int
-) -> LaurentPoly:
-    """Apply the degree-v algebra slice of d to a scalar."""
-    ring = disk.ring
-    sliced = PairDerivation(
-        ring,
-        k,
-        tuple(ring.t_part(img, v) for img in d.u_images),
-        tuple(ring.t_part(img, v + 1) for img in d.t_images),
-        None,
-        algebra_trunc=k + 1,
-    )
-    return ring.truncate(sliced.apply(f), k)
 
 
 # -- the abelianized kernel ---------------------------------------------------
@@ -269,28 +240,20 @@ def act_on_kernel(
     The action does not preserve the conormal grading: a degree-a slice of
     the lift pushes a degree-v matrix component to degree a+v, trading the
     matrix for its trace once it crosses the abelianization threshold.
+    The lift's degree-a operator is its slice ``component(a)``: with a
+    connection of t-degree 0, as ``e_component`` assumes, that slice's
+    module part is the split operator plus the O-linear residue.
     """
     l, k = m.l, m.k
     ring = disk.ring
     out = AbelianizedKernel.zero(disk, l, k)
     sx = splitting(disk, x, gamma, l, k)
-    ops: Dict[int, PairDerivation] = {}  # the lift's degree-a operator depends on a alone
+    ops = {a: sx.component(a) for a in range(k + 1)}
     for v, mat in m.end_parts.items():
         if mat.is_zero():
             continue
         for a in range(0, k - v + 1):
             target = v + a
-            if a not in ops:
-                op_a = split_component_operator(disk, sx, gamma, a, k)
-                # add back the O-linear residue of the lift in degree a
-                if a <= l:
-                    op_a = disk.derivation(
-                        op_a.u_images,
-                        op_a.t_images,
-                        op_a.module + e_component(disk, sx, gamma, a),
-                        k,
-                    )
-                ops[a] = op_a
             comp = ops[a].bracket_endo(mat).map(lambda p: ring.t_part(p, target))
             if target <= 2 * l + 1:
                 out.end_parts[target] = out.end_parts[target] + comp
@@ -300,9 +263,7 @@ def act_on_kernel(
         if s.is_zero():
             continue
         for a in range(0, k - v + 1):
-            out.scalar_parts[v + a] = out.scalar_parts[v + a] + apply_algebra_component(
-                disk, x, a, s, k
-            )
+            out.scalar_parts[v + a] = out.scalar_parts[v + a] + ops[a].apply(s)
     return out
 
 
@@ -335,15 +296,16 @@ def extension_cocycle(
     out = AbelianizedKernel.zero(disk, l, k)
     e1 = {p: e_component(disk, d1, gamma, p) for p in range(0, l + 1)}
     e2 = {p: e_component(disk, d2, gamma, p) for p in range(0, l + 1)}
+    # both parts below read the split slices of degrees 1..k, each built once
+    s1 = {a: split_component_operator(disk, d1, gamma, a, k) for a in range(1, k + 1)}
+    s2 = {a: split_component_operator(disk, d2, gamma, a, k) for a in range(1, k + 1)}
 
     # cross terms enter antisymmetrized: the split slice of the first argument
     # acts on the residue of the second, minus the mirror term
     for v in range(l + 1, min(k, 2 * l + 1) + 1):
         acc = PolyMatrix.zero(disk.e, disk.e, ring.names)
         for p in range(0, l + 1):
-            s1 = split_component_operator(disk, d1, gamma, v - p, k)
-            s2 = split_component_operator(disk, d2, gamma, v - p, k)
-            acc = acc + s1.bracket_endo(e2[p]) - s2.bracket_endo(e1[p])
+            acc = acc + s1[v - p].bracket_endo(e2[p]) - s2[v - p].bracket_endo(e1[p])
         for p in range(max(v - l, 0), l + 1):
             acc = acc + (ring.matmul(e1[v - p], e2[p], k) - ring.matmul(e2[p], e1[v - p], k))
         out.end_parts[v] = acc.map(lambda m: ring.t_part(m, v))
@@ -351,8 +313,7 @@ def extension_cocycle(
     for v in range(2 * l + 2, k + 1):
         acc = ring.zero()
         for p in range(0, l + 1):
-            acc = acc + apply_algebra_component(disk, d1, v - p, e2[p].trace(), k)
-            acc = acc - apply_algebra_component(disk, d2, v - p, e1[p].trace(), k)
+            acc = acc + s1[v - p].apply(e2[p].trace()) - s2[v - p].apply(e1[p].trace())
         out.scalar_parts[v] = ring.t_part(acc, v)
     return out
 

@@ -377,7 +377,9 @@ def validate_scenario(s: Scenario) -> ValidationLog:
     pair, and the chart cocycle of a triple reuses the substitution of its
     (i, j) face with its memo, whether or not that face was adapted.  The
     triple ring differs from the overlap ring only in ``inverted``, which a
-    substitution never reads, so both give the same polynomials.
+    substitution never reads, so both give the same polynomials.  A
+    triple's ``bundle_on_base`` entry checks the bundle transitions of all
+    three faces; a cover with no triples has no such entry.
     """
     log = ValidationLog()
     k = s.max_order
@@ -436,8 +438,9 @@ def validate_scenario(s: Scenario) -> ValidationLog:
             base_fwd = {n: ring_i.restrict_to_x(tr_ij.forward[n]) for n in ring_i.u_names}
             base_fwd.update({n: ring_i.zero() for n in ring_i.t_names})
             g_entries_on_x = all(
-                tr_jh.ring_low.restrict_to_x(poly) == poly
-                for row in s.g[(j, h)].entries
+                ring_i.restrict_to_x(poly) == poly
+                for face in ((i, j), (i, h), (j, h))
+                for row in s.g[face].entries
                 for poly in row
             )
             log.record("bundle_on_base", loc, g_entries_on_x,

@@ -192,7 +192,7 @@ def test_criterion_2_lift_equivalence():
 
 def test_criterion_3_flat_splitting():
     rng = random.Random(303)
-    disk = FormalDisk(2, 2, 2, 6)
+    disk = FormalDisk(2, 2, 2)
     gamma = disk.trivial_connection()
 
     def phi_only(k):
@@ -210,7 +210,7 @@ def test_criterion_3_flat_splitting():
         assert splitting_defect(disk, x, y, gamma, -1, 2).is_zero()
 
     # curated curved instance: nabla = d + x1 dx2 on a rank-one bundle
-    curved = FormalDisk(2, 1, 1, 4)
+    curved = FormalDisk(2, 1, 1)
     ring = curved.ring
     gam = [PolyMatrix([[ring.zero()]]), PolyMatrix([[ring.u_var(0)]])]
     R = curvature(curved, gam)
@@ -229,7 +229,7 @@ def test_criterion_3_flat_splitting():
 def test_criterion_4_extension_cocycle_identities():
     rng = random.Random(404)
     l, k = 0, 2
-    disk = FormalDisk(2, 1, 2, k + 2)
+    disk = FormalDisk(2, 1, 2)
     gamma = disk.trivial_connection()
 
     def rand_der(order):

@@ -25,12 +25,11 @@ from nbhdext.linsolve import PolyMatrix
 F = Fraction
 
 
-def ring_pq(p, q, inverted=(), base_trunc=None):
+def ring_pq(p, q, inverted=()):
     return ChartRing(
         tuple(f"u{i+1}" for i in range(p)),
         tuple(f"t{i+1}" for i in range(q)),
         tuple(inverted),
-        base_trunc,
     )
 
 
@@ -95,12 +94,12 @@ def truncated_product_cases(draw):
     """A ring with p, q in {1, 2}, two polynomials over it and a t-bound.
 
     Tangential exponents run negative as well as positive, and the t-degrees
-    and tangential degrees run past the bounds, so some products are dropped.
+    run past the bound, so some products are dropped.
     About half of the factors on each side have one term, the case the
     product takes as a shift.
     """
     p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    ring = ring_pq(p, q, base_trunc=draw(st.one_of(st.none(), st.integers(0, 3))))
+    ring = ring_pq(p, q)
     exponent = st.tuples(
         *[st.integers(-2, 3)] * p, *[st.integers(0, 3)] * q
     )
@@ -125,8 +124,8 @@ def test_truncated_product_equals_truncated_full_product(case):
 
 
 def test_truncated_product_table_is_keyed_by_the_ring():
-    # one right factor under two splits of the same names: its rows' t- and
-    # tangential degrees differ, so a table cached for one ring is wrong in the other
+    # one right factor under two splits of the same names: its rows' t-degrees
+    # differ, so a table cached for one ring is wrong in the other
     names = ("a", "b", "c")
     splits = (ChartRing(("a",), ("b", "c")), ChartRing(("a", "b"), ("c",)))
     a = LaurentPoly(names, {(0, 1, 0): 1, (1, 0, 1): 2, (0, 0, 0): -1})
@@ -200,7 +199,7 @@ def substitution_cases(draw, n_polys=1):
     sometimes invertible and sometimes not.
     """
     p, q = draw(st.sampled_from((1, 2))), draw(st.sampled_from((1, 2)))
-    ring = ring_pq(p, q, base_trunc=draw(st.sampled_from((None, 0, 1, 2))))
+    ring = ring_pq(p, q)
     coeff = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
     moved = st.tuples(*[st.integers(-3, 3)] * (p + q))
     image_exps = st.tuples(*[st.integers(-2, 2)] * p, *[st.integers(0, 2)] * q)
@@ -288,7 +287,7 @@ def test_zero_prefix_never_asks_for_a_later_image():
 def test_first_powers_and_one_variable_monomials_multiply_nothing(monkeypatch):
     # x^1 is the truncated image and x^k's monomial image is x^k itself:
     # neither is a product by one
-    ring = ring_pq(2, 1, base_trunc=3)
+    ring = ring_pq(2, 1)
     u1, u2, t1 = ring.u_var(0), ring.u_var(1), ring.t_var(0)
     images = {
         "u1": u1 + u1 * u1 * u2 + ring.const(F(1, 2)) * t1 + u1 * t1 * t1,
@@ -330,7 +329,7 @@ def module_action_cases(draw):
     """
     p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     k, e, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    ring = ring_pq(p, q, base_trunc=draw(st.one_of(st.none(), st.integers(2, 4))))
+    ring = ring_pq(p, q)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     def matrix(rows, cols):

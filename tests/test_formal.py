@@ -45,16 +45,16 @@ def random_disk_poly(rng, disk, t_min, t_max, u_max=2, n_terms=2):
     return LaurentPoly(ring.names, terms)
 
 
-def random_der(rng, disk, l, k, with_module=True):
+def random_der(rng, disk, l, k, with_module=True, u_max=2):
     """Random order-l element carrying algebra slices up to order k."""
     ring = disk.ring
-    x_imgs = [random_disk_poly(rng, disk, 0, k) for _ in range(disk.p)]
-    t_imgs = [random_disk_poly(rng, disk, 1, k + 1) for _ in range(disk.q)]
+    x_imgs = [random_disk_poly(rng, disk, 0, k, u_max) for _ in range(disk.p)]
+    t_imgs = [random_disk_poly(rng, disk, 1, k + 1, u_max) for _ in range(disk.q)]
     module = None
     if with_module:
         module = PolyMatrix(
             [
-                [random_disk_poly(rng, disk, 0, l, n_terms=1) for _ in range(disk.e)]
+                [random_disk_poly(rng, disk, 0, l, u_max, n_terms=1) for _ in range(disk.e)]
                 for _ in range(disk.e)
             ]
         )
@@ -73,13 +73,13 @@ def random_phi_only(rng, disk, k):
 
 def test_bracket_self_is_zero():
     rng = random.Random(1)
-    disk = FormalDisk(2, 1, 1, 4)
+    disk = FormalDisk(2, 1, 1)
     d = random_der(rng, disk, 2, 2)
     assert bracket(d, d).is_zero()
 
 
 def test_bracket_of_vector_fields_is_classical():
-    disk = FormalDisk(2, 1, 1, 4)
+    disk = FormalDisk(2, 1, 1)
     ring = disk.ring
     # [d/dx1, x1 d/dx2] = d/dx2
     d1 = disk.coordinate_field(0, 2)
@@ -94,7 +94,7 @@ def test_bracket_of_vector_fields_is_classical():
 
 def test_jacobi_identity_random():
     rng = random.Random(3)
-    disk = FormalDisk(2, 1, 1, 4)
+    disk = FormalDisk(2, 1, 1)
     for _ in range(6):
         x = random_der(rng, disk, 2, 2)
         y = random_der(rng, disk, 2, 2)
@@ -112,7 +112,7 @@ def test_jacobi_identity_random():
 
 def test_splitting_is_fixed_point_on_split_elements():
     rng = random.Random(5)
-    disk = FormalDisk(2, 1, 1, 4)
+    disk = FormalDisk(2, 1, 1)
     gamma = [
         PolyMatrix([[random_disk_poly(rng, disk, 0, 0)]]),
         PolyMatrix([[random_disk_poly(rng, disk, 0, 0)]]),
@@ -124,7 +124,7 @@ def test_splitting_is_fixed_point_on_split_elements():
 
 def test_flat_splitting_commutes_with_bracket():
     rng = random.Random(7)
-    disk = FormalDisk(2, 2, 2, 4)
+    disk = FormalDisk(2, 2, 2)
     gamma = disk.trivial_connection()
     assert is_flat(disk, gamma)
     for _ in range(10):
@@ -135,7 +135,7 @@ def test_flat_splitting_commutes_with_bracket():
 
 def test_curved_splitting_defect_equals_curvature_contraction():
     # nabla = d + x1 dx2 on a rank-1 bundle: R_12 = 1
-    disk = FormalDisk(2, 1, 1, 3)
+    disk = FormalDisk(2, 1, 1)
     ring = disk.ring
     gamma = [
         PolyMatrix([[ring.zero()]]),
@@ -154,7 +154,7 @@ def test_curved_splitting_defect_equals_curvature_contraction():
 
 def test_curved_defect_detected_on_random_pairs():
     rng = random.Random(9)
-    disk = FormalDisk(2, 1, 1, 3)
+    disk = FormalDisk(2, 1, 1)
     ring = disk.ring
     gamma = [PolyMatrix([[ring.zero()]]), PolyMatrix([[ring.u_var(0)]])]
     found = False
@@ -172,7 +172,7 @@ def test_curved_defect_detected_on_random_pairs():
 
 def test_extension_cocycle_vanishes_without_residues():
     rng = random.Random(11)
-    disk = FormalDisk(2, 1, 1, 4)
+    disk = FormalDisk(2, 1, 1)
     gamma = disk.trivial_connection()
     x = random_phi_only(rng, disk, 2)
     y = random_phi_only(rng, disk, 2)
@@ -183,17 +183,17 @@ def test_extension_cocycle_vanishes_without_residues():
 
 
 def test_extension_cocycle_requires_flat():
-    disk = FormalDisk(2, 1, 1, 3)
+    disk = FormalDisk(2, 1, 1)
     ring = disk.ring
     gamma = [PolyMatrix([[ring.zero()]]), PolyMatrix([[ring.u_var(0)]])]
-    d = disk.derivation([ring.zero()] * disk.p, [ring.zero()] * disk.q, None, 0)
+    d = disk.der_l_element([ring.zero()] * disk.p, [ring.zero()] * disk.q, None, 0, 0)
     with pytest.raises(NotFlat):
         extension_cocycle(disk, 0, 1, d, d, gamma)
 
 
 def test_extension_cocycle_order_zero_to_one_cup_shape():
     # l=0, k=1: only [s phi_1, e_0-tilde] + [s phi_1-tilde, e_0] survives
-    disk = FormalDisk(1, 1, 2, 3)
+    disk = FormalDisk(1, 1, 2)
     ring = disk.ring
     gamma = disk.trivial_connection()
     t = ring.t_var(0)
@@ -218,7 +218,7 @@ def test_extension_cocycle_order_zero_to_one_cup_shape():
 def test_extension_cocycle_matches_defect_oracle():
     # the formula agrees with [s d1, s d2] - s[d1, d2] read through the projection
     rng = random.Random(13)
-    disk = FormalDisk(2, 1, 2, 4)
+    disk = FormalDisk(2, 1, 2)
     gamma = disk.trivial_connection()
     for l, k in [(0, 1), (1, 2), (1, 3), (0, 2)]:
         for _ in range(4):
@@ -235,7 +235,7 @@ def test_extension_cocycle_matches_defect_oracle():
 
 def test_rank_one_high_degree_uses_scalar_trace():
     rng = random.Random(17)
-    disk = FormalDisk(1, 1, 1, 4)
+    disk = FormalDisk(1, 1, 1)
     gamma = disk.trivial_connection()
     x = random_der(rng, disk, 0, 2)
     y = random_der(rng, disk, 0, 2)
@@ -249,7 +249,7 @@ def test_rank_one_high_degree_uses_scalar_trace():
 
 def test_lie_differential_squares_to_zero():
     rng = random.Random(19)
-    disk = FormalDisk(2, 1, 1, 4)
+    disk = FormalDisk(2, 1, 1)
     gamma = disk.trivial_connection()
     l, k = 0, 2
 
@@ -275,7 +275,7 @@ def test_lie_differential_squares_to_zero():
 
 def test_extension_cocycle_is_minus_delta_of_projection():
     rng = random.Random(23)
-    disk = FormalDisk(2, 1, 2, 4)
+    disk = FormalDisk(2, 1, 2)
     gamma = disk.trivial_connection()
     for l, k in [(0, 1), (0, 2), (1, 3)]:
         beta = projection_cochain(disk, l, k, gamma)
@@ -289,7 +289,7 @@ def test_extension_cocycle_is_minus_delta_of_projection():
 
 def test_extension_cochain_is_closed():
     rng = random.Random(29)
-    disk = FormalDisk(2, 1, 1, 4)
+    disk = FormalDisk(2, 1, 1)
     gamma = disk.trivial_connection()
     l, k = 0, 2
     dc = lie_differential(extension_cochain(disk, l, k, gamma))
@@ -302,7 +302,7 @@ def test_extension_cochain_is_closed():
 
 def test_extension_cocycle_is_relative():
     rng = random.Random(31)
-    disk = FormalDisk(2, 1, 2, 4)
+    disk = FormalDisk(2, 1, 2)
     gamma = disk.trivial_connection()
     l, k = 0, 2
     c = extension_cochain(disk, l, k, gamma)
@@ -312,7 +312,7 @@ def test_extension_cocycle_is_relative():
 
 
 def test_zero_cochain_is_relative():
-    disk = FormalDisk(1, 1, 1, 3)
+    disk = FormalDisk(1, 1, 1)
     gamma = disk.trivial_connection()
     c = RelativeCochain(
         disk, 0, 1, gamma, 1, lambda x: AbelianizedKernel.zero(disk, 0, 1)
@@ -324,7 +324,7 @@ def test_zero_cochain_is_relative():
 
 def test_curved_instance_fails_relativity():
     # with a curved connection the raw formula is no longer base-relative
-    disk = FormalDisk(2, 1, 1, 4)
+    disk = FormalDisk(2, 1, 1)
     ring = disk.ring
     gamma = [PolyMatrix([[ring.zero()]]), PolyMatrix([[ring.u_var(0)]])]
     l, k = 0, 1
@@ -337,3 +337,21 @@ def test_curved_instance_fails_relativity():
     ok, witness = relative_check(raw, samples)
     assert not ok
     assert witness is not None
+
+
+@pytest.mark.parametrize("l, k", [(0, 1), (0, 2), (1, 2)])
+def test_lab_identities_hold_at_every_tangential_degree(l, k):
+    # data of tangential degree up to 3, whose brackets go higher still: only
+    # the conormal degree is truncated, so the identities hold at every degree
+    rng = random.Random(41 + 10 * l + k)
+    disk = FormalDisk(2, 1, 2)
+    gamma = disk.trivial_connection()
+    c = extension_cochain(disk, l, k, gamma)
+    dc = lie_differential(c)
+    for _ in range(4):
+        x, y, z = (random_der(rng, disk, l, k, u_max=3) for _ in range(3))
+        jacobi = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
+        assert jacobi.is_zero()
+        assert dc.evaluate(x, y, z).is_zero()
+    ok, witness = relative_check(c, [random_der(rng, disk, l, k, u_max=3) for _ in range(3)])
+    assert ok, witness

@@ -7,8 +7,9 @@ annotation.  ``from __future__`` imports and the re-exports of
 ``__init__.py`` files are skipped.
 
 Within ``src/nbhdext``, only ``cli`` imports the two labs, ``formal`` and
-``mclift``, and the kernel modules ``filtered``, ``laurent`` and
-``linsolve`` import neither ``cech`` nor ``scenarios``.
+``mclift``, the labs import only ``errors`` and the kernel modules
+``filtered``, ``laurent`` and ``linsolve``, and the kernel modules import
+neither ``cech`` nor ``scenarios``.
 """
 
 import ast
@@ -103,6 +104,7 @@ def engine_imports(tree):
 
 LABS = {"formal", "mclift"}
 KERNEL = {"filtered", "laurent", "linsolve"}
+LAB_IMPORTS = KERNEL | {"errors"}
 
 
 def test_only_the_command_line_imports_the_labs_and_the_kernel_imports_downward():
@@ -116,6 +118,8 @@ def test_only_the_command_line_imports_the_labs_and_the_kernel_imports_downward(
     assert lab_importers == {}
     upward = {m: sorted(imports[m] & {"cech", "scenarios"}) for m in sorted(KERNEL)}
     assert upward == {m: [] for m in sorted(KERNEL)}
+    lab_upward = {m: sorted(imports[m] - LAB_IMPORTS) for m in sorted(LABS)}
+    assert lab_upward == {m: [] for m in sorted(LABS)}
 
 
 def test_the_layer_scan_sees_every_import_form():

@@ -244,6 +244,14 @@ def _bundle_off_base(s):
     s.g[(1, 2)] = PolyMatrix([[g[0, 0] + LaurentPoly.monomial(s.names, (0, 1, 1))]])
 
 
+def _low_faces_off_base(s):
+    # the same 1 + t1 on g01 and g02 keeps g02 = g01 . g12, so only the
+    # on-base check can see it; unchecked, build_context meets a non-unit
+    one_plus_t1 = LaurentPoly.const(s.names, 1) + LaurentPoly.variable(s.names, "t1")
+    for pair in ((0, 1), (0, 2)):
+        s.g[pair] = s.g[pair].map(lambda f: f * one_plus_t1)
+
+
 def _bundle_cocycle_broken(s):
     s.g[(0, 2)] = s.g[(0, 2)].scale(F(3))
 
@@ -313,6 +321,21 @@ CORRUPTED_LOGS = {
         ("flatness", "chart 1", True, ""),
         ("flatness", "chart 2", True, ""),
     ]),
+    "bundle_on_base_low_faces": ("hyperplane_p2_in_p3", 1, 0, _low_faces_off_base, [
+        ("adapted", "overlap (0, 1)", True, ""),
+        ("transition_inverse", "overlap (0, 1)", True, ""),
+        ("adapted", "overlap (0, 2)", True, ""),
+        ("transition_inverse", "overlap (0, 2)", True, ""),
+        ("adapted", "overlap (1, 2)", True, ""),
+        ("transition_inverse", "overlap (1, 2)", True, ""),
+        ("cocycle", "triple (0, 1, 2)", True, ""),
+        ("bundle_on_base", "triple (0, 1, 2)", False,
+         "a bundle transition has normal-variable terms"),
+        ("bundle_cocycle", "triple (0, 1, 2)", True, ""),
+        ("flatness", "chart 0", True, ""),
+        ("flatness", "chart 1", True, ""),
+        ("flatness", "chart 2", True, ""),
+    ]),
     "bundle_cocycle": ("hyperplane_p2_in_p3", 1, 0, _bundle_cocycle_broken, [
         ("adapted", "overlap (0, 1)", True, ""),
         ("transition_inverse", "overlap (0, 1)", True, ""),
@@ -351,6 +374,13 @@ def test_corrupted_builtin_logs_every_check_in_order(case):
     corrupt(s)
     expected = [dict(zip(("check", "location", "ok", "detail"), row)) for row in rows]
     assert validate_scenario(s).to_json() == expected
+
+
+def test_low_faces_off_the_base_stop_the_pipeline_at_validation():
+    s = generate_builtin("hyperplane_p2_in_p3", d=1)
+    _low_faces_off_base(s)
+    with pytest.raises(ParseError, match="failed validation"):
+        run_pipeline(s, k=1)
 
 
 def test_affine_split_trivially_solved():
