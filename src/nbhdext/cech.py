@@ -23,14 +23,18 @@ per overlap and transport.  delta is one alternating walk over
 vertex is transported, the others enter with their signs.  The columns
 of delta are read off the cofaces of one simplex at a time, from the
 same simplices, and each column is linear in one pullback: a window
-monomial is pulled back once, and an End E entry is conjugated by
-multiplying that pullback with a memoized product g[a][r] . g^-1[c][b]
-per target entry.  ``solve_delta`` is the one build, solve and residual
-recheck behind both the obstruction solves and the rank-one system;
-whole cochains and those rechecks move through ``transport``.
-``solve_coboundary`` only solves: it returns ``Solved`` or
-``UnresolvedWithinWindow``, and the cohomology oracle and the nonzero
-certificate are read by the caller.
+monomial is pulled back once and multiplied by the overlap's transport
+pattern, the rows of g[a][r] . g^-1[c][b] for each target entry, which
+is a plain shift when the pullback has one term.  Each coordinate key
+(simplex, entry, exps) is interned to an int once per context, so the
+columns, the rows of the system and the torsor split compare ints.
+``solve_delta`` is the one build, solve and residual recheck behind both
+the obstruction solves and the rank-one system; whole cochains and those
+rechecks move through ``transport``.  ``solve_coboundary`` only solves:
+it returns ``Solved`` or ``UnresolvedWithinWindow``, and the cohomology
+oracle and the nonzero certificate are read by the caller.  Its torsor
+count folds delta_0's rows outside the window and then only those at
+the solve's free columns.
 All assembly is canonical: simplices, matrix entries and monomials are
 walked in sorted order, so reports are byte-stable.
 """
@@ -40,11 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FrameMismatch, NotClosed
 from .filtered import ChartRing, ChartTransition, Substitution, _series
-from .laurent import Exponent, LaurentPoly, Rational, monomial_window
+from .laurent import Exponent, LaurentPoly, Rational, grlex_key, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, Solution, _rref, solve_exact
 
 Pair = Tuple[int, int]
@@ -122,10 +127,11 @@ class CechContext:
         # memos of derived data; they live and die with this context
         self._substitutions: Dict[Tuple[Pair, bool], Substitution] = {}
         self._elementary_images: Dict[Tuple, Dict[Tuple, Rational]] = {}
-        self._conjugators: Dict[Pair, List[List[List[Tuple]]]] = {}
+        self._patterns: Dict[Tuple[Pair, str], List[List[List[Tuple]]]] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
         self._window_exponents: Dict[Tuple, List[Exponent]] = {}
         self._delta_maps: Dict[Tuple, Tuple[List[Tuple], List[Dict]]] = {}
+        self._row_ids: Dict[Tuple, int] = {}
 
     # -- elementary transports (j-frame value to i-frame, (i,j) a stored pair) --
 
@@ -170,12 +176,18 @@ class CechContext:
         """Coordinates (entry, exps) of one high-frame basis monomial moved low, memoized.
 
         P is the pullback's memoized image of the monomial x^exps: the full
-        pullback for a ``FUNCTION``, whose coordinates are those of P, and
-        the linear one for ``SYM_END``.  There E_rc . P moves to
-        g . (E_rc . P) . g^-1, whose entry (a, b) is
-        P . g[a][r] . g^-1[c][b]: t-degrees are >= 0 and only
-        the t-degree is truncated, so truncation is a ring map and
-        the conjugation is one product with a memoized scalar per entry.
+        pullback for a ``FUNCTION`` and the linear one for ``SYM_END``.
+        There E_rc . P moves to g . (E_rc . P) . g^-1, whose entry (a, b)
+        is P . g[a][r] . g^-1[c][b]; t-degrees are >= 0 and only the
+        t-degree is truncated, so truncation is a ring map and each entry is
+        P times the rows of the overlap's transport pattern (see
+        ``_pattern``).  A one-term P, which every linear transport of a
+        monomial is when the conormal matrix is monomial, only shifts the
+        rows: grlex order is invariant under a shift, so the keys come out
+        sorted and nothing accumulates.  A longer P accumulates its products
+        and sorts them.  Keys are listed row-major in (a, b), each entry's
+        exponents in grlex order, as ``_coordinates`` of the whole
+        transport lists them.
         """
         key = (pair, vtype, entry, exps)
         coords = self._elementary_images.get(key)
@@ -183,41 +195,59 @@ class CechContext:
             if vtype not in (FUNCTION, SYM_END):
                 raise ValueError(f"delta columns are built for functions and End E, not {vtype!r}")
             tr = self._transition(pair)
-            sub = self._substitution(pair, vtype == FUNCTION)
-            moved = sub.monomial_image(tr.ring_high.names, exps)
-            if vtype == FUNCTION:
-                images = [((0, 0), moved)]
+            moved = self._substitution(pair, vtype == FUNCTION).monomial_image(
+                tr.ring_high.names, exps)
+            pattern = self._pattern(pair, vtype)[entry[0]][entry[1]]
+            p, t_max = tr.ring_low.p, self.order
+            if len(moved.terms) == 1:
+                [(e1, c1)] = moved.terms.items()
+                room = t_max - sum(e1[p:])
+                coords = {(ab, tuple(map(add, e1, e2))): c1 * c2
+                          for ab, rows in pattern for t2, e2, c2 in rows if t2 <= room}
             else:
-                r, c = entry
-                images = [
-                    (ab, moved if k is None else tr.ring_low.mul(moved, k, self.order))
-                    for ab, k in self._conjugator(pair)[r][c]
-                ]
-            # a one-term image, the common case, needs no sorting
-            coords = {(ab, e): x for ab, poly in images for e, x in (
-                poly.terms.items() if len(poly.terms) < 2 else poly.sorted_terms())}
+                coords = {}
+                for ab, rows in pattern:
+                    acc: Dict[Exponent, Rational] = {}
+                    for e1, c1 in moved.terms.items():
+                        room = t_max - sum(e1[p:])
+                        for t2, e2, c2 in rows:
+                            if t2 <= room:
+                                e = tuple(map(add, e1, e2))
+                                acc[e] = acc.get(e, 0) + c1 * c2
+                    coords.update(((ab, e), acc[e]) for e in sorted(acc, key=grlex_key) if acc[e])
+            for kk, x in coords.items():
+                if type(x) is not int and x.denominator == 1:
+                    coords[kk] = x.numerator
             self._elementary_images[key] = coords
         return coords
 
-    def _conjugator(self, pair: Pair) -> List[List[List[Tuple]]]:
-        """K[r][c] = [((a, b), g[a][r] . g^-1[c][b]) for each nonzero product], row-major in (a, b).
+    def _pattern(self, pair: Pair, vtype: str) -> List[List[List[Tuple]]]:
+        """The transport pattern of ``pair``: K[r][c] = [((a, b), rows), ...], row-major in (a, b).
 
-        A product equal to 1 is stored as None: P . 1 is P, already
-        truncated.  In rank one g . g^-1 = 1, so every image is P itself.
+        ``rows`` lists (t-degree, exponent, coefficient) for each term of the
+        truncated product g[a][r] . g^-1[c][b], in grlex order, and a zero
+        product is left out.  A ``FUNCTION`` has the 1 x 1 pattern of the
+        constant 1.
         """
-        table = self._conjugators.get(pair)
+        table = self._patterns.get((pair, vtype))
         if table is None:
-            ring, e = self._transition(pair).ring_low, self.bundle.rank
-            gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
-            one = ring.one()
+            ring = self._transition(pair).ring_low
+            if vtype == FUNCTION:
+                products = {(0, 0, 0, 0): ring.one()}
+            else:
+                gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
+                products = {
+                    (r, c, a, b): ring.mul(gm[a, r], gi[c, b], self.order)
+                    for r, c, a, b in iproduct(range(self.bundle.rank), repeat=4)
+                    if gm[a, r].terms and gi[c, b].terms
+                }
+            e = self.value_side(vtype)
             table = [[[] for _ in range(e)] for _ in range(e)]
-            for r, c, a, b in iproduct(range(e), repeat=4):
-                if not (gm[a, r].terms and gi[c, b].terms):
-                    continue
-                k = ring.mul(gm[a, r], gi[c, b], self.order)
+            for (r, c, a, b), k in products.items():
                 if k.terms:
-                    table[r][c].append(((a, b), None if k == one else k))
-            self._conjugators[pair] = table
+                    rows = [(sum(x[ring.p:]), x, y) for x, y in k.sorted_terms()]
+                    table[r][c].append(((a, b), rows))
+            self._patterns[(pair, vtype)] = table
         return table
 
     def cofaces(self, simplex: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], int]]:
@@ -230,6 +260,10 @@ class CechContext:
                     table.setdefault(tau[:pos] + tau[pos + 1:], []).append((tau, pos))
             self._cofaces[size] = table
         return self._cofaces[size].get(simplex, [])
+
+    def row_id(self, key: Tuple) -> int:
+        """The int that stands for the coordinate key (simplex, entry, exps) in this context."""
+        return self._row_ids.setdefault(key, len(self._row_ids))
 
     # -- value helpers ---------------------------------------------------------------
 
@@ -503,28 +537,30 @@ def cochain_coordinates(c: CechCochain) -> Dict[Tuple, Rational]:
 _SIGNS = (1, -1)
 
 
-def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[Tuple, Rational]]:
+def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[int, Rational]]:
     """Coordinates of delta of each elementary cochain: the columns of delta.
 
     delta of the elementary cochain at (simplex, entry, exps) lives on the
     cofaces of its simplex.  Where the simplex is the face that drops the
     coface's first vertex, the monomial moves low through the coface's
     leading pair by ``CechContext.elementary_to_low``: one pullback of the
-    monomial, times one memoized conjugation scalar per End E entry.  On
-    any other face it is the key itself with the alternating sign of the
-    dropped vertex.  Cofaces come in sorted order, and each moved monomial
+    monomial times the pair's transport pattern.  On any other face it is
+    the key itself with the alternating sign of the dropped vertex.  Each
+    key is interned by ``CechContext.row_id``, so a column maps int row keys
+    to entries.  Cofaces come in sorted order, and each moved monomial
     lists its entries row-major and their terms sorted, so a column lists
     its keys as ``cochain_coordinates`` of the full differential would.
     """
+    ids = ctx._row_ids  # ``CechContext.row_id``, inlined in this loop
     columns = []
     for simplex, entry, exps in basis:
-        col: Dict[Tuple, Rational] = {}
+        col: Dict[int, Rational] = {}
         for coface, pos in ctx.cofaces(simplex):
             if pos:
-                col[(coface, entry, exps)] = _SIGNS[pos % 2]
+                col[ids.setdefault((coface, entry, exps), len(ids))] = _SIGNS[pos % 2]
                 continue
-            for kk, coeff in ctx.elementary_to_low(coface[:2], vtype, entry, exps).items():
-                col[(coface,) + kk] = coeff
+            for (ab, e), coeff in ctx.elementary_to_low(coface[:2], vtype, entry, exps).items():
+                col[ids.setdefault((coface, ab, e), len(ids))] = coeff
         columns.append(col)
     return columns
 
@@ -535,7 +571,7 @@ def _delta_map(
     sdeg: int,
     simplices: Sequence[Tuple[int, ...]],
     window: Tuple[int, int],
-) -> Tuple[List[Tuple], List[Dict[Tuple, Rational]]]:
+) -> Tuple[List[Tuple], List[Dict[int, Rational]]]:
     """The window basis on ``simplices`` and its delta columns, built once per context."""
     key = (vtype, sdeg, tuple(simplices), tuple(window))
     if key not in ctx._delta_maps:
@@ -544,17 +580,15 @@ def _delta_map(
     return ctx._delta_maps[key]
 
 
-def _exact_system(
-    columns: List[Dict[Tuple, Rational]], rhs: Dict[Tuple, Rational]
-) -> ExactLinearSystem:
-    """sum_k x_k columns[k] = rhs over every coordinate key.
+def _exact_system(columns: List[Dict[int, Rational]], rhs: Dict[int, Rational]) -> ExactLinearSystem:
+    """sum_k x_k columns[k] = rhs over every row key.
 
     The rows are all keys the columns or the right-hand side touch, in
     order of first appearance; the solver's answers do not depend on the
     order of the rows.  Each row is filled straight from the columns'
     entries, so its zeros are never written.
     """
-    index: Dict[Tuple, int] = {}
+    index: Dict[int, int] = {}
     rows: List[Dict[int, Rational]] = []
     for k, col in enumerate(columns):
         for kk, x in col.items():
@@ -574,37 +608,48 @@ def _exact_system(
     )
 
 
-def _rank_inside(columns: List[Dict[Tuple, Rational]], inside) -> int:
-    """rank(A) - rank(P_out A) for the matrix A of ``columns``; P_out drops the ``inside`` keys.
+def _rank_inside(columns: List[Dict[int, Rational]], inside, kept) -> int:
+    """rank([P_out; P_kept] A) - rank(P_out A) for the matrix A of ``columns``.
 
-    One walk of the columns splits the rows of A into those outside and
-    those inside.  One elimination folds the outside rows first, so its
-    rank after them is rank(P_out A) and its rank after all rows is rank(A).
+    P_out keeps the rows whose keys are not in ``inside`` and P_kept the
+    rows at ``kept``, a subset of ``inside``.  One walk of the columns
+    splits the rows, and one elimination folds the outside rows first, so
+    its rank after them is rank(P_out A); the kept rows follow.  Each part
+    is folded shortest row first, which leaves the reduced form unchanged.
     """
-    inside = set(inside)
-    split: Tuple[Dict[Tuple, Dict[int, Rational]], ...] = ({}, {})
+    inside, kept = set(inside), set(kept)
+    outside_rows: Dict[int, Dict[int, Rational]] = {}
+    kept_rows: Dict[int, Dict[int, Rational]] = {}
     for k, col in enumerate(columns):
         for kk, x in col.items():
-            split[kk in inside].setdefault(kk, {})[k] = x
-    outside_rows, inside_rows = split
-    reduced = _rref(outside_rows.values())
+            if kk not in inside:
+                outside_rows.setdefault(kk, {})[k] = x
+            elif kk in kept:
+                kept_rows.setdefault(kk, {})[k] = x
+    reduced = _rref(sorted(outside_rows.values(), key=len))
     rank_outside = len(reduced)
-    return len(_rref(inside_rows.values(), reduced)) - rank_outside
+    return len(_rref(sorted(kept_rows.values(), key=len), reduced)) - rank_outside
 
 
-def _im_delta0_inside(ctx: CechContext, vtype: str, sdeg: int, window: Tuple[int, int]) -> int:
+def _im_delta0_inside(
+    ctx: CechContext, vtype: str, sdeg: int, window: Tuple[int, int], free: Sequence[int]
+) -> int:
     """Dimension of the window-supported part of the coboundary image.
 
     Chart 0-cochains from the same window are pushed through delta_0.  An
     image lies in the span W of the 1-cochain window basis exactly when its
     coordinates outside W vanish, so with P_out the projection that drops
-    W's keys, dim(im delta_0 & W) = rank(delta_0) - rank(P_out delta_0)
-    (ker delta_0 lies inside ker P_out delta_0).  Both ranks come from one
-    elimination.
+    W's keys, dim(im delta_0 & W) = rank(delta_0) - rank(P_out delta_0).
+    ``free`` indexes the free columns F of the solve of delta_1 on W.  As
+    delta_1 delta_0 = 0, im delta_0 & W lies in ker(delta_1 | W), on which
+    the projection P_F onto F's keys is injective; so the same dimension is
+    rank([P_out; P_F] delta_0) - rank(P_out delta_0), and only the rows at
+    F's keys are folded after the outside ones.
     """
     inside, _ = _delta_map(ctx, vtype, sdeg, ctx.nerve.simplices(2), window)
     _, cols = _delta_map(ctx, vtype, sdeg, ctx.nerve.simplices(1), window)
-    return _rank_inside(cols, inside)
+    kept = [inside[f] for f in free]
+    return _rank_inside(cols, map(ctx.row_id, inside), map(ctx.row_id, kept))
 
 
 def solve_delta(
@@ -625,7 +670,8 @@ def solve_delta(
         sdeg_basis, sdeg_columns = _delta_map(ctx, rhs.vtype, sdeg, simplices, window)
         basis += sdeg_basis
         columns += sdeg_columns
-    system = _exact_system(columns, cochain_coordinates(rhs))
+    system = _exact_system(
+        columns, {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()})
     sol = solve_exact(system)
     if not sol.consistent:
         return system, sol, None
@@ -640,11 +686,16 @@ def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, i
 
     On success the residual is rechecked to be exactly zero and the torsor
     dimension (window kernel of delta modulo window coboundaries) is
-    reported.  Otherwise the window is reported as insufficient: this is a
-    pure solve, and reading a failure as a proof is left to the caller.
+    reported: the solve's free columns less dim(im delta_0 & W), counted
+    on those columns by ``_im_delta0_inside``.  That count requires
+    delta_1 delta_0 = 0 on the context, which validation guarantees (the
+    chart and bundle cocycles and ``bundle_on_base`` on every triple; a
+    nerve without triples has delta_1 = 0).  Otherwise the window is
+    reported as insufficient: this is a pure solve, and reading a failure
+    as a proof is left to the caller.
     """
     _, sol, m = solve_delta(ctx, target.neg(), [target.sdeg], window)
     if m is None:
         return UnresolvedWithinWindow(window)
-    exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window)
-    return Solved(m, len(sol.nullspace) - exact_dim)
+    exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window, sol.free)
+    return Solved(m, len(sol.free) - exact_dim)

@@ -60,17 +60,28 @@ def weight_cohomology(n: int, negative_support: frozenset) -> List[int]:
     return out
 
 
-def twist_dims(n: int, d: int) -> List[int]:
-    """Cohomology dimensions of the degree-d twist on P^n by weight counting."""
+def weight_supports(n: int, d: int) -> Counter:
+    """Negative support -> number of weights of the degree-d twist on P^n that have it.
+
+    The weights are the w in the box [lo, hi]^(n+1) with sum d, where the
+    box holds every weight with nonzero cohomology.  The first n
+    coordinates are enumerated and the last is d minus their sum, kept
+    when it lies in the box.
+    """
     lo = min(d, -1) - n - 1
     hi = max(d, 0) + 1
-    supports = Counter(
-        frozenset(i for i, x in enumerate(w) if x < 0)
-        for w in product(range(lo, hi + 1), repeat=n + 1)
-        if sum(w) == d
-    )
+    supports: Counter = Counter()
+    for head in product(range(lo, hi + 1), repeat=n):
+        last = d - sum(head)
+        if lo <= last <= hi:
+            supports[frozenset(i for i, x in enumerate(head + (last,)) if x < 0)] += 1
+    return supports
+
+
+def twist_dims(n: int, d: int) -> List[int]:
+    """Cohomology dimensions of the degree-d twist on P^n by weight counting."""
     dims = [0] * (n + 1)
-    for support, count in supports.items():
+    for support, count in weight_supports(n, d).items():
         for j, r in enumerate(weight_cohomology(n, support)):
             dims[j] += count * r
     return dims

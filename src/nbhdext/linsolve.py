@@ -12,6 +12,7 @@ in this window" from genuine failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -236,9 +237,31 @@ def sparse_rows(matrix: Iterable[Sequence[Rational]]) -> List[Row]:
 
 @dataclass
 class Solution:
+    """What ``solve_exact`` reads off the reduced echelon form of [A | b].
+
+    ``free`` lists the free columns of A in ascending order; their count is
+    the nullity.  The kernel basis, ``nullspace``, is built from the kept
+    echelon form on its first read, since most callers need only its size.
+    """
+
     consistent: bool
     particular: Optional[List[Rational]]
-    nullspace: List[List[Rational]] = field(default_factory=list)
+    free: List[int]
+    reduced: Dict[int, Row] = field(repr=False, compare=False)
+
+    @cached_property
+    def nullspace(self) -> List[List[Rational]]:
+        """One vector per free column, in ascending order, with that unknown 1,
+        the other free unknowns 0 and minus the column's entries at their pivots."""
+        n = len(self.free) + len(self.reduced)
+        kernel = {f: [0] * n for f in self.free}
+        for f, vec in kernel.items():
+            vec[f] = 1
+        for p, row in self.reduced.items():
+            for c, x in row.items():
+                if c in kernel:
+                    kernel[c][p] = -x
+        return list(kernel.values())
 
 
 def _rref(
@@ -308,30 +331,25 @@ def solve_exact(sys: ExactLinearSystem) -> Solution:
     """Solve A x = b exactly over Q.
 
     Everything is read off the reduced echelon form of [A | b], whose
-    right-hand side is column n.  The system is inconsistent exactly when
-    that column is a pivot.  The particular solution sets every free
-    unknown to 0; the kernel basis has one vector per free column, in
-    ascending order, with that unknown 1, the other free unknowns 0 and
-    minus the column's nonzero entries at their pivots.  Both are fixed by
-    the reduced echelon form, so they depend only on A, b and the order of
-    the basis.
+    right-hand side is column n; rows are folded shortest first, which
+    leaves the (unique) form unchanged.  The system is inconsistent
+    exactly when that column is a pivot.  The particular solution sets
+    every free unknown to 0, and the free columns are those of A that are
+    not pivots; the kernel basis is built from them on demand (see
+    ``Solution``).  All of it is fixed by the reduced echelon form, so it
+    depends only on A, b and the order of the basis.
     """
     n = len(sys.basis)
-    reduced = _rref({**row, n: b} if b else row for row, b in zip(sys.rows, sys.rhs))
+    augmented = ({**row, n: b} if b else row for row, b in zip(sys.rows, sys.rhs))
+    reduced = _rref(sorted(augmented, key=len))
     consistent = reduced.pop(n, None) is None
     particular: Optional[List[Rational]] = None
     if consistent:
         particular = [0] * n
         for p, row in reduced.items():
             particular[p] = row.get(n, 0)
-    kernel = {f: [0] * n for f in range(n) if f not in reduced}
-    for f, vec in kernel.items():
-        vec[f] = 1
-    for p, row in reduced.items():
-        for c, x in row.items():
-            if c in kernel:
-                kernel[c][p] = -x
-    return Solution(consistent, particular, list(kernel.values()))
+    free = [f for f in range(n) if f not in reduced]
+    return Solution(consistent, particular, free, reduced)
 
 
 def matrix_rank(rows: Iterable[Mapping[int, Rational]]) -> int:

@@ -365,6 +365,39 @@ GOLDEN_DIGESTS = {
 }
 
 
+# SHA-256 of run_pipeline(s, k=s.max_order).dumps() for the same cases: every
+# builtin's max_order is 3, so these pin order-three torsors, among them
+# p1_in_line_bundle(4)'s, which its default window undercounts (8 against
+# the oracle's 11)
+ORDER_THREE_DIGESTS = {
+    ("affine_split", 0, 0): "615fd59f6d60a965d990df3263b2dd46e070e4d55c2942d9aba8e38002e16faa",
+    ("line_in_p2", -3, 0): "4e580a9b42c24347685b2ad71880537e276f67191df1d4a7d64667d4824ad967",
+    ("line_in_p2", 0, 0): "2c7885cef7c84c70a7aef710c1259838bb3e6c93c5d224d0920062480b2d87cd",
+    ("line_in_p2", 3, 0): "499fe5c35a3eeaa671f33fa1d10a82bed33e123c23a10cb2f2a2eb760eed9049",
+    ("line_in_p2", 2, 1): "a1ce9e5296f01f3dac073eb6f69dc2f690189f01d95a304ca3bf345d25a7c4fc",
+    ("diagonal_p1xp1", -2, 0): "4ebe5068cf18e8cca0ca3e805ba2991ecbef2f66079631da1ea30aa7de93be8d",
+    ("diagonal_p1xp1", 1, 0): "303d4b7ac86e846aaf128fdcabec177fac1946f73b0a55648435abd497f093c1",
+    ("hyperplane_p2_in_p3", 1, 0): "6bbe639a254c0f72d5e375603076b638de6c37757c6a8536575c9df83fda5ef9",
+    ("hyperplane_p2_in_p3", 2, 1): "3476a73e31b23050432d550ed90f13de95e53def497e9819e33a50c002b5e291",
+    ("p1_in_line_bundle", 2, 0): "c64ca9f0544c2bb9a4486fe268decd57b17565075785e24133a17d3fb36efe9e",
+    ("p1_in_line_bundle", 4, 0): "eed44a063008fef8323b60f5115fd87f58c2061b45fa161ca2f180c04c959c2d",
+    ("hyperplane_p2_in_p3", 1, F(-1, 2)): "fa7ca45898719430b59c82bf548f23c798d230846c2d931995fcbf8ed6332803",
+    ("hyperplane_p2_in_p3", 2, F(2, 3)): "6e090089bda3618a92e63dd63216f6966bfadcebf580b0810fef736b179eeaeb",
+}
+
+
+def test_order_three_reports_match_their_digests():
+    assert set(ORDER_THREE_DIGESTS) == set(GOLDEN_DIGESTS)
+    for (name, d, tw), digest in ORDER_THREE_DIGESTS.items():
+        s = generate_builtin(name, d=d, twist=tw)
+        bundle = run_pipeline(s, k=s.max_order)
+        assert [r.order for r in bundle.reports] == [1, 2, 3], (name, d, tw)
+        assert hashlib.sha256(bundle.dumps().encode()).hexdigest() == digest, (name, d, tw)
+    s = generate_builtin("p1_in_line_bundle", d=4)
+    third = run_pipeline(s, k=3).reports[2].status
+    assert (third.torsor_dim, third.h1_oracle) == (8, 11)
+
+
 def test_criterion_9_determinism():
     for (name, d, tw), digest in GOLDEN_DIGESTS.items():
         s = generate_builtin(name, d=d, twist=tw)

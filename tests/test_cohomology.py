@@ -1,11 +1,12 @@
 """The counting oracle against a direct rank computation over windows."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from nbhdext.cohomology import cohomology_dim
+from nbhdext.cohomology import cohomology_dim, weight_supports
 from nbhdext.linsolve import matrix_rank, sparse_rows
 
 F = Fraction
@@ -105,3 +106,16 @@ def test_unsupported_space():
 
     with pytest.raises(UnsupportedSheaf):
         cohomology_dim("p3", [1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_weight_supports_equal_the_whole_box_scan(n):
+    """Deriving the last coordinate keeps exactly the box's weights of sum d."""
+    for d in range(-12, 13):
+        lo, hi = min(d, -1) - n - 1, max(d, 0) + 1
+        scanned = Counter(
+            frozenset(i for i, x in enumerate(w) if x < 0)
+            for w in product(range(lo, hi + 1), repeat=n + 1)
+            if sum(w) == d
+        )
+        assert weight_supports(n, d) == scanned, (n, d)

@@ -21,7 +21,9 @@ from nbhdext.errors import EngineError
 from nbhdext.filtered import ChartTransition, induced_transition
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix, matrix_rank, solve_exact
-from nbhdext.scenarios import build_context, generate_builtin, run_pipeline
+from nbhdext.scenarios import (
+    OverlapSpec, Scenario, build_context, generate_builtin, run_pipeline, validate_scenario,
+)
 
 from test_acceptance import GOLDEN_DIGESTS
 from test_filtered import subst_oracle
@@ -49,14 +51,22 @@ def _elementary_cochain(ctx, vtype, sdeg, key):
     return _assemble_cochain(ctx, len(key[0]) - 1, vtype, sdeg, [key], [1])
 
 
+def coordinate_keys_of(ctx):
+    """The context's int row keys translated back to (simplex, entry, exps)."""
+    return {i: kk for kk, i in ctx._row_ids.items()}
+
+
 def assert_columns_match_full_differential(ctx):
     assert ctx._delta_maps, "the pipeline assembled no delta columns"
+    keys = coordinate_keys_of(ctx)
+    assert sorted(keys) == list(range(len(keys))), "row keys are not numbered 0, 1, ..."
     for (vtype, sdeg, _, _), (basis, columns) in ctx._delta_maps.items():
         assert len(basis) == len(columns)
         for key, col in zip(basis, columns):
             oracle = cochain_coordinates(
                 cech_differential(ctx, _elementary_cochain(ctx, vtype, sdeg, key))
             )
+            col = {keys[i]: x for i, x in col.items()}
             assert col == oracle, (vtype, sdeg, key)
             assert list(col) == list(oracle), (vtype, sdeg, key)
 
@@ -166,7 +176,8 @@ def column_systems(draw):
     else:
         rhs = draw(st.dictionaries(coordinate_keys, nonzero_rationals, max_size=4))
     exclude = draw(st.one_of(st.just(()), st.lists(coordinate_keys, max_size=4)))
-    return columns, rhs, exclude
+    kept = [kk for kk in exclude if draw(st.booleans())]
+    return columns, rhs, exclude, kept
 
 
 def dense_row_keys(columns, rhs=()):
@@ -182,7 +193,7 @@ def dense_row_keys(columns, rhs=()):
 @given(column_systems())
 @settings(max_examples=150, deadline=None)
 def test_sparse_system_matches_the_dense_system(system):
-    columns, rhs, _ = system
+    columns, rhs, _, _ = system
     row_keys = dense_row_keys(columns, rhs)
     dense = [[col.get(kk, F(0)) for col in columns] for kk in row_keys]
     dense_rhs = [rhs.get(kk, F(0)) for kk in row_keys]
@@ -199,52 +210,175 @@ def test_sparse_system_matches_the_dense_system(system):
     consistent, particular, nullspace, rank = dense_gauss_jordan(dense, dense_rhs, n)
     sol = solve_exact(built)
     assert (sol.consistent, sol.particular, sol.nullspace) == (consistent, particular, nullspace)
+    # the free columns, ascending: each kernel vector is 1 at its own and 0 at the others
+    assert sol.free == sorted(sol.free) and len(sol.free) == n - rank
+    assert [[vec[f] for f in sol.free] for vec in nullspace] == [
+        [int(a == b) for b in sol.free] for a in sol.free]
     assert matrix_rank(built.rows) == rank
 
 
 @given(column_systems())
 @settings(max_examples=150, deadline=None)
 def test_one_elimination_splits_the_rank_at_the_excluded_rows(system):
-    columns, _, exclude = system
+    columns, _, exclude, kept = system
     rows = {kk: {k: col[kk] for k, col in enumerate(columns) if kk in col}
             for kk in dense_row_keys(columns)}
     outside = [row for kk, row in rows.items() if kk not in exclude]
     expected = matrix_rank(rows.values()) - matrix_rank(outside)
-    assert cech._rank_inside(columns, exclude) == expected
+    assert cech._rank_inside(columns, exclude, exclude) == expected
     # and against the dense Gauss-Jordan ranks
     dense = lambda keep: [[col.get(kk, F(0)) for col in columns] for kk in rows if keep(kk)]
     rank = lambda m: dense_gauss_jordan(m, [F(0)] * len(m), len(columns))[3]
     assert expected == rank(dense(lambda kk: True)) - rank(dense(lambda kk: kk not in exclude))
+    # keeping only some of the excluded rows folds just those after the outside ones
+    kept_rows = [row for kk, row in rows.items() if kk in kept]
+    assert cech._rank_inside(columns, exclude, kept) == (
+        matrix_rank(outside + kept_rows) - matrix_rank(outside))
+
+
+# -- the torsor count ------------------------------------------------------------------
+
+
+def full_inside_fold(ctx, vtype, sdeg, window):
+    """dim(im delta_0 & W) = rank(delta_0) - rank(P_out delta_0), over every row inside W.
+
+    The torsor count folded every row inside the window W before it read
+    the solve's free columns; this is that count, written with
+    ``matrix_rank``.
+    """
+    inside, _ = cech._delta_map(ctx, vtype, sdeg, ctx.nerve.simplices(2), window)
+    _, cols = cech._delta_map(ctx, vtype, sdeg, ctx.nerve.simplices(1), window)
+    inside = {ctx.row_id(kk) for kk in inside}
+    rows = {}
+    for k, col in enumerate(cols):
+        for kk, x in col.items():
+            rows.setdefault(kk, {})[k] = x
+    outside = [row for kk, row in rows.items() if kk not in inside]
+    return matrix_rank(rows.values()) - matrix_rank(outside)
+
+
+def torsor_cases():
+    """(label, scenario, order, window) for every builtin and the hand-built fixtures."""
+    for name in scenarios.BUILTIN_NAMES:
+        twists = (0, 1, F(-1, 2)) if name in scenarios.TWISTED_BUILTINS else (0,)
+        for d in range(-3, 4):
+            for tw in twists:
+                s = generate_builtin(name, d=d, twist=tw)
+                for k in range(1, s.max_order + 1):
+                    for window in (None, (-3, 3), (-8, 8)):
+                        yield f"{name}(d={d}, twist={tw})", s, k, window
+    s = four_chart_scenario()
+    for k in range(1, 4):
+        for w in (5, 6, 7):
+            yield "four-chart fixture", s, k, (-w, w)
+    for a, b in ((1, 1), (2, 2), (2, -1)):
+        s = quadric_scenario(a, b)
+        for k in range(1, s.max_order + 1):
+            yield f"quadric O({a},{b})", s, k, None
+    s = mixing_line_scenario()
+    for k in range(1, 4):
+        yield "mixing line", s, k, None
+
+
+def test_torsor_from_the_free_columns_equals_the_full_inside_fold(monkeypatch):
+    """Each solved order's torsor is nullity(delta_1 | W) - dim(im delta_0 & W), both counted here.
+
+    The nullity is the window size minus the rank of delta_1's columns on W,
+    and the image is ``full_inside_fold``, so neither count reads the
+    solve's free columns.
+    """
+    checked = []
+    real = scenarios.solve_coboundary
+
+    def solve_and_check(ctx, target, window):
+        status = real(ctx, target, window)
+        if isinstance(status, cech.Solved):
+            vtype, sdeg = target.vtype, target.sdeg
+            _, cols = cech._delta_map(ctx, vtype, sdeg, ctx.nerve.simplices(2), window)
+            rows = {}
+            for k, col in enumerate(cols):
+                for kk, x in col.items():
+                    rows.setdefault(kk, {})[k] = x
+            nullity = len(cols) - matrix_rank(rows.values())
+            expected = nullity - full_inside_fold(ctx, vtype, sdeg, window)
+            assert status.torsor_dim == expected, (label, sdeg, window)
+            checked.append(expected)
+        return status
+
+    monkeypatch.setattr(scenarios, "solve_coboundary", solve_and_check)
+    # the count rests on delta_1 delta_0 = 0, which validation guarantees
+    assert validate_scenario(mixing_line_scenario()).ok
+    for label, s, k, window in torsor_cases():
+        run_pipeline(s, k=k, window=window)
+    assert len(checked) > 1000 and max(checked) > 0
 
 
 # -- elementary transports ------------------------------------------------------------
+
+
+def mixing_line_scenario() -> Scenario:
+    """A rank-two bundle on two charts of P^1 in codimension two, with mixing frames.
+
+    The normal coordinates move by t1 -> (t1 + t2)/u and t2 -> t2/u, so the
+    conormal matrix is not diagonal and the linear image of t1 has two
+    terms; the bundle transition [[1/u, 1 + 1/u^2], [0, 1/u]] has an entry
+    with two terms too.  The nerve has no triple.
+    """
+    names = ("u1", "t1", "t2")
+    P = lambda terms: LaurentPoly(names, terms)
+    u_inv = P({(-1, 0, 0): 1})
+    inv = ((1,),)
+    overlap = OverlapSpec(
+        (0, 1), {0: inv, 1: inv},
+        (u_inv,), (P({(-1, 1, 0): 1, (-1, 0, 1): 1}), P({(-1, 0, 1): 1})),
+        (u_inv,), (P({(-1, 1, 0): 1, (-1, 0, 1): -1}), P({(-1, 0, 1): 1})),
+    )
+    g = PolyMatrix([[u_inv, P({(0, 0, 0): 1, (-2, 0, 0): 1})], [P({}), u_inv]])
+    return Scenario(
+        name="mixing_line", p=1, q=2, e=2, max_order=3,
+        charts_inverted=[(), ()], overlaps=[overlap], triples=[], g={(0, 1): g},
+        gammas=[[PolyMatrix.zero(2, 2, names)] for _ in range(2)], flat=[True, True],
+        window=(-4, 4),
+    )
 
 
 def test_elementary_transport_equals_the_whole_transport():
     """Each column piece equals ``end_to_low`` of E_rc . x^exps, key order included.
 
     The four-chart fixture is rank two, and on overlap (2, 3) its
-    transition [[1 - u^3, -u], [u^2, 1]] mixes every entry.
+    transition [[1 - u^3, -u], [u^2, 1]] mixes every entry; there every
+    linear image of a monomial has one term, so the pattern only shifts.
+    On ``mixing_line_scenario`` the linear image of t1 has two terms, so
+    the pattern's products accumulate.
     """
-    ctx = build_context(four_chart_scenario(), 2)
-    assert all(p.terms for row in ctx.bundle.g[(2, 3)].entries for p in row)
+    four = build_context(four_chart_scenario(), 2)
+    assert all(p.terms for row in four.bundle.g[(2, 3)].entries for p in row)
+    mixing = build_context(mixing_line_scenario(), 2)
     rng = random.Random(14)
-    for pair in sorted(ctx.pairs):
-        ring = ctx.pairs[pair].ring_high
-        for sdeg in (1, 2):
-            for _ in range(6):
-                exps = (rng.randint(-4, 4), sdeg)
-                entry = (rng.randrange(2), rng.randrange(2))
-                elementary = ctx.zero_value(cech.SYM_END, ring)
-                elementary.entries[entry[0]][entry[1]] = ring.monomial(exps)
-                whole = cech._coordinates(ctx.end_to_low(pair, elementary))
-                moved = ctx.elementary_to_low(pair, cech.SYM_END, entry, exps)
-                assert moved == whole, (pair, entry, exps)
-                assert list(moved) == list(whole), (pair, entry, exps)
-                # the full pullback moves functions
-                full = ctx.pullback(pair, ring.monomial(exps), full=True)
-                moved = ctx.elementary_to_low(pair, cech.FUNCTION, (0, 0), exps)
-                assert list(moved.items()) == [(((0, 0), e), x) for e, x in full.sorted_terms()]
+    longest = {}
+    for label, ctx in (("four_chart", four), ("mixing_line", mixing)):
+        for pair in sorted(ctx.pairs):
+            ring = ctx.pairs[pair].ring_high
+            for sdeg in (1, 2):
+                for t_exps in ring.t_monomials(sdeg):
+                    for _ in range(6):
+                        exps = (rng.randint(-4, 4),) + t_exps
+                        entry = (rng.randrange(2), rng.randrange(2))
+                        elementary = ctx.zero_value(cech.SYM_END, ring)
+                        elementary.entries[entry[0]][entry[1]] = ring.monomial(exps)
+                        whole = cech._coordinates(ctx.end_to_low(pair, elementary))
+                        moved = ctx.elementary_to_low(pair, cech.SYM_END, entry, exps)
+                        assert moved == whole, (label, pair, entry, exps)
+                        assert list(moved) == list(whole), (label, pair, entry, exps)
+                        linear = ctx.pullback(pair, ring.monomial(exps))
+                        longest[label] = max(longest.get(label, 0), len(linear.terms))
+                        # the full pullback moves functions
+                        full = ctx.pullback(pair, ring.monomial(exps), full=True)
+                        moved = ctx.elementary_to_low(pair, cech.FUNCTION, (0, 0), exps)
+                        assert list(moved.items()) == [
+                            (((0, 0), e), x) for e, x in full.sorted_terms()]
+    # the shift and the accumulating product both ran
+    assert longest == {"four_chart": 1, "mixing_line": 3}
 
 
 def test_elementary_transport_refuses_other_value_types():

@@ -214,3 +214,17 @@ def test_full_pipeline_on_four_charts(scenario):
         assert isinstance(second.status, order_two), w
         assert all(r.closedness == "verified" for r in bundle.reports), w
         assert hashlib.sha256(bundle.dumps().encode()).hexdigest() == digest, w
+
+
+# SHA-256 of the order-three report, which is solved only from window 7 on
+FOUR_CHART_ORDER_THREE = (7, "c12cee90f40622373b6548e70efe8eaa80b57e4b34a3e1c43f95e1bc64dca5b0")
+
+
+def test_order_three_on_four_charts(scenario):
+    w, digest = FOUR_CHART_ORDER_THREE
+    bundle = run_pipeline(scenario, k=3, window=(-w, w))
+    assert [type(r.status) for r in bundle.reports] == [Solved] * 3
+    assert all(r.closedness == "verified" for r in bundle.reports)
+    assert hashlib.sha256(bundle.dumps().encode()).hexdigest() == digest
+    narrower = run_pipeline(scenario, k=3, window=(-6, 6)).reports[2].status
+    assert isinstance(narrower, UnresolvedWithinWindow)
