@@ -12,8 +12,8 @@ in this window" from genuine failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import NonInvertibleSubstitution

@@ -3,9 +3,10 @@
 ``cech_differential`` of a whole elementary cochain is the oracle for the
 columns, and ``end_to_low`` of a whole elementary matrix for each moved
 monomial.  A dense matrix written out here is the oracle for the sparse
-system built from the columns and for the torsor count's rank split, and
-one truncated substitution of a whole polynomial is the oracle for the
-memoized pullback, linear and full.
+system built from the columns and for the torsor count's rank split; the
+full fold of every row inside the window is the oracle for the torsor
+read on the solve's free columns; and one truncated substitution of a
+whole polynomial is the oracle for the memoized pullback, linear and full.
 """
 
 import random
