@@ -23,11 +23,16 @@ per overlap and transport.  delta is one alternating walk over
 vertex is transported, the others enter with their signs.  The columns
 of delta are read off the cofaces of one simplex at a time, from the
 same simplices, and each column is linear in one pullback: a window
-monomial is pulled back once and multiplied by the overlap's transport
-pattern, the rows of g[a][r] . g^-1[c][b] for each target entry, which
-is a plain shift when the pullback has one term.  Each coordinate key
-(simplex, entry, exps) is interned to an int once per context, so the
-columns, the rows of the system and the torsor split compare ints.
+monomial is moved once and multiplied by the overlap's transport
+pattern, the rows of g[a][r] . g^-1[c][b] for each target entry.  When
+every image of a transport is one term, as every linear transport of
+the shipped scenarios is, the transport is an ``ExponentMap``: the
+moved monomial is one term read off an integer matrix, with no
+polynomial built, and the pattern's rows are shifted by it straight
+into the column.  Any other transport moves the monomial through its
+``Substitution``.  Each coordinate key (simplex, entry, exps) is
+interned to an int once per context, so the columns, the rows of the
+system and the torsor split compare ints.
 ``solve_delta`` is the one build, solve and residual recheck behind both
 the obstruction solves and the rank-one system; whole cochains and those
 rechecks move through ``transport``.  ``solve_coboundary`` only solves:
@@ -44,12 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from operator import add
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FrameMismatch, NotClosed
 from .filtered import ChartRing, ChartTransition, Substitution, _series
-from .laurent import Exponent, LaurentPoly, Rational, grlex_key, monomial_window
+from .laurent import Exponent, LaurentPoly, Rational, exact, grlex_key, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, Solution, _rref, solve_exact
 
 Pair = Tuple[int, int]
@@ -116,6 +121,76 @@ class BundleData:
         self.g_inv = {pair: mat.inverse_unit_det() for pair, mat in sorted(self.g.items())}
 
 
+@dataclass(frozen=True)
+class ExponentMap:
+    """A substitution whose every image is one term c_i . x^(E_i) of t-degree d_i >= 0.
+
+    The image of x^e is then prod c_i^(e_i) . x^(sum e_i E_i), of t-degree
+    sum e_i d_i: the exponents move by an integer matrix, as on toric
+    charts.  ``columns[j]`` holds coordinate j of every E_i and
+    ``inverses`` each 1/c_i under the exact-number rule; ``scaled`` indexes
+    the images whose coefficient is not 1 and ``positive`` those of
+    positive t-degree.
+    """
+
+    degrees: Tuple[int, ...]
+    columns: Tuple[Tuple[int, ...], ...]
+    coefficients: Tuple[Rational, ...]
+    inverses: Tuple[Rational, ...]
+    scaled: Tuple[int, ...]
+    positive: Tuple[int, ...]
+
+    @staticmethod
+    def of(images: Sequence[Optional[LaurentPoly]], p: int) -> Optional["ExponentMap"]:
+        """The map of ``images``, or None when one is missing, not one term or of negative t-degree.
+
+        ``images`` holds one image per source variable, over a ring whose
+        first ``p`` variables are tangential.
+        """
+        terms = []
+        for image in images:
+            if image is None or len(image.terms) != 1:
+                return None
+            [(e, c)] = image.terms.items()
+            if sum(e[p:]) < 0:
+                return None
+            [inverse] = image.inverse_monomial().terms.values()
+            terms.append((sum(e[p:]), e, c, inverse))
+        degrees, exps, coefficients, inverses = zip(*terms)
+        return ExponentMap(
+            degrees=degrees,
+            columns=tuple(zip(*exps)),
+            coefficients=coefficients,
+            inverses=inverses,
+            scaled=tuple(i for i, c in enumerate(coefficients) if c != 1),
+            positive=tuple(i for i, d in enumerate(degrees) if d),
+        )
+
+    def moved(self, exps: Exponent, t_max: int) -> Optional[Tuple[Tuple, ...]]:
+        """The (t-degree, exponent, coefficient) rows of the image of x^exps, truncated.
+
+        The image is one row, or none when its t-degree exceeds ``t_max``:
+        with every e_i d_i >= 0 the partial products of a substitution only
+        grow in t-degree, so this is what the truncated substitution keeps.
+        A negative power of an image of positive t-degree is not invertible,
+        and such a monomial gives None.
+        """
+        for i in self.positive:
+            if exps[i] < 0:
+                return None
+        degree = sum(map(mul, exps, self.degrees))
+        if degree > t_max:
+            return ()
+        c = 1
+        for i in self.scaled:
+            k = exps[i]
+            if k:
+                c *= self.coefficients[i] ** k if k > 0 else self.inverses[i] ** -k
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        return ((degree, tuple([sum(map(mul, exps, col)) for col in self.columns]), c),)
+
+
 class CechContext:
     """Cover nerve plus transports: the working state of one scenario."""
 
@@ -126,7 +201,8 @@ class CechContext:
         self.order = order
         # memos of derived data; they live and die with this context
         self._substitutions: Dict[Tuple[Pair, bool], Substitution] = {}
-        self._elementary_images: Dict[Tuple, Dict[Tuple, Rational]] = {}
+        self._exponent_maps: Dict[Tuple[Pair, str], Optional[ExponentMap]] = {}
+        self._moved: Dict[Tuple[Pair, str], Dict[Exponent, Tuple[Tuple, ...]]] = {}
         self._patterns: Dict[Tuple[Pair, str], List[List[List[Tuple]]]] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
         self._window_exponents: Dict[Tuple, List[Exponent]] = {}
@@ -170,56 +246,46 @@ class CechContext:
             return self.end_to_low(pair, value)
         raise ValueError(f"unknown value type {vtype!r}")
 
-    def elementary_to_low(
-        self, pair: Pair, vtype: str, entry: Tuple[int, int], exps: Exponent
-    ) -> Dict[Tuple, Rational]:
-        """Coordinates (entry, exps) of one high-frame basis monomial moved low, memoized.
+    def exponent_map(self, pair: Pair, vtype: str) -> Optional[ExponentMap]:
+        """The ``ExponentMap`` of the transport of ``pair``, or None, read once.
 
-        P is the pullback's memoized image of the monomial x^exps: the full
-        pullback for a ``FUNCTION`` and the linear one for ``SYM_END``.
-        There E_rc . P moves to g . (E_rc . P) . g^-1, whose entry (a, b)
-        is P . g[a][r] . g^-1[c][b]; t-degrees are >= 0 and only the
-        t-degree is truncated, so truncation is a ring map and each entry is
-        P times the rows of the overlap's transport pattern (see
-        ``_pattern``).  A one-term P, which every linear transport of a
-        monomial is when the conormal matrix is monomial, only shifts the
-        rows: grlex order is invariant under a shift, so the keys come out
-        sorted and nothing accumulates.  A longer P accumulates its products
-        and sorts them.  Keys are listed row-major in (a, b), each entry's
-        exponents in grlex order, as ``_coordinates`` of the whole
-        transport lists them.
+        The transport substitutes the full images for a ``FUNCTION`` and the
+        linear ones for ``SYM_END``.
         """
-        key = (pair, vtype, entry, exps)
-        coords = self._elementary_images.get(key)
-        if coords is None:
-            if vtype not in (FUNCTION, SYM_END):
-                raise ValueError(f"delta columns are built for functions and End E, not {vtype!r}")
+        key = (pair, vtype)
+        if key not in self._exponent_maps:
+            self.value_side(vtype)  # refuses any other value type
             tr = self._transition(pair)
-            moved = self._substitution(pair, vtype == FUNCTION).monomial_image(
-                tr.ring_high.names, exps)
-            pattern = self._pattern(pair, vtype)[entry[0]][entry[1]]
-            p, t_max = tr.ring_low.p, self.order
-            if len(moved.terms) == 1:
-                [(e1, c1)] = moved.terms.items()
-                room = t_max - sum(e1[p:])
-                coords = {(ab, tuple(map(add, e1, e2))): c1 * c2
-                          for ab, rows in pattern for t2, e2, c2 in rows if t2 <= room}
-            else:
-                coords = {}
-                for ab, rows in pattern:
-                    acc: Dict[Exponent, Rational] = {}
-                    for e1, c1 in moved.terms.items():
-                        room = t_max - sum(e1[p:])
-                        for t2, e2, c2 in rows:
-                            if t2 <= room:
-                                e = tuple(map(add, e1, e2))
-                                acc[e] = acc.get(e, 0) + c1 * c2
-                    coords.update(((ab, e), acc[e]) for e in sorted(acc, key=grlex_key) if acc[e])
-            for kk, x in coords.items():
-                if type(x) is not int and x.denominator == 1:
-                    coords[kk] = x.numerator
-            self._elementary_images[key] = coords
-        return coords
+            images = tr.forward if vtype == FUNCTION else tr.images_ji
+            self._exponent_maps[key] = ExponentMap.of(
+                [images.get(name) for name in tr.ring_high.names], tr.ring_low.p)
+        return self._exponent_maps[key]
+
+    def moved_monomial(self, pair: Pair, vtype: str, exps: Exponent) -> Tuple[Tuple, ...]:
+        """P, the truncated image of the high-frame monomial x^exps, memoized.
+
+        P is returned as (t-degree, exponent, coefficient) rows, the layout
+        of the transport pattern's rows.  It is read off the pair's
+        ``ExponentMap`` when it has one.  Any other monomial is read from the
+        pullback's memo (``Substitution.monomial_image``), which raises
+        ``ValueError`` and ``NonInvertibleSubstitution`` on the same monomial
+        as a whole substitution would.
+        """
+        memo = self._moved.get((pair, vtype))
+        if memo is None:
+            memo = self._moved[(pair, vtype)] = {}
+        moved = memo.get(exps)
+        if moved is None:
+            emap = self.exponent_map(pair, vtype)
+            moved = None if emap is None else emap.moved(exps, self.order)
+            if moved is None:
+                tr = self._transition(pair)
+                image = self._substitution(pair, vtype == FUNCTION).monomial_image(
+                    tr.ring_high.names, exps)
+                p = tr.ring_low.p
+                moved = tuple((sum(e[p:]), e, c) for e, c in image.terms.items())
+            memo[exps] = moved
+        return moved
 
     def _pattern(self, pair: Pair, vtype: str) -> List[List[List[Tuple]]]:
         """The transport pattern of ``pair``: K[r][c] = [((a, b), rows), ...], row-major in (a, b).
@@ -542,25 +608,61 @@ def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[int, Ration
 
     delta of the elementary cochain at (simplex, entry, exps) lives on the
     cofaces of its simplex.  Where the simplex is the face that drops the
-    coface's first vertex, the monomial moves low through the coface's
-    leading pair by ``CechContext.elementary_to_low``: one pullback of the
-    monomial times the pair's transport pattern.  On any other face it is
-    the key itself with the alternating sign of the dropped vertex.  Each
-    key is interned by ``CechContext.row_id``, so a column maps int row keys
-    to entries.  Cofaces come in sorted order, and each moved monomial
-    lists its entries row-major and their terms sorted, so a column lists
-    its keys as ``cochain_coordinates`` of the full differential would.
+    coface's first vertex, the key E_rc . x^exps moves low through the
+    coface's leading pair to g . (E_rc . P) . g^-1, with P the moved
+    monomial (``CechContext.moved_monomial``).  Its entry (a, b) is P times
+    the rows of g[a][r] . g^-1[c][b] in the pair's transport pattern
+    (``CechContext._pattern``); t-degrees are >= 0 and only the t-degree is
+    truncated, so truncation is a ring map and the product is exact.  A
+    one-term P only shifts the rows: grlex order survives a shift, so each
+    row goes straight into the column.  A longer P accumulates its products
+    and sorts them.  On any other face the key enters itself with the
+    alternating sign of the dropped vertex.  Each key is interned by
+    ``CechContext.row_id``, so a column maps int row keys to entries.
+    Cofaces come in sorted order, and the moved entries row-major with
+    their terms sorted, so a column lists its keys as
+    ``cochain_coordinates`` of the full differential would.
     """
     ids = ctx._row_ids  # ``CechContext.row_id``, inlined in this loop
+    t_max = ctx.order
     columns = []
+    last = faces = None
     for simplex, entry, exps in basis:
+        if simplex != last:  # the basis lists each simplex's keys together
+            last = simplex
+            faces = [(coface, _SIGNS[pos % 2], None) if pos else
+                     (coface, 0, ctx._pattern(coface[:2], vtype))
+                     for coface, pos in ctx.cofaces(simplex)]
         col: Dict[int, Rational] = {}
-        for coface, pos in ctx.cofaces(simplex):
-            if pos:
-                col[ids.setdefault((coface, entry, exps), len(ids))] = _SIGNS[pos % 2]
+        for coface, sign, table in faces:
+            if sign:
+                col[ids.setdefault((coface, entry, exps), len(ids))] = sign
                 continue
-            for (ab, e), coeff in ctx.elementary_to_low(coface[:2], vtype, entry, exps).items():
-                col[ids.setdefault((coface, ab, e), len(ids))] = coeff
+            moved = ctx.moved_monomial(coface[:2], vtype, exps)
+            pattern = table[entry[0]][entry[1]]
+            if len(moved) == 1:
+                [(t1, e1, c1)] = moved
+                room = t_max - t1
+                for ab, rows in pattern:
+                    for t2, e2, c2 in rows:
+                        if t2 <= room:
+                            x = c1 * c2
+                            if type(x) is not int and x.denominator == 1:
+                                x = x.numerator
+                            col[ids.setdefault((coface, ab, tuple(map(add, e1, e2))), len(ids))] = x
+                continue
+            for ab, rows in pattern:
+                acc: Dict[Exponent, Rational] = {}
+                for t1, e1, c1 in moved:
+                    room = t_max - t1
+                    for t2, e2, c2 in rows:
+                        if t2 <= room:
+                            e = tuple(map(add, e1, e2))
+                            acc[e] = acc.get(e, 0) + c1 * c2
+                for e in sorted(acc, key=grlex_key):
+                    x = acc[e]
+                    if x:
+                        col[ids.setdefault((coface, ab, e), len(ids))] = exact(x)
         columns.append(col)
     return columns
 

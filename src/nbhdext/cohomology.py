@@ -14,6 +14,7 @@ subcomplex is ranked once and counted once per weight that has it.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
@@ -23,12 +24,16 @@ from .linsolve import matrix_rank, sparse_rows
 SPACES = {"p1": 1, "p2": 2}
 
 
-def weight_cohomology(n: int, negative_support: frozenset) -> List[int]:
+@lru_cache(maxsize=None)
+def weight_cohomology(n: int, negative_support: frozenset) -> Tuple[int, ...]:
     """Cohomology ranks of one weight subcomplex on the standard P^n cover.
 
     Degree-j cochains are spanned by the (j+1)-subsets of {0..n} that
     contain the weight's negative support; ranks come from explicit
-    boundary matrices, nothing is special-cased.
+    boundary matrices, nothing is special-cased.  The ranks depend on
+    (n, support) alone, of which there are at most 2^(n+1) per n, so each
+    is computed once per process and returned as a tuple, which no caller
+    can change.
     """
     indices = list(range(n + 1))
     chains: List[List[Tuple[int, ...]]] = [
@@ -57,7 +62,7 @@ def weight_cohomology(n: int, negative_support: frozenset) -> List[int]:
         dim_ker = dims[j] - (ranks[j] if j < n else 0)
         dim_im = ranks[j - 1] if j > 0 else 0
         out.append(dim_ker - dim_im)
-    return out
+    return tuple(out)
 
 
 def weight_supports(n: int, d: int) -> Counter:

@@ -50,8 +50,13 @@ class ChartRing:
     def names(self) -> Tuple[str, ...]:
         return self.u_names + self.t_names
 
-    @property
+    @cached_property
     def t_idxs(self) -> Tuple[int, ...]:
+        """Positions of the t-variables, built on first use and kept.
+
+        It is not a field, so equality and hashing read only the three
+        declared ones.
+        """
         return tuple(range(self.p, self.p + self.q))
 
     def compatible(self, other: "ChartRing") -> bool:

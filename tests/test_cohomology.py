@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from nbhdext.cohomology import cohomology_dim, weight_supports
+from nbhdext.cohomology import cohomology_dim, twist_dims, weight_cohomology, weight_supports
 from nbhdext.linsolve import matrix_rank, sparse_rows
 
 F = Fraction
@@ -119,3 +119,21 @@ def test_weight_supports_equal_the_whole_box_scan(n):
             if sum(w) == d
         )
         assert weight_supports(n, d) == scanned, (n, d)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_memoized_weight_cohomology_equals_a_fresh_computation(n):
+    """The memo serves what an uncached computation gives, and as a tuple no caller can change."""
+    fresh = weight_cohomology.__wrapped__
+    for size in range(n + 2):
+        for support in map(frozenset, combinations(range(n + 1), size)):
+            memoized = weight_cohomology(n, support)
+            assert type(memoized) is tuple
+            assert memoized == tuple(fresh(n, support)), (n, support)
+            assert weight_cohomology(n, support) is memoized
+    for d in range(-8, 9):
+        dims = [0] * (n + 1)
+        for support, count in weight_supports(n, d).items():
+            for j, r in enumerate(fresh(n, support)):
+                dims[j] += count * r
+        assert twist_dims(n, d) == dims, (n, d)

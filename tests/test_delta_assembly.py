@@ -2,7 +2,8 @@
 
 ``cech_differential`` of a whole elementary cochain is the oracle for the
 columns, and ``end_to_low`` of a whole elementary matrix for each moved
-monomial.  A dense matrix written out here is the oracle for the sparse
+monomial, read off the column writer both where the transport is an
+integer exponent map and where it goes through ``Substitution``.  A dense matrix written out here is the oracle for the sparse
 system built from the columns and for the torsor count's rank split; the
 full fold of every row inside the window is the oracle for the torsor
 read on the solve's free columns; and one truncated substitution of a
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from nbhdext import cech, scenarios
 from nbhdext.cech import _assemble_cochain, cech_differential, cochain_coordinates
 from nbhdext.errors import EngineError
-from nbhdext.filtered import ChartTransition, induced_transition
+from nbhdext.filtered import ChartRing, ChartTransition, induced_transition
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix, matrix_rank, solve_exact
 from nbhdext.scenarios import (
@@ -55,6 +56,18 @@ def _elementary_cochain(ctx, vtype, sdeg, key):
 def coordinate_keys_of(ctx):
     """The context's int row keys translated back to (simplex, entry, exps)."""
     return {i: kk for kk, i in ctx._row_ids.items()}
+
+
+def moved_coordinates(ctx, pair, vtype, entry, exps):
+    """(entry, exps) -> coefficient of the key E_entry . x^exps moved low through ``pair``.
+
+    They are read off the column the writer builds for the chart key
+    ((j,), entry, exps): its part on the coface ``pair`` = (i, j), whose
+    first vertex the chart's key is moved across.
+    """
+    [column] = cech._delta_columns(ctx, vtype, [((pair[1],), entry, exps)])
+    keys = coordinate_keys_of(ctx)
+    return {keys[i][1:]: x for i, x in column.items() if keys[i][0] == pair}
 
 
 def assert_columns_match_full_differential(ctx):
@@ -368,14 +381,14 @@ def test_elementary_transport_equals_the_whole_transport():
                         elementary = ctx.zero_value(cech.SYM_END, ring)
                         elementary.entries[entry[0]][entry[1]] = ring.monomial(exps)
                         whole = cech._coordinates(ctx.end_to_low(pair, elementary))
-                        moved = ctx.elementary_to_low(pair, cech.SYM_END, entry, exps)
+                        moved = moved_coordinates(ctx, pair, cech.SYM_END, entry, exps)
                         assert moved == whole, (label, pair, entry, exps)
                         assert list(moved) == list(whole), (label, pair, entry, exps)
                         linear = ctx.pullback(pair, ring.monomial(exps))
                         longest[label] = max(longest.get(label, 0), len(linear.terms))
                         # the full pullback moves functions
                         full = ctx.pullback(pair, ring.monomial(exps), full=True)
-                        moved = ctx.elementary_to_low(pair, cech.FUNCTION, (0, 0), exps)
+                        moved = moved_coordinates(ctx, pair, cech.FUNCTION, (0, 0), exps)
                         assert list(moved.items()) == [
                             (((0, 0), e), x) for e, x in full.sorted_terms()]
     # the shift and the accumulating product both ran
@@ -385,7 +398,124 @@ def test_elementary_transport_equals_the_whole_transport():
 def test_elementary_transport_refuses_other_value_types():
     ctx = build_context(four_chart_scenario(), 2)
     with pytest.raises(ValueError):
-        ctx.elementary_to_low((0, 1), "form_end", (0, 0), (0, 1))
+        ctx.moved_monomial((0, 1), "form_end", (0, 1))
+    with pytest.raises(ValueError):
+        cech._delta_columns(ctx, "form_end", [((1,), (0, 0), (0, 1))])
+
+
+def test_both_transports_in_one_run(monkeypatch):
+    """The exponent map and the ``Substitution`` fallback build columns of one pipeline run.
+
+    ``mixing_line_scenario``'s linear images have several terms, so its
+    End E columns fall back.  On hyperplane_p2_in_p3 with a twist the
+    linear images are monomials but the full image of v2~ on overlap (0, 1)
+    is v2/v1 + s/v1, so in the same context the End E columns use the
+    exponent map and the rank-one system's function columns fall back.
+    """
+    cases = [
+        (mixing_line_scenario(), {((0, 1), cech.SYM_END): False}),
+        (generate_builtin("hyperplane_p2_in_p3", d=1, twist=1), {
+            ((0, 1), cech.SYM_END): True, ((0, 2), cech.SYM_END): True,
+            ((1, 2), cech.SYM_END): True, ((0, 1), cech.FUNCTION): False,
+        }),
+    ]
+    for s, paths in cases:
+        (ctx,) = pipeline_contexts(monkeypatch, s)
+        assert {key: emap is not None for key, emap in ctx._exponent_maps.items()} == paths
+        assert_columns_match_full_differential(ctx)
+
+
+# -- the exponent map -----------------------------------------------------------------
+
+UNIT_COEFFICIENTS = (1, -1, 2, -2, F(1, 2), F(-1, 2))
+
+
+@st.composite
+def one_term_transports(draw):
+    """A two-chart context whose transition sends each variable to one term, and a key.
+
+    p, q in {1, 2}; each image has a coefficient in +-1, +-2, +-1/2 and
+    t-degree 0 or 1, and now and then the last normal image is missing.
+    The bundle has rank one or two, with a unit-monomial determinant and,
+    in rank two, an off-diagonal entry that may carry t.
+    """
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ring = ChartRing(tuple(f"u{b + 1}" for b in range(p)), tuple(f"t{a + 1}" for a in range(q)))
+    u_exps = lambda: draw(st.tuples(*[st.integers(-3, 3)] * p))
+
+    def image():
+        t = [0] * q
+        if draw(st.booleans()):
+            t[draw(st.integers(0, q - 1))] = 1
+        return ring.monomial(u_exps() + tuple(t), draw(st.sampled_from(UNIT_COEFFICIENTS)))
+
+    forward_u = tuple(image() for _ in range(p))
+    forward_t = tuple(image() for _ in range(q))
+    if draw(st.integers(0, 4)) == 0:
+        forward_t = forward_t[:-1]
+    rank = draw(st.integers(1, 2))
+    entry = lambda: ring.monomial(u_exps() + (0,) * q, draw(st.sampled_from(UNIT_COEFFICIENTS)))
+    if rank == 1:
+        g = PolyMatrix([[entry()]])
+    else:
+        corner = ring.monomial(u_exps() + (draw(st.integers(0, 1)),) + (0,) * (q - 1),
+                               draw(st.sampled_from(UNIT_COEFFICIENTS)))
+        g = PolyMatrix([[entry(), corner], [ring.zero(), entry()]])
+    order = draw(st.integers(0, 3))
+    exps = u_exps() + draw(st.tuples(*[st.integers(0, 3)] * q))
+    key = ((draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))), exps)
+
+    def context():
+        tr = ChartTransition(ring, ring, forward_u, forward_t, forward_u, forward_t)
+        nerve = cech.CoverNerve([ring, ring], {(0, 1): tr}, {})
+        return cech.CechContext(nerve, cech.BundleData(rank, {(0, 1): g}), order)
+
+    return context, key
+
+
+def transported(ctx, vtype, entry, exps):
+    """``_coordinates`` of the whole transport of E_entry . x^exps, or the error it raises."""
+    ring = ctx.pairs[(0, 1)].ring_high
+    elementary = ctx.zero_value(vtype, ring)
+    elementary.entries[entry[0]][entry[1]] = ring.monomial(exps)
+    try:
+        return cech._coordinates(ctx.transport((0, 1), vtype, elementary))
+    except (ValueError, EngineError) as err:
+        return err
+
+
+@given(one_term_transports())
+@settings(max_examples=300, deadline=None)
+def test_exponent_map_equals_the_truncated_substitution(case):
+    """A moved monomial read off the exponent map equals ``end_to_low``, errors included.
+
+    The oracle moves the whole elementary matrix in a context of its own
+    through ``Substitution.monomial_image`` and the bundle transitions.  A
+    missing image raises its ``ValueError`` and a negative power of an
+    image of t-degree 1 its ``NonInvertibleSubstitution`` on the same key.
+    """
+    context, (entry, exps) = case
+    ctx, oracle = context(), context()
+    tr = ctx.pairs[(0, 1)]
+    p = tr.ring_low.p
+    for vtype in (cech.FUNCTION, cech.SYM_END):
+        images = tr.forward if vtype == cech.FUNCTION else tr.images_ji
+        one_term = [images.get(name) is not None and len(images[name].terms) == 1
+                    for name in tr.ring_high.names]
+        assert (ctx.exponent_map((0, 1), vtype) is not None) == all(one_term)
+        at = entry if vtype == cech.SYM_END else (0, 0)
+        whole = transported(oracle, vtype, at, exps)
+        if isinstance(whole, Exception):
+            with pytest.raises(type(whole)) as caught:
+                moved_coordinates(ctx, (0, 1), vtype, at, exps)
+            assert str(caught.value) == str(whole)
+            continue
+        moved = moved_coordinates(ctx, (0, 1), vtype, at, exps)
+        assert moved == whole, (vtype, at, exps)
+        assert list(moved) == list(whole), (vtype, at, exps)
+        # the exact-number rule: an integral coefficient is an int
+        assert all(type(x) is int or x.denominator != 1 for x in moved.values())
+        assert all(sum(e[p:]) <= ctx.order for _, e in moved)
 
 
 # -- the pullback memo -------------------------------------------------------------
@@ -529,7 +659,8 @@ def test_contexts_with_different_transitions_share_no_memo():
         assert mine._powers[("t1", 1)] != theirs._powers[("t1", 1)]
         assert mine._monomials is not theirs._monomials
         assert mine._powers is not theirs._powers
-    assert first._elementary_images is not second._elementary_images
-    # elementary transports read the same key but each context moves it its own way
-    key = (pair, cech.SYM_END, (0, 0), value.sorted_terms()[0][0])
-    assert first.elementary_to_low(*key) != second.elementary_to_low(*key)
+    assert first._moved is not second._moved
+    assert first._exponent_maps is not second._exponent_maps
+    # moved monomials read the same key but each context moves it its own way
+    key = (pair, cech.SYM_END, value.sorted_terms()[0][0])
+    assert first.moved_monomial(*key) != second.moved_monomial(*key)
