@@ -8,7 +8,8 @@ cochain complex of the subsets containing the weight's negative support.
 Ranks of those small complexes are computed outright, so the dimensions
 returned here are honest counts, not closed-form shortcuts.  Weights with
 the same negative support have the same subcomplex, so each support's
-subcomplex is ranked once and counted once per weight that has it.
+subcomplex is ranked once per process and counted once per weight that
+has it.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 ``cech_differential`` of a whole elementary cochain is the oracle for the
 columns, and ``end_to_low`` of a whole elementary matrix for each moved
 monomial, read off the column writer both where the transport is an
-integer exponent map and where it goes through ``Substitution``.  A dense matrix written out here is the oracle for the sparse
-system built from the columns and for the torsor count's rank split; the
+integer exponent map and where it goes through ``Substitution``.  A
+dense matrix written out here is the oracle for the sparse system built
+from the columns and for the torsor count's rank split; the
 full fold of every row inside the window is the oracle for the torsor
 read on the solve's free columns; and one truncated substitution of a
 whole polynomial is the oracle for the memoized pullback, linear and full.
@@ -393,6 +394,9 @@ def test_elementary_transport_equals_the_whole_transport():
                             (((0, 0), e), x) for e, x in full.sorted_terms()]
     # the shift and the accumulating product both ran
     assert longest == {"four_chart": 1, "mixing_line": 3}
+    # every four-chart overlap moves End E through its exponent map; the mixing line cannot
+    assert all(four.exponent_map(pair, cech.SYM_END) is not None for pair in four.pairs)
+    assert mixing.exponent_map((0, 1), cech.SYM_END) is None
 
 
 def test_elementary_transport_refuses_other_value_types():
