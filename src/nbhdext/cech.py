@@ -25,17 +25,26 @@ of delta are read off the cofaces of one simplex at a time, from the
 same simplices, and each column is linear in one pullback: a window
 monomial is moved once and multiplied by the overlap's transport
 pattern, the rows of g[a][r] . g^-1[c][b] for each target entry.  When
-every image of a transport is one term, as every linear transport of
-the shipped scenarios is, the transport is an ``ExponentMap``: the
-moved monomial is one term read off an integer matrix, with no
-polynomial built, and the pattern's rows are shifted by it straight
-into the column.  Any other transport moves the monomial through its
-``Substitution``.  Each coordinate key (simplex, entry, exps) is
-interned to an int once per context, so the columns, the rows of the
-system and the torsor split compare ints.
+some image of a transport is one term, the transport is an
+``ExponentMap``: a monomial's part over the one-term images is one term
+read off an integer matrix, with no polynomial built.  When every image
+is one term, as every linear transport of the shipped scenarios is,
+that is the whole moved monomial, and the pattern's rows are shifted by
+it straight into the column.  Otherwise, as for the full transport of a
+twisted builtin, the part over the other images is moved through the
+``Substitution`` once per distinct part and shifted by the one-term
+part.  A transport with a missing image or a term of negative t-degree,
+or none of one term, moves each monomial through its ``Substitution``.
+Each coordinate key (simplex, entry, exps) is interned to an int once
+per context, so the columns, the rows of the system and the torsor
+split compare ints.
 ``solve_delta`` is the one build, solve and residual recheck behind both
 the obstruction solves and the rank-one system; whole cochains and those
-rechecks move through ``transport``.  ``solve_coboundary`` only solves:
+rechecks move through ``transport``.  The rank-one system eliminates
+only the blocks its right-hand side touches, since it reads only its
+verdict and the whole system's size; the obstruction solves eliminate
+every window column, since their torsor count reads every free column.
+``solve_coboundary`` only solves:
 it returns ``Solved`` or ``UnresolvedWithinWindow``, and the cohomology
 oracle and the nonzero certificate are read by the caller.  Its torsor
 count folds delta_0's rows outside the window and then only those at
@@ -50,9 +59,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import FrameMismatch, NotClosed
+from .errors import FrameMismatch, NonInvertibleSubstitution, NotClosed
 from .filtered import ChartRing, ChartTransition, Substitution, _series
 from .laurent import Exponent, LaurentPoly, Rational, exact, grlex_key, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, Solution, _rref, solve_exact
@@ -123,14 +132,18 @@ class BundleData:
 
 @dataclass(frozen=True)
 class ExponentMap:
-    """A substitution whose every image is one term c_i . x^(E_i) of t-degree d_i >= 0.
+    """A substitution read by exponent arithmetic on the variables whose image is one term.
 
-    The image of x^e is then prod c_i^(e_i) . x^(sum e_i E_i), of t-degree
-    sum e_i d_i: the exponents move by an integer matrix, as on toric
-    charts.  ``columns[j]`` holds coordinate j of every E_i and
-    ``inverses`` each 1/c_i under the exact-number rule; ``scaled`` indexes
-    the images whose coefficient is not 1 and ``positive`` those of
-    positive t-degree.
+    Where the image of variable i is one term c_i . x^(E_i) of t-degree
+    d_i >= 0, the image of x^e is prod c_i^(e_i) . x^(sum e_i E_i), of
+    t-degree sum e_i d_i: the exponents move by an integer matrix, as on
+    toric charts.  ``rest`` indexes the variables whose image has several
+    terms; their part of a monomial is moved by the caller's substitution
+    and then shifted by the one-term part.  ``columns[j]`` holds coordinate
+    j of every E_i and ``inverses`` each 1/c_i under the exact-number rule,
+    with d_i = 0, E_i = 0 and c_i = 1 standing in for the ``rest``;
+    ``scaled`` indexes the images whose coefficient is not 1 and
+    ``positive`` those of positive t-degree.
     """
 
     degrees: Tuple[int, ...]
@@ -139,23 +152,29 @@ class ExponentMap:
     inverses: Tuple[Rational, ...]
     scaled: Tuple[int, ...]
     positive: Tuple[int, ...]
+    rest: Tuple[int, ...] = ()
 
     @staticmethod
     def of(images: Sequence[Optional[LaurentPoly]], p: int) -> Optional["ExponentMap"]:
-        """The map of ``images``, or None when one is missing, not one term or of negative t-degree.
+        """The map of ``images``, or None when one is missing or has a term of negative t-degree.
 
         ``images`` holds one image per source variable, over a ring whose
-        first ``p`` variables are tangential.
+        first ``p`` variables are tangential.  A map needs at least one
+        image of one term, so it is None when there is none.
         """
-        terms = []
-        for image in images:
-            if image is None or len(image.terms) != 1:
+        terms, rest = [], []
+        for i, image in enumerate(images):
+            if image is None or any(sum(e[p:]) < 0 for e in image.terms):
                 return None
-            [(e, c)] = image.terms.items()
-            if sum(e[p:]) < 0:
-                return None
-            [inverse] = image.inverse_monomial().terms.values()
-            terms.append((sum(e[p:]), e, c, inverse))
+            if len(image.terms) == 1:
+                [(e, c)] = image.terms.items()
+                [inverse] = image.inverse_monomial().terms.values()
+                terms.append((sum(e[p:]), e, c, inverse))
+            else:
+                rest.append(i)
+                terms.append((0, (0,) * len(image.vars), 1, 1))
+        if len(rest) == len(terms):
+            return None
         degrees, exps, coefficients, inverses = zip(*terms)
         return ExponentMap(
             degrees=degrees,
@@ -164,22 +183,47 @@ class ExponentMap:
             inverses=inverses,
             scaled=tuple(i for i, c in enumerate(coefficients) if c != 1),
             positive=tuple(i for i, d in enumerate(degrees) if d),
+            rest=tuple(rest),
         )
 
-    def moved(self, exps: Exponent, t_max: int) -> Optional[Tuple[Tuple, ...]]:
+    def moved(
+        self,
+        exps: Exponent,
+        t_max: int,
+        remainder: Callable[[Exponent], Optional[Tuple[Tuple, ...]]],
+    ) -> Optional[Tuple[Tuple, ...]]:
         """The (t-degree, exponent, coefficient) rows of the image of x^exps, truncated.
 
-        The image is one row, or none when its t-degree exceeds ``t_max``:
-        with every e_i d_i >= 0 the partial products of a substitution only
-        grow in t-degree, so this is what the truncated substitution keeps.
-        A negative power of an image of positive t-degree is not invertible,
-        and such a monomial gives None.
+        With no exponent on ``rest`` the image is one row, or none when its
+        t-degree exceeds ``t_max``: with every e_i d_i >= 0 the partial
+        products of a substitution only grow in t-degree, so this is what
+        the truncated substitution keeps.  Otherwise ``remainder`` gives the
+        rows of the truncated image of the monomial over ``rest``, or None
+        when moving it raises; they are shifted by the one-term part and
+        truncated again.  Truncation is a ring map on polynomials of
+        t-degree >= 0, so that is the truncated image of x^exps.  None means
+        the caller moves the whole monomial itself: for a negative power of
+        an image of positive t-degree, which is not invertible, for a
+        remainder that raises, and for a one-term part already past
+        ``t_max``, whose image is zero unless the whole substitution raises
+        first; that is left to the substitution, with no remainder moved.
         """
         for i in self.positive:
             if exps[i] < 0:
                 return None
         degree = sum(map(mul, exps, self.degrees))
-        if degree > t_max:
+        rows = None
+        if self.rest:
+            remaining = [0] * len(exps)
+            for i in self.rest:
+                remaining[i] = exps[i]
+            if any(remaining):
+                if degree > t_max:
+                    return None
+                rows = remainder(tuple(remaining))
+                if rows is None:
+                    return None
+        if rows is None and degree > t_max:
             return ()
         c = 1
         for i in self.scaled:
@@ -188,7 +232,12 @@ class ExponentMap:
                 c *= self.coefficients[i] ** k if k > 0 else self.inverses[i] ** -k
         if type(c) is not int and c.denominator == 1:
             c = c.numerator
-        return ((degree, tuple([sum(map(mul, exps, col)) for col in self.columns]), c),)
+        shift = tuple([sum(map(mul, exps, col)) for col in self.columns])
+        if rows is None:
+            return ((degree, shift, c),)
+        room = t_max - degree
+        return tuple([(t + degree, tuple(map(add, shift, e)), exact(c * x))
+                      for t, e, x in rows if t <= room])
 
 
 class CechContext:
@@ -266,10 +315,13 @@ class CechContext:
 
         P is returned as (t-degree, exponent, coefficient) rows, the layout
         of the transport pattern's rows.  It is read off the pair's
-        ``ExponentMap`` when it has one.  Any other monomial is read from the
-        pullback's memo (``Substitution.monomial_image``), which raises
-        ``ValueError`` and ``NonInvertibleSubstitution`` on the same monomial
-        as a whole substitution would.
+        ``ExponentMap`` when it has one; the monomial over the map's
+        ``rest`` is moved through the pair's ``Substitution`` and kept in the
+        same memo, so each distinct one is moved once.  Any monomial the map
+        gives up on is read whole from the pullback's memo
+        (``Substitution.monomial_image``), which raises ``ValueError`` and
+        ``NonInvertibleSubstitution`` on the same monomial as a whole
+        substitution would.
         """
         memo = self._moved.get((pair, vtype))
         if memo is None:
@@ -277,15 +329,28 @@ class CechContext:
         moved = memo.get(exps)
         if moved is None:
             emap = self.exponent_map(pair, vtype)
-            moved = None if emap is None else emap.moved(exps, self.order)
+
+            def remainder(rest: Exponent) -> Optional[Tuple[Tuple, ...]]:
+                rows = memo.get(rest)
+                if rows is None:
+                    try:
+                        rows = memo[rest] = self._substituted(pair, vtype, rest)
+                    except NonInvertibleSubstitution:
+                        return None
+                return rows
+
+            moved = None if emap is None else emap.moved(exps, self.order, remainder)
             if moved is None:
-                tr = self._transition(pair)
-                image = self._substitution(pair, vtype == FUNCTION).monomial_image(
-                    tr.ring_high.names, exps)
-                p = tr.ring_low.p
-                moved = tuple((sum(e[p:]), e, c) for e, c in image.terms.items())
+                moved = self._substituted(pair, vtype, exps)
             memo[exps] = moved
         return moved
+
+    def _substituted(self, pair: Pair, vtype: str, exps: Exponent) -> Tuple[Tuple, ...]:
+        """The rows of x^exps moved through the pair's ``Substitution``, term by term."""
+        tr = self._transition(pair)
+        image = self._substitution(pair, vtype == FUNCTION).monomial_image(tr.ring_high.names, exps)
+        p = tr.ring_low.p
+        return tuple((sum(e[p:]), e, c) for e, c in image.terms.items())
 
     def _pattern(self, pair: Pair, vtype: str) -> List[List[List[Tuple]]]:
         """The transport pattern of ``pair``: K[r][c] = [((a, b), rows), ...], row-major in (a, b).
@@ -754,17 +819,69 @@ def _im_delta0_inside(
     return _rank_inside(cols, map(ctx.row_id, inside), map(ctx.row_id, kept))
 
 
+def _touched_blocks(
+    columns: List[Dict[int, Rational]], rhs: Dict[int, Rational]
+) -> Tuple[List[int], int]:
+    """The columns of the blocks ``rhs`` touches, ascending, and the system's row count.
+
+    The system sum_k x_k columns[k] = rhs splits into blocks, the
+    connected parts of the graph that joins each column to its row keys.
+    A walk from ``rhs``'s keys through a row -> columns index collects the
+    columns of the blocks it touches.  The row count is that of the whole
+    system: every key of the columns and of ``rhs``, as ``_exact_system``
+    of all the columns has.
+    """
+    by_row: Dict[int, List[int]] = {}
+    for k, col in enumerate(columns):
+        for kk in col:
+            by_row.setdefault(kk, []).append(k)
+    constraints = len(by_row) + sum(1 for kk in rhs if kk not in by_row)
+    seen, stack, kept = set(rhs), list(rhs), set()
+    while stack:
+        for k in by_row.get(stack.pop(), ()):
+            if k not in kept:
+                kept.add(k)
+                for kk in columns[k]:
+                    if kk not in seen:
+                        seen.add(kk)
+                        stack.append(kk)
+    return sorted(kept), constraints
+
+
+@dataclass
+class DeltaSolve:
+    """What ``solve_delta`` found.
+
+    ``unknowns`` and ``constraints`` count the whole window system.
+    ``solution`` is that of the columns eliminated, all of them or the
+    ascending touched ones, and ``cochain`` is x, None when the system is
+    inconsistent.
+    """
+
+    unknowns: int
+    constraints: int
+    solution: Solution
+    cochain: Optional[CechCochain]
+
+
 def solve_delta(
-    ctx: CechContext, rhs: CechCochain, sdegs: Sequence[int], window: Tuple[int, int]
-) -> Tuple[ExactLinearSystem, Solution, Optional[CechCochain]]:
+    ctx: CechContext,
+    rhs: CechCochain,
+    sdegs: Sequence[int],
+    window: Tuple[int, int],
+    touched_only: bool = False,
+) -> DeltaSolve:
     """Solve delta(x) = rhs for x on the window monomials of the conormal degrees ``sdegs``.
 
     The columns are the memoized delta columns of each degree in turn, on
-    the simplices one degree below ``rhs``.  A solution is assembled into
+    the simplices one degree below ``rhs``.  With ``touched_only`` only the
+    blocks that ``rhs`` touches are eliminated (``_touched_blocks``): the
+    reduced echelon form of a block-diagonal system is the union of its
+    blocks' forms, and a block of zero right-hand side is consistent with
+    particular part 0, so the verdict and x are those of the whole system,
+    but its free columns are not all seen.  A solution is assembled into
     the cochain x, which carries ``rhs.sdeg``, and rechecked with the full
-    differential; a nonzero residual raises ``NotClosed``.  Returns the
-    system, its solution and x, which is None when the system is
-    inconsistent.
+    differential; a nonzero residual raises ``NotClosed``.
     """
     simplices = ctx.nerve.simplices(rhs.degree)
     basis, columns = [], []
@@ -772,15 +889,22 @@ def solve_delta(
         sdeg_basis, sdeg_columns = _delta_map(ctx, rhs.vtype, sdeg, simplices, window)
         basis += sdeg_basis
         columns += sdeg_columns
-    system = _exact_system(
-        columns, {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()})
+    unknowns = len(basis)
+    b = {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()}
+    if touched_only:
+        kept, constraints = _touched_blocks(columns, b)
+        basis = [basis[k] for k in kept]
+        columns = [columns[k] for k in kept]
+    system = _exact_system(columns, b)
+    if not touched_only:
+        constraints = len(system.rows)
     sol = solve_exact(system)
     if not sol.consistent:
-        return system, sol, None
+        return DeltaSolve(unknowns, constraints, sol, None)
     x = _assemble_cochain(ctx, rhs.degree - 1, rhs.vtype, rhs.sdeg, basis, sol.particular)
     if not cech_differential(ctx, x).add(rhs.neg()).is_zero():
         raise NotClosed("solver produced a nonzero residual; the right-hand side is not closed")
-    return system, sol, x
+    return DeltaSolve(unknowns, constraints, sol, x)
 
 
 def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, int]):
@@ -796,8 +920,9 @@ def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, i
     reported as insufficient: this is a pure solve, and reading a failure
     as a proof is left to the caller.
     """
-    _, sol, m = solve_delta(ctx, target.neg(), [target.sdeg], window)
-    if m is None:
+    solved = solve_delta(ctx, target.neg(), [target.sdeg], window)
+    if solved.cochain is None:
         return UnresolvedWithinWindow(window)
-    exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window, sol.free)
-    return Solved(m, len(sol.free) - exact_dim)
+    free = solved.solution.free
+    exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window, free)
+    return Solved(solved.cochain, len(free) - exact_dim)

@@ -50,15 +50,6 @@ class ChartRing:
     def names(self) -> Tuple[str, ...]:
         return self.u_names + self.t_names
 
-    @cached_property
-    def t_idxs(self) -> Tuple[int, ...]:
-        """Positions of the t-variables, built on first use and kept.
-
-        It is not a field, so equality and hashing read only the three
-        declared ones.
-        """
-        return tuple(range(self.p, self.p + self.q))
-
     def compatible(self, other: "ChartRing") -> bool:
         """Same variables; inverted monomials may differ.
 
@@ -90,7 +81,7 @@ class ChartRing:
     # -- truncation-aware arithmetic ------------------------------------
 
     def truncate(self, p: LaurentPoly, t_max: int) -> LaurentPoly:
-        return p.truncate_group(self.t_idxs, t_max)
+        return p.truncate_group(self.p, t_max)
 
     def mul(self, a: LaurentPoly, b: LaurentPoly, t_max: int) -> LaurentPoly:
         """``truncate(a * b, t_max)`` without forming the products it would drop.
@@ -168,10 +159,10 @@ class ChartRing:
         return PolyMatrix(out)
 
     def t_part(self, p: LaurentPoly, s: int) -> LaurentPoly:
-        return p.part_group(self.t_idxs, s)
+        return p.part_group(self.p, s)
 
     def t_degree_min(self, p: LaurentPoly) -> Optional[int]:
-        return p.min_group_degree(self.t_idxs)
+        return p.min_group_degree(self.p)
 
     def restrict_to_x(self, p: LaurentPoly) -> LaurentPoly:
         return self.t_part(p, 0)

@@ -244,29 +244,24 @@ class LaurentPoly:
 
     # -- grouped-degree utilities (used by truncated rings) -------------
 
-    def truncate_group(self, idxs: Sequence[int], max_deg: int) -> "LaurentPoly":
-        """Drop terms whose total degree in the indexed variables exceeds max_deg."""
-        idxs = tuple(idxs)
-        kept = {
-            e: c for e, c in self.terms.items() if sum(e[i] for i in idxs) <= max_deg
-        }
+    def truncate_group(self, start: int, max_deg: int) -> "LaurentPoly":
+        """Drop terms whose total degree in the variables from ``start`` on exceeds max_deg."""
+        kept = {e: c for e, c in self.terms.items() if sum(e[start:]) <= max_deg}
         if len(kept) == len(self.terms):
             return self
         return LaurentPoly._of(self.vars, kept)
 
-    def part_group(self, idxs: Sequence[int], deg: int) -> "LaurentPoly":
-        """The slice of terms of exact total degree ``deg`` in the indexed variables."""
-        idxs = tuple(idxs)
+    def part_group(self, start: int, deg: int) -> "LaurentPoly":
+        """The slice of terms of exact total degree ``deg`` in the variables from ``start`` on."""
         return LaurentPoly._of(
-            self.vars,
-            {e: c for e, c in self.terms.items() if sum(e[i] for i in idxs) == deg},
+            self.vars, {e: c for e, c in self.terms.items() if sum(e[start:]) == deg}
         )
 
-    def min_group_degree(self, idxs: Sequence[int]) -> Optional[int]:
+    def min_group_degree(self, start: int) -> Optional[int]:
+        """The least total degree of a term in the variables from ``start`` on; None for zero."""
         if not self.terms:
             return None
-        idxs = tuple(idxs)
-        return min(sum(e[i] for i in idxs) for e in self.terms)
+        return min(sum(e[start:]) for e in self.terms)
 
     # -- serialization ---------------------------------------------------
 

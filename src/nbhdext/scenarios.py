@@ -183,11 +183,18 @@ def _field(obj: dict, key: str, where: str, kind: type, default=None):
 
 def _ints(obj, where: str, width: int) -> Tuple[int, ...]:
     _require(
-        isinstance(obj, list) and len(obj) == width
+        isinstance(obj, (list, tuple)) and len(obj) == width
         and all(isinstance(x, int) and not isinstance(x, bool) for x in obj),
         f"{where}: expected a list of {width} integers, got {obj!r}",
     )
     return tuple(obj)
+
+
+def _window(obj) -> Tuple[int, int]:
+    """A solve window: two integers lo <= hi, from a document or from Python."""
+    window = _ints(obj, "window", 2)
+    _require(window[0] <= window[1], f"window: expected lo <= hi, got {list(window)}")
+    return window
 
 
 def scenario_from_json(data: dict) -> Scenario:
@@ -298,8 +305,7 @@ def scenario_from_json(data: dict) -> Scenario:
              f"bundle.flat: expected {n_charts} booleans, got {flat!r}")
     max_order = _field(data, "max_order", "", int, 2)
     _require(max_order >= 1, f"max_order: expected at least 1, got {max_order}")
-    window = _ints(_field(data, "window", "", list, [-6, 6]), "window", 2)
-    _require(window[0] <= window[1], f"window: expected lo <= hi, got {list(window)}")
+    window = _window(_field(data, "window", "", list, [-6, 6]))
 
     return Scenario(
         name=str(data.get("name", "unnamed")),
@@ -725,14 +731,15 @@ def run_pipeline(
     transitions G lifted through the lower orders, and its solution m lifts
     them to (1 + m) . G.  Orders after the first unresolved one are skipped.
     A k outside 1..``max_order``, the order the data is checked to, is an
-    input error.
+    input error, and so is a window, given or the scenario's, that is not
+    two integers lo <= hi.
     """
     if not 1 <= k <= s.max_order:
         raise ParseError(
             f"order {k} requested but orders run from 1 to the scenario's "
             f"max_order {s.max_order}, the order its data is checked to"
         )
-    window = tuple(window or s.window)
+    window = _window(s.window if window is None else window)
     log = validate_scenario(s)
     if not log.ok:
         raise ParseError(
@@ -787,13 +794,16 @@ def solve_abelianized(ctx: CechContext, window: Tuple[int, int]) -> dict:
 
     G_ij = g_ij . exp(lambda_ij) is a cocycle modulo t^(k+1) exactly when
     lambda_ij + F_ij^* lambda_jh - lambda_ih = rho_ijh, a linear system in
-    the window-supported lambda on the doubles at t-degrees 1..k.
+    the window-supported lambda on the doubles at t-degrees 1..k.  Only the
+    blocks of the system that rho touches are eliminated; ``unknowns`` and
+    ``constraints`` count the whole system.
     """
-    system, sol, _ = solve_delta(ctx, transition_log_defect(ctx), range(1, ctx.order + 1), window)
+    solved = solve_delta(ctx, transition_log_defect(ctx), range(1, ctx.order + 1), window,
+                         touched_only=True)
     return {
-        "exact": sol.consistent,
-        "unknowns": len(system.basis),
-        "constraints": len(system.rows),
+        "exact": solved.solution.consistent,
+        "unknowns": solved.unknowns,
+        "constraints": solved.constraints,
     }
 
 

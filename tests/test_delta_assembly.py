@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbhdext import cech, scenarios
@@ -394,9 +394,10 @@ def test_elementary_transport_equals_the_whole_transport():
                             (((0, 0), e), x) for e, x in full.sorted_terms()]
     # the shift and the accumulating product both ran
     assert longest == {"four_chart": 1, "mixing_line": 3}
-    # every four-chart overlap moves End E through its exponent map; the mixing line cannot
-    assert all(four.exponent_map(pair, cech.SYM_END) is not None for pair in four.pairs)
-    assert mixing.exponent_map((0, 1), cech.SYM_END) is None
+    # every four-chart overlap moves End E through its exponent map alone; the mixing
+    # line moves u1 and t2 by exponents and t1, the variable ``rest`` indexes, by substitution
+    assert all(four.exponent_map(pair, cech.SYM_END).rest == () for pair in four.pairs)
+    assert mixing.exponent_map((0, 1), cech.SYM_END).rest == (1,)
 
 
 def test_elementary_transport_refuses_other_value_types():
@@ -408,24 +409,27 @@ def test_elementary_transport_refuses_other_value_types():
 
 
 def test_both_transports_in_one_run(monkeypatch):
-    """The exponent map and the ``Substitution`` fallback build columns of one pipeline run.
+    """Whole and partial exponent maps build columns of one pipeline run.
 
-    ``mixing_line_scenario``'s linear images have several terms, so its
-    End E columns fall back.  On hyperplane_p2_in_p3 with a twist the
-    linear images are monomials but the full image of v2~ on overlap (0, 1)
-    is v2/v1 + s/v1, so in the same context the End E columns use the
-    exponent map and the rank-one system's function columns fall back.
+    Each (pair, value type) maps to the ``rest`` of its map: the variables
+    whose image has several terms and moves through ``Substitution``.
+    ``mixing_line_scenario``'s linear image of t1 has two terms, so its
+    End E columns move t1 by substitution and u1, t2 by exponents.  On
+    hyperplane_p2_in_p3 with a twist the linear images are monomials but
+    the full image of v2~ on overlap (0, 1) is v2/v1 + s/v1, so in the same
+    context the End E columns use whole exponent maps and the rank-one
+    system's function columns move only v2~ by substitution.
     """
     cases = [
-        (mixing_line_scenario(), {((0, 1), cech.SYM_END): False}),
+        (mixing_line_scenario(), {((0, 1), cech.SYM_END): (1,)}),
         (generate_builtin("hyperplane_p2_in_p3", d=1, twist=1), {
-            ((0, 1), cech.SYM_END): True, ((0, 2), cech.SYM_END): True,
-            ((1, 2), cech.SYM_END): True, ((0, 1), cech.FUNCTION): False,
+            ((0, 1), cech.SYM_END): (), ((0, 2), cech.SYM_END): (),
+            ((1, 2), cech.SYM_END): (), ((0, 1), cech.FUNCTION): (1,),
         }),
     ]
     for s, paths in cases:
         (ctx,) = pipeline_contexts(monkeypatch, s)
-        assert {key: emap is not None for key, emap in ctx._exponent_maps.items()} == paths
+        assert {key: emap.rest for key, emap in ctx._exponent_maps.items()} == paths
         assert_columns_match_full_differential(ctx)
 
 
@@ -434,25 +438,39 @@ def test_both_transports_in_one_run(monkeypatch):
 UNIT_COEFFICIENTS = (1, -1, 2, -2, F(1, 2), F(-1, 2))
 
 
+def two_chart_context(ring, forward_u, forward_t, g, order):
+    """A maker of fresh contexts on two copies of ``ring`` joined by one transition."""
+
+    def context():
+        tr = ChartTransition(ring, ring, forward_u, forward_t, forward_u, forward_t)
+        nerve = cech.CoverNerve([ring, ring], {(0, 1): tr}, {})
+        return cech.CechContext(nerve, cech.BundleData(g.rows, {(0, 1): g}), order)
+
+    return context
+
+
 @st.composite
-def one_term_transports(draw):
-    """A two-chart context whose transition sends each variable to one term, and a key.
+def partly_one_term_transports(draw):
+    """A two-chart context whose transition sends most variables to one term, and a key.
 
     p, q in {1, 2}; each image has a coefficient in +-1, +-2, +-1/2 and
-    t-degree 0 or 1, and now and then the last normal image is missing.
-    The bundle has rank one or two, with a unit-monomial determinant and,
-    in rank two, an off-diagonal entry that may carry t.
+    t-degree 0 or 1.  Now and then an image gets a second term of t-degree
+    0 or 1, which the exponent map leaves to the substitution, and now and
+    then the last normal image is missing.  The bundle has rank one or
+    two, with a unit-monomial determinant and, in rank two, an off-diagonal
+    entry that may carry t.
     """
     p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     ring = ChartRing(tuple(f"u{b + 1}" for b in range(p)), tuple(f"t{a + 1}" for a in range(q)))
     u_exps = lambda: draw(st.tuples(*[st.integers(-3, 3)] * p))
 
-    def image():
+    def term():
         t = [0] * q
         if draw(st.booleans()):
             t[draw(st.integers(0, q - 1))] = 1
         return ring.monomial(u_exps() + tuple(t), draw(st.sampled_from(UNIT_COEFFICIENTS)))
 
+    image = lambda: term() + term() if draw(st.integers(0, 3)) == 0 else term()
     forward_u = tuple(image() for _ in range(p))
     forward_t = tuple(image() for _ in range(q))
     if draw(st.integers(0, 4)) == 0:
@@ -468,13 +486,16 @@ def one_term_transports(draw):
     order = draw(st.integers(0, 3))
     exps = u_exps() + draw(st.tuples(*[st.integers(0, 3)] * q))
     key = ((draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))), exps)
+    return two_chart_context(ring, forward_u, forward_t, g, order), key
 
-    def context():
-        tr = ChartTransition(ring, ring, forward_u, forward_t, forward_u, forward_t)
-        nerve = cech.CoverNerve([ring, ring], {(0, 1): tr}, {})
-        return cech.CechContext(nerve, cech.BundleData(rank, {(0, 1): g}), order)
 
-    return context, key
+def fallback_case(order, exps, u_image, *t_images):
+    """On u1, t1, ...: a two-chart context with these full images and the key (0, 0) . x^exps."""
+    ring = ChartRing(("u1",), tuple(f"t{a + 1}" for a in range(len(t_images))))
+    P = lambda terms: LaurentPoly(ring.names, terms)
+    context = two_chart_context(ring, (P(u_image),), tuple(map(P, t_images)),
+                                PolyMatrix([[ring.one()]]), order)
+    return context, ((0, 0), exps)
 
 
 def transported(ctx, vtype, entry, exps):
@@ -488,25 +509,46 @@ def transported(ctx, vtype, entry, exps):
         return err
 
 
-@given(one_term_transports())
+# the full image of u1 has two terms and that of t1 one, of t-degree 1
+@example(fallback_case(2, (1, 1), {(-1, 0): 1, (-1, 1): 1}, {(-1, 1): 1}))
+# a negative power of t1's image, which has positive t-degree: NonInvertibleSubstitution
+@example(fallback_case(2, (1, -1), {(-1, 0): 1, (-1, 1): 1}, {(-1, 1): 1}))
+# t1^2 is already past order 1, so u1's part is never read
+@example(fallback_case(1, (2, 2), {(-1, 0): 1, (-1, 1): 1}, {(-1, 1): 1}))
+# 1/(u1 + 1) has no Laurent inverse: the remainder raises, and so does the whole monomial
+@example(fallback_case(2, (-1, 1), {(1, 0): 1, (0, 0): 1}, {(0, 1): 2}))
+# u1 -> t1 and t1, t2 have two terms: 1/t2's image does not exist, but u1 t1 is past
+# order 1 before the whole monomial asks for it, so it moves to zero without raising
+@example(fallback_case(1, (1, 1, -1), {(0, 1, 0): 1},
+                       {(0, 1, 0): 1, (1, 1, 0): 1}, {(0, 0, 1): 1, (1, 0, 1): 1}))
+@given(partly_one_term_transports())
 @settings(max_examples=300, deadline=None)
 def test_exponent_map_equals_the_truncated_substitution(case):
     """A moved monomial read off the exponent map equals ``end_to_low``, errors included.
 
     The oracle moves the whole elementary matrix in a context of its own
-    through ``Substitution.monomial_image`` and the bundle transitions.  A
-    missing image raises its ``ValueError`` and a negative power of an
-    image of t-degree 1 its ``NonInvertibleSubstitution`` on the same key.
+    through ``Substitution.monomial_image`` and the bundle transitions.
+    The map covers the images of one term and leaves the others, its
+    ``rest``, to the substitution; it is None when an image is missing or
+    none has one term.  A missing image raises its ``ValueError`` and a
+    negative power of an image of t-degree 1 or of one without a unit
+    monomial at t-degree 0 its ``NonInvertibleSubstitution``, on the same
+    key.
     """
     context, (entry, exps) = case
     ctx, oracle = context(), context()
     tr = ctx.pairs[(0, 1)]
     p = tr.ring_low.p
     for vtype in (cech.FUNCTION, cech.SYM_END):
-        images = tr.forward if vtype == cech.FUNCTION else tr.images_ji
-        one_term = [images.get(name) is not None and len(images[name].terms) == 1
-                    for name in tr.ring_high.names]
-        assert (ctx.exponent_map((0, 1), vtype) is not None) == all(one_term)
+        images = [(tr.forward if vtype == cech.FUNCTION else tr.images_ji).get(name)
+                  for name in tr.ring_high.names]
+        rest = tuple(i for i, image in enumerate(images) if len(image.terms) != 1) \
+            if None not in images else None
+        emap = ctx.exponent_map((0, 1), vtype)
+        if rest is None or len(rest) == len(images):
+            assert emap is None
+        else:
+            assert emap.rest == rest
         at = entry if vtype == cech.SYM_END else (0, 0)
         whole = transported(oracle, vtype, at, exps)
         if isinstance(whole, Exception):
@@ -520,6 +562,8 @@ def test_exponent_map_equals_the_truncated_substitution(case):
         # the exact-number rule: an integral coefficient is an int
         assert all(type(x) is int or x.denominator != 1 for x in moved.values())
         assert all(sum(e[p:]) <= ctx.order for _, e in moved)
+        # the moved monomial itself is truncated, not only the column written from it
+        assert all(t <= ctx.order for t, _, _ in ctx.moved_monomial((0, 1), vtype, exps))
 
 
 # -- the pullback memo -------------------------------------------------------------
@@ -668,3 +712,65 @@ def test_contexts_with_different_transitions_share_no_memo():
     # moved monomials read the same key but each context moves it its own way
     key = (pair, cech.SYM_END, value.sorted_terms()[0][0])
     assert first.moved_monomial(*key) != second.moved_monomial(*key)
+
+
+# -- the rank-one system on the blocks its right-hand side touches -------------------
+
+
+def whole_window_solve(ctx, rhs, sdegs, window):
+    """delta(x) = rhs with every window column eliminated, rechecked: the oracle of the block solve.
+
+    Returns (consistent, unknowns, constraints, coordinates of x or None).
+    """
+    simplices = ctx.nerve.simplices(rhs.degree)
+    basis, columns = [], []
+    for sdeg in sdegs:
+        sdeg_basis, sdeg_columns = cech._delta_map(ctx, rhs.vtype, sdeg, simplices, window)
+        basis += sdeg_basis
+        columns += sdeg_columns
+    b = {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()}
+    system = cech._exact_system(columns, b)
+    sol = solve_exact(system)
+    if not sol.consistent:
+        return False, len(system.basis), len(system.rows), None
+    x = _assemble_cochain(ctx, rhs.degree - 1, rhs.vtype, rhs.sdeg, basis, sol.particular)
+    assert cech_differential(ctx, x).add(rhs.neg()).is_zero()
+    return True, len(system.basis), len(system.rows), cochain_coordinates(x)
+
+
+def rank_one_cases():
+    """Every rank-one builtin at d -3..3 and the quadric, at each order and three windows."""
+    for name in scenarios.BUILTIN_NAMES:
+        twists = (0, 1, -1, F(-1, 2)) if name in scenarios.TWISTED_BUILTINS else (0,)
+        for d in range(-3, 4):
+            for tw in twists:
+                yield f"{name}(d={d}, twist={tw})", generate_builtin(name, d=d, twist=tw)
+    for a, b in [(1, 1), (2, 2), (2, -1)]:
+        yield f"quadric O({a},{b})", quadric_scenario(a, b)
+
+
+def test_block_solve_equals_the_whole_window_solve():
+    """The rank-one system solved on its touched blocks is the whole-window solve.
+
+    Consistency, the whole system's unknowns and constraints, and lambda
+    agree with ``whole_window_solve`` on every case; some cases are
+    inconsistent, and most leave blocks out.
+    """
+    seen = {"inconsistent": 0, "smaller": 0, "cases": 0}
+    for label, s in rank_one_cases():
+        assert s.e == 1, label
+        for k in range(1, s.max_order + 1):
+            ctx = build_context(s, k)
+            rho = cech.transition_log_defect(ctx)
+            for window in (s.window, (-3, 3), (-8, 8)):
+                sdegs = range(1, k + 1)
+                solved = cech.solve_delta(ctx, rho, sdegs, window, touched_only=True)
+                lam = None if solved.cochain is None else cochain_coordinates(solved.cochain)
+                got = (solved.solution.consistent, solved.unknowns, solved.constraints, lam)
+                assert got == whole_window_solve(ctx, rho, sdegs, window), (label, k, window)
+                kept = len(solved.solution.free) + len(solved.solution.reduced)
+                seen["inconsistent"] += not solved.solution.consistent
+                seen["smaller"] += kept < solved.unknowns
+                seen["cases"] += 1
+    assert seen["inconsistent"] > 0
+    assert seen["smaller"] > seen["cases"] // 2, seen

@@ -134,8 +134,8 @@ def test_every_arithmetic_result_is_what_the_checked_constructor_builds(a, b, cx
     for result in (
         -a,
         a.diff("y"),
-        a.truncate_group((1,), t_max),
-        a.part_group((0, 1), t_max),
+        a.truncate_group(1, t_max),
+        a.part_group(0, t_max),
         T_RING.mul(a, b, t_max),
         Substitution(PLAIN_RING, images, 0)(a),
         Substitution(T_RING, t_images, t_max)(t_poly),

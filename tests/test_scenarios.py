@@ -534,8 +534,7 @@ def test_order_above_max_order_is_an_input_error(tmp_path, capsys):
     # transitions cut to t-degree <= 1 are only checked mod t^2, so they
     # cannot back an order-two verdict, though they validate at max_order 1
     s = generate_builtin("hyperplane_p2_in_p3", d=2, twist=1)
-    t_idxs = range(s.p, s.p + s.q)
-    cut = lambda polys: tuple(f.truncate_group(t_idxs, 1) for f in polys)
+    cut = lambda polys: tuple(f.truncate_group(s.p, 1) for f in polys)
     overlaps = [
         dataclasses.replace(
             o, forward_u=cut(o.forward_u), forward_t=cut(o.forward_t),
@@ -553,6 +552,25 @@ def test_order_above_max_order_is_an_input_error(tmp_path, capsys):
     save_scenario(short, scn.as_posix())
     assert cli_main(["obstruct", scn.as_posix(), "--order", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: order 2 requested")
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ((3, -3), r"expected lo <= hi, got \[3, -3\]"),
+        ((2.5, 3), "expected a list of 2 integers"),
+        ((-3, 3, 5), "expected a list of 2 integers"),
+        ((), "expected a list of 2 integers"),
+    ],
+    ids=["reversed", "float", "three_bounds", "empty"],
+)
+def test_malformed_window_is_an_input_error(window, message):
+    s = generate_builtin("line_in_p2", d=1)
+    with pytest.raises(ParseError, match=f"^window: {message}"):
+        run_pipeline(s, k=2, window=window)
+    # a scenario built in Python with that window is refused the same way
+    with pytest.raises(ParseError, match=f"^window: {message}"):
+        run_pipeline(dataclasses.replace(s, window=window), k=2)
 
 
 def _drop(*path):
