@@ -61,7 +61,7 @@ from itertools import product as iproduct
 from operator import add, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import FrameMismatch, NonInvertibleSubstitution, NotClosed
+from .errors import FrameMismatch, NonInvertibleSubstitution, NotClosed, NotUnipotent
 from .filtered import ChartRing, ChartTransition, Substitution, _series
 from .laurent import Exponent, LaurentPoly, Rational, exact, grlex_key, monomial_window
 from .linsolve import ExactLinearSystem, PolyMatrix, Solution, _rref, solve_exact
@@ -251,7 +251,8 @@ class CechContext:
         # memos of derived data; they live and die with this context
         self._substitutions: Dict[Tuple[Pair, bool], Substitution] = {}
         self._exponent_maps: Dict[Tuple[Pair, str], Optional[ExponentMap]] = {}
-        self._moved: Dict[Tuple[Pair, str], Dict[Exponent, Tuple[Tuple, ...]]] = {}
+        self._moved: Dict[Tuple[Pair, str],
+                          Tuple[Optional[ExponentMap], Dict[Exponent, Tuple[Tuple, ...]]]] = {}
         self._patterns: Dict[Tuple[Pair, str], List[List[List[Tuple]]]] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
         self._window_exponents: Dict[Tuple, List[Exponent]] = {}
@@ -314,21 +315,22 @@ class CechContext:
         """P, the truncated image of the high-frame monomial x^exps, memoized.
 
         P is returned as (t-degree, exponent, coefficient) rows, the layout
-        of the transport pattern's rows.  It is read off the pair's
-        ``ExponentMap`` when it has one; the monomial over the map's
-        ``rest`` is moved through the pair's ``Substitution`` and kept in the
-        same memo, so each distinct one is moved once.  Any monomial the map
-        gives up on is read whole from the pullback's memo
+        of the transport pattern's rows.  The memo of each (pair, vtype) is
+        kept with the pair's ``ExponentMap``, fetched once when the memo is
+        made.  P is read off the map when there is one; the monomial over
+        the map's ``rest`` is moved through the pair's ``Substitution`` and
+        kept in the same memo, so each distinct one is moved once.  Any
+        monomial the map gives up on is read whole from the pullback's memo
         (``Substitution.monomial_image``), which raises ``ValueError`` and
         ``NonInvertibleSubstitution`` on the same monomial as a whole
         substitution would.
         """
-        memo = self._moved.get((pair, vtype))
-        if memo is None:
-            memo = self._moved[(pair, vtype)] = {}
+        entry = self._moved.get((pair, vtype))
+        if entry is None:
+            entry = self._moved[(pair, vtype)] = (self.exponent_map(pair, vtype), {})
+        emap, memo = entry
         moved = memo.get(exps)
         if moved is None:
-            emap = self.exponent_map(pair, vtype)
 
             def remainder(rest: Exponent) -> Optional[Tuple[Tuple, ...]]:
                 rows = memo.get(rest)
@@ -546,15 +548,23 @@ def transition_log_defect(ctx: CechContext) -> CechCochain:
     """rho_ijh = -log(1 + y_ijh) = log(g_ih / (g_ij . F_ij^* g_jh)), for a rank-one bundle.
 
     G_ij = g_ij . exp(lambda_ij) is a cocycle modulo t^(order+1) exactly
-    when delta(lambda) = rho for the FUNCTION transport.  The transitions
-    form a cocycle on X, so y has t-degree >= 1 and the log series stops
-    at the working order, which the cochain carries as its ``sdeg``.
+    when delta(lambda) = rho for the FUNCTION transport.  When the
+    transitions form a cocycle on X, y has t-degree >= 1 and the log series
+    stops at the working order, which the cochain carries as its ``sdeg``;
+    a y with a part of t-degree below 1 has no such log and raises
+    ``NotUnipotent`` before the series runs.
     """
     k = ctx.order
     coeff = lambda n: Fraction((-1) ** n, n)
     values = {}
     for tri, y in transition_defect(ctx, ctx.bundle.g).items():
         ring = ctx.nerve.triple_rings[tri]
+        low = ring.t_degree_min(y[0, 0])
+        if low is not None and low < 1:
+            raise NotUnipotent(
+                f"the transitions are not a cocycle on X at {tri}: "
+                f"their defect has a part of t-degree {low}"
+            )
         one = PolyMatrix.identity(1, ring.names)
         values[tri] = _series(ctx.zero_value(FUNCTION, ring), one,
                               lambda m: ring.matmul(m, y, k), coeff, k)

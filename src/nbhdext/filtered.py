@@ -4,9 +4,13 @@ A chart carries tangential variables (Laurent exponents allowed where the
 chart inverts monomials) and normal variables whose classes span the
 conormal slot.  Everything of normal degree above the working order is
 truncated away, which makes exp, log and all compositions finite exact
-sums.  Automorphisms and derivations are stored through their generator
-images; application to arbitrary elements goes through substitution or
-the Leibniz rule.
+sums: each of them, and each truncated inverse, is one ``_series`` whose
+step raises the conormal degree, so it stops after ``order`` steps.  Its
+callers check that the step does before it runs and raise
+``NotUnipotent`` where it does not.  Automorphisms and derivations are
+stored through their generator images; application to arbitrary elements
+goes through substitution or the Leibniz rule, which ``PairDerivation.apply``
+sums in one pass over the element's terms.
 """
 
 from __future__ import annotations
@@ -21,6 +25,21 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from .errors import NonInvertibleSubstitution, NotAdapted, NotUnipotent
 from .laurent import Exponent, LaurentPoly, Rational, grlex_key
 from .linsolve import PolyMatrix
+
+
+def _degree_rows(poly: LaurentPoly, p: int) -> List[Tuple[int, Exponent, Rational]]:
+    """``poly``'s (t-degree, exps, coeff) rows, the variables after the first ``p`` normal.
+
+    They are kept on the polynomial as ``poly._degree_rows = (p, rows)``,
+    built on its first use under this ``p``; a use under another split
+    rebuilds them.
+    """
+    cached = poly._degree_rows
+    if cached is not None and cached[0] == p:
+        return cached[1]
+    rows = [(sum(e[p:]), e, c) for e, c in poly.terms.items()]
+    poly._degree_rows = (p, rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -88,13 +107,9 @@ class ChartRing:
 
         A product's t-degree is the sum of its factors', so a pair of terms
         is skipped when that sum is over ``t_max``.  The right factor's
-        t-degrees are read from its table ``b._degree_rows``: None, or
-        ``(p, rows)`` with one ``(t-degree, exps, coeff)`` row per term, the
-        variables after the first ``p`` counted as normal.  It is built on
-        the factor's first use under this ``p`` and kept on the polynomial,
-        since right factors repeat across calls (memoized powers,
-        substitution bases, conjugation scalars); a ring with another
-        split rebuilds it.
+        t-degrees are read from its rows (``_degree_rows``), which are kept
+        on the polynomial, since right factors repeat across calls
+        (memoized powers, substitution bases, conjugation scalars).
         Terms are visited in the order ``a * b`` visits them, so the
         result's terms come in the same order too.  A one-term ``a`` only
         shifts ``b``'s kept rows: their products are nonzero and their
@@ -102,12 +117,7 @@ class ChartRing:
         """
         a._check_same_ring(b)
         p = len(self.u_names)
-        cached = b._degree_rows
-        if cached is not None and cached[0] == p:
-            rows = cached[1]
-        else:
-            rows = [(sum(e[p:]), e, c) for e, c in b.terms.items()]
-            b._degree_rows = (p, rows)
+        rows = _degree_rows(b, p)
         if len(a.terms) == 1:
             [(e1, c1)] = a.terms.items()
             t_room = t_max - sum(e1[p:])
@@ -179,7 +189,13 @@ class ChartRing:
     # -- truncated inversion and substitution ---------------------------
 
     def invert_trunc(self, p: LaurentPoly, t_max: int) -> LaurentPoly:
-        """Invert unit * (1 + nilpotent): the t-degree-0 slice must be a monomial."""
+        """Invert unit * (1 + nilpotent), truncated at ``t_max``.
+
+        The t-degree-0 slice must be a monomial (else
+        ``NonInvertibleSubstitution``), and the rest, after truncation, of
+        t-degree >= 1 (else ``NotUnipotent``), so that its powers past
+        ``t_max`` vanish and ``_series`` sums all of them.
+        """
         head = self.restrict_to_x(p)
         if head.is_zero() or not head.is_monomial():
             raise NonInvertibleSubstitution(
@@ -189,6 +205,9 @@ class ChartRing:
         tail = self.truncate(p - head, t_max)
         if tail.is_zero():
             return head_inv
+        if self.t_degree_min(tail) < 1:
+            # a term of negative t-degree: no power of it is truncated away
+            raise NotUnipotent(f"{p} is not a unit monomial plus terms of t-degree >= 1")
         # (h + n)^-1 = h^-1 * sum (-n h^-1)^i, finite because n raises t-degree
         x = self.mul(-tail, head_inv, t_max)
         one = PolyMatrix([[self.one()]])
@@ -423,19 +442,68 @@ class PairDerivation:
         )
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
-        """Leibniz action on an algebra element via partial derivatives."""
+        """D(f) = sum over the variables v of df/dv . D(v), truncated at ``algebra_trunc``.
+
+        One pass over f's terms: a term c x^e and a variable v with e_v != 0
+        give the term c e_v x^(e - 1_v) of df/dv, and its products with the
+        rows of D(v)'s ``_degree_rows`` (the table ``ChartRing.mul`` reads)
+        go straight into one sum, skipped when their t-degree is over the
+        bound.  That is the truncated sum of the products df/dv . D(v), so
+        no derivative, product or partial sum is built.  ``f`` and the
+        images live on the chart's variables in their order; a mismatch
+        raises ``ValueError`` where a product df/dv . D(v) or the sum would
+        mix rings (``_mismatch`` for f), and nowhere else.
+        """
         ring = self.ring
+        names = ring.names
+        if f.vars != names:
+            return self._mismatch(f)
+        p = ring.p
+        tables = []
+        for i, image in enumerate(self.u_images + self.t_images):
+            if image.terms:
+                if image.vars != names:
+                    if any(e[i] for e in f.terms):
+                        raise ValueError(f"variable mismatch: {f.vars} vs {image.vars}")
+                    continue
+                # D(v) . x^(e - 1_v) for a normal v: its t-degree is one below x^e's
+                tables.append((i, int(i >= p), _degree_rows(image, p)))
         k = self.algebra_trunc
-        out = ring.zero()
-        for b, name in enumerate(ring.u_names):
-            df = f.diff(name)
-            if not df.is_zero() and not self.u_images[b].is_zero():
-                out = out + ring.mul(df, self.u_images[b], k)
-        for a, name in enumerate(ring.t_names):
-            df = f.diff(name)
-            if not df.is_zero() and not self.t_images[a].is_zero():
-                out = out + ring.mul(df, self.t_images[a], k)
-        return out
+        out: Dict[Exponent, Rational] = {}
+        for e, c in f.terms.items():
+            t = sum(e[p:])
+            for i, lowers, rows in tables:
+                ki = e[i]
+                if not ki:
+                    continue
+                room = k - t + lowers
+                lowered = list(e)
+                lowered[i] = ki - 1
+                ck = c * ki
+                for t2, e2, c2 in rows:
+                    if t2 > room:
+                        continue
+                    key = tuple(map(add, lowered, e2))
+                    s = out.get(key, 0) + ck * c2
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+        return LaurentPoly._of(names, out)
+
+    def _mismatch(self, f: LaurentPoly) -> LaurentPoly:
+        """``apply`` on an f over other variables than the chart's.
+
+        Raises ``ValueError`` when a chart variable is missing from f, or
+        when some variable that occurs in f has a nonzero image, since
+        that product would mix rings; otherwise D(f) is the chart's zero.
+        """
+        ring = self.ring
+        for i, image in enumerate(self.u_images + self.t_images):
+            idx = f.vars.index(ring.names[i])  # ValueError when the chart variable is missing
+            if image.terms and any(e[idx] for e in f.terms):
+                raise ValueError(f"variable mismatch: {f.vars} vs {ring.names}")
+        return ring.zero()
 
     def act(self, sections: PolyMatrix) -> PolyMatrix:
         """psi on one module section per column of X: D(X) + M . X, truncated at ``order``."""
@@ -552,21 +620,28 @@ def bracket(x: PairDerivation, y: PairDerivation) -> PairDerivation:
 
 
 def _series(total: PolyMatrix, seed: PolyMatrix, step, coeff, order: int) -> PolyMatrix:
-    """total + sum over n >= 1 of coeff(n) * step^n(seed).
+    """total + sum over 1 <= n <= order of coeff(n) * step^n(seed).
 
-    The steps must reach zero by n = order + 2; zero entries of a term add nothing.
+    The caller guarantees that the seed has t-degree >= 0, that ``step``
+    raises the t-degree by at least one and that it truncates above
+    ``order``, so step^n(seed) has t-degree >= n and every term past
+    ``order`` is zero: the sum is the whole series, and no step past the
+    bound is taken.  ``exp_nilpotent`` and ``log_unipotent`` check this on
+    their input, ``ChartRing.invert_trunc`` and
+    ``cech.transition_log_defect`` on the element they expand in.  The sum
+    stops early at a zero term; zero entries of a term add nothing.
     """
     term = seed
-    for n in range(1, order + 3):
+    for n in range(1, order + 1):
         term = step(term)
         if term.is_zero():
-            return total
+            break
         c = coeff(n)
         total = PolyMatrix(
             [[t + f * c if f.terms else t for t, f in zip(t_row, f_row)]
              for t_row, f_row in zip(total.entries, term.entries)]
         )
-    raise NotUnipotent("exp/log series failed to terminate")
+    return total
 
 
 def _generators(ring: ChartRing) -> PolyMatrix:
@@ -592,11 +667,24 @@ def exp_nilpotent(d: PairDerivation) -> FilteredAutomorphism:
 
 
 def log_unipotent(phi: FilteredAutomorphism) -> PairDerivation:
-    """log of a unipotent automorphism; finite alternating sum."""
+    """log of a unipotent automorphism; finite alternating sum.
+
+    Phi - id raises the t-degree only on polynomials in the t-variables:
+    a truncated substitution into a negative t-power can drop terms that
+    the whole power keeps.  So an image term that the truncation keeps and
+    that has a negative t-exponent is refused with ``NotUnipotent``, as are
+    unipotency defects, before the series runs.
+    """
     defects = phi.unipotency_defects()
     if defects:
         raise NotUnipotent(f"automorphism is not unipotent: offending parts {defects[:2]}")
     ring, k = phi.ring, phi.order
+    parts = [*phi.u_images, *phi.t_images]
+    if phi.module is not None:
+        parts += [f for row in phi.module.entries for f in row]
+    p = ring.p
+    if any(sum(e[p:]) <= k and min(e[p:], default=0) < 0 for f in parts for e in f.terms):
+        raise NotUnipotent("automorphism has an image term with a negative t-exponent")
     # sum (-1)^(n+1)/n * (Phi - id)^n applied to the generators and the frame
     coeff = lambda n: Fraction((-1) ** (n + 1), n)
     step = lambda m: m.map(lambda f: ring.truncate(phi.apply(f) - f, k) if f.terms else f)

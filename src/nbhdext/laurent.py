@@ -83,7 +83,7 @@ class LaurentPoly:
     Exponents are read with ``operator.index``, so a non-integral one such
     as 1.5 raises ``TypeError`` instead of being truncated.
 
-    ``_degree_rows`` is a private cache owned by ``filtered.ChartRing.mul``,
+    ``_degree_rows`` is a private cache owned by ``filtered._degree_rows``,
     which documents its layout.  It is derived from ``terms`` alone, so
     sharing it is safe because instances are immutable.
     """

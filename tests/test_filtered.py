@@ -405,6 +405,125 @@ def test_module_actions_refuse_sections_of_another_rank():
         ring.matmul(PolyMatrix.identity(2, ring.names), PolyMatrix([[ring.one(), ring.one()]]), 2)
 
 
+# -- the Leibniz rule --------------------------------------------------------------
+
+
+def leibniz_oracle(d, f):
+    """D(f) as the sum over the variables of truncated products df/dv . D(v).
+
+    The per-variable body ``PairDerivation.apply`` had before it became one
+    pass over f's terms: a derivative, a product and a partial sum for each
+    variable whose derivative and image are both nonzero.
+    """
+    ring, k = d.ring, d.algebra_trunc
+    out = ring.zero()
+    for b, name in enumerate(ring.u_names):
+        df = f.diff(name)
+        if not df.is_zero() and not d.u_images[b].is_zero():
+            out = out + ring.mul(df, d.u_images[b], k)
+    for a, name in enumerate(ring.t_names):
+        df = f.diff(name)
+        if not df.is_zero() and not d.t_images[a].is_zero():
+            out = out + ring.mul(df, d.t_images[a], k)
+    return out
+
+
+@st.composite
+def leibniz_cases(draw):
+    """A derivation with p, q in {1, 2} at order 1..3 and polynomials to apply it to.
+
+    ``algebra_trunc`` is the order or one more.  About a third of the images
+    are zero; the others, like the polynomials, have tangential exponents
+    in -2..3 and t-exponents in 0..3, so t-degrees run past the bound.
+    """
+    p, q, k = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    ring = ring_pq(p, q)
+    exponent = st.tuples(*[st.integers(-2, 3)] * p, *[st.integers(0, 3)] * q)
+    coeff = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
+    poly = st.builds(lambda terms: LaurentPoly(ring.names, terms),
+                     st.dictionaries(exponent, coeff, max_size=4))
+    image = st.one_of(st.just(ring.zero()), poly, poly)
+    d = PairDerivation(
+        ring, k,
+        tuple(draw(image) for _ in range(p)),
+        tuple(draw(image) for _ in range(q)),
+        algebra_trunc=k + draw(st.integers(0, 1)),
+    )
+    return d, draw(st.lists(poly, min_size=1, max_size=3))
+
+
+@given(leibniz_cases())
+@settings(max_examples=300, deadline=None)
+def test_leibniz_rule_equals_the_per_variable_sum(case):
+    d, polys = case
+    for f in polys:
+        applied = d.apply(f)
+        assert applied == leibniz_oracle(d, f)
+        assert applied.vars == d.ring.names
+
+
+def leibniz_outcome(apply, f):
+    """D(f), or ValueError when applying D to ``f`` raises it."""
+    try:
+        return apply(f)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def mismatched_leibniz_cases(draw):
+    """A derivation and a polynomial whose variables may not be the chart's.
+
+    The polynomial lives on the chart's variables, on them in another
+    order, on them and one more, or on all but one of them; each image on
+    the chart's variables or on a renamed copy.  Each image and each
+    exponent is zero about half of the time, so a mismatch is sometimes
+    never multiplied.
+    """
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ring = ring_pq(p, q)
+    names = ring.names
+    renamed = tuple(name.replace("u", "w") for name in names)
+    f_vars = draw(st.sampled_from([
+        names, names[::-1], names + ("s",), names[1:], names[:-1], renamed,
+    ]))
+    coeff = st.sampled_from([F(1), F(-2), F(1, 2)])
+
+    def poly(vars):
+        exponent = st.tuples(*[st.sampled_from((0, 0, 1, -1, 2))] * len(vars))
+        return LaurentPoly(vars, draw(st.dictionaries(exponent, coeff, max_size=3)))
+
+    images = tuple(poly(draw(st.sampled_from([names, names, renamed]))) for _ in names)
+    d = PairDerivation(ring, 2, images[:p], images[p:])
+    return d, poly(f_vars)
+
+
+@given(mismatched_leibniz_cases())
+@settings(max_examples=300, deadline=None)
+def test_leibniz_rule_refuses_mismatched_variables_as_the_per_variable_sum(case):
+    d, f = case
+    assert leibniz_outcome(d.apply, f) == leibniz_outcome(lambda g: leibniz_oracle(d, g), f)
+
+
+def test_leibniz_rule_mismatches_by_hand():
+    ring = ring_pq(1, 1)
+    t = ring.t_var(0)
+    d = PairDerivation(ring, 2, (t,), (ring.zero(),))
+    # a chart variable missing from f: refused even when f is zero
+    with pytest.raises(ValueError):
+        d.apply(LaurentPoly.zero(("u1",)))
+    # f over more variables: refused once a product would mix the rings ...
+    with pytest.raises(ValueError):
+        d.apply(LaurentPoly(("u1", "t1", "s"), {(1, 0, 0): 1}))
+    # ... and the chart's zero when none would
+    assert d.apply(LaurentPoly(("u1", "t1", "s"), {(0, 1, 1): 1})) == ring.zero()
+    # an image over other variables is refused only where f uses its variable
+    d = PairDerivation(ring, 2, (LaurentPoly(("u1", "s1"), {(0, 1): 1}),), (t * t,))
+    with pytest.raises(ValueError):
+        d.apply(ring.u_var(0))
+    assert d.apply(t) == t * t
+
+
 # -- log / exp --------------------------------------------------------------
 
 
@@ -453,6 +572,43 @@ def test_log_rejects_non_unipotent():
     phi = FilteredAutomorphism(ring, 2, (ring.u_var(0) * 2,), (ring.t_var(0),))
     with pytest.raises(NotUnipotent):
         log_unipotent(phi)
+
+
+def test_inverse_refuses_a_tail_below_t_degree_one():
+    # (1 + t^-1)^-1 has no finite truncated expansion: t^-1 has no vanishing power
+    ring = ring_pq(1, 1)
+    t_inv = ring.monomial((0, -1))
+    for t_max in (0, 1, 2, 3):
+        with pytest.raises(NotUnipotent):
+            ring.invert_trunc(ring.one() + t_inv, t_max)
+    # a tail of t-degree 1 with a negative t-exponent is still inverted
+    two = ring_pq(1, 2)
+    unit = two.u_var(0) + two.monomial((0, 2, -1))
+    assert two.mul(two.invert_trunc(unit, 2), unit, 2) == two.one()
+    # and a tail that mixes both is refused
+    with pytest.raises(NotUnipotent):
+        ring.invert_trunc(ring.u_var(0) + ring.t_var(0) + t_inv * 3, 2)
+    # substitution asks for the same inverse
+    with pytest.raises(NotUnipotent):
+        Substitution(ring, {"u1": ring.u_var(0), "t1": ring.one() + t_inv}, 2)(
+            ring.monomial((0, -1)))
+
+
+def test_log_refuses_a_negative_t_exponent():
+    # u1 -> u1 + t1^2 t2^-1 at order 1: the truncated substitution sends t1^2 t2^-1 to 0,
+    # so Phi - id maps it to -t1^2 t2^-1 and the series never reaches zero
+    ring = ring_pq(1, 2)
+    u, t1, t2 = ring.u_var(0), ring.t_var(0), ring.t_var(1)
+    odd = ring.monomial((0, 2, -1))
+    with pytest.raises(NotUnipotent):
+        log_unipotent(FilteredAutomorphism(ring, 1, (u + odd,), (t1, t2)))
+    # the same term in the module part
+    module = PolyMatrix([[ring.one() + odd]])
+    with pytest.raises(NotUnipotent):
+        log_unipotent(FilteredAutomorphism(ring, 1, (u,), (t1, t2), module))
+    # a term the truncation drops is never moved, so it is no reason to refuse
+    high = ring.monomial((0, 3, -1))
+    assert log_unipotent(FilteredAutomorphism(ring, 1, (u + high,), (t1, t2))).is_zero()
 
 
 # -- bch2 --------------------------------------------------------------------

@@ -23,6 +23,7 @@ from nbhdext.cech import (
     cech_differential,
     transition_log_defect,
 )
+from nbhdext.errors import NotUnipotent
 from nbhdext.filtered import ChartRing
 from nbhdext.laurent import LaurentPoly
 from nbhdext.linsolve import PolyMatrix
@@ -133,6 +134,15 @@ def test_log_defect_exponentiates_to_the_transition_ratio():
         lhs = ring.mul(ring.mul(exp_rho, s.g[(i, j)][0, 0], 2), pulled, 2)
         assert lhs == s.g[(i, h)][0, 0]
     assert not rho.is_zero()
+
+
+def test_log_defect_refuses_transitions_that_are_no_cocycle_on_x():
+    # doubling g_01 makes y_01h = 2 . g_01 . F^* g_1h . g_0h^-1 - 1 = 1 on X, which has no log
+    s = quadric_scenario(1, 1)
+    s.g[(0, 1)] = s.g[(0, 1)].scale(Fraction(2))
+    for order in (1, 2):
+        with pytest.raises(NotUnipotent):
+            transition_log_defect(build_context(s, order))
 
 
 @pytest.mark.parametrize(
