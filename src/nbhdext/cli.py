@@ -7,7 +7,6 @@ proven nonzero); nonzero exit codes signal engine or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from fractions import Fraction
@@ -20,6 +19,7 @@ from .scenarios import (
     TWISTED_BUILTINS,
     ProvenNonzero,
     Solved,
+    dumps_indented,
     generate_builtin,
     load_scenario,
     run_pipeline,
@@ -118,8 +118,7 @@ def _dispatch(args) -> int:
         if args.out:
             doc = [b.to_json() for b in outputs]
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc if len(doc) > 1 else doc[0], fh, sort_keys=True, indent=1)
-                fh.write("\n")
+                fh.write(dumps_indented(doc if len(doc) > 1 else doc[0]) + "\n")
         return 0
 
     if args.command == "cohomology":

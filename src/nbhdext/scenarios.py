@@ -4,7 +4,9 @@ A scenario is a finite presentation of an embedded smooth variety with a
 bundle: adapted coordinates per chart, two-way chart transitions per
 overlap, bundle transition matrices and local connection forms (validated
 for flatness, read by no verdict).  Exact rationals ride as strings in the
-JSON; floats are rejected outright.
+JSON; floats are rejected outright.  ``dumps_indented`` writes the bytes of
+every scenario file and report, equal to ``json.dumps(doc, sort_keys=True,
+indent=1)``; ``Scenario.digest`` stays on the compact C-encoded ``json.dumps``.
 
 ``run_pipeline`` reads the cover once per run, from the context: on a
 standard P^1 or P^2 cover with diagonal monomial twists, one twist
@@ -48,6 +50,44 @@ SCHEMA_VERSION = 1
 ENGINE_VERSION = __version__
 
 Pair = Tuple[int, int]
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def dumps_indented(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=1)`` in one pass, without the
+    stdlib's pure-Python indented encoder.  TypeError on a float, a Fraction,
+    a non-str key or any other type no exact report holds."""
+    chunks: List[str] = []
+    _write_json(doc, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(obj, newline: str, out) -> None:
+    if isinstance(obj, str):
+        out(_encode_str(obj))
+    elif isinstance(obj, int):
+        out("true" if obj is True else "false" if obj is False else int.__repr__(obj))
+    elif obj is None:
+        out("null")
+    elif isinstance(obj, dict):
+        inner, sep = newline + " ", "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(sep + inner + _encode_str(key) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = ","
+        out(newline + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = newline + " ", "["
+        for item in obj:
+            out(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out(newline + "]" if obj else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _names(p: int, q: int) -> Tuple[str, ...]:
@@ -155,7 +195,7 @@ class Scenario:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=1) + "\n"
+        return dumps_indented(self.to_json()) + "\n"
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -656,7 +696,7 @@ class ReportBundle:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=1) + "\n"
+        return dumps_indented(self.to_json()) + "\n"
 
 
 # -- the pipeline -----------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbhdext import scenarios
@@ -503,6 +503,63 @@ def test_cli_reports_are_identical_across_worker_counts(tmp_path):
     assert cli_main(["obstruct", scn.as_posix(), "--out", out.as_posix()]) == 0
     expected = run_pipeline(load_scenario(scn.as_posix()), k=2).dumps()
     assert out.read_bytes() == expected.encode()
+
+
+def test_cli_out_of_two_scenarios_is_the_stdlib_encoded_list(tmp_path, capsys):
+    a, b = (tmp_path / "a.json").as_posix(), (tmp_path / "b.json").as_posix()
+    assert cli_main(["generate", "line_in_p2", "-d", "1", "--twist", "1", "-o", a]) == 0
+    assert cli_main(["generate", "diagonal_p1xp1", "-d", "1", "-o", b]) == 0
+    out = tmp_path / "r.json"
+    assert cli_main(["obstruct", a, b, "--out", out.as_posix()]) == 0
+    doc = [run_pipeline(load_scenario(path), k=2).to_json() for path in (a, b)]
+    assert out.read_bytes() == (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
+def test_saved_builtins_are_the_stdlib_encoding(tmp_path, name):
+    twists = (0, 1, F(-1, 2)) if name in scenarios.TWISTED_BUILTINS else (0,)
+    for twist in twists:
+        s = generate_builtin(name, d=1, twist=twist)
+        path = tmp_path / "s.json"
+        save_scenario(s, path.as_posix())
+        expected = json.dumps(s.to_json(), sort_keys=True, indent=1) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+
+# keys and strings mix ASCII with what must be escaped: quotes, backslashes,
+# control characters, non-ASCII text (astral too) and lone surrogates
+_json_texts = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", " ", "\U0001f600",
+                         "\ud800", "\udfff"]),
+    ),
+    max_size=6,
+)
+_json_docs = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _json_texts,
+              st.integers(min_value=-2**80, max_value=2**80)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_json_texts, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_json_docs)
+@settings(max_examples=300, deadline=None)
+@example({"b": [], "a": {}, "é\ud800": (2**64 + 1, -2**70, True, False, None)})
+@example([{"z": 1, "\"": {"\\": "\x01"}}, ()])
+def test_dumps_indented_equals_the_stdlib_indented_encoding(doc):
+    assert scenarios.dumps_indented(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("doc", [{"a": [1, 1.5]}, [F(1, 2)], {"a": {1: "x"}}])
+def test_dumps_indented_refuses_a_value_no_exact_report_holds(doc):
+    with pytest.raises(TypeError):
+        scenarios.dumps_indented(doc)
 
 
 def test_cli_window_zero_means_zero(tmp_path):
