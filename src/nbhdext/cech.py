@@ -2,42 +2,41 @@
 
 A cochain value is a ``PolyMatrix``, stored in the frame of its
 simplex's smallest chart index: e x e for ``SYM_END`` and 1 x 1 for a
-``FUNCTION``, so the value type only chooses the transport.  Values move
-to a lower frame by substituting the high chart's coordinates:
-Sym^v N^*-valued End E data through the linear (conormal) part of the
-chart transition, conjugated by the bundle transitions, and functions
-through the full truncated transition F_ij^*.  The obstruction
-o_k is the t^k-part of the cocycle defect (G_ij . F_ij^* G_jh - G_ih) .
-g_ih^-1 of transitions lifted order by order, G <- (1 + m) . G with
--delta(m) = o_n; for a rank-one bundle the log of the same defect gives
-one linear system: G_ij = g_ij exp(lambda_ij) is a cocycle modulo t^(k+1)
-exactly when delta(lambda) = rho.  No connection enters: the paper's
-first-order formula c_1 = a^1 . At is kept in ``tests/cup_oracle.py``,
-where the tests check that it equals o_1.  The nerve holds each overlap
-as its ``filtered.ChartTransition``, whose low ring is the ring of the
-double and which reads its images keyed by name, their linear part and
-the conormal matrix off itself on first use.  Substitution is a linear
-ring map, so each context keeps one memoized ``filtered.Substitution``
-per overlap and transport.  delta is one alternating walk over
-``CoverNerve.simplices``: on each simplex the face that drops the first
-vertex is transported, the others enter with their signs.  The columns
-of delta are read off the cofaces of one simplex at a time, from the
-same simplices, and each column is linear in one pullback: a window
-monomial is moved once and multiplied by the overlap's transport
-pattern, the rows of g[a][r] . g^-1[c][b] for each target entry.  When
-some image of a transport is one term, the transport is an
-``ExponentMap``: a monomial's part over the one-term images is one term
-read off an integer matrix, with no polynomial built.  When every image
-is one term, as every linear transport of the shipped scenarios is,
-that is the whole moved monomial, and the pattern's rows are shifted by
-it straight into the column.  Otherwise, as for the full transport of a
-twisted builtin, the part over the other images is moved through the
-``Substitution`` once per distinct part and shifted by the one-term
-part.  A transport with a missing image or a term of negative t-degree,
-or none of one term, moves each monomial through its ``Substitution``.
-Each coordinate key (simplex, entry, exps) is interned to an int once
-per context, so the columns, the rows of the system and the torsor
-split compare ints.
+``FUNCTION``, so the value type only chooses the transport.  The
+obstruction o_k is the t^k-part of the cocycle defect (G_ij . F_ij^* G_jh
+- G_ih) . g_ih^-1 of transitions lifted order by order, G <- (1 + m) . G
+with -delta(m) = o_n; for a rank-one bundle the log of the same defect
+gives one linear system: G_ij = g_ij exp(lambda_ij) is a cocycle modulo
+t^(k+1) exactly when delta(lambda) = rho.  No connection enters: the
+paper's first-order formula c_1 = a^1 . At is kept in
+``tests/cup_oracle.py``, where the tests check that it equals o_1.  The
+nerve holds each overlap as its ``filtered.ChartTransition``, whose low
+ring is the ring of the double and which reads its images keyed by name,
+their linear part and the conormal matrix off itself on first use.
+Values move to a lower frame through one ``Transport`` per overlap and
+value type, made on first use by ``CechContext.transport_of``; the
+defect, ``CechContext.transport`` and the delta columns all read it.  It
+substitutes the high chart's coordinates through one memoized
+``filtered.Substitution``: for Sym^v N^*-valued End E data the linear
+(conormal) part of the chart transition, then conjugated by the bundle
+transitions, and for functions the full truncated transition F_ij^*.
+delta is one alternating walk over ``CoverNerve.simplices``: on each
+simplex the face that drops the first vertex is transported, the others
+enter with their signs.  The columns of delta are read off the cofaces of
+one simplex at a time, from the same simplices, and each column is
+linear in one substitution: a window monomial is moved once by its
+coface's ``Transport`` and multiplied by its transport pattern, the rows
+of g[a][r] . g^-1[c][b] for each target entry.  The part of a monomial
+over the transport's one-term images is one term read off an integer
+matrix, with no polynomial built; the part over its other images, its
+``rest``, is moved through the ``Substitution`` once per distinct part.
+When every image is one term, as every linear transport of the shipped
+scenarios is, the moved monomial is one term and the pattern's rows are
+shifted by it straight into the column.  A transport with a missing image
+or a term of negative t-degree, or none of one term, moves each monomial
+through its ``Substitution``.  Each coordinate key (simplex, entry, exps)
+is interned to an int once per context, so the columns, the rows of the
+system and the torsor split compare ints.
 ``solve_delta`` is the one build, solve and residual recheck behind both
 the obstruction solves and the rank-one system; whole cochains and those
 rechecks move through ``transport``.  The rank-one system eliminates
@@ -59,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import add, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FrameMismatch, NonInvertibleSubstitution, NotClosed, NotUnipotent
 from .filtered import ChartRing, ChartTransition, Substitution, _series
@@ -130,116 +129,6 @@ class BundleData:
         self.g_inv = {pair: mat.inverse_unit_det() for pair, mat in sorted(self.g.items())}
 
 
-@dataclass(frozen=True)
-class ExponentMap:
-    """A substitution read by exponent arithmetic on the variables whose image is one term.
-
-    Where the image of variable i is one term c_i . x^(E_i) of t-degree
-    d_i >= 0, the image of x^e is prod c_i^(e_i) . x^(sum e_i E_i), of
-    t-degree sum e_i d_i: the exponents move by an integer matrix, as on
-    toric charts.  ``rest`` indexes the variables whose image has several
-    terms; their part of a monomial is moved by the caller's substitution
-    and then shifted by the one-term part.  ``columns[j]`` holds coordinate
-    j of every E_i and ``inverses`` each 1/c_i under the exact-number rule,
-    with d_i = 0, E_i = 0 and c_i = 1 standing in for the ``rest``;
-    ``scaled`` indexes the images whose coefficient is not 1 and
-    ``positive`` those of positive t-degree.
-    """
-
-    degrees: Tuple[int, ...]
-    columns: Tuple[Tuple[int, ...], ...]
-    coefficients: Tuple[Rational, ...]
-    inverses: Tuple[Rational, ...]
-    scaled: Tuple[int, ...]
-    positive: Tuple[int, ...]
-    rest: Tuple[int, ...] = ()
-
-    @staticmethod
-    def of(images: Sequence[Optional[LaurentPoly]], p: int) -> Optional["ExponentMap"]:
-        """The map of ``images``, or None when one is missing or has a term of negative t-degree.
-
-        ``images`` holds one image per source variable, over a ring whose
-        first ``p`` variables are tangential.  A map needs at least one
-        image of one term, so it is None when there is none.
-        """
-        terms, rest = [], []
-        for i, image in enumerate(images):
-            if image is None or any(sum(e[p:]) < 0 for e in image.terms):
-                return None
-            if len(image.terms) == 1:
-                [(e, c)] = image.terms.items()
-                [inverse] = image.inverse_monomial().terms.values()
-                terms.append((sum(e[p:]), e, c, inverse))
-            else:
-                rest.append(i)
-                terms.append((0, (0,) * len(image.vars), 1, 1))
-        if len(rest) == len(terms):
-            return None
-        degrees, exps, coefficients, inverses = zip(*terms)
-        return ExponentMap(
-            degrees=degrees,
-            columns=tuple(zip(*exps)),
-            coefficients=coefficients,
-            inverses=inverses,
-            scaled=tuple(i for i, c in enumerate(coefficients) if c != 1),
-            positive=tuple(i for i, d in enumerate(degrees) if d),
-            rest=tuple(rest),
-        )
-
-    def moved(
-        self,
-        exps: Exponent,
-        t_max: int,
-        remainder: Callable[[Exponent], Optional[Tuple[Tuple, ...]]],
-    ) -> Optional[Tuple[Tuple, ...]]:
-        """The (t-degree, exponent, coefficient) rows of the image of x^exps, truncated.
-
-        With no exponent on ``rest`` the image is one row, or none when its
-        t-degree exceeds ``t_max``: with every e_i d_i >= 0 the partial
-        products of a substitution only grow in t-degree, so this is what
-        the truncated substitution keeps.  Otherwise ``remainder`` gives the
-        rows of the truncated image of the monomial over ``rest``, or None
-        when moving it raises; they are shifted by the one-term part and
-        truncated again.  Truncation is a ring map on polynomials of
-        t-degree >= 0, so that is the truncated image of x^exps.  None means
-        the caller moves the whole monomial itself: for a negative power of
-        an image of positive t-degree, which is not invertible, for a
-        remainder that raises, and for a one-term part already past
-        ``t_max``, whose image is zero unless the whole substitution raises
-        first; that is left to the substitution, with no remainder moved.
-        """
-        for i in self.positive:
-            if exps[i] < 0:
-                return None
-        degree = sum(map(mul, exps, self.degrees))
-        rows = None
-        if self.rest:
-            remaining = [0] * len(exps)
-            for i in self.rest:
-                remaining[i] = exps[i]
-            if any(remaining):
-                if degree > t_max:
-                    return None
-                rows = remainder(tuple(remaining))
-                if rows is None:
-                    return None
-        if rows is None and degree > t_max:
-            return ()
-        c = 1
-        for i in self.scaled:
-            k = exps[i]
-            if k:
-                c *= self.coefficients[i] ** k if k > 0 else self.inverses[i] ** -k
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        shift = tuple([sum(map(mul, exps, col)) for col in self.columns])
-        if rows is None:
-            return ((degree, shift, c),)
-        room = t_max - degree
-        return tuple([(t + degree, tuple(map(add, shift, e)), exact(c * x))
-                      for t, e, x in rows if t <= room])
-
-
 class CechContext:
     """Cover nerve plus transports: the working state of one scenario."""
 
@@ -249,139 +138,22 @@ class CechContext:
         self.bundle = bundle
         self.order = order
         # memos of derived data; they live and die with this context
-        self._substitutions: Dict[Tuple[Pair, bool], Substitution] = {}
-        self._exponent_maps: Dict[Tuple[Pair, str], Optional[ExponentMap]] = {}
-        self._moved: Dict[Tuple[Pair, str],
-                          Tuple[Optional[ExponentMap], Dict[Exponent, Tuple[Tuple, ...]]]] = {}
-        self._patterns: Dict[Tuple[Pair, str], List[List[List[Tuple]]]] = {}
+        self._transports: Dict[Tuple[Pair, str], Transport] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
         self._window_exponents: Dict[Tuple, List[Exponent]] = {}
         self._delta_maps: Dict[Tuple, Tuple[List[Tuple], List[Dict]]] = {}
         self._row_ids: Dict[Tuple, int] = {}
 
-    # -- elementary transports (j-frame value to i-frame, (i,j) a stored pair) --
-
-    def _transition(self, pair: Pair) -> ChartTransition:
-        if pair not in self.pairs:
-            raise FrameMismatch(f"no transport data for overlap {pair}")
-        return self.pairs[pair]
-
-    def pullback(self, pair: Pair, value: LaurentPoly, full: bool = False) -> LaurentPoly:
-        """Substitute the high chart's coordinates through one memoized ``Substitution``.
-
-        ``full`` substitutes the whole truncated transition F_ij^*, which
-        moves functions; otherwise the conormal part is linear, which moves
-        Sym^v N^*-valued values.  Each (pair, full) keeps one substitution,
-        so variable powers and monomial images are built once per context.
-        """
-        return self._substitution(pair, full)(value)
-
-    def _substitution(self, pair: Pair, full: bool) -> Substitution:
-        sub = self._substitutions.get((pair, full))
-        if sub is None:
-            tr = self._transition(pair)
-            sub = Substitution(tr.ring_low, tr.forward if full else tr.images_ji, self.order)
-            self._substitutions[(pair, full)] = sub
-        return sub
-
-    def end_to_low(self, pair: Pair, value: PolyMatrix) -> PolyMatrix:
-        ring, k = self._transition(pair).ring_low, self.order
-        moved = value.map(lambda p: self.pullback(pair, p))
-        return ring.matmul(ring.matmul(self.bundle.g[pair], moved, k), self.bundle.g_inv[pair], k)
+    def transport_of(self, pair: Pair, vtype: str) -> "Transport":
+        """The ``Transport`` of ``vtype`` values across the stored pair ``pair``, made once."""
+        key = (pair, vtype)
+        tr = self._transports.get(key)
+        if tr is None:
+            tr = self._transports[key] = Transport(self, pair, vtype)
+        return tr
 
     def transport(self, pair: Pair, vtype: str, value: PolyMatrix) -> PolyMatrix:
-        if vtype == FUNCTION:
-            return value.map(lambda p: self.pullback(pair, p, full=True))
-        if vtype == SYM_END:
-            return self.end_to_low(pair, value)
-        raise ValueError(f"unknown value type {vtype!r}")
-
-    def exponent_map(self, pair: Pair, vtype: str) -> Optional[ExponentMap]:
-        """The ``ExponentMap`` of the transport of ``pair``, or None, read once.
-
-        The transport substitutes the full images for a ``FUNCTION`` and the
-        linear ones for ``SYM_END``.
-        """
-        key = (pair, vtype)
-        if key not in self._exponent_maps:
-            self.value_side(vtype)  # refuses any other value type
-            tr = self._transition(pair)
-            images = tr.forward if vtype == FUNCTION else tr.images_ji
-            self._exponent_maps[key] = ExponentMap.of(
-                [images.get(name) for name in tr.ring_high.names], tr.ring_low.p)
-        return self._exponent_maps[key]
-
-    def moved_monomial(self, pair: Pair, vtype: str, exps: Exponent) -> Tuple[Tuple, ...]:
-        """P, the truncated image of the high-frame monomial x^exps, memoized.
-
-        P is returned as (t-degree, exponent, coefficient) rows, the layout
-        of the transport pattern's rows.  The memo of each (pair, vtype) is
-        kept with the pair's ``ExponentMap``, fetched once when the memo is
-        made.  P is read off the map when there is one; the monomial over
-        the map's ``rest`` is moved through the pair's ``Substitution`` and
-        kept in the same memo, so each distinct one is moved once.  Any
-        monomial the map gives up on is read whole from the pullback's memo
-        (``Substitution.monomial_image``), which raises ``ValueError`` and
-        ``NonInvertibleSubstitution`` on the same monomial as a whole
-        substitution would.
-        """
-        entry = self._moved.get((pair, vtype))
-        if entry is None:
-            entry = self._moved[(pair, vtype)] = (self.exponent_map(pair, vtype), {})
-        emap, memo = entry
-        moved = memo.get(exps)
-        if moved is None:
-
-            def remainder(rest: Exponent) -> Optional[Tuple[Tuple, ...]]:
-                rows = memo.get(rest)
-                if rows is None:
-                    try:
-                        rows = memo[rest] = self._substituted(pair, vtype, rest)
-                    except NonInvertibleSubstitution:
-                        return None
-                return rows
-
-            moved = None if emap is None else emap.moved(exps, self.order, remainder)
-            if moved is None:
-                moved = self._substituted(pair, vtype, exps)
-            memo[exps] = moved
-        return moved
-
-    def _substituted(self, pair: Pair, vtype: str, exps: Exponent) -> Tuple[Tuple, ...]:
-        """The rows of x^exps moved through the pair's ``Substitution``, term by term."""
-        tr = self._transition(pair)
-        image = self._substitution(pair, vtype == FUNCTION).monomial_image(tr.ring_high.names, exps)
-        p = tr.ring_low.p
-        return tuple((sum(e[p:]), e, c) for e, c in image.terms.items())
-
-    def _pattern(self, pair: Pair, vtype: str) -> List[List[List[Tuple]]]:
-        """The transport pattern of ``pair``: K[r][c] = [((a, b), rows), ...], row-major in (a, b).
-
-        ``rows`` lists (t-degree, exponent, coefficient) for each term of the
-        truncated product g[a][r] . g^-1[c][b], in grlex order, and a zero
-        product is left out.  A ``FUNCTION`` has the 1 x 1 pattern of the
-        constant 1.
-        """
-        table = self._patterns.get((pair, vtype))
-        if table is None:
-            ring = self._transition(pair).ring_low
-            if vtype == FUNCTION:
-                products = {(0, 0, 0, 0): ring.one()}
-            else:
-                gm, gi = self.bundle.g[pair], self.bundle.g_inv[pair]
-                products = {
-                    (r, c, a, b): ring.mul(gm[a, r], gi[c, b], self.order)
-                    for r, c, a, b in iproduct(range(self.bundle.rank), repeat=4)
-                    if gm[a, r].terms and gi[c, b].terms
-                }
-            e = self.value_side(vtype)
-            table = [[[] for _ in range(e)] for _ in range(e)]
-            for (r, c, a, b), k in products.items():
-                if k.terms:
-                    rows = [(sum(x[ring.p:]), x, y) for x, y in k.sorted_terms()]
-                    table[r][c].append(((a, b), rows))
-            self._patterns[(pair, vtype)] = table
-        return table
+        return self.transport_of(pair, vtype)(value)
 
     def cofaces(self, simplex: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], int]]:
         """(coface, position of the vertex it adds) for each coface, sorted."""
@@ -420,6 +192,163 @@ class CechContext:
         if len(simplex) == 3:
             return self.nerve.triple_rings[simplex]
         return self.nerve.chart_rings[simplex[0]]
+
+
+class Transport:
+    """Values of one type moved across one overlap (i, j), from the j frame to the i frame.
+
+    ``substitution`` is the memoized ``Substitution`` of the high chart's
+    coordinates by their linear images for ``SYM_END`` and by their full
+    images F_ij^* for a ``FUNCTION``; an End E value is then conjugated by
+    g_ij.  ``moved`` gives the truncated image of one monomial as
+    (t-degree, exponent, coefficient) rows, the layout of the rows of
+    ``pattern``: K[r][c] = [((a, b), rows), ...], row-major in (a, b),
+    lists the terms of the truncated product g[a][r] . g^-1[c][b] in
+    grlex order, a zero product left out; a ``FUNCTION`` has the 1 x 1
+    pattern of the constant 1.
+
+    Where the image of variable i is one term c_i . x^(E_i) of t-degree
+    d_i >= 0, the image of x^e is prod c_i^(e_i) . x^(sum e_i E_i), of
+    t-degree sum e_i d_i: the exponents move by an integer matrix, as on
+    toric charts.  ``rest`` indexes the variables whose image has several
+    terms.  ``columns[j]`` holds coordinate j of every E_i and ``inverses``
+    each 1/c_i under the exact-number rule, with d_i = 0, E_i = 0 and
+    c_i = 1 standing in for the ``rest``; ``scaled`` indexes the images
+    whose coefficient is not 1 and ``positive`` those of positive
+    t-degree.  ``exponents`` is False, and every monomial moves through
+    the substitution, when an image is missing or has a term of negative
+    t-degree, or when no image is one term.
+    """
+
+    def __init__(self, ctx: CechContext, pair: Pair, vtype: str):
+        side = ctx.value_side(vtype)  # refuses any other value type
+        if pair not in ctx.pairs:
+            raise FrameMismatch(f"no transport data for overlap {pair}")
+        tr = ctx.pairs[pair]
+        ring = tr.ring_low
+        images = tr.forward if vtype == FUNCTION else tr.images_ji
+        self.substitution = Substitution(ring, images, ctx.order)
+        self.t_max, self.names, self.p = ctx.order, tr.ring_high.names, ring.p
+        self._moved: Dict[Exponent, Tuple[Tuple, ...]] = {}
+        if vtype == FUNCTION:
+            self.frame = None
+            products = {(0, 0, 0, 0): ring.one()}
+        else:
+            gm, gi = ctx.bundle.g[pair], ctx.bundle.g_inv[pair]
+            self.frame = (ring, gm, gi)
+            products = {
+                (r, c, a, b): ring.mul(gm[a, r], gi[c, b], ctx.order)
+                for r, c, a, b in iproduct(range(side), repeat=4)
+                if gm[a, r].terms and gi[c, b].terms
+            }
+        self.pattern: List[List[List[Tuple]]] = [[[] for _ in range(side)] for _ in range(side)]
+        for (r, c, a, b), k in products.items():
+            if k.terms:
+                rows = [(sum(x[ring.p:]), x, y) for x, y in k.sorted_terms()]
+                self.pattern[r][c].append(((a, b), rows))
+        self._read_exponents([images.get(name) for name in self.names])
+
+    def _read_exponents(self, images: Sequence[Optional[LaurentPoly]]) -> None:
+        terms, rest = [], []
+        for i, image in enumerate(images):
+            if image is None or any(sum(e[self.p:]) < 0 for e in image.terms):
+                self.exponents = False
+                return
+            if len(image.terms) == 1:
+                [(e, c)] = image.terms.items()
+                [inverse] = image.inverse_monomial().terms.values()
+                terms.append((sum(e[self.p:]), e, c, inverse))
+            else:
+                rest.append(i)
+                terms.append((0, (0,) * len(image.vars), 1, 1))
+        self.exponents = len(rest) < len(terms)
+        if self.exponents:
+            self.degrees, exps, self.coefficients, self.inverses = zip(*terms)
+            self.columns = tuple(zip(*exps))
+            self.scaled = tuple(i for i, c in enumerate(self.coefficients) if c != 1)
+            self.positive = tuple(i for i, d in enumerate(self.degrees) if d)
+            self.rest = tuple(rest)
+
+    def __call__(self, value: PolyMatrix) -> PolyMatrix:
+        """``value`` in the low frame: substituted, and for End E conjugated by g_ij."""
+        moved = value.map(self.substitution)
+        if self.frame is None:
+            return moved
+        ring, g, g_inv = self.frame
+        return ring.matmul(ring.matmul(g, moved, self.t_max), g_inv, self.t_max)
+
+    def moved(self, exps: Exponent) -> Tuple[Tuple, ...]:
+        """P, the truncated image of the high-frame monomial x^exps, memoized.
+
+        P is read by exponent arithmetic where it can be
+        (``_by_exponents``); otherwise the whole monomial is read from the
+        substitution's memo (``Substitution.monomial_image``), which raises
+        ``ValueError`` and ``NonInvertibleSubstitution`` on the same
+        monomial as a whole substitution would.
+        """
+        rows = self._moved.get(exps)
+        if rows is None:
+            rows = self._by_exponents(exps) if self.exponents else None
+            if rows is None:
+                rows = self._substituted(exps)
+            self._moved[exps] = rows
+        return rows
+
+    def _substituted(self, exps: Exponent) -> Tuple[Tuple, ...]:
+        image = self.substitution.monomial_image(self.names, exps)
+        return tuple((sum(e[self.p:]), e, c) for e, c in image.terms.items())
+
+    def _by_exponents(self, exps: Exponent) -> Optional[Tuple[Tuple, ...]]:
+        """The rows of P read off the exponent arithmetic, or None.
+
+        With no exponent on ``rest`` P is one row, or none when its t-degree
+        exceeds ``t_max``: with every e_i d_i >= 0 the partial products of a
+        substitution only grow in t-degree, so this is what the truncated
+        substitution keeps.  Otherwise the monomial over ``rest`` is moved
+        through the substitution and kept in the same memo as P, so each
+        distinct one is moved once; its rows are shifted by the one-term
+        part and truncated again.  Truncation is a ring map on polynomials
+        of t-degree >= 0, so that is P.  None leaves the whole monomial to
+        the substitution: for a negative power of an image of positive
+        t-degree, which is not invertible, for a ``rest`` part that raises
+        ``NonInvertibleSubstitution``, and for a one-term part already past
+        ``t_max``, whose image is zero unless the whole substitution raises
+        first; that is left to the substitution, with no ``rest`` part moved.
+        """
+        for i in self.positive:
+            if exps[i] < 0:
+                return None
+        degree = sum(map(mul, exps, self.degrees))
+        rows = None
+        if self.rest:
+            remaining = [0] * len(exps)
+            for i in self.rest:
+                remaining[i] = exps[i]
+            if any(remaining):
+                if degree > self.t_max:
+                    return None
+                remaining = tuple(remaining)
+                rows = self._moved.get(remaining)
+                if rows is None:
+                    try:
+                        rows = self._moved[remaining] = self._substituted(remaining)
+                    except NonInvertibleSubstitution:
+                        return None
+        if rows is None and degree > self.t_max:
+            return ()
+        c = 1
+        for i in self.scaled:
+            k = exps[i]
+            if k:
+                c *= self.coefficients[i] ** k if k > 0 else self.inverses[i] ** -k
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        shift = tuple([sum(map(mul, exps, col)) for col in self.columns])
+        if rows is None:
+            return ((degree, shift, c),)
+        room = self.t_max - degree
+        return tuple([(t + degree, tuple(map(add, shift, e)), exact(c * x))
+                      for t, e, x in rows if t <= room])
 
 
 @dataclass
@@ -495,7 +424,7 @@ def transition_defect(ctx: CechContext, G: Dict[Pair, PolyMatrix]) -> Dict[Tripl
     for tri in ctx.nerve.triples():
         i, j, h = tri
         ring = ctx.nerve.triple_rings[tri]
-        pulled = G[(j, h)].map(lambda p: ctx.pullback((i, j), p, full=True))
+        pulled = G[(j, h)].map(ctx.transport_of((i, j), FUNCTION).substitution)
         defect = ring.matmul(G[(i, j)], pulled, k) - G[(i, h)]
         out[tri] = ring.matmul(defect, ctx.bundle.g_inv[(i, h)], k)
     return out
@@ -685,10 +614,11 @@ def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[int, Ration
     cofaces of its simplex.  Where the simplex is the face that drops the
     coface's first vertex, the key E_rc . x^exps moves low through the
     coface's leading pair to g . (E_rc . P) . g^-1, with P the moved
-    monomial (``CechContext.moved_monomial``).  Its entry (a, b) is P times
-    the rows of g[a][r] . g^-1[c][b] in the pair's transport pattern
-    (``CechContext._pattern``); t-degrees are >= 0 and only the t-degree is
-    truncated, so truncation is a ring map and the product is exact.  A
+    monomial (``Transport.moved``).  Its entry (a, b) is P times the rows
+    of g[a][r] . g^-1[c][b] in the pair's ``Transport.pattern``; the
+    ``Transport`` is fetched once per coface of the simplex.  t-degrees are
+    >= 0 and only the t-degree is truncated, so truncation is a ring map
+    and the product is exact.  A
     one-term P only shifts the rows: grlex order survives a shift, so each
     row goes straight into the column.  A longer P accumulates its products
     and sorts them.  On any other face the key enters itself with the
@@ -706,15 +636,15 @@ def _delta_columns(ctx: CechContext, vtype: str, basis) -> List[Dict[int, Ration
         if simplex != last:  # the basis lists each simplex's keys together
             last = simplex
             faces = [(coface, _SIGNS[pos % 2], None) if pos else
-                     (coface, 0, ctx._pattern(coface[:2], vtype))
+                     (coface, 0, ctx.transport_of(coface[:2], vtype))
                      for coface, pos in ctx.cofaces(simplex)]
         col: Dict[int, Rational] = {}
-        for coface, sign, table in faces:
+        for coface, sign, transport in faces:
             if sign:
                 col[ids.setdefault((coface, entry, exps), len(ids))] = sign
                 continue
-            moved = ctx.moved_monomial(coface[:2], vtype, exps)
-            pattern = table[entry[0]][entry[1]]
+            moved = transport.moved(exps)
+            pattern = transport.pattern[entry[0]][entry[1]]
             if len(moved) == 1:
                 [(t1, e1, c1)] = moved
                 room = t_max - t1

@@ -17,10 +17,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import UnsupportedSheaf
-from .linsolve import matrix_rank, sparse_rows
+from .linsolve import matrix_rank
 
 SPACES = {"p1": 1, "p2": 2}
 
@@ -31,7 +31,8 @@ def weight_cohomology(n: int, negative_support: frozenset) -> Tuple[int, ...]:
 
     Degree-j cochains are spanned by the (j+1)-subsets of {0..n} that
     contain the weight's negative support; ranks come from explicit
-    boundary matrices, nothing is special-cased.  The ranks depend on
+    boundary rows, one ``{column: +-1}`` map per (j+2)-subset over its
+    faces, and nothing is special-cased.  The ranks depend on
     (n, support) alone, of which there are at most 2^(n+1) per n, so each
     is computed once per process and returned as a tuple, which no caller
     can change.
@@ -43,21 +44,20 @@ def weight_cohomology(n: int, negative_support: frozenset) -> Tuple[int, ...]:
     ]
     dims = [len(c) for c in chains]
 
-    def delta_matrix(j: int) -> List[List[int]]:
+    def boundary_rows(j: int) -> List[Dict[int, int]]:
+        """One ``{column: +-1}`` row per (j+2)-subset: its faces among the (j+1)-subsets."""
+        column = {small: c for c, small in enumerate(chains[j])}
         rows = []
         for big in chains[j + 1]:
-            row = []
-            for small in chains[j]:
-                coeff = 0
-                if set(small).issubset(big):
-                    missing = [x for x in big if x not in small]
-                    if len(missing) == 1:
-                        coeff = (-1) ** big.index(missing[0])
-                row.append(coeff)
+            row = {}
+            for pos in range(len(big)):
+                c = column.get(big[:pos] + big[pos + 1:])
+                if c is not None:
+                    row[c] = (-1) ** pos
             rows.append(row)
         return rows
 
-    ranks = [matrix_rank(sparse_rows(delta_matrix(j))) if dims[j] else 0 for j in range(n)]
+    ranks = [matrix_rank(boundary_rows(j)) if dims[j] else 0 for j in range(n)]
     out = []
     for j in range(n + 1):
         dim_ker = dims[j] - (ranks[j] if j < n else 0)

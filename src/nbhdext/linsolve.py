@@ -230,11 +230,6 @@ class ExactLinearSystem:
         return dense
 
 
-def sparse_rows(matrix: Iterable[Sequence[Rational]]) -> List[Row]:
-    """The ``{column: entry}`` rows of a dense matrix."""
-    return [{c: x for c, x in enumerate(line) if x} for line in matrix]
-
-
 @dataclass
 class Solution:
     """What ``solve_exact`` reads off the reduced echelon form of [A | b].

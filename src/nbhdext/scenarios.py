@@ -254,9 +254,14 @@ def scenario_from_json(data: dict) -> Scenario:
     def poly(obj, where: str) -> LaurentPoly:
         _require(isinstance(obj, list), f"{where}: expected a list of terms, got {obj!r}")
         try:
-            return LaurentPoly.from_json_terms(names, obj)
+            out = LaurentPoly.from_json_terms(names, obj)
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from exc
+        # chart rings never invert a normal variable
+        for exps, _ in out.sorted_terms():
+            _require(min(exps[p:]) >= 0,
+                     f"{where}: exponent vector {list(exps)} has a negative t-exponent")
+        return out
 
     def polys(obj: dict, key: str, where: str, width: int) -> Tuple[LaurentPoly, ...]:
         items = _field(obj, key, where, list)

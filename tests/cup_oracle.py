@@ -48,7 +48,7 @@ def jacobians(ctx, pair):
 def form_end_to_low(ctx, pair, value: Sequence[PolyMatrix]) -> Tuple[PolyMatrix, ...]:
     """Pull each du^j_b-coefficient back, re-index it over the du^i_c and conjugate by g."""
     ring = ctx.pairs[pair].ring_low
-    moved = [m.map(lambda p: ctx.pullback(pair, p)) for m in value]
+    moved = [m.map(ctx.transport_of(pair, SYM_END).substitution) for m in value]
     jac, _ = jacobians(ctx, pair)
     reindexed = [
         contract(ring, [jac[b, c] for b in range(ring.p)], moved, ctx.order)
@@ -67,7 +67,7 @@ def homform_to_low(ctx, pair, value):
         acc = geom.ring_high.zero()
         for b in range(geom.ring_high.p):
             acc = acc + geom.ring_high.mul(back[c, b], value[b], ctx.order)
-        out.append(ctx.pullback(pair, acc))
+        out.append(ctx.transport_of(pair, SYM_END).substitution(acc))
     return tuple(out)
 
 

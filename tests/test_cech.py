@@ -214,7 +214,8 @@ def derivation_to_low(ctx, pair, d):
 
     def moved(name):
         # the chart-i generator in the j-frame, hit by d and moved low
-        return ring_i.truncate(ctx.pullback(pair, d.apply(images_ij[name])), ctx.order)
+        linear = ctx.transport_of(pair, SYM_END).substitution
+        return ring_i.truncate(linear(d.apply(images_ij[name])), ctx.order)
 
     return PairDerivation(
         ring_i,

@@ -7,7 +7,9 @@ from itertools import combinations, product
 import pytest
 
 from nbhdext.cohomology import cohomology_dim, twist_dims, weight_cohomology, weight_supports
-from nbhdext.linsolve import matrix_rank, sparse_rows
+from nbhdext.linsolve import matrix_rank
+
+from test_linsolve import sparse_rows
 
 F = Fraction
 

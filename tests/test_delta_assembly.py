@@ -1,17 +1,19 @@
-"""delta columns read off cofaces, their sparse system, the rank split and the transport memo.
+"""delta columns read off cofaces, their sparse system, the rank split and the transports.
 
 ``cech_differential`` of a whole elementary cochain is the oracle for the
-columns, and ``end_to_low`` of a whole elementary matrix for each moved
-monomial, read off the column writer both where the transport is an
-integer exponent map and where it goes through ``Substitution``.  A
+columns, and ``CechContext.transport`` of a whole elementary matrix for
+each moved monomial, read off the column writer both where the transport
+moves exponents and where it goes through ``Substitution``.  A
 dense matrix written out here is the oracle for the sparse system built
 from the columns and for the torsor count's rank split; the
 full fold of every row inside the window is the oracle for the torsor
 read on the solve's free columns; and one truncated substitution of a
-whole polynomial is the oracle for the memoized pullback, linear and full.
+whole polynomial is the oracle for each transport's memoized
+substitution, linear and full.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -358,7 +360,7 @@ def mixing_line_scenario() -> Scenario:
 
 
 def test_elementary_transport_equals_the_whole_transport():
-    """Each column piece equals ``end_to_low`` of E_rc . x^exps, key order included.
+    """Each column piece equals the transport of E_rc . x^exps, key order included.
 
     The four-chart fixture is rank two, and on overlap (2, 3) its
     transition [[1 - u^3, -u], [u^2, 1]] mixes every entry; there every
@@ -381,14 +383,14 @@ def test_elementary_transport_equals_the_whole_transport():
                         entry = (rng.randrange(2), rng.randrange(2))
                         elementary = ctx.zero_value(cech.SYM_END, ring)
                         elementary.entries[entry[0]][entry[1]] = ring.monomial(exps)
-                        whole = cech._coordinates(ctx.end_to_low(pair, elementary))
+                        whole = cech._coordinates(ctx.transport(pair, cech.SYM_END, elementary))
                         moved = moved_coordinates(ctx, pair, cech.SYM_END, entry, exps)
                         assert moved == whole, (label, pair, entry, exps)
                         assert list(moved) == list(whole), (label, pair, entry, exps)
-                        linear = ctx.pullback(pair, ring.monomial(exps))
+                        linear = pullback(ctx, pair, ring.monomial(exps), False)
                         longest[label] = max(longest.get(label, 0), len(linear.terms))
-                        # the full pullback moves functions
-                        full = ctx.pullback(pair, ring.monomial(exps), full=True)
+                        # the full substitution moves functions
+                        full = pullback(ctx, pair, ring.monomial(exps), True)
                         moved = moved_coordinates(ctx, pair, cech.FUNCTION, (0, 0), exps)
                         assert list(moved.items()) == [
                             (((0, 0), e), x) for e, x in full.sorted_terms()]
@@ -396,23 +398,28 @@ def test_elementary_transport_equals_the_whole_transport():
     assert longest == {"four_chart": 1, "mixing_line": 3}
     # every four-chart overlap moves End E through its exponent map alone; the mixing
     # line moves u1 and t2 by exponents and t1, the variable ``rest`` indexes, by substitution
-    assert all(four.exponent_map(pair, cech.SYM_END).rest == () for pair in four.pairs)
-    assert mixing.exponent_map((0, 1), cech.SYM_END).rest == (1,)
+    assert all(four.transport_of(pair, cech.SYM_END).rest == () for pair in four.pairs)
+    assert mixing.transport_of((0, 1), cech.SYM_END).rest == (1,)
 
 
 def test_elementary_transport_refuses_other_value_types():
     ctx = build_context(four_chart_scenario(), 2)
-    with pytest.raises(ValueError):
-        ctx.moved_monomial((0, 1), "form_end", (0, 1))
-    with pytest.raises(ValueError):
-        cech._delta_columns(ctx, "form_end", [((1,), (0, 0), (0, 1))])
+    for refused in (
+        lambda: ctx.transport_of((0, 1), "form_end"),
+        lambda: ctx.transport((0, 1), "form_end", PolyMatrix.identity(2, ("u1", "t1"))),
+        lambda: cech._delta_columns(ctx, "form_end", [((1,), (0, 0), (0, 1))]),
+    ):
+        with pytest.raises(ValueError, match="unknown value type 'form_end'"):
+            refused()
+    assert not ctx._transports
 
 
 def test_both_transports_in_one_run(monkeypatch):
-    """Whole and partial exponent maps build columns of one pipeline run.
+    """Transports that move exponents wholly and partly build columns of one pipeline run.
 
-    Each (pair, value type) maps to the ``rest`` of its map: the variables
-    whose image has several terms and moves through ``Substitution``.
+    Each (pair, value type) whose transport moved a monomial for the
+    columns maps to its ``rest``: the variables whose image has several
+    terms and moves through ``Substitution``.
     ``mixing_line_scenario``'s linear image of t1 has two terms, so its
     End E columns move t1 by substitution and u1, t2 by exponents.  On
     hyperplane_p2_in_p3 with a twist the linear images are monomials but
@@ -429,8 +436,46 @@ def test_both_transports_in_one_run(monkeypatch):
     ]
     for s, paths in cases:
         (ctx,) = pipeline_contexts(monkeypatch, s)
-        assert {key: emap.rest for key, emap in ctx._exponent_maps.items()} == paths
+        moving = {key: tr for key, tr in ctx._transports.items() if tr._moved}
+        assert all(tr.exponents for tr in moving.values())
+        assert {key: tr.rest for key, tr in moving.items()} == paths
         assert_columns_match_full_differential(ctx)
+
+
+def test_one_transport_per_pair_and_value_type(monkeypatch):
+    """A pipeline run makes each (pair, value type) transport once, and every reader shares it.
+
+    ``transition_defect`` reads the full substitution, ``cech_differential``
+    moves whole values through ``CechContext.transport`` and the delta
+    columns move monomials; each asks ``CechContext.transport_of``, and
+    every answer for one key is the one object made for it.  The twisted
+    hyperplane has a triple and rank one, so both value types are read.
+    """
+    made, read = [], {}
+    real_init, real_of = cech.Transport.__init__, cech.CechContext.transport_of
+
+    def init(self, ctx, pair, vtype):
+        made.append((pair, vtype))
+        real_init(self, ctx, pair, vtype)
+
+    def transport_of(ctx, pair, vtype):
+        transport = real_of(ctx, pair, vtype)
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+            caller = caller.f_back
+        read.setdefault(caller.f_code.co_name, set()).add(((pair, vtype), id(transport)))
+        return transport
+
+    monkeypatch.setattr(cech.Transport, "__init__", init)
+    monkeypatch.setattr(cech.CechContext, "transport_of", transport_of)
+    (ctx,) = pipeline_contexts(monkeypatch, generate_builtin("hyperplane_p2_in_p3", d=1, twist=1))
+    assert len(made) == len(set(made)) == len(ctx._transports)
+    objects = {(key, id(transport)) for key, transport in ctx._transports.items()}
+    assert {"transition_defect", "transport", "_delta_columns"} <= set(read)
+    for reader, seen in read.items():
+        assert seen <= objects, reader
+    assert {key[1] for key, _ in read["transition_defect"]} == {cech.FUNCTION}
+    assert {key[1] for key, _ in read["_delta_columns"]} == {cech.FUNCTION, cech.SYM_END}
 
 
 # -- the exponent map -----------------------------------------------------------------
@@ -524,13 +569,13 @@ def transported(ctx, vtype, entry, exps):
 @given(partly_one_term_transports())
 @settings(max_examples=300, deadline=None)
 def test_exponent_map_equals_the_truncated_substitution(case):
-    """A moved monomial read off the exponent map equals ``end_to_low``, errors included.
+    """A moved monomial read off the exponent arithmetic equals the whole transport, errors too.
 
     The oracle moves the whole elementary matrix in a context of its own
     through ``Substitution.monomial_image`` and the bundle transitions.
-    The map covers the images of one term and leaves the others, its
-    ``rest``, to the substitution; it is None when an image is missing or
-    none has one term.  A missing image raises its ``ValueError`` and a
+    The arithmetic covers the images of one term and leaves the others,
+    its ``rest``, to the substitution; it is off when an image is missing
+    or none has one term.  A missing image raises its ``ValueError`` and a
     negative power of an image of t-degree 1 or of one without a unit
     monomial at t-degree 0 its ``NonInvertibleSubstitution``, on the same
     key.
@@ -544,11 +589,11 @@ def test_exponent_map_equals_the_truncated_substitution(case):
                   for name in tr.ring_high.names]
         rest = tuple(i for i, image in enumerate(images) if len(image.terms) != 1) \
             if None not in images else None
-        emap = ctx.exponent_map((0, 1), vtype)
+        transport = ctx.transport_of((0, 1), vtype)
         if rest is None or len(rest) == len(images):
-            assert emap is None
+            assert not transport.exponents
         else:
-            assert emap.rest == rest
+            assert transport.exponents and transport.rest == rest
         at = entry if vtype == cech.SYM_END else (0, 0)
         whole = transported(oracle, vtype, at, exps)
         if isinstance(whole, Exception):
@@ -563,10 +608,15 @@ def test_exponent_map_equals_the_truncated_substitution(case):
         assert all(type(x) is int or x.denominator != 1 for x in moved.values())
         assert all(sum(e[p:]) <= ctx.order for _, e in moved)
         # the moved monomial itself is truncated, not only the column written from it
-        assert all(t <= ctx.order for t, _, _ in ctx.moved_monomial((0, 1), vtype, exps))
+        assert all(t <= ctx.order for t, _, _ in transport.moved(exps))
 
 
-# -- the pullback memo -------------------------------------------------------------
+# -- the substitution memo ---------------------------------------------------------
+
+
+def pullback(ctx, pair, value, full):
+    """``value`` through the memoized substitution of the pair's full or linear transport."""
+    return ctx.transport_of(pair, cech.FUNCTION if full else cech.SYM_END).substitution(value)
 
 
 def linear_part_oracle(tr):
@@ -603,8 +653,8 @@ def direct_pullback(ctx, pair, value, full=False):
     """One truncated substitution of the whole polynomial, by ``subst_oracle``.
 
     The oracle is the per-call substitution written out in test_filtered,
-    so the memoized pullback is not compared with itself.  The full
-    pullback substitutes the overlap's ``forward`` images; the linear one
+    so the memoized substitution is not compared with itself.  The full
+    one substitutes the overlap's ``forward`` images; the linear one
     substitutes the images of ``linear_part_oracle``.
     """
     g = ctx.pairs[pair]
@@ -683,11 +733,11 @@ def test_memoized_scalar_transport_equals_one_substitution(case):
             expected = direct_pullback(ctx, pair, value, full)
         except EngineError as err:
             with pytest.raises(type(err)):
-                ctx.pullback(pair, value, full)
+                pullback(ctx, pair, value, full)
             continue
-        assert ctx.pullback(pair, value, full) == expected
+        assert pullback(ctx, pair, value, full) == expected
         # a second call is served from the memo and still agrees
-        assert ctx.pullback(pair, value, full) == expected
+        assert pullback(ctx, pair, value, full) == expected
 
 
 def test_contexts_with_different_transitions_share_no_memo():
@@ -697,21 +747,23 @@ def test_contexts_with_different_transitions_share_no_memo():
     pair = (0, 1)
     value = first.pairs[pair].ring_high.monomial((2, 1), Fraction(3, 2))
     for full in (False, True):
-        moved_first = first.pullback(pair, value, full)
-        moved_second = second.pullback(pair, value, full)
+        moved_first = pullback(first, pair, value, full)
+        moved_second = pullback(second, pair, value, full)
         assert moved_first == direct_pullback(first, pair, value, full)
         assert moved_second == direct_pullback(second, pair, value, full)
         assert moved_first != moved_second
         # the variable powers behind them were built by each context for itself
-        mine, theirs = first._substitutions[(pair, full)], second._substitutions[(pair, full)]
-        assert mine._powers[("t1", 1)] != theirs._powers[("t1", 1)]
-        assert mine._monomials is not theirs._monomials
-        assert mine._powers is not theirs._powers
-    assert first._moved is not second._moved
-    assert first._exponent_maps is not second._exponent_maps
-    # moved monomials read the same key but each context moves it its own way
-    key = (pair, cech.SYM_END, value.sorted_terms()[0][0])
-    assert first.moved_monomial(*key) != second.moved_monomial(*key)
+        vtype = cech.FUNCTION if full else cech.SYM_END
+        mine, theirs = first.transport_of(pair, vtype), second.transport_of(pair, vtype)
+        assert mine is not theirs
+        assert mine.substitution._powers[("t1", 1)] != theirs.substitution._powers[("t1", 1)]
+        assert mine.substitution._monomials is not theirs.substitution._monomials
+        assert mine.substitution._powers is not theirs.substitution._powers
+        # moved monomials read the same key but each transport moves it its own way
+        exps = value.sorted_terms()[0][0]
+        assert mine.moved(exps) != theirs.moved(exps)
+        assert mine._moved is not theirs._moved
+    assert first._transports is not second._transports
 
 
 # -- the rank-one system on the blocks its right-hand side touches -------------------

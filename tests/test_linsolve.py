@@ -14,10 +14,14 @@ from nbhdext.linsolve import (
     _rref,
     matrix_rank,
     solve_exact,
-    sparse_rows,
 )
 
 F = Fraction
+
+
+def sparse_rows(matrix):
+    """The ``{column: entry}`` rows of a dense matrix."""
+    return [{c: x for c, x in enumerate(line) if x} for line in matrix]
 
 
 def sys_of(rows, rhs):

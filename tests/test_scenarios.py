@@ -78,6 +78,42 @@ def test_malformed_exponent_vector_names_the_field():
     assert "forward_u" in str(err.value)
 
 
+@pytest.mark.parametrize("path, field", [
+    (("overlaps", 0, "forward_u", 0), "overlaps[0].forward_u[0]"),
+    (("overlaps", 0, "forward_t", 0), "overlaps[0].forward_t[0]"),
+    (("overlaps", 0, "backward_u", 0), "overlaps[0].backward_u[0]"),
+    (("overlaps", 0, "backward_t", 0), "overlaps[0].backward_t[0]"),
+    (("bundle", "transitions", "0,1", 0, 0), "bundle.transitions['0,1'][0][0]"),
+    (("bundle", "connections", 1, 0, 0, 0), "bundle.connections[1][0][0][0]"),
+])
+def test_negative_t_exponent_names_the_field(tmp_path, capsys, path, field):
+    """Chart rings never invert a normal variable, so t1^-1 in any polynomial is a parse error.
+
+    A negative tangential exponent is still read: the same term with u1^-2
+    in place of t1^-1 parses.
+    """
+    doc = generate_builtin("line_in_p2", d=1).to_json()
+    terms = doc
+    for key in path:
+        terms = terms[key]
+    tangential = copy.deepcopy(doc)
+    terms.append([[0, -1], "1"])
+    message = f"{field}: exponent vector [0, -1] has a negative t-exponent"
+    with pytest.raises(ParseError) as err:
+        scenario_from_json(doc)
+    assert str(err.value) == message
+    terms = tangential
+    for key in path:
+        terms = terms[key]
+    terms.append([[-2, 0], "1"])
+    scenario_from_json(tangential)
+    scn = tmp_path / "negative_t.json"
+    scn.write_text(json.dumps(doc))
+    for verb in ("validate", "obstruct"):
+        assert cli_main([verb, scn.as_posix()]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_floats_rejected(tmp_path):
     doc = generate_builtin("line_in_p2", d=1).to_json()
     text = json.dumps(doc).replace('"schema_version": 1', '"schema_version": 1, "noise": 0.5')
