@@ -396,7 +396,7 @@ def test_elementary_transport_equals_the_whole_transport():
                             (((0, 0), e), x) for e, x in full.sorted_terms()]
     # the shift and the accumulating product both ran
     assert longest == {"four_chart": 1, "mixing_line": 3}
-    # every four-chart overlap moves End E through its exponent map alone; the mixing
+    # every four-chart overlap moves End E by exponent arithmetic alone; the mixing
     # line moves u1 and t2 by exponents and t1, the variable ``rest`` indexes, by substitution
     assert all(four.transport_of(pair, cech.SYM_END).rest == () for pair in four.pairs)
     assert mixing.transport_of((0, 1), cech.SYM_END).rest == (1,)
