@@ -39,15 +39,16 @@ is interned to an int once per context, so the columns, the rows of the
 system and the torsor split compare ints.
 ``solve_delta`` is the one build, solve and residual recheck behind both
 the obstruction solves and the rank-one system; whole cochains and those
-rechecks move through ``transport``.  The rank-one system eliminates
-only the blocks its right-hand side touches, since it reads only its
-verdict and the whole system's size; the obstruction solves eliminate
-every window column, since their torsor count reads every free column.
-``solve_coboundary`` only solves:
-it returns ``Solved`` or ``UnresolvedWithinWindow``, and the cohomology
-oracle and the nonzero certificate are read by the caller.  Its torsor
-count folds delta_0's rows outside the window and then only those at
-the solve's free columns.
+rechecks move through ``transport``.  ``_rows`` turns a system's delta
+columns into rows, and ``_touched_rows`` walks from the right-hand
+side's keys to the rows of the blocks it touches.  Only those rows are
+eliminated, in the whole window's column numbering; the verdict and x
+are those of the whole system, and the other blocks' rows come back as
+``rest``.  ``solve_coboundary`` only solves: it returns ``Solved`` or
+``UnresolvedWithinWindow``, and the cohomology oracle and the nonzero
+certificate are read by the caller.  Its torsor count folds ``rest``
+into the solve's reduced form to see every free column, then folds
+delta_0's rows outside the window and only those at the free columns.
 All assembly is canonical: simplices, matrix entries and monomials are
 walked in sorted order, so reports are byte-stable.
 """
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import FrameMismatch, NonInvertibleSubstitution, NotClosed, NotUnipotent
 from .filtered import ChartRing, ChartTransition, Substitution, _series
@@ -687,55 +688,41 @@ def _delta_map(
     return ctx._delta_maps[key]
 
 
-def _exact_system(columns: List[Dict[int, Rational]], rhs: Dict[int, Rational]) -> ExactLinearSystem:
-    """sum_k x_k columns[k] = rhs over every row key.
+def _rows(columns: Sequence[Dict[int, Rational]]) -> Dict[int, Dict[int, Rational]]:
+    """Row key -> ``{column: entry}`` of the matrix of ``columns``, keyed in first-seen order.
 
-    The rows are all keys the columns or the right-hand side touch, in
-    order of first appearance; the solver's answers do not depend on the
-    order of the rows.  Each row is filled straight from the columns'
-    entries, so its zeros are never written.
+    Each row is filled straight from the columns' entries, so its zeros are never written.
     """
-    index: Dict[int, int] = {}
-    rows: List[Dict[int, Rational]] = []
+    rows: Dict[int, Dict[int, Rational]] = {}
     for k, col in enumerate(columns):
         for kk, x in col.items():
-            i = index.get(kk)
-            if i is None:
-                i = index[kk] = len(rows)
-                rows.append({})
-            rows[i][k] = x
-    for kk in rhs:
-        if kk not in index:
-            index[kk] = len(rows)
-            rows.append({})
-    return ExactLinearSystem(
-        basis=list(range(len(columns))),
-        rows=rows,
-        rhs=[rhs.get(kk, 0) for kk in index],
-    )
+            row = rows.get(kk)
+            if row is None:
+                rows[kk] = {k: x}
+            else:
+                row[k] = x
+    return rows
 
 
 def _rank_inside(columns: List[Dict[int, Rational]], inside, kept) -> int:
     """rank([P_out; P_kept] A) - rank(P_out A) for the matrix A of ``columns``.
 
     P_out keeps the rows whose keys are not in ``inside`` and P_kept the
-    rows at ``kept``, a subset of ``inside``.  One walk of the columns
-    splits the rows, and one elimination folds the outside rows first, so
-    its rank after them is rank(P_out A); the kept rows follow.  Each part
-    is folded shortest row first, which leaves the reduced form unchanged.
+    rows at ``kept``, a subset of ``inside``.  One elimination folds the
+    outside rows first, so its rank after them is rank(P_out A); the kept
+    rows follow.  Each part is folded shortest row first, which leaves the
+    reduced form unchanged.
     """
     inside, kept = set(inside), set(kept)
-    outside_rows: Dict[int, Dict[int, Rational]] = {}
-    kept_rows: Dict[int, Dict[int, Rational]] = {}
-    for k, col in enumerate(columns):
-        for kk, x in col.items():
-            if kk not in inside:
-                outside_rows.setdefault(kk, {})[k] = x
-            elif kk in kept:
-                kept_rows.setdefault(kk, {})[k] = x
-    reduced = _rref(sorted(outside_rows.values(), key=len))
+    outside_rows, kept_rows = [], []
+    for kk, row in _rows(columns).items():
+        if kk not in inside:
+            outside_rows.append(row)
+        elif kk in kept:
+            kept_rows.append(row)
+    reduced = _rref(sorted(outside_rows, key=len))
     rank_outside = len(reduced)
-    return len(_rref(sorted(kept_rows.values(), key=len), reduced)) - rank_outside
+    return len(_rref(sorted(kept_rows, key=len), reduced)) - rank_outside
 
 
 def _im_delta0_inside(
@@ -747,7 +734,7 @@ def _im_delta0_inside(
     image lies in the span W of the 1-cochain window basis exactly when its
     coordinates outside W vanish, so with P_out the projection that drops
     W's keys, dim(im delta_0 & W) = rank(delta_0) - rank(P_out delta_0).
-    ``free`` indexes the free columns F of the solve of delta_1 on W.  As
+    ``free`` indexes the free columns F of delta_1 on W.  As
     delta_1 delta_0 = 0, im delta_0 & W lies in ker(delta_1 | W), on which
     the projection P_F onto F's keys is injective; so the same dimension is
     rank([P_out; P_F] delta_0) - rank(P_out delta_0), and only the rows at
@@ -759,33 +746,50 @@ def _im_delta0_inside(
     return _rank_inside(cols, map(ctx.row_id, inside), map(ctx.row_id, kept))
 
 
-def _touched_blocks(
-    columns: List[Dict[int, Rational]], rhs: Dict[int, Rational]
-) -> Tuple[List[int], int]:
-    """The columns of the blocks ``rhs`` touches, ascending, and the system's row count.
+def _touched_rows(
+    columns: List[Dict[int, Rational]],
+    rows: Dict[int, Dict[int, Rational]],
+    rhs: Dict[int, Rational],
+) -> Set[int]:
+    """The row keys of the blocks that ``rhs``'s keys touch, those keys among them.
 
     The system sum_k x_k columns[k] = rhs splits into blocks, the
-    connected parts of the graph that joins each column to its row keys.
-    A walk from ``rhs``'s keys through a row -> columns index collects the
-    columns of the blocks it touches.  The row count is that of the whole
-    system: every key of the columns and of ``rhs``, as ``_exact_system``
-    of all the columns has.
+    connected parts of the graph that joins each column to its row keys;
+    ``rows`` is that graph read from the row side.  A walk from ``rhs``'s
+    keys collects the rows of the blocks it reaches.
     """
-    by_row: Dict[int, List[int]] = {}
-    for k, col in enumerate(columns):
-        for kk in col:
-            by_row.setdefault(kk, []).append(k)
-    constraints = len(by_row) + sum(1 for kk in rhs if kk not in by_row)
-    seen, stack, kept = set(rhs), list(rhs), set()
+    seen, stack, walked = set(rhs), list(rhs), set()
     while stack:
-        for k in by_row.get(stack.pop(), ()):
-            if k not in kept:
-                kept.add(k)
+        for k in rows.get(stack.pop(), ()):
+            if k not in walked:
+                walked.add(k)
                 for kk in columns[k]:
                     if kk not in seen:
                         seen.add(kk)
                         stack.append(kk)
-    return sorted(kept), constraints
+    return seen
+
+
+def _touched_system(
+    basis: List, columns: List[Dict[int, Rational]], rhs: Dict[int, Rational]
+) -> Tuple[ExactLinearSystem, List[Dict[int, Rational]], int]:
+    """sum_k x_k columns[k] = rhs on the ``_touched_rows``, the other rows, and the row count.
+
+    The rows are every key of the columns and of ``rhs``, in order of first
+    appearance; the system keeps every column of ``basis``.
+    """
+    rows = _rows(columns)
+    for kk in rhs:
+        rows.setdefault(kk, {})
+    touched = _touched_rows(columns, rows, rhs)
+    kept, values, rest = [], [], []
+    for kk, row in rows.items():
+        if kk in touched:
+            kept.append(row)
+            values.append(rhs.get(kk, 0))
+        else:
+            rest.append(row)
+    return ExactLinearSystem(basis, kept, values), rest, len(rows)
 
 
 @dataclass
@@ -793,35 +797,33 @@ class DeltaSolve:
     """What ``solve_delta`` found.
 
     ``unknowns`` and ``constraints`` count the whole window system.
-    ``solution`` is that of the columns eliminated, all of them or the
-    ascending touched ones, and ``cochain`` is x, None when the system is
-    inconsistent.
+    ``solution`` eliminates the touched rows over every window column,
+    ``cochain`` is x (None when the system is inconsistent) and ``rest``
+    holds the other blocks' rows, in order of first appearance.
     """
 
     unknowns: int
     constraints: int
     solution: Solution
     cochain: Optional[CechCochain]
+    rest: List[Dict[int, Rational]]
 
 
 def solve_delta(
-    ctx: CechContext,
-    rhs: CechCochain,
-    sdegs: Sequence[int],
-    window: Tuple[int, int],
-    touched_only: bool = False,
+    ctx: CechContext, rhs: CechCochain, sdegs: Sequence[int], window: Tuple[int, int]
 ) -> DeltaSolve:
     """Solve delta(x) = rhs for x on the window monomials of the conormal degrees ``sdegs``.
 
     The columns are the memoized delta columns of each degree in turn, on
-    the simplices one degree below ``rhs``.  With ``touched_only`` only the
-    blocks that ``rhs`` touches are eliminated (``_touched_blocks``): the
-    reduced echelon form of a block-diagonal system is the union of its
-    blocks' forms, and a block of zero right-hand side is consistent with
-    particular part 0, so the verdict and x are those of the whole system,
-    but its free columns are not all seen.  A solution is assembled into
-    the cochain x, which carries ``rhs.sdeg``, and rechecked with the full
-    differential; a nonzero residual raises ``NotClosed``.
+    the simplices one degree below ``rhs``; the rows are every key of the
+    columns and of ``rhs``.  Only the rows of the blocks ``rhs`` touches
+    (``_touched_system``) are eliminated, over the whole window's columns:
+    the reduced echelon form of a block-diagonal system is the union of
+    its blocks' forms, and a block of zero right-hand side is consistent
+    with particular part 0, so the verdict and x are those of the whole
+    system.  A solution is assembled into the cochain x, which carries
+    ``rhs.sdeg``, and rechecked with the full differential; a nonzero
+    residual raises ``NotClosed``.
     """
     simplices = ctx.nerve.simplices(rhs.degree)
     basis, columns = [], []
@@ -829,22 +831,15 @@ def solve_delta(
         sdeg_basis, sdeg_columns = _delta_map(ctx, rhs.vtype, sdeg, simplices, window)
         basis += sdeg_basis
         columns += sdeg_columns
-    unknowns = len(basis)
     b = {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()}
-    if touched_only:
-        kept, constraints = _touched_blocks(columns, b)
-        basis = [basis[k] for k in kept]
-        columns = [columns[k] for k in kept]
-    system = _exact_system(columns, b)
-    if not touched_only:
-        constraints = len(system.rows)
+    system, rest, constraints = _touched_system(basis, columns, b)
     sol = solve_exact(system)
-    if not sol.consistent:
-        return DeltaSolve(unknowns, constraints, sol, None)
-    x = _assemble_cochain(ctx, rhs.degree - 1, rhs.vtype, rhs.sdeg, basis, sol.particular)
-    if not cech_differential(ctx, x).add(rhs.neg()).is_zero():
-        raise NotClosed("solver produced a nonzero residual; the right-hand side is not closed")
-    return DeltaSolve(unknowns, constraints, sol, x)
+    x = None
+    if sol.consistent:
+        x = _assemble_cochain(ctx, rhs.degree - 1, rhs.vtype, rhs.sdeg, basis, sol.particular)
+        if not cech_differential(ctx, x).add(rhs.neg()).is_zero():
+            raise NotClosed("solver produced a nonzero residual; the right-hand side is not closed")
+    return DeltaSolve(len(basis), constraints, sol, x, rest)
 
 
 def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, int]):
@@ -852,17 +847,19 @@ def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, i
 
     On success the residual is rechecked to be exactly zero and the torsor
     dimension (window kernel of delta modulo window coboundaries) is
-    reported: the solve's free columns less dim(im delta_0 & W), counted
-    on those columns by ``_im_delta0_inside``.  That count requires
-    delta_1 delta_0 = 0 on the context, which validation guarantees (the
-    chart and bundle cocycles and ``bundle_on_base`` on every triple; a
-    nerve without triples has delta_1 = 0).  Otherwise the window is
-    reported as insufficient: this is a pure solve, and reading a failure
-    as a proof is left to the caller.
+    reported: the free columns less dim(im delta_0 & W), counted on those
+    columns by ``_im_delta0_inside``.  They are read once the solve's
+    ``rest`` is folded into its reduced form, the whole system's, as no two
+    blocks share a column.  That count requires delta_1 delta_0 = 0 on the
+    context, which validation guarantees (the chart and bundle cocycles
+    and ``bundle_on_base`` on every triple; a nerve without triples has
+    delta_1 = 0).  Otherwise the window is reported as insufficient: this
+    is a pure solve, and reading a failure as a proof is left to the caller.
     """
     solved = solve_delta(ctx, target.neg(), [target.sdeg], window)
     if solved.cochain is None:
         return UnresolvedWithinWindow(window)
-    free = solved.solution.free
+    reduced = _rref(sorted(solved.rest, key=len), dict(solved.solution.reduced))
+    free = [f for f in range(solved.unknowns) if f not in reduced]
     exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window, free)
     return Solved(solved.cochain, len(free) - exact_dim)

@@ -353,7 +353,7 @@ def scenario_from_json(data: dict) -> Scenario:
     window = _window(_field(data, "window", "", list, [-6, 6]))
 
     return Scenario(
-        name=str(data.get("name", "unnamed")),
+        name=_field(data, "name", "", str, "unnamed"),
         p=p,
         q=q,
         e=e,
@@ -380,6 +380,8 @@ def load_scenario(path: str) -> Scenario:
         data = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply to parse") from exc
     return scenario_from_json(data)
 
 
@@ -843,8 +845,7 @@ def solve_abelianized(ctx: CechContext, window: Tuple[int, int]) -> dict:
     blocks of the system that rho touches are eliminated; ``unknowns`` and
     ``constraints`` count the whole system.
     """
-    solved = solve_delta(ctx, transition_log_defect(ctx), range(1, ctx.order + 1), window,
-                         touched_only=True)
+    solved = solve_delta(ctx, transition_log_defect(ctx), range(1, ctx.order + 1), window)
     return {
         "exact": solved.solution.consistent,
         "unknowns": solved.unknowns,

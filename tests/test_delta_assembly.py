@@ -5,7 +5,9 @@ columns, and ``CechContext.transport`` of a whole elementary matrix for
 each moved monomial, read off the column writer both where the transport
 moves exponents and where it goes through ``Substitution``.  A
 dense matrix written out here is the oracle for the sparse system built
-from the columns and for the torsor count's rank split; the
+from the columns and for the torsor count's rank split; one
+elimination of the whole [A | b] is the oracle for the touched rows'
+elimination with the other rows folded in after it; the
 full fold of every row inside the window is the oracle for the torsor
 read on the solve's free columns; and one truncated substitution of a
 whole polynomial is the oracle for each transport's memoized
@@ -25,7 +27,9 @@ from nbhdext.cech import _assemble_cochain, cech_differential, cochain_coordinat
 from nbhdext.errors import EngineError
 from nbhdext.filtered import ChartRing, ChartTransition, induced_transition
 from nbhdext.laurent import LaurentPoly
-from nbhdext.linsolve import PolyMatrix, matrix_rank, solve_exact
+from nbhdext.linsolve import (
+    ExactLinearSystem, PolyMatrix, Solution, _rref, matrix_rank, solve_exact,
+)
 from nbhdext.scenarios import (
     OverlapSpec, Scenario, build_context, generate_builtin, run_pipeline, validate_scenario,
 )
@@ -207,6 +211,21 @@ def dense_row_keys(columns, rhs=()):
     return row_keys
 
 
+def touched_keys(columns, rhs):
+    """The row keys joined to ``rhs``'s keys through shared columns: a closure to a fixed point."""
+    keys = set(rhs)
+    while True:
+        grown = keys.union(*(col for col in columns if keys & set(col)))
+        if grown == keys:
+            return keys
+        keys = grown
+
+
+def fold_rest(sol, rest):
+    """The touched solve's reduced form with ``rest`` folded in, as ``solve_coboundary`` does."""
+    return _rref(sorted(rest, key=len), dict(sol.reduced))
+
+
 @given(column_systems())
 @settings(max_examples=150, deadline=None)
 def test_sparse_system_matches_the_dense_system(system):
@@ -216,22 +235,76 @@ def test_sparse_system_matches_the_dense_system(system):
     dense_rhs = [rhs.get(kk, F(0)) for kk in row_keys]
     n = len(columns)
 
-    built = cech._exact_system(columns, rhs)
+    # the rows of the columns alone, in first-seen order, zeros left out
+    rows = cech._rows(columns)
+    assert list(rows) == dense_row_keys(columns)
+    assert [[row.get(k, F(0)) for k in range(n)] for row in rows.values()] == [
+        line for kk, line in zip(row_keys, dense) if kk in rows]
+    assert all(all(x != 0 for x in row.values()) for row in rows.values())
+
+    # the system solve_delta solves: the touched rows over every column, in
+    # dense order; the rest are the other rows in the same order
+    built, rest, constraints = cech._touched_system(list(range(n)), columns, rhs)
+    reached = touched_keys(columns, rhs)
+    touched = [i for i, kk in enumerate(row_keys) if kk in reached]
     assert built.basis == list(range(n))
-    assert built.matrix == dense
-    assert built.rhs == dense_rhs
-    # the figures the tracer reads off the dense view
-    assert (len(built.matrix), len(built.basis)) == (len(row_keys), n)
-    assert sum(1 for line in built.matrix for x in line if x != 0) == sum(map(len, columns))
+    assert built.matrix == [dense[i] for i in touched]
+    assert built.rhs == [dense_rhs[i] for i in touched]
+    assert [[row.get(k, F(0)) for k in range(n)] for row in rest] == [
+        dense[i] for i in range(len(row_keys)) if i not in touched]
+    assert not any(dense_rhs[i] for i in range(len(row_keys)) if i not in touched)
+    # the figures the tracer reads off the dense view, and the whole count
+    assert len(built.basis) == n and constraints == len(row_keys)
+    assert (sum(1 for line in built.matrix for x in line if x != 0) + sum(map(len, rest))
+            == sum(map(len, columns)))
 
     consistent, particular, nullspace, rank = dense_gauss_jordan(dense, dense_rhs, n)
     sol = solve_exact(built)
-    assert (sol.consistent, sol.particular, sol.nullspace) == (consistent, particular, nullspace)
+    assert (sol.consistent, sol.particular) == (consistent, particular)
+    assert sol.free == sorted(sol.free)
+    # with the rest folded in, the free columns and kernel are the whole system's
+    reduced = fold_rest(sol, rest)
+    free = [f for f in range(n) if f not in reduced]
+    whole = Solution(sol.consistent, sol.particular, free, reduced)
+    assert whole.nullspace == nullspace
     # the free columns, ascending: each kernel vector is 1 at its own and 0 at the others
-    assert sol.free == sorted(sol.free) and len(sol.free) == n - rank
-    assert [[vec[f] for f in sol.free] for vec in nullspace] == [
-        [int(a == b) for b in sol.free] for a in sol.free]
-    assert matrix_rank(built.rows) == rank
+    assert len(free) == n - rank
+    assert [[vec[f] for f in free] for vec in nullspace] == [
+        [int(a == b) for b in free] for a in free]
+    assert matrix_rank(rows.values()) == rank
+
+
+@given(column_systems(), st.sampled_from(["drawn", "empty", "every block"]))
+@settings(max_examples=200, deadline=None)
+def test_touched_solve_then_rest_fold_equals_one_elimination(system, which):
+    """Eliminating the touched rows, then folding the rest in, is one elimination of [A | b].
+
+    The whole system is written out here by hand, so the oracle shares no
+    code with ``_rows`` or the block walk.
+    """
+    columns, rhs, _, _ = system
+    every = {kk for col in columns for kk in col}
+    if which == "empty":
+        rhs = {}
+    elif which == "every block":
+        rhs = {**{kk: F(1) for kk in every}, **rhs}
+    n = len(columns)
+    row_keys = dense_row_keys(columns, rhs)
+    whole_rows = [{k: col[kk] for k, col in enumerate(columns) if kk in col} for kk in row_keys]
+    whole = solve_exact(ExactLinearSystem(list(range(n)), whole_rows,
+                                          [rhs.get(kk, F(0)) for kk in row_keys]))
+
+    built, rest, constraints = cech._touched_system(list(range(n)), columns, rhs)
+    sol = solve_exact(built)
+    reduced = fold_rest(sol, rest)
+    assert constraints == len(row_keys)
+    assert (sol.consistent, sol.particular) == (whole.consistent, whole.particular)
+    assert [f for f in range(n) if f not in reduced] == whole.free
+    assert reduced == whole.reduced
+    if which == "empty":
+        assert not built.rows and len(rest) == len(row_keys) and sol.consistent
+    elif which == "every block":
+        assert not rest and len(built.rows) == len(row_keys)
 
 
 @given(column_systems())
@@ -772,7 +845,9 @@ def test_contexts_with_different_transitions_share_no_memo():
 def whole_window_solve(ctx, rhs, sdegs, window):
     """delta(x) = rhs with every window column eliminated, rechecked: the oracle of the block solve.
 
-    Returns (consistent, unknowns, constraints, coordinates of x or None).
+    The rows are written out here, as ``full_inside_fold`` writes them, so
+    the oracle shares no code with ``cech._rows``.  Returns (consistent,
+    unknowns, constraints, coordinates of x or None).
     """
     simplices = ctx.nerve.simplices(rhs.degree)
     basis, columns = [], []
@@ -781,7 +856,14 @@ def whole_window_solve(ctx, rhs, sdegs, window):
         basis += sdeg_basis
         columns += sdeg_columns
     b = {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()}
-    system = cech._exact_system(columns, b)
+    rows = {}
+    for k, col in enumerate(columns):
+        for kk, x in col.items():
+            rows.setdefault(kk, {})[k] = x
+    for kk in b:
+        rows.setdefault(kk, {})
+    system = ExactLinearSystem(list(range(len(columns))), list(rows.values()),
+                               [b.get(kk, 0) for kk in rows])
     sol = solve_exact(system)
     if not sol.consistent:
         return False, len(system.basis), len(system.rows), None
@@ -806,9 +888,10 @@ def test_block_solve_equals_the_whole_window_solve():
 
     Consistency, the whole system's unknowns and constraints, and lambda
     agree with ``whole_window_solve`` on every case; some cases are
-    inconsistent, and most leave blocks out.
+    inconsistent, most leave columns out, and some leave rows out as
+    ``rest``.
     """
-    seen = {"inconsistent": 0, "smaller": 0, "cases": 0}
+    seen = {"inconsistent": 0, "smaller": 0, "rest": 0, "cases": 0}
     for label, s in rank_one_cases():
         assert s.e == 1, label
         for k in range(1, s.max_order + 1):
@@ -816,13 +899,16 @@ def test_block_solve_equals_the_whole_window_solve():
             rho = cech.transition_log_defect(ctx)
             for window in (s.window, (-3, 3), (-8, 8)):
                 sdegs = range(1, k + 1)
-                solved = cech.solve_delta(ctx, rho, sdegs, window, touched_only=True)
+                solved = cech.solve_delta(ctx, rho, sdegs, window)
                 lam = None if solved.cochain is None else cochain_coordinates(solved.cochain)
                 got = (solved.solution.consistent, solved.unknowns, solved.constraints, lam)
                 assert got == whole_window_solve(ctx, rho, sdegs, window), (label, k, window)
-                kept = len(solved.solution.free) + len(solved.solution.reduced)
+                # the columns of the touched rows: those nonzero in their reduced form
+                reduced = solved.solution.reduced
+                kept = set(reduced).union(*reduced.values()) - {solved.unknowns}
                 seen["inconsistent"] += not solved.solution.consistent
-                seen["smaller"] += kept < solved.unknowns
+                seen["smaller"] += len(kept) < solved.unknowns
+                seen["rest"] += bool(solved.rest)
                 seen["cases"] += 1
-    assert seen["inconsistent"] > 0
+    assert seen["inconsistent"] > 0 and seen["rest"] > 0
     assert seen["smaller"] > seen["cases"] // 2, seen

@@ -710,21 +710,27 @@ def _file(write):
         (_file(lambda path: None), "bad.json"),
         (_file(lambda path: path.mkdir()), "bad.json"),
         (_file(lambda path: path.write_bytes(b'{"name": "\xff"}')), "bad.json"),
+        # deeper than the JSON parser can recurse
+        (_file(lambda path: path.write_text("[" * 200_000 + "]" * 200_000)), "bad.json"),
         # truncating at t^0 kills t, so max_order 0 would only fail validation obscurely
         (_set(0, "max_order"), "max_order"),
+        # a name is a string, never coerced to one
+        (_set(None, "name"), "name: expected str"),
     ],
     ids=["no_pair", "bad_transition_key", "unknown_chart", "chart_not_object",
          "no_forward_u", "bad_window", "reversed_window", "negative_inverted_exponent",
-         "missing_file", "directory", "not_utf8", "max_order_zero"],
+         "missing_file", "directory", "not_utf8", "nested_too_deep", "max_order_zero",
+         "name_not_string"],
 )
 def test_malformed_scenario_is_an_input_error(tmp_path, capsys, edit, field):
     doc = generate_builtin("line_in_p2", d=1).to_json()
     scn = tmp_path / "bad.json"
     write = edit(doc) or (lambda path: path.write_text(json.dumps(doc)))
     write(scn)
-    assert cli_main(["obstruct", scn.as_posix(), "--order", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err
+    for argv in (["obstruct", scn.as_posix(), "--order", "1"], ["validate", scn.as_posix()]):
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, argv
 
 
 # -- fuzz: a mutated builtin is an input error or a valid report ---------------------
