@@ -23,7 +23,7 @@ from operator import add
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import NonInvertibleSubstitution, NotAdapted, NotUnipotent
-from .laurent import Exponent, LaurentPoly, Rational, grlex_key
+from .laurent import Exponent, LaurentPoly, Rational, exact, grlex_key
 from .linsolve import PolyMatrix
 
 
@@ -550,12 +550,14 @@ class PairDerivation:
         return self._binary(other, lambda a, b: a - b)
 
     def scaled(self, c) -> "PairDerivation":
+        """``c`` times this derivation; ``c`` is cleaned with ``exact``, so a float raises."""
+        c = exact(c)
         return PairDerivation(
             self.ring,
             self.order,
             tuple(img * c for img in self.u_images),
             tuple(img * c for img in self.t_images),
-            self.module.scale(Fraction(c)) if self.module is not None else None,
+            self.module.scale(c) if self.module is not None else None,
             self.algebra_trunc,
         )
 
@@ -629,7 +631,8 @@ def _series(total: PolyMatrix, seed: PolyMatrix, step, coeff, order: int) -> Pol
     bound is taken.  ``exp_nilpotent`` and ``log_unipotent`` check this on
     their input, ``ChartRing.invert_trunc`` and
     ``cech.transition_log_defect`` on the element they expand in.  The sum
-    stops early at a zero term; zero entries of a term add nothing.
+    stops early at a zero term; zero entries of a term add nothing, and
+    each other entry is added in one pass by ``LaurentPoly.add_scaled``.
     """
     term = seed
     for n in range(1, order + 1):
@@ -638,7 +641,7 @@ def _series(total: PolyMatrix, seed: PolyMatrix, step, coeff, order: int) -> Pol
             break
         c = coeff(n)
         total = PolyMatrix(
-            [[t + f * c if f.terms else t for t, f in zip(t_row, f_row)]
+            [[t.add_scaled(f, c) if f.terms else t for t, f in zip(t_row, f_row)]
              for t_row, f_row in zip(total.entries, term.entries)]
         )
     return total

@@ -10,22 +10,31 @@ choice of basis downstream, so results are byte-stable across runs.
 
 One exact-number rule holds wherever the engine stores a coefficient: an
 integral rational is a Python ``int`` and any other rational is a
-``Fraction``.  ``exact`` applies the rule and is the one place a stored
-value is normalised; ``int`` arithmetic pays no ``gcd``, and almost
-every coefficient the engine meets is integral.  Sums, differences and
+``Fraction``.  ``exact`` applies the rule to a value from outside;
+``int`` arithmetic pays no ``gcd``, and almost every coefficient the
+engine meets is integral.  Sums, differences and
 products of ``int``s and ``Fraction``s stay exact, but ``int / int`` is
 a float, so each true division in the package keeps a ``Fraction``
 operand: ``Fraction(1) / c`` in ``LaurentPoly.inverse_monomial`` and
 ``1 / Fraction(head)`` in ``linsolve._rref`` are the only two.
 
-A polynomial is made in one of two ways.  ``LaurentPoly.__init__`` takes
-data from outside (parsing, the public constructors, a monomial's
+A polynomial is made in one of three ways.  ``LaurentPoly.__init__``
+takes data from outside (parsing, the public constructors, a monomial's
 inverse): it rebuilds every exponent vector as a tuple of ``int``s,
 checks its length, cleans every coefficient with ``exact`` and drops the
-zeros.  ``LaurentPoly._of`` wraps a dict that arithmetic on the same ring
-has just built from such polynomials, whose keys are already right and
-whose zeros are already dropped; it applies only the exact-number rule,
-since a sum or product of ``Fraction``s can be integral.
+zeros.  Arithmetic on the same ring builds a fresh dict from such
+polynomials, whose keys are already right and whose zeros are already
+dropped, and hands it to one of two private wrappers.  ``_of`` applies
+the rule's integral-``Fraction`` step to every value, since a product of
+``Fraction``s can be integral: products (``*``, ``diff``,
+``filtered.ChartRing.mul``, ``filtered.Substitution`` and
+``filtered.PairDerivation.apply``) use it.  ``_wrap`` applies nothing:
+sums (``+``, ``-``, ``add_scaled``) apply the step to each value they
+change as they write it, and ``-p`` and the grouped truncations only
+negate or copy values that already follow the rule.  An operand that is
+neither a polynomial nor an ``int`` or ``Fraction``, such as a float, is
+refused: ``+``, ``-`` and ``*`` return ``NotImplemented``, so Python
+raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -108,16 +117,25 @@ class LaurentPoly:
 
     @classmethod
     def _of(cls, vars: Tuple[str, ...], terms: Dict[Exponent, Rational]) -> "LaurentPoly":
-        """Wrap ``terms`` that arithmetic on the ring ``vars`` has just built.
+        """Wrap ``terms`` that a product on the ring ``vars`` has just built.
 
         The caller hands over a fresh dict of nonzero coefficients whose keys
         are exponent tuples of the ring's length, so nothing is rebuilt or
-        checked; only the exact-number rule is applied, since a product or
-        sum of ``Fraction``s can be integral.
+        checked; only the exact-number rule is applied, since a product of
+        ``Fraction``s can be integral.
         """
         for e, c in terms.items():
             if type(c) is Fraction and c.denominator == 1:
                 terms[e] = c.numerator
+        poly = object.__new__(cls)
+        poly.vars = vars
+        poly.terms = terms
+        poly._degree_rows = None
+        return poly
+
+    @classmethod
+    def _wrap(cls, vars: Tuple[str, ...], terms: Dict[Exponent, Rational]) -> "LaurentPoly":
+        """Wrap a fresh dict of ``terms`` on the ring ``vars`` that already follows the rule."""
         poly = object.__new__(cls)
         poly.vars = vars
         poly.terms = terms
@@ -164,7 +182,9 @@ class LaurentPoly:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.const(self.vars, other)
         self._check_same_ring(other)
         out = dict(self.terms)
@@ -173,24 +193,55 @@ class LaurentPoly:
             if not s:
                 out.pop(e, None)
             else:
-                out[e] = s
-        return LaurentPoly._of(self.vars, out)
+                out[e] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+        return LaurentPoly._wrap(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._wrap(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.const(self.vars, other)
-        return self + (-other)
+        self._check_same_ring(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if not s:
+                out.pop(e, None)
+            else:
+                out[e] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+        return LaurentPoly._wrap(self.vars, out)
+
+    def add_scaled(self, other: "LaurentPoly", c: Rational) -> "LaurentPoly":
+        """``self + other * c`` in one pass (an axpy), for an ``int`` or ``Fraction`` ``c``.
+
+        The terms come in the order of the two-step sum; a ``c`` of 1
+        multiplies nothing.
+        """
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot scale by {c!r}: not an exact rational")
+        self._check_same_ring(other)
+        out = dict(self.terms)
+        one = c == 1
+        for e, d in other.terms.items():
+            s = out.get(e, 0) + (d if one else d * c)
+            if not s:
+                out.pop(e, None)
+            else:
+                out[e] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+        return LaurentPoly._wrap(self.vars, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly.zero(self.vars)
             return LaurentPoly._of(self.vars, {e: cc * other for e, cc in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check_same_ring(other)
         out: Dict[Exponent, Rational] = {}
         for e1, c1 in self.terms.items():
@@ -249,11 +300,11 @@ class LaurentPoly:
         kept = {e: c for e, c in self.terms.items() if sum(e[start:]) <= max_deg}
         if len(kept) == len(self.terms):
             return self
-        return LaurentPoly._of(self.vars, kept)
+        return LaurentPoly._wrap(self.vars, kept)
 
     def part_group(self, start: int, deg: int) -> "LaurentPoly":
         """The slice of terms of exact total degree ``deg`` in the variables from ``start`` on."""
-        return LaurentPoly._of(
+        return LaurentPoly._wrap(
             self.vars, {e: c for e, c in self.terms.items() if sum(e[start:]) == deg}
         )
 

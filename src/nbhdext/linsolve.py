@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add, sub
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import NonInvertibleSubstitution
@@ -56,18 +57,19 @@ class PolyMatrix:
         r, c = rc
         return self.entries[r][c]
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _entrywise(self, other: "PolyMatrix", op) -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return PolyMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+            [[op(a, b) for a, b in zip(left, right)]
+             for left, right in zip(self.entries, other.entries)]
         )
 
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._entrywise(other, add)
+
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.map(lambda p: -p)
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "PolyMatrix":
         return self.map(lambda p: -p)

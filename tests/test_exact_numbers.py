@@ -17,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbhdext.errors import ParseError
-from nbhdext.filtered import ChartRing, Substitution
+from nbhdext.filtered import ChartRing, PairDerivation, Substitution
 from nbhdext.laurent import LaurentPoly, exact
-from nbhdext.linsolve import _rref
+from nbhdext.linsolve import PolyMatrix, _rref
 from nbhdext.mclift import (
     AbelianExtension,
     GradedDgLie,
@@ -119,6 +119,50 @@ def test_polynomial_arithmetic_follows_the_rule(a, b, c):
     derivative = a.diff("x")
     assert_rule(derivative)
     assert derivative.terms == {(e[0] - 1, e[1]): x * e[0] for e, x in a.terms.items() if e[0]}
+
+
+@given(polys, polys, coeffs, st.lists(polys, min_size=8, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_one_pass_sums_equal_their_two_step_forms(a, b, c, entries):
+    # the same terms in the same order and with the same types, not just equal values
+    assert typed_terms(a - b) == typed_terms(a + (-b))
+    assert typed_terms(a - c) == typed_terms(a + (-LaurentPoly.const(V, c)))
+    assert typed_terms(a.add_scaled(b, c)) == typed_terms(a + b * c)
+    left = PolyMatrix([entries[0:2], entries[2:4]])
+    right = PolyMatrix([entries[4:6], entries[6:8]])
+    for one_pass, two_step in zip((left - right).entries, (left + -right).entries):
+        assert list(map(typed_terms, one_pass)) == list(map(typed_terms, two_step))
+
+
+def test_an_inexact_operand_raises_type_error():
+    p = LaurentPoly(V, {(1, 0): 1, (0, 1): Fraction(1, 2)})
+    for value in (0.5, 1.0, "1"):
+        for op in (
+            lambda: p + value,
+            lambda: value + p,
+            lambda: p - value,
+            lambda: value - p,
+            lambda: p * value,
+            lambda: value * p,
+            lambda: p.add_scaled(p, value),
+        ):
+            with pytest.raises(TypeError):
+                op()
+    assert typed_terms(Fraction(1, 2) + p) == typed_terms(p + LaurentPoly.const(V, Fraction(1, 2)))
+    assert typed_terms(2 * p) == typed_terms(p * 2)
+
+
+def test_scaled_derivation_cleans_its_scalar_once():
+    ring = ChartRing(("x",), ("y",))
+    y = ring.t_var(0)
+    d = PairDerivation(ring, 2, (y,), (y * y,), PolyMatrix([[y, ring.zero()], [ring.zero(), y]]))
+    doubled = d.scaled(Fraction(4, 2))
+    assert typed_terms(doubled.u_images[0]) == typed_terms(y * 2)
+    for entry in (doubled.module[0, 0], doubled.module[1, 1]):
+        assert typed_terms(entry) == typed_terms(y * 2)
+    assert typed_terms(d.scaled(Fraction(1, 2)).module[0, 0]) == [((0, 1), Fraction, Fraction(1, 2))]
+    with pytest.raises(TypeError):
+        d.scaled(0.5)
 
 
 @given(polys, polys, nonzero_coeffs, nonzero_coeffs, st.integers(-1, 4))
