@@ -216,6 +216,11 @@ class LaurentPoly:
                 out[e] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
         return LaurentPoly._wrap(self.vars, out)
 
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return LaurentPoly.const(self.vars, other) - self
+
     def add_scaled(self, other: "LaurentPoly", c: Rational) -> "LaurentPoly":
         """``self + other * c`` in one pass (an axpy), for an ``int`` or ``Fraction`` ``c``.
 

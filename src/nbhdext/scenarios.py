@@ -716,16 +716,17 @@ def _closedness_verdict(ctx: CechContext, c2: CechCochain) -> str:
 
 
 def _window_notes(status) -> List[str]:
-    if (
-        isinstance(status, Solved)
-        and status.h1_oracle is not None
-        and status.h1_oracle != status.torsor_dim
-    ):
+    if not isinstance(status, Solved) or status.h1_oracle in (None, status.torsor_dim):
+        return []
+    if status.torsor_dim > status.h1_oracle:
         return [
-            f"window undercounts the torsor: {status.torsor_dim} of "
-            f"{status.h1_oracle} oracle dimensions reachable"
+            f"window overcounts the torsor: {status.torsor_dim} dimensions counted "
+            f"against the oracle's {status.h1_oracle}"
         ]
-    return []
+    return [
+        f"window undercounts the torsor: {status.torsor_dim} of "
+        f"{status.h1_oracle} oracle dimensions reachable"
+    ]
 
 
 def _order_report(
@@ -867,129 +868,82 @@ def generate_builtin(name: str, d: int = 0, twist: Fraction | int = 0) -> Scenar
     return build(d, twist)
 
 
-def _affine_split(d: int) -> Scenario:
-    names = _names(1, 1)
-    e = 1
-    return Scenario(
-        name="affine_split",
-        p=1,
-        q=1,
-        e=e,
-        max_order=3,
-        charts_inverted=[()],
-        overlaps=[],
-        triples=[],
-        g={},
-        gammas=[[PolyMatrix.zero(e, e, names)]],
-        flat=[True],
-        window=(-4, 4),
-    )
+def _P(terms) -> LaurentPoly:
+    """A builtin's polynomial on u1..up, t1, with p read off the exponent length."""
+    return LaurentPoly(_names(len(next(iter(terms))) - 1, 1), terms)
 
 
-def _p1_two_chart(name, forward_u, forward_t, backward_u, backward_t, d):
-    names = _names(1, 1)
-    e = 1
-    g01 = PolyMatrix([[LaurentPoly.monomial(names, (d, 0))]])
+def _rank_one(name, p, charts_inverted, overlaps, triples, g, window) -> Scenario:
+    """A line bundle checked to order three: q = 1, zero connections, flat on every chart."""
+    zero = PolyMatrix.zero(1, 1, _names(p, 1))
     return Scenario(
         name=name,
-        p=1,
+        p=p,
         q=1,
-        e=e,
+        e=1,
         max_order=3,
-        charts_inverted=[(), ()],
-        overlaps=[
-            OverlapSpec(
-                (0, 1),
-                {0: ((1,),), 1: ((1,),)},
-                (forward_u,),
-                (forward_t,),
-                (backward_u,),
-                (backward_t,),
-            )
-        ],
-        triples=[],
-        g={(0, 1): g01},
-        gammas=[[PolyMatrix.zero(e, e, names)], [PolyMatrix.zero(e, e, names)]],
-        flat=[True, True],
-        window=(-6, 6),
+        charts_inverted=charts_inverted,
+        overlaps=overlaps,
+        triples=triples,
+        g=g,
+        gammas=[[zero] * p for _ in charts_inverted],
+        flat=[True] * len(charts_inverted),
+        window=window,
     )
+
+
+def _p1_two_chart(name, forward_u, forward_t, backward_u, backward_t, d, window=(-6, 6)):
+    overlap = OverlapSpec(
+        (0, 1),
+        {0: ((1,),), 1: ((1,),)},
+        (forward_u,),
+        (forward_t,),
+        (backward_u,),
+        (backward_t,),
+    )
+    g01 = PolyMatrix([[_P({(d, 0): 1})]])
+    return _rank_one(name, 1, [(), ()], [overlap], [], {(0, 1): g01}, window)
 
 
 def _line_in_p2(d: int, twist: Fraction) -> Scenario:
-    names = _names(1, 1)
     c = twist
-
-    def P(terms):
-        return LaurentPoly(names, terms)
-
-    fwd_u = P({(-1, 0): 1, (-1, 1): c})
-    fwd_t = P({(-1, 1): 1})
-    bwd_u = P({(-1, 0): 1, (-2, 1): c, (-3, 2): c * c, (-4, 3): c ** 3})
-    bwd_t = P({(-1, 1): 1, (-2, 2): c, (-3, 3): c * c})
+    fwd_u = _P({(-1, 0): 1, (-1, 1): c})
+    fwd_t = _P({(-1, 1): 1})
+    bwd_u = _P({(-1, 0): 1, (-2, 1): c, (-3, 2): c * c, (-4, 3): c ** 3})
+    bwd_t = _P({(-1, 1): 1, (-2, 2): c, (-3, 3): c * c})
     return _p1_two_chart("line_in_p2", fwd_u, fwd_t, bwd_u, bwd_t, d)
 
 
 def _diagonal_p1xp1(d: int) -> Scenario:
-    names = _names(1, 1)
-
-    def P(terms):
-        return LaurentPoly(names, terms)
-
-    series_t = P({(-2, 1): -1, (-3, 2): 1, (-4, 3): -1})
-    s = _p1_two_chart(
-        "diagonal_p1xp1",
-        P({(-1, 0): 1}),
-        series_t,
-        P({(-1, 0): 1}),
-        series_t,
-        d,
-    )
-    return s
+    inv_u = _P({(-1, 0): 1})
+    series_t = _P({(-2, 1): -1, (-3, 2): 1, (-4, 3): -1})
+    return _p1_two_chart("diagonal_p1xp1", inv_u, series_t, inv_u, series_t, d)
 
 
 def _p1_in_line_bundle(m: int) -> Scenario:
-    names = _names(1, 1)
-
-    def P(terms):
-        return LaurentPoly(names, terms)
-
-    s = _p1_two_chart(
-        f"p1_in_line_bundle_{m}",
-        P({(-1, 0): 1}),
-        P({(-m, 1): 1}),
-        P({(-1, 0): 1}),
-        P({(-m, 1): 1}),
-        0,
-    )
+    inv_u, t = _P({(-1, 0): 1}), _P({(-m, 1): 1})
     # order-two classes live out to u^(-2m+1): keep the window wide enough
     half = max(6, 2 * abs(m))
-    s.window = (-half, half)
-    return s
+    return _p1_two_chart(f"p1_in_line_bundle_{m}", inv_u, t, inv_u, t, 0, (-half, half))
 
 
 def _hyperplane_p2_in_p3(d: int, twist: Fraction) -> Scenario:
-    names = _names(2, 1)
-    e = 1
     c = twist
-
-    def P(terms):
-        return LaurentPoly(names, terms)
-
     u1i = {(-1, 0, 0): 1}
     # overlap (0,1): chart-1 generators (v1, v2~, s) in chart-0 coordinates,
     # where the twist shifts the second tangential coordinate: v2~ = v2 + c s
-    f01_u = (P(u1i), P({(-1, 1, 0): 1, (-1, 0, 1): c}))
+    f01_u = (_P(u1i), _P({(-1, 1, 0): 1, (-1, 0, 1): c}))
     # backward is exact: u1 = 1/v1, u2 = (v2~ - c s)/v1, t = s/v1
-    b01_u = (P(u1i), P({(-1, 1, 0): 1, (-1, 0, 1): -c}))
-    b01_t = (P({(-1, 0, 1): 1}),)
-    f01_t = (P({(-1, 0, 1): 1}),)
+    b01_u = (_P(u1i), _P({(-1, 1, 0): 1, (-1, 0, 1): -c}))
+    b01_t = (_P({(-1, 0, 1): 1}),)
+    f01_t = (_P({(-1, 0, 1): 1}),)
 
     # overlap (0,2): chart-2 (w1, w2, s') in chart-0 coordinates, untwisted;
     # backward: u1 = w2/w1, u2 = 1/w1, t = s'/w1
-    f02_u = (P({(0, -1, 0): 1}), P({(1, -1, 0): 1}))
-    f02_t = (P({(0, -1, 1): 1}),)
-    b02_u = (P({(-1, 1, 0): 1}), P({(-1, 0, 0): 1}))
-    b02_t = (P({(-1, 0, 1): 1}),)
+    f02_u = (_P({(0, -1, 0): 1}), _P({(1, -1, 0): 1}))
+    f02_t = (_P({(0, -1, 1): 1}),)
+    b02_u = (_P({(-1, 1, 0): 1}), _P({(-1, 0, 0): 1}))
+    b02_t = (_P({(-1, 0, 1): 1}),)
 
     # overlap (1,2): chart-2 in (possibly twisted) chart-1 coordinates;
     # with the twist, 1/v2 = (v2~ - c s)^(-1) expands as a geometric series
@@ -1002,41 +956,32 @@ def _hyperplane_p2_in_p3(d: int, twist: Fraction) -> Scenario:
     shift = lambda dv1, dt: {
         (a + dv1, b, cc + dt): v for (a, b, cc), v in inv.items()
     }
-    f12_u = (P(shift(1, 0)), P(inv))
-    f12_t = (P(shift(0, 1)),)
-    b12_u = (P({(1, -1, 0): 1}), P({(0, -1, 0): 1, (0, -1, 1): c}))
-    b12_t = (P({(0, -1, 1): 1}),)
+    f12_u = (_P(shift(1, 0)), _P(inv))
+    f12_t = (_P(shift(0, 1)),)
+    b12_u = (_P({(1, -1, 0): 1}), _P({(0, -1, 0): 1, (0, -1, 1): c}))
+    b12_t = (_P({(0, -1, 1): 1}),)
 
-    g01 = PolyMatrix([[P({(d, 0, 0): 1})]])
-    g02 = PolyMatrix([[P({(0, d, 0): 1})]])
-    g12 = PolyMatrix([[P({(0, d, 0): 1})]])
-    zero_conn = [
-        PolyMatrix.zero(e, e, names),
-        PolyMatrix.zero(e, e, names),
-    ]
-    return Scenario(
-        name="hyperplane_p2_in_p3",
-        p=2,
-        q=1,
-        e=e,
-        max_order=3,
-        charts_inverted=[(), (), ()],
-        overlaps=[
+    g01 = PolyMatrix([[_P({(d, 0, 0): 1})]])
+    g02 = PolyMatrix([[_P({(0, d, 0): 1})]])
+    g12 = PolyMatrix([[_P({(0, d, 0): 1})]])
+    return _rank_one(
+        "hyperplane_p2_in_p3",
+        2,
+        [(), (), ()],
+        [
             OverlapSpec((0, 1), {0: ((1, 0),), 1: ((1, 0),)}, f01_u, f01_t, b01_u, b01_t),
             OverlapSpec((0, 2), {0: ((0, 1),), 2: ((1, 0),)}, f02_u, f02_t, b02_u, b02_t),
             OverlapSpec((1, 2), {1: ((0, 1),), 2: ((0, 1),)}, f12_u, f12_t, b12_u, b12_t),
         ],
-        triples=[TripleSpec((0, 1, 2), ((1, 0), (0, 1)))],
-        g={(0, 1): g01, (0, 2): g02, (1, 2): g12},
-        gammas=[list(zero_conn), list(zero_conn), list(zero_conn)],
-        flat=[True, True, True],
-        window=(-3, 3),
+        [TripleSpec((0, 1, 2), ((1, 0), (0, 1)))],
+        {(0, 1): g01, (0, 2): g02, (1, 2): g12},
+        (-3, 3),
     )
 
 
 # the one table behind ``generate_builtin``, its error message and BUILTIN_NAMES
 _BUILTINS = {
-    "affine_split": lambda d, twist: _affine_split(d),
+    "affine_split": lambda d, twist: _rank_one("affine_split", 1, [()], [], [], {}, (-4, 4)),
     "line_in_p2": _line_in_p2,
     "diagonal_p1xp1": lambda d, twist: _diagonal_p1xp1(d),
     "hyperplane_p2_in_p3": _hyperplane_p2_in_p3,

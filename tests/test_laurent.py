@@ -152,3 +152,18 @@ def test_substitution_composition(p):
     g = {"x": LaurentPoly.monomial(V, (2, 0)), "y": LaurentPoly.monomial(V, (0, -1), 3)}
     composed = {name: subst(img, g) for name, img in f.items()}
     assert subst(subst(p, f), g) == subst(p, composed)
+
+
+@given(polys, st.one_of(st.integers(-4, 4), st.fractions(max_denominator=6)))
+@settings(max_examples=40, deadline=None)
+def test_a_number_minus_a_polynomial_is_the_constant_minus_it(p, c):
+    diff = c - p
+    assert diff == LaurentPoly.const(V, c) - p
+    # the exact-number rule: integral coefficients are ints, the others Fractions
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for x in diff.terms.values()), diff.terms
+
+
+def test_a_float_minus_a_polynomial_is_refused():
+    with pytest.raises(TypeError):
+        1.5 - P({(1, 0): 1})

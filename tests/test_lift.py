@@ -219,6 +219,21 @@ def test_every_builtin_solves_through_order_three_as_the_oracles_say():
             assert third.torsor_dim == third.h1_oracle == undercounts[label][1], label
 
 
+def test_window_notes_name_an_overcount_and_an_undercount():
+    # p1 in O(1) with E = O(-1) + O(1): the order-one torsor exceeds its oracle
+    s = generate_builtin("p1_in_line_bundle", d=1)
+    names, zero = s.names, LaurentPoly.zero(s.names)
+    g01 = PolyMatrix([[LaurentPoly.monomial(names, (-1, 0)), zero],
+                      [zero, LaurentPoly.monomial(names, (1, 0))]])
+    s = dataclasses.replace(s, e=2, g={(0, 1): g01},
+                            gammas=[[PolyMatrix.zero(2, 2, names)] for _ in s.flat])
+    first = run_pipeline(s, k=3).reports[0]
+    assert (first.status.torsor_dim, first.status.h1_oracle) == (3, 2)
+    assert first.notes == ["window overcounts the torsor: 3 dimensions counted against the oracle's 2"]
+    third = run_pipeline(generate_builtin("p1_in_line_bundle", d=4), k=3).reports[2]
+    assert third.notes[0] == "window undercounts the torsor: 8 of 11 oracle dimensions reachable"
+
+
 def test_order_three_notes_every_lower_choice():
     third = run_pipeline(generate_builtin("diagonal_p1xp1", d=1), k=3).reports[2]
     chosen = [note for note in third.notes if "lift chosen here" in note]

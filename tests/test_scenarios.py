@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -30,16 +31,60 @@ from nbhdext.scenarios import (
 F = Fraction
 
 
-def test_builtin_names_round_trip(tmp_path):
-    s = generate_builtin("line_in_p2", d=2)
-    path = tmp_path / "line.json"
+@pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
+def test_builtin_names_round_trip(tmp_path, name):
+    s = generate_builtin(name, d=2)
+    path = tmp_path / "s.json"
     save_scenario(s, path.as_posix())
     loaded = load_scenario(path.as_posix())
     assert loaded.dumps() == s.dumps()
     # saving the loaded copy is byte-identical
-    path2 = tmp_path / "line2.json"
+    path2 = tmp_path / "s2.json"
     save_scenario(loaded, path2.as_posix())
     assert path.read_bytes() == path2.read_bytes()
+
+
+# SHA-256 of generate_builtin(name, d, twist).dumps(): negative, zero and
+# positive d for every builtin, three twists for each twisted family, and
+# p1_in_line_bundle at |m| = 7, where its window widens past the default 6
+SCENARIO_DIGESTS = {
+    ("affine_split", -2, 0): "2595d14a3969be8871283666bcb1c6bbdfd71d5579d54a4e3f70b05f60c4ed8d",
+    ("affine_split", 0, 0): "2595d14a3969be8871283666bcb1c6bbdfd71d5579d54a4e3f70b05f60c4ed8d",
+    ("affine_split", 2, 0): "2595d14a3969be8871283666bcb1c6bbdfd71d5579d54a4e3f70b05f60c4ed8d",
+    ("line_in_p2", -2, 0): "70ddbdcf009dd721688b5cfc4ad1d82f0a45412daf71be12195d0b7d449334d9",
+    ("line_in_p2", -2, 1): "92068a4cbba1281f9b97009f282eb5efde494156e01961e0f2ff9dbe4bb75cb2",
+    ("line_in_p2", -2, F(-1, 2)): "9b3bdc0dbb42a6a5d9455821cc742e548411bccdd65996cd907545a520bc6a41",
+    ("line_in_p2", 0, 0): "2cb0d4cc2993bca5c4828d2bb6279cf844b8c924d0595ad2df14662dd4abc94b",
+    ("line_in_p2", 0, 1): "0d4029d4a7caf12020b2bd6671ebd68268df619b6f8e1b190abaed31354dd90e",
+    ("line_in_p2", 0, F(-1, 2)): "6c8fbd58611307090ef6070236b821eba82a5523489aeaf7c8a4f0593e91faac",
+    ("line_in_p2", 2, 0): "7d7b140978c5bf90f1ad6bf71bd9c845a7467ab4fd4385494a99a16e3b6a8868",
+    ("line_in_p2", 2, 1): "00e6989ed3dee3efecfc8afd7cbbf2d42d2d937d13966d3c90beb69926c52256",
+    ("line_in_p2", 2, F(-1, 2)): "631a306c9bc8c436e489f1080bc7b19aaed9bbda835a4f796ef2990a1fe2b14a",
+    ("diagonal_p1xp1", -2, 0): "8093ea0371ff0303a96fa8f1e45e266e1499f0879ce9f815d0c4a3c4d38636b7",
+    ("diagonal_p1xp1", 0, 0): "5c949d392bd7b964c22d57e4408aef8099227becbbe0c66a7d8191ff7618897a",
+    ("diagonal_p1xp1", 2, 0): "dfb4a1ce146c78543e2f81a7936e3e8d2cb3bf3b8840aa72f5da8b241d0800a8",
+    ("hyperplane_p2_in_p3", -2, 0): "a88fc4f384d4bd6f3649439bca334dbf589f9cb3f7bdf8f981fe77d37c426bf2",
+    ("hyperplane_p2_in_p3", -2, 1): "73da3c42ca7ab18e12f76b2b7e472c2d867a9de763cbe60e92d95064450aca15",
+    ("hyperplane_p2_in_p3", -2, F(-1, 2)): "fed264e5316d11f8cb92a72275559025a718d7fd45f6c2c69be0995ac5a54583",
+    ("hyperplane_p2_in_p3", 0, 0): "ed62eb722de7df174fadb9e062c9234cedae66fa5724d2432bb761571352899d",
+    ("hyperplane_p2_in_p3", 0, 1): "883190d478b28a5ab4fc1b6187372d062927debedee4a3e848e47c8a522033db",
+    ("hyperplane_p2_in_p3", 0, F(-1, 2)): "8f43b042f718aa1008432cfe0b2310923e08384a203d2f3fc6baac6704032a5b",
+    ("hyperplane_p2_in_p3", 2, 0): "cecda9a1fa4dc9e188a782c5ac75ddc535ebeca2a25b00c2637c3edb86c7b099",
+    ("hyperplane_p2_in_p3", 2, 1): "74069e8bf5a06fc3f05e0136515c809d33b82b5a072b3ea250c02b0bf45b003e",
+    ("hyperplane_p2_in_p3", 2, F(-1, 2)): "4ea1482fe731dc620f35fec48ea5df0a9743b94a0a84baa663a013fc5932e629",
+    ("p1_in_line_bundle", -2, 0): "f3756871331711675f4bd67107143d039340ec9a2caa9a7067d4565ca1019e57",
+    ("p1_in_line_bundle", 0, 0): "d712fa51a3cd86984e8118718723c0ad20fdd11cf2592182be5cb96bf1853a7a",
+    ("p1_in_line_bundle", 2, 0): "517d39445ad36df3797e1ed6ac8c7c74339fbf1211d5778568f01f2b01c1826f",
+    ("p1_in_line_bundle", 7, 0): "7fb71831a6f96c6b320d93d2a72a719f9f903352e141e86bd27fdca3bc812609",
+    ("p1_in_line_bundle", -7, 0): "160b43da9b2f3cf87ee85fa537ea8b0f613e32fff8e4092be7fc77c4b72bd85e",
+}
+
+
+def test_generated_scenarios_match_their_digests():
+    assert {name for name, _, _ in SCENARIO_DIGESTS} == set(scenarios.BUILTIN_NAMES)
+    for (name, d, tw), digest in SCENARIO_DIGESTS.items():
+        text = generate_builtin(name, d=d, twist=tw).dumps()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, d, tw)
 
 
 def test_every_builtin_validates():
