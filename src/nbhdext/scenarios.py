@@ -966,16 +966,16 @@ def _hyperplane_p2_in_p3(d: int, twist: Fraction) -> Scenario:
     g12 = PolyMatrix([[_P({(0, d, 0): 1})]])
     return _rank_one(
         "hyperplane_p2_in_p3",
-        2,
-        [(), (), ()],
-        [
+        p=2,
+        charts_inverted=[(), (), ()],
+        overlaps=[
             OverlapSpec((0, 1), {0: ((1, 0),), 1: ((1, 0),)}, f01_u, f01_t, b01_u, b01_t),
             OverlapSpec((0, 2), {0: ((0, 1),), 2: ((1, 0),)}, f02_u, f02_t, b02_u, b02_t),
             OverlapSpec((1, 2), {1: ((0, 1),), 2: ((0, 1),)}, f12_u, f12_t, b12_u, b12_t),
         ],
-        [TripleSpec((0, 1, 2), ((1, 0), (0, 1)))],
-        {(0, 1): g01, (0, 2): g02, (1, 2): g12},
-        (-3, 3),
+        triples=[TripleSpec((0, 1, 2), ((1, 0), (0, 1)))],
+        g={(0, 1): g01, (0, 2): g02, (1, 2): g12},
+        window=(-3, 3),
     )
 
 
