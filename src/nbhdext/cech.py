@@ -39,16 +39,26 @@ is interned to an int once per context, so the columns, the rows of the
 system and the torsor split compare ints.
 ``solve_delta`` is the one build, solve and residual recheck behind both
 the obstruction solves and the rank-one system; whole cochains and those
-rechecks move through ``transport``.  ``_rows`` turns a system's delta
-columns into rows, and ``_touched_rows`` walks from the right-hand
-side's keys to the rows of the blocks it touches.  Only those rows are
-eliminated, in the whole window's column numbering; the verdict and x
-are those of the whole system, and the other blocks' rows come back as
-``rest``.  ``solve_coboundary`` only solves: it returns ``Solved`` or
+rechecks move through ``transport``.  It builds only the blocks of the
+system that the right-hand side touches: ``_walk`` goes from its rows to
+the window columns that meet them, on to those columns' rows and on.
+``preimages`` names the columns that meet a row: a face that enters
+itself gives one key, kept when it is in the window box; the transported
+face inverts its transport's exponent map where that is a pure one, and
+reads an index filled by one ``Transport.moved`` pass over the face's
+window keys elsewhere (``_moved_rows``).  Where a caller has built the
+whole window map, the walk reads the columns and the rows that meet them
+from it instead, in the map's numbering.  The walked columns keep the
+window basis's order, so the verdict and x are those of the whole system.
+``system_size`` counts the whole system's unknowns and rows for the
+rank-one report in one key pass, with no coefficient built.
+``solve_coboundary`` only solves: it returns ``Solved`` or
 ``UnresolvedWithinWindow``, and the cohomology oracle and the nonzero
-certificate are read by the caller.  Its torsor count folds ``rest``
-into the solve's reduced form to see every free column, then folds
-delta_0's rows outside the window and only those at the free columns.
+certificate are read by the caller.  Its torsor count needs every window
+column: it builds delta_1's map before it solves, folds the rows the walk
+did not reach into the solve's reduced form to see every free column,
+then folds delta_0's rows outside the window and only those at the free
+columns.
 All assembly is canonical: simplices, matrix entries and monomials are
 walked in sorted order, so reports are byte-stable.
 """
@@ -57,8 +67,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
-from operator import add, mul
+from functools import cached_property, lru_cache
+from itertools import islice, product as iproduct
+from math import comb, prod
+from operator import add, mul, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import FrameMismatch, NonInvertibleSubstitution, NotClosed, NotUnipotent
@@ -142,8 +154,12 @@ class CechContext:
         self._transports: Dict[Tuple[Pair, str], Transport] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
         self._window_exponents: Dict[Tuple, List[Exponent]] = {}
+        self._window_monomials: Dict[Tuple, List[Exponent]] = {}
         self._delta_maps: Dict[Tuple, Tuple[List[Tuple], List[Dict]]] = {}
+        self._map_rows: Dict[Tuple, Dict[int, Dict[int, Rational]]] = {}
+        self._moved_rows: Dict[Tuple, Dict[Pair, Dict[Exponent, List[Tuple]]]] = {}
         self._row_ids: Dict[Tuple, int] = {}
+        self._row_keys: List[Tuple] = []
 
     def transport_of(self, pair: Pair, vtype: str) -> "Transport":
         """The ``Transport`` of ``vtype`` values across the stored pair ``pair``, made once."""
@@ -170,6 +186,13 @@ class CechContext:
     def row_id(self, key: Tuple) -> int:
         """The int that stands for the coordinate key (simplex, entry, exps) in this context."""
         return self._row_ids.setdefault(key, len(self._row_ids))
+
+    def row_key(self, i: int) -> Tuple:
+        """The coordinate key that the int ``i`` stands for: ids are handed out in order."""
+        keys = self._row_keys
+        if i >= len(keys):
+            keys.extend(islice(self._row_ids, len(keys), None))
+        return keys[i]
 
     # -- value helpers ---------------------------------------------------------------
 
@@ -316,6 +339,30 @@ class Transport:
         ``t_max``, whose image is zero unless the whole substitution raises
         first; that is left to the substitution, with no ``rest`` part moved.
         """
+        split = self._split(exps)
+        if not split:
+            return split
+        degree, rows = split
+        c = 1
+        for i in self.scaled:
+            k = exps[i]
+            if k:
+                c *= self.coefficients[i] ** k if k > 0 else self.inverses[i] ** -k
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        shift = tuple([sum(map(mul, exps, col)) for col in self.columns])
+        if rows is None:
+            return ((degree, shift, c),)
+        room = self.t_max - degree
+        return tuple([(t + degree, tuple(map(add, shift, e)), exact(c * x))
+                      for t, e, x in rows if t <= room])
+
+    def _split(self, exps: Exponent):
+        """(t-degree of the one-term part, rows of the moved ``rest`` part or None), () or None.
+
+        () when the monomial moves to zero and None when it is left to the
+        substitution, as ``_by_exponents`` says.
+        """
         for i in self.positive:
             if exps[i] < 0:
                 return None
@@ -337,19 +384,58 @@ class Transport:
                         return None
         if rows is None and degree > self.t_max:
             return ()
-        c = 1
-        for i in self.scaled:
-            k = exps[i]
-            if k:
-                c *= self.coefficients[i] ** k if k > 0 else self.inverses[i] ** -k
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
+        return degree, rows
+
+    def reached(self, exps: Exponent) -> List[Exponent]:
+        """The exponents of ``moved(exps)``, in its order, with no coefficient multiplied.
+
+        Read off the exponent arithmetic where ``moved`` would be, and off
+        ``moved`` itself otherwise; the ``rest`` parts share its memo.
+        """
+        rows = self._moved.get(exps)
+        split = None if rows is not None or not self.exponents else self._split(exps)
+        if split is None:
+            return [e for _, e, _ in self.moved(exps)]
+        if not split:
+            return []
+        degree, rows = split
         shift = tuple([sum(map(mul, exps, col)) for col in self.columns])
         if rows is None:
-            return ((degree, shift, c),)
+            return [shift]
         room = self.t_max - degree
-        return tuple([(t + degree, tuple(map(add, shift, e)), exact(c * x))
-                      for t, e, x in rows if t <= room])
+        return [tuple(map(add, shift, e)) for t, e, _ in rows if t <= room]
+
+    @cached_property
+    def inverse(self) -> Optional[Tuple[Tuple[Rational, ...], ...]]:
+        """A^-1 for the matrix A of a pure exponent map, x^x -> x^(A x); else None.
+
+        The map is pure when every image is one term (no ``rest``), only
+        images of t-variables have positive t-degree and A is invertible
+        over Q.  Then a key with t-exponents >= 0 moves to the one term
+        c . x^(A x) of t-degree sum x_i d_i, or to nothing past the order,
+        so the key is read back from A x.  A^-1 is the right half of the
+        reduced echelon form of [A | 1].
+        """
+        if not self.exponents or self.rest or any(i < self.p for i in self.positive):
+            return None
+        n = len(self.columns)
+        reduced = _rref({**{i: x for i, x in enumerate(row) if x}, n + j: 1}
+                        for j, row in enumerate(self.columns))
+        if sorted(reduced) != list(range(n)):
+            return None
+        return tuple(tuple(reduced[i].get(n + j, 0) for j in range(n)) for i in range(n))
+
+    def source(self, exps: Exponent) -> Optional[Exponent]:
+        """The integer x with A x = ``exps`` for a pure exponent map, or None if A^-1 exps is not integral."""
+        x = []
+        for row in self.inverse:
+            v = sum(map(mul, row, exps))
+            if type(v) is not int:
+                if v.denominator != 1:
+                    return None
+                v = v.numerator
+            x.append(v)
+        return tuple(x)
 
 
 @dataclass
@@ -523,24 +609,47 @@ class UnresolvedWithinWindow:
     window: Tuple[int, int]
 
 
-def _window_exponents(ctx: CechContext, ring: ChartRing, window: Tuple[int, int]) -> List[Exponent]:
-    """Tangential exponents in the window box and the chart ring's cone, grlex, memoized.
+@lru_cache(maxsize=1024)
+def _box(p: int, inverted: Tuple[Exponent, ...], lo: int, hi: int) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """The window [lo, hi] in the cone of a chart ring: (min, max) per tangential exponent, or None.
 
     With nonnegative inverted vectors, w is in the cone exactly when each
     negative coordinate of w is positive in some inverted vector, so the
     cone's window is a box: [lo, hi] on such covered coordinates,
-    [max(lo, 0), hi] on the others, and empty when one of those has hi < 0.
+    [max(lo, 0), hi] on the others, and empty (None) when one of those has
+    hi < 0.
     """
+    if any(x < 0 for inv in inverted for x in inv):
+        raise ValueError(f"inverted exponents must be nonnegative, got {inverted}")
+    covered = [any(inv[t] > 0 for inv in inverted) for t in range(p)]
+    if hi < 0 and not all(covered):
+        return None
+    return tuple((lo if cov else max(lo, 0), hi) for cov in covered)
+
+
+def _window_exponents(ctx: CechContext, ring: ChartRing, window: Tuple[int, int]) -> List[Exponent]:
+    """Tangential exponents in the window box and the chart ring's cone, grlex, memoized."""
     key = (ring.p, ring.inverted, tuple(window))
     exps = ctx._window_exponents.get(key)
     if exps is None:
-        if any(x < 0 for inv in ring.inverted for x in inv):
-            raise ValueError(f"inverted exponents must be nonnegative, got {ring.inverted}")
-        lo, hi = window
-        covered = [any(inv[t] > 0 for inv in ring.inverted) for t in range(ring.p)]
-        bounds = [(lo if cov else max(lo, 0), hi) for cov in covered]
-        exps = monomial_window(bounds) if hi >= 0 or all(covered) else []
-        ctx._window_exponents[key] = exps
+        box = _box(ring.p, ring.inverted, *window)
+        exps = ctx._window_exponents[key] = [] if box is None else monomial_window(box)
+    return exps
+
+
+def _window_monomials(
+    ctx: CechContext, ring: ChartRing, sdeg: int, window: Tuple[int, int]
+) -> List[Exponent]:
+    """The window's exponents of conormal degree ``sdeg`` on one ring: t-monomials, then u, grlex.
+
+    Memoized; the list is shared, so no caller changes it.
+    """
+    key = (ring.p, ring.q, ring.inverted, sdeg, tuple(window))
+    exps = ctx._window_monomials.get(key)
+    if exps is None:
+        u_exps = _window_exponents(ctx, ring, window)
+        exps = ctx._window_monomials[key] = [ue + tm for tm in ring.t_monomials(sdeg)
+                                             for ue in u_exps]
     return exps
 
 
@@ -561,14 +670,26 @@ def _window_basis(
     entries = list(iproduct(range(n), range(n)))
     basis = []
     for simplex in simplices:
-        ring = ctx.ring_of(simplex)
-        t_monos = ring.t_monomials(sdeg)
-        u_exps = _window_exponents(ctx, ring, window)
+        exps = _window_monomials(ctx, ctx.ring_of(simplex), sdeg, window)
         for entry in entries:
-            for tm in t_monos:
-                for ue in u_exps:
-                    basis.append((simplex, entry, tuple(ue) + tuple(tm)))
+            basis += [(simplex, entry, e) for e in exps]
     return basis
+
+
+def _in_basis(
+    ctx: CechContext, simplex: Tuple[int, ...], exps: Exponent, sdegs, window: Tuple[int, int]
+) -> bool:
+    """Whether x^exps on ``simplex`` is a window monomial of one of the conormal degrees ``sdegs``."""
+    ring = ctx.ring_of(simplex)
+    t_exps = exps[ring.p:]
+    if sum(t_exps) not in sdegs or min(t_exps, default=0) < 0:
+        return False
+    box = _box(ring.p, ring.inverted, *window)
+    return box is not None and all(lo <= x <= hi for (lo, hi), x in zip(box, exps))
+
+
+def _is_simplex(ctx: CechContext, face: Tuple[int, ...]) -> bool:
+    return len(face) == 1 or face in ctx.pairs or face in ctx.nerve.triple_rings
 
 
 def _assemble_cochain(
@@ -746,67 +867,140 @@ def _im_delta0_inside(
     return _rank_inside(cols, map(ctx.row_id, inside), map(ctx.row_id, kept))
 
 
-def _touched_rows(
-    columns: List[Dict[int, Rational]],
-    rows: Dict[int, Dict[int, Rational]],
-    rhs: Dict[int, Rational],
-) -> Set[int]:
-    """The row keys of the blocks that ``rhs``'s keys touch, those keys among them.
+def _moved_rows(
+    ctx: CechContext, tau: Tuple[int, ...], vtype: str, sdeg: int, window: Tuple[int, int]
+) -> Dict[Pair, Dict[Exponent, List[Tuple]]]:
+    """entry -> exps -> the window keys on tau[1:] whose delta column meets (tau, entry, exps), memoized.
 
-    The system sum_k x_k columns[k] = rhs splits into blocks, the
-    connected parts of the graph that joins each column to its row keys;
-    ``rows`` is that graph read from the row side.  A walk from ``rhs``'s
-    keys collects the rows of the blocks it reaches.
+    One pass moves each window key of conormal degree ``sdeg`` on the face
+    tau[1:] through the transport of tau's leading pair and multiplies it by
+    the pattern, as ``_delta_columns`` does, keeping keys only.  Moved terms
+    have distinct exponents, and so have a pattern's rows, so no entry can
+    cancel unless both have several; only then are the products summed.
     """
-    seen, stack, walked = set(rhs), list(rhs), set()
+    memo = (tau, vtype, sdeg, tuple(window))
+    index = ctx._moved_rows.get(memo)
+    if index is None:
+        index = ctx._moved_rows[memo] = {}
+        face, transport, t_max = tau[1:], ctx.transport_of(tau[:2], vtype), ctx.order
+        for column in _window_basis(ctx, [face], vtype, sdeg, window):
+            _, entry, exps = column
+            if transport.frame is None:  # a function's pattern is the constant 1
+                by_exps = index.setdefault(entry, {})
+                for e in transport.reached(exps):
+                    by_exps.setdefault(e, []).append(column)
+                continue
+            moved = transport.moved(exps)
+            for ab, rows in transport.pattern[entry[0]][entry[1]]:
+                if len(moved) > 1 and len(rows) > 1:
+                    acc: Dict[Exponent, Rational] = {}
+                    for t1, e1, c1 in moved:
+                        for t2, e2, c2 in rows:
+                            if t1 + t2 <= t_max:
+                                e = tuple(map(add, e1, e2))
+                                acc[e] = acc.get(e, 0) + c1 * c2
+                    reached = [e for e, x in acc.items() if x]
+                else:
+                    reached = [tuple(map(add, e1, e2)) for t1, e1, _ in moved
+                               for t2, e2, _ in rows if t1 + t2 <= t_max]
+                by_exps = index.setdefault(ab, {})
+                for e in reached:
+                    by_exps.setdefault(e, []).append(column)
+    return index
+
+
+def preimages(
+    ctx: CechContext, row: Tuple, vtype: str, sdegs, window: Tuple[int, int]
+) -> List[Tuple]:
+    """The window basis keys of conormal degrees ``sdegs`` whose delta column has an entry at ``row``.
+
+    ``row`` is a key (tau, entry, exps), and the columns that meet it live
+    on the faces of tau.  On a face that drops a vertex other than the
+    first the column's key enters itself, so (face, entry, exps) is the one
+    candidate, kept when it is a window key.  On tau[1:] the key moves
+    through the transport of tau's leading pair.  Where that is a pure
+    exponent map (``Transport.inverse``), (r, c) . x^x reaches the row
+    exactly when A x + e2 = exps for a row (t2, e2) of the pattern of
+    g[a][r] . g^-1[c][b] with t-degree(x) + t2 within the order, so each
+    pattern row gives at most one x.  Elsewhere ``_moved_rows`` answers.
+    """
+    tau, entry, exps = row
+    out = []
+    for pos in range(len(tau)):
+        face = tau[:pos] + tau[pos + 1:]
+        if not _is_simplex(ctx, face):
+            continue
+        if pos:
+            if _in_basis(ctx, face, exps, sdegs, window):
+                out.append((face, entry, exps))
+            continue
+        transport = ctx.transport_of(tau[:2], vtype)
+        if transport.inverse is None:
+            for sdeg in sdegs:
+                out += _moved_rows(ctx, tau, vtype, sdeg, window).get(entry, {}).get(exps, ())
+            continue
+        for r, line in enumerate(transport.pattern):
+            for c, products in enumerate(line):
+                for t2, e2, _ in (term for ab, rows in products if ab == entry for term in rows):
+                    x = transport.source(tuple(map(sub, exps, e2)))
+                    if (x is not None and _in_basis(ctx, face, x, sdegs, window)
+                            and sum(map(mul, x, transport.degrees)) + t2 <= ctx.order):
+                        out.append((face, (r, c), x))
+    return out
+
+
+def _walk(rows, preimages, column) -> Tuple[Dict, Set]:
+    """The columns and rows of the blocks that ``rows`` touch.
+
+    delta(x) = b splits into blocks, the connected parts of the graph that
+    joins each column to its rows.  From ``rows`` the walk goes to the
+    columns that meet them (``preimages``), on to those columns' rows (the
+    keys of ``column(k)``) and on, until nothing new is reached.  Returns
+    {column key: column} and the set of rows reached.
+    """
+    seen, stack, walked = set(rows), list(rows), {}
     while stack:
-        for k in rows.get(stack.pop(), ()):
+        for k in preimages(stack.pop()):
             if k not in walked:
-                walked.add(k)
-                for kk in columns[k]:
+                col = walked[k] = column(k)
+                for kk in col:
                     if kk not in seen:
                         seen.add(kk)
                         stack.append(kk)
-    return seen
+    return walked, seen
 
 
-def _touched_system(
-    basis: List, columns: List[Dict[int, Rational]], rhs: Dict[int, Rational]
-) -> Tuple[ExactLinearSystem, List[Dict[int, Rational]], int]:
-    """sum_k x_k columns[k] = rhs on the ``_touched_rows``, the other rows, and the row count.
-
-    The rows are every key of the columns and of ``rhs``, in order of first
-    appearance; the system keeps every column of ``basis``.
-    """
+def _system(basis: List, columns: Sequence[Dict[int, Rational]], rhs: Dict[int, Rational]):
+    """sum_k x_k columns[k] = rhs: one row per key of the columns and of rhs, first seen first."""
     rows = _rows(columns)
     for kk in rhs:
         rows.setdefault(kk, {})
-    touched = _touched_rows(columns, rows, rhs)
-    kept, values, rest = [], [], []
-    for kk, row in rows.items():
-        if kk in touched:
-            kept.append(row)
-            values.append(rhs.get(kk, 0))
-        else:
-            rest.append(row)
-    return ExactLinearSystem(basis, kept, values), rest, len(rows)
+    return ExactLinearSystem(basis, list(rows.values()), [rhs.get(kk, 0) for kk in rows])
+
+
+def _map_rows(ctx: CechContext, key: Tuple) -> Dict[int, Dict[int, Rational]]:
+    """``_rows`` of the memoized delta map ``key``, made once."""
+    rows = ctx._map_rows.get(key)
+    if rows is None:
+        rows = ctx._map_rows[key] = _rows(ctx._delta_maps[key][1])
+    return rows
 
 
 @dataclass
 class DeltaSolve:
     """What ``solve_delta`` found.
 
-    ``unknowns`` and ``constraints`` count the whole window system.
-    ``solution`` eliminates the touched rows over every window column,
-    ``cochain`` is x (None when the system is inconsistent) and ``rest``
-    holds the other blocks' rows, in order of first appearance.
+    ``columns`` holds the keys of the columns the solve numbers, in the
+    window basis's order: the walked ones, or every key of the maps a
+    caller built.  ``rows`` holds the ids of the rows the walk reached,
+    ``solution`` solves those rows, column k standing for ``columns[k]``,
+    and ``cochain`` is x (None when the system is inconsistent).
     """
 
-    unknowns: int
-    constraints: int
+    columns: List[Tuple]
+    rows: Set[int]
     solution: Solution
     cochain: Optional[CechCochain]
-    rest: List[Dict[int, Rational]]
 
 
 def solve_delta(
@@ -814,32 +1008,92 @@ def solve_delta(
 ) -> DeltaSolve:
     """Solve delta(x) = rhs for x on the window monomials of the conormal degrees ``sdegs``.
 
-    The columns are the memoized delta columns of each degree in turn, on
-    the simplices one degree below ``rhs``; the rows are every key of the
-    columns and of ``rhs``.  Only the rows of the blocks ``rhs`` touches
-    (``_touched_system``) are eliminated, over the whole window's columns:
-    the reduced echelon form of a block-diagonal system is the union of
-    its blocks' forms, and a block of zero right-hand side is consistent
-    with particular part 0, so the verdict and x are those of the whole
-    system.  A solution is assembled into the cochain x, which carries
-    ``rhs.sdeg``, and rechecked with the full differential; a nonzero
-    residual raises ``NotClosed``.
+    The unknowns are the window basis on the simplices one degree below
+    ``rhs``, of each degree in turn, but only the blocks that rhs touches
+    are built: ``_walk`` goes from rhs's rows to their ``preimages`` and on,
+    building each column it reaches alone.  Where a caller has built the
+    map of every degree, as the torsor count does, the walk reads the
+    columns and the rows that meet them from the maps instead, and the
+    system keeps the maps' numbering.  The reduced echelon form of a
+    block-diagonal system is the union of its blocks' forms, and a block
+    of zero right-hand side is consistent with particular part 0; the
+    columns keep the window basis's order, so the pivots, the verdict and
+    x are those of the whole system.  x carries ``rhs.sdeg`` and is
+    rechecked with the full differential; a nonzero residual raises
+    ``NotClosed``.
     """
-    simplices = ctx.nerve.simplices(rhs.degree)
-    basis, columns = [], []
-    for sdeg in sdegs:
-        sdeg_basis, sdeg_columns = _delta_map(ctx, rhs.vtype, sdeg, simplices, window)
-        basis += sdeg_basis
-        columns += sdeg_columns
+    vtype, window = rhs.vtype, tuple(window)
+    simplices = tuple(ctx.nerve.simplices(rhs.degree))
     b = {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()}
-    system, rest, constraints = _touched_system(basis, columns, b)
+    keys = [(vtype, sdeg, simplices, window) for sdeg in sdegs]
+    maps = [ctx._delta_maps.get(key) for key in keys]
+    if None in maps:
+        walked, rows = _walk(b, lambda i: preimages(ctx, ctx.row_key(i), vtype, sdegs, window),
+                             lambda k: _delta_columns(ctx, vtype, [k])[0])
+        p = ctx.nerve.chart_rings[0].p
+        rank = {sdeg: n for n, sdeg in enumerate(sdegs)}
+        basis = sorted(walked, key=lambda k: (rank[sum(k[2][p:])], k[0], k[1], k[2][p:],
+                                              grlex_key(k[2][:p])))
+        system = _system(basis, [walked[k] for k in basis], b)
+    else:
+        # a caller built every map: its rows say which columns meet a row, and the
+        # system keeps the maps' numbering, which the torsor count reads
+        basis = [k for map_basis, _ in maps for k in map_basis]
+        columns = [c for _, map_columns in maps for c in map_columns]
+        by_row = _map_rows(ctx, keys[0]) if len(keys) == 1 else _rows(columns)
+        _, rows = _walk(b, lambda i: by_row.get(i, ()), columns.__getitem__)
+        system = ExactLinearSystem(basis, [by_row.get(i, {}) for i in rows],
+                                   [b.get(i, 0) for i in rows])
     sol = solve_exact(system)
     x = None
     if sol.consistent:
-        x = _assemble_cochain(ctx, rhs.degree - 1, rhs.vtype, rhs.sdeg, basis, sol.particular)
+        x = _assemble_cochain(ctx, rhs.degree - 1, vtype, rhs.sdeg, basis, sol.particular)
         if not cech_differential(ctx, x).add(rhs.neg()).is_zero():
             raise NotClosed("solver produced a nonzero residual; the right-hand side is not closed")
-    return DeltaSolve(len(basis), constraints, sol, x, rest)
+    return DeltaSolve(basis, rows, sol, x)
+
+
+def system_size(
+    ctx: CechContext, rhs: CechCochain, sdegs: Sequence[int], window: Tuple[int, int]
+) -> Tuple[int, int]:
+    """(unknowns, constraints) of the whole window system that ``solve_delta`` walks.
+
+    The unknowns are counted off the window boxes.  The constraints are
+    every key of the columns and of rhs, found in one key pass per simplex
+    tau one degree above the columns: the faces that enter themselves add
+    their window keys, and the face tau[1:] adds the keys of
+    ``_moved_rows``, which it fills for ``preimages``.  No coefficient and
+    no column is built.
+    """
+    vtype = rhs.vtype
+    n = ctx.value_side(vtype)
+    entries = list(iproduct(range(n), range(n)))
+    unknowns = 0
+    for ring in map(ctx.ring_of, ctx.nerve.simplices(rhs.degree)):
+        box = _box(ring.p, ring.inverted, *window)
+        if box is not None:
+            size = prod(hi - lo + 1 for lo, hi in box)
+            unknowns += n * n * size * sum(comb(sdeg + ring.q - 1, ring.q - 1) for sdeg in sdegs)
+    on: Dict[Tuple[int, ...], Dict[Pair, Set[Exponent]]] = {}
+    for tau, entry, exps in cochain_coordinates(rhs):
+        on.setdefault(tau, {}).setdefault(entry, set()).add(exps)
+    constraints = 0
+    for tau in ctx.nerve.simplices(rhs.degree + 1):
+        keys = on.get(tau, {})  # entry -> exps of the rows on tau
+        for pos in range(len(tau)):
+            face = tau[:pos] + tau[pos + 1:]
+            if not _is_simplex(ctx, face):
+                continue
+            for sdeg in sdegs:
+                if pos:
+                    exps = _window_monomials(ctx, ctx.ring_of(face), sdeg, window)
+                    for entry in entries:
+                        keys.setdefault(entry, set()).update(exps)
+                else:
+                    for ab, by_exps in _moved_rows(ctx, tau, vtype, sdeg, window).items():
+                        keys.setdefault(ab, set()).update(by_exps)
+        constraints += sum(map(len, keys.values()))
+    return unknowns, constraints
 
 
 def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, int]):
@@ -848,18 +1102,24 @@ def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, i
     On success the residual is rechecked to be exactly zero and the torsor
     dimension (window kernel of delta modulo window coboundaries) is
     reported: the free columns less dim(im delta_0 & W), counted on those
-    columns by ``_im_delta0_inside``.  They are read once the solve's
-    ``rest`` is folded into its reduced form, the whole system's, as no two
-    blocks share a column.  That count requires delta_1 delta_0 = 0 on the
-    context, which validation guarantees (the chart and bundle cocycles
-    and ``bundle_on_base`` on every triple; a nerve without triples has
-    delta_1 = 0).  Otherwise the window is reported as insufficient: this
-    is a pure solve, and reading a failure as a proof is left to the caller.
+    columns by ``_im_delta0_inside``.  The count needs every window column,
+    so delta_1's map is built first and the walk reads it.  The free
+    columns are read once the rows the walk did not reach are folded into
+    the solve's reduced form, the whole system's, as no two blocks share a
+    column.  The count requires
+    delta_1 delta_0 = 0 on the context, which validation guarantees (the
+    chart and bundle cocycles and ``bundle_on_base`` on every triple; a
+    nerve without triples has delta_1 = 0).  Otherwise the window is
+    reported as insufficient: this is a pure solve, and reading a failure
+    as a proof is left to the caller.
     """
+    key = (target.vtype, target.sdeg, tuple(ctx.nerve.simplices(2)), tuple(window))
+    basis, _ = _delta_map(ctx, *key)
     solved = solve_delta(ctx, target.neg(), [target.sdeg], window)
     if solved.cochain is None:
         return UnresolvedWithinWindow(window)
-    reduced = _rref(sorted(solved.rest, key=len), dict(solved.solution.reduced))
-    free = [f for f in range(solved.unknowns) if f not in reduced]
+    rest = [row for i, row in _map_rows(ctx, key).items() if i not in solved.rows]
+    reduced = _rref(sorted(rest, key=len), dict(solved.solution.reduced))
+    free = [f for f in range(len(basis)) if f not in reduced]
     exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window, free)
     return Solved(solved.cochain, len(free) - exact_dim)

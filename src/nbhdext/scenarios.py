@@ -39,6 +39,7 @@ from .cech import (
     lift_transitions,
     solve_coboundary,
     solve_delta,
+    system_size,
     transition_log_defect,
 )
 from .errors import ParseError, SchemaVersionError, UnknownScenario
@@ -326,6 +327,17 @@ def scenario_from_json(data: dict) -> Scenario:
                  f"{where}.simplex: duplicate triple {list(simplex)}")
         inverted = exps(_field(t, "inverted", where, list, []), f"{where}.inverted")
         triples.append(TripleSpec(simplex, inverted))
+    # charts are Zariski opens of an irreducible X, so three that meet pairwise meet together
+    given = {t.simplex for t in triples}
+    pairs = {o.pair for o in overlaps}
+    missing = sorted((i, j, h) for i, j in pairs for h in range(j + 1, n_charts)
+                     if {(i, h), (j, h)} <= pairs and (i, j, h) not in given)
+    if missing:
+        i, j, h = missing[0]
+        raise ParseError(
+            f"triples: overlaps {[i, j]}, {[i, h]} and {[j, h]} are given but the triple "
+            f"{[i, j, h]} is not; charts of an irreducible variety meet on every triple"
+        )
 
     bundle = _field(data, "bundle", "", dict, {})
     _require(_field(bundle, "rank", "bundle", int, e) == e, "bundle rank disagrees with dims.e")
@@ -843,15 +855,15 @@ def solve_abelianized(ctx: CechContext, window: Tuple[int, int]) -> dict:
     G_ij = g_ij . exp(lambda_ij) is a cocycle modulo t^(k+1) exactly when
     lambda_ij + F_ij^* lambda_jh - lambda_ih = rho_ijh, a linear system in
     the window-supported lambda on the doubles at t-degrees 1..k.  Only the
-    blocks of the system that rho touches are eliminated; ``unknowns`` and
-    ``constraints`` count the whole system.
+    blocks of the system that rho touches are built and eliminated, by a
+    walk from rho's rows (``solve_delta``); ``unknowns`` and
+    ``constraints`` count the whole system (``system_size``), the
+    constraints by one pass over the keys of its columns.
     """
-    solved = solve_delta(ctx, transition_log_defect(ctx), range(1, ctx.order + 1), window)
-    return {
-        "exact": solved.solution.consistent,
-        "unknowns": solved.unknowns,
-        "constraints": solved.constraints,
-    }
+    rho, sdegs = transition_log_defect(ctx), range(1, ctx.order + 1)
+    solved = solve_delta(ctx, rho, sdegs, window)
+    unknowns, constraints = system_size(ctx, rho, sdegs, window)
+    return {"exact": solved.solution.consistent, "unknowns": unknowns, "constraints": constraints}
 
 
 # -- builtin generators ---------------------------------------------------------------

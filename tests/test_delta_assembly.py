@@ -6,8 +6,9 @@ each moved monomial, read off the column writer both where the transport
 moves exponents and where it goes through ``Substitution``.  A
 dense matrix written out here is the oracle for the sparse system built
 from the columns and for the torsor count's rank split; one
-elimination of the whole [A | b] is the oracle for the touched rows'
-elimination with the other rows folded in after it; the
+elimination of the whole [A | b] is the oracle for the walked blocks'
+elimination with the other rows folded in after it; the columns of the
+whole window map are the oracle for ``preimages``; the
 full fold of every row inside the window is the oracle for the torsor
 read on the solve's free columns; and one truncated substitution of a
 whole polynomial is the oracle for each transport's memoized
@@ -36,7 +37,7 @@ from nbhdext.scenarios import (
 
 from test_acceptance import GOLDEN_DIGESTS
 from test_filtered import subst_oracle
-from test_integration import four_chart_scenario
+from test_integration import four_chart_scenario, trivial_line_scenario
 from test_lift import bench_workloads, builtin_schedule
 from test_quadric import quadric_scenario
 
@@ -129,11 +130,47 @@ def test_pipeline_builds_each_delta_map_once(monkeypatch):
     assert bundle.abelianized["exact"]
     assert len(built) == len(set(built))
     # the order-one solve builds the (END, 1) overlap columns; the rank-one
-    # system builds FUNCTION columns of its own
+    # system builds only the FUNCTION columns its walk reaches, one at a time
     ctx = build_context(s, 2)
     end_1 = tuple(cech._window_basis(ctx, ctx.nerve.doubles(), cech.SYM_END, 1, s.window))
     assert len(end_1) == 84
     assert built.count((cech.SYM_END, end_1)) == 1
+    assert all(len(basis) == 1 for vtype, basis in built if vtype == cech.FUNCTION)
+
+
+def test_rank_one_stage_builds_only_the_walked_columns(monkeypatch):
+    """The rank-one system builds no whole-window FUNCTION map, only the columns its walk reaches.
+
+    On the twisted hyperplane the full image of v2~ on overlap (0, 1) has
+    two terms, so the walk reads the moved-key index of ``_moved_rows``;
+    the key pass for ``constraints`` moves every window monomial but builds
+    no column.  Coefficients are built for the walked columns alone.
+    """
+    built, solves, contexts = [], [], []
+    real_columns, real_solve, real_build = cech._delta_columns, scenarios.solve_delta, \
+        scenarios.build_context
+
+    def counting(ctx, vtype, basis):
+        built.append((vtype, list(basis)))
+        return real_columns(ctx, vtype, basis)
+
+    def solve(ctx, rhs, sdegs, window):
+        solves.append(real_solve(ctx, rhs, sdegs, window))
+        return solves[-1]
+
+    monkeypatch.setattr(cech, "_delta_columns", counting)
+    monkeypatch.setattr(scenarios, "solve_delta", solve)
+    monkeypatch.setattr(scenarios, "build_context",
+                        lambda s, k: contexts.append(real_build(s, k)) or contexts[-1])
+    bundle = run_pipeline(generate_builtin("hyperplane_p2_in_p3", d=1, twist=1), k=2)
+    [ctx], [walked] = contexts, solves  # only the rank-one system calls scenarios.solve_delta
+    assert bundle.abelianized == {"exact": True, "unknowns": 168, "constraints": 122}
+    assert ctx.transport_of((0, 1), cech.FUNCTION).inverse is None
+    assert not [key for key in ctx._delta_maps if key[0] == cech.FUNCTION]
+    function_columns = [basis for vtype, basis in built if vtype == cech.FUNCTION]
+    assert all(len(basis) == 1 for basis in function_columns)
+    assert sorted(key for [key] in function_columns) == sorted(walked.columns)
+    assert 0 < len(walked.columns) <= 4
 
 
 # -- the sparse system built from the columns ---------------------------------------
@@ -221,9 +258,36 @@ def touched_keys(columns, rhs):
         keys = grown
 
 
-def fold_rest(sol, rest):
-    """The touched solve's reduced form with ``rest`` folded in, as ``solve_coboundary`` does."""
-    return _rref(sorted(rest, key=len), dict(sol.reduced))
+def block_solve(columns, rhs):
+    """The walked solve on abstract columns: (walked columns, rows reached, system, solution, rest).
+
+    ``cech._walk`` goes from ``rhs``'s keys to the columns that hold them,
+    found here by brute force, and on; the walked columns, in order, make
+    the system; ``rest`` holds the rows the walk did not reach.
+    """
+    walked, reached = cech._walk(rhs, lambda kk: [k for k, col in enumerate(columns) if kk in col],
+                                 columns.__getitem__)
+    keep = sorted(walked)
+    built = cech._system(keep, [columns[k] for k in keep], rhs)
+    rest = [row for kk, row in cech._rows(columns).items() if kk not in reached]
+    return keep, reached, built, solve_exact(built), rest
+
+
+def whole_particular(keep, sol, n):
+    """The walked solution's particular part over all n columns, 0 off the walked ones."""
+    if not sol.consistent:
+        return None
+    particular = [0] * n
+    for k, x in zip(keep, sol.particular):
+        particular[k] = x
+    return particular
+
+
+def fold_rest(keep, sol, rest, n):
+    """The walked solve's reduced form in the whole numbering, with ``rest`` folded in after it."""
+    at = lambda c: keep[c] if c < len(keep) else n
+    reduced = {at(p): {at(c): x for c, x in row.items()} for p, row in sol.reduced.items()}
+    return _rref(sorted(rest, key=len), reduced)
 
 
 @given(column_systems())
@@ -242,30 +306,31 @@ def test_sparse_system_matches_the_dense_system(system):
         line for kk, line in zip(row_keys, dense) if kk in rows]
     assert all(all(x != 0 for x in row.values()) for row in rows.values())
 
-    # the system solve_delta solves: the touched rows over every column, in
-    # dense order; the rest are the other rows in the same order
-    built, rest, constraints = cech._touched_system(list(range(n)), columns, rhs)
-    reached = touched_keys(columns, rhs)
+    # the system solve_delta solves: the walked columns, in order, and the
+    # rows of the blocks rhs touches, in dense order; the rest are the
+    # other rows in the same order
+    keep, reached, built, sol, rest = block_solve(columns, rhs)
+    assert reached == touched_keys(columns, rhs)
     touched = [i for i, kk in enumerate(row_keys) if kk in reached]
-    assert built.basis == list(range(n))
-    assert built.matrix == [dense[i] for i in touched]
+    assert keep == [k for k, col in enumerate(columns) if reached & set(col)]
+    assert built.basis == keep
+    assert built.matrix == [[dense[i][k] for k in keep] for i in touched]
     assert built.rhs == [dense_rhs[i] for i in touched]
     assert [[row.get(k, F(0)) for k in range(n)] for row in rest] == [
         dense[i] for i in range(len(row_keys)) if i not in touched]
     assert not any(dense_rhs[i] for i in range(len(row_keys)) if i not in touched)
     # the figures the tracer reads off the dense view, and the whole count
-    assert len(built.basis) == n and constraints == len(row_keys)
+    assert len(built.rows) + len(rest) == len(row_keys)
     assert (sum(1 for line in built.matrix for x in line if x != 0) + sum(map(len, rest))
             == sum(map(len, columns)))
 
     consistent, particular, nullspace, rank = dense_gauss_jordan(dense, dense_rhs, n)
-    sol = solve_exact(built)
-    assert (sol.consistent, sol.particular) == (consistent, particular)
+    assert (sol.consistent, whole_particular(keep, sol, n)) == (consistent, particular)
     assert sol.free == sorted(sol.free)
     # with the rest folded in, the free columns and kernel are the whole system's
-    reduced = fold_rest(sol, rest)
-    free = [f for f in range(n) if f not in reduced]
-    whole = Solution(sol.consistent, sol.particular, free, reduced)
+    reduced = fold_rest(keep, sol, rest, n)
+    whole = Solution(sol.consistent, particular, [f for f in range(n) if f not in reduced], reduced)
+    free = whole.free
     assert whole.nullspace == nullspace
     # the free columns, ascending: each kernel vector is 1 at its own and 0 at the others
     assert len(free) == n - rank
@@ -277,10 +342,12 @@ def test_sparse_system_matches_the_dense_system(system):
 @given(column_systems(), st.sampled_from(["drawn", "empty", "every block"]))
 @settings(max_examples=200, deadline=None)
 def test_touched_solve_then_rest_fold_equals_one_elimination(system, which):
-    """Eliminating the touched rows, then folding the rest in, is one elimination of [A | b].
+    """Eliminating the walked blocks, then folding the rest in, is one elimination of [A | b].
 
     The whole system is written out here by hand, so the oracle shares no
-    code with ``_rows`` or the block walk.
+    code with ``_rows`` or the block walk.  ``solve_coboundary`` reads the
+    free columns as those that are neither a walked pivot nor a pivot of
+    the rest reduced on its own; that is checked too.
     """
     columns, rhs, _, _ = system
     every = {kk for col in columns for kk in col}
@@ -294,13 +361,13 @@ def test_touched_solve_then_rest_fold_equals_one_elimination(system, which):
     whole = solve_exact(ExactLinearSystem(list(range(n)), whole_rows,
                                           [rhs.get(kk, F(0)) for kk in row_keys]))
 
-    built, rest, constraints = cech._touched_system(list(range(n)), columns, rhs)
-    sol = solve_exact(built)
-    reduced = fold_rest(sol, rest)
-    assert constraints == len(row_keys)
-    assert (sol.consistent, sol.particular) == (whole.consistent, whole.particular)
+    keep, _, built, sol, rest = block_solve(columns, rhs)
+    reduced = fold_rest(keep, sol, rest, n)
+    assert len(built.rows) + len(rest) == len(row_keys)
+    assert (sol.consistent, whole_particular(keep, sol, n)) == (whole.consistent, whole.particular)
     assert [f for f in range(n) if f not in reduced] == whole.free
     assert reduced == whole.reduced
+    assert {keep[k] for k in sol.reduced} | set(_rref(sorted(rest, key=len))) == set(whole.reduced)
     if which == "empty":
         assert not built.rows and len(rest) == len(row_keys) and sol.consistent
     elif which == "every block":
@@ -873,7 +940,9 @@ def whole_window_solve(ctx, rhs, sdegs, window):
 
 
 def rank_one_cases():
-    """Every rank-one builtin at d -3..3 and the quadric, at each order and three windows."""
+    """Every rank-one builtin at d -3..3, the quadric and the trivial line bundle on the
+    four-chart fixture's charts, whose nerve has a 3-simplex and whose full transports
+    (shears) have images of several terms."""
     for name in scenarios.BUILTIN_NAMES:
         twists = (0, 1, -1, F(-1, 2)) if name in scenarios.TWISTED_BUILTINS else (0,)
         for d in range(-3, 4):
@@ -881,15 +950,19 @@ def rank_one_cases():
                 yield f"{name}(d={d}, twist={tw})", generate_builtin(name, d=d, twist=tw)
     for a, b in [(1, 1), (2, 2), (2, -1)]:
         yield f"quadric O({a},{b})", quadric_scenario(a, b)
+    yield "trivial line on the four-chart charts", trivial_line_scenario()
 
 
 def test_block_solve_equals_the_whole_window_solve():
-    """The rank-one system solved on its touched blocks is the whole-window solve.
+    """The rank-one system solved on its walked blocks is the whole-window solve.
 
-    Consistency, the whole system's unknowns and constraints, and lambda
-    agree with ``whole_window_solve`` on every case; some cases are
-    inconsistent, most leave columns out, and some leave rows out as
-    ``rest``.
+    Consistency, the whole system's unknowns and constraints
+    (``system_size``), and lambda agree with ``whole_window_solve`` on
+    every case; some cases are inconsistent, most leave columns out, and
+    some leave rows out.  The walk finds its columns through ``preimages``;
+    once the oracle has built the maps, a second solve reads the columns
+    and the rows that meet them from the maps, in the maps' numbering, and
+    reaches the same rows, pivots and lambda.
     """
     seen = {"inconsistent": 0, "smaller": 0, "rest": 0, "cases": 0}
     for label, s in rank_one_cases():
@@ -900,15 +973,98 @@ def test_block_solve_equals_the_whole_window_solve():
             for window in (s.window, (-3, 3), (-8, 8)):
                 sdegs = range(1, k + 1)
                 solved = cech.solve_delta(ctx, rho, sdegs, window)
+                unknowns, constraints = cech.system_size(ctx, rho, sdegs, window)
                 lam = None if solved.cochain is None else cochain_coordinates(solved.cochain)
-                got = (solved.solution.consistent, solved.unknowns, solved.constraints, lam)
+                got = (solved.solution.consistent, unknowns, constraints, lam)
                 assert got == whole_window_solve(ctx, rho, sdegs, window), (label, k, window)
-                # the columns of the touched rows: those nonzero in their reduced form
-                reduced = solved.solution.reduced
-                kept = set(reduced).union(*reduced.values()) - {solved.unknowns}
+                # the oracle built the maps, so this solve numbers every window column
+                again = cech.solve_delta(ctx, rho, sdegs, window)
+                pivots = lambda s: [s.columns[k] for k in sorted(s.solution.reduced)]
+                assert again.rows == solved.rows and pivots(again) == pivots(solved), (label, k)
+                assert again.solution.consistent == solved.solution.consistent, (label, k)
+                assert lam == (None if again.cochain is None
+                               else cochain_coordinates(again.cochain)), (label, k, window)
                 seen["inconsistent"] += not solved.solution.consistent
-                seen["smaller"] += len(kept) < solved.unknowns
-                seen["rest"] += bool(solved.rest)
+                seen["smaller"] += len(solved.columns) < unknowns
+                seen["rest"] += len(solved.rows) < constraints
                 seen["cases"] += 1
     assert seen["inconsistent"] > 0 and seen["rest"] > 0
     assert seen["smaller"] > seen["cases"] // 2, seen
+
+
+# -- preimages: the columns that meet a row ---------------------------------------------
+
+
+def preimage_cases():
+    """Every builtin at d -2..3 (twists 0, 1 and -1 where it has one), quadric O(1,1) and
+    O(1,0), the mixing line and the four-chart fixture."""
+    for name in scenarios.BUILTIN_NAMES:
+        twists = (0, 1, -1) if name in scenarios.TWISTED_BUILTINS else (0,)
+        for d in range(-2, 4):
+            for tw in twists:
+                yield f"{name}(d={d}, twist={tw})", generate_builtin(name, d=d, twist=tw)
+    for a, b in [(1, 1), (1, 0)]:
+        yield f"quadric O({a},{b})", quadric_scenario(a, b)
+    yield "mixing line", mixing_line_scenario()
+    yield "four-chart fixture", four_chart_scenario()
+
+
+def meeting_columns(ctx, vtype, sdeg, simplices, window):
+    """Row key -> the basis keys whose column in the whole window map has it."""
+    basis, columns = cech._delta_map(ctx, vtype, sdeg, simplices, window)
+    keys = coordinate_keys_of(ctx)
+    meets = {}
+    for key, column in zip(basis, columns):
+        for i in column:
+            meets.setdefault(keys[i], set()).add(key)
+    return meets
+
+
+def test_preimages_are_the_columns_that_meet_a_row(monkeypatch):
+    """``preimages(row)`` lists, once each, the window keys whose delta column has that row.
+
+    Every map the pipeline builds is checked, and the FUNCTION maps of the
+    rank-one system, which it no longer builds; rows on a transported face
+    are answered by exponent inversion or by the moved-key index, and both
+    run.
+    """
+    paths = {"inverse": 0, "index": 0}
+    for label, s in preimage_cases():
+        (ctx,) = pipeline_contexts(monkeypatch, s)
+        maps = list(ctx._delta_maps)
+        if s.e == 1:
+            maps += [(cech.FUNCTION, sdeg, tuple(ctx.nerve.doubles()), tuple(s.window))
+                     for sdeg in (1, 2)]
+        for vtype, sdeg, simplices, window in maps:
+            for row, expected in meeting_columns(ctx, vtype, sdeg, simplices, window).items():
+                got = cech.preimages(ctx, row, vtype, [sdeg], window)
+                assert len(got) == len(set(got)) and set(got) == expected, (label, vtype, row)
+                transport = ctx.transport_of(row[0][:2], vtype)
+                paths["index" if transport.inverse is None else "inverse"] += 1
+    assert min(paths.values()) > 1000, paths
+
+
+def test_preimages_at_the_window_edge_agree_with_a_wider_window():
+    """Rows that columns just outside the window reach get exactly their window preimages.
+
+    For every row of the End E maps two wider than the window on each side,
+    whose transported faces move by pure exponent maps, ``preimages`` in
+    the window are the wider map's meeting columns that lie in the window:
+    none at all for rows that only columns outside it reach, as a window-
+    free closure test asks.
+    """
+    edge = 0
+    for label, s in preimage_cases():
+        ctx = build_context(s, 2)
+        (lo, hi), sides = s.window, (ctx.nerve.simplices(1), ctx.nerve.doubles())
+        for sdeg in (1, 2):
+            for simplices in sides:
+                window_keys = set(cech._window_basis(ctx, simplices, cech.SYM_END, sdeg, s.window))
+                wide = meeting_columns(ctx, cech.SYM_END, sdeg, simplices, (lo - 2, hi + 2))
+                for row, expected in wide.items():
+                    if ctx.transport_of(row[0][:2], cech.SYM_END).inverse is None:
+                        continue
+                    got = set(cech.preimages(ctx, row, cech.SYM_END, [sdeg], s.window))
+                    assert got == expected & window_keys, (label, row)
+                    edge += not got
+    assert edge > 1000, edge

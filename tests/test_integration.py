@@ -1,15 +1,19 @@
 """Four-chart integration test: every convention exercised at once.
 
-The cover is a redundant atlas of the projective line sitting inside the
-total space of one of its line bundles: charts 2 and 3 are unipotent
-recoordinatizations of chart 0, so every transition log is nonzero, the
-nerve has a genuine 3-simplex, and the bundle is rank two with
-non-diagonal transitions.  The zero section retracts the total space onto
-the line, so an extension exists to every order: both obstruction
+The cover is a redundant atlas of the affine line sitting inside a
+surface.  Chart 1 is glued to chart 0 as the two standard charts of P^1
+inside Tot O(2) are, but its ring inverts u, so it is the punctured line;
+charts 2 and 3 are unipotent recoordinatizations of chart 0, so the four
+charts cover A^1, every cohomology group vanishes, and the trivial line
+bundle on them has no torsor at any order.  Every transition log is
+nonzero, the nerve has a genuine 3-simplex, and the bundle is rank two
+with non-diagonal transitions.  The zero section retracts the total space
+onto the line, so an extension exists to every order: both obstruction
 equations must therefore be solvable, and the obstruction cochains must
 be honestly delta-closed on the quadruple.
 """
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -146,6 +150,16 @@ def four_chart_scenario(d1=1, d2=-1) -> Scenario:
     )
 
 
+def trivial_line_scenario() -> Scenario:
+    """The trivial line bundle, every g = 1, on the charts of ``four_chart_scenario``."""
+    s = four_chart_scenario()
+    return dataclasses.replace(
+        s, name="four_chart_trivial_line", e=1,
+        g={pair: PolyMatrix.identity(1, NAMES) for pair in s.g},
+        gammas=[[PolyMatrix.zero(1, 1, NAMES)] for _ in s.charts_inverted],
+    )
+
+
 @pytest.fixture(scope="module")
 def scenario():
     return four_chart_scenario()
@@ -228,3 +242,13 @@ def test_order_three_on_four_charts(scenario):
     assert hashlib.sha256(bundle.dumps().encode()).hexdigest() == digest
     narrower = run_pipeline(scenario, k=3, window=(-6, 6)).reports[2].status
     assert isinstance(narrower, UnresolvedWithinWindow)
+
+
+def test_trivial_line_bundle_on_the_charts_has_no_torsor():
+    """The charts cover A^1, which has no cohomology, so no window finds a torsor."""
+    s = trivial_line_scenario()
+    assert validate_scenario(s).ok
+    for w in (4, 8):
+        bundle = run_pipeline(s, k=3, window=(-w, w))
+        assert [(type(r.status), r.status.torsor_dim) for r in bundle.reports] == [(Solved, 0)] * 3
+        assert bundle.abelianized["exact"]

@@ -734,6 +734,12 @@ def _rename_transition(doc):
     t["0;1"] = t.pop("0,1")
 
 
+def _without_its_triple(doc):
+    """The twisted hyperplane, whose three overlaps meet on (0, 1, 2), with that triple left out."""
+    doc.clear()
+    doc.update(generate_builtin("hyperplane_p2_in_p3", d=1, twist=1).to_json(), triples=[])
+
+
 def _file(write):
     """A case that makes the scenario file itself: ``write(path)`` instead of the document."""
     return lambda doc: write
@@ -761,11 +767,13 @@ def _file(write):
         (_set(0, "max_order"), "max_order"),
         # a name is a string, never coerced to one
         (_set(None, "name"), "name: expected str"),
+        # charts of an irreducible variety that meet pairwise meet on the triple
+        (_without_its_triple, "triples: overlaps [0, 1], [0, 2] and [1, 2] are given"),
     ],
     ids=["no_pair", "bad_transition_key", "unknown_chart", "chart_not_object",
          "no_forward_u", "bad_window", "reversed_window", "negative_inverted_exponent",
          "missing_file", "directory", "not_utf8", "nested_too_deep", "max_order_zero",
-         "name_not_string"],
+         "name_not_string", "missing_triple"],
 )
 def test_malformed_scenario_is_an_input_error(tmp_path, capsys, edit, field):
     doc = generate_builtin("line_in_p2", d=1).to_json()
