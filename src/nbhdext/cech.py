@@ -37,28 +37,28 @@ or a term of negative t-degree, or none of one term, moves each monomial
 through its ``Substitution``.  Each coordinate key (simplex, entry, exps)
 is interned to an int once per context, so the columns, the rows of the
 system and the torsor split compare ints.
-``solve_delta`` is the one build, solve and residual recheck behind both
-the obstruction solves and the rank-one system; whole cochains and those
-rechecks move through ``transport``.  It builds only the blocks of the
+``_solved`` is the one solve and residual recheck behind both the
+obstruction solves and the rank-one system; whole cochains and those
+rechecks move through ``transport``.  Both solve only the blocks of the
 system that the right-hand side touches: ``_walk`` goes from its rows to
 the window columns that meet them, on to those columns' rows and on.
+``solve_delta``, the rank-one system's solve, builds only the columns
+the walk reaches.
 ``preimages`` names the columns that meet a row: a face that enters
-itself gives one key, kept when it is in the window box; the transported
-face inverts its transport's exponent map where that is a pure one, and
-reads an index filled by one ``Transport.moved`` pass over the face's
-window keys elsewhere (``_moved_rows``).  Where a caller has built the
-whole window map, the walk reads the columns and the rows that meet them
-from it instead, in the map's numbering.  The walked columns keep the
-window basis's order, so the verdict and x are those of the whole system.
-``system_size`` counts the whole system's unknowns and rows for the
-rank-one report in one key pass, with no coefficient built.
+itself gives one key, kept when it is in the window box, and the
+transported face reads an index filled by one ``Transport.moved`` pass
+over the face's window keys (``_moved_rows``).  The walked columns keep
+the window basis's order, so the verdict and x are those of the whole
+system.  ``system_size`` counts the whole system's unknowns and rows for
+the rank-one report in one key pass, with no coefficient built, and
+fills the same index.
 ``solve_coboundary`` only solves: it returns ``Solved`` or
 ``UnresolvedWithinWindow``, and the cohomology oracle and the nonzero
 certificate are read by the caller.  Its torsor count needs every window
-column: it builds delta_1's map before it solves, folds the rows the walk
-did not reach into the solve's reduced form to see every free column,
-then folds delta_0's rows outside the window and only those at the free
-columns.
+column, so it builds delta_1's map and walks that map's own rows, folds
+the rows the walk did not reach into the solve's reduced form to see
+every free column, then folds delta_0's rows outside the window and
+only those at the free columns.
 All assembly is canonical: simplices, matrix entries and monomials are
 walked in sorted order, so reports are byte-stable.
 """
@@ -67,10 +67,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice, product as iproduct
 from math import comb, prod
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import FrameMismatch, NonInvertibleSubstitution, NotClosed, NotUnipotent
@@ -156,7 +156,6 @@ class CechContext:
         self._window_exponents: Dict[Tuple, List[Exponent]] = {}
         self._window_monomials: Dict[Tuple, List[Exponent]] = {}
         self._delta_maps: Dict[Tuple, Tuple[List[Tuple], List[Dict]]] = {}
-        self._map_rows: Dict[Tuple, Dict[int, Dict[int, Rational]]] = {}
         self._moved_rows: Dict[Tuple, Dict[Pair, Dict[Exponent, List[Tuple]]]] = {}
         self._row_ids: Dict[Tuple, int] = {}
         self._row_keys: List[Tuple] = []
@@ -188,10 +187,14 @@ class CechContext:
         return self._row_ids.setdefault(key, len(self._row_ids))
 
     def row_key(self, i: int) -> Tuple:
-        """The coordinate key that the int ``i`` stands for: ids are handed out in order."""
-        keys = self._row_keys
+        """The coordinate key that the int ``i`` stands for: ids are handed out in order.
+
+        The keys interned since the last call are read off the end of the
+        id dict, so each key is listed once per context.
+        """
+        keys, ids = self._row_keys, self._row_ids
         if i >= len(keys):
-            keys.extend(islice(self._row_ids, len(keys), None))
+            keys.extend(reversed(list(islice(reversed(ids), len(ids) - len(keys)))))
         return keys[i]
 
     # -- value helpers ---------------------------------------------------------------
@@ -404,38 +407,6 @@ class Transport:
             return [shift]
         room = self.t_max - degree
         return [tuple(map(add, shift, e)) for t, e, _ in rows if t <= room]
-
-    @cached_property
-    def inverse(self) -> Optional[Tuple[Tuple[Rational, ...], ...]]:
-        """A^-1 for the matrix A of a pure exponent map, x^x -> x^(A x); else None.
-
-        The map is pure when every image is one term (no ``rest``), only
-        images of t-variables have positive t-degree and A is invertible
-        over Q.  Then a key with t-exponents >= 0 moves to the one term
-        c . x^(A x) of t-degree sum x_i d_i, or to nothing past the order,
-        so the key is read back from A x.  A^-1 is the right half of the
-        reduced echelon form of [A | 1].
-        """
-        if not self.exponents or self.rest or any(i < self.p for i in self.positive):
-            return None
-        n = len(self.columns)
-        reduced = _rref({**{i: x for i, x in enumerate(row) if x}, n + j: 1}
-                        for j, row in enumerate(self.columns))
-        if sorted(reduced) != list(range(n)):
-            return None
-        return tuple(tuple(reduced[i].get(n + j, 0) for j in range(n)) for i in range(n))
-
-    def source(self, exps: Exponent) -> Optional[Exponent]:
-        """The integer x with A x = ``exps`` for a pure exponent map, or None if A^-1 exps is not integral."""
-        x = []
-        for row in self.inverse:
-            v = sum(map(mul, row, exps))
-            if type(v) is not int:
-                if v.denominator != 1:
-                    return None
-                v = v.numerator
-            x.append(v)
-        return tuple(x)
 
 
 @dataclass
@@ -918,11 +889,9 @@ def preimages(
     on the faces of tau.  On a face that drops a vertex other than the
     first the column's key enters itself, so (face, entry, exps) is the one
     candidate, kept when it is a window key.  On tau[1:] the key moves
-    through the transport of tau's leading pair.  Where that is a pure
-    exponent map (``Transport.inverse``), (r, c) . x^x reaches the row
-    exactly when A x + e2 = exps for a row (t2, e2) of the pattern of
-    g[a][r] . g^-1[c][b] with t-degree(x) + t2 within the order, so each
-    pattern row gives at most one x.  Elsewhere ``_moved_rows`` answers.
+    through the transport of tau's leading pair, and ``_moved_rows``, an
+    index keyed by the moved exponents of that face's window keys, answers:
+    a row that only keys outside the window reach gets none.
     """
     tau, entry, exps = row
     out = []
@@ -934,18 +903,8 @@ def preimages(
             if _in_basis(ctx, face, exps, sdegs, window):
                 out.append((face, entry, exps))
             continue
-        transport = ctx.transport_of(tau[:2], vtype)
-        if transport.inverse is None:
-            for sdeg in sdegs:
-                out += _moved_rows(ctx, tau, vtype, sdeg, window).get(entry, {}).get(exps, ())
-            continue
-        for r, line in enumerate(transport.pattern):
-            for c, products in enumerate(line):
-                for t2, e2, _ in (term for ab, rows in products if ab == entry for term in rows):
-                    x = transport.source(tuple(map(sub, exps, e2)))
-                    if (x is not None and _in_basis(ctx, face, x, sdegs, window)
-                            and sum(map(mul, x, transport.degrees)) + t2 <= ctx.order):
-                        out.append((face, (r, c), x))
+        for sdeg in sdegs:
+            out += _moved_rows(ctx, tau, vtype, sdeg, window).get(entry, {}).get(exps, ())
     return out
 
 
@@ -978,29 +937,34 @@ def _system(basis: List, columns: Sequence[Dict[int, Rational]], rhs: Dict[int, 
     return ExactLinearSystem(basis, list(rows.values()), [rhs.get(kk, 0) for kk in rows])
 
 
-def _map_rows(ctx: CechContext, key: Tuple) -> Dict[int, Dict[int, Rational]]:
-    """``_rows`` of the memoized delta map ``key``, made once."""
-    rows = ctx._map_rows.get(key)
-    if rows is None:
-        rows = ctx._map_rows[key] = _rows(ctx._delta_maps[key][1])
-    return rows
-
-
 @dataclass
 class DeltaSolve:
-    """What ``solve_delta`` found.
+    """What a walked delta solve found.
 
     ``columns`` holds the keys of the columns the solve numbers, in the
-    window basis's order: the walked ones, or every key of the maps a
-    caller built.  ``rows`` holds the ids of the rows the walk reached,
-    ``solution`` solves those rows, column k standing for ``columns[k]``,
-    and ``cochain`` is x (None when the system is inconsistent).
+    window basis's order: the walked ones for ``solve_delta``, every key of
+    delta_1's map for ``solve_coboundary``.  ``rows`` holds the ids of the
+    rows the walk reached, ``solution`` solves those rows, column k
+    standing for ``columns[k]``, and ``cochain`` is x (None when the system
+    is inconsistent).
     """
 
     columns: List[Tuple]
     rows: Set[int]
     solution: Solution
     cochain: Optional[CechCochain]
+
+
+def _solved(ctx: CechContext, rhs: CechCochain, columns: List[Tuple], rows: Set[int],
+            system: ExactLinearSystem) -> DeltaSolve:
+    """Solve ``system`` for delta(x) = rhs on ``columns``, assemble x and recheck its residual."""
+    sol = solve_exact(system)
+    x = None
+    if sol.consistent:
+        x = _assemble_cochain(ctx, rhs.degree - 1, rhs.vtype, rhs.sdeg, columns, sol.particular)
+        if not cech_differential(ctx, x).add(rhs.neg()).is_zero():
+            raise NotClosed("solver produced a nonzero residual; the right-hand side is not closed")
+    return DeltaSolve(columns, rows, sol, x)
 
 
 def solve_delta(
@@ -1011,10 +975,7 @@ def solve_delta(
     The unknowns are the window basis on the simplices one degree below
     ``rhs``, of each degree in turn, but only the blocks that rhs touches
     are built: ``_walk`` goes from rhs's rows to their ``preimages`` and on,
-    building each column it reaches alone.  Where a caller has built the
-    map of every degree, as the torsor count does, the walk reads the
-    columns and the rows that meet them from the maps instead, and the
-    system keeps the maps' numbering.  The reduced echelon form of a
+    building each column it reaches alone.  The reduced echelon form of a
     block-diagonal system is the union of its blocks' forms, and a block
     of zero right-hand side is consistent with particular part 0; the
     columns keep the window basis's order, so the pivots, the verdict and
@@ -1023,34 +984,14 @@ def solve_delta(
     ``NotClosed``.
     """
     vtype, window = rhs.vtype, tuple(window)
-    simplices = tuple(ctx.nerve.simplices(rhs.degree))
     b = {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()}
-    keys = [(vtype, sdeg, simplices, window) for sdeg in sdegs]
-    maps = [ctx._delta_maps.get(key) for key in keys]
-    if None in maps:
-        walked, rows = _walk(b, lambda i: preimages(ctx, ctx.row_key(i), vtype, sdegs, window),
-                             lambda k: _delta_columns(ctx, vtype, [k])[0])
-        p = ctx.nerve.chart_rings[0].p
-        rank = {sdeg: n for n, sdeg in enumerate(sdegs)}
-        basis = sorted(walked, key=lambda k: (rank[sum(k[2][p:])], k[0], k[1], k[2][p:],
-                                              grlex_key(k[2][:p])))
-        system = _system(basis, [walked[k] for k in basis], b)
-    else:
-        # a caller built every map: its rows say which columns meet a row, and the
-        # system keeps the maps' numbering, which the torsor count reads
-        basis = [k for map_basis, _ in maps for k in map_basis]
-        columns = [c for _, map_columns in maps for c in map_columns]
-        by_row = _map_rows(ctx, keys[0]) if len(keys) == 1 else _rows(columns)
-        _, rows = _walk(b, lambda i: by_row.get(i, ()), columns.__getitem__)
-        system = ExactLinearSystem(basis, [by_row.get(i, {}) for i in rows],
-                                   [b.get(i, 0) for i in rows])
-    sol = solve_exact(system)
-    x = None
-    if sol.consistent:
-        x = _assemble_cochain(ctx, rhs.degree - 1, vtype, rhs.sdeg, basis, sol.particular)
-        if not cech_differential(ctx, x).add(rhs.neg()).is_zero():
-            raise NotClosed("solver produced a nonzero residual; the right-hand side is not closed")
-    return DeltaSolve(basis, rows, sol, x)
+    walked, rows = _walk(b, lambda i: preimages(ctx, ctx.row_key(i), vtype, sdegs, window),
+                         lambda k: _delta_columns(ctx, vtype, [k])[0])
+    p = ctx.nerve.chart_rings[0].p
+    rank = {sdeg: n for n, sdeg in enumerate(sdegs)}
+    columns = sorted(walked, key=lambda k: (rank[sum(k[2][p:])], k[0], k[1], k[2][p:],
+                                            grlex_key(k[2][:p])))
+    return _solved(ctx, rhs, columns, rows, _system(columns, [walked[k] for k in columns], b))
 
 
 def system_size(
@@ -1103,7 +1044,7 @@ def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, i
     dimension (window kernel of delta modulo window coboundaries) is
     reported: the free columns less dim(im delta_0 & W), counted on those
     columns by ``_im_delta0_inside``.  The count needs every window column,
-    so delta_1's map is built first and the walk reads it.  The free
+    so delta_1's map is built first and ``_walk`` follows its rows.  The free
     columns are read once the rows the walk did not reach are folded into
     the solve's reduced form, the whole system's, as no two blocks share a
     column.  The count requires
@@ -1113,12 +1054,17 @@ def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, i
     reported as insufficient: this is a pure solve, and reading a failure
     as a proof is left to the caller.
     """
-    key = (target.vtype, target.sdeg, tuple(ctx.nerve.simplices(2)), tuple(window))
-    basis, _ = _delta_map(ctx, *key)
-    solved = solve_delta(ctx, target.neg(), [target.sdeg], window)
+    key = (target.vtype, target.sdeg, tuple(ctx.nerve.simplices(target.degree)), tuple(window))
+    basis, columns = _delta_map(ctx, *key)
+    by_row = _rows(columns)
+    rhs = target.neg()
+    b = {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()}
+    _, rows = _walk(b, lambda i: by_row.get(i, ()), columns.__getitem__)
+    system = ExactLinearSystem(basis, [by_row.get(i, {}) for i in rows], [b.get(i, 0) for i in rows])
+    solved = _solved(ctx, rhs, basis, rows, system)
     if solved.cochain is None:
         return UnresolvedWithinWindow(window)
-    rest = [row for i, row in _map_rows(ctx, key).items() if i not in solved.rows]
+    rest = [row for i, row in by_row.items() if i not in rows]
     reduced = _rref(sorted(rest, key=len), dict(solved.solution.reduced))
     free = [f for f in range(len(basis)) if f not in reduced]
     exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window, free)

@@ -858,11 +858,12 @@ def solve_abelianized(ctx: CechContext, window: Tuple[int, int]) -> dict:
     blocks of the system that rho touches are built and eliminated, by a
     walk from rho's rows (``solve_delta``); ``unknowns`` and
     ``constraints`` count the whole system (``system_size``), the
-    constraints by one pass over the keys of its columns.
+    constraints by one pass over the keys of its columns that also fills
+    the index the walk reads.
     """
     rho, sdegs = transition_log_defect(ctx), range(1, ctx.order + 1)
-    solved = solve_delta(ctx, rho, sdegs, window)
     unknowns, constraints = system_size(ctx, rho, sdegs, window)
+    solved = solve_delta(ctx, rho, sdegs, window)
     return {"exact": solved.solution.consistent, "unknowns": unknowns, "constraints": constraints}
 
 

@@ -165,7 +165,6 @@ def test_rank_one_stage_builds_only_the_walked_columns(monkeypatch):
     bundle = run_pipeline(generate_builtin("hyperplane_p2_in_p3", d=1, twist=1), k=2)
     [ctx], [walked] = contexts, solves  # only the rank-one system calls scenarios.solve_delta
     assert bundle.abelianized == {"exact": True, "unknowns": 168, "constraints": 122}
-    assert ctx.transport_of((0, 1), cech.FUNCTION).inverse is None
     assert not [key for key in ctx._delta_maps if key[0] == cech.FUNCTION]
     function_columns = [basis for vtype, basis in built if vtype == cech.FUNCTION]
     assert all(len(basis) == 1 for basis in function_columns)
@@ -959,10 +958,7 @@ def test_block_solve_equals_the_whole_window_solve():
     Consistency, the whole system's unknowns and constraints
     (``system_size``), and lambda agree with ``whole_window_solve`` on
     every case; some cases are inconsistent, most leave columns out, and
-    some leave rows out.  The walk finds its columns through ``preimages``;
-    once the oracle has built the maps, a second solve reads the columns
-    and the rows that meet them from the maps, in the maps' numbering, and
-    reaches the same rows, pivots and lambda.
+    some leave rows out.  The walk finds its columns through ``preimages``.
     """
     seen = {"inconsistent": 0, "smaller": 0, "rest": 0, "cases": 0}
     for label, s in rank_one_cases():
@@ -977,13 +973,6 @@ def test_block_solve_equals_the_whole_window_solve():
                 lam = None if solved.cochain is None else cochain_coordinates(solved.cochain)
                 got = (solved.solution.consistent, unknowns, constraints, lam)
                 assert got == whole_window_solve(ctx, rho, sdegs, window), (label, k, window)
-                # the oracle built the maps, so this solve numbers every window column
-                again = cech.solve_delta(ctx, rho, sdegs, window)
-                pivots = lambda s: [s.columns[k] for k in sorted(s.solution.reduced)]
-                assert again.rows == solved.rows and pivots(again) == pivots(solved), (label, k)
-                assert again.solution.consistent == solved.solution.consistent, (label, k)
-                assert lam == (None if again.cochain is None
-                               else cochain_coordinates(again.cochain)), (label, k, window)
                 seen["inconsistent"] += not solved.solution.consistent
                 seen["smaller"] += len(solved.columns) < unknowns
                 seen["rest"] += len(solved.rows) < constraints
@@ -1025,10 +1014,9 @@ def test_preimages_are_the_columns_that_meet_a_row(monkeypatch):
 
     Every map the pipeline builds is checked, and the FUNCTION maps of the
     rank-one system, which it no longer builds; rows on a transported face
-    are answered by exponent inversion or by the moved-key index, and both
-    run.
+    are answered by the moved-key index.
     """
-    paths = {"inverse": 0, "index": 0}
+    checked = 0
     for label, s in preimage_cases():
         (ctx,) = pipeline_contexts(monkeypatch, s)
         maps = list(ctx._delta_maps)
@@ -1039,19 +1027,17 @@ def test_preimages_are_the_columns_that_meet_a_row(monkeypatch):
             for row, expected in meeting_columns(ctx, vtype, sdeg, simplices, window).items():
                 got = cech.preimages(ctx, row, vtype, [sdeg], window)
                 assert len(got) == len(set(got)) and set(got) == expected, (label, vtype, row)
-                transport = ctx.transport_of(row[0][:2], vtype)
-                paths["index" if transport.inverse is None else "inverse"] += 1
-    assert min(paths.values()) > 1000, paths
+                checked += 1
+    assert checked > 1000, checked
 
 
 def test_preimages_at_the_window_edge_agree_with_a_wider_window():
     """Rows that columns just outside the window reach get exactly their window preimages.
 
-    For every row of the End E maps two wider than the window on each side,
-    whose transported faces move by pure exponent maps, ``preimages`` in
-    the window are the wider map's meeting columns that lie in the window:
-    none at all for rows that only columns outside it reach, as a window-
-    free closure test asks.
+    For every row of the End E maps two wider than the window on each
+    side, ``preimages`` in the window are the wider map's meeting columns
+    that lie in the window: none at all for rows that only columns outside
+    it reach, as a window-free closure test asks.
     """
     edge = 0
     for label, s in preimage_cases():
@@ -1062,8 +1048,6 @@ def test_preimages_at_the_window_edge_agree_with_a_wider_window():
                 window_keys = set(cech._window_basis(ctx, simplices, cech.SYM_END, sdeg, s.window))
                 wide = meeting_columns(ctx, cech.SYM_END, sdeg, simplices, (lo - 2, hi + 2))
                 for row, expected in wide.items():
-                    if ctx.transport_of(row[0][:2], cech.SYM_END).inverse is None:
-                        continue
                     got = set(cech.preimages(ctx, row, cech.SYM_END, [sdeg], s.window))
                     assert got == expected & window_keys, (label, row)
                     edge += not got
