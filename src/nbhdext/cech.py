@@ -54,11 +54,15 @@ the rank-one report in one key pass, with no coefficient built, and
 fills the same index.
 ``solve_coboundary`` only solves: it returns ``Solved`` or
 ``UnresolvedWithinWindow``, and the cohomology oracle and the nonzero
-certificate are read by the caller.  Its torsor count needs every window
-column, so it builds delta_1's map and walks that map's own rows, folds
-the rows the walk did not reach into the solve's reduced form to see
-every free column, then folds delta_0's rows outside the window and
-only those at the free columns.
+certificate are read by the caller.  It builds delta_1's map only on the
+doubles that are a face of some triple: a window key on any other double
+is a zero column, free with no column built, so a nerve without triples
+builds no delta_1 map at all.  It walks that map's own rows from the
+right-hand side; a zero right-hand side reaches none and has x = 0 with
+no elimination.  Its torsor count folds the rows the walk did not reach
+into the solve's reduced form to see every free column, then folds
+delta_0's rows outside the window basis W and only those at the free
+columns.  ``lift_transitions`` keeps G_ij where m has no value.
 All assembly is canonical: simplices, matrix entries and monomials are
 walked in sorted order, so reports are byte-stable.
 """
@@ -159,6 +163,7 @@ class CechContext:
         self._moved_rows: Dict[Tuple, Dict[Pair, Dict[Exponent, List[Tuple]]]] = {}
         self._row_ids: Dict[Tuple, int] = {}
         self._row_keys: List[Tuple] = []
+        self._unlifted_defect: Optional[Dict[Triple, PolyMatrix]] = None
 
     def transport_of(self, pair: Pair, vtype: str) -> "Transport":
         """The ``Transport`` of ``vtype`` values across the stored pair ``pair``, made once."""
@@ -488,6 +493,19 @@ def transition_defect(ctx: CechContext, G: Dict[Pair, PolyMatrix]) -> Dict[Tripl
     return out
 
 
+def _defect(ctx: CechContext, G: Dict[Pair, PolyMatrix]) -> Dict[Triple, PolyMatrix]:
+    """``transition_defect`` of ``G``, computed once per context for the unlifted ``ctx.bundle.g``.
+
+    Order one's obstruction and the rank-one log defect both read the
+    defect of g; neither changes it.
+    """
+    if G is not ctx.bundle.g:
+        return transition_defect(ctx, G)
+    if ctx._unlifted_defect is None:
+        ctx._unlifted_defect = transition_defect(ctx, G)
+    return ctx._unlifted_defect
+
+
 def lift_obstruction(ctx: CechContext, G: Dict[Pair, PolyMatrix], k: int) -> CechCochain:
     """o_k, the t^k-part of the transition defect of lifts ``G`` that are cocycles mod t^k.
 
@@ -496,7 +514,7 @@ def lift_obstruction(ctx: CechContext, G: Dict[Pair, PolyMatrix], k: int) -> Cec
     modulo t^(k+1).
     """
     values = {}
-    for tri, y in transition_defect(ctx, G).items():
+    for tri, y in _defect(ctx, G).items():
         ring = ctx.nerve.triple_rings[tri]
         low = min((ring.t_degree_min(p) for row in y.entries for p in row if p.terms), default=k)
         if low < k:
@@ -511,12 +529,19 @@ def lift_obstruction(ctx: CechContext, G: Dict[Pair, PolyMatrix], k: int) -> Cec
 def lift_transitions(
     ctx: CechContext, G: Dict[Pair, PolyMatrix], m: CechCochain
 ) -> Dict[Pair, PolyMatrix]:
-    """(1 + m_ij) . G_ij on each double: the lifts one order up, for -delta(m) = o_k of ``G``."""
+    """(1 + m_ij) . G_ij on each double: the lifts one order up, for -delta(m) = o_k of ``G``.
+
+    A double where m has no value keeps G_ij itself, with no product
+    formed: the truncated product would only drop terms past t^order,
+    which ``transition_defect`` truncates away.
+    """
     lifted = {}
     for pair, g in G.items():
-        ring = ctx.pairs[pair].ring_low
-        one_plus = PolyMatrix.identity(ctx.bundle.rank, ring.names) + m.value(ctx, pair)
-        lifted[pair] = ring.matmul(one_plus, g, ctx.order)
+        value = m.values.get(pair)
+        if value is not None:
+            ring = ctx.pairs[pair].ring_low
+            g = ring.matmul(PolyMatrix.identity(ctx.bundle.rank, ring.names) + value, g, ctx.order)
+        lifted[pair] = g
     return lifted
 
 
@@ -544,7 +569,7 @@ def transition_log_defect(ctx: CechContext) -> CechCochain:
     k = ctx.order
     coeff = lambda n: Fraction((-1) ** n, n)
     values = {}
-    for tri, y in transition_defect(ctx, ctx.bundle.g).items():
+    for tri, y in _defect(ctx, ctx.bundle.g).items():
         ring = ctx.nerve.triple_rings[tri]
         low = ring.t_degree_min(y[0, 0])
         if low is not None and low < 1:
@@ -818,24 +843,24 @@ def _rank_inside(columns: List[Dict[int, Rational]], inside, kept) -> int:
 
 
 def _im_delta0_inside(
-    ctx: CechContext, vtype: str, sdeg: int, window: Tuple[int, int], free: Sequence[int]
+    ctx: CechContext, vtype: str, sdeg: int, window: Tuple[int, int],
+    inside: Sequence[Tuple], free: Sequence[Tuple],
 ) -> int:
     """Dimension of the window-supported part of the coboundary image.
 
     Chart 0-cochains from the same window are pushed through delta_0.  An
-    image lies in the span W of the 1-cochain window basis exactly when its
-    coordinates outside W vanish, so with P_out the projection that drops
-    W's keys, dim(im delta_0 & W) = rank(delta_0) - rank(P_out delta_0).
-    ``free`` indexes the free columns F of delta_1 on W.  As
-    delta_1 delta_0 = 0, im delta_0 & W lies in ker(delta_1 | W), on which
-    the projection P_F onto F's keys is injective; so the same dimension is
-    rank([P_out; P_F] delta_0) - rank(P_out delta_0), and only the rows at
-    F's keys are folded after the outside ones.
+    image lies in the span W of the 1-cochain window basis, whose keys are
+    ``inside``, exactly when its coordinates outside W vanish, so with
+    P_out the projection that drops W's keys, dim(im delta_0 & W) =
+    rank(delta_0) - rank(P_out delta_0).  ``free`` holds the keys of the
+    free columns F of delta_1 on W.  As delta_1 delta_0 = 0, im delta_0 & W
+    lies in ker(delta_1 | W), on which the projection P_F onto F's keys is
+    injective; so the same dimension is rank([P_out; P_F] delta_0) -
+    rank(P_out delta_0), and only the rows at F's keys are folded after
+    the outside ones.
     """
-    inside, _ = _delta_map(ctx, vtype, sdeg, ctx.nerve.simplices(2), window)
     _, cols = _delta_map(ctx, vtype, sdeg, ctx.nerve.simplices(1), window)
-    kept = [inside[f] for f in free]
-    return _rank_inside(cols, map(ctx.row_id, inside), map(ctx.row_id, kept))
+    return _rank_inside(cols, map(ctx.row_id, inside), map(ctx.row_id, free))
 
 
 def _moved_rows(
@@ -943,10 +968,10 @@ class DeltaSolve:
 
     ``columns`` holds the keys of the columns the solve numbers, in the
     window basis's order: the walked ones for ``solve_delta``, every key of
-    delta_1's map for ``solve_coboundary``.  ``rows`` holds the ids of the
-    rows the walk reached, ``solution`` solves those rows, column k
-    standing for ``columns[k]``, and ``cochain`` is x (None when the system
-    is inconsistent).
+    delta_1's map on the faces of triples for ``solve_coboundary``.
+    ``rows`` holds the ids of the rows the walk reached, ``solution``
+    solves those rows, column k standing for ``columns[k]``, and
+    ``cochain`` is x (None when the system is inconsistent).
     """
 
     columns: List[Tuple]
@@ -1042,30 +1067,40 @@ def solve_coboundary(ctx: CechContext, target: CechCochain, window: Tuple[int, i
 
     On success the residual is rechecked to be exactly zero and the torsor
     dimension (window kernel of delta modulo window coboundaries) is
-    reported: the free columns less dim(im delta_0 & W), counted on those
-    columns by ``_im_delta0_inside``.  The count needs every window column,
-    so delta_1's map is built first and ``_walk`` follows its rows.  The free
-    columns are read once the rows the walk did not reach are folded into
-    the solve's reduced form, the whole system's, as no two blocks share a
-    column.  The count requires
-    delta_1 delta_0 = 0 on the context, which validation guarantees (the
-    chart and bundle cocycles and ``bundle_on_base`` on every triple; a
-    nerve without triples has delta_1 = 0).  Otherwise the window is
-    reported as insufficient: this is a pure solve, and reading a failure
-    as a proof is left to the caller.
+    reported: the free columns F less dim(im delta_0 & W), counted on those
+    columns by ``_im_delta0_inside`` with W read off the window basis.
+    delta_1's map is built only on the doubles that are a face of some
+    triple; a window key on any other double is a zero column, free and
+    never built, so on a nerve without triples F is all of W.  ``_walk``
+    follows the map's rows from the right-hand side; when it reaches none,
+    the right-hand side is zero and so is m, with nothing eliminated.  The
+    free columns are read once the rows the walk did not reach are folded
+    into the solve's reduced form, the whole system's, as no two blocks
+    share a column.  The count requires delta_1 delta_0 = 0 on the
+    context, which validation guarantees (the chart and bundle cocycles
+    and ``bundle_on_base`` on every triple; a nerve without triples has
+    delta_1 = 0).  Otherwise the window is reported as insufficient: this
+    is a pure solve, and reading a failure as a proof is left to the
+    caller.
     """
-    key = (target.vtype, target.sdeg, tuple(ctx.nerve.simplices(target.degree)), tuple(window))
-    basis, columns = _delta_map(ctx, *key)
+    vtype, sdeg = target.vtype, target.sdeg
+    doubles = ctx.nerve.simplices(target.degree)
+    faces = [pair for pair in doubles if ctx.cofaces(pair)]
+    basis, columns = _delta_map(ctx, vtype, sdeg, faces, window)
+    zero = _window_basis(ctx, [pair for pair in doubles if pair not in faces], vtype, sdeg, window)
     by_row = _rows(columns)
     rhs = target.neg()
     b = {ctx.row_id(kk): x for kk, x in cochain_coordinates(rhs).items()}
     _, rows = _walk(b, lambda i: by_row.get(i, ()), columns.__getitem__)
-    system = ExactLinearSystem(basis, [by_row.get(i, {}) for i in rows], [b.get(i, 0) for i in rows])
-    solved = _solved(ctx, rhs, basis, rows, system)
-    if solved.cochain is None:
-        return UnresolvedWithinWindow(window)
+    m, reduced = CechCochain(rhs.degree - 1, vtype, sdeg, {}), {}
+    if rows:
+        system = ExactLinearSystem(basis, [by_row.get(i, {}) for i in rows], [b.get(i, 0) for i in rows])
+        solved = _solved(ctx, rhs, basis, rows, system)
+        if solved.cochain is None:
+            return UnresolvedWithinWindow(window)
+        m, reduced = solved.cochain, dict(solved.solution.reduced)
     rest = [row for i, row in by_row.items() if i not in rows]
-    reduced = _rref(sorted(rest, key=len), dict(solved.solution.reduced))
-    free = [f for f in range(len(basis)) if f not in reduced]
-    exact_dim = _im_delta0_inside(ctx, target.vtype, target.sdeg, window, free)
-    return Solved(solved.cochain, len(free) - exact_dim)
+    reduced = _rref(sorted(rest, key=len), reduced)
+    free = [key for f, key in enumerate(basis) if f not in reduced] + zero
+    exact_dim = _im_delta0_inside(ctx, vtype, sdeg, window, basis + zero, free)
+    return Solved(m, len(free) - exact_dim)

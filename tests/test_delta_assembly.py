@@ -138,6 +138,56 @@ def test_pipeline_builds_each_delta_map_once(monkeypatch):
     assert all(len(basis) == 1 for vtype, basis in built if vtype == cech.FUNCTION)
 
 
+@pytest.mark.parametrize("name, d, twist", [("p1_in_line_bundle", 3, 0), ("line_in_p2", 0, 1)])
+def test_a_nerve_without_triples_builds_solves_and_lifts_nothing(monkeypatch, name, d, twist):
+    """delta_1 = 0 on two charts: no End E column on a double, no obstruction solve, no lift product.
+
+    The same wrappers see the work that remains: delta_0's columns on the
+    charts for the torsor count, the rank-one solve and its own products.
+    """
+    inside, double_columns, chart_columns, order_solves, other_solves, products = \
+        [], [], [], [], [], []
+    real_columns, real_solved, real_matmul = cech._delta_columns, cech._solved, ChartRing.matmul
+
+    def within(label, real):
+        def call(*args):
+            inside.append(label)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+        return call
+
+    def columns(ctx, vtype, basis):
+        if vtype == cech.SYM_END:
+            for key in basis:
+                (double_columns if len(key[0]) == 2 else chart_columns).append(key)
+        return real_columns(ctx, vtype, basis)
+
+    def solved(*args):
+        (order_solves if "solve_coboundary" in inside else other_solves).append(args)
+        return real_solved(*args)
+
+    def matmul(ring, *args):
+        if "lift_transitions" in inside:
+            products.append(args)
+        return real_matmul(ring, *args)
+
+    monkeypatch.setattr(scenarios, "solve_coboundary",
+                        within("solve_coboundary", scenarios.solve_coboundary))
+    monkeypatch.setattr(scenarios, "lift_transitions",
+                        within("lift_transitions", scenarios.lift_transitions))
+    monkeypatch.setattr(cech, "_delta_columns", columns)
+    monkeypatch.setattr(cech, "_solved", solved)
+    monkeypatch.setattr(ChartRing, "matmul", matmul)
+    bundle = run_pipeline(generate_builtin(name, d=d, twist=twist), k=3)
+    assert all(isinstance(r.status, cech.Solved) for r in bundle.reports)
+    assert any(r.status.torsor_dim for r in bundle.reports)
+    assert bundle.abelianized["exact"]
+    assert not double_columns and not order_solves and not products
+    assert chart_columns and other_solves
+
+
 def test_rank_one_stage_builds_only_the_walked_columns(monkeypatch):
     """The rank-one system builds no whole-window FUNCTION map, only the columns its walk reaches.
 

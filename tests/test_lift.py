@@ -13,11 +13,15 @@ from pathlib import Path
 
 import pytest
 
+from nbhdext import cech, scenarios
 from nbhdext.cech import (
+    SYM_END,
+    CechCochain,
     Solved,
     UnresolvedWithinWindow,
     cochain_coordinates,
     lift_obstruction,
+    lift_transitions,
     transition_defect,
 )
 from nbhdext.errors import NotClosed
@@ -70,6 +74,54 @@ def test_lift_obstruction_rechecks_the_lower_orders():
     assert not lift_obstruction(ctx, ctx.bundle.g, 1).is_zero()
     with pytest.raises(NotClosed, match="t-degree 1"):
         lift_obstruction(ctx, ctx.bundle.g, 2)
+
+
+def test_the_unlifted_defect_is_computed_once_per_context(monkeypatch):
+    """Order one's obstruction and the rank-one log defect share the defect of g."""
+    defects, lifts, contexts = [], [], []
+    real_defect, real_lift, real_build = cech.transition_defect, scenarios.lift_transitions, \
+        scenarios.build_context
+
+    def defect(ctx, G):
+        defects.append(G)
+        return real_defect(ctx, G)
+
+    def lift(ctx, G, m):
+        lifts.append(real_lift(ctx, G, m))
+        return lifts[-1]
+
+    monkeypatch.setattr(cech, "transition_defect", defect)
+    monkeypatch.setattr(scenarios, "lift_transitions", lift)
+    monkeypatch.setattr(scenarios, "build_context",
+                        lambda s, k: contexts.append(real_build(s, k)) or contexts[-1])
+    bundle = run_pipeline(generate_builtin("hyperplane_p2_in_p3", d=1, twist=1), k=2)
+    [ctx], [lifted] = contexts, lifts
+    assert bundle.abelianized["exact"]
+    assert len(defects) == 2
+    assert defects[0] is ctx.bundle.g and defects[1] is lifted
+
+
+def test_lift_keeps_the_transitions_where_the_cochain_has_no_value():
+    """(1 + m_ij) . G_ij truncated where m has a value, G_ij itself on the other doubles."""
+    ctx = build_context(four_chart_scenario(), 2)
+    ring = ctx.pairs[(0, 1)].ring_low
+    # lifts with t-terms, so that the truncation drops some products
+    G = {pair: g + g.map(lambda p: p * ring.monomial((1, 1), 2)) for pair, g in ctx.bundle.g.items()}
+    t = ring.monomial((0, 1))
+    values = {
+        (0, 1): PolyMatrix([[t, ring.monomial((-1, 1), -3)], [ring.zero(), t * t]]),
+        (1, 3): PolyMatrix([[ring.monomial((2, 2)), ring.zero()], [ring.zero(), t]]),
+    }
+    m = CechCochain(1, SYM_END, 1, values)
+    lifted = lift_transitions(ctx, G, m)
+    assert list(lifted) == list(G)
+    for pair, g in G.items():
+        if pair not in values:
+            assert lifted[pair] is g, pair
+            continue
+        whole = (PolyMatrix.identity(2, ring.names) + values[pair]).matmul(g)
+        assert lifted[pair] == whole.map(lambda p: ring.truncate(p, 2)), pair
+        assert lifted[pair] != whole, pair
 
 
 def cup_product_differs_from_the_lift(s):
