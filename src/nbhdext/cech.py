@@ -46,12 +46,16 @@ the window columns that meet them, on to those columns' rows and on.
 the walk reaches.
 ``preimages`` names the columns that meet a row: a face that enters
 itself gives one key, kept when it is in the window box, and the
-transported face reads an index filled by one ``Transport.moved`` pass
-over the face's window keys (``_moved_rows``).  The walked columns keep
-the window basis's order, so the verdict and x are those of the whole
-system.  ``system_size`` counts the whole system's unknowns and rows for
-the rank-one report in one key pass, with no coefficient built, and
-fills the same index.
+transported face reads an index of the face's window keys by the rows
+they reach (``_moved_rows``): the exponents of ``Transport.moved`` for a
+function, the rows on the coface of their ``_delta_columns`` columns for
+End E.  So ``Transport.moved`` is the one reader of a moved monomial and
+``_delta_columns`` the one place it is multiplied by the pattern.  The
+walked columns keep the window basis's order, so the verdict and x are
+those of the whole system.  ``system_size`` counts the whole system's
+unknowns and rows for the rank-one report in one pass that fills the
+same index; it warms the memo of ``Transport.moved``, which the walked
+columns then read.
 ``solve_coboundary`` only solves: it returns ``Solved`` or
 ``UnresolvedWithinWindow``, and the cohomology oracle and the nonzero
 certificate are read by the caller.  It builds delta_1's map only on the
@@ -157,7 +161,6 @@ class CechContext:
         # memos of derived data; they live and die with this context
         self._transports: Dict[Tuple[Pair, str], Transport] = {}
         self._cofaces: Dict[int, Dict[Tuple[int, ...], List[Tuple]]] = {}
-        self._window_exponents: Dict[Tuple, List[Exponent]] = {}
         self._window_monomials: Dict[Tuple, List[Exponent]] = {}
         self._delta_maps: Dict[Tuple, Tuple[List[Tuple], List[Dict]]] = {}
         self._moved_rows: Dict[Tuple, Dict[Pair, Dict[Exponent, List[Tuple]]]] = {}
@@ -232,12 +235,12 @@ class Transport:
     ``substitution`` is the memoized ``Substitution`` of the high chart's
     coordinates by their linear images for ``SYM_END`` and by their full
     images F_ij^* for a ``FUNCTION``; an End E value is then conjugated by
-    g_ij.  ``moved`` gives the truncated image of one monomial as
-    (t-degree, exponent, coefficient) rows, the layout of the rows of
-    ``pattern``: K[r][c] = [((a, b), rows), ...], row-major in (a, b),
-    lists the terms of the truncated product g[a][r] . g^-1[c][b] in
-    grlex order, a zero product left out; a ``FUNCTION`` has the 1 x 1
-    pattern of the constant 1.
+    g_ij.  ``moved``, the one reader of a moved monomial, gives the
+    truncated image of one monomial as (t-degree, exponent, coefficient)
+    rows, the layout of the rows of ``pattern``: K[r][c] = [((a, b),
+    rows), ...], row-major in (a, b), lists the terms of the truncated
+    product g[a][r] . g^-1[c][b] in grlex order, a zero product left out;
+    a ``FUNCTION`` has the 1 x 1 pattern of the constant 1.
 
     Where the image of variable i is one term c_i . x^(E_i) of t-degree
     d_i >= 0, the image of x^e is prod c_i^(e_i) . x^(sum e_i E_i), of
@@ -347,30 +350,6 @@ class Transport:
         ``t_max``, whose image is zero unless the whole substitution raises
         first; that is left to the substitution, with no ``rest`` part moved.
         """
-        split = self._split(exps)
-        if not split:
-            return split
-        degree, rows = split
-        c = 1
-        for i in self.scaled:
-            k = exps[i]
-            if k:
-                c *= self.coefficients[i] ** k if k > 0 else self.inverses[i] ** -k
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        shift = tuple([sum(map(mul, exps, col)) for col in self.columns])
-        if rows is None:
-            return ((degree, shift, c),)
-        room = self.t_max - degree
-        return tuple([(t + degree, tuple(map(add, shift, e)), exact(c * x))
-                      for t, e, x in rows if t <= room])
-
-    def _split(self, exps: Exponent):
-        """(t-degree of the one-term part, rows of the moved ``rest`` part or None), () or None.
-
-        () when the monomial moves to zero and None when it is left to the
-        substitution, as ``_by_exponents`` says.
-        """
         for i in self.positive:
             if exps[i] < 0:
                 return None
@@ -392,26 +371,19 @@ class Transport:
                         return None
         if rows is None and degree > self.t_max:
             return ()
-        return degree, rows
-
-    def reached(self, exps: Exponent) -> List[Exponent]:
-        """The exponents of ``moved(exps)``, in its order, with no coefficient multiplied.
-
-        Read off the exponent arithmetic where ``moved`` would be, and off
-        ``moved`` itself otherwise; the ``rest`` parts share its memo.
-        """
-        rows = self._moved.get(exps)
-        split = None if rows is not None or not self.exponents else self._split(exps)
-        if split is None:
-            return [e for _, e, _ in self.moved(exps)]
-        if not split:
-            return []
-        degree, rows = split
+        c = 1
+        for i in self.scaled:
+            k = exps[i]
+            if k:
+                c *= self.coefficients[i] ** k if k > 0 else self.inverses[i] ** -k
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
         shift = tuple([sum(map(mul, exps, col)) for col in self.columns])
         if rows is None:
-            return [shift]
+            return ((degree, shift, c),)
         room = self.t_max - degree
-        return [tuple(map(add, shift, e)) for t, e, _ in rows if t <= room]
+        return tuple([(t + degree, tuple(map(add, shift, e)), exact(c * x))
+                      for t, e, x in rows if t <= room])
 
 
 @dataclass
@@ -623,27 +595,20 @@ def _box(p: int, inverted: Tuple[Exponent, ...], lo: int, hi: int) -> Optional[T
     return tuple((lo if cov else max(lo, 0), hi) for cov in covered)
 
 
-def _window_exponents(ctx: CechContext, ring: ChartRing, window: Tuple[int, int]) -> List[Exponent]:
-    """Tangential exponents in the window box and the chart ring's cone, grlex, memoized."""
-    key = (ring.p, ring.inverted, tuple(window))
-    exps = ctx._window_exponents.get(key)
-    if exps is None:
-        box = _box(ring.p, ring.inverted, *window)
-        exps = ctx._window_exponents[key] = [] if box is None else monomial_window(box)
-    return exps
-
-
 def _window_monomials(
     ctx: CechContext, ring: ChartRing, sdeg: int, window: Tuple[int, int]
 ) -> List[Exponent]:
     """The window's exponents of conormal degree ``sdeg`` on one ring: t-monomials, then u, grlex.
 
-    Memoized; the list is shared, so no caller changes it.
+    The tangential exponents are those of the window box in the chart
+    ring's cone (``_box``).  Memoized; the list is shared, so no caller
+    changes it.
     """
     key = (ring.p, ring.q, ring.inverted, sdeg, tuple(window))
     exps = ctx._window_monomials.get(key)
     if exps is None:
-        u_exps = _window_exponents(ctx, ring, window)
+        box = _box(ring.p, ring.inverted, *window)
+        u_exps = [] if box is None else monomial_window(box)
         exps = ctx._window_monomials[key] = [ue + tm for tm in ring.t_monomials(sdeg)
                                              for ue in u_exps]
     return exps
@@ -868,40 +833,30 @@ def _moved_rows(
 ) -> Dict[Pair, Dict[Exponent, List[Tuple]]]:
     """entry -> exps -> the window keys on tau[1:] whose delta column meets (tau, entry, exps), memoized.
 
-    One pass moves each window key of conormal degree ``sdeg`` on the face
-    tau[1:] through the transport of tau's leading pair and multiplies it by
-    the pattern, as ``_delta_columns`` does, keeping keys only.  Moved terms
-    have distinct exponents, and so have a pattern's rows, so no entry can
-    cancel unless both have several; only then are the products summed.
+    The keys of conormal degree ``sdeg`` on the face tau[1:] move through
+    the transport of tau's leading pair.  A function's pattern is the
+    constant 1, so its rows on tau are the exponents of ``Transport.moved``,
+    whose memo the columns read later.  An End E key's rows on tau are
+    those of its ``_delta_columns`` column, so the index drops exactly the
+    terms the columns cancel.
     """
     memo = (tau, vtype, sdeg, tuple(window))
     index = ctx._moved_rows.get(memo)
     if index is None:
         index = ctx._moved_rows[memo] = {}
-        face, transport, t_max = tau[1:], ctx.transport_of(tau[:2], vtype), ctx.order
-        for column in _window_basis(ctx, [face], vtype, sdeg, window):
-            _, entry, exps = column
-            if transport.frame is None:  # a function's pattern is the constant 1
-                by_exps = index.setdefault(entry, {})
-                for e in transport.reached(exps):
+        basis = _window_basis(ctx, [tau[1:]], vtype, sdeg, window)
+        transport = ctx.transport_of(tau[:2], vtype)
+        if transport.frame is None:
+            for column in basis:
+                by_exps = index.setdefault(column[1], {})
+                for _, e, _ in transport.moved(column[2]):
                     by_exps.setdefault(e, []).append(column)
-                continue
-            moved = transport.moved(exps)
-            for ab, rows in transport.pattern[entry[0]][entry[1]]:
-                if len(moved) > 1 and len(rows) > 1:
-                    acc: Dict[Exponent, Rational] = {}
-                    for t1, e1, c1 in moved:
-                        for t2, e2, c2 in rows:
-                            if t1 + t2 <= t_max:
-                                e = tuple(map(add, e1, e2))
-                                acc[e] = acc.get(e, 0) + c1 * c2
-                    reached = [e for e, x in acc.items() if x]
-                else:
-                    reached = [tuple(map(add, e1, e2)) for t1, e1, _ in moved
-                               for t2, e2, _ in rows if t1 + t2 <= t_max]
-                by_exps = index.setdefault(ab, {})
-                for e in reached:
-                    by_exps.setdefault(e, []).append(column)
+        else:
+            for column, col in zip(basis, _delta_columns(ctx, vtype, basis)):
+                for i in col:
+                    simplex, ab, e = ctx.row_key(i)
+                    if simplex == tau:
+                        index.setdefault(ab, {}).setdefault(e, []).append(column)
     return index
 
 
@@ -1028,8 +983,9 @@ def system_size(
     every key of the columns and of rhs, found in one key pass per simplex
     tau one degree above the columns: the faces that enter themselves add
     their window keys, and the face tau[1:] adds the keys of
-    ``_moved_rows``, which it fills for ``preimages``.  No coefficient and
-    no column is built.
+    ``_moved_rows``, which it fills for ``preimages``.  For a function no
+    column is built: the pass moves each window monomial once through
+    ``Transport.moved``, whose memo the columns ``solve_delta`` walks read.
     """
     vtype = rhs.vtype
     n = ctx.value_side(vtype)

@@ -25,6 +25,7 @@ from .scenarios import (
     run_pipeline,
     save_scenario,
     validate_scenario,
+    write_text,
 )
 
 
@@ -117,8 +118,7 @@ def _dispatch(args) -> int:
                 print(f"  abelianized pair: {verdict}")
         if args.out:
             doc = [b.to_json() for b in outputs]
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(dumps_indented(doc if len(doc) > 1 else doc[0]) + "\n")
+            write_text(args.out, dumps_indented(doc if len(doc) > 1 else doc[0]) + "\n")
         return 0
 
     if args.command == "cohomology":

@@ -401,9 +401,17 @@ def _reject_float(text: str):
     raise ParseError(f"float literal {text!r} rejected: the engine is exact-only")
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write: {exc.strerror}") from exc
+
+
 def save_scenario(s: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(s.dumps())
+    write_text(path, s.dumps())
 
 
 # -- validation ------------------------------------------------------------------

@@ -509,14 +509,14 @@ def test_window_cone_closed_form_equals_the_search(case):
     p, inverted, window = case
     ring = ChartRing(tuple(f"u{i + 1}" for i in range(p)), ("t1",), inverted)
     expected = [w for w in monomial_window([window] * p) if allowed_exponent(ring, w)]
-    ctx = SimpleNamespace(_window_exponents={})
-    assert cech._window_exponents(ctx, ring, window) == expected
+    ctx = SimpleNamespace(_window_monomials={})
+    assert cech._window_monomials(ctx, ring, 0, window) == [w + (0,) for w in expected]
 
 
 def test_window_cone_refuses_negative_inverted_exponents():
     ring = ChartRing(("u1",), ("t1",), ((-1,),))
     with pytest.raises(ValueError, match="nonnegative"):
-        cech._window_exponents(SimpleNamespace(_window_exponents={}), ring, (-1, 1))
+        cech._window_monomials(SimpleNamespace(_window_monomials={}), ring, 0, (-1, 1))
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ substitution, linear and full.
 import random
 import sys
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -548,6 +549,28 @@ def mixing_line_scenario() -> Scenario:
     )
 
 
+def cancelling_line_scenario() -> Scenario:
+    """A rank-two bundle on two charts of A^1 glued by u1 -> u0 + 1, whose transport cancels.
+
+    The overlap is the whole line: u0 -> u1 - 1 backward and t1 -> t1 both
+    ways, and g01 = [[1, 1 - u], [0, 1]].  A monomial u^k moves to
+    (u + 1)^k, and the pattern row 1 - u of entry (0, 1) times u + 1 is
+    1 - u^2: the product's cross terms cancel.  The nerve has no triple.
+    """
+    names = ("u1", "t1")
+    P = lambda terms: LaurentPoly(names, terms)
+    t = (P({(0, 1): 1}),)
+    overlap = OverlapSpec((0, 1), {0: (), 1: ()}, (P({(1, 0): 1, (0, 0): 1}),), t,
+                          (P({(1, 0): 1, (0, 0): -1}),), t)
+    g = PolyMatrix([[P({(0, 0): 1}), P({(0, 0): 1, (1, 0): -1})], [P({}), P({(0, 0): 1})]])
+    return Scenario(
+        name="cancelling_line", p=1, q=1, e=2, max_order=2,
+        charts_inverted=[(), ()], overlaps=[overlap], triples=[], g={(0, 1): g},
+        gammas=[[PolyMatrix.zero(2, 2, names)] for _ in range(2)], flat=[True, True],
+        window=(-3, 3),
+    )
+
+
 def test_elementary_transport_equals_the_whole_transport():
     """Each column piece equals the transport of E_rc . x^exps, key order included.
 
@@ -1036,7 +1059,7 @@ def test_block_solve_equals_the_whole_window_solve():
 
 def preimage_cases():
     """Every builtin at d -2..3 (twists 0, 1 and -1 where it has one), quadric O(1,1) and
-    O(1,0), the mixing line and the four-chart fixture."""
+    O(1,0), the mixing line, the four-chart fixture and the cancelling line."""
     for name in scenarios.BUILTIN_NAMES:
         twists = (0, 1, -1) if name in scenarios.TWISTED_BUILTINS else (0,)
         for d in range(-2, 4):
@@ -1046,6 +1069,7 @@ def preimage_cases():
         yield f"quadric O({a},{b})", quadric_scenario(a, b)
     yield "mixing line", mixing_line_scenario()
     yield "four-chart fixture", four_chart_scenario()
+    yield "cancelling line", cancelling_line_scenario()
 
 
 def meeting_columns(ctx, vtype, sdeg, simplices, window):
@@ -1085,20 +1109,54 @@ def test_preimages_at_the_window_edge_agree_with_a_wider_window():
     """Rows that columns just outside the window reach get exactly their window preimages.
 
     For every row of the End E maps two wider than the window on each
-    side, ``preimages`` in the window are the wider map's meeting columns
-    that lie in the window: none at all for rows that only columns outside
-    it reach, as a window-free closure test asks.
+    side, and of the rank-one system's FUNCTION map on the doubles,
+    ``preimages`` in the window are the wider map's meeting columns that
+    lie in the window: none at all for rows that only columns outside it
+    reach, as a window-free closure test asks.
     """
     edge = 0
     for label, s in preimage_cases():
         ctx = build_context(s, 2)
-        (lo, hi), sides = s.window, (ctx.nerve.simplices(1), ctx.nerve.doubles())
+        lo, hi = s.window
+        maps = [(cech.SYM_END, ctx.nerve.simplices(1)), (cech.SYM_END, ctx.nerve.doubles())]
+        if s.e == 1:
+            maps.append((cech.FUNCTION, ctx.nerve.doubles()))
         for sdeg in (1, 2):
-            for simplices in sides:
-                window_keys = set(cech._window_basis(ctx, simplices, cech.SYM_END, sdeg, s.window))
-                wide = meeting_columns(ctx, cech.SYM_END, sdeg, simplices, (lo - 2, hi + 2))
+            for vtype, simplices in maps:
+                window_keys = set(cech._window_basis(ctx, simplices, vtype, sdeg, s.window))
+                wide = meeting_columns(ctx, vtype, sdeg, simplices, (lo - 2, hi + 2))
                 for row, expected in wide.items():
-                    got = set(cech.preimages(ctx, row, cech.SYM_END, [sdeg], s.window))
-                    assert got == expected & window_keys, (label, row)
+                    got = set(cech.preimages(ctx, row, vtype, [sdeg], s.window))
+                    assert got == expected & window_keys, (label, vtype, row)
                     edge += not got
     assert edge > 1000, edge
+
+
+def test_a_product_that_cancels_keeps_no_zero_entry(monkeypatch):
+    """Where a moved monomial times its pattern row cancels, the column drops the term.
+
+    On ``cancelling_line_scenario`` every delta_0 column's part on the
+    transported face is a subset of the exponents the product reaches, and
+    some reached term cancels; the columns equal the full differential.
+    The preimage tests run the same fixture, so the moved-key index drops
+    what the columns drop.
+    """
+    (ctx,) = pipeline_contexts(monkeypatch, cancelling_line_scenario())
+    assert_columns_match_full_differential(ctx)
+    keys = coordinate_keys_of(ctx)
+    cancelled = 0
+    for (vtype, _, _, _), (basis, columns) in ctx._delta_maps.items():
+        for (simplex, (r, c), exps), col in zip(basis, columns):
+            assert all(col.values()), (simplex, exps)
+            for tau, pos in ctx.cofaces(simplex):
+                if pos:
+                    continue
+                transport = ctx.transport_of(tau[:2], vtype)
+                products = {(ab, tuple(map(add, e1, e2)))
+                            for t1, e1, _ in transport.moved(exps)
+                            for ab, rows in transport.pattern[r][c]
+                            for t2, e2, _ in rows if t1 + t2 <= ctx.order}
+                entries = {keys[i][1:] for i in col if keys[i][0] == tau}
+                assert entries <= products, (simplex, exps)
+                cancelled += len(products - entries)
+    assert cancelled > 0

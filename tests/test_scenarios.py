@@ -658,6 +658,18 @@ def test_cli_negative_window_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_unwritable_output_path_is_an_input_error(tmp_path, capsys):
+    scn = tmp_path / "s.json"
+    cli_main(["generate", "line_in_p2", "-d", "1", "-o", scn.as_posix()])
+    missing, directory = (tmp_path / "missing" / "x.json").as_posix(), tmp_path.as_posix()
+    capsys.readouterr()
+    for argv, path in ((["generate", "line_in_p2", "-o", missing], missing),
+                       (["obstruct", scn.as_posix(), "--order", "1", "--out", directory], directory)):
+        assert cli_main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot write: "), argv
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("order", ["0", "-3"])
 def test_cli_order_below_one_is_an_input_error(tmp_path, capsys, order):
     scn = tmp_path / "s.json"
