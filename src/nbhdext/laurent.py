@@ -381,5 +381,6 @@ def monomial_window(bounds: Sequence[Tuple[int, int]]) -> List[Exponent]:
     vectors: List[Exponent] = [()]
     for lo, hi in bounds:
         vectors = [v + (k,) for v in vectors for k in range(lo, hi + 1)]
-    vectors.sort(key=grlex_key)
+    # built in lexicographic order, so a stable sort by total degree is grlex
+    vectors.sort(key=sum)
     return vectors

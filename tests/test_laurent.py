@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from nbhdext.errors import NonInvertibleSubstitution, ParseError
 from nbhdext.filtered import ChartRing
-from nbhdext.laurent import LaurentPoly, monomial_window
+from nbhdext.laurent import LaurentPoly, grlex_key, monomial_window
 
 V = ("x", "y")
 
@@ -76,6 +77,12 @@ def test_monomial_window_two_vars():
     win = monomial_window([(0, 1), (0, 1)])
     assert len(win) == 4
     assert win == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("bounds", [[(-2, 3)], [(-3, 3), (0, 2)], [(-2, 1), (-1, 2), (0, 1)]])
+def test_monomial_window_is_the_grlex_sort_of_the_box(bounds):
+    box = itertools.product(*[range(lo, hi + 1) for lo, hi in bounds])
+    assert monomial_window(bounds) == sorted(box, key=grlex_key)
 
 
 def test_window_rejects_empty():
