@@ -159,8 +159,8 @@ def test_builtin_sweep_flags_an_inexact_rank_one_system():
     spec = importlib.util.spec_from_file_location("run_builtins", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    # O(1, 0) does not extend, so no order is solved either; on a builtin,
-    # which always extends, each of these lines is a failure of the sweep
+    # O(1, 0) solves no order in its window either; on a builtin, which
+    # always extends, each of these lines is a failure of the sweep
     assert sweep.problems_of(run_pipeline(quadric_scenario(1, 0), k=2)) == [
         "order 1: unresolved within window (-4, 4), not solved",
         "order 2: unresolved within window (-4, 4), not solved",
